@@ -30,16 +30,12 @@
 
 namespace {
 
-// Pairs-vs-blocks shuffle comparison on string keys (where the columnar
-// layout pays: one serialize+hash per key at emit time, zero key copies
-// afterwards). mode 0 runs the pair-based ShardedShuffle the engine used
-// before the block representation; mode 1 fills columnar KVBlocks through
-// the Emitter and runs BlockShardedShuffle. Both produce identical
-// first-seen-ordered results; the delta is pure representation cost.
-// Arguments: {n, mode}.
+// Block shuffle throughput on string keys (where the columnar layout
+// pays: one serialize+hash per key at emit time, zero key copies
+// afterwards): fills columnar KVBlocks through the Emitter and runs
+// BlockShardedShuffle. Arguments: {n}.
 void BM_ShuffleThroughput(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const bool blocks_mode = state.range(1) == 1;
   const std::size_t num_chunks = 8;
   const std::size_t num_shards = 8;
   const std::size_t chunk = (n + num_chunks - 1) / num_chunks;
@@ -54,60 +50,38 @@ void BM_ShuffleThroughput(benchmark::State& state) {
   double last_ms = 0;
   for (auto _ : state) {
     const auto start = std::chrono::steady_clock::now();
-    if (blocks_mode) {
-      std::vector<std::unique_ptr<
-          mrcost::storage::KVBlock<std::string, std::uint64_t>>>
-          blocks;
-      for (std::size_t c = 0; c < num_chunks; ++c) {
-        mrcost::engine::Emitter<std::string, std::uint64_t> emitter;
-        const std::size_t lo = std::min(n, c * chunk);
-        const std::size_t hi = std::min(n, lo + chunk);
-        for (std::size_t i = lo; i < hi; ++i) emitter.Emit(key_of(i), i);
-        blocks.push_back(
-            std::make_unique<
-                mrcost::storage::KVBlock<std::string, std::uint64_t>>(
-                std::move(emitter.block())));
-      }
-      auto result =
-          mrcost::engine::BlockShardedShuffle(blocks, pool, num_shards);
-      keys_seen = result.keys.size();
-      benchmark::DoNotOptimize(result.groups);
-    } else {
-      std::vector<std::vector<std::pair<std::string, std::uint64_t>>> chunks(
-          num_chunks);
-      for (std::size_t c = 0; c < num_chunks; ++c) {
-        const std::size_t lo = std::min(n, c * chunk);
-        const std::size_t hi = std::min(n, lo + chunk);
-        chunks[c].reserve(hi - lo);
-        for (std::size_t i = lo; i < hi; ++i) {
-          chunks[c].emplace_back(key_of(i), i);
-        }
-      }
-      auto result = mrcost::engine::ShardedShuffle(chunks, pool, num_shards);
-      keys_seen = result.keys.size();
-      benchmark::DoNotOptimize(result.groups);
+    std::vector<std::unique_ptr<
+        mrcost::storage::KVBlock<std::string, std::uint64_t>>>
+        blocks;
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      mrcost::engine::Emitter<std::string, std::uint64_t> emitter;
+      const std::size_t lo = std::min(n, c * chunk);
+      const std::size_t hi = std::min(n, lo + chunk);
+      for (std::size_t i = lo; i < hi; ++i) emitter.Emit(key_of(i), i);
+      blocks.push_back(
+          std::make_unique<
+              mrcost::storage::KVBlock<std::string, std::uint64_t>>(
+              std::move(emitter.block())));
     }
+    auto result =
+        mrcost::engine::BlockShardedShuffle(blocks, pool, num_shards);
+    keys_seen = result.keys.size();
+    benchmark::DoNotOptimize(result.groups);
     last_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - start)
                   .count();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
   state.counters["keys"] = static_cast<double>(keys_seen);
-  // Wall time includes building the chunk/block inputs, so the line
-  // compares the full pair path (materialize pairs, shuffle them) with
-  // the full block path (emit into blocks, shuffle row indices).
+  // Wall time includes emitting into the blocks, so the line prices the
+  // full path: emit into blocks, then shuffle row indices.
   std::printf(
-      "BENCH_JSON {\"bench\":\"shuffle_throughput\",\"mode\":\"%s\","
+      "BENCH_JSON {\"bench\":\"shuffle_throughput\",\"mode\":\"blocks\","
       "\"n\":%zu,\"keys\":%zu,\"wall_ms\":%.3f,\"mpairs_per_s\":%.3f}\n",
-      blocks_mode ? "blocks" : "pairs", n, keys_seen, last_ms,
+      n, keys_seen, last_ms,
       last_ms > 0 ? static_cast<double>(n) / last_ms / 1e3 : 0.0);
 }
-BENCHMARK(BM_ShuffleThroughput)
-    ->ArgNames({"n", "blocks"})
-    ->Args({1 << 17, 0})
-    ->Args({1 << 17, 1})
-    ->Args({1 << 20, 0})
-    ->Args({1 << 20, 1});
+BENCHMARK(BM_ShuffleThroughput)->ArgNames({"n"})->Arg(1 << 17)->Arg(1 << 20);
 
 void BM_ReplicationFanout(benchmark::State& state) {
   // Each input emitted to `fanout` keys: stresses the replication path the
@@ -173,9 +147,9 @@ BENCHMARK(BM_ThreadScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 // --------------------------------------------------------------- shuffle
 // Sharded-vs-serial shuffle comparison on a 1M-pair workload with ~512k
 // distinct keys — enough that the serial shuffle's single hash table falls
-// out of cache. Shards = 1 is exactly the seed engine's serial shuffle
-// (SerialShuffle); larger shard counts exercise the radix-partitioned
-// parallel path. Arguments: {num_threads, num_shards}.
+// out of cache. Shards = 1 groups every key in one table, the serial
+// baseline; larger shard counts exercise the radix-partitioned parallel
+// path. Arguments: {num_threads, num_shards}.
 void BM_ShuffleShardedSweep(benchmark::State& state) {
   const std::size_t n = 1 << 20;
   std::vector<std::uint64_t> inputs(n);

@@ -139,7 +139,8 @@ DistRoundOps MakeDistRoundOps(
       return common::Status::FailedPrecondition(
           "dist write_chunk: input slot not materialized");
     }
-    auto file = storage::SpillFileWriter::Create(path, /*version=*/1);
+    auto file = storage::SpillFileWriter::Create(
+        path, storage::kSpillFormatVersionValues);
     if (!file.ok()) return file.status();
     storage::SpillFileWriter writer = std::move(file.value());
     std::string payload;
@@ -347,8 +348,8 @@ DistRoundOps MakeDistRoundOps(
     outcome.merge_passes = stats.merge_passes;
     outcome.spill_bytes_written = stats.spill_bytes_written;
 
-    auto file =
-        storage::SpillFileWriter::Create(spec.result_path, /*version=*/1);
+    auto file = storage::SpillFileWriter::Create(
+        spec.result_path, storage::kSpillFormatVersionValues);
     if (!file.ok()) return file.status();
     storage::SpillFileWriter writer = std::move(file.value());
     std::string payload;

@@ -86,8 +86,8 @@ struct JobOptions {
   /// declared or sampled estimate; the eager entry points have none
   /// before the map runs, so they size for a large round — tiny jobs pay
   /// a few near-empty shard tasks rather than fan-out jobs losing their
-  /// parallelism). 1 = the serial reference shuffle. Ignored by the
-  /// external shuffle.
+  /// parallelism). 1 = one shard, grouping every key in one table.
+  /// Ignored by the external shuffle.
   std::size_t num_shards = 0;
   /// Shuffle configuration (strategy, memory budget, spill dir, merge
   /// fan-in) — the one ShuffleConfig shared with PipelineOptions and the
@@ -967,7 +967,7 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::MapChunk(
       // Post-combine rows are what cross the shuffle. The combined block
       // is sliced by accumulated ByteSizeOf at the chunk's budget share;
       // each slice sorts and spills as one columnar run. Spill positions
-      // are the post-combine emission order, matching the RunWriter path.
+      // are the post-combine emission order.
       const std::uint64_t budget =
           options_.shuffle.memory_budget_bytes / num_map_tasks_;
       for (std::size_t i = lo; i < hi; ++i) map_((*inputs_)[i], emitter);
@@ -1000,11 +1000,10 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::MapChunk(
             });
       }
     } else {
-      // One block buffer at the chunk's full budget share (the old path
-      // halved the share between the pair buffer and the RunWriter's
-      // serialized batch; blocks spill straight from the emitter, so
-      // there is no second stage to reserve for). Each overflowed block
-      // sorts and spills as one columnar run.
+      // One block buffer at the chunk's full budget share: blocks spill
+      // straight from the emitter, so there is no second serialization
+      // stage to reserve for. Each overflowed block sorts and spills as
+      // one columnar run.
       const std::uint64_t share =
           options_.shuffle.memory_budget_bytes / num_map_tasks_;
       std::uint64_t next_local = 0;

@@ -1,55 +1,19 @@
 #ifndef MRCOST_STORAGE_RUN_WRITER_H_
 #define MRCOST_STORAGE_RUN_WRITER_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "src/common/byte_size.h"
 #include "src/common/status.h"
 #include "src/common/temp_dir.h"
 #include "src/storage/block.h"
-#include "src/storage/serde.h"
 #include "src/storage/spill_file.h"
 
 namespace mrcost::storage {
-
-/// One serialized key-value pair inside a run: the key's finalized hash,
-/// the pair's global emission position, and the serialized key bytes
-/// followed by the serialized value bytes.
-struct SpillRecord {
-  std::uint64_t hash = 0;
-  std::uint64_t pos = 0;
-  std::uint32_t key_size = 0;
-  std::string bytes;
-
-  std::string_view key_bytes() const {
-    return std::string_view(bytes).substr(0, key_size);
-  }
-  std::string_view value_bytes() const {
-    return std::string_view(bytes).substr(key_size);
-  }
-};
-
-/// The total order every run is sorted in and the k-way merge pops in:
-/// (hash, key bytes, position). Serialization is injective, so equal
-/// (hash, key bytes) means equal keys, and ordering by position within a
-/// key reproduces emission order — the engine's determinism contract.
-inline bool SpillRecordLess(const SpillRecord& a, const SpillRecord& b) {
-  if (a.hash != b.hash) return a.hash < b.hash;
-  const int c = a.key_bytes().compare(b.key_bytes());
-  if (c != 0) return c < 0;
-  return a.pos < b.pos;
-}
-
-inline bool SameKey(const SpillRecord& a, const SpillRecord& b) {
-  return a.hash == b.hash && a.key_bytes() == b.key_bytes();
-}
 
 /// Emission positions are (map chunk, position within chunk) packed so
 /// that the numeric order equals the global scan order the in-memory
@@ -62,14 +26,6 @@ inline std::uint64_t MakeSpillPos(std::uint32_t chunk, std::uint64_t local) {
   return (static_cast<std::uint64_t>(chunk) << kSpillPosLocalBits) | local;
 }
 
-/// Appends `rec` to a block payload: u64 hash, u64 pos, u32 key bytes,
-/// u32 total bytes, then the bytes.
-void EncodeRecord(const SpillRecord& rec, std::string& out);
-
-/// Decodes the record at `p`, advancing past it; false on truncated or
-/// malformed input.
-bool DecodeRecord(const char*& p, const char* end, SpillRecord& rec);
-
 /// Spill counters for one shuffle, surfaced through JobMetrics.
 struct SpillStats {
   /// Sorted runs spilled to disk by over-budget emitter batches.
@@ -80,35 +36,9 @@ struct SpillStats {
   /// k-way merge passes, the final grouping pass included; more than one
   /// means the run count exceeded the merge fan-in.
   std::uint64_t merge_passes = 0;
-  /// Block-format runs only: raw-vs-encoded byte counters for every block
-  /// written (spills and merge rewrites), the source of
-  /// JobMetrics::compression_ratio.
+  /// Raw-vs-encoded byte counters for every block written (spills and
+  /// merge rewrites), the source of JobMetrics::compression_ratio.
   BlockEncodeStats encode;
-};
-
-/// Streams pre-sorted records into one spill file, packing them into
-/// CRC-framed blocks of ~`block_bytes`.
-class RunFileWriter {
- public:
-  static common::Result<RunFileWriter> Create(
-      const std::string& path, std::size_t block_bytes = kDefaultBlockBytes);
-
-  RunFileWriter(RunFileWriter&&) = default;
-  RunFileWriter& operator=(RunFileWriter&&) = default;
-
-  common::Status Append(const SpillRecord& rec);
-  common::Status Finish();
-
-  std::uint64_t bytes_written() const { return file_.bytes_written(); }
-  const std::string& path() const { return file_.path(); }
-
- private:
-  explicit RunFileWriter(SpillFileWriter file, std::size_t block_bytes)
-      : file_(std::move(file)), block_bytes_(block_bytes) {}
-
-  SpillFileWriter file_;
-  std::size_t block_bytes_ = kDefaultBlockBytes;
-  std::string block_;
 };
 
 /// Streams pre-sorted records into one version-2 spill file, buffering a
@@ -165,17 +95,16 @@ class RunSpiller {
   RunSpiller(const RunSpiller&) = delete;
   RunSpiller& operator=(const RunSpiller&) = delete;
 
-  /// Sorts `records` by SpillRecordLess and writes them as one run,
-  /// consuming them. Counts toward spill_runs().
-  common::Status SpillRun(std::vector<SpillRecord>& records);
-
   /// Writes an already-sorted columnar run as one version-2 run file,
   /// consuming it. Counts toward spill_runs(); encode stats accumulate in
   /// encode_stats().
   common::Status SpillBlockRun(ColumnarRun& run,
                                const Codec* codec = nullptr);
 
-  /// Block-format counterpart of NewRun/CloseRun for merge rewrites.
+  /// Opens a new (registered, auto-cleaned) run file for an already-sorted
+  /// stream — the merge uses this to rewrite intermediate runs. Close with
+  /// CloseBlockRun so the bytes are counted. Does not count toward
+  /// spill_runs().
   common::Result<BlockRunFileWriter> NewBlockRun(
       const Codec* codec = nullptr);
   common::Status CloseBlockRun(BlockRunFileWriter& writer);
@@ -183,19 +112,11 @@ class RunSpiller {
   /// Raw-vs-encoded byte counters over every block run written.
   BlockEncodeStats encode_stats() const;
 
-  /// Opens a new (registered, auto-cleaned) run file for an already-sorted
-  /// stream — the merge uses this to rewrite intermediate runs. Close with
-  /// CloseRun so the bytes are counted. Does not count toward
-  /// spill_runs().
-  common::Result<RunFileWriter> NewRun();
-  common::Status CloseRun(RunFileWriter& writer);
-
   /// Paths of every run file created so far (spills and merge rewrites).
   std::vector<std::string> run_paths() const;
-  /// Paths created by SpillRun/SpillBlockRun only, in a deterministic
-  /// order: block runs sort by their smallest emission position, so the
-  /// merge consumes them in scan order no matter which thread registered
-  /// its spill first (record runs keep creation order).
+  /// Paths created by SpillBlockRun only, sorted by each run's smallest
+  /// emission position, so the merge consumes them in scan order no
+  /// matter which thread registered its spill first.
   std::vector<std::string> spill_run_paths() const;
 
   std::uint64_t spill_runs() const;
@@ -209,69 +130,13 @@ class RunSpiller {
   /// (no cleanup) when the caller supplied a shared dir.
   common::TempDir owned_dir_;
   mutable std::mutex mu_;
-  /// (order key, path): block runs key on their smallest emission
-  /// position, record runs on registration order.
+  /// (smallest emission position, path) per spilled run.
   std::vector<std::pair<std::uint64_t, std::string>> spill_paths_;
   std::vector<std::string> merge_paths_;
   BlockEncodeStats encode_stats_;
   std::uint64_t bytes_written_ = 0;
   std::uint64_t next_run_id_ = 0;
   std::uint64_t spiller_id_ = 0;
-};
-
-/// Per-map-chunk spilling frontend: serializes pairs into SpillRecords and
-/// hands the batch to the spiller as one sorted run whenever its
-/// ByteSizeOf footprint exceeds `memory_budget_bytes` (the same size
-/// convention the simulator's capacity checks use — see
-/// src/common/byte_size.h). A budget of zero spills every record
-/// individually: degenerate but valid, exercised by tests as the
-/// worst-case spill path.
-template <typename Key, typename Value>
-class RunWriter {
- public:
-  RunWriter(RunSpiller* spiller, std::uint64_t memory_budget_bytes,
-            std::uint32_t chunk_id)
-      : spiller_(spiller),
-        budget_(memory_budget_bytes),
-        chunk_id_(chunk_id) {}
-
-  /// `hash` must be the key's finalized HashValue — the writer does not
-  /// hash so that storage stays independent of the engine's hashing.
-  common::Status Add(std::uint64_t hash, const Key& key, const Value& value) {
-    SpillRecord rec;
-    rec.hash = hash;
-    rec.pos = MakeSpillPos(chunk_id_, next_local_++);
-    SerializeValue(key, rec.bytes);
-    rec.key_size = static_cast<std::uint32_t>(rec.bytes.size());
-    SerializeValue(value, rec.bytes);
-    buffered_bytes_ +=
-        common::ByteSizeOf(key) + common::ByteSizeOf(value);
-    batch_.push_back(std::move(rec));
-    if (buffered_bytes_ > budget_) {
-      buffered_bytes_ = 0;
-      return spiller_->SpillRun(batch_);
-    }
-    return common::Status::Ok();
-  }
-
-  /// Sorts and surrenders the unspilled tail as an in-memory run for the
-  /// merge (tail pairs never touch disk).
-  std::vector<SpillRecord> TakeTail() {
-    std::sort(batch_.begin(), batch_.end(),
-              [](const SpillRecord& a, const SpillRecord& b) {
-                return SpillRecordLess(a, b);
-              });
-    buffered_bytes_ = 0;
-    return std::move(batch_);
-  }
-
- private:
-  RunSpiller* spiller_;
-  std::uint64_t budget_;
-  std::uint32_t chunk_id_;
-  std::uint64_t next_local_ = 0;
-  std::uint64_t buffered_bytes_ = 0;
-  std::vector<SpillRecord> batch_;
 };
 
 }  // namespace mrcost::storage

@@ -141,7 +141,7 @@ common::Result<SpillFileReader> SpillFileReader::Open(
     return common::Status::InvalidArgument("spill file: bad magic in " +
                                            path);
   }
-  if (header[1] != kSpillFormatVersion &&
+  if (header[1] != kSpillFormatVersionValues &&
       header[1] != kSpillFormatVersionBlocks) {
     return common::Status::InvalidArgument(
         "spill file: unsupported version " + std::to_string(header[1]) +

@@ -21,8 +21,8 @@ namespace mrcost::storage {
 ///   | payload ...       |
 ///   +-------------------+
 ///
-/// Payloads are opaque to this layer (the run writer packs length-prefixed
-/// records into them; records never straddle a block). Every block is
+/// Payloads are opaque to this layer; the header's version says what they
+/// hold (see the kSpillFormatVersion* constants below). Every block is
 /// CRC-checked on read, so a torn write, a truncated file, or bit rot
 /// surfaces as a Status instead of garbage groups.
 std::uint32_t Crc32(const void* data, std::size_t n);
@@ -35,12 +35,16 @@ std::uint32_t Crc32Resume(std::uint32_t crc, const void* data,
                           std::size_t n);
 
 inline constexpr std::uint32_t kSpillMagic = 0x5053524Du;  // "MRSP"
-inline constexpr std::uint32_t kSpillFormatVersion = 1;
+
+/// Version 1: each payload is a u64 item count followed by that many
+/// serialized values (src/storage/serde.h) — the multi-process backend's
+/// map-input chunk files and reduce result files.
+inline constexpr std::uint32_t kSpillFormatVersionValues = 1;
 
 /// Version 2: each payload is one encoded columnar block
-/// (src/storage/block.h — codec id, varint raw size, compressed body)
-/// instead of a pack of fixed-header records. The frame layer is
-/// unchanged; readers accept both versions and expose which one they got.
+/// (src/storage/block.h — codec id, varint raw size, compressed body) —
+/// every shuffle run file. The frame layer is the same for both versions;
+/// readers accept both and expose which one they got.
 inline constexpr std::uint32_t kSpillFormatVersionBlocks = 2;
 
 /// Blocks are flushed once their payload reaches this size (a single
@@ -58,7 +62,7 @@ class SpillFileWriter {
  public:
   static common::Result<SpillFileWriter> Create(
       const std::string& path,
-      std::uint32_t version = kSpillFormatVersion);
+      std::uint32_t version = kSpillFormatVersionValues);
 
   SpillFileWriter(SpillFileWriter&&) = default;
   SpillFileWriter& operator=(SpillFileWriter&&) = default;
@@ -94,8 +98,8 @@ class SpillFileReader {
 
   const std::string& path() const { return path_; }
 
-  /// Format version from the file header (1 = record payloads, 2 = block
-  /// payloads).
+  /// Format version from the file header (kSpillFormatVersionValues or
+  /// kSpillFormatVersionBlocks).
   std::uint32_t version() const { return version_; }
 
  private:
@@ -103,7 +107,7 @@ class SpillFileReader {
 
   std::ifstream in_;
   std::string path_;
-  std::uint32_t version_ = kSpillFormatVersion;
+  std::uint32_t version_ = kSpillFormatVersionValues;
 };
 
 }  // namespace mrcost::storage

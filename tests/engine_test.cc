@@ -1,4 +1,5 @@
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <string_view>
@@ -19,6 +20,7 @@
 #include "src/engine/shuffle.h"
 #include "src/engine/simulator.h"
 #include "src/storage/block.h"
+#include "tests/shuffle_inputs.h"
 
 namespace mrcost::engine {
 namespace {
@@ -557,26 +559,39 @@ TEST(Shuffle, CombinedDeterministicAcrossThreadAndShardCounts) {
   }
 }
 
+/// One KVBlock per chunk, filled through the Emitter exactly as a map task
+/// fills its block.
+template <typename Key, typename Value>
+std::vector<std::unique_ptr<storage::KVBlock<Key, Value>>> BlocksFromChunks(
+    const std::vector<std::vector<std::pair<Key, Value>>>& chunks) {
+  std::vector<std::unique_ptr<storage::KVBlock<Key, Value>>> blocks;
+  for (const auto& chunk : chunks) {
+    Emitter<Key, Value> emitter;
+    for (const auto& [key, value] : chunk) emitter.Emit(key, value);
+    blocks.push_back(std::make_unique<storage::KVBlock<Key, Value>>(
+        std::move(emitter.block())));
+  }
+  return blocks;
+}
+
 TEST(Shuffle, ShardedMatchesSerialDirectly) {
-  // Exercise ShardedShuffle/SerialShuffle below the job layer, with
-  // multi-chunk input and repeated keys straddling chunk boundaries.
-  auto make_chunks = [] {
-    std::vector<std::vector<std::pair<int, int>>> chunks(5);
-    int v = 0;
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      for (int i = 0; i < 200; ++i) {
-        chunks[c].emplace_back((v * 7) % 143, v);
-        ++v;
-      }
+  // Exercise BlockShardedShuffle against SerialShuffle below the job
+  // layer, with multi-chunk input and repeated keys straddling chunk
+  // boundaries.
+  std::vector<std::vector<std::pair<int, int>>> chunks(5);
+  int v = 0;
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    for (int i = 0; i < 200; ++i) {
+      chunks[c].emplace_back((v * 7) % 143, v);
+      ++v;
     }
-    return chunks;
-  };
-  auto serial_chunks = make_chunks();
+  }
+  auto serial_chunks = chunks;
   const auto serial = SerialShuffle(serial_chunks);
   common::ThreadPool pool(4);
   for (std::size_t shards : {2u, 3u, 8u, 64u}) {
-    auto chunks = make_chunks();
-    const auto sharded = ShardedShuffle(chunks, pool, shards);
+    auto blocks = BlocksFromChunks(chunks);
+    const auto sharded = BlockShardedShuffle(blocks, pool, shards);
     SCOPED_TRACE("shards=" + std::to_string(shards));
     EXPECT_EQ(sharded.keys, serial.keys);
     EXPECT_EQ(sharded.groups, serial.groups);
@@ -624,70 +639,25 @@ TEST(Shuffle, SimulatedWorkerLoadBalance) {
 
 // ------------------------------------------- shuffle property harness
 
-/// Key distributions the equivalence property is checked under: the
-/// regimes where a sharded shuffle can diverge from the serial reference
-/// (hot keys concentrating in one shard, every key distinct, every pair
-/// the same key).
-enum class KeyDist { kUniform, kZipf, kAllSame, kAllDistinct };
-
-const char* Name(KeyDist dist) {
-  switch (dist) {
-    case KeyDist::kUniform: return "uniform";
-    case KeyDist::kZipf: return "zipf";
-    case KeyDist::kAllSame: return "all-same";
-    case KeyDist::kAllDistinct: return "all-distinct";
-  }
-  return "?";
-}
-
-/// Seed-deterministic random chunks: chunk count, chunk sizes (including
-/// empty chunks), and keys all drawn from `seed`.
-std::vector<std::vector<std::pair<std::uint64_t, int>>> RandomChunks(
-    KeyDist dist, std::uint64_t seed) {
-  common::SplitMix64 rng(seed);
-  const common::ZipfDistribution zipf(64, 1.3);
-  const std::size_t num_chunks = 1 + rng.UniformBelow(8);
-  std::vector<std::vector<std::pair<std::uint64_t, int>>> chunks(num_chunks);
-  int serial = 0;
-  for (auto& chunk : chunks) {
-    const std::size_t size = rng.UniformBelow(400);
-    chunk.reserve(size);
-    for (std::size_t i = 0; i < size; ++i) {
-      std::uint64_t key = 0;
-      switch (dist) {
-        case KeyDist::kUniform:
-          key = rng.UniformBelow(150);
-          break;
-        case KeyDist::kZipf:
-          key = zipf.Sample(rng);
-          break;
-        case KeyDist::kAllSame:
-          key = 42;
-          break;
-        case KeyDist::kAllDistinct:
-          key = static_cast<std::uint64_t>(serial);
-          break;
-      }
-      chunk.emplace_back(key, serial++);
-    }
-  }
-  return chunks;
-}
+using testutil::kAllKeyDists;
+using testutil::KeyDist;
+using testutil::Name;
+using testutil::RandomChunks;
 
 TEST(ShuffleProperty, SerialVsShardedEquivalence) {
-  // For every distribution, seed, and shard count 1..16: keys, group
-  // contents, and global first-seen order must match the serial reference
-  // exactly. Both shuffles consume their chunks, so each run rebuilds them
-  // (RandomChunks is a pure function of its arguments).
+  // For every distribution, seed, and shard count 1..16: the block
+  // shuffle's keys, group contents, and global first-seen order must
+  // match the serial reference exactly. Both shuffles consume their
+  // inputs, so each run rebuilds its blocks from the same chunks.
   common::ThreadPool pool(4);
-  for (KeyDist dist : {KeyDist::kUniform, KeyDist::kZipf, KeyDist::kAllSame,
-                       KeyDist::kAllDistinct}) {
+  for (KeyDist dist : kAllKeyDists) {
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-      auto serial_chunks = RandomChunks(dist, seed);
+      const auto chunks = RandomChunks(dist, seed);
+      auto serial_chunks = chunks;
       const auto serial = SerialShuffle(serial_chunks);
       for (std::size_t shards = 1; shards <= 16; ++shards) {
-        auto chunks = RandomChunks(dist, seed);
-        const auto sharded = ShardedShuffle(chunks, pool, shards);
+        auto blocks = BlocksFromChunks(chunks);
+        const auto sharded = BlockShardedShuffle(blocks, pool, shards);
         SCOPED_TRACE(std::string(Name(dist)) +
                      " seed=" + std::to_string(seed) +
                      " shards=" + std::to_string(shards));

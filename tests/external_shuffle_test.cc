@@ -30,6 +30,7 @@
 #include "src/join/two_round.h"
 #include "src/matmul/matrix.h"
 #include "src/matmul/mr_multiply.h"
+#include "tests/shuffle_inputs.h"
 
 namespace mrcost::engine {
 namespace {
@@ -134,6 +135,115 @@ TEST(ExternalShuffleJob, IdenticalToInMemoryAcrossBudgetsAndThreads) {
   // The in-memory strategies report no spill activity.
   EXPECT_FALSE(reference.metrics.external_shuffle());
   EXPECT_EQ(reference.metrics.spill_runs, 0u);
+}
+
+// ----------------------------- round-trip property vs SerialShuffle
+
+using testutil::kAllKeyDists;
+using testutil::KeyDist;
+using testutil::Name;
+using testutil::RandomChunks;
+
+template <typename Key, typename Value>
+using Grouped = std::vector<std::pair<Key, std::vector<Value>>>;
+
+/// SerialShuffle over `chunks`, as (key, group) rows in first-seen order.
+template <typename Key, typename Value>
+Grouped<Key, Value> SerialGroups(
+    std::vector<std::vector<std::pair<Key, Value>>> chunks) {
+  auto serial = SerialShuffle(chunks);
+  Grouped<Key, Value> rows;
+  for (std::size_t i = 0; i < serial.keys.size(); ++i) {
+    rows.emplace_back(std::move(serial.keys[i]), std::move(serial.groups[i]));
+  }
+  return rows;
+}
+
+/// The same pairs through a full RunMapReduce round: the map re-emits each
+/// pair (inputs in scan order), the reduce emits its key and group as-is.
+template <typename Key, typename Value>
+JobResult<std::pair<Key, std::vector<Value>>> GroupJob(
+    const std::vector<std::vector<std::pair<Key, Value>>>& chunks,
+    const JobOptions& options) {
+  std::vector<std::pair<Key, Value>> inputs;
+  for (const auto& chunk : chunks) {
+    inputs.insert(inputs.end(), chunk.begin(), chunk.end());
+  }
+  auto map_fn = [](const std::pair<Key, Value>& kv,
+                   Emitter<Key, Value>& emitter) {
+    emitter.Emit(kv.first, kv.second);
+  };
+  auto reduce_fn = [](const Key& key, const std::vector<Value>& values,
+                      Grouped<Key, Value>& out) {
+    out.emplace_back(key, values);
+  };
+  return RunMapReduce<std::pair<Key, Value>, Key, Value,
+                      std::pair<Key, std::vector<Value>>>(inputs, map_fn,
+                                                          reduce_fn, options);
+}
+
+TEST(ExternalShuffleJob, MatchesSerialShuffleAcrossDistributionsAndBudgets) {
+  // For every distribution, seed, and budget (from spill-everything to
+  // spill-nothing): keys, group contents, and global first-seen order must
+  // match the serial in-memory reference exactly.
+  for (KeyDist dist : kAllKeyDists) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const auto chunks = RandomChunks(dist, seed);
+      const auto serial = SerialGroups(chunks);
+      for (std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{256},
+                                   std::uint64_t{4096},
+                                   std::uint64_t{1} << 30}) {
+        JobOptions options;
+        options.num_threads = 4;
+        options.shuffle.strategy = ShuffleStrategy::kExternal;
+        options.shuffle.memory_budget_bytes = budget;
+        const auto run = GroupJob(chunks, options);
+        SCOPED_TRACE(std::string(Name(dist)) +
+                     " seed=" + std::to_string(seed) +
+                     " budget=" + std::to_string(budget));
+        ASSERT_EQ(run.outputs, serial);
+        EXPECT_TRUE(run.metrics.external_shuffle());
+        EXPECT_GE(run.metrics.merge_passes, 1u);
+        if (budget == 0 && !serial.empty()) {
+          EXPECT_GT(run.metrics.spill_runs, 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(ExternalShuffleJob, TinyFanInForcesMultiPassMerge) {
+  const auto chunks = RandomChunks(KeyDist::kUniform, 9);
+  JobOptions options;
+  options.num_threads = 4;
+  options.shuffle.strategy = ShuffleStrategy::kExternal;
+  options.shuffle.memory_budget_bytes = 512;  // many small runs
+  options.shuffle.merge_fan_in = 2;           // smallest legal fan-in
+  const auto run = GroupJob(chunks, options);
+  EXPECT_EQ(run.outputs, SerialGroups(chunks));
+  EXPECT_GT(run.metrics.merge_passes, 1u);
+  EXPECT_GT(run.metrics.spill_runs, 2u);
+}
+
+TEST(ExternalShuffleJob, StringKeysAndValues) {
+  // Variable-length keys exercise the key-byte comparison path.
+  std::vector<std::vector<std::pair<std::string, std::string>>> chunks(3);
+  common::SplitMix64 rng(21);
+  for (auto& chunk : chunks) {
+    for (int i = 0; i < 200; ++i) {
+      const std::uint64_t k = rng.UniformBelow(37);
+      chunk.emplace_back("key-" + std::string(k % 5, 'x') +
+                             std::to_string(k),
+                         "value-" + std::to_string(i));
+    }
+  }
+  JobOptions options;
+  options.num_threads = 2;
+  options.shuffle.strategy = ShuffleStrategy::kExternal;
+  options.shuffle.memory_budget_bytes = 2048;
+  const auto run = GroupJob(chunks, options);
+  EXPECT_EQ(run.outputs, SerialGroups(chunks));
+  EXPECT_GT(run.metrics.spill_runs, 0u);
 }
 
 TEST(ExternalShuffleJob, CombinedRoundMatchesInMemory) {

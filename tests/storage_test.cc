@@ -1,8 +1,11 @@
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <numeric>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -12,13 +15,13 @@
 
 #include "src/common/random.h"
 #include "src/common/status.h"
-#include "src/common/thread_pool.h"
 #include "src/engine/shuffle.h"
 #include "src/storage/block.h"
 #include "src/storage/external_merge.h"
 #include "src/storage/run_writer.h"
 #include "src/storage/serde.h"
 #include "src/storage/spill_file.h"
+#include "tests/shuffle_inputs.h"
 
 namespace mrcost::storage {
 namespace {
@@ -184,196 +187,12 @@ TEST(SpillFile, FlippedByteFailsCrc) {
   EXPECT_EQ(status.code(), common::StatusCode::kInternal);
 }
 
-// ------------------------------------------------- runs and the merge
-
-SpillRecord MakeRecord(std::uint64_t hash, std::uint64_t pos,
-                       std::uint64_t key, int value) {
-  SpillRecord rec;
-  rec.hash = hash;
-  rec.pos = pos;
-  SerializeValue(key, rec.bytes);
-  rec.key_size = static_cast<std::uint32_t>(rec.bytes.size());
-  SerializeValue(value, rec.bytes);
-  return rec;
-}
-
-TEST(RunWriter, EncodeDecodeRecord) {
-  const SpillRecord rec = MakeRecord(7, 9, 1234, -5);
-  std::string block;
-  EncodeRecord(rec, block);
-  const char* p = block.data();
-  SpillRecord out;
-  ASSERT_TRUE(DecodeRecord(p, block.data() + block.size(), out));
-  EXPECT_EQ(p, block.data() + block.size());
-  EXPECT_EQ(out.hash, rec.hash);
-  EXPECT_EQ(out.pos, rec.pos);
-  EXPECT_EQ(out.key_size, rec.key_size);
-  EXPECT_EQ(out.bytes, rec.bytes);
-}
-
-TEST(RunWriter, BudgetTriggersSpills) {
-  RunSpiller spiller(TestDir());
-  RunWriter<std::uint64_t, int> writer(&spiller, 200, /*chunk_id=*/0);
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(writer.Add(/*hash=*/static_cast<std::uint64_t>(i),
-                           static_cast<std::uint64_t>(i), i)
-                    .ok());
-  }
-  const auto tail = writer.TakeTail();
-  EXPECT_GT(spiller.spill_runs(), 0u);
-  EXPECT_GT(spiller.bytes_written(), 0u);
-  // Every record is either in a run or in the tail.
-  std::uint64_t on_disk = 0;
-  for (const std::string& path : spiller.spill_run_paths()) {
-    DiskRunSource source(path);
-    SpillRecord rec;
-    while (source.Next(rec)) ++on_disk;
-    ASSERT_TRUE(source.status().ok()) << source.status();
-  }
-  EXPECT_EQ(on_disk + tail.size(), 100u);
-}
-
-TEST(RunWriter, ZeroBudgetSpillsEveryRecord) {
-  RunSpiller spiller(TestDir());
-  RunWriter<std::uint64_t, int> writer(&spiller, 0, /*chunk_id=*/0);
-  for (int i = 0; i < 17; ++i) {
-    ASSERT_TRUE(writer.Add(static_cast<std::uint64_t>(i),
-                           static_cast<std::uint64_t>(i), i)
-                    .ok());
-  }
-  EXPECT_TRUE(writer.TakeTail().empty());
-  EXPECT_EQ(spiller.spill_runs(), 17u);
-}
-
-TEST(RunSpiller, RemovesItsFilesOnDestruction) {
-  std::vector<std::string> paths;
-  {
-    RunSpiller spiller(TestDir());
-    std::vector<SpillRecord> records{MakeRecord(1, 1, 1, 1)};
-    ASSERT_TRUE(spiller.SpillRun(records).ok());
-    paths = spiller.run_paths();
-    ASSERT_EQ(paths.size(), 1u);
-    EXPECT_TRUE(std::filesystem::exists(paths[0]));
-  }
-  EXPECT_FALSE(std::filesystem::exists(paths[0]));
-}
-
-TEST(LoserTree, EmptyAndSingleSource) {
-  LoserTree empty({});
-  SpillRecord rec;
-  EXPECT_FALSE(empty.Next(rec));
-
-  std::vector<SpillRecord> records;
-  records.push_back(MakeRecord(2, 0, 2, 20));
-  records.push_back(MakeRecord(5, 1, 5, 50));
-  MemoryRunSource source(std::move(records));
-  std::vector<RunSource*> sources{&source};
-  LoserTree tree(sources);
-  ASSERT_TRUE(tree.Next(rec));
-  EXPECT_EQ(rec.hash, 2u);
-  ASSERT_TRUE(tree.Next(rec));
-  EXPECT_EQ(rec.hash, 5u);
-  EXPECT_FALSE(tree.Next(rec));
-  EXPECT_TRUE(tree.status().ok());
-}
-
-TEST(LoserTree, MergesManySourcesInOrder) {
-  // 7 sources with interleaved hashes; positions globally unique.
-  common::SplitMix64 rng(13);
-  std::vector<MemoryRunSource> owned;
-  std::vector<std::vector<SpillRecord>> runs(7);
-  std::uint64_t pos = 0;
-  for (int i = 0; i < 500; ++i) {
-    runs[rng.UniformBelow(7)].push_back(
-        MakeRecord(rng.UniformBelow(40), pos, rng.UniformBelow(40),
-                   static_cast<int>(pos)));
-    ++pos;
-  }
-  std::vector<RunSource*> sources;
-  for (auto& run : runs) {
-    std::sort(run.begin(), run.end(),
-              [](const SpillRecord& a, const SpillRecord& b) {
-                return SpillRecordLess(a, b);
-              });
-    owned.emplace_back(std::move(run));
-  }
-  for (auto& source : owned) sources.push_back(&source);
-  LoserTree tree(sources);
-  SpillRecord prev;
-  SpillRecord rec;
-  std::size_t count = 0;
-  while (tree.Next(rec)) {
-    if (count > 0) {
-      EXPECT_TRUE(SpillRecordLess(prev, rec));
-    }
-    prev = rec;
-    ++count;
-  }
-  EXPECT_EQ(count, 500u);
-  EXPECT_TRUE(tree.status().ok());
-}
-
-TEST(ExternalMerge, CorruptRunSurfacesStatusNotCrash) {
-  RunSpiller spiller(TestDir());
-  std::vector<SpillRecord> records;
-  for (int i = 0; i < 50; ++i) {
-    records.push_back(MakeRecord(static_cast<std::uint64_t>(i), i,
-                                 static_cast<std::uint64_t>(i), i));
-  }
-  ASSERT_TRUE(spiller.SpillRun(records).ok());
-  const std::string path = spiller.spill_run_paths()[0];
-  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 7);
-
-  std::vector<std::unique_ptr<RunSource>> sources;
-  sources.push_back(std::make_unique<DiskRunSource>(path));
-  SpillStats stats;
-  auto merged = MergeRunsToGroups<std::uint64_t, int>(
-      std::move(sources), spiller, kDefaultMergeFanIn, stats);
-  ASSERT_FALSE(merged.ok());
-  EXPECT_EQ(merged.status().code(), common::StatusCode::kOutOfRange);
-}
-
 // ----------------------------------------------------- columnar blocks
 
-/// The four key distributions of the PR 2 shuffle harness: the regimes
-/// where an external merge could diverge from the in-memory reference.
-enum class KeyDist { kUniform, kZipf, kAllSame, kAllDistinct };
-
-const char* Name(KeyDist dist) {
-  switch (dist) {
-    case KeyDist::kUniform: return "uniform";
-    case KeyDist::kZipf: return "zipf";
-    case KeyDist::kAllSame: return "all-same";
-    case KeyDist::kAllDistinct: return "all-distinct";
-  }
-  return "?";
-}
-
-std::vector<std::vector<std::pair<std::uint64_t, int>>> RandomChunks(
-    KeyDist dist, std::uint64_t seed) {
-  common::SplitMix64 rng(seed);
-  const common::ZipfDistribution zipf(64, 1.3);
-  const std::size_t num_chunks = 1 + rng.UniformBelow(8);
-  std::vector<std::vector<std::pair<std::uint64_t, int>>> chunks(num_chunks);
-  int serial = 0;
-  for (auto& chunk : chunks) {
-    const std::size_t size = rng.UniformBelow(400);
-    chunk.reserve(size);
-    for (std::size_t i = 0; i < size; ++i) {
-      std::uint64_t key = 0;
-      switch (dist) {
-        case KeyDist::kUniform: key = rng.UniformBelow(150); break;
-        case KeyDist::kZipf: key = zipf.Sample(rng); break;
-        case KeyDist::kAllSame: key = 42; break;
-        case KeyDist::kAllDistinct:
-          key = static_cast<std::uint64_t>(serial);
-          break;
-      }
-      chunk.emplace_back(key, serial++);
-    }
-  }
-  return chunks;
-}
+using testutil::kAllKeyDists;
+using testutil::KeyDist;
+using testutil::Name;
+using testutil::RandomChunks;
 
 TEST(Varint, RoundTripsAndRejectsTruncation) {
   for (const std::uint64_t v :
@@ -432,54 +251,60 @@ TEST(Codec, Lz77RoundTripsAssortedPayloads) {
   }
 }
 
-/// A spill record whose hash follows the block convention (HashBytes over
-/// the serialized key), so decoded blocks reproduce it.
-SpillRecord MakeBlockRecord(std::uint64_t key, int value,
-                            std::uint64_t pos) {
-  SpillRecord rec;
-  rec.pos = pos;
-  SerializeValue(key, rec.bytes);
-  rec.key_size = static_cast<std::uint32_t>(rec.bytes.size());
-  rec.hash = HashBytes(rec.key_bytes());
-  SerializeValue(value, rec.bytes);
-  return rec;
+/// Appends one row in block form: serialized key and value bytes, the
+/// key's HashBytes hash (so decoded blocks reproduce it), and `pos`.
+void AppendRow(ColumnarRun& run, std::uint64_t key, int value,
+               std::uint64_t pos) {
+  std::string key_bytes;
+  std::string value_bytes;
+  SerializeValue(key, key_bytes);
+  SerializeValue(value, value_bytes);
+  run.Append(RecordView{HashBytes(key_bytes), pos, key_bytes, value_bytes});
 }
 
-ColumnarRun RunFromRecords(std::vector<SpillRecord> records) {
-  std::sort(records.begin(), records.end(),
-            [](const SpillRecord& a, const SpillRecord& b) {
-              return SpillRecordLess(a, b);
-            });
-  ColumnarRun run;
-  for (const SpillRecord& rec : records) {
-    run.Append(RecordView{rec.hash, rec.pos, rec.key_bytes(),
-                          rec.value_bytes()});
-  }
-  return run;
+/// `run`'s rows in spill order (RecordViewLess).
+ColumnarRun Sorted(const ColumnarRun& run) {
+  std::vector<std::size_t> order(run.rows());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&run](std::size_t a, std::size_t b) {
+    return RecordViewLess(run.View(a), run.View(b));
+  });
+  ColumnarRun sorted;
+  for (const std::size_t i : order) sorted.Append(run.View(i));
+  return sorted;
 }
 
-std::vector<SpillRecord> BlockRecordsFor(KeyDist dist, std::uint64_t seed) {
-  std::vector<SpillRecord> records;
+/// Every pair of RandomChunks(dist, seed), dealt round-robin into
+/// `num_runs` sorted runs, positions packed by MakeSpillPos — the rows the
+/// engine's spill path would write for those chunks.
+std::vector<ColumnarRun> RunsFor(KeyDist dist, std::uint64_t seed,
+                                 std::size_t num_runs) {
+  std::vector<ColumnarRun> runs(num_runs);
+  std::size_t next = 0;
   std::uint32_t chunk_id = 0;
   for (const auto& chunk : RandomChunks(dist, seed)) {
     std::uint64_t local = 0;
     for (const auto& [key, value] : chunk) {
-      records.push_back(
-          MakeBlockRecord(key, value, MakeSpillPos(chunk_id, local++)));
+      AppendRow(runs[next++ % num_runs], key, value,
+                MakeSpillPos(chunk_id, local++));
     }
     ++chunk_id;
   }
-  return records;
+  for (ColumnarRun& run : runs) run = Sorted(run);
+  return runs;
+}
+
+ColumnarRun RunFor(KeyDist dist, std::uint64_t seed) {
+  return std::move(RunsFor(dist, seed, 1)[0]);
 }
 
 TEST(BlockCodec, RoundTripsAcrossKeyDistributions) {
   // Every distribution, both codecs: encode the sorted run as one block,
   // decode it, and require every column back exactly — the hash column
   // included, which the decoder recomputes rather than reads.
-  for (KeyDist dist : {KeyDist::kUniform, KeyDist::kZipf, KeyDist::kAllSame,
-                       KeyDist::kAllDistinct}) {
+  for (KeyDist dist : kAllKeyDists) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      const ColumnarRun run = RunFromRecords(BlockRecordsFor(dist, seed));
+      const ColumnarRun run = RunFor(dist, seed);
       for (const Codec* codec : {&IdentityCodec(), &Lz77Codec()}) {
         SCOPED_TRACE(std::string(codec->name()) + " seed=" +
                      std::to_string(seed));
@@ -503,7 +328,7 @@ TEST(BlockCodec, RoundTripsAcrossKeyDistributions) {
 
 TEST(BlockCodec, DictionaryKicksInForLowCardinality) {
   const ColumnarRun same =
-      RunFromRecords(BlockRecordsFor(KeyDist::kAllSame, 5));
+      RunFor(KeyDist::kAllSame, 5);
   ASSERT_GT(same.rows(), 2u);
   std::string payload;
   BlockEncodeStats stats;
@@ -514,7 +339,7 @@ TEST(BlockCodec, DictionaryKicksInForLowCardinality) {
             same.keys.bytes().size() + same.rows() * 8);
 
   const ColumnarRun distinct =
-      RunFromRecords(BlockRecordsFor(KeyDist::kAllDistinct, 5));
+      RunFor(KeyDist::kAllDistinct, 5);
   stats = {};
   EncodeBlock(distinct, 0, distinct.rows(), IdentityCodec(), payload,
               stats);
@@ -523,7 +348,7 @@ TEST(BlockCodec, DictionaryKicksInForLowCardinality) {
 
 TEST(BlockCodec, CorruptPayloadSurfacesStatusNotCrash) {
   const ColumnarRun run =
-      RunFromRecords(BlockRecordsFor(KeyDist::kUniform, 7));
+      RunFor(KeyDist::kUniform, 7);
   std::string payload;
   BlockEncodeStats stats;
   EncodeBlock(run, 0, run.rows(), Lz77Codec(), payload, stats);
@@ -551,9 +376,9 @@ TEST(BlockCodec, CorruptPayloadSurfacesStatusNotCrash) {
 
 TEST(BlockSpill, WriterRoundTripsThroughDiskSource) {
   RunSpiller spiller(TestDir());
-  ColumnarRun run = RunFromRecords(BlockRecordsFor(KeyDist::kZipf, 11));
+  ColumnarRun run = RunFor(KeyDist::kZipf, 11);
   const ColumnarRun expect =
-      RunFromRecords(BlockRecordsFor(KeyDist::kZipf, 11));
+      RunFor(KeyDist::kZipf, 11);
   ASSERT_TRUE(spiller.SpillBlockRun(run).ok());
   EXPECT_TRUE(run.empty()) << "spill consumes the run";
   EXPECT_EQ(spiller.spill_runs(), 1u);
@@ -578,7 +403,7 @@ TEST(BlockSpill, WriterRoundTripsThroughDiskSource) {
 TEST(BlockSpill, TruncatedAndCorruptedRunsSurfaceStatus) {
   // Truncation mid-frame: kOutOfRange from the frame layer.
   RunSpiller spiller(TestDir());
-  ColumnarRun run = RunFromRecords(BlockRecordsFor(KeyDist::kUniform, 13));
+  ColumnarRun run = RunFor(KeyDist::kUniform, 13);
   ASSERT_TRUE(spiller.SpillBlockRun(run).ok());
   const std::string path = spiller.spill_run_paths()[0];
   const auto size = std::filesystem::file_size(path);
@@ -591,7 +416,7 @@ TEST(BlockSpill, TruncatedAndCorruptedRunsSurfaceStatus) {
   }
   // A flipped byte inside the compressed frame: the CRC catches it
   // (kInternal) before the codec ever sees the bytes.
-  ColumnarRun again = RunFromRecords(BlockRecordsFor(KeyDist::kUniform, 13));
+  ColumnarRun again = RunFor(KeyDist::kUniform, 13);
   ASSERT_TRUE(spiller.SpillBlockRun(again).ok());
   const std::string path2 = spiller.spill_run_paths()[1];
   {
@@ -605,77 +430,151 @@ TEST(BlockSpill, TruncatedAndCorruptedRunsSurfaceStatus) {
     ASSERT_FALSE(source.status().ok());
     EXPECT_EQ(source.status().code(), common::StatusCode::kInternal);
   }
-  // A record-format (v1) run fed to the block reader: version mismatch.
-  std::vector<SpillRecord> v1;
-  v1.push_back(MakeBlockRecord(1, 1, 1));
-  ASSERT_TRUE(spiller.SpillRun(v1).ok());
+  // A version-1 (serialized values) file fed to the block reader:
+  // version mismatch.
+  const std::string v1_path = TestPath("v1.spill");
+  auto v1 = SpillFileWriter::Create(v1_path, kSpillFormatVersionValues);
+  ASSERT_TRUE(v1.ok()) << v1.status();
+  ASSERT_TRUE(v1->AppendBlock("payload").ok());
+  ASSERT_TRUE(v1->Close().ok());
   {
-    DiskBlockRunSource source(spiller.spill_run_paths()[2]);
+    DiskBlockRunSource source(v1_path);
     EXPECT_EQ(source.Peek(), nullptr);
     EXPECT_EQ(source.status().code(),
               common::StatusCode::kInvalidArgument);
   }
 }
 
-TEST(BlockMerge, MatchesRecordMergeAcrossDistributions) {
-  // The block merge must produce byte-for-byte the groups the record
-  // merge produces: same keys, same group contents, same first_pos — for
-  // every distribution, spilled and in-memory runs mixed.
-  for (KeyDist dist : {KeyDist::kUniform, KeyDist::kZipf, KeyDist::kAllSame,
-                       KeyDist::kAllDistinct}) {
+TEST(BlockMerge, MatchesSerialShuffleAcrossDistributions) {
+  // Merging spilled and in-memory runs at the smallest fan-in, then
+  // restoring first-seen order, must reproduce the serial in-memory
+  // reference exactly — same keys, same group contents, same order — for
+  // every distribution.
+  for (KeyDist dist : kAllKeyDists) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       SCOPED_TRACE(std::string(Name(dist)) + " seed=" +
                    std::to_string(seed));
-      const auto records = BlockRecordsFor(dist, seed);
-      // Deal records round-robin into 5 runs; spill runs 0-2, keep 3-4 in
-      // memory.
-      std::vector<std::vector<SpillRecord>> runs(5);
-      for (std::size_t i = 0; i < records.size(); ++i) {
-        runs[i % runs.size()].push_back(records[i]);
-      }
+      auto chunks = RandomChunks(dist, seed);
+      const auto serial = engine::SerialShuffle(chunks);
 
-      RunSpiller rec_spiller(TestDir());
-      std::vector<std::unique_ptr<RunSource>> rec_sources;
-      RunSpiller blk_spiller(TestDir());
-      std::vector<std::unique_ptr<BlockRunSource>> blk_sources;
-      for (std::size_t r = 0; r < runs.size(); ++r) {
-        ColumnarRun run = RunFromRecords(runs[r]);
-        auto sorted = runs[r];
-        std::sort(sorted.begin(), sorted.end(),
-                  [](const SpillRecord& a, const SpillRecord& b) {
-                    return SpillRecordLess(a, b);
-                  });
-        if (r < 3) {
-          auto to_spill = sorted;
-          ASSERT_TRUE(rec_spiller.SpillRun(to_spill).ok());
-          rec_sources.push_back(std::make_unique<DiskRunSource>(
-              rec_spiller.spill_run_paths().back()));
-          ASSERT_TRUE(blk_spiller.SpillBlockRun(run).ok());
-          blk_sources.push_back(std::make_unique<DiskBlockRunSource>(
-              blk_spiller.spill_run_paths().back()));
+      // Five runs: spill runs 0-2, keep 3-4 in memory.
+      RunSpiller spiller(TestDir());
+      std::vector<std::unique_ptr<BlockRunSource>> sources;
+      std::size_t r = 0;
+      for (ColumnarRun& run : RunsFor(dist, seed, 5)) {
+        if (r++ < 3) {
+          ASSERT_TRUE(spiller.SpillBlockRun(run).ok());
+          sources.push_back(std::make_unique<DiskBlockRunSource>(
+              spiller.spill_run_paths().back()));
         } else {
-          rec_sources.push_back(
-              std::make_unique<MemoryRunSource>(std::move(sorted)));
-          blk_sources.push_back(
+          sources.push_back(
               std::make_unique<MemoryBlockRunSource>(std::move(run)));
         }
       }
-
-      SpillStats rec_stats;
-      auto rec_merged = MergeRunsToGroups<std::uint64_t, int>(
-          std::move(rec_sources), rec_spiller, /*max_fan_in=*/2, rec_stats);
-      ASSERT_TRUE(rec_merged.ok()) << rec_merged.status();
-      SpillStats blk_stats;
-      auto blk_merged = MergeBlockRunsToGroups<std::uint64_t, int>(
-          std::move(blk_sources), blk_spiller, /*max_fan_in=*/2, blk_stats);
-      ASSERT_TRUE(blk_merged.ok()) << blk_merged.status();
-
-      EXPECT_EQ(blk_merged->keys, rec_merged->keys);
-      EXPECT_EQ(blk_merged->groups, rec_merged->groups);
-      EXPECT_EQ(blk_merged->first_pos, rec_merged->first_pos);
-      EXPECT_EQ(blk_stats.merge_passes, rec_stats.merge_passes);
+      SpillStats stats;
+      auto merged = MergeBlockRunsToGroups<std::uint64_t, int>(
+          std::move(sources), spiller, /*max_fan_in=*/2, stats);
+      ASSERT_TRUE(merged.ok()) << merged.status();
+      EXPECT_GT(stats.merge_passes, 1u);
+      const auto result = engine::internal::ReorderByFirstSeen(*merged);
+      EXPECT_EQ(result.keys, serial.keys);
+      EXPECT_EQ(result.groups, serial.groups);
     }
   }
+}
+
+TEST(BlockLoserTree, EmptyAndSingleSource) {
+  BlockLoserTree empty({});
+  EXPECT_EQ(empty.Peek(), nullptr);
+  EXPECT_TRUE(empty.status().ok());
+
+  ColumnarRun run;
+  AppendRow(run, 2, 20, 0);
+  AppendRow(run, 5, 50, 1);
+  const ColumnarRun expect = Sorted(run);
+  MemoryBlockRunSource source(Sorted(run));
+  BlockLoserTree tree({&source});
+  for (std::size_t i = 0; i < expect.rows(); ++i) {
+    const RecordView* rec = tree.Peek();
+    ASSERT_NE(rec, nullptr);
+    EXPECT_EQ(rec->pos, expect.positions[i]);
+    EXPECT_EQ(rec->value, expect.values.At(i));
+    tree.Pop();
+  }
+  EXPECT_EQ(tree.Peek(), nullptr);
+  EXPECT_TRUE(tree.status().ok());
+}
+
+TEST(BlockLoserTree, MergesManySourcesInOrder) {
+  // 7 sources with colliding keys; positions globally unique, so every
+  // pop must be strictly greater than the last under RecordViewLess.
+  common::SplitMix64 rng(13);
+  std::vector<ColumnarRun> runs(7);
+  for (std::uint64_t pos = 0; pos < 500; ++pos) {
+    AppendRow(runs[rng.UniformBelow(7)], rng.UniformBelow(40),
+              static_cast<int>(pos), pos);
+  }
+  std::vector<MemoryBlockRunSource> owned;
+  owned.reserve(runs.size());
+  for (const ColumnarRun& run : runs) owned.emplace_back(Sorted(run));
+  std::vector<BlockRunSource*> sources;
+  for (auto& source : owned) sources.push_back(&source);
+  BlockLoserTree tree(sources);
+  ColumnarRun popped;
+  while (const RecordView* rec = tree.Peek()) {
+    if (!popped.empty()) {
+      EXPECT_TRUE(RecordViewLess(popped.View(popped.rows() - 1), *rec));
+    }
+    popped.Append(*rec);
+    tree.Pop();
+  }
+  EXPECT_EQ(popped.rows(), 500u);
+  EXPECT_TRUE(tree.status().ok());
+}
+
+TEST(RunSpiller, RemovesItsFilesOnDestruction) {
+  std::vector<std::string> paths;
+  {
+    RunSpiller spiller(TestDir());
+    ColumnarRun run;
+    AppendRow(run, 1, 1, 1);
+    ASSERT_TRUE(spiller.SpillBlockRun(run).ok());
+    // A merge rewrite is the spiller's file too.
+    auto rewrite = spiller.NewBlockRun();
+    ASSERT_TRUE(rewrite.ok()) << rewrite.status();
+    AppendRow(run, 2, 2, 2);
+    ASSERT_TRUE(rewrite->Append(run.View(0)).ok());
+    ASSERT_TRUE(spiller.CloseBlockRun(*rewrite).ok());
+    paths = spiller.run_paths();
+    ASSERT_EQ(paths.size(), 2u);
+    for (const std::string& path : paths) {
+      EXPECT_TRUE(std::filesystem::exists(path)) << path;
+    }
+  }
+  for (const std::string& path : paths) {
+    EXPECT_FALSE(std::filesystem::exists(path)) << path;
+  }
+}
+
+TEST(ExternalMerge, CorruptRunSurfacesStatusNotCrash) {
+  RunSpiller spiller(TestDir());
+  ColumnarRun run;
+  for (int i = 0; i < 50; ++i) {
+    AppendRow(run, static_cast<std::uint64_t>(i), i,
+              static_cast<std::uint64_t>(i));
+  }
+  run = Sorted(run);
+  ASSERT_TRUE(spiller.SpillBlockRun(run).ok());
+  const std::string path = spiller.spill_run_paths()[0];
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 7);
+
+  std::vector<std::unique_ptr<BlockRunSource>> sources;
+  sources.push_back(std::make_unique<DiskBlockRunSource>(path));
+  SpillStats stats;
+  auto merged = MergeBlockRunsToGroups<std::uint64_t, int>(
+      std::move(sources), spiller, kDefaultMergeFanIn, stats);
+  ASSERT_FALSE(merged.ok());
+  EXPECT_EQ(merged.status().code(), common::StatusCode::kOutOfRange);
 }
 
 TEST(SpillFile, BlockFormatVersionAcceptedUnknownRejected) {
@@ -695,85 +594,6 @@ TEST(SpillFile, BlockFormatVersionAcceptedUnknownRejected) {
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(),
             common::StatusCode::kInvalidArgument);
-}
-
-// ----------------------------------- round-trip property vs the engine
-
-TEST(ExternalShuffleProperty, MatchesSerialShuffleAcrossDistributions) {
-  // For every distribution, seed, and budget (from spill-everything to
-  // spill-nothing): keys, group contents, and global first-seen order must
-  // match the serial in-memory reference exactly.
-  common::ThreadPool pool(4);
-  for (KeyDist dist : {KeyDist::kUniform, KeyDist::kZipf, KeyDist::kAllSame,
-                       KeyDist::kAllDistinct}) {
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      auto serial_chunks = RandomChunks(dist, seed);
-      const auto serial = engine::SerialShuffle(serial_chunks);
-      for (std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{256},
-                                   std::uint64_t{4096},
-                                   std::uint64_t{1} << 30}) {
-        auto chunks = RandomChunks(dist, seed);
-        engine::ShuffleConfig options;
-        options.memory_budget_bytes = budget;
-        options.spill_dir = TestDir();
-        SpillStats stats;
-        auto external =
-            engine::ExternalShuffle(chunks, pool, options, &stats);
-        SCOPED_TRACE(std::string(Name(dist)) +
-                     " seed=" + std::to_string(seed) +
-                     " budget=" + std::to_string(budget));
-        ASSERT_TRUE(external.ok()) << external.status();
-        ASSERT_EQ(external->keys, serial.keys);
-        ASSERT_EQ(external->groups, serial.groups);
-        EXPECT_GE(stats.merge_passes, 1u);
-        if (budget == 0) {
-          EXPECT_GT(stats.spill_runs, 0u);
-        }
-      }
-    }
-  }
-}
-
-TEST(ExternalShuffleProperty, TinyFanInForcesMultiPassMerge) {
-  common::ThreadPool pool(4);
-  auto serial_chunks = RandomChunks(KeyDist::kUniform, 9);
-  const auto serial = engine::SerialShuffle(serial_chunks);
-  auto chunks = RandomChunks(KeyDist::kUniform, 9);
-  engine::ShuffleConfig options;
-  options.memory_budget_bytes = 512;  // many small runs
-  options.merge_fan_in = 2;           // smallest legal fan-in
-  options.spill_dir = TestDir();
-  SpillStats stats;
-  auto external = engine::ExternalShuffle(chunks, pool, options, &stats);
-  ASSERT_TRUE(external.ok()) << external.status();
-  EXPECT_EQ(external->keys, serial.keys);
-  EXPECT_EQ(external->groups, serial.groups);
-  EXPECT_GT(stats.merge_passes, 1u);
-  EXPECT_GT(stats.spill_runs, 2u);
-}
-
-TEST(ExternalShuffleProperty, StringKeysAndValues) {
-  // Variable-length keys exercise the key-byte comparison path.
-  std::vector<std::vector<std::pair<std::string, std::string>>> chunks(3);
-  common::SplitMix64 rng(21);
-  for (auto& chunk : chunks) {
-    for (int i = 0; i < 200; ++i) {
-      const std::uint64_t k = rng.UniformBelow(37);
-      chunk.emplace_back("key-" + std::string(k % 5, 'x') +
-                             std::to_string(k),
-                         "value-" + std::to_string(i));
-    }
-  }
-  auto serial_chunks = chunks;
-  const auto serial = engine::SerialShuffle(serial_chunks);
-  common::ThreadPool pool(2);
-  engine::ShuffleConfig options;
-  options.memory_budget_bytes = 2048;
-  options.spill_dir = TestDir();
-  auto external = engine::ExternalShuffle(chunks, pool, options);
-  ASSERT_TRUE(external.ok()) << external.status();
-  EXPECT_EQ(external->keys, serial.keys);
-  EXPECT_EQ(external->groups, serial.groups);
 }
 
 /// Removes the per-process scratch directory. gtest runs suites in
