@@ -30,7 +30,10 @@ struct SimilarityJoinPlan {
 /// Builds (without running) the Splitting-schema join plan. The stage
 /// carries the schema's analytic estimate — r = C(k,d) and
 /// C(k,d) * 2^(b - d*b/k) reducers, Section 3.6's exact numbers on the
-/// full domain — so Plan::Estimate prices it without sampling.
+/// full domain — so Plan::Estimate prices it without sampling. The
+/// reducer probes its group for each value's canonical flip masks when the
+/// group is dense and tests all pairs otherwise; r and q are the schema's
+/// either way.
 common::Result<SimilarityJoinPlan> BuildSplittingSimilarityJoinPlan(
     const std::vector<BitString>& strings, int b, int k, int d);
 
@@ -46,7 +49,8 @@ common::Result<SimilarityJoinPlan> BuildBallSimilarityJoinPlan(
 /// (the lexicographically least deleted-segment set covering the pair's
 /// differing segments), so no post-hoc deduplication is needed.
 ///
-/// Requires k | b and 1 <= d < k. `strings` must be distinct.
+/// Requires k | b and 1 <= d < k, and every string below 2^b
+/// (InvalidArgument otherwise). `strings` must be distinct.
 common::Result<SimilarityJoinResult> SplittingSimilarityJoin(
     const std::vector<BitString>& strings, int b, int k, int d,
     const engine::JobOptions& options = {});

@@ -603,6 +603,23 @@ TEST(DistBackend, HammingSplittingByteIdentical) {
       "hamming_splitting", "b=10,k=5,d=1");
 }
 
+// Full-domain groups large enough for the reducer's flip-mask probe set,
+// so worker run_reduce exercises it too (b=10,k=5 groups take the pairwise
+// loop).
+TEST(DistBackend, HammingSplittingProbeByteIdentical) {
+  for (const auto& [k, d] : {std::pair{3, 1}, std::pair{4, 2}}) {
+    ExpectBackendsAgree(
+        [k = k, d = d] {
+          auto built = hamming::BuildSplittingSimilarityJoinPlan(
+              hamming::AllStrings(12), 12, k, d);
+          MRCOST_CHECK_OK(built.status());
+          return built->pairs;
+        },
+        "hamming_splitting",
+        "b=12,k=" + std::to_string(k) + ",d=" + std::to_string(d));
+  }
+}
+
 TEST(DistBackend, HammingBallByteIdentical) {
   ExpectBackendsAgree(
       [] {

@@ -385,13 +385,23 @@ TEST_P(SimilarityJoinTest, SplittingJoinMatchesSerial) {
                    static_cast<double>(common::BinomialExact(k, d)));
 }
 
+// Sparse inputs leave groups small, so their reducers test all pairs.
+// The dense rows take the flip-mask probe branch: the full domain at
+// (12,3,1) and (12,4,2) puts 2^(d*b/k) strings in every reducer, and at
+// (12,6,3) and 80% density most subsets probe while {0,1,2}, whose 41
+// masks outnumber (n-1)/2, still tests all pairs. (20,10,5) needs
+// C(10,5) * sum_{w<=5} C(10,w) = 160776 masks, above the table cap, so
+// every reducer there tests all pairs without a table.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SimilarityJoinTest,
     ::testing::Values(std::tuple{8, 4, 1, 100}, std::tuple{8, 4, 2, 100},
                       std::tuple{8, 4, 3, 64}, std::tuple{12, 4, 2, 300},
                       std::tuple{12, 6, 1, 500}, std::tuple{12, 3, 2, 200},
                       std::tuple{16, 4, 1, 400},
-                      std::tuple{16, 8, 2, 256}));
+                      std::tuple{16, 8, 2, 256},
+                      std::tuple{12, 3, 1, 4096}, std::tuple{12, 4, 2, 4096},
+                      std::tuple{12, 6, 3, 3277},
+                      std::tuple{20, 10, 5, 150}));
 
 class BallJoinTest
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
@@ -420,6 +430,9 @@ INSTANTIATE_TEST_SUITE_P(Sweep, BallJoinTest,
 TEST(SimilarityJoin, RejectsUnsupportedParameters) {
   std::vector<BitString> strings{1, 2, 3};
   EXPECT_FALSE(SplittingSimilarityJoin(strings, 10, 3, 1).ok());  // 3 !| 10
+  // Bits at or above b would spill into the reducer key's rank bits.
+  EXPECT_FALSE(
+      SplittingSimilarityJoin({1, 3, 0x301, 0x303, 0xF01}, 8, 4, 1).ok());
   EXPECT_FALSE(BallSimilarityJoin(strings, 8, 3).ok());           // d > 2
 }
 

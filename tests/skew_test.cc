@@ -252,6 +252,24 @@ TEST(SkewFamilies, HammingByteIdenticalUnderDefense) {
   EXPECT_EQ(defended->metrics.pairs_shuffled, plain->metrics.pairs_shuffled);
 }
 
+// The full domain puts 64 strings in every (12,4,2) reducer, so the
+// flip-mask probe branch and its thread-local set run under the full
+// defense (sampled-range shards, speculative backups) and must still give
+// the undefended run's pairs.
+TEST(SkewFamilies, DenseHammingByteIdenticalUnderDefense) {
+  const auto strings = hamming::AllStrings(12);
+  auto plain = hamming::SplittingSimilarityJoin(strings, 12, /*k=*/4,
+                                                /*d=*/2,
+                                                UndefendedOptions(19));
+  auto defended = hamming::SplittingSimilarityJoin(strings, 12, 4, 2,
+                                                   DefendedOptions(19));
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  ASSERT_TRUE(defended.ok()) << defended.status();
+  EXPECT_GT(defended->metrics.speculative_launched, 0u);
+  EXPECT_EQ(defended->pairs, plain->pairs);
+  EXPECT_EQ(defended->metrics.pairs_shuffled, plain->metrics.pairs_shuffled);
+}
+
 TEST(SkewFamilies, JoinByteIdenticalUnderDefense) {
   const auto query = join::ChainQuery(3);
   const join::Value domain = 30;
