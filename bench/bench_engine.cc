@@ -98,7 +98,7 @@ void BM_ReplicationFanout(benchmark::State& state) {
     }
   };
   auto reduce_fn = [](const std::uint64_t&,
-                      const std::vector<std::uint64_t>& values,
+                      mrcost::engine::GroupView<std::uint64_t> values,
                       std::vector<std::size_t>& out) {
     out.push_back(values.size());
   };
@@ -128,7 +128,7 @@ void BM_ThreadScaling(benchmark::State& state) {
     emitter.Emit(h % 997, h);
   };
   auto reduce_fn = [](const std::uint64_t&,
-                      const std::vector<std::uint64_t>& values,
+                      mrcost::engine::GroupView<std::uint64_t> values,
                       std::vector<std::uint64_t>& out) {
     std::uint64_t acc = 0;
     for (std::uint64_t v : values) acc ^= v;
@@ -163,7 +163,7 @@ void BM_ShuffleShardedSweep(benchmark::State& state) {
     emitter.Emit(mrcost::common::Mix64(x) % (1 << 19), x);
   };
   auto reduce_fn = [](const std::uint64_t&,
-                      const std::vector<std::uint64_t>& values,
+                      mrcost::engine::GroupView<std::uint64_t> values,
                       std::vector<std::size_t>& out) {
     out.push_back(values.size());
   };
@@ -288,7 +288,7 @@ void BM_PlanVsEagerOverhead(benchmark::State& state) {
     emitter.Emit(mrcost::common::Mix64(x) % 2048, x);
   };
   auto reduce_fn = [](const std::uint64_t&,
-                      const std::vector<std::uint64_t>& values,
+                      mrcost::engine::GroupView<std::uint64_t> values,
                       std::vector<std::uint64_t>& out) {
     std::uint64_t sum = 0;
     for (std::uint64_t v : values) sum += v;
@@ -344,7 +344,7 @@ void BM_StreamingOverlap(benchmark::State& state) {
               "fan-in")
           .ReduceByKey<std::pair<std::uint64_t, std::uint64_t>>(
               [](const std::uint64_t& key,
-                 const std::vector<std::uint64_t>& values,
+                 mrcost::engine::GroupView<std::uint64_t> values,
                  std::vector<std::pair<std::uint64_t, std::uint64_t>>&
                      out) {
                 std::uint64_t acc = key;
@@ -364,7 +364,7 @@ void BM_StreamingOverlap(benchmark::State& state) {
           .WithPerKeyInput()
           .ReduceByKey<std::pair<std::uint64_t, std::uint64_t>>(
               [](const std::uint64_t& key,
-                 const std::vector<std::uint64_t>& values,
+                 mrcost::engine::GroupView<std::uint64_t> values,
                  std::vector<std::pair<std::uint64_t, std::uint64_t>>&
                      out) {
                 std::uint64_t acc = key;

@@ -9,10 +9,17 @@
 // RAM — the point of the sweep is to measure that price and to watch the
 // spill counters (runs, bytes, merge passes) respond to the budget, the
 // way Section 2.2's communication cost responds to q.
+//
+// A second table times spill-run *ordering* alone (no encode, no disk):
+// storage::SpillOrder's radix order against the comparator row sort it
+// replaced, on 125K rows at four key densities and on one small block
+// (median of 11 runs each).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <numeric>
 #include <string>
@@ -23,6 +30,7 @@
 #include "src/engine/job.h"
 #include "src/engine/shuffle.h"
 #include "src/obs/export.h"
+#include "src/storage/block.h"
 
 namespace {
 
@@ -43,7 +51,7 @@ RunResult RunConfig(const std::vector<std::uint64_t>& inputs,
                  x + 1);
   };
   auto reduce_fn = [](const std::uint64_t&,
-                      const std::vector<std::uint64_t>& values,
+                      mrcost::engine::GroupView<std::uint64_t> values,
                       std::vector<std::uint64_t>& out) {
     std::uint64_t sum = 0;
     for (std::uint64_t v : values) sum += v;
@@ -78,6 +86,79 @@ void PrintJson(const std::string& strategy, std::size_t shards,
       static_cast<unsigned long long>(run.metrics.spill_runs),
       static_cast<unsigned long long>(run.metrics.spill_bytes_written),
       static_cast<unsigned long long>(run.metrics.merge_passes));
+}
+
+/// The ordering spill runs used before storage::SpillOrder: a comparator
+/// sort of row indices by (hash, key bytes, row). Kept as the baseline.
+std::vector<std::uint32_t> ComparatorOrder(
+    const mrcost::storage::KVBlock<std::uint64_t, std::uint64_t>& block) {
+  std::vector<std::uint32_t> order(block.rows());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    if (block.hash(a) != block.hash(b)) return block.hash(a) < block.hash(b);
+    const int c = block.key_bytes(a).compare(block.key_bytes(b));
+    if (c != 0) return c < 0;
+    return a < b;
+  });
+  return order;
+}
+
+template <typename Fn>
+double MedianMs(int reps, Fn fn) {
+  std::vector<double> ms;
+  for (int i = 0; i < reps; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    fn();
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
+}
+
+/// Spill-run ordering alone, radix vs comparator: 125K rows at four key
+/// densities, plus one block below the radix cutoff.
+void OrderingTable() {
+  constexpr int kReps = 11;
+  struct Shape {
+    std::uint64_t rows;
+    std::uint64_t keys;
+  };
+  mrcost::common::Table table({"rows", "keys", "rows_per_key",
+                               "comparator_ms", "radix_ms", "speedup"});
+  for (const Shape shape : {Shape{125000, 16}, Shape{125000, 4096},
+                            Shape{125000, 31250}, Shape{125000, 125000},
+                            Shape{2000, 500}}) {
+    mrcost::storage::KVBlock<std::uint64_t, std::uint64_t> block;
+    for (std::uint64_t i = 0; i < shape.rows; ++i) {
+      block.Append((i * 0x9e3779b97f4a7c15ULL) % shape.keys,
+                   std::uint64_t{i});
+    }
+    std::vector<std::uint32_t> a;
+    std::vector<std::uint32_t> b;
+    const double comparator_ms =
+        MedianMs(kReps, [&] { a = ComparatorOrder(block); });
+    const double radix_ms = MedianMs(kReps, [&] {
+      std::vector<std::uint32_t> rows(block.rows());
+      std::iota(rows.begin(), rows.end(), 0u);
+      b = mrcost::storage::SpillOrder(block.hashes(), block.keys(), rows);
+    });
+    if (a != b) {
+      std::cerr << "spill order mismatch at keys=" << shape.keys << "\n";
+      std::exit(1);
+    }
+    table.AddRow()
+        .Add(shape.rows)
+        .Add(shape.keys)
+        .Add(static_cast<double>(shape.rows) /
+             static_cast<double>(shape.keys))
+        .Add(comparator_ms)
+        .Add(radix_ms)
+        .Add(comparator_ms / radix_ms);
+  }
+  table.Print(std::cout, "spill-run ordering, median of " +
+                             std::to_string(kReps) + " runs");
 }
 
 }  // namespace
@@ -147,5 +228,6 @@ int main(int argc, char** argv) {
               "external vs in-memory shuffle, intermediate = " +
                   std::to_string(intermediate) + " bytes (dataset ~4x the "
                   "largest budget)");
+  OrderingTable();
   return 0;
 }

@@ -120,7 +120,7 @@ void CombinerEffect() {
   };
   auto combine_fn = [](std::int64_t a, std::int64_t b) { return a + b; };
   auto reduce_fn = [](const int& key,
-                      const std::vector<std::int64_t>& values,
+                      mrcost::engine::GroupView<std::int64_t> values,
                       std::vector<std::pair<int, std::int64_t>>& out) {
     std::int64_t total = 0;
     for (std::int64_t v : values) total += v;

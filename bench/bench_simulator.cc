@@ -58,7 +58,7 @@ engine::JobResult<std::pair<std::uint64_t, std::int64_t>> ZipfCountJob(
     emitter.Emit(x, 1);
   };
   auto reduce_fn =
-      [](const std::uint64_t& key, const std::vector<int>& values,
+      [](const std::uint64_t& key, mrcost::engine::GroupView<int> values,
          std::vector<std::pair<std::uint64_t, std::int64_t>>& out) {
         out.emplace_back(key, static_cast<std::int64_t>(values.size()));
       };

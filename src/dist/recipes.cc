@@ -248,7 +248,7 @@ common::Result<engine::Plan> BuildShuffleSweep(const std::string& args) {
           },
           "shuffle-sweep")
       .template ReduceByKey<std::pair<std::uint64_t, std::uint64_t>>(
-          [](const std::uint64_t& key, const std::vector<std::uint64_t>& vs,
+          [](const std::uint64_t& key, engine::GroupView<std::uint64_t> vs,
              std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) {
             std::uint64_t sum = 0;
             for (std::uint64_t v : vs) sum += v;

@@ -14,6 +14,7 @@
 #include "src/common/byte_size.h"
 #include "src/common/status.h"
 #include "src/engine/emitter.h"
+#include "src/engine/grouping.h"
 #include "src/engine/metrics.h"
 #include "src/engine/shuffle.h"
 #include "src/storage/block.h"
@@ -126,7 +127,7 @@ template <typename In, typename K, typename V, typename Out>
 DistRoundOps MakeDistRoundOps(
     std::function<void(const In&, Emitter<K, V>&)> map_fn,
     std::function<V(V, V)> combine_fn,
-    std::function<void(const K&, const std::vector<V>&, std::vector<Out>&)>
+    std::function<void(const K&, GroupView<V>, std::vector<Out>&)>
         reduce_fn) {
   DistRoundOps ops;
 
@@ -206,71 +207,36 @@ DistRoundOps MakeDistRoundOps(
     outcome.blocks_emitted = emitter.blocks_emitted();
     outcome.bytes_copied = emitter.bytes_copied();
 
-    // Map-side combine: the same first-seen fold StagedRound::CombineBlock
+    // Map-side combine: the same first-seen fold the in-process round
     // runs, so post-combine rows — and therefore spill positions — are
     // identical to the in-process combined round.
     Block combined;
     Block* work = &emitted;
     if (combine_fn) {
-      storage::KeyIndex index;
-      index.Reserve(emitted.rows());
-      for (std::size_t r = 0; r < emitted.rows(); ++r) {
-        bool inserted = false;
-        const std::size_t g =
-            index.FindOrInsert(emitted.hash(r), emitted.key_bytes(r),
-                               inserted);
-        if (inserted) {
-          combined.AppendRaw(emitted.key_bytes(r), emitted.hash(r),
-                             std::move(emitted.value(r)));
-        } else {
-          combined.value(g) =
-              combine_fn(std::move(combined.value(g)),
-                         std::move(emitted.value(r)));
-        }
-      }
+      combined = CombineBlock(emitted, combine_fn, outcome.bytes, nullptr);
       work = &combined;
       outcome.bytes_copied += combined.CopiedBytes();
-      for (std::size_t r = 0; r < combined.rows(); ++r) {
-        outcome.bytes += common::ByteSizeOf(combined.KeyAt(r)) +
-                         common::ByteSizeOf(combined.value(r));
-      }
     } else {
       outcome.bytes = emitter.bytes();
     }
     const Block& block = *work;
     outcome.pairs = block.rows();
 
-    // Partition rows by hash, then write one sorted run per non-empty
-    // shard: (hash, key bytes, row) order with pos = MakeSpillPos(chunk,
-    // row) — exactly SortedRunFromBlock's contract, applied to the
-    // non-contiguous row subset of each shard.
+    // Partition rows by hash, then write one run per non-empty shard in
+    // spill order, pos = MakeSpillPos(chunk, row) — the ordering the
+    // in-process spill path uses, applied to each shard's row subset.
     std::vector<std::vector<std::uint32_t>> shard_rows(spec.num_shards);
     for (std::size_t r = 0; r < block.rows(); ++r) {
       shard_rows[IndexOfHash(block.hash(r), spec.num_shards)].push_back(
           static_cast<std::uint32_t>(r));
     }
     for (std::uint32_t p = 0; p < spec.num_shards; ++p) {
-      std::vector<std::uint32_t>& rows = shard_rows[p];
+      const std::vector<std::uint32_t>& rows = shard_rows[p];
       if (rows.empty()) continue;
-      std::sort(rows.begin(), rows.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  if (block.hash(a) != block.hash(b)) {
-                    return block.hash(a) < block.hash(b);
-                  }
-                  const int c =
-                      block.key_bytes(a).compare(block.key_bytes(b));
-                  if (c != 0) return c < 0;
-                  return a < b;  // row order == emission (pos) order
-                });
-      storage::ColumnarRun run;
-      run.hashes.reserve(rows.size());
-      run.positions.reserve(rows.size());
-      for (const std::uint32_t r : rows) {
-        run.hashes.push_back(block.hash(r));
-        run.positions.push_back(storage::MakeSpillPos(spec.chunk_index, r));
-        run.keys.Append(block.key_bytes(r));
-        run.values.AppendSerialized(block.value(r));
-      }
+      const storage::ColumnarRun run = storage::SortedRunFromRows(
+          block, rows, [&spec](std::uint32_t r) {
+            return storage::MakeSpillPos(spec.chunk_index, r);
+          });
       if (spec.run_registry != nullptr) {
         // Wire transport: the same frame slicing the file writer would
         // have used, but raw columnar frames kept local for reducers to

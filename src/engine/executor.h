@@ -24,6 +24,7 @@
 #include "src/common/status.h"
 #include "src/common/thread_pool.h"
 #include "src/engine/emitter.h"
+#include "src/engine/grouping.h"
 #include "src/engine/hashing.h"
 #include "src/engine/metrics.h"
 #include "src/engine/partitioner.h"
@@ -342,24 +343,6 @@ inline std::size_t NumChunks(std::size_t num_inputs,
   return std::max<std::size_t>(1, std::min(num_inputs, num_threads * 4));
 }
 
-/// Scan-order tag carried by every routed pair. Lexicographic (major,
-/// minor) order over a round's pairs equals the barrier engine's global
-/// scan order, so the first-seen-key merge is identical no matter which
-/// task produced a pair or when it ran:
-///   * materialized input — major is the pair's global emission position
-///     (task base + local index, bases applied at group time), minor 0;
-///   * streamed input — major is the producing upstream key's global
-///     first-seen rank, minor a per-key emission counter (a key's outputs
-///     are mapped in order, so (rank, counter) reproduces the order a
-///     barrier round would scan the materialized outputs in).
-struct PairPos {
-  std::uint64_t major = 0;
-  std::uint64_t minor = 0;
-  friend bool operator<(const PairPos& a, const PairPos& b) {
-    return a.major != b.major ? a.major < b.major : a.minor < b.minor;
-  }
-};
-
 /// Sentinel combiner type marking a plain (uncombined) round.
 struct NoCombine {};
 
@@ -421,13 +404,12 @@ class StreamSource {
   /// (the external shuffle's merged key order is already global).
   virtual StageGraphExecutor::TaskId stream_ranks_task() = 0;
   /// Visits block `b`'s keys: global first-seen rank plus the key's
-  /// reduce outputs. Only valid from a task depending on the block task
-  /// and the ranks task.
+  /// reduce outputs (a view valid for the call). Only valid from a task
+  /// depending on the block task and the ranks task.
   virtual void VisitStreamBlock(
       std::size_t block,
-      const std::function<void(std::uint64_t rank,
-                               const std::vector<T>& outputs)>& fn)
-      const = 0;
+      const std::function<void(std::uint64_t rank, GroupView<T> outputs)>&
+          fn) const = 0;
 };
 
 inline double IntervalOverlap(double a_begin, double a_end, double b_begin,
@@ -570,9 +552,8 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
   }
   void VisitStreamBlock(
       std::size_t block,
-      const std::function<void(std::uint64_t rank,
-                               const std::vector<Out>& outputs)>& fn)
-      const override {
+      const std::function<void(std::uint64_t rank, GroupView<Out> outputs)>&
+          fn) const override {
     if (strategy_ == ShuffleStrategy::kExternal) {
       for (std::size_t i = range_begin_[block];
            i < range_begin_[block + 1]; ++i) {
@@ -581,7 +562,7 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
       return;
     }
     const Shard& shard = shards_[block];
-    for (std::size_t i = 0; i < shard.keys.size(); ++i) {
+    for (std::size_t i = 0; i < shard.groups.size(); ++i) {
       fn(shard.ranks[i], shard.outputs[i]);
     }
   }
@@ -590,13 +571,11 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
   using Block = storage::KVBlock<K, V>;
 
   /// One in-memory shard's grouped state, filled by its ShardGroup task
-  /// and consumed by its ReduceShard task.
+  /// and consumed by its ReduceShard task. Groups are CSR: one value
+  /// buffer per shard (freed once reduced; the offsets keep the sizes).
   struct Shard {
-    std::vector<K> keys;
-    std::vector<PairPos> first;  // scan tag of each key's first pair
-    std::vector<std::vector<V>> groups;
+    CsrGroups<K, V> groups;
     std::vector<std::uint64_t> ranks;       // filled by AssignKeyRanks
-    std::vector<std::uint64_t> sizes;       // group sizes (groups freed)
     std::vector<std::vector<Out>> outputs;  // filled by ReduceShard
     std::vector<ReducerLoad> loads;         // when simulating
     std::uint64_t routed_rows = 0;          // rows routed to this shard
@@ -635,15 +614,10 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
   void MapStreamBlock(std::size_t b);
   void PlanPartition();
   void RouteBlock(std::size_t task);
-  std::unique_ptr<Block> CombineBlock(Block& in, std::uint64_t& bytes,
-                                      std::vector<std::uint64_t>* row_bytes);
   void GroupShard(std::size_t p);
   void MergeSpills();
-  template <typename Keys, typename Groups>
-  void ReduceKeyRange(const Keys& keys, Groups& groups, std::size_t lo,
-                      std::size_t hi, std::vector<std::uint64_t>& sizes,
-                      std::vector<std::vector<Out>>& outputs,
-                      std::vector<ReducerLoad>* loads);
+  void ReduceGroup(const K& key, GroupView<V> group, std::vector<Out>& out,
+                   ReducerLoad* load);
   void ReduceShard(std::size_t p);
   void ReduceRange(std::size_t t);
   void AssignKeyRanks();
@@ -657,12 +631,12 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
   std::vector<std::tuple<PairPos, std::uint32_t, std::uint32_t>>
   SortedKeyOrder() const {
     std::size_t total = 0;
-    for (const Shard& shard : shards_) total += shard.keys.size();
+    for (const Shard& shard : shards_) total += shard.groups.size();
     std::vector<std::tuple<PairPos, std::uint32_t, std::uint32_t>> order;
     order.reserve(total);
     for (std::uint32_t p = 0; p < shards_.size(); ++p) {
-      for (std::uint32_t i = 0; i < shards_[p].keys.size(); ++i) {
-        order.emplace_back(shards_[p].first[i], p, i);
+      for (std::uint32_t i = 0; i < shards_[p].groups.size(); ++i) {
+        order.emplace_back(shards_[p].groups.first[i], p, i);
       }
     }
     std::sort(order.begin(), order.end(),
@@ -919,44 +893,6 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn,
 
 template <typename In, typename K, typename V, typename Out, typename MapFn,
           typename CombineFn, typename ReduceFn>
-auto StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::CombineBlock(
-    Block& in, std::uint64_t& bytes, std::vector<std::uint64_t>* row_bytes)
-    -> std::unique_ptr<Block> {
-  // Map-side combine, first-seen key order within the chunk — the same
-  // fold the barrier engine ran, so post-combine rows (and their bytes,
-  // re-measured on what actually crosses the shuffle) are identical. Keys
-  // dedup on serialized bytes (serde is injective), so no key object is
-  // ever rebuilt: inserts re-append the raw key slab bytes and duplicates
-  // fold into the already-typed value column.
-  auto out = std::make_unique<Block>();
-  if constexpr (kCombined) {
-    storage::KeyIndex index;
-    index.Reserve(in.rows());
-    for (std::size_t r = 0; r < in.rows(); ++r) {
-      bool inserted = false;
-      const std::size_t g =
-          index.FindOrInsert(in.hash(r), in.key_bytes(r), inserted);
-      if (inserted) {
-        out->AppendRaw(in.key_bytes(r), in.hash(r), std::move(in.value(r)));
-      } else {
-        out->value(g) = combine_(std::move(out->value(g)),
-                                 std::move(in.value(r)));
-      }
-    }
-    bytes = 0;
-    if (row_bytes != nullptr) row_bytes->reserve(out->rows());
-    for (std::size_t r = 0; r < out->rows(); ++r) {
-      const std::uint64_t b =
-          common::ByteSizeOf(out->KeyAt(r)) + common::ByteSizeOf(out->value(r));
-      bytes += b;
-      if (row_bytes != nullptr) row_bytes->push_back(b);
-    }
-  }
-  return out;
-}
-
-template <typename In, typename K, typename V, typename Out, typename MapFn,
-          typename CombineFn, typename ReduceFn>
 void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::MapChunk(
     std::size_t c, std::size_t lo, std::size_t hi) {
   Emitter<K, V> emitter;
@@ -974,18 +910,19 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::MapChunk(
       task_raw_pairs_[c] = emitter.block().rows();
       std::uint64_t bytes = 0;
       std::vector<std::uint64_t> row_bytes;
-      auto combined = CombineBlock(emitter.block(), bytes, &row_bytes);
+      Block combined =
+          CombineBlock(emitter.block(), combine_, bytes, &row_bytes);
       task_bytes_[c] = bytes;
-      task_pairs_[c] = combined->rows();
+      task_pairs_[c] = combined.rows();
       task_blocks_[c] = emitter.blocks_emitted();
-      task_copied_[c] = emitter.bytes_copied() + combined->CopiedBytes();
+      task_copied_[c] = emitter.bytes_copied() + combined.CopiedBytes();
       std::size_t lo_row = 0;
       std::uint64_t acc = 0;
-      for (std::size_t r = 0; r < combined->rows() && status.ok(); ++r) {
+      for (std::size_t r = 0; r < combined.rows() && status.ok(); ++r) {
         acc += row_bytes[r];
         if (acc > budget) {
           auto run = storage::SortedRunFromBlock(
-              *combined, lo_row, r + 1, [&](std::uint32_t j) {
+              combined, lo_row, r + 1, [&](std::uint32_t j) {
                 return storage::MakeSpillPos(cc, lo_row + j);
               });
           status = spiller_->SpillBlockRun(run);
@@ -993,9 +930,9 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::MapChunk(
           acc = 0;
         }
       }
-      if (status.ok() && lo_row < combined->rows()) {
+      if (status.ok() && lo_row < combined.rows()) {
         tails_[c] = storage::SortedRunFromBlock(
-            *combined, lo_row, combined->rows(), [&](std::uint32_t j) {
+            combined, lo_row, combined.rows(), [&](std::uint32_t j) {
               return storage::MakeSpillPos(cc, lo_row + j);
             });
       }
@@ -1037,7 +974,8 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::MapChunk(
   if constexpr (kCombined) {
     task_raw_pairs_[c] = emitter.block().rows();
     std::uint64_t bytes = 0;
-    blocks_[c] = CombineBlock(emitter.block(), bytes, nullptr);
+    blocks_[c] = std::make_unique<Block>(
+        CombineBlock(emitter.block(), combine_, bytes, nullptr));
     task_bytes_[c] = bytes;
     task_pairs_[c] = blocks_[c]->rows();
     task_blocks_[c] = emitter.blocks_emitted();
@@ -1110,7 +1048,7 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::MapStreamBlock(
   std::vector<PairPos>& tags = tag_pos_[b];
   std::uint64_t inputs_seen = 0;
   upstream_->VisitStreamBlock(
-      b, [&](std::uint64_t rank, const std::vector<In>& outs) {
+      b, [&](std::uint64_t rank, GroupView<In> outs) {
         const std::size_t mark = emitter.block().rows();
         for (const In& o : outs) {
           ++inputs_seen;
@@ -1148,97 +1086,34 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::GroupShard(
     owned += shard_rows_[t][p].size();
   }
   sh.routed_rows = owned;
-  // Grouping dedups on the blocks' serialized key bytes (serde is
-  // injective): one open-addressing probe per row, no typed hashing or
-  // key copies until a group's first row deserializes its key once.
-  storage::KeyIndex index;
-  index.Reserve(owned);
   const auto take = [this](Block& block, std::uint32_t r) -> V {
     if constexpr (std::is_copy_constructible_v<V>) {
       if (speculative_) return block.value(r);
     }
     return std::move(block.value(r));
   };
-
-  if (!streamed_input_) {
-    // Scanning each task's routed rows in row order visits pairs in
-    // global scan order (tasks are contiguous input ranges), so append
-    // order is already deterministic; only the tag's task base needs
-    // applying.
+  // Materialized input: scanning each task's routed rows in row order
+  // visits pairs in global scan order (tasks are contiguous input ranges),
+  // so the tag is the task base plus the row. Streamed input: rows carry
+  // their final (rank, seq) tags but interleave upstream shards.
+  const auto for_each_row = [this, p](auto&& visit) {
     std::uint64_t base = 0;
     for (std::size_t t = 0; t < num_map_tasks_; ++t) {
-      auto& rows = shard_rows_[t][p];
       if (blocks_[t] != nullptr) {
         Block& block = *blocks_[t];
-        for (const std::uint32_t r : rows) {
-          bool inserted = false;
-          const std::size_t g =
-              index.FindOrInsert(block.hash(r), block.key_bytes(r), inserted);
-          if (inserted) {
-            sh.keys.push_back(block.KeyAt(r));
-            sh.groups.emplace_back();
-            sh.first.push_back(PairPos{base + r, 0});
-          }
-          sh.groups[g].push_back(take(block, r));
+        for (const std::uint32_t r : shard_rows_[t][p]) {
+          visit(block, r,
+                streamed_input_ ? tag_pos_[t][r] : PairPos{base + r, 0});
         }
-      }
-      if (!speculative_) {
-        rows.clear();
-        rows.shrink_to_fit();
       }
       base += task_pairs_[t];
     }
-  } else {
-    // Streamed input: rows carry final (rank, seq) tags but arrive
-    // interleaved across upstream shards, so value order inside a group
-    // (and each key's first-seen tag) must be restored by tag.
-    std::vector<std::vector<PairPos>> vpos;
-    for (std::size_t t = 0; t < num_map_tasks_; ++t) {
-      auto& rows = shard_rows_[t][p];
-      if (blocks_[t] != nullptr) {
-        Block& block = *blocks_[t];
-        const auto& tags = tag_pos_[t];
-        for (const std::uint32_t r : rows) {
-          const PairPos pos = tags[r];
-          bool inserted = false;
-          const std::size_t g =
-              index.FindOrInsert(block.hash(r), block.key_bytes(r), inserted);
-          if (inserted) {
-            sh.keys.push_back(block.KeyAt(r));
-            sh.groups.emplace_back();
-            vpos.emplace_back();
-            sh.first.push_back(pos);
-          } else if (pos < sh.first[g]) {
-            sh.first[g] = pos;
-          }
-          sh.groups[g].push_back(take(block, r));
-          vpos[g].push_back(pos);
-        }
-      }
-      if (!speculative_) {
-        rows.clear();
-        rows.shrink_to_fit();
-      }
-    }
-    for (std::size_t g = 0; g < sh.groups.size(); ++g) {
-      auto& tags = vpos[g];
-      if (std::is_sorted(tags.begin(), tags.end())) continue;
-      std::vector<std::uint32_t> order(tags.size());
-      for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::sort(order.begin(), order.end(),
-                [&tags](std::uint32_t a, std::uint32_t b) {
-                  return tags[a] < tags[b];
-                });
-      std::vector<V> sorted;
-      sorted.reserve(order.size());
-      for (std::uint32_t i : order) {
-        sorted.push_back(std::move(sh.groups[g][i]));
-      }
-      sh.groups[g] = std::move(sorted);
-    }
-  }
-
+  };
+  sh.groups = GroupRows<K, V>(owned, for_each_row, take, !streamed_input_);
   if (!speculative_) {
+    for (std::size_t t = 0; t < num_map_tasks_; ++t) {
+      std::vector<std::uint32_t>().swap(shard_rows_[t][p]);
+    }
     shards_[p] = std::move(sh);
     return;
   }
@@ -1276,80 +1151,57 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::MergeSpills() {
 
 template <typename In, typename K, typename V, typename Out, typename MapFn,
           typename CombineFn, typename ReduceFn>
-template <typename Keys, typename Groups>
-void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::ReduceKeyRange(
-    const Keys& keys, Groups& groups, std::size_t lo, std::size_t hi,
-    std::vector<std::uint64_t>& sizes,
-    std::vector<std::vector<Out>>& outputs,
-    std::vector<ReducerLoad>* loads) {
-  const bool need_bytes =
-      loads != nullptr && (simulation_.cost_per_byte > 0 ||
-                           simulation_.reducer_capacity_bytes > 0);
-  for (std::size_t i = lo; i < hi; ++i) {
-    if constexpr (std::is_copy_constructible_v<V>) {
-      if (speculative_) {
-        // Twin attempts may reduce this shard concurrently and a reduce
-        // fn takes its group by mutable reference, so each attempt works
-        // on its own copy and the shared group is neither mutated nor
-        // freed (it dies with the round object instead).
-        std::vector<V> group = groups[i];
-        sizes[i] = group.size();
-        if (loads != nullptr) {
-          std::uint64_t bytes = 0;
-          if (need_bytes) {
-            bytes = common::ByteSizeOf(keys[i]);
-            for (const V& v : group) bytes += common::ByteSizeOf(v);
-          }
-          (*loads)[i] = ReducerLoad{HashValue(keys[i]), group.size(), bytes};
-        }
-        reduce_(keys[i], group, outputs[i]);
-        continue;
-      }
+void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::ReduceGroup(
+    const K& key, GroupView<V> group, std::vector<Out>& out,
+    ReducerLoad* load) {
+  if (load != nullptr) {
+    std::uint64_t bytes = 0;
+    if (simulation_.cost_per_byte > 0 ||
+        simulation_.reducer_capacity_bytes > 0) {
+      bytes = common::ByteSizeOf(key);
+      for (const V& v : group) bytes += common::ByteSizeOf(v);
     }
-    auto& group = groups[i];
-    sizes[i] = group.size();
-    if (loads != nullptr) {
-      std::uint64_t bytes = 0;
-      if (need_bytes) {
-        bytes = common::ByteSizeOf(keys[i]);
-        for (const V& v : group) bytes += common::ByteSizeOf(v);
-      }
-      (*loads)[i] = ReducerLoad{HashValue(keys[i]), group.size(), bytes};
-    }
-    reduce_(keys[i], group, outputs[i]);
-    std::vector<V>().swap(group);  // free each group as it reduces
+    *load = ReducerLoad{HashValue(key), group.size(), bytes};
   }
+  reduce_(key, group, out);
 }
 
 template <typename In, typename K, typename V, typename Out, typename MapFn,
           typename CombineFn, typename ReduceFn>
 void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::ReduceShard(
     std::size_t p) {
+  // Reducers read views into the committed shard, which no attempt
+  // mutates, so speculative twins share it; each reduces into
+  // attempt-local buffers and publishes first-wins.
   Shard& shard = shards_[p];
-  const std::size_t n = shard.keys.size();
+  const CsrGroups<K, V>& groups = shard.groups;
+  const std::size_t n = groups.size();
+  const bool sim = simulation_.enabled();
+  std::vector<std::vector<Out>> outputs(n);
+  std::vector<ReducerLoad> loads(sim ? n : 0);
+  // Reducers append into one reused scratch vector; each key's outputs
+  // then take a single exact-size allocation instead of growing their own
+  // vector push by push (with the values in one buffer, freed groups no
+  // longer feed that growth, and the allocator churn showed up as reduce
+  // time).
+  std::vector<Out> scratch;
+  for (std::size_t i = 0; i < n; ++i) {
+    scratch.clear();
+    ReduceGroup(groups.keys[i], groups.group(i), scratch,
+                sim ? &loads[i] : nullptr);
+    outputs[i].reserve(scratch.size());
+    for (Out& o : scratch) outputs[i].push_back(std::move(o));
+  }
   if (!speculative_) {
-    shard.outputs.resize(n);
-    shard.sizes.resize(n);
-    if (simulation_.enabled()) shard.loads.resize(n);
-    ReduceKeyRange(shard.keys, shard.groups, 0, n, shard.sizes,
-                   shard.outputs,
-                   simulation_.enabled() ? &shard.loads : nullptr);
+    shard.outputs = std::move(outputs);
+    shard.loads = std::move(loads);
+    std::vector<V>().swap(shard.groups.values);
     return;
   }
-  // Speculative attempt: reduce into attempt-local buffers (reading the
-  // committed keys/groups, which no attempt mutates) and publish
-  // first-wins.
-  std::vector<std::vector<Out>> outputs(n);
-  std::vector<std::uint64_t> sizes(n);
-  std::vector<ReducerLoad> loads;
-  if (simulation_.enabled()) loads.resize(n);
-  ReduceKeyRange(shard.keys, shard.groups, 0, n, sizes, outputs,
-                 simulation_.enabled() ? &loads : nullptr);
   std::lock_guard<std::mutex> lock(commit_mu_);
   if (!reduce_committed_[p]) {
     reduce_committed_[p] = 1;
     shard.outputs = std::move(outputs);
-    shard.sizes = std::move(sizes);
     shard.loads = std::move(loads);
   }
 }
@@ -1358,16 +1210,21 @@ template <typename In, typename K, typename V, typename Out, typename MapFn,
           typename CombineFn, typename ReduceFn>
 void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::ReduceRange(
     std::size_t t) {
-  ReduceKeyRange(merged_.keys, merged_.groups, range_begin_[t],
-                 range_begin_[t + 1], flat_sizes_, flat_outputs_,
-                 simulation_.enabled() ? &flat_loads_ : nullptr);
+  const bool sim = simulation_.enabled();
+  for (std::size_t i = range_begin_[t]; i < range_begin_[t + 1]; ++i) {
+    std::vector<V>& group = merged_.groups[i];
+    flat_sizes_[i] = group.size();
+    ReduceGroup(merged_.keys[i], group, flat_outputs_[i],
+                sim ? &flat_loads_[i] : nullptr);
+    std::vector<V>().swap(group);  // free each group as it reduces
+  }
 }
 
 template <typename In, typename K, typename V, typename Out, typename MapFn,
           typename CombineFn, typename ReduceFn>
 void StagedRound<In, K, V, Out, MapFn, CombineFn,
                  ReduceFn>::AssignKeyRanks() {
-  for (Shard& shard : shards_) shard.ranks.resize(shard.keys.size());
+  for (Shard& shard : shards_) shard.ranks.resize(shard.groups.size());
   // Cache the order for Finalize, which runs strictly after this task
   // (finalize depends on the consumer maps, which depend on it) — the
   // O(K log K) merge sort is paid once per round, not twice.
@@ -1469,7 +1326,7 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::Finalize() {
     m.num_reducers = order.size();
     std::size_t total_outputs = 0;
     for (const auto& [pos, p, i] : order) {
-      const std::uint64_t size = shards_[p].sizes[i];
+      const std::uint64_t size = shards_[p].groups.group_size(i);
       m.reducer_sizes.Add(static_cast<double>(size));
       m.max_reducer_input = std::max<std::uint64_t>(m.max_reducer_input,
                                                     size);

@@ -1,0 +1,201 @@
+#ifndef MRCOST_ENGINE_GROUPING_H_
+#define MRCOST_ENGINE_GROUPING_H_
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
+#include <utility>
+#include <vector>
+
+#include "src/common/byte_size.h"
+#include "src/storage/block.h"
+
+namespace mrcost::engine {
+
+/// A reducer's input: one key's values, read-only and contiguous — a
+/// pointer plus a size, the MR-MPI `multivalue` + `nvalues` idiom. The
+/// in-memory shuffle hands reducers slices of one per-shard value buffer;
+/// paths that still hold a `std::vector<V>` per group (the external merge,
+/// the multi-process reduce) pass it through the implicit conversion.
+///
+/// A view is valid only during the reducer call that receives it: the
+/// buffer behind it is freed once its shard is reduced. A reducer that
+/// keeps values must copy them (`std::vector<V>(view.begin(), view.end())`).
+template <typename V>
+class GroupView {
+ public:
+  using value_type = V;
+  using const_iterator = const V*;
+  using iterator = const V*;
+
+  GroupView() = default;
+  GroupView(const V* data, std::size_t size) : data_(data), size_(size) {}
+  GroupView(const std::vector<V>& values)  // NOLINT(runtime/explicit)
+      : data_(values.data()), size_(values.size()) {}
+
+  const V* begin() const { return data_; }
+  const V* end() const { return data_ + size_; }
+  const V* data() const { return data_; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const V& operator[](std::size_t i) const { return data_[i]; }
+  const V& front() const { return data_[0]; }
+  const V& back() const { return data_[size_ - 1]; }
+
+ private:
+  const V* data_ = nullptr;
+  std::size_t size_ = 0;
+};
+
+namespace internal {
+
+/// Scan-order tag carried by every routed pair. Lexicographic (major,
+/// minor) order over a round's pairs equals the barrier engine's global
+/// scan order, so the first-seen-key merge is identical no matter which
+/// task produced a pair or when it ran:
+///   * materialized input — major is the pair's global emission position
+///     (task base + local index, bases applied at group time), minor 0;
+///   * streamed input — major is the producing upstream key's global
+///     first-seen rank, minor a per-key emission counter (a key's outputs
+///     are mapped in order, so (rank, counter) reproduces the order a
+///     barrier round would scan the materialized outputs in).
+struct PairPos {
+  std::uint64_t major = 0;
+  std::uint64_t minor = 0;
+  friend bool operator<(const PairPos& a, const PairPos& b) {
+    return a.major != b.major ? a.major < b.major : a.minor < b.minor;
+  }
+};
+
+/// Map-side combine over one block, in first-seen key order within it:
+/// duplicates fold into the first row's value with `combine`. Keys dedup
+/// on serialized bytes (serde is injective), so no key object is rebuilt:
+/// inserts re-append the raw key bytes and hash. Consumes `in`'s values.
+/// `bytes` receives what crosses the shuffle (ByteSizeOf key + value per
+/// combined row); `row_bytes`, when set, each row's share. The one fold
+/// both backends run, so post-combine rows — and their spill positions —
+/// match.
+template <typename K, typename V, typename Combine>
+storage::KVBlock<K, V> CombineBlock(storage::KVBlock<K, V>& in,
+                                    const Combine& combine,
+                                    std::uint64_t& bytes,
+                                    std::vector<std::uint64_t>* row_bytes) {
+  storage::KVBlock<K, V> out;
+  storage::KeyIndex index;
+  for (std::size_t r = 0; r < in.rows(); ++r) {
+    bool inserted = false;
+    const std::size_t g =
+        index.FindOrInsert(in.hash(r), in.key_bytes(r), inserted);
+    if (inserted) {
+      out.AppendRaw(in.key_bytes(r), in.hash(r), std::move(in.value(r)));
+    } else {
+      out.value(g) = combine(std::move(out.value(g)), std::move(in.value(r)));
+    }
+  }
+  bytes = 0;
+  if (row_bytes != nullptr) row_bytes->reserve(out.rows());
+  for (std::size_t r = 0; r < out.rows(); ++r) {
+    const std::uint64_t b =
+        common::ByteSizeOf(out.KeyAt(r)) + common::ByteSizeOf(out.value(r));
+    bytes += b;
+    if (row_bytes != nullptr) row_bytes->push_back(b);
+  }
+  return out;
+}
+
+/// One shard's groups in CSR form: keys in first-seen order, and every
+/// key's values contiguous in one buffer — group g is
+/// values[offsets[g], offsets[g + 1]).
+template <typename K, typename V>
+struct CsrGroups {
+  std::vector<K> keys;
+  std::vector<PairPos> first;  // scan tag of each key's first row
+  std::vector<std::size_t> offsets = {0};
+  std::vector<V> values;
+
+  std::size_t size() const { return keys.size(); }
+  std::uint64_t group_size(std::size_t g) const {
+    return offsets[g + 1] - offsets[g];
+  }
+  GroupView<V> group(std::size_t g) const {
+    return GroupView<V>(values.data() + offsets[g], group_size(g));
+  }
+};
+
+/// The grouping kernel behind every in-memory shuffle. `for_each_row(f)`
+/// calls f(block, row, tag) for each of a shard's routed rows, in the same
+/// order each time; it is called twice:
+///   1. a storage::KeyIndex probe over the rows' precomputed hashes and
+///      key bytes gives each row a dense first-seen group id and counts
+///      the rows per group; a prefix sum turns counts into offsets;
+///   2. values scatter, stably, into the one value buffer —
+///      `take(block, row)` yields each (moved, or copied when the blocks
+///      are shared).
+/// `tags_in_scan_order` says the visit order is already tag order
+/// (materialized input); otherwise (streamed input, whose rows interleave
+/// upstream shards) each key's first tag is the minimum and each group's
+/// slice is restored to tag order. V must be default-constructible (the
+/// buffer is sized before the scatter fills it).
+template <typename K, typename V, typename ForEachRow, typename Take>
+CsrGroups<K, V> GroupRows(std::size_t num_rows, ForEachRow&& for_each_row,
+                          Take&& take, bool tags_in_scan_order) {
+  using Block = storage::KVBlock<K, V>;
+  CsrGroups<K, V> out;
+  storage::KeyIndex index;
+  std::vector<std::uint32_t> gid;
+  gid.reserve(num_rows);
+  for_each_row([&](const Block& block, std::uint32_t r, const PairPos& tag) {
+    bool inserted = false;
+    const std::size_t g =
+        index.FindOrInsert(block.hash(r), block.key_bytes(r), inserted);
+    if (inserted) {
+      out.keys.push_back(block.KeyAt(r));
+      out.first.push_back(tag);
+      out.offsets.push_back(0);
+    } else if (!tags_in_scan_order && tag < out.first[g]) {
+      out.first[g] = tag;
+    }
+    ++out.offsets[g + 1];
+    gid.push_back(static_cast<std::uint32_t>(g));
+  });
+  for (std::size_t g = 0; g < out.size(); ++g) {
+    out.offsets[g + 1] += out.offsets[g];
+  }
+
+  std::vector<std::size_t> cursor(out.offsets.begin(), out.offsets.end() - 1);
+  out.values.resize(gid.size());
+  std::vector<PairPos> tags(tags_in_scan_order ? 0 : gid.size());
+  std::size_t i = 0;
+  for_each_row([&](Block& block, std::uint32_t r, const PairPos& tag) {
+    const std::size_t slot = cursor[gid[i++]]++;
+    out.values[slot] = take(block, r);
+    if (!tags_in_scan_order) tags[slot] = tag;
+  });
+  if (tags_in_scan_order) return out;
+
+  std::vector<std::uint32_t> order;
+  std::vector<V> sorted;
+  for (std::size_t g = 0; g < out.size(); ++g) {
+    const auto lo = static_cast<std::ptrdiff_t>(out.offsets[g]);
+    const auto hi = static_cast<std::ptrdiff_t>(out.offsets[g + 1]);
+    if (std::is_sorted(tags.begin() + lo, tags.begin() + hi)) continue;
+    order.resize(static_cast<std::size_t>(hi - lo));
+    for (std::uint32_t k = 0; k < order.size(); ++k) order[k] = k;
+    std::sort(order.begin(), order.end(),
+              [&tags, lo](std::uint32_t a, std::uint32_t b) {
+                return tags[lo + a] < tags[lo + b];
+              });
+    sorted.clear();
+    for (const std::uint32_t k : order) {
+      sorted.push_back(std::move(out.values[lo + k]));
+    }
+    std::move(sorted.begin(), sorted.end(), out.values.begin() + lo);
+  }
+  return out;
+}
+
+}  // namespace internal
+}  // namespace mrcost::engine
+
+#endif  // MRCOST_ENGINE_GROUPING_H_

@@ -16,8 +16,12 @@ namespace mrcost::engine {
 /// Runs one map-reduce round.
 ///
 /// `map_fn`   : void(const Input&, Emitter<Key, Value>&)
-/// `reduce_fn`: void(const Key&, const std::vector<Value>&,
-///              std::vector<Output>&)
+/// `reduce_fn`: void(const Key&, GroupView<Value>, std::vector<Output>&)
+///
+/// A reducer reads its values through a GroupView (src/engine/grouping.h):
+/// pointer plus size over one contiguous, read-only buffer — in memory, a
+/// slice of its shard's one value buffer. The view is valid only during
+/// the call; copy what must outlive it.
 ///
 /// Semantics mirror the paper's model: every input is mapped independently
 /// (Section 2.3), pairs are shuffled by key, and each distinct key forms one

@@ -495,6 +495,10 @@ class KeyedDataset {
 
   /// Closes the round: appends a lazy map(+combine)+reduce node to the
   /// plan and returns the typed (unmaterialized) output dataset.
+  /// `reduce` is void(const K&, GroupView<V>, std::vector<Out>&): the
+  /// key's values in emission order, as a read-only view valid only
+  /// during the call (src/engine/grouping.h); outputs append to the
+  /// vector.
   template <typename Out, typename ReduceFn>
   Dataset<Out> ReduceByKey(ReduceFn reduce, std::string label = "") const;
 
@@ -657,7 +661,7 @@ template <typename Out, typename ReduceFn>
 Dataset<Out> KeyedDataset<In, K, V>::ReduceByKey(ReduceFn reduce,
                                                  std::string label) const {
   using ReduceStd =
-      std::function<void(const K&, const std::vector<V>&, std::vector<Out>&)>;
+      std::function<void(const K&, GroupView<V>, std::vector<Out>&)>;
   internal::PlanNode node;
   node.label = label.empty() ? label_ : std::move(label);
   node.input = input_;

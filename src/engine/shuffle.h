@@ -13,6 +13,7 @@
 
 #include "src/common/status.h"
 #include "src/common/thread_pool.h"
+#include "src/engine/grouping.h"
 #include "src/engine/hashing.h"
 #include "src/obs/trace.h"
 #include "src/storage/block.h"
@@ -176,8 +177,7 @@ ShuffleResult<Key, Value> SerialShuffle(
 /// tasks. Inputs arrive as KVBlocks (one per map chunk), a radix pass
 /// routes *row indices* by key hash into per-(block, shard) index lists —
 /// no pair is copied — and each shard groups its rows on a pool thread
-/// through a storage::KeyIndex probe over the blocks' precomputed hashes
-/// and key-byte views. Values move exactly once, block column to group. A
+/// with internal::GroupRows, the kernel StagedRound::GroupShard runs. A
 /// deterministic merge finally restores the global first-seen key order,
 /// so the result equals SerialShuffle's for every shard count. Consumes
 /// the blocks' values (blocks stay allocated until return).
@@ -217,46 +217,35 @@ ShuffleResult<Key, Value> BlockShardedShuffle(
   });
   radix_span.End();
 
-  // Pass 2: group each shard's rows. Scanning blocks in order visits rows
-  // in global scan order, so per-shard first_pos is increasing.
+  // Pass 2: group each shard's rows with the executor's CSR kernel.
+  // Scanning blocks in order visits rows in global scan order, so the
+  // first-seen tags (global row positions) are increasing per shard.
   obs::TraceSpan group_span("ShardGroup", "shuffle");
-  struct Shard {
-    std::vector<Key> keys;
-    std::vector<std::vector<Value>> groups;
-    std::vector<std::uint64_t> first_pos;
-  };
-  std::vector<Shard> shards(num_shards);
+  std::vector<internal::CsrGroups<Key, Value>> shards(num_shards);
   common::ParallelFor(pool, 0, num_shards, [&](std::size_t p) {
-    Shard& shard = shards[p];
     std::size_t owned = 0;
     for (std::size_t c = 0; c < num_blocks; ++c) {
       owned += rows[c * num_shards + p].size();
     }
-    storage::KeyIndex index;
-    index.Reserve(owned);
-    for (std::size_t c = 0; c < num_blocks; ++c) {
-      auto& bucket = rows[c * num_shards + p];
-      if (!blocks[c]) continue;
-      auto& block = *blocks[c];
-      for (const std::uint32_t r : bucket) {
-        bool inserted = false;
-        const std::size_t g =
-            index.FindOrInsert(block.hash(r), block.key_bytes(r), inserted);
-        if (inserted) {
-          shard.keys.push_back(block.KeyAt(r));
-          shard.groups.emplace_back();
-          shard.first_pos.push_back(block_offset[c] + r);
+    const auto for_each_row = [&](auto&& visit) {
+      for (std::size_t c = 0; c < num_blocks; ++c) {
+        if (!blocks[c]) continue;
+        for (const std::uint32_t r : rows[c * num_shards + p]) {
+          visit(*blocks[c], r, internal::PairPos{block_offset[c] + r, 0});
         }
-        shard.groups[g].push_back(std::move(block.value(r)));
       }
-      bucket.clear();
-      bucket.shrink_to_fit();
-    }
+    };
+    shards[p] = internal::GroupRows<Key, Value>(
+        owned, for_each_row,
+        [](storage::KVBlock<Key, Value>& block, std::uint32_t r) {
+          return std::move(block.value(r));
+        },
+        /*tags_in_scan_order=*/true);
   });
   group_span.End();
 
   std::size_t total_keys = 0;
-  for (const Shard& shard : shards) total_keys += shard.keys.size();
+  for (const auto& shard : shards) total_keys += shard.size();
   if (shuffle_span.active()) {
     shuffle_span.AddArg(
         obs::Arg("keys", static_cast<std::uint64_t>(total_keys)));
@@ -269,8 +258,8 @@ ShuffleResult<Key, Value> BlockShardedShuffle(
   std::vector<MergeEntry> order;
   order.reserve(total_keys);
   for (std::size_t p = 0; p < num_shards; ++p) {
-    for (std::size_t i = 0; i < shards[p].keys.size(); ++i) {
-      order.push_back(MergeEntry{shards[p].first_pos[i],
+    for (std::size_t i = 0; i < shards[p].size(); ++i) {
+      order.push_back(MergeEntry{shards[p].first[i].major,
                                  static_cast<std::uint32_t>(p),
                                  static_cast<std::uint32_t>(i)});
     }
@@ -284,8 +273,12 @@ ShuffleResult<Key, Value> BlockShardedShuffle(
   result.keys.reserve(total_keys);
   result.groups.reserve(total_keys);
   for (const MergeEntry& e : order) {
-    result.keys.push_back(std::move(shards[e.shard].keys[e.index]));
-    result.groups.push_back(std::move(shards[e.shard].groups[e.index]));
+    auto& shard = shards[e.shard];
+    const auto values = shard.values.begin();
+    result.keys.push_back(std::move(shard.keys[e.index]));
+    result.groups.emplace_back(
+        std::make_move_iterator(values + shard.offsets[e.index]),
+        std::make_move_iterator(values + shard.offsets[e.index + 1]));
   }
   return result;
 }

@@ -16,7 +16,7 @@ namespace {
 /// Builds the local graph over exactly the nodes present in `edges`,
 /// remapping node ids to a dense range; `local_to_global` gives the
 /// inverse mapping.
-Graph BuildLocalGraph(const std::vector<Edge>& edges,
+Graph BuildLocalGraph(engine::GroupView<Edge> edges,
                       std::vector<NodeId>& local_to_global) {
   std::unordered_map<NodeId, NodeId> global_to_local;
   local_to_global.clear();
@@ -91,7 +91,7 @@ SampleGraphPlan BuildSampleGraphPlan(const Graph& data, const Graph& pattern,
   };
 
   auto reduce_fn = [bucketer, pattern, k, s](const std::uint64_t& key,
-                                             const std::vector<Edge>& edges,
+                                             engine::GroupView<Edge> edges,
                                              std::vector<std::uint64_t>& out) {
     const std::vector<int> owned = common::MultisetUnrank(k, s, key);
     std::vector<NodeId> local_to_global;

@@ -109,7 +109,7 @@ TriangleJobResult MRTriangles(const Graph& graph, int k, std::uint64_t seed,
 
   auto reduce_fn = [&bucketer, k, dedup_rule](
                        const std::uint64_t& key,
-                       const std::vector<Edge>& edges,
+                       engine::GroupView<Edge> edges,
                        std::vector<Triangle>& out) {
     const std::vector<int> owned = common::MultisetUnrank(k, 3, key);
     // Local adjacency over the nodes present in this reducer.
@@ -200,9 +200,9 @@ TriangleTwoRoundResult MRTrianglesNodeIterator(
     NodeId b;
     NodeId middle;
   };
-  auto reduce1 = [](const NodeId& pivot, const std::vector<NodeId>& ends,
+  auto reduce1 = [](const NodeId& pivot, engine::GroupView<NodeId> ends,
                     std::vector<Wedge>& out) {
-    std::vector<NodeId> sorted = ends;
+    std::vector<NodeId> sorted(ends.begin(), ends.end());
     std::sort(sorted.begin(), sorted.end());
     sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
     for (std::size_t i = 0; i < sorted.size(); ++i) {
@@ -232,7 +232,7 @@ TriangleTwoRoundResult MRTrianglesNodeIterator(
     emitter.Emit(r.key, r.middle);
   };
   auto reduce2 = [low_degree_ordering](const Edge& key,
-                                       const std::vector<NodeId>& values,
+                                       engine::GroupView<NodeId> values,
                                        std::vector<Triangle>& out) {
     bool edge_present = false;
     for (NodeId v : values) {

@@ -87,9 +87,9 @@ TwoPathJobResult MRTwoPathsNode(const Graph& graph,
     emitter.Emit(e.u, e.v);
     emitter.Emit(e.v, e.u);
   };
-  auto reduce_fn = [](const NodeId& mid, const std::vector<NodeId>& ends,
+  auto reduce_fn = [](const NodeId& mid, engine::GroupView<NodeId> ends,
                       std::vector<TwoPath>& out) {
-    std::vector<NodeId> sorted = ends;
+    std::vector<NodeId> sorted(ends.begin(), ends.end());
     std::sort(sorted.begin(), sorted.end());
     for (std::size_t i = 0; i < sorted.size(); ++i) {
       for (std::size_t j = i + 1; j < sorted.size(); ++j) {
@@ -126,10 +126,10 @@ TwoPathJobResult MRTwoPathsBucket(const Graph& graph, int k,
     }
   };
 
-  auto reduce_fn = [&](const Key& key, const std::vector<NodeId>& ends,
+  auto reduce_fn = [&](const Key& key, engine::GroupView<NodeId> ends,
                        std::vector<TwoPath>& out) {
     const auto [i, j] = PairUnrank(k, key.second);
-    std::vector<NodeId> sorted = ends;
+    std::vector<NodeId> sorted(ends.begin(), ends.end());
     std::sort(sorted.begin(), sorted.end());
     sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
     for (std::size_t x = 0; x < sorted.size(); ++x) {

@@ -106,7 +106,7 @@ std::shared_ptr<const FlipMaskTable> BuildFlipMaskTable(int b, int k, int d) {
 /// so an all-ones slot is free.
 class GroupSet {
  public:
-  void Assign(const std::vector<BitString>& values) {
+  void Assign(engine::GroupView<BitString> values) {
     int log_slots = 4;
     while ((std::size_t{1} << log_slots) < 2 * values.size()) ++log_slots;
     shift_ = 64 - log_slots;
@@ -195,7 +195,7 @@ common::Result<SimilarityJoinPlan> BuildSplittingSimilarityJoinPlan(
   auto table = BuildFlipMaskTable(b, k, d);
   auto reduce_fn = [k, d, seg = b / k, residual_bits, table](
                        const std::uint64_t& key,
-                       const std::vector<BitString>& values,
+                       engine::GroupView<BitString> values,
                        std::vector<Pair>& out) {
     const std::uint64_t rank = key >> residual_bits;
     const std::size_t n = values.size();
@@ -279,7 +279,7 @@ common::Result<SimilarityJoinPlan> BuildBallSimilarityJoinPlan(
   };
 
   auto reduce_fn = [d](const BitString& center,
-                       const std::vector<BitString>& values,
+                       engine::GroupView<BitString> values,
                        std::vector<Pair>& out) {
     for (std::size_t i = 0; i < values.size(); ++i) {
       for (std::size_t j = i + 1; j < values.size(); ++j) {

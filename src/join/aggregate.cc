@@ -30,7 +30,7 @@ WordCountResult WordCount(const std::vector<std::string>& occurrences,
     emitter.Emit(word, 1);
   };
   auto reduce_fn = [](const std::string& word,
-                      const std::vector<std::uint64_t>& ones,
+                      engine::GroupView<std::uint64_t> ones,
                       std::vector<std::pair<std::string, std::uint64_t>>&
                           out) {
     std::uint64_t total = 0;
@@ -50,7 +50,7 @@ GroupBySumResult GroupBySum(const std::vector<std::pair<Value, Value>>& rows,
                    engine::Emitter<Value, Value>& emitter) {
     emitter.Emit(row.first, row.second);
   };
-  auto reduce_fn = [](const Value& group, const std::vector<Value>& values,
+  auto reduce_fn = [](const Value& group, engine::GroupView<Value> values,
                       std::vector<std::pair<Value, std::int64_t>>& out) {
     std::int64_t total = 0;
     for (Value v : values) total += v;

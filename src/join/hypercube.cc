@@ -146,7 +146,7 @@ common::Result<MultiwayJoinPlan> BuildHyperCubeJoinPlan(
 
   auto reduce_fn = [query, relations, num_atoms](
                        const std::uint64_t& /*cell*/,
-                       const std::vector<Input>& values,
+                       engine::GroupView<Input> values,
                        std::vector<Tuple>& out) {
     // Rebuild per-atom fragments and run the serial join on them.
     std::vector<Relation> fragments;

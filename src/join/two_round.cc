@@ -57,7 +57,7 @@ common::Result<JoinAggregatePlan> BuildHyperCubeJoinAggregatePlan(
 
   auto reduce1 = [query, relations, num_atoms, group_attr, sum_attr,
                   pre_aggregate](const std::uint64_t& /*cell*/,
-                                 const std::vector<Input>& values,
+                                 engine::GroupView<Input> values,
                                  std::vector<Partial>& out) {
     std::vector<Relation> fragments;
     fragments.reserve(num_atoms);
@@ -95,7 +95,7 @@ common::Result<JoinAggregatePlan> BuildHyperCubeJoinAggregatePlan(
     emitter.Emit(p.group, p.sum);
   };
   auto reduce2 = [](const Value& group,
-                    const std::vector<std::int64_t>& partials,
+                    engine::GroupView<std::int64_t> partials,
                     std::vector<std::pair<Value, std::int64_t>>& out) {
     std::int64_t total = 0;
     for (std::int64_t p : partials) total += p;

@@ -66,7 +66,7 @@ common::Result<OnePhasePlan> BuildMultiplyOnePhasePlan(const Matrix& r,
   };
 
   auto reduce_fn = [n, tile, groups](const std::uint32_t& key,
-                                     const std::vector<Element>& elems,
+                                     engine::GroupView<Element> elems,
                                      std::vector<Cell>& out) {
     const int gi = static_cast<int>(key / groups);
     const int gk = static_cast<int>(key % groups);
@@ -166,7 +166,7 @@ common::Result<TwoPhasePlan> BuildMultiplyTwoPhasePlan(const Matrix& r,
 
   auto reduce1 = [i_groups, j_groups, s_rows, t_js](
                      const std::uint64_t& key,
-                     const std::vector<Element>& elems,
+                     engine::GroupView<Element> elems,
                      std::vector<Cell>& out) {
     const std::uint32_t gj = static_cast<std::uint32_t>(key % j_groups);
     const std::uint64_t ik = key / j_groups;
@@ -210,7 +210,7 @@ common::Result<TwoPhasePlan> BuildMultiplyTwoPhasePlan(const Matrix& r,
     emitter.Emit(static_cast<std::uint64_t>(c.i) * n + c.k, c.value);
   };
   auto reduce2 = [](const std::uint64_t& key,
-                    const std::vector<double>& partials,
+                    engine::GroupView<double> partials,
                     std::vector<Keyed>& out) {
     double total = 0.0;
     for (double p : partials) total += p;

@@ -1,5 +1,6 @@
 #include "src/storage/block.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/storage/spill_file.h"  // kMaxBlockBytes
@@ -410,6 +411,80 @@ common::Status DecodeBlock(std::string_view payload, ColumnarRun& run) {
     return common::Status::Internal("block: trailing bytes in body");
   }
   return common::Status::Ok();
+}
+
+std::vector<std::uint32_t> SpillOrder(const std::vector<std::uint64_t>& hashes,
+                                      const ByteSlab& keys,
+                                      const std::vector<std::uint32_t>& rows) {
+  struct HashRow {
+    std::uint64_t hash;
+    std::uint32_t row;
+  };
+  const std::size_t n = rows.size();
+  std::vector<HashRow> sorted(n);
+  for (std::size_t i = 0; i < n; ++i) sorted[i] = {hashes[rows[i]], rows[i]};
+
+  // Below this many rows the radix histograms (4 x 2^16 counters) cost
+  // more than a comparison sort of the packed (hash, row) entries.
+  constexpr std::size_t kRadixMinRows = 4096;
+  if (n < kRadixMinRows) {
+    std::sort(sorted.begin(), sorted.end(),
+              [](const HashRow& a, const HashRow& b) {
+                return a.hash != b.hash ? a.hash < b.hash : a.row < b.row;
+              });
+  } else {
+    // Stable LSD radix: rows enter in ascending order, so equal hashes
+    // stay in row order. All four histograms come from one read pass.
+    constexpr int kDigitBits = 16;
+    constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+    constexpr int kDigits = 64 / kDigitBits;
+    const auto digit = [](std::uint64_t hash, int d) {
+      return static_cast<std::size_t>(hash >> (d * kDigitBits)) &
+             (kBuckets - 1);
+    };
+    std::vector<std::uint32_t> counts(kDigits * kBuckets, 0);
+    for (const HashRow& e : sorted) {
+      for (int d = 0; d < kDigits; ++d) {
+        ++counts[d * kBuckets + digit(e.hash, d)];
+      }
+    }
+    std::vector<HashRow> scratch(n);
+    for (int d = 0; d < kDigits; ++d) {
+      std::uint32_t* count = counts.data() + d * kBuckets;
+      // A digit every row shares orders nothing (a shard's rows share
+      // their hash's top bits).
+      if (count[digit(sorted[0].hash, d)] == n) continue;
+      std::uint32_t sum = 0;
+      for (std::size_t b = 0; b < kBuckets; ++b) {
+        const std::uint32_t c = count[b];
+        count[b] = sum;
+        sum += c;
+      }
+      for (const HashRow& e : sorted) scratch[count[digit(e.hash, d)]++] = e;
+      sorted.swap(scratch);
+    }
+  }
+
+  std::vector<std::uint32_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = sorted[i].row;
+  // Equal-hash stretches hold one key unless 64 bits collided; only a
+  // stretch with distinct key bytes pays a (stable) byte sort.
+  for (std::size_t i = 0; i < n;) {
+    std::size_t j = i + 1;
+    bool collided = false;
+    while (j < n && sorted[j].hash == sorted[i].hash) {
+      collided = collided || keys.At(order[j]) != keys.At(order[i]);
+      ++j;
+    }
+    if (collided) {
+      std::stable_sort(order.begin() + i, order.begin() + j,
+                       [&keys](std::uint32_t a, std::uint32_t b) {
+                         return keys.At(a) < keys.At(b);
+                       });
+    }
+    i = j;
+  }
+  return order;
 }
 
 }  // namespace mrcost::storage

@@ -138,6 +138,12 @@ class ByteSlab {
     offsets_.push_back(bytes_.size());
   }
 
+  /// Capacity for `entries` more entries and `bytes` more payload bytes.
+  void Reserve(std::size_t entries, std::size_t bytes) {
+    offsets_.reserve(offsets_.size() + entries);
+    bytes_.reserve(bytes_.size() + bytes);
+  }
+
   /// Serializes `value` (src/storage/serde.h) straight into the arena —
   /// no per-entry temporary string.
   template <typename T>
@@ -295,15 +301,11 @@ common::Status DecodeBlock(std::string_view payload, ColumnarRun& run);
 /// typed keys (hashes arrive precomputed from the block's hash column),
 /// and key equality is one byte comparison against a slab view. The views
 /// handed to FindOrInsert must stay valid for the index's lifetime (block
-/// slabs are stable until cleared).
+/// slabs are stable until cleared). The table grows with the distinct keys
+/// it sees and is never pre-sized: the row count callers know can exceed
+/// the key count by orders of magnitude, and every slot is zero-filled.
 class KeyIndex {
  public:
-  void Reserve(std::size_t expected) {
-    std::size_t cap = 16;
-    while (cap * 7 < expected * 10) cap <<= 1;
-    Rehash(cap);
-  }
-
   /// Group id for (hash, key); allocates the next dense id when unseen.
   std::size_t FindOrInsert(std::uint64_t hash, std::string_view key,
                            bool& inserted) {
@@ -388,6 +390,7 @@ class KVBlock {
 
   std::string_view key_bytes(std::size_t i) const { return keys_.At(i); }
   std::uint64_t hash(std::size_t i) const { return hashes_[i]; }
+  const std::vector<std::uint64_t>& hashes() const { return hashes_; }
   Value& value(std::size_t i) { return values_[i]; }
   const Value& value(std::size_t i) const { return values_[i]; }
 
@@ -432,39 +435,59 @@ class KVBlock {
   std::vector<Value> values_;
 };
 
-/// Sorts rows [lo, hi) of `block` into spill order and serializes them as
-/// a ColumnarRun. Row r's emission position is MakeSpillPos-style
-/// `local_base + (r - lo)` packed by the caller via `make_pos`; the rows
-/// of [lo, hi) must be in emission order (they are — row index is local
-/// emission position). Values serialize here, at spill time only.
+/// The permutation of `rows` (ascending row indices into a block whose
+/// hash column is `hashes` and key slab `keys`) into spill order: (hash,
+/// key bytes, row). No comparison sort of the rows: a stable LSD radix
+/// sort over packed (hash, row) — four 16-bit digits of the hash, passes
+/// whose digit is constant skipped — yields (hash, row) order; one linear
+/// scan then finds equal-hash stretches, and only a stretch where a 64-bit
+/// collision put distinct keys together is stably re-sorted by key bytes
+/// (stability keeps row order within each key).
+std::vector<std::uint32_t> SpillOrder(const std::vector<std::uint64_t>& hashes,
+                                      const ByteSlab& keys,
+                                      const std::vector<std::uint32_t>& rows);
+
+/// Serializes an ascending subset `rows` of `block` as one ColumnarRun in
+/// spill order (SpillOrder). `make_pos(r)` packs row r's emission position
+/// (MakeSpillPos-style); row index must be emission order within the block
+/// (it is — row index is local emission position). Values serialize here,
+/// at spill time only. The one ordering function behind in-process spills
+/// and the multi-process map's per-shard runs.
 template <typename Key, typename Value, typename MakePos>
-ColumnarRun SortedRunFromBlock(const KVBlock<Key, Value>& block,
-                               std::size_t lo, std::size_t hi,
-                               MakePos make_pos) {
-  const std::size_t n = hi - lo;
-  std::vector<std::uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              const std::size_t ra = lo + a, rb = lo + b;
-              if (block.hash(ra) != block.hash(rb)) {
-                return block.hash(ra) < block.hash(rb);
-              }
-              const int c = block.key_bytes(ra).compare(block.key_bytes(rb));
-              if (c != 0) return c < 0;
-              return a < b;  // row order == emission order == pos order
-            });
+ColumnarRun SortedRunFromRows(const KVBlock<Key, Value>& block,
+                              const std::vector<std::uint32_t>& rows,
+                              MakePos make_pos) {
+  const std::vector<std::uint32_t> order =
+      SpillOrder(block.hashes(), block.keys(), rows);
+  const std::size_t n = order.size();
   ColumnarRun run;
   run.hashes.reserve(n);
   run.positions.reserve(n);
-  for (const std::uint32_t j : order) {
-    const std::size_t r = lo + j;
+  // Key bytes in proportion to the subset's share of the block.
+  const std::size_t key_bytes =
+      block.rows() == 0 ? 0 : block.keys().bytes().size() / block.rows() * n;
+  run.keys.Reserve(n, key_bytes + n);
+  run.values.Reserve(n, 0);
+  for (const std::uint32_t r : order) {
     run.hashes.push_back(block.hash(r));
-    run.positions.push_back(make_pos(j));
+    run.positions.push_back(make_pos(r));
     run.keys.Append(block.key_bytes(r));
     run.values.AppendSerialized(block.value(r));
   }
   return run;
+}
+
+/// SortedRunFromRows over the contiguous rows [lo, hi); `make_pos` takes
+/// the row's offset from `lo`.
+template <typename Key, typename Value, typename MakePos>
+ColumnarRun SortedRunFromBlock(const KVBlock<Key, Value>& block,
+                               std::size_t lo, std::size_t hi,
+                               MakePos make_pos) {
+  std::vector<std::uint32_t> rows(hi - lo);
+  std::iota(rows.begin(), rows.end(), static_cast<std::uint32_t>(lo));
+  return SortedRunFromRows(block, rows, [&](std::uint32_t r) {
+    return make_pos(static_cast<std::uint32_t>(r - lo));
+  });
 }
 
 }  // namespace mrcost::storage

@@ -832,7 +832,7 @@ TEST(DistBackend, UnstampedPlanFallsBackInProcess) {
               })
           .ReduceByKey<std::pair<std::uint64_t, std::uint64_t>>(
               [](const std::uint64_t& key,
-                 const std::vector<std::uint64_t>& vs,
+                 engine::GroupView<std::uint64_t> vs,
                  std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) {
                 std::uint64_t sum = 0;
                 for (auto v : vs) sum += v;

@@ -193,7 +193,7 @@ JobResult<std::pair<int, std::int64_t>> SumByResidue(
   auto map_fn = [modulus](const int& x, Emitter<int, int>& emitter) {
     emitter.Emit(x % modulus, x);
   };
-  auto reduce_fn = [](const int& key, const std::vector<int>& values,
+  auto reduce_fn = [](const int& key, GroupView<int> values,
                       std::vector<std::pair<int, std::int64_t>>& out) {
     std::int64_t sum = 0;
     for (int v : values) sum += v;
@@ -230,7 +230,7 @@ TEST(Job, ReplicationRateCountsAllEmits) {
     emitter.Emit(x + 1000, x);
     emitter.Emit(x + 2000, x);
   };
-  auto reduce_fn = [](const int& key, const std::vector<int>& values,
+  auto reduce_fn = [](const int& key, GroupView<int> values,
                       std::vector<int>& out) {
     (void)key;
     out.push_back(static_cast<int>(values.size()));
@@ -252,9 +252,9 @@ TEST(Job, ValueOrderIsInputOrder) {
     auto map_fn = [](const int& x, Emitter<int, int>& emitter) {
       emitter.Emit(0, x);
     };
-    auto reduce_fn = [](const int&, const std::vector<int>& values,
+    auto reduce_fn = [](const int&, GroupView<int> values,
                         std::vector<std::vector<int>>& out) {
-      out.push_back(values);
+      out.emplace_back(values.begin(), values.end());
     };
     auto result = RunMapReduce<int, int, int, std::vector<int>>(
         inputs, map_fn, reduce_fn, options);
@@ -288,7 +288,7 @@ TEST(Job, EmptyInput) {
 TEST(Job, MapCanEmitNothing) {
   std::vector<int> inputs{1, 2, 3};
   auto map_fn = [](const int&, Emitter<int, int>&) {};
-  auto reduce_fn = [](const int&, const std::vector<int>&,
+  auto reduce_fn = [](const int&, GroupView<int>,
                       std::vector<int>&) {};
   auto result =
       RunMapReduce<int, int, int, int>(inputs, map_fn, reduce_fn, {});
@@ -301,7 +301,7 @@ TEST(Job, BytesShuffledAccounting) {
   auto map_fn = [](const int& x, Emitter<int, double>& emitter) {
     emitter.Emit(x, 1.5);
   };
-  auto reduce_fn = [](const int&, const std::vector<double>&,
+  auto reduce_fn = [](const int&, GroupView<double>,
                       std::vector<int>&) {};
   auto result =
       RunMapReduce<int, int, double, int>(inputs, map_fn, reduce_fn, {});
@@ -318,7 +318,7 @@ TEST(Job, ReducerSizeDistribution) {
   auto map_fn = [](const int& x, Emitter<int, int>& emitter) {
     emitter.Emit(x, 1);
   };
-  auto reduce_fn = [](const int&, const std::vector<int>&,
+  auto reduce_fn = [](const int&, GroupView<int>,
                       std::vector<int>&) {};
   auto result =
       RunMapReduce<int, int, int, int>(inputs, map_fn, reduce_fn, {});
@@ -346,7 +346,7 @@ TEST(Job, StringKeysWork) {
     emitter.Emit(w, 1);
   };
   auto reduce_fn = [](const std::string& w,
-                      const std::vector<std::uint64_t>& ones,
+                      GroupView<std::uint64_t> ones,
                       std::vector<std::pair<std::string, std::size_t>>& out) {
     out.emplace_back(w, ones.size());
   };
@@ -375,7 +375,7 @@ TEST(Combiner, SameResultLessCommunication) {
   };
   auto combine_fn = [](std::int64_t a, std::int64_t b) { return a + b; };
   auto reduce_fn = [](const int& key,
-                      const std::vector<std::int64_t>& values,
+                      GroupView<std::int64_t> values,
                       std::vector<std::pair<int, std::int64_t>>& out) {
     std::int64_t total = 0;
     for (std::int64_t v : values) total += v;
@@ -408,7 +408,7 @@ TEST(Combiner, NoOpWhenKeysAreUnique) {
     emitter.Emit(x, x);
   };
   auto combine_fn = [](int a, int) { return a; };
-  auto reduce_fn = [](const int&, const std::vector<int>&,
+  auto reduce_fn = [](const int&, GroupView<int>,
                       std::vector<int>&) {};
   auto result = RunMapReduceCombined<int, int, int, int>(
       inputs, map_fn, combine_fn, reduce_fn, {});
@@ -426,7 +426,7 @@ TEST(Combiner, DeterministicAcrossThreadCounts) {
   };
   auto combine_fn = [](std::int64_t a, std::int64_t b) { return a + b; };
   auto reduce_fn = [](const int& key,
-                      const std::vector<std::int64_t>& values,
+                      GroupView<std::int64_t> values,
                       std::vector<std::pair<int, std::int64_t>>& out) {
     std::int64_t total = 0;
     for (std::int64_t v : values) total += v;
@@ -455,7 +455,7 @@ TEST(Combiner, EmptyInput) {
     emitter.Emit(x, 1);
   };
   auto combine_fn = [](int a, int b) { return a + b; };
-  auto reduce_fn = [](const int&, const std::vector<int>&,
+  auto reduce_fn = [](const int&, GroupView<int>,
                       std::vector<int>&) {};
   auto result = RunMapReduceCombined<int, int, int, int>(
       {}, map_fn, combine_fn, reduce_fn, {});
@@ -476,7 +476,7 @@ JobResult<std::pair<int, std::uint64_t>> FanoutJob(
     emitter.Emit(x % 251, x + 1);
     emitter.Emit(x % 599, x + 2);
   };
-  auto reduce_fn = [](const int& key, const std::vector<int>& values,
+  auto reduce_fn = [](const int& key, GroupView<int> values,
                       std::vector<std::pair<int, std::uint64_t>>& out) {
     // Order-sensitive fold; unsigned so the deliberate wraparound is
     // defined (the sanitized CI job runs this test under UBSan).
@@ -522,7 +522,7 @@ TEST(Shuffle, CombinedDeterministicAcrossThreadAndShardCounts) {
   };
   auto combine_fn = [](std::int64_t a, std::int64_t b) { return a + b; };
   auto reduce_fn = [](const int& key,
-                      const std::vector<std::int64_t>& values,
+                      GroupView<std::int64_t> values,
                       std::vector<std::pair<int, std::int64_t>>& out) {
     std::int64_t total = 0;
     for (std::int64_t v : values) total += v;
@@ -826,7 +826,7 @@ JobResult<std::pair<std::uint64_t, std::int64_t>> ZipfJob(
                    Emitter<std::uint64_t, int>& emitter) {
     emitter.Emit(x, 1);
   };
-  auto reduce_fn = [](const std::uint64_t& key, const std::vector<int>& values,
+  auto reduce_fn = [](const std::uint64_t& key, GroupView<int> values,
                       std::vector<std::pair<std::uint64_t, std::int64_t>>&
                           out) {
     out.emplace_back(key, static_cast<std::int64_t>(values.size()));
@@ -913,7 +913,7 @@ TEST(Simulator, CapacityViolationsInsteadOfSilentOverfill) {
   auto map_fn = [](const int& x, Emitter<int, int>& emitter) {
     emitter.Emit(x, 1);
   };
-  auto reduce_fn = [](const int&, const std::vector<int>&,
+  auto reduce_fn = [](const int&, GroupView<int>,
                       std::vector<int>&) {};
   JobOptions options;
   options.simulation.num_workers = 4;
@@ -978,7 +978,7 @@ TEST(Simulator, PipelineWideSimulationAndCostReports) {
   auto map1 = [](const int& x, Emitter<int, int>& emitter) {
     emitter.Emit(x % 10, x);  // 10 keys x 10 values: violates q = 5
   };
-  auto reduce1 = [](const int& key, const std::vector<int>& values,
+  auto reduce1 = [](const int& key, GroupView<int> values,
                     std::vector<std::pair<int, std::int64_t>>& out) {
     std::int64_t sum = 0;
     for (int v : values) sum += v;
@@ -990,7 +990,7 @@ TEST(Simulator, PipelineWideSimulationAndCostReports) {
                  Emitter<int, std::int64_t>& emitter) {
     emitter.Emit(p.first % 2, p.second);
   };
-  auto reduce2 = [](const int& key, const std::vector<std::int64_t>& values,
+  auto reduce2 = [](const int& key, GroupView<std::int64_t> values,
                     std::vector<std::pair<int, std::int64_t>>& out) {
     std::int64_t sum = 0;
     for (std::int64_t v : values) sum += v;
@@ -1054,7 +1054,7 @@ TEST(Pipeline, TwoRoundMetricsAccumulate) {
   auto map1 = [](const int& x, Emitter<int, int>& emitter) {
     emitter.Emit(x % 10, x);
   };
-  auto reduce1 = [](const int& key, const std::vector<int>& values,
+  auto reduce1 = [](const int& key, GroupView<int> values,
                     std::vector<std::pair<int, std::int64_t>>& out) {
     std::int64_t sum = 0;
     for (int v : values) sum += v;
@@ -1069,7 +1069,7 @@ TEST(Pipeline, TwoRoundMetricsAccumulate) {
     emitter.Emit(p.first % 2, p.second);
   };
   auto reduce2 = [](const int& key,
-                    const std::vector<std::int64_t>& values,
+                    GroupView<std::int64_t> values,
                     std::vector<std::pair<int, std::int64_t>>& out) {
     std::int64_t sum = 0;
     for (std::int64_t v : values) sum += v;
@@ -1106,7 +1106,7 @@ TEST(Pipeline, SharedPoolAndPerRoundOptions) {
   auto map_fn = [](const int& x, Emitter<int, int>& emitter) {
     emitter.Emit(x % 5, x);
   };
-  auto reduce_fn = [](const int& key, const std::vector<int>& values,
+  auto reduce_fn = [](const int& key, GroupView<int> values,
                       std::vector<std::pair<int, std::size_t>>& out) {
     out.emplace_back(key, values.size());
   };
@@ -1133,7 +1133,7 @@ TEST(Pipeline, RoundDefaultsMergeFieldWise) {
   auto map_fn = [](const int& x, Emitter<int, int>& emitter) {
     emitter.Emit(x % 512, x);
   };
-  auto reduce_fn = [](const int& key, const std::vector<int>& values,
+  auto reduce_fn = [](const int& key, GroupView<int> values,
                       std::vector<std::pair<int, std::size_t>>& out) {
     out.emplace_back(key, values.size());
   };
@@ -1278,7 +1278,7 @@ TEST(Pipeline, CombinedRound) {
   };
   auto combine_fn = [](std::int64_t a, std::int64_t b) { return a + b; };
   auto reduce_fn = [](const int& key,
-                      const std::vector<std::int64_t>& values,
+                      GroupView<std::int64_t> values,
                       std::vector<std::pair<int, std::int64_t>>& out) {
     std::int64_t total = 0;
     for (std::int64_t v : values) total += v;

@@ -106,7 +106,7 @@ struct FoldJob {
     emitter.Emit(x % 677, x * 3 + 1);
   }
   static void Reduce(const std::uint64_t& key,
-                     const std::vector<std::uint64_t>& values,
+                     GroupView<std::uint64_t> values,
                      std::vector<std::pair<std::uint64_t, std::uint64_t>>&
                          out) {
     std::uint64_t acc = key;
@@ -404,6 +404,70 @@ TEST(StagedRound, SpeculationPreservesOutputsAndReportsStats) {
           inputs, FoldJob::Map, FoldJob::Reduce, options);
   EXPECT_EQ(run.outputs, reference.outputs);
   EXPECT_GE(run.metrics.speculative_launched, run.metrics.speculative_won);
+}
+
+TEST(StagedRound, SpeculativeTwinsReduceOneSharedView) {
+  // One hot key's reducer blocks until a backup attempt of its shard task
+  // enters the same reducer: both attempts must read the one committed
+  // value buffer (no per-attempt copy) and the round must stay
+  // byte-identical to the serial reference.
+  std::vector<std::uint64_t> inputs(20000);
+  std::iota(inputs.begin(), inputs.end(), 0);
+  using Out = std::pair<std::uint64_t, std::uint64_t>;
+  JobOptions serial;
+  serial.num_threads = 1;
+  serial.shuffle.strategy = ShuffleStrategy::kSerial;
+  const auto reference =
+      RunMapReduce<std::uint64_t, std::uint64_t, std::uint64_t, Out>(
+          inputs, FoldJob::Map, FoldJob::Reduce, serial);
+
+  constexpr std::uint64_t kHot = 5;
+  std::atomic<int> hot_calls{0};
+  std::atomic<const std::uint64_t*> views[2] = {nullptr, nullptr};
+  auto reduce = [&](const std::uint64_t& key, GroupView<std::uint64_t> values,
+                    std::vector<Out>& out) {
+    if (key == kHot) {
+      const int call = hot_calls.fetch_add(1);
+      if (call < 2) views[call].store(values.data());
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      while (call == 0 && hot_calls.load() < 2 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    }
+    FoldJob::Reduce(key, values, out);
+  };
+
+  common::ThreadPool pool(4);
+  StageGraphExecutor exec(pool);
+  std::atomic<double> clock_ms{0.0};
+  exec.SetClockForTest([&] { return clock_ms.load(); });
+  JobOptions options;
+  options.pool = &pool;
+  options.num_shards = 8;
+  options.shuffle.strategy = ShuffleStrategy::kSharded;
+  options.speculation.enabled = true;
+  options.speculation.slowdown_factor = 2.0;
+  options.speculation.min_completed = 3;
+  options.speculation.min_task_ms = 0.0;
+  using Round = internal::StagedRound<
+      std::uint64_t, std::uint64_t, std::uint64_t, Out,
+      decltype(&FoldJob::Map), internal::NoCombine, decltype(reduce)>;
+  auto round = Round::StageMaterialized(exec, 0, inputs, nullptr,
+                                        &FoldJob::Map, internal::NoCombine{},
+                                        reduce, options);
+  round->StageFinalize({});
+  while (hot_calls.load() == 0) std::this_thread::yield();
+  clock_ms.store(1000.0);  // the hot shard now runs long past its peers
+  exec.Wait();
+
+  EXPECT_EQ(hot_calls.load(), 2);
+  EXPECT_NE(views[0].load(), nullptr);
+  EXPECT_EQ(views[0].load(), views[1].load());
+  const JobResult<Out> run = round->TakeResult();
+  EXPECT_EQ(run.outputs, reference.outputs);
+  EXPECT_GE(run.metrics.speculative_launched, 1u);
 }
 
 // ------------------------------------------------------------ AsyncRunner

@@ -92,7 +92,7 @@ JobResult<std::pair<int, std::uint64_t>> FanoutJob(const JobOptions& options) {
     emitter.Emit(x % 251, x + 1);
     emitter.Emit(x % 599, x + 2);
   };
-  auto reduce_fn = [](const int& key, const std::vector<int>& values,
+  auto reduce_fn = [](const int& key, GroupView<int> values,
                       std::vector<std::pair<int, std::uint64_t>>& out) {
     auto acc = static_cast<std::uint64_t>(key);
     for (int v : values) acc = acc * 31 + static_cast<std::uint64_t>(v);
@@ -173,9 +173,10 @@ JobResult<std::pair<Key, std::vector<Value>>> GroupJob(
                    Emitter<Key, Value>& emitter) {
     emitter.Emit(kv.first, kv.second);
   };
-  auto reduce_fn = [](const Key& key, const std::vector<Value>& values,
+  auto reduce_fn = [](const Key& key, GroupView<Value> values,
                       Grouped<Key, Value>& out) {
-    out.emplace_back(key, values);
+    out.emplace_back(key,
+                     std::vector<Value>(values.begin(), values.end()));
   };
   return RunMapReduce<std::pair<Key, Value>, Key, Value,
                       std::pair<Key, std::vector<Value>>>(inputs, map_fn,
@@ -256,7 +257,7 @@ TEST(ExternalShuffleJob, CombinedRoundMatchesInMemory) {
     emitter.Emit(x + 1000, 2 * x);
   };
   auto combine_fn = [](std::int64_t a, std::int64_t b) { return a + b; };
-  auto reduce_fn = [](const int& key, const std::vector<std::int64_t>& values,
+  auto reduce_fn = [](const int& key, GroupView<std::int64_t> values,
                       std::vector<std::pair<int, std::int64_t>>& out) {
     std::int64_t total = 0;
     for (std::int64_t v : values) total += v;
@@ -307,7 +308,7 @@ TEST(ExternalShufflePipeline, BackstopReachesEveryRoundAndReports) {
   auto map1 = [](const int& x, Emitter<int, int>& emitter) {
     emitter.Emit(x % 100, x);
   };
-  auto reduce1 = [](const int& key, const std::vector<int>& values,
+  auto reduce1 = [](const int& key, GroupView<int> values,
                     std::vector<std::pair<int, std::int64_t>>& out) {
     std::int64_t sum = 0;
     for (int v : values) sum += v;
@@ -320,7 +321,7 @@ TEST(ExternalShufflePipeline, BackstopReachesEveryRoundAndReports) {
                  Emitter<int, std::int64_t>& emitter) {
     emitter.Emit(p.first % 2, p.second);
   };
-  auto reduce2 = [](const int& key, const std::vector<std::int64_t>& values,
+  auto reduce2 = [](const int& key, GroupView<std::int64_t> values,
                     std::vector<std::pair<int, std::int64_t>>& out) {
     std::int64_t sum = 0;
     for (std::int64_t v : values) sum += v;

@@ -305,7 +305,7 @@ TEST(Registry, EngineCountersAreRunDeterministic) {
       emitter.Emit(x % 37, 1);
     };
     auto reduce_fn = [](const std::uint64_t& key,
-                        const std::vector<int>& values,
+                        engine::GroupView<int> values,
                         std::vector<std::uint64_t>& out) {
       out.push_back(key * 1000 + values.size());
     };
@@ -401,7 +401,7 @@ TEST(TraceEndToEnd, JobProducesStageSpansForEveryRound) {
       emitter.Emit(x % 11, 1);
     };
     auto reduce_fn = [](const std::uint64_t& key,
-                        const std::vector<int>& values,
+                        engine::GroupView<int> values,
                         std::vector<std::uint64_t>& out) {
       out.push_back(key + values.size());
     };

@@ -74,7 +74,7 @@ TEST(Plan, BuildingRunsNothing) {
             emitter.Emit(x % 10, x);
           })
           .ReduceByKey<std::pair<int, std::size_t>>(
-              [](const int& key, const std::vector<int>& values,
+              [](const int& key, GroupView<int> values,
                  std::vector<std::pair<int, std::size_t>>& out) {
                 out.emplace_back(key, values.size());
               });
@@ -97,7 +97,7 @@ TEST(Plan, BuildingRunsNothing) {
           })
           .WithEstimate(hint)
           .ReduceByKey<std::pair<int, std::size_t>>(
-              [](const int& key, const std::vector<int>& values,
+              [](const int& key, GroupView<int> values,
                  std::vector<std::pair<int, std::size_t>>& out) {
                 out.emplace_back(key, values.size());
               });
@@ -132,7 +132,7 @@ struct SyntheticJob {
     emitter.Emit(x % 251, static_cast<std::uint64_t>(x) + 1);
   }
   static void ReduceFn(const int& key,
-                       const std::vector<std::uint64_t>& values,
+                       GroupView<std::uint64_t> values,
                        std::vector<std::pair<int, std::uint64_t>>& out) {
     std::uint64_t acc = static_cast<std::uint64_t>(key);
     for (std::uint64_t v : values) acc = acc * 31 + v;
@@ -187,7 +187,7 @@ TEST(Plan, CombinedRoundMatchesEager) {
     emitter.Emit(x + 1000, 2 * x);
   };
   auto combine_fn = [](std::int64_t a, std::int64_t b) { return a + b; };
-  auto reduce_fn = [](const int& key, const std::vector<std::int64_t>& values,
+  auto reduce_fn = [](const int& key, GroupView<std::int64_t> values,
                       std::vector<std::pair<int, std::int64_t>>& out) {
     std::int64_t total = 0;
     for (std::int64_t v : values) total += v;
@@ -224,7 +224,7 @@ TEST(Plan, IntermediateDatasetExecutesOnlyItsAncestry) {
                       e.Emit(x % 50, x);
                     })
                     .ReduceByKey<std::pair<int, std::int64_t>>(
-                        [](const int& key, const std::vector<int>& values,
+                        [](const int& key, GroupView<int> values,
                            std::vector<std::pair<int, std::int64_t>>& out) {
                           std::int64_t sum = 0;
                           for (int v : values) sum += v;
@@ -236,7 +236,7 @@ TEST(Plan, IntermediateDatasetExecutesOnlyItsAncestry) {
               [](const std::pair<int, std::int64_t>& p,
                  Emitter<int, std::int64_t>& e) { e.Emit(p.first % 5, p.second); })
           .ReduceByKey<std::pair<int, std::int64_t>>(
-              [](const int& key, const std::vector<std::int64_t>& values,
+              [](const int& key, GroupView<std::int64_t> values,
                  std::vector<std::pair<int, std::int64_t>>& out) {
                 std::int64_t sum = 0;
                 for (std::int64_t v : values) sum += v;
@@ -320,7 +320,7 @@ TEST(Plan, ChooserDecidesPerRoundNotPerPipeline) {
                         "big fan-out")
                     .ReduceByKey<std::pair<std::uint64_t, std::uint64_t>>(
                         [](const std::uint64_t& key,
-                           const std::vector<std::uint64_t>& values,
+                           GroupView<std::uint64_t> values,
                            std::vector<std::pair<std::uint64_t,
                                                  std::uint64_t>>& out) {
                           std::uint64_t sum = 0;
@@ -337,7 +337,7 @@ TEST(Plan, ChooserDecidesPerRoundNotPerPipeline) {
               "tiny regroup")
           .ReduceByKey<std::pair<std::uint64_t, std::uint64_t>>(
               [](const std::uint64_t& key,
-                 const std::vector<std::uint64_t>& values,
+                 GroupView<std::uint64_t> values,
                  std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) {
                 std::uint64_t sum = 0;
                 for (std::uint64_t v : values) sum += v;
@@ -370,7 +370,7 @@ TEST(Plan, ExplicitShardRequestSuppressesSerialDowngrade) {
           e.Emit(x % 10, x);
         })
         .ReduceByKey<std::pair<int, std::size_t>>(
-            [](const int& key, const std::vector<int>& values,
+            [](const int& key, GroupView<int> values,
                std::vector<std::pair<int, std::size_t>>& out) {
               out.emplace_back(key, values.size());
             });
@@ -538,7 +538,7 @@ TEST(Plan, EstimatePropagatesPerProducerOnBranchedPlans) {
   std::vector<int> inputs(100);
   std::iota(inputs.begin(), inputs.end(), 0);
   auto map_fn = [](const int& x, Emitter<int, int>& e) { e.Emit(x, x); };
-  auto reduce_fn = [](const int& key, const std::vector<int>&,
+  auto reduce_fn = [](const int& key, GroupView<int>,
                       std::vector<int>& out) { out.push_back(key); };
 
   StageEstimate hint_a;
@@ -786,7 +786,7 @@ TEST(PlanStreaming, StreamedRoundOverlapsProducerReduce) {
                 "fan-in")
             .ReduceByKey<std::pair<std::uint64_t, std::uint64_t>>(
                 [](const std::uint64_t& key,
-                   const std::vector<std::uint64_t>& values,
+                   GroupView<std::uint64_t> values,
                    std::vector<std::pair<std::uint64_t, std::uint64_t>>&
                        out) {
                   std::uint64_t acc = key;
@@ -805,7 +805,7 @@ TEST(PlanStreaming, StreamedRoundOverlapsProducerReduce) {
         .WithPerKeyInput()
         .ReduceByKey<std::pair<std::uint64_t, std::uint64_t>>(
             [](const std::uint64_t& key,
-               const std::vector<std::uint64_t>& values,
+               GroupView<std::uint64_t> values,
                std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) {
               std::uint64_t acc = key;
               for (std::uint64_t v : values) acc = acc * 131 + v;
@@ -838,6 +838,72 @@ TEST(PlanStreaming, StreamedRoundOverlapsProducerReduce) {
   }
 }
 
+TEST(PlanStreaming, InterleavedUpstreamBlocksKeepSerialValueOrder) {
+  // Every downstream key collects values from all eight upstream shards,
+  // so a consumer shard's rows arrive interleaved across upstream blocks:
+  // its CSR group slices are filled out of tag order and must be restored.
+  // The reducer returns each group verbatim; keys and value lists must
+  // equal SerialShuffle over the barrier-ordered round-1 outputs.
+  std::vector<int> inputs(20000);
+  std::iota(inputs.begin(), inputs.end(), 0);
+  using Pair = std::pair<std::uint64_t, std::uint64_t>;
+  using Group = std::pair<std::uint64_t, std::vector<std::uint64_t>>;
+  const auto regroup = [](const Pair& p,
+                          Emitter<std::uint64_t, std::uint64_t>& e) {
+    e.Emit(p.first % 5, p.second);
+    e.Emit(100 + p.second % 3, p.first);
+  };
+  Plan plan;
+  auto round1 =
+      plan.Source(inputs)
+          .Map<std::uint64_t, std::uint64_t>(
+              [](const int& x, Emitter<std::uint64_t, std::uint64_t>& e) {
+                e.Emit(static_cast<std::uint64_t>(x) % 997,
+                       static_cast<std::uint64_t>(x));
+              },
+              "fan-in")
+          .ReduceByKey<Pair>([](const std::uint64_t& key,
+                                GroupView<std::uint64_t> values,
+                                std::vector<Pair>& out) {
+            std::uint64_t acc = key;
+            for (std::uint64_t v : values) acc = acc * 31 + v;
+            out.emplace_back(key, acc);
+          });
+  auto round2 =
+      round1.Map<std::uint64_t, std::uint64_t>(regroup, "regroup")
+          .WithPerKeyInput()
+          .ReduceByKey<Group>([](const std::uint64_t& key,
+                                 GroupView<std::uint64_t> values,
+                                 std::vector<Group>& out) {
+            out.emplace_back(key, std::vector<std::uint64_t>(values.begin(),
+                                                             values.end()));
+          });
+  ExecutionOptions streaming;
+  streaming.pipeline.num_threads = 4;
+  streaming.pipeline.round_defaults.num_shards = 8;
+  streaming.pipeline.round_defaults.shuffle.strategy =
+      ShuffleStrategy::kSharded;
+  auto streamed = round2.Execute(streaming);
+  ASSERT_EQ(streamed.metrics.streamed_rounds, 1u);
+
+  ExecutionOptions barrier = streaming;
+  barrier.streaming = false;
+  const std::vector<Pair> upstream = round1.Execute(barrier).outputs;
+  std::vector<std::vector<Pair>> chunks(1);
+  Emitter<std::uint64_t, std::uint64_t> emitter;
+  for (const Pair& p : upstream) regroup(p, emitter);
+  for (std::size_t r = 0; r < emitter.block().rows(); ++r) {
+    chunks[0].emplace_back(emitter.block().KeyAt(r),
+                           emitter.block().value(r));
+  }
+  const auto serial = SerialShuffle(chunks);
+  ASSERT_EQ(streamed.outputs.size(), serial.keys.size());
+  for (std::size_t i = 0; i < serial.keys.size(); ++i) {
+    EXPECT_EQ(streamed.outputs[i].first, serial.keys[i]) << i;
+    EXPECT_EQ(streamed.outputs[i].second, serial.groups[i]) << i;
+  }
+}
+
 TEST(PlanStreaming, FallsBackWhenStreamingDoesNotApply) {
   std::vector<int> inputs(3000);
   std::iota(inputs.begin(), inputs.end(), 0);
@@ -845,7 +911,7 @@ TEST(PlanStreaming, FallsBackWhenStreamingDoesNotApply) {
     e.Emit(x % 100, x);
   };
   auto sum_reduce = [](const int& key,
-                       const std::vector<std::int64_t>& values,
+                       GroupView<std::int64_t> values,
                        std::vector<std::pair<int, std::int64_t>>& out) {
     std::int64_t total = 0;
     for (std::int64_t v : values) total += v;

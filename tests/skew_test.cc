@@ -56,7 +56,7 @@ struct ZipfJob {
     emitter.Emit(x / 3 + 1, x + 1);
   }
   static void Reduce(const std::uint64_t& key,
-                     const std::vector<std::uint64_t>& values,
+                     GroupView<std::uint64_t> values,
                      std::vector<std::pair<std::uint64_t, std::uint64_t>>&
                          out) {
     std::uint64_t acc = key;

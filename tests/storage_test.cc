@@ -596,6 +596,134 @@ TEST(SpillFile, BlockFormatVersionAcceptedUnknownRejected) {
             common::StatusCode::kInvalidArgument);
 }
 
+// ----------------------------------------------------------- run order
+
+/// The comparator row sort that ordered spill runs before the radix
+/// order: (hash, key bytes, row) via std::sort. The oracle every run
+/// SortedRunFromRows builds must match byte for byte.
+template <typename Key, typename Value, typename MakePos>
+ColumnarRun ComparatorSortedRun(const KVBlock<Key, Value>& block,
+                                std::vector<std::uint32_t> rows,
+                                MakePos make_pos) {
+  std::sort(rows.begin(), rows.end(), [&](std::uint32_t a, std::uint32_t b) {
+    if (block.hash(a) != block.hash(b)) return block.hash(a) < block.hash(b);
+    const int c = block.key_bytes(a).compare(block.key_bytes(b));
+    if (c != 0) return c < 0;
+    return a < b;
+  });
+  ColumnarRun run;
+  for (const std::uint32_t r : rows) {
+    run.hashes.push_back(block.hash(r));
+    run.positions.push_back(make_pos(r));
+    run.keys.Append(block.key_bytes(r));
+    run.values.AppendSerialized(block.value(r));
+  }
+  return run;
+}
+
+void ExpectSameRunBytes(const ColumnarRun& got, const ColumnarRun& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  EXPECT_EQ(got.hashes, want.hashes);
+  EXPECT_EQ(got.positions, want.positions);
+  EXPECT_EQ(got.keys.bytes(), want.keys.bytes());
+  EXPECT_EQ(got.keys.offsets(), want.keys.offsets());
+  EXPECT_EQ(got.values.bytes(), want.values.bytes());
+  EXPECT_EQ(got.values.offsets(), want.values.offsets());
+  std::string got_payload;
+  std::string want_payload;
+  BlockEncodeStats stats;
+  EncodeBlock(got, 0, got.rows(), Lz77Codec(), got_payload, stats);
+  EncodeBlock(want, 0, want.rows(), Lz77Codec(), want_payload, stats);
+  EXPECT_EQ(got_payload, want_payload);
+}
+
+/// `rows` rows over `rows / rows_per_key` distinct keys, each key's rows
+/// scattered through the block (emission order is random).
+KVBlock<std::uint64_t, std::uint64_t> DensityBlock(std::size_t rows,
+                                                   std::size_t rows_per_key,
+                                                   std::uint64_t seed) {
+  common::SplitMix64 rng(seed);
+  const std::uint64_t keys = std::max<std::size_t>(1, rows / rows_per_key);
+  KVBlock<std::uint64_t, std::uint64_t> block;
+  for (std::size_t i = 0; i < rows; ++i) {
+    block.Append(rng.UniformBelow(keys) * 0x9e3779b97f4a7c15ULL, rng.Next());
+  }
+  return block;
+}
+
+TEST(RunOrder, MatchesComparatorSortAtEveryDensity) {
+  // 1, 4, 30 and 7,800 rows per key, on blocks below and above the radix
+  // cutoff: whole blocks and ranges (the in-process spill), hash-routed
+  // shard subsets and a random subset (the multi-process map).
+  const auto pos = [](std::uint32_t r) { return MakeSpillPos(3, r); };
+  for (const std::size_t rows : {std::size_t{1000}, std::size_t{31200}}) {
+    for (const std::size_t per_key : {1, 4, 30, 7800}) {
+      SCOPED_TRACE("rows=" + std::to_string(rows) +
+                   " per_key=" + std::to_string(per_key));
+      const auto block = DensityBlock(rows, per_key, rows + per_key);
+      std::vector<std::uint32_t> all(rows);
+      std::iota(all.begin(), all.end(), 0u);
+      ExpectSameRunBytes(
+          SortedRunFromBlock(block, 0, rows,
+                             [](std::uint32_t j) { return j; }),
+          ComparatorSortedRun(block, all,
+                              [](std::uint32_t r) { return r; }));
+      const std::size_t lo = rows / 3;
+      const std::size_t hi = rows - rows / 5;
+      std::vector<std::uint32_t> range(all.begin() + lo, all.begin() + hi);
+      ExpectSameRunBytes(
+          SortedRunFromBlock(block, lo, hi,
+                             [&](std::uint32_t j) { return pos(lo + j); }),
+          ComparatorSortedRun(block, range, pos));
+
+      constexpr std::size_t kShards = 3;
+      std::vector<std::vector<std::uint32_t>> shard_rows(kShards);
+      for (const std::uint32_t r : all) {
+        shard_rows[engine::IndexOfHash(block.hash(r), kShards)].push_back(r);
+      }
+      for (const auto& subset : shard_rows) {
+        ExpectSameRunBytes(SortedRunFromRows(block, subset, pos),
+                           ComparatorSortedRun(block, subset, pos));
+      }
+      common::SplitMix64 rng(per_key);
+      std::vector<std::uint32_t> sparse;
+      for (const std::uint32_t r : all) {
+        if (rng.Bernoulli(0.4)) sparse.push_back(r);
+      }
+      ExpectSameRunBytes(SortedRunFromRows(block, sparse, pos),
+                         ComparatorSortedRun(block, sparse, pos));
+    }
+  }
+}
+
+TEST(RunOrder, ForcedHashCollisionsOrderByKeyBytes) {
+  // AppendRaw with equal hashes on distinct key bytes: 64-bit collisions
+  // the emitter's hash never produces on small inputs. Every equal-hash
+  // stretch then holds several keys, interleaved in emission order, and
+  // must come out ordered by key bytes, then row.
+  for (const std::size_t rows : {std::size_t{600}, std::size_t{20000}}) {
+    SCOPED_TRACE("rows=" + std::to_string(rows));
+    common::SplitMix64 rng(rows);
+    KVBlock<std::uint64_t, int> block;
+    for (std::size_t i = 0; i < rows; ++i) {
+      const std::uint64_t key = rng.UniformBelow(97);
+      std::string bytes;
+      SerializeValue(key, bytes);
+      // Five hash classes; key bytes alone tell the keys apart.
+      block.AppendRaw(bytes, 0x5bd1e995ULL * (key % 5),
+                      static_cast<int>(i));
+    }
+    std::vector<std::uint32_t> all(rows);
+    std::iota(all.begin(), all.end(), 0u);
+    const auto pos = [](std::uint32_t r) { return MakeSpillPos(1, r); };
+    const ColumnarRun run = SortedRunFromRows(block, all, pos);
+    ExpectSameRunBytes(run, ComparatorSortedRun(block, all, pos));
+    for (std::size_t i = 1; i < run.rows(); ++i) {
+      ASSERT_TRUE(RecordViewLess(run.View(i - 1), run.View(i))) << i;
+    }
+  }
+}
+
 /// Removes the per-process scratch directory. gtest runs suites in
 /// declaration order within a file, so keep this test last.
 TEST(ZCleanup, RemoveTestDir) {
