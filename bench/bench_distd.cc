@@ -10,9 +10,9 @@
 // What to expect: on a multi-core host, makespan should fall from 1 to
 // 4 workers (map chunks and reduce shards genuinely run in separate
 // processes), then flatten once worker count passes the round's
-// chunk/shard parallelism. The round is pinned to num_threads=8 (32
-// chunks, 8 shards) so the task graph is host-independent and the sweep
-// measures worker scaling, not chunking. The transport dimension is the
+// chunk/shard parallelism. Chunks follow the input (8 at these sizes)
+// and the round pins num_shards=8, so the task graph is host-independent
+// and the sweep measures worker scaling, not chunking. The transport dimension is the
 // point of comparison: transport=spill pays serialization + shared-dir
 // disk write + read-back for every map output, while transport=wire
 // keeps runs in worker memory and streams them socket-to-socket, so its
@@ -235,10 +235,11 @@ int main(int argc, char** argv) {
   mrcost::common::Table table({"backend", "transport", "workers", "sec",
                                "Mpairs/s", "shuffle_MB/s", "spill_MB"});
 
-  // Pin the round's task graph (32 chunks, 8 shards) independent of the
-  // host's core count: the sweep varies worker processes, nothing else.
+  // Pin the round's task graph (8 chunks from the input, 8 shards)
+  // independent of the host's core count: the sweep varies worker
+  // processes, nothing else.
   ExecutionOptions in_process;
-  in_process.pipeline.round_defaults.num_threads = 8;
+  in_process.pipeline.round_defaults.num_shards = 8;
   const RunResult baseline = RunOnce(args, in_process);
   table.AddRow()
       .Add("in_process")
@@ -254,7 +255,7 @@ int main(int argc, char** argv) {
   for (const std::string transport : {"spill", "wire"}) {
     for (std::size_t workers : {1u, 2u, 4u, 8u}) {
       ExecutionOptions options;
-      options.pipeline.round_defaults.num_threads = 8;
+      options.pipeline.round_defaults.num_shards = 8;
       options.backend = mrcost::engine::ExecutionBackend::kMultiProcess;
       options.dist.num_workers = workers;
       options.dist.spill_dir = capture.spill_dir;

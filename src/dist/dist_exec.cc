@@ -24,19 +24,13 @@
 #include "src/obs/export.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
-#include "src/storage/spill_file.h"
 
 namespace mrcost::engine::internal {
 
 PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
                                       const ExecutionOptions& options,
                                       std::size_t target) {
-  // Only the target's ancestry runs, as in-process.
-  std::vector<bool> needed(graph.nodes.size(), target == kNoNode);
-  for (std::size_t id = target; id != kNoNode && id < graph.nodes.size();
-       id = graph.nodes[id].input) {
-    needed[id] = true;
-  }
+  const std::vector<bool> needed = NeededNodes(graph, target);
 
   // A plan can only cross process boundaries when workers can rebuild it
   // (a registered recipe) and every needed round's types crossed the
@@ -107,7 +101,7 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
 
   const int num_workers = std::max(1, options.dist.num_workers);
   dist::DistTaskScheduler scheduler(num_workers);
-  graph.last_strategies.clear();
+  graph.last_physical.clear();
 
   PipelineMetrics pipeline_metrics;
   double exec_begin = std::numeric_limits<double>::infinity();
@@ -120,37 +114,16 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
     PlanNode& node = graph.nodes[id];
     if (node.is_source || !needed[id]) continue;
 
-    const JobOptions resolved = ResolveRoundOptions(node, options);
-    // Chunking must mirror what the in-process backend would do on this
-    // machine: combined rounds fold per chunk, so per-chunk partials —
-    // and therefore reduce inputs — depend on the chunk count. Keying it
-    // to the resolved thread count (not the worker count) keeps outputs
-    // byte-identical to the in-process run and invariant across worker
-    // counts.
-    const std::size_t threads = resolved.ResolvedThreads();
+    // The same resolution the in-process backend and Explain run, so the
+    // round's chunks (and with them combined partials) and its shards
+    // match theirs exactly.
     const std::size_t n = node.input_size(graph);
-    MRCOST_CHECK(n != kUnknownSize);
-    const std::size_t num_chunks = NumChunks(n, threads);
-    std::uint64_t pairs_hint = 0;
-    if (node.hint.replication > 0) {
-      pairs_hint = static_cast<std::uint64_t>(node.hint.replication *
-                                              static_cast<double>(n));
-    }
-    const std::size_t num_shards =
-        ResolveShardCount(resolved.num_shards, threads, pairs_hint);
-    const std::size_t merge_fan_in = resolved.shuffle.merge_fan_in;
-
-    // Wire transport: each reducer pulls one run per chunk, so its memory
-    // bound splits the round's budget across num_chunks sources, in
-    // blocks. No budget = a small default window.
-    std::uint32_t fetch_credits = 4;
-    if (resolved.shuffle.memory_budget_bytes > 0) {
-      const std::uint64_t per_source =
-          resolved.shuffle.memory_budget_bytes /
-          std::max<std::size_t>(1, num_chunks);
-      fetch_credits = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
-          per_source / storage::kDefaultBlockBytes, 1, 64));
-    }
+    const ResolvedRound round = ResolveMaterializedRound(graph, node, options);
+    const PhysicalRound& physical = round.physical;
+    const std::size_t num_chunks = physical.chunks;
+    const std::size_t num_shards = physical.shards;
+    const std::size_t merge_fan_in = round.options.shuffle.merge_fan_in;
+    const std::uint32_t fetch_credits = physical.fetch_credits;
 
     const std::string round_prefix =
         job_dir.path() + "/r" + std::to_string(id);
@@ -160,8 +133,7 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
     std::vector<std::string> chunk_paths(num_chunks);
     for (std::size_t c = 0; c < num_chunks; ++c) {
       chunk_paths[c] = round_prefix + "-c" + std::to_string(c) + ".chunk";
-      const std::size_t lo = c * n / num_chunks;
-      const std::size_t hi = (c + 1) * n / num_chunks;
+      const auto [lo, hi] = physical.ChunkRange(c, n);
       MRCOST_CHECK_OK(node.dist->write_chunk(graph.slots[node.input], lo,
                                              hi, chunk_paths[c]));
     }
@@ -184,34 +156,36 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
     std::mutex remap_mu;
     int remap_epoch = 0;
 
+    // Runs chunk c's map on some worker and records where its runs live;
+    // `tag` keeps a repair epoch's run ids distinct from earlier ones.
+    const auto run_map = [&](std::size_t c, const std::string& tag) {
+      int winner = -1;
+      auto outcome = coordinator.RunMap(
+          static_cast<std::uint32_t>(id),
+          [&](int attempt) {
+            engine::internal::DistMapSpec spec;
+            spec.chunk_path = chunk_paths[c];
+            spec.chunk_index = static_cast<std::uint32_t>(c);
+            spec.num_shards = static_cast<std::uint32_t>(num_shards);
+            spec.run_prefix = round_prefix + "-c" + std::to_string(c) + tag +
+                              "-a" + std::to_string(attempt);
+            return spec;
+          },
+          static_cast<std::uint32_t>(c),
+          static_cast<std::uint32_t>(num_shards), &winner);
+      MRCOST_CHECK_OK(outcome.status());
+      map_outcomes[c] = std::move(*outcome);
+      chunk_owner[c] = winner;
+    };
     for (std::size_t c = 0; c < num_chunks; ++c) {
-      map_ids[c] = scheduler.AddTask(
-          StageKind::kMap, static_cast<std::uint32_t>(id), {},
-          [&, c, id, num_shards] {
-            int winner = -1;
-            auto outcome = coordinator.RunMap(
-                static_cast<std::uint32_t>(id),
-                [&, c](int attempt) {
-                  engine::internal::DistMapSpec spec;
-                  spec.chunk_path = chunk_paths[c];
-                  spec.chunk_index = static_cast<std::uint32_t>(c);
-                  spec.num_shards = static_cast<std::uint32_t>(num_shards);
-                  spec.run_prefix = round_prefix + "-c" +
-                                    std::to_string(c) + "-a" +
-                                    std::to_string(attempt);
-                  return spec;
-                },
-                static_cast<std::uint32_t>(c),
-                static_cast<std::uint32_t>(num_shards), &winner);
-            MRCOST_CHECK_OK(outcome.status());
-            map_outcomes[c] = std::move(*outcome);
-            chunk_owner[c] = winner;
-          });
+      map_ids[c] = scheduler.AddTask(StageKind::kMap,
+                                     static_cast<std::uint32_t>(id), {},
+                                     [&, c] { run_map(c, ""); });
     }
     for (std::size_t s = 0; s < num_shards; ++s) {
       reduce_ids[s] = scheduler.AddTask(
           StageKind::kReduce, static_cast<std::uint32_t>(id), map_ids,
-          [&, s, id, merge_fan_in, fetch_credits, num_chunks] {
+          [&, s] {
             // Runs after every map outcome for this round landed. The
             // retry loop only spins for the wire transport: a fetch that
             // lost its source worker fails kUnavailable, we re-execute
@@ -274,27 +248,8 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
                     remapped = true;
                     epoch = ++remap_epoch;
                   }
-                  int winner = -1;
-                  auto redo = coordinator.RunMap(
-                      static_cast<std::uint32_t>(id),
-                      [&, c, epoch](int attempt) {
-                        engine::internal::DistMapSpec spec;
-                        spec.chunk_path = chunk_paths[c];
-                        spec.chunk_index = static_cast<std::uint32_t>(c);
-                        spec.num_shards =
-                            static_cast<std::uint32_t>(num_shards);
-                        spec.run_prefix = round_prefix + "-c" +
-                                          std::to_string(c) + "-r" +
-                                          std::to_string(epoch) + "-a" +
-                                          std::to_string(attempt);
-                        return spec;
-                      },
-                      static_cast<std::uint32_t>(c),
-                      static_cast<std::uint32_t>(num_shards), &winner);
-                  MRCOST_CHECK_OK(redo.status());
-                  refetched_runs.fetch_add(redo->runs.size());
-                  map_outcomes[c] = std::move(*redo);
-                  chunk_owner[c] = winner;
+                  run_map(c, "-r" + std::to_string(epoch));
+                  refetched_runs.fetch_add(map_outcomes[c].runs.size());
                 }
               }
               if (!remapped) {
@@ -338,25 +293,13 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
 
     // Stage windows from the scheduler spans (each span wraps the remote
     // execution it waited on).
-    double map_begin = std::numeric_limits<double>::infinity();
-    double map_end = -map_begin;
-    for (auto task_id : map_ids) {
-      const TaskSpan span = scheduler.SpanOf(task_id);
-      map_begin = std::min(map_begin, span.begin_ms);
-      map_end = std::max(map_end, span.end_ms);
-    }
-    double reduce_begin = std::numeric_limits<double>::infinity();
-    double reduce_end = -reduce_begin;
-    for (auto task_id : reduce_ids) {
-      const TaskSpan span = scheduler.SpanOf(task_id);
-      reduce_begin = std::min(reduce_begin, span.begin_ms);
-      reduce_end = std::max(reduce_end, span.end_ms);
-    }
-    metrics.map_ms = map_end - map_begin;
-    metrics.reduce_ms = reduce_end - reduce_begin;
-    metrics.span_ms = reduce_end - map_begin;
-    exec_begin = std::min(exec_begin, map_begin);
-    exec_end = std::max(exec_end, reduce_end);
+    const StageWindow map = WindowOf(scheduler, map_ids);
+    const StageWindow reduce = WindowOf(scheduler, reduce_ids);
+    metrics.map_ms = map.end - map.begin;
+    metrics.reduce_ms = reduce.end - reduce.begin;
+    metrics.span_ms = reduce.end - map.begin;
+    exec_begin = std::min(exec_begin, map.begin);
+    exec_end = std::max(exec_end, reduce.end);
 
     if (trace_on) {
       obs::TraceEvent event;
@@ -367,19 +310,12 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
       event.t_end_us = obs::TraceRecorder::NowUs();
       event.args.push_back(obs::Arg("label", node.label));
       event.args.push_back(obs::Arg("backend", "multi_process"));
-      event.args.push_back(
-          obs::Arg("chunks", static_cast<std::uint64_t>(num_chunks)));
-      event.args.push_back(
-          obs::Arg("shards", static_cast<std::uint64_t>(num_shards)));
-      event.args.push_back(obs::Arg("pairs", metrics.pairs_shuffled));
-      event.args.push_back(obs::Arg("reducers", metrics.num_reducers));
-      event.args.push_back(obs::Arg("realized_q", metrics.max_reducer_input));
-      event.args.push_back(obs::Arg("realized_r", metrics.replication_rate()));
+      AppendRoundArgs(physical, round.prediction, metrics, event.args);
       obs::TraceRecorder::Global().Append(std::move(event));
     }
     if (metrics_on) metrics.PublishTo(obs::Registry::Global());
 
-    graph.last_strategies.push_back(ShuffleStrategy::kExternal);
+    graph.last_physical.push_back(physical);
     pipeline_metrics.Add(metrics);
   }
 

@@ -217,7 +217,8 @@ common::Result<engine::Plan> BuildGraphSample(const std::string& args) {
 
 /// The bench/CI workhorse: `pairs` mixed u64 rows summed into `keys`
 /// groups. Pure engine-level shuffle with no family math on top, so
-/// bench_distd measures transport and merge, not reduce CPU.
+/// bench_distd measures transport and merge, not reduce CPU. `combine=1`
+/// sums map-side first (the word-count shape).
 common::Result<engine::Plan> BuildShuffleSweep(const std::string& args) {
   auto parsed = ArgMap::Parse(args);
   if (!parsed.ok()) return parsed.status();
@@ -226,34 +227,38 @@ common::Result<engine::Plan> BuildShuffleSweep(const std::string& args) {
   const auto keys =
       static_cast<std::uint64_t>(parsed->GetInt("keys", 4096));
   const auto seed = static_cast<std::uint64_t>(parsed->GetInt("seed", 1));
+  const bool combine = parsed->GetInt("combine", 0) != 0;
 
   std::vector<std::uint64_t> rows(pairs);
   std::iota(rows.begin(), rows.end(), seed);
   engine::Plan plan;
   auto source = plan.Source(std::move(rows), "shuffle-sweep-source");
   const std::uint64_t num_keys = keys == 0 ? 1 : keys;
-  source
-      .Map<std::uint64_t, std::uint64_t>(
-          [num_keys](const std::uint64_t& row,
-                     engine::Emitter<std::uint64_t, std::uint64_t>& emit) {
-            // SplitMix64 finalizer as the key mix: spreads sequential rows
-            // uniformly over the key space.
-            std::uint64_t h = row;
-            h ^= h >> 30;
-            h *= 0xbf58476d1ce4e5b9ULL;
-            h ^= h >> 27;
-            h *= 0x94d049bb133111ebULL;
-            h ^= h >> 31;
-            emit.Emit(h % num_keys, row);
-          },
-          "shuffle-sweep")
-      .template ReduceByKey<std::pair<std::uint64_t, std::uint64_t>>(
-          [](const std::uint64_t& key, engine::GroupView<std::uint64_t> vs,
-             std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) {
-            std::uint64_t sum = 0;
-            for (std::uint64_t v : vs) sum += v;
-            out.push_back({key, sum});
-          });
+  auto keyed = source.Map<std::uint64_t, std::uint64_t>(
+      [num_keys](const std::uint64_t& row,
+                 engine::Emitter<std::uint64_t, std::uint64_t>& emit) {
+        // SplitMix64 finalizer as the key mix: spreads sequential rows
+        // uniformly over the key space.
+        std::uint64_t h = row;
+        h ^= h >> 30;
+        h *= 0xbf58476d1ce4e5b9ULL;
+        h ^= h >> 27;
+        h *= 0x94d049bb133111ebULL;
+        h ^= h >> 31;
+        emit.Emit(h % num_keys, row);
+      },
+      "shuffle-sweep");
+  if (combine) {
+    keyed = keyed.CombineByKey(
+        [](std::uint64_t a, std::uint64_t b) { return a + b; });
+  }
+  keyed.ReduceByKey<std::pair<std::uint64_t, std::uint64_t>>(
+      [](const std::uint64_t& key, engine::GroupView<std::uint64_t> vs,
+         std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) {
+        std::uint64_t sum = 0;
+        for (std::uint64_t v : vs) sum += v;
+        out.push_back({key, sum});
+      });
   Stamp(plan, "shuffle_sweep", args);
   return plan;
 }

@@ -55,8 +55,12 @@ common::Status ReadAll(int fd, char* data, std::size_t n,
     const ssize_t r = ::read(fd, data + got, n - got);
     if (r < 0) {
       if (errno == EINTR) continue;
-      return common::Status::Internal(
-          std::string("rpc: read failed: ") + std::strerror(errno));
+      // A peer that died with our bytes unread resets the connection: the
+      // same retryable "peer is gone" signal as EOF, not corruption.
+      const std::string message =
+          std::string("rpc: read failed: ") + std::strerror(errno);
+      return errno == ECONNRESET ? common::Status::Unavailable(message)
+                                 : common::Status::Internal(message);
     }
     if (r == 0) {
       return common::Status::OutOfRange("rpc: truncated frame");

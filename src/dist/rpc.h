@@ -17,9 +17,10 @@ namespace mrcost::dist {
 ///
 /// ReadFrame's Status contract mirrors SpillFileReader::Next: a clean EOF
 /// at a frame boundary returns kNotFound ("eof" — the peer closed its
-/// end), a partial frame kOutOfRange ("truncated"), a CRC mismatch
-/// kInternal, and an over-limit length kInvalidArgument. Both calls
-/// retry EINTR and handle short reads/writes.
+/// end), a partial frame kOutOfRange ("truncated"), a connection the
+/// peer reset kUnavailable, a CRC mismatch kInternal, and an over-limit
+/// length kInvalidArgument. Both calls retry EINTR and handle short
+/// reads/writes.
 
 /// Frames larger than this are rejected on both sides (a corrupt length
 /// prefix must not trigger a giant allocation).

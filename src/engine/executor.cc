@@ -333,4 +333,38 @@ AsyncRunner& AsyncRunner::Global() {
   return runner;
 }
 
+namespace internal {
+
+void AppendRoundArgs(const PhysicalRound& physical,
+                     const RoundPrediction& prediction, const JobMetrics& m,
+                     std::vector<obs::TraceArg>& args) {
+  args.push_back(obs::Arg("strategy", ToString(physical.strategy)));
+  args.push_back(obs::Arg("partitioner", ToString(physical.partitioner)));
+  args.push_back(
+      obs::Arg("chunks", static_cast<std::uint64_t>(physical.chunks)));
+  args.push_back(
+      obs::Arg("shards", static_cast<std::uint64_t>(physical.shards)));
+  args.push_back(obs::Arg("fetch_credits", physical.fetch_credits));
+  args.push_back(obs::Arg("reason", physical.reason));
+  args.push_back(obs::Arg("pairs", m.pairs_shuffled));
+  args.push_back(obs::Arg("reducers", m.num_reducers));
+  args.push_back(obs::Arg("realized_q", m.max_reducer_input));
+  args.push_back(obs::Arg("realized_r", m.replication_rate()));
+  if (!prediction.valid) return;
+  args.push_back(obs::Arg("predicted_q", prediction.q));
+  args.push_back(obs::Arg("predicted_r", prediction.r));
+  if (prediction.q > 0) {
+    args.push_back(obs::Arg(
+        "q_residual", static_cast<double>(m.max_reducer_input) / prediction.q));
+  }
+  if (prediction.r > 0) {
+    args.push_back(
+        obs::Arg("r_residual", m.replication_rate() / prediction.r));
+  }
+  if (prediction.bound_ratio > 0) {
+    args.push_back(obs::Arg("predicted_bound_ratio", prediction.bound_ratio));
+  }
+}
+
+}  // namespace internal
 }  // namespace mrcost::engine

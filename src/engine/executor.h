@@ -82,13 +82,9 @@ struct JobOptions {
   /// instead of constructing (and tearing down) a private pool — the
   /// Pipeline driver uses this to reuse one pool across every round.
   common::ThreadPool* pool = nullptr;
-  /// Shuffle shards. 0 = auto: one per thread, capped for small rounds
-  /// when a pair estimate is available (the plan executor passes its
-  /// declared or sampled estimate; the eager entry points have none
-  /// before the map runs, so they size for a large round — tiny jobs pay
-  /// a few near-empty shard tasks rather than fan-out jobs losing their
-  /// parallelism). 1 = one shard, grouping every key in one table.
-  /// Ignored by the external shuffle.
+  /// Shuffle shards. 0 = auto: ResolvePhysicalRound sizes them from the
+  /// thread count and the round's pair estimate. 1 = one shard, grouping
+  /// every key in one table. Ignored by the external shuffle.
   std::size_t num_shards = 0;
   /// Shuffle configuration (strategy, memory budget, spill dir, merge
   /// fan-in) — the one ShuffleConfig shared with PipelineOptions and the
@@ -113,10 +109,6 @@ struct JobOptions {
     if (simulation.enabled()) return simulation;
     MRCOST_CHECK(!simulation.customized());
     return SimulationOptions{};
-  }
-
-  ShuffleStrategy ResolvedShuffleStrategy() const {
-    return shuffle.Resolved();
   }
 
   std::size_t ResolvedThreads() const {
@@ -149,6 +141,35 @@ inline JobOptions MergedJobOptions(JobOptions overrides,
   }
   return overrides;
 }
+
+/// The physical shape of one round, decided once before it runs by
+/// internal::ResolvePhysicalRound and consumed verbatim by both backends.
+/// Plan::Explain prints it and the round's trace span carries it.
+struct PhysicalRound {
+  /// Map tasks over contiguous input ranges (ChunkRange). A function of
+  /// the input size alone, never of the host: combined partials, and so
+  /// pairs_shuffled, are the same on every machine.
+  std::size_t chunks = 1;
+  /// Reduce partitions: in-memory shards, external key ranges, or
+  /// multi-process reduce tasks.
+  std::size_t shards = 1;
+  ShuffleStrategy strategy = ShuffleStrategy::kSharded;
+  /// The placement that runs: kSampledRange only for in-process,
+  /// in-memory rounds over more than one shard.
+  PartitionerKind partitioner = PartitionerKind::kHash;
+  /// Multi-process wire transport: per-source block credit window.
+  std::uint32_t fetch_credits = 4;
+  /// Why each field took its value.
+  std::string reason;
+
+  /// Input range [first, second) of chunk `c` over `n` inputs.
+  std::pair<std::size_t, std::size_t> ChunkRange(std::size_t c,
+                                                 std::size_t n) const {
+    return {c * n / chunks, (c + 1) * n / chunks};
+  }
+};
+
+struct StageEstimate;  // src/engine/plan.h
 
 /// Result of one round: reducer outputs (in deterministic first-seen key
 /// order) plus the exact cost metrics.
@@ -334,14 +355,26 @@ class PoolRef {
   common::ThreadPool* pool_ = nullptr;
 };
 
-/// Chunking shared by every round form: inputs are cut into contiguous
-/// chunks, a small multiple of the thread count. Chunk boundaries never
-/// affect results: grouping runs in scan-order-tag order, which equals
-/// emission order in input order for every chunking.
-inline std::size_t NumChunks(std::size_t num_inputs,
-                             std::size_t num_threads) {
-  return std::max<std::size_t>(1, std::min(num_inputs, num_threads * 4));
-}
+struct MapSample;  // src/engine/plan.h
+
+/// What ResolvePhysicalRound knows about a round before it runs.
+struct RoundFacts {
+  std::size_t num_threads = 1;  // size of the pool the round runs on
+  std::size_t num_inputs = 0;   // materialized input size
+  /// > 0: the input streams from this many upstream shards instead.
+  std::size_t streamed_blocks = 0;
+  const StageEstimate* estimate = nullptr;  // declared schema hints
+  const MapSample* sample = nullptr;        // map-fn sample of the input
+  /// Worker processes place rows by hash only.
+  bool multi_process = false;
+};
+
+/// The one decider of a round's physical shape (defined in plan.cc). Both
+/// backends, the eager entry points and Plan::Explain call it, and
+/// nothing else calls NumChunks or ResolveShardCount. Threads may change
+/// the shard count, never the chunk count.
+PhysicalRound ResolvePhysicalRound(const JobOptions& options,
+                                   const RoundFacts& facts);
 
 /// Sentinel combiner type marking a plain (uncombined) round.
 struct NoCombine {};
@@ -356,6 +389,12 @@ struct RoundPrediction {
   double r = 0;            // predicted replication rate
   double bound_ratio = 0;  // predicted r / lower-bound r(q); 0 = unknown
 };
+
+/// The "Round" span's args, one vocabulary for both backends: the
+/// physical plan, the realized and the predicted q/r.
+void AppendRoundArgs(const PhysicalRound& physical,
+                     const RoundPrediction& prediction, const JobMetrics& m,
+                     std::vector<obs::TraceArg>& args);
 
 /// Type-erased face of a staged round — all the plan driver needs: stage
 /// the finalize task, read metrics, and wire streamed consumers.
@@ -378,7 +417,7 @@ class StagedHandleBase {
 
   /// Valid once the executor has drained this round's tasks.
   virtual const JobMetrics& metrics() const = 0;
-  virtual ShuffleStrategy strategy() const = 0;
+  virtual const PhysicalRound& physical() const = 0;
 
   /// Map / reduce task ids, for cross-round overlap accounting and for
   /// chaining a streamed consumer's maps behind this round's reduces.
@@ -424,9 +463,8 @@ struct StageWindow {
   bool valid = false;
 };
 
-inline StageWindow WindowOf(const StageGraphExecutor& exec,
-                            const std::vector<StageGraphExecutor::TaskId>&
-                                tasks) {
+inline StageWindow WindowOf(const TaskScheduler& exec,
+                            const std::vector<TaskScheduler::TaskId>& tasks) {
   StageWindow w;
   for (const auto id : tasks) {
     const TaskSpan span = exec.SpanOf(id);
@@ -452,42 +490,38 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
   using TaskId = StageGraphExecutor::TaskId;
   static constexpr bool kCombined = !std::is_same_v<CombineFn, NoCombine>;
 
-  /// Stages a round over a materialized input vector. `inputs` must stay
-  /// valid until the executor drains the round (`keepalive`, when set,
-  /// guarantees that for plan slots). `pairs_hint` sizes the shard count
-  /// before any pair exists — the plan driver passes its declared or
-  /// sampled pair estimate; 0 means unknown, which assumes a large round
-  /// (one shard per thread) rather than starving fan-out rounds of
-  /// parallelism.
+  /// Stages a round over a materialized input vector, shaped by
+  /// `physical` (from ResolvePhysicalRound). `inputs` must stay valid
+  /// until the executor drains the round (`keepalive`, when set,
+  /// guarantees that for plan slots).
   static std::shared_ptr<StagedRound> StageMaterialized(
       StageGraphExecutor& exec, std::uint32_t round_tag,
       const std::vector<In>& inputs, std::shared_ptr<const void> keepalive,
       MapFn map_fn, CombineFn combine_fn, ReduceFn reduce_fn,
-      const JobOptions& options, std::uint64_t pairs_hint = 0) {
+      const JobOptions& options, const PhysicalRound& physical) {
     auto self = std::shared_ptr<StagedRound>(new StagedRound(
         exec, round_tag, std::move(map_fn), std::move(combine_fn),
-        std::move(reduce_fn), options));
+        std::move(reduce_fn), options, physical));
     self->self_ = self;
     self->inputs_ = &inputs;
     self->keepalive_ = std::move(keepalive);
-    self->BuildMaterialized(
-        pairs_hint == 0 ? static_cast<std::size_t>(-1)
-                        : static_cast<std::size_t>(pairs_hint));
+    self->BuildMaterialized();
     return self;
   }
 
-  /// Stages a plain round whose input streams per-shard from `upstream`.
-  /// Only in-memory strategies stream; the caller falls back to the
-  /// materialized path for external and combined rounds.
+  /// Stages a plain round whose input streams per-shard from `upstream`,
+  /// one map task per upstream shard. Only in-memory strategies stream;
+  /// the caller falls back to the materialized path for external and
+  /// combined rounds.
   static std::shared_ptr<StagedRound> StageStreamed(
       StageGraphExecutor& exec, std::uint32_t round_tag,
       std::shared_ptr<StagedHandleBase> upstream_handle,
       StreamSource<In>* upstream, MapFn map_fn, ReduceFn reduce_fn,
-      const JobOptions& options) {
+      const JobOptions& options, const PhysicalRound& physical) {
     static_assert(!kCombined, "combined rounds do not stream their input");
     auto self = std::shared_ptr<StagedRound>(new StagedRound(
         exec, round_tag, std::move(map_fn), CombineFn{},
-        std::move(reduce_fn), options));
+        std::move(reduce_fn), options, physical));
     self->self_ = self;
     self->upstream_keepalive_ = std::move(upstream_handle);
     self->BuildStreamed(upstream);
@@ -517,7 +551,7 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
   }
   bool finalize_staged() const override { return finalize_staged_; }
   const JobMetrics& metrics() const override { return result_.metrics; }
-  ShuffleStrategy strategy() const override { return strategy_; }
+  const PhysicalRound& physical() const override { return physical_; }
   void SetPrediction(const RoundPrediction& prediction) override {
     prediction_ = prediction;
   }
@@ -538,7 +572,7 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
     return reduce_tasks_[block];
   }
   TaskId stream_ranks_task() override {
-    if (strategy_ == ShuffleStrategy::kExternal) {
+    if (physical_.strategy == ShuffleStrategy::kExternal) {
       return StageGraphExecutor::kNoTask;  // merged order is global already
     }
     if (ranks_task_ == StageGraphExecutor::kNoTask) {
@@ -554,7 +588,7 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
       std::size_t block,
       const std::function<void(std::uint64_t rank, GroupView<Out> outputs)>&
           fn) const override {
-    if (strategy_ == ShuffleStrategy::kExternal) {
+    if (physical_.strategy == ShuffleStrategy::kExternal) {
       for (std::size_t i = range_begin_[block];
            i < range_begin_[block + 1]; ++i) {
         fn(static_cast<std::uint64_t>(i), flat_outputs_[i]);
@@ -583,30 +617,47 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
 
   StagedRound(StageGraphExecutor& exec, std::uint32_t round_tag, MapFn map_fn,
               CombineFn combine_fn, ReduceFn reduce_fn,
-              const JobOptions& options)
+              const JobOptions& options, const PhysicalRound& physical)
       : exec_(exec),
         round_tag_(round_tag),
         map_(std::move(map_fn)),
         combine_(std::move(combine_fn)),
         reduce_(std::move(reduce_fn)),
         options_(options),
-        strategy_(options.ResolvedShuffleStrategy()),
+        physical_(physical),
         simulation_(options.ResolvedSimulation()) {
     // Speculation covers the in-memory shard tasks only (spill/merge is
     // I/O-bound and externally ordered) and needs copyable values: both
     // attempts read the same routed blocks, so neither may move from
     // them. Move-only rounds silently run undefended.
     speculative_ = options_.speculation.enabled &&
-                   strategy_ != ShuffleStrategy::kExternal &&
+                   physical_.strategy != ShuffleStrategy::kExternal &&
                    std::is_copy_constructible_v<V>;
     if (speculative_) exec_.ConfigureSpeculation(options_.speculation);
+    for (auto* counter : {&task_pairs_, &task_raw_pairs_, &task_bytes_,
+                          &task_inputs_, &task_blocks_, &task_copied_}) {
+      counter->assign(physical_.chunks, 0);
+    }
+    // Sized before any task can run: a task may start the moment it is
+    // added (its deps already done), while staging still goes on.
+    if (physical_.strategy == ShuffleStrategy::kExternal) {
+      range_begin_.assign(physical_.shards + 1, 0);
+    } else {
+      blocks_.resize(physical_.chunks);
+      shard_rows_.assign(physical_.chunks,
+                         std::vector<std::vector<std::uint32_t>>(
+                             physical_.shards));
+    }
     // Paired clock samples so executor-relative task times (ms) convert
     // into the trace timebase (us) when Finalize emits the round span.
     trace_base_us_ = obs::TraceRecorder::NowUs();
     exec_base_ms_ = exec_.NowMs();
   }
 
-  void BuildMaterialized(std::size_t pairs_hint);
+  bool use_range() const {
+    return physical_.partitioner == PartitionerKind::kSampledRange;
+  }
+  void BuildMaterialized();
   void BuildStreamed(StreamSource<In>* upstream);
   void StageGroupAndReduce();
 
@@ -652,7 +703,7 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
   CombineFn combine_;
   ReduceFn reduce_;
   JobOptions options_;
-  ShuffleStrategy strategy_;
+  const PhysicalRound physical_;
   SimulationOptions simulation_;
   RoundPrediction prediction_;
   std::uint64_t trace_base_us_ = 0;
@@ -665,9 +716,6 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
   StreamSource<In>* upstream_ = nullptr;
   std::shared_ptr<StagedHandleBase> upstream_keepalive_;
   bool streamed_input_ = false;
-
-  std::size_t num_map_tasks_ = 0;
-  std::size_t num_shards_ = 1;
 
   // Per-map-task partials (indexed by task). Each map task owns one
   // columnar block; shard_rows_[task][shard] holds the row indices the
@@ -701,11 +749,10 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
   /// no streamed consumer forced the rank task).
   std::vector<std::tuple<PairPos, std::uint32_t, std::uint32_t>> key_order_;
 
-  // Skew defenses (see src/engine/partitioner.h). use_range_ defers the
-  // radix routing behind a sampling task; speculative_ lets shard tasks
-  // run twice, computing into attempt-local buffers committed first-wins
-  // under commit_mu_.
-  bool use_range_ = false;
+  // Skew defenses (see src/engine/partitioner.h). Sampled-range
+  // placement defers the radix routing behind a sampling task;
+  // speculative_ lets shard tasks run twice, computing into attempt-local
+  // buffers committed first-wins under commit_mu_.
   bool speculative_ = false;
   std::unique_ptr<RangePartitioner> range_partitioner_;
   std::mutex commit_mu_;
@@ -730,49 +777,26 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
 template <typename In, typename K, typename V, typename Out, typename MapFn,
           typename CombineFn, typename ReduceFn>
 void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::
-    BuildMaterialized(std::size_t pairs_hint) {
+    BuildMaterialized() {
   const std::size_t n = inputs_->size();
-  num_map_tasks_ = NumChunks(n, exec_.pool().num_threads());
   result_.metrics.num_inputs = n;
-  if (strategy_ != ShuffleStrategy::kExternal) {
-    num_shards_ = strategy_ == ShuffleStrategy::kSerial
-                      ? 1
-                      : ResolveShardCount(options_.num_shards,
-                                          exec_.pool().num_threads(),
-                                          std::max<std::size_t>(pairs_hint,
-                                                                1));
-    use_range_ =
-        options_.shuffle.partitioner == PartitionerKind::kSampledRange &&
-        num_shards_ > 1;
-  }
-  task_pairs_.assign(num_map_tasks_, 0);
-  task_raw_pairs_.assign(num_map_tasks_, 0);
-  task_bytes_.assign(num_map_tasks_, 0);
-  task_blocks_.assign(num_map_tasks_, 0);
-  task_copied_.assign(num_map_tasks_, 0);
-  if (strategy_ == ShuffleStrategy::kExternal) {
+  if (physical_.strategy == ShuffleStrategy::kExternal) {
     spiller_ =
         std::make_unique<storage::RunSpiller>(options_.shuffle.spill_dir);
-    spill_status_.assign(num_map_tasks_, common::Status::Ok());
-    tails_.resize(num_map_tasks_);
-  } else {
-    blocks_.resize(num_map_tasks_);
-    shard_rows_.resize(num_map_tasks_);
-    for (auto& rows : shard_rows_) rows.resize(num_shards_);
+    spill_status_.assign(physical_.chunks, common::Status::Ok());
+    tails_.resize(physical_.chunks);
   }
 
-  const std::size_t chunk_size =
-      n == 0 ? 0 : (n + num_map_tasks_ - 1) / num_map_tasks_;
-  map_tasks_.reserve(num_map_tasks_);
+  map_tasks_.reserve(physical_.chunks);
   auto self = self_.lock();
-  for (std::size_t c = 0; c < num_map_tasks_; ++c) {
-    const std::size_t lo = std::min(n, c * chunk_size);
-    const std::size_t hi = std::min(n, lo + chunk_size);
+  for (std::size_t c = 0; c < physical_.chunks; ++c) {
+    const auto range = physical_.ChunkRange(c, n);
     map_tasks_.push_back(exec_.AddTask(
         StageKind::kMap, round_tag_, {},
-        [self, c, lo, hi] { self->MapChunk(c, lo, hi); },
+        [self, c, range] { self->MapChunk(c, range.first, range.second); },
         /*speculatable=*/false,
-        strategy_ == ShuffleStrategy::kExternal ? "MapSpill" : "MapPartition",
+        physical_.strategy == ShuffleStrategy::kExternal ? "MapSpill"
+                                                          : "MapPartition",
         static_cast<std::uint32_t>(c)));
   }
   StageGroupAndReduce();
@@ -782,31 +806,14 @@ template <typename In, typename K, typename V, typename Out, typename MapFn,
           typename CombineFn, typename ReduceFn>
 void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::BuildStreamed(
     StreamSource<In>* upstream) {
-  MRCOST_CHECK(strategy_ != ShuffleStrategy::kExternal);
+  MRCOST_CHECK(physical_.strategy != ShuffleStrategy::kExternal);
+  MRCOST_CHECK(physical_.chunks == upstream->stream_block_count());
   streamed_input_ = true;
   upstream_ = upstream;
-  num_map_tasks_ = std::max<std::size_t>(1, upstream->stream_block_count());
-  num_shards_ = strategy_ == ShuffleStrategy::kSerial
-                    ? 1
-                    : ResolveShardCount(options_.num_shards,
-                                        exec_.pool().num_threads(),
-                                        static_cast<std::size_t>(-1));
-  use_range_ =
-      options_.shuffle.partitioner == PartitionerKind::kSampledRange &&
-      num_shards_ > 1;
-  task_pairs_.assign(num_map_tasks_, 0);
-  task_raw_pairs_.assign(num_map_tasks_, 0);
-  task_bytes_.assign(num_map_tasks_, 0);
-  task_inputs_.assign(num_map_tasks_, 0);
-  task_blocks_.assign(num_map_tasks_, 0);
-  task_copied_.assign(num_map_tasks_, 0);
-  blocks_.resize(num_map_tasks_);
-  shard_rows_.resize(num_map_tasks_);
-  for (auto& rows : shard_rows_) rows.resize(num_shards_);
-  tag_pos_.resize(num_map_tasks_);
+  tag_pos_.resize(physical_.chunks);
 
   const TaskId ranks = upstream->stream_ranks_task();
-  map_tasks_.reserve(num_map_tasks_);
+  map_tasks_.reserve(physical_.chunks);
   auto self = self_.lock();
   for (std::size_t b = 0; b < upstream->stream_block_count(); ++b) {
     map_tasks_.push_back(exec_.AddTask(
@@ -816,13 +823,6 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::BuildStreamed(
         /*speculatable=*/false, "MapPartition",
         static_cast<std::uint32_t>(b)));
   }
-  if (map_tasks_.empty()) {
-    // Degenerate upstream with zero blocks: a single empty map task keeps
-    // the stage graph (and its timing windows) well-formed.
-    map_tasks_.push_back(exec_.AddTask(StageKind::kMap, round_tag_, {},
-                                       [] {}, /*speculatable=*/false,
-                                       "MapPartition"));
-  }
   StageGroupAndReduce();
 }
 
@@ -831,17 +831,14 @@ template <typename In, typename K, typename V, typename Out, typename MapFn,
 void StagedRound<In, K, V, Out, MapFn, CombineFn,
                  ReduceFn>::StageGroupAndReduce() {
   auto self = self_.lock();
-  if (strategy_ == ShuffleStrategy::kExternal) {
+  if (physical_.strategy == ShuffleStrategy::kExternal) {
     const TaskId merge = exec_.AddTask(StageKind::kShuffle, round_tag_,
                                        map_tasks_,
                                        [self] { self->MergeSpills(); },
                                        /*speculatable=*/false, "Merge");
     group_tasks_ = {merge};
-    const std::size_t ranges =
-        std::max<std::size_t>(1, exec_.pool().num_threads() * 2);
-    range_begin_.assign(ranges + 1, 0);
-    reduce_tasks_.reserve(ranges);
-    for (std::size_t t = 0; t < ranges; ++t) {
+    reduce_tasks_.reserve(physical_.shards);
+    for (std::size_t t = 0; t < physical_.shards; ++t) {
       reduce_tasks_.push_back(
           exec_.AddTask(StageKind::kReduce, round_tag_, {merge},
                         [self, t] { self->ReduceRange(t); },
@@ -850,23 +847,23 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn,
     }
     return;
   }
-  shards_.resize(num_shards_);
+  shards_.resize(physical_.shards);
   if (speculative_) {
-    group_committed_.assign(num_shards_, 0);
-    reduce_committed_.assign(num_shards_, 0);
+    group_committed_.assign(physical_.shards, 0);
+    reduce_committed_.assign(physical_.shards, 0);
   }
   // Sampled-range placement defers routing: one plan task samples the
   // mapped hash distribution once every map finished, then per-map route
   // tasks run the radix pass against the planned ranges. Under hash
   // placement the maps route inline and groups depend on them directly.
   const std::vector<TaskId>* group_deps = &map_tasks_;
-  if (use_range_) {
+  if (use_range()) {
     const TaskId plan =
         exec_.AddTask(StageKind::kShuffle, round_tag_, map_tasks_,
                       [self] { self->PlanPartition(); },
                       /*speculatable=*/false, "PlanPartition");
-    route_tasks_.reserve(num_map_tasks_);
-    for (std::size_t t = 0; t < num_map_tasks_; ++t) {
+    route_tasks_.reserve(physical_.chunks);
+    for (std::size_t t = 0; t < physical_.chunks; ++t) {
       route_tasks_.push_back(
           exec_.AddTask(StageKind::kShuffle, round_tag_, {plan},
                         [self, t] { self->RouteBlock(t); },
@@ -875,15 +872,15 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn,
     }
     group_deps = &route_tasks_;
   }
-  group_tasks_.reserve(num_shards_);
-  for (std::size_t p = 0; p < num_shards_; ++p) {
+  group_tasks_.reserve(physical_.shards);
+  for (std::size_t p = 0; p < physical_.shards; ++p) {
     group_tasks_.push_back(
         exec_.AddTask(StageKind::kShuffle, round_tag_, *group_deps,
                       [self, p] { self->GroupShard(p); }, speculative_,
                       "ShardGroup", static_cast<std::uint32_t>(p)));
   }
-  reduce_tasks_.reserve(num_shards_);
-  for (std::size_t p = 0; p < num_shards_; ++p) {
+  reduce_tasks_.reserve(physical_.shards);
+  for (std::size_t p = 0; p < physical_.shards; ++p) {
     reduce_tasks_.push_back(
         exec_.AddTask(StageKind::kReduce, round_tag_, {group_tasks_[p]},
                       [self, p] { self->ReduceShard(p); }, speculative_,
@@ -897,7 +894,7 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::MapChunk(
     std::size_t c, std::size_t lo, std::size_t hi) {
   Emitter<K, V> emitter;
   const auto cc = static_cast<std::uint32_t>(c);
-  if (strategy_ == ShuffleStrategy::kExternal) {
+  if (physical_.strategy == ShuffleStrategy::kExternal) {
     common::Status& status = spill_status_[c];
     if constexpr (kCombined) {
       // Post-combine rows are what cross the shuffle. The combined block
@@ -905,7 +902,7 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::MapChunk(
       // each slice sorts and spills as one columnar run. Spill positions
       // are the post-combine emission order.
       const std::uint64_t budget =
-          options_.shuffle.memory_budget_bytes / num_map_tasks_;
+          options_.shuffle.memory_budget_bytes / physical_.chunks;
       for (std::size_t i = lo; i < hi; ++i) map_((*inputs_)[i], emitter);
       task_raw_pairs_[c] = emitter.block().rows();
       std::uint64_t bytes = 0;
@@ -942,7 +939,7 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::MapChunk(
       // stage to reserve for. Each overflowed block sorts and spills as
       // one columnar run.
       const std::uint64_t share =
-          options_.shuffle.memory_budget_bytes / num_map_tasks_;
+          options_.shuffle.memory_budget_bytes / physical_.chunks;
       std::uint64_t next_local = 0;
       emitter.SetOverflow(share, [this, &status, &next_local, cc](
                                      Block& block) {
@@ -987,7 +984,7 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::MapChunk(
     task_copied_[c] = emitter.bytes_copied();
     blocks_[c] = std::make_unique<Block>(std::move(emitter.block()));
   }
-  if (!use_range_) RouteBlock(c);
+  if (!use_range()) RouteBlock(c);
 }
 
 template <typename In, typename K, typename V, typename Out, typename MapFn,
@@ -1006,7 +1003,7 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn,
   }
   const std::size_t stride = std::max<std::size_t>(1, total / kMaxSample);
   std::vector<std::uint64_t> sample;
-  sample.reserve(total / stride + num_map_tasks_);
+  sample.reserve(total / stride + physical_.chunks);
   for (const auto& block : blocks_) {
     if (block == nullptr) continue;
     for (std::size_t r = 0; r < block->rows(); r += stride) {
@@ -1014,7 +1011,7 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn,
     }
   }
   range_partitioner_ = std::make_unique<RangePartitioner>(
-      BuildRangePartitioner(std::move(sample), num_shards_));
+      BuildRangePartitioner(std::move(sample), physical_.shards));
 }
 
 template <typename In, typename K, typename V, typename Out, typename MapFn,
@@ -1032,10 +1029,10 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::RouteBlock(
   const RangePartitioner* range = range_partitioner_.get();
   for (std::size_t r = 0; r < block.rows(); ++r) {
     const std::size_t p =
-        num_shards_ == 1
+        physical_.shards == 1
             ? 0
             : (range != nullptr ? range->ShardOf(block.hash(r))
-                                : IndexOfHash(block.hash(r), num_shards_));
+                                : IndexOfHash(block.hash(r), physical_.shards));
     rows[p].push_back(static_cast<std::uint32_t>(r));
   }
 }
@@ -1067,7 +1064,7 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::MapStreamBlock(
   task_blocks_[b] = emitter.blocks_emitted();
   task_copied_[b] = emitter.bytes_copied();
   blocks_[b] = std::make_unique<Block>(std::move(emitter.block()));
-  if (!use_range_) RouteBlock(b);
+  if (!use_range()) RouteBlock(b);
 }
 
 template <typename In, typename K, typename V, typename Out, typename MapFn,
@@ -1082,7 +1079,7 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::GroupShard(
   // twin attempt reads the same blocks.
   Shard sh;
   std::size_t owned = 0;
-  for (std::size_t t = 0; t < num_map_tasks_; ++t) {
+  for (std::size_t t = 0; t < physical_.chunks; ++t) {
     owned += shard_rows_[t][p].size();
   }
   sh.routed_rows = owned;
@@ -1098,7 +1095,7 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::GroupShard(
   // their final (rank, seq) tags but interleave upstream shards.
   const auto for_each_row = [this, p](auto&& visit) {
     std::uint64_t base = 0;
-    for (std::size_t t = 0; t < num_map_tasks_; ++t) {
+    for (std::size_t t = 0; t < physical_.chunks; ++t) {
       if (blocks_[t] != nullptr) {
         Block& block = *blocks_[t];
         for (const std::uint32_t r : shard_rows_[t][p]) {
@@ -1111,7 +1108,7 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::GroupShard(
   };
   sh.groups = GroupRows<K, V>(owned, for_each_row, take, !streamed_input_);
   if (!speculative_) {
-    for (std::size_t t = 0; t < num_map_tasks_; ++t) {
+    for (std::size_t t = 0; t < physical_.chunks; ++t) {
       std::vector<std::uint32_t>().swap(shard_rows_[t][p]);
     }
     shards_[p] = std::move(sh);
@@ -1279,7 +1276,7 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::Finalize() {
   const bool obs_metrics = obs::MetricsEnabled();
   common::Log2Histogram reducer_q_hist;
   common::Log2Histogram map_bytes_hist;
-  for (std::size_t t = 0; t < num_map_tasks_; ++t) {
+  for (std::size_t t = 0; t < physical_.chunks; ++t) {
     m.pairs_before_combine += task_raw_pairs_[t];
     m.pairs_shuffled += task_pairs_[t];
     m.bytes_shuffled += task_bytes_[t];
@@ -1296,7 +1293,7 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::Finalize() {
   std::vector<ReducerLoad> loads;
   const bool sim = simulation_.enabled();
 
-  if (strategy_ == ShuffleStrategy::kExternal) {
+  if (physical_.strategy == ShuffleStrategy::kExternal) {
     m.spill_runs = spill_stats_.spill_runs;
     m.spill_bytes_written = spill_stats_.spill_bytes_written;
     m.merge_passes = spill_stats_.merge_passes;
@@ -1344,7 +1341,7 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::Finalize() {
     // How evenly the partitioner spread the routed pairs: max over mean
     // per-shard routed rows. 1.0 = perfectly balanced shards; the gap to
     // 1.0 is what sampled-range placement exists to close.
-    if (num_shards_ > 1) {
+    if (physical_.shards > 1) {
       std::uint64_t total_routed = 0;
       std::uint64_t max_routed = 0;
       for (const Shard& shard : shards_) {
@@ -1355,7 +1352,7 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::Finalize() {
         m.partition_skew_ratio =
             static_cast<double>(max_routed) /
             (static_cast<double>(total_routed) /
-             static_cast<double>(num_shards_));
+             static_cast<double>(physical_.shards));
       }
     }
   }
@@ -1409,33 +1406,8 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::Finalize() {
     event.round = round_tag_;
     event.t_start_us = to_trace_us(begin_ms);
     event.t_end_us = to_trace_us(exec_.NowMs());
-    event.args.push_back(obs::Arg(
-        "strategy", strategy_ == ShuffleStrategy::kExternal ? "external"
-                    : strategy_ == ShuffleStrategy::kSerial ? "serial"
-                                                            : "sharded"));
-    event.args.push_back(
-        obs::Arg("shards", static_cast<std::uint64_t>(num_shards_)));
-    event.args.push_back(obs::Arg("pairs", m.pairs_shuffled));
-    event.args.push_back(obs::Arg("reducers", m.num_reducers));
-    event.args.push_back(obs::Arg("realized_q", m.max_reducer_input));
-    event.args.push_back(obs::Arg("realized_r", m.replication_rate()));
-    if (prediction_.valid) {
-      event.args.push_back(obs::Arg("predicted_q", prediction_.q));
-      event.args.push_back(obs::Arg("predicted_r", prediction_.r));
-      if (prediction_.q > 0) {
-        event.args.push_back(obs::Arg(
-            "q_residual",
-            static_cast<double>(m.max_reducer_input) / prediction_.q));
-      }
-      if (prediction_.r > 0) {
-        event.args.push_back(
-            obs::Arg("r_residual", m.replication_rate() / prediction_.r));
-      }
-      if (prediction_.bound_ratio > 0) {
-        event.args.push_back(
-            obs::Arg("predicted_bound_ratio", prediction_.bound_ratio));
-      }
-    }
+    event.args.push_back(obs::Arg("backend", "in_process"));
+    AppendRoundArgs(physical_, prediction_, m, event.args);
     obs::TraceRecorder::Global().Append(std::move(event));
   }
 

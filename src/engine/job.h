@@ -52,7 +52,9 @@ JobResult<Output> RunMapReduce(const std::vector<Input>& inputs,
   auto round = Round::StageMaterialized(
       executor, 0, inputs, /*keepalive=*/nullptr,
       std::forward<MapFn>(map_fn), internal::NoCombine{},
-      std::forward<ReduceFn>(reduce_fn), options);
+      std::forward<ReduceFn>(reduce_fn), options,
+      internal::ResolvePhysicalRound(
+          options, {pool.get().num_threads(), inputs.size()}));
   round->StageFinalize({});
   executor.Wait();
   return round->TakeResult();
@@ -87,7 +89,9 @@ JobResult<Output> RunMapReduceCombined(const std::vector<Input>& inputs,
   auto round = Round::StageMaterialized(
       executor, 0, inputs, /*keepalive=*/nullptr,
       std::forward<MapFn>(map_fn), std::forward<CombineFn>(combine_fn),
-      std::forward<ReduceFn>(reduce_fn), options);
+      std::forward<ReduceFn>(reduce_fn), options,
+      internal::ResolvePhysicalRound(
+          options, {pool.get().num_threads(), inputs.size()}));
   round->StageFinalize({});
   executor.Wait();
   return round->TakeResult();

@@ -4,7 +4,7 @@
 
 namespace mrcost::engine {
 
-JobOptions Pipeline::PoolSizing(const PipelineOptions& options) {
+JobOptions PoolSizing(const PipelineOptions& options) {
   JobOptions sizing;
   sizing.num_threads = options.num_threads;
   sizing.pool = options.pool;

@@ -46,6 +46,10 @@ struct PipelineOptions {
   std::string metrics_out;
 };
 
+/// The pool-sizing JobOptions internal::PoolRef expects: the pipeline's
+/// thread count or pool. Plan executions size their pool the same way.
+JobOptions PoolSizing(const PipelineOptions& options);
+
 /// Multi-round map-reduce driver: one thread pool shared by every round
 /// (instead of a pool constructed and torn down per RunMapReduce call) and
 /// one PipelineMetrics accumulating each round's exact JobMetrics. Rounds
@@ -107,10 +111,6 @@ class Pipeline {
   PipelineMetrics TakeMetrics() { return std::move(metrics_); }
 
  private:
-  /// The pool-sizing JobOptions internal::PoolRef expects, derived from
-  /// pipeline options.
-  static JobOptions PoolSizing(const PipelineOptions& options);
-
   JobOptions Resolve(const std::optional<JobOptions>& round_options);
 
   PipelineOptions options_;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/obs/export.h"
+#include "src/storage/spill_file.h"
 
 namespace mrcost::engine {
 namespace internal {
@@ -16,6 +17,27 @@ namespace {
 /// regime where ResolveShardCount's auto mode would collapse to one shard
 /// anyway (its kMinPairsPerShard), decided here before the map runs.
 constexpr double kSerialCutoffPairs = 4096;
+
+/// The in-memory shuffles briefly hold the map output and its grouped
+/// copy at once, and the sample is an extrapolation; a round is only kept
+/// in memory when its estimated intermediate fits the budget with this
+/// factor of headroom, so a mispredicted sample errs toward spilling
+/// (the budget-respecting side), not toward blowing the budget.
+constexpr double kInMemoryHeadroomFactor = 2.0;
+
+/// A key whose sampled group is this many times the mean group marks the
+/// distribution as skewed enough that equal-width hash placement will
+/// overload whichever shard owns it — sampled-range placement pays one
+/// extra routing pass to rebalance.
+constexpr double kSkewTriggerRatio = 4.0;
+
+/// Inputs per map chunk, and the chunk cap. Compile-time constants: the
+/// chunk count follows the input alone, never the host or an option.
+constexpr std::size_t kInputsPerChunk = 1024;
+constexpr std::size_t kMaxChunks = 8;
+
+/// Inputs of a materialized round the map function is sampled over.
+constexpr std::size_t kSampleInputs = 256;
 
 /// Extrapolates the sample's distinct-key count to the full input: exact
 /// when exhaustive, else linear in the input count (a deliberate, crude
@@ -40,7 +62,141 @@ std::string HumanBytes(double bytes) {
   return os.str();
 }
 
+std::size_t NumChunks(std::size_t num_inputs) {
+  return std::clamp<std::size_t>(
+      (num_inputs + kInputsPerChunk - 1) / kInputsPerChunk, 1, kMaxChunks);
+}
+
+/// The strategy rule behind both ResolvePhysicalRound and Estimate's
+/// planned_strategy annotation. Negative estimates are unknown; unknown
+/// bytes with a budget set fall back to Resolved() (budget => external).
+/// An explicit shard request keeps a small round off the serial path.
+ShuffleStrategy ChooseStrategy(const ShuffleConfig& config, double pairs,
+                               double bytes, std::size_t requested_shards,
+                               std::string& why) {
+  if (config.strategy != ShuffleStrategy::kAuto) {
+    why = "explicit";
+    return config.strategy;
+  }
+  if (config.memory_budget_bytes > 0) {
+    why = (bytes < 0 ? std::string("intermediate unknown")
+                     : "~" + HumanBytes(bytes) + " intermediate") +
+          " vs " +
+          HumanBytes(static_cast<double>(config.memory_budget_bytes)) +
+          " budget";
+    if (bytes < 0) return config.Resolved();
+    if (kInMemoryHeadroomFactor * bytes >
+        static_cast<double>(config.memory_budget_bytes)) {
+      return ShuffleStrategy::kExternal;
+    }
+    why += ", ";
+  }
+  if (pairs < 0) {
+    why += "pairs unknown";
+    return ShuffleStrategy::kSharded;
+  }
+  why += "~" + std::to_string(std::llround(pairs)) + " pairs";
+  if (pairs <= kSerialCutoffPairs && requested_shards <= 1) {
+    why += " under the serial cutoff";
+    return ShuffleStrategy::kSerial;
+  }
+  return ShuffleStrategy::kSharded;
+}
+
 }  // namespace
+
+PhysicalRound ResolvePhysicalRound(const JobOptions& options,
+                                   const RoundFacts& facts) {
+  const ShuffleConfig& config = options.shuffle;
+  const StageEstimate hint =
+      facts.estimate != nullptr ? *facts.estimate : StageEstimate{};
+  const MapSample* sample =
+      facts.sample != nullptr && facts.sample->valid ? facts.sample : nullptr;
+  const double n = static_cast<double>(facts.num_inputs);
+  // One pair and byte estimate sizes the round: declared hints first,
+  // then the map sample; < 0 = unknown (eager and streamed rounds).
+  const double pairs = hint.replication > 0 ? hint.replication * n
+                       : sample != nullptr  ? sample->pairs_per_input * n
+                                            : -1;
+  const double bytes =
+      pairs >= 0 && hint.bytes_per_pair > 0 ? hint.bytes_per_pair * pairs
+      : sample != nullptr                   ? sample->bytes_per_input * n
+                                            : -1;
+  PhysicalRound round;
+  std::ostringstream why;
+
+  // Chunks follow the input: its size, or the upstream's shards when it
+  // streams in.
+  const bool streamed = facts.streamed_blocks > 0;
+  round.chunks = streamed ? facts.streamed_blocks : NumChunks(facts.num_inputs);
+  why << "chunks " << round.chunks << " (";
+  if (streamed) {
+    why << "upstream shards";
+  } else {
+    why << facts.num_inputs << " inputs";
+  }
+
+  std::string strategy_why;
+  round.strategy =
+      ChooseStrategy(config, pairs, bytes, options.num_shards, strategy_why);
+  why << "); strategy " << ToString(round.strategy) << " (" << strategy_why
+      << "); shards ";
+  if (round.strategy == ShuffleStrategy::kExternal) {
+    // Key ranges of the merged runs: two per thread keep every thread
+    // reducing while the slowest range finishes.
+    round.shards = std::max<std::size_t>(1, facts.num_threads * 2);
+    why << round.shards << " (two key ranges per thread)";
+  } else if (round.strategy == ShuffleStrategy::kSharded) {
+    round.shards = ResolveShardCount(
+        options.num_shards, facts.num_threads,
+        pairs < 0 ? static_cast<std::size_t>(-1)
+                  : static_cast<std::size_t>(pairs));
+    why << round.shards << " (";
+    if (options.num_shards > 0) {
+      why << "explicit)";
+    } else {
+      why << facts.num_threads << " threads, 4096+ pairs each)";
+    }
+  } else {
+    why << "1 (serial)";
+  }
+
+  why << "; partitioner ";
+  if (round.strategy == ShuffleStrategy::kExternal || round.shards <= 1) {
+    why << "hash (no shards to place)";
+  } else if (facts.multi_process) {
+    why << "hash (workers place by hash)";
+  } else if (config.partitioner != PartitionerKind::kAuto) {
+    round.partitioner = config.partitioner;
+    why << ToString(round.partitioner) << " (explicit)";
+  } else if (sample == nullptr || sample->distinct_keys == 0) {
+    why << "hash (no sample)";
+  } else {
+    const double mean_group = sample->pairs_per_input *
+                              static_cast<double>(sample->sampled_inputs) /
+                              static_cast<double>(sample->distinct_keys);
+    const double hot =
+        static_cast<double>(sample->max_group) / std::max(mean_group, 1.0);
+    if (hot > kSkewTriggerRatio) {
+      round.partitioner = PartitionerKind::kSampledRange;
+    }
+    why << ToString(round.partitioner) << " (hottest sampled key x" << hot
+        << " the mean group)";
+  }
+  round.reason = why.str();
+
+  // Wire transport: each reducer pulls one run per chunk, so its memory
+  // bound splits the round's budget across the chunks, in blocks. No
+  // budget = a small default window.
+  if (config.memory_budget_bytes > 0) {
+    round.fetch_credits =
+        static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
+            config.memory_budget_bytes / round.chunks /
+                storage::kDefaultBlockBytes,
+            1, 64));
+  }
+  return round;
+}
 
 JobOptions ResolveRoundOptions(const PlanNode& node,
                                const ExecutionOptions& options) {
@@ -59,71 +215,8 @@ JobOptions ResolveRoundOptions(const PlanNode& node,
   return resolved;
 }
 
-/// The in-memory shuffles briefly hold the map output and its grouped
-/// copy at once, and the sample is an extrapolation; a round is only kept
-/// in memory when its estimated intermediate fits the budget with this
-/// factor of headroom, so a mispredicted sample errs toward spilling
-/// (the budget-respecting side), not toward blowing the budget.
-constexpr double kInMemoryHeadroomFactor = 2.0;
-
-/// The one decision rule behind both the Execute-time chooser and
-/// Estimate's planned_strategy annotation, fed by whichever estimates are
-/// available (a map-fn sample at execution, declared hints + optional
-/// sample at estimation). Unknown bytes with a budget set fall back to
-/// the conservative Resolved() rule (budget => external).
-ShuffleStrategy ChooseFromEstimates(const ShuffleConfig& config,
-                                    double estimated_pairs,
-                                    double estimated_bytes,
-                                    bool bytes_known) {
-  if (config.strategy != ShuffleStrategy::kAuto) return config.strategy;
-  if (config.memory_budget_bytes > 0) {
-    if (!bytes_known) return config.Resolved();
-    if (kInMemoryHeadroomFactor * estimated_bytes >
-        static_cast<double>(config.memory_budget_bytes)) {
-      return ShuffleStrategy::kExternal;
-    }
-  }
-  if (estimated_pairs <= kSerialCutoffPairs) return ShuffleStrategy::kSerial;
-  return ShuffleStrategy::kSharded;
-}
-
-ShuffleStrategy ChooseStrategy(const ShuffleConfig& config,
-                               const MapSample& sample,
-                               std::size_t num_inputs) {
-  if (config.strategy != ShuffleStrategy::kAuto) return config.strategy;
-  if (!sample.valid || num_inputs == kUnknownSize) return config.Resolved();
-  const double n = static_cast<double>(num_inputs);
-  return ChooseFromEstimates(config, sample.pairs_per_input * n,
-                             sample.bytes_per_input * n,
-                             /*bytes_known=*/true);
-}
-
-/// A key whose sampled group is this many times the mean group marks the
-/// distribution as skewed enough that equal-width hash placement will
-/// overload whichever shard owns it — sampled-range placement pays one
-/// extra routing pass to rebalance.
-constexpr double kSkewTriggerRatio = 4.0;
-
-PartitionerKind ChoosePartitioner(const ShuffleConfig& config,
-                                  const MapSample& sample) {
-  if (config.partitioner != PartitionerKind::kAuto) {
-    return config.partitioner;
-  }
-  if (!sample.valid || sample.distinct_keys == 0) {
-    return PartitionerKind::kHash;
-  }
-  const double sampled_pairs =
-      sample.pairs_per_input * static_cast<double>(sample.sampled_inputs);
-  const double mean_group =
-      sampled_pairs / static_cast<double>(sample.distinct_keys);
-  return static_cast<double>(sample.max_group) >
-                 kSkewTriggerRatio * std::max(mean_group, 1.0)
-             ? PartitionerKind::kSampledRange
-             : PartitionerKind::kHash;
-}
-
 /// What the planner would tell the cost model about this round, mirroring
-/// EstimatePlanGraph's pricing inputs: declared hints first, the chooser's
+/// EstimatePlanGraph's pricing inputs: declared hints first, the round's
 /// map sample as fallback. Attached to the round's trace span and used for
 /// per-stage calibration residuals after the round runs.
 RoundPrediction PredictRound(const PlanNode& node, const MapSample& sample,
@@ -157,6 +250,34 @@ RoundPrediction PredictRound(const PlanNode& node, const MapSample& sample,
   return pred;
 }
 
+std::vector<bool> NeededNodes(const PlanGraph& graph, std::size_t target) {
+  std::vector<bool> needed(graph.nodes.size(), target == kNoNode);
+  for (std::size_t id = target; id != kNoNode && id < graph.nodes.size();
+       id = graph.nodes[id].input) {
+    needed[id] = true;
+  }
+  return needed;
+}
+
+ResolvedRound ResolveMaterializedRound(const PlanGraph& graph,
+                                       const PlanNode& node,
+                                       const ExecutionOptions& options) {
+  ResolvedRound round;
+  round.options = ResolveRoundOptions(node, options);
+  const std::size_t n = node.input_size(graph);
+  MRCOST_CHECK(n != kUnknownSize);
+  round.sample = node.sample(graph, kSampleInputs);
+  RoundFacts facts;
+  facts.num_threads = PoolSizing(options.pipeline).ResolvedThreads();
+  facts.num_inputs = n;
+  facts.estimate = &node.hint;
+  facts.sample = &round.sample;
+  facts.multi_process = options.backend == ExecutionBackend::kMultiProcess;
+  round.physical = ResolvePhysicalRound(round.options, facts);
+  round.prediction = PredictRound(node, round.sample, n, options.recipe);
+  return round;
+}
+
 PipelineMetrics ExecutePlanGraph(PlanGraph& graph,
                                  const ExecutionOptions& options,
                                  std::size_t target) {
@@ -169,21 +290,11 @@ PipelineMetrics ExecutePlanGraph(PlanGraph& graph,
   if (!options.trace_out.empty() || !options.metrics_out.empty()) {
     capture.emplace(options.trace_out, options.metrics_out);
   }
-  // Only the target's ancestry runs (everything when target == kNoNode):
-  // node order is creation order, so producers precede consumers.
-  std::vector<bool> needed(graph.nodes.size(), target == kNoNode);
-  for (std::size_t id = target;
-       id != kNoNode && id < graph.nodes.size();
-       id = graph.nodes[id].input) {
-    needed[id] = true;
-  }
+  const std::vector<bool> needed = NeededNodes(graph, target);
 
-  JobOptions sizing;
-  sizing.num_threads = options.pipeline.num_threads;
-  sizing.pool = options.pipeline.pool;
-  PoolRef pool(sizing);
+  PoolRef pool(PoolSizing(options.pipeline));
   StageGraphExecutor exec(pool.get());
-  graph.last_strategies.clear();
+  graph.last_physical.clear();
 
   // How many needed rounds consume each node's output. Streaming needs a
   // sole consumer: the producer's finalize (which moves the shard
@@ -221,87 +332,47 @@ PipelineMetrics ExecutePlanGraph(PlanGraph& graph,
     PlanNode& node = graph.nodes[id];
     if (node.is_source || !needed[id]) continue;
     executed.push_back(id);
-    JobOptions resolved = ResolveRoundOptions(node, options);
 
     const std::size_t producer = node.input;
-    const bool producer_open =
-        producer != kNoNode &&
-        std::find(open.begin(), open.end(), producer) != open.end();
-    bool stream = options.streaming && node.per_key_input &&
-                  !node.combined && producer_open &&
-                  needed_consumers[producer] == 1;
-    if (stream) {
-      // A streamed round has no materialized input to sample, so the
-      // strategy resolves from the config alone; external (spill) rounds
-      // fall back to the barrier path — spilling wants the whole input
-      // on hand anyway.
-      const ShuffleStrategy s = resolved.shuffle.Resolved();
-      if (s == ShuffleStrategy::kExternal) {
-        stream = false;
-      } else {
-        resolved.shuffle.strategy = s;
-      }
-    }
-
-    MapSample sample;
     std::shared_ptr<StagedHandleBase> handle;
-    if (stream) {
-      handle = node.stage(graph, exec, resolved, handles[producer], 0);
+    RoundPrediction prediction;
+    if (options.streaming && node.per_key_input && !node.combined &&
+        producer != kNoNode &&
+        std::find(open.begin(), open.end(), producer) != open.end() &&
+        needed_consumers[producer] == 1) {
+      // A streamed round has no materialized input to sample; it maps
+      // one task per upstream shard. External (spill) rounds fall back to
+      // the barrier path — spilling wants the whole input on hand anyway.
+      const JobOptions resolved = ResolveRoundOptions(node, options);
+      RoundFacts facts;
+      facts.num_threads = pool.get().num_threads();
+      facts.streamed_blocks = handles[producer]->physical().shards;
+      const PhysicalRound physical = ResolvePhysicalRound(resolved, facts);
+      if (physical.strategy != ShuffleStrategy::kExternal) {
+        handle = node.stage(graph, exec, resolved, physical,
+                            handles[producer]);
+      }
       if (handle != nullptr) {
         // The producer's finalize moves its shard outputs; sequence it
         // behind the consumer's map tasks that read them.
         handles[producer]->StageFinalize(handle->map_task_ids());
         streamed.push_back(StreamedEdge{producer, id});
+        prediction = PredictRound(node, MapSample{}, kUnknownSize,
+                                  options.recipe);
       }
     }
     if (handle == nullptr) {
       close_chain();  // materialize this round's input
-      if (options.choose_strategy_per_round &&
-          resolved.shuffle.strategy == ShuffleStrategy::kAuto) {
-        sample = node.sample(graph, options.strategy_sample_inputs);
-        resolved.shuffle.strategy = ChooseStrategy(resolved.shuffle, sample,
-                                                   node.input_size(graph));
-        // An explicit shard request asks for the sharded code path; the
-        // small-round serial downgrade must not override it (the eager
-        // ResolveShardCount honors the request too).
-        if (resolved.shuffle.strategy == ShuffleStrategy::kSerial &&
-            resolved.num_shards > 1) {
-          resolved.shuffle.strategy = ShuffleStrategy::kSharded;
-        }
-      }
-      if (options.choose_strategy_per_round &&
-          resolved.shuffle.partitioner == PartitionerKind::kAuto) {
-        // Same sample feeds the placement decision: a skewed key
-        // distribution flips the round to sampled-range partitioning
-        // (outputs unchanged — the deterministic merge runs on scan
-        // tags, not shard ownership).
-        if (!sample.valid) {
-          sample = node.sample(graph, options.strategy_sample_inputs);
-        }
-        resolved.shuffle.partitioner =
-            ChoosePartitioner(resolved.shuffle, sample);
-      }
-      // Shard sizing from whatever estimate is on hand: the declared
-      // schema replication, else the chooser's sample (0 = unknown).
-      std::uint64_t pairs_hint = 0;
-      const std::size_t input_size = node.input_size(graph);
-      if (input_size != kUnknownSize) {
-        const double n = static_cast<double>(input_size);
-        if (node.hint.replication > 0) {
-          pairs_hint =
-              static_cast<std::uint64_t>(node.hint.replication * n);
-        } else if (sample.valid) {
-          pairs_hint =
-              static_cast<std::uint64_t>(sample.pairs_per_input * n);
-        }
-      }
-      handle = node.stage(graph, exec, resolved, nullptr, pairs_hint);
+      const ResolvedRound round =
+          ResolveMaterializedRound(graph, node, options);
+      handle = node.stage(graph, exec, round.options, round.physical,
+                          nullptr);
+      prediction = round.prediction;
     }
+    handle->SetPrediction(prediction);
     handles[id] = handle;
-    handle->SetPrediction(
-        PredictRound(node, sample, node.input_size(graph), options.recipe));
     open.push_back(id);
-    graph.last_strategies.push_back(handle->strategy());
+    graph.last_physical.push_back(handle->physical());
   }
   close_chain();
 
@@ -384,7 +455,7 @@ PlanEstimate EstimatePlanGraph(const PlanGraph& graph,
     const StageEstimate& hint = node.hint;
     // The shuffle config the planned_strategy annotation is judged
     // against: per-stage overrides merged over the estimate's config,
-    // the same order the Execute-time chooser resolves.
+    // the same order execution resolves.
     const ShuffleConfig stage_shuffle =
         node.options.has_value()
             ? node.options->shuffle.MergedOver(options.shuffle)
@@ -459,15 +530,13 @@ PlanEstimate EstimatePlanGraph(const PlanGraph& graph,
                            cm.wallclock_weight * calibrated_q *
                                calibrated_q);
     }
-    // The same decision rule the Execute-time chooser applies, fed by the
-    // round's (declared or sampled) predictions.
-    round.planned_strategy = ChooseFromEstimates(
-        stage_shuffle, round.predicted_pairs, round.predicted_bytes,
-        /*bytes_known=*/round.predicted_bytes > 0);
-    if (round.planned_strategy == ShuffleStrategy::kSerial &&
-        node.options.has_value() && node.options->num_shards > 1) {
-      round.planned_strategy = ShuffleStrategy::kSharded;
-    }
+    // The strategy rule ResolvePhysicalRound applies, fed by the round's
+    // (declared or sampled) predictions.
+    std::string why;
+    round.planned_strategy = ChooseStrategy(
+        stage_shuffle, round.predicted_pairs,
+        round.predicted_bytes > 0 ? round.predicted_bytes : -1,
+        node.options.has_value() ? node.options->num_shards : 0, why);
 
     const double outputs_per_reducer =
         hint.outputs_per_reducer > 0 ? hint.outputs_per_reducer : 1.0;
@@ -501,58 +570,18 @@ std::string ExplainPlanGraph(const PlanGraph& graph,
       os << "unmaterialized (produced by round upstream)";
     }
 
-    JobOptions resolved = ResolveRoundOptions(node, options);
-    os << "\n  shuffle: ";
-    if (resolved.shuffle.strategy != ShuffleStrategy::kAuto) {
-      os << ToString(resolved.shuffle.strategy) << " (explicit)";
-    } else if (!options.choose_strategy_per_round) {
-      os << ToString(resolved.shuffle.Resolved()) << " (auto, no chooser)";
-    } else if (materialized == kUnknownSize) {
-      os << "auto (chooser decides at run time from estimated bytes vs "
-         << (resolved.shuffle.memory_budget_bytes > 0
-                 ? HumanBytes(static_cast<double>(
-                       resolved.shuffle.memory_budget_bytes)) + " budget"
-                 : std::string("no budget")) << ")";
+    const JobOptions resolved = ResolveRoundOptions(node, options);
+    os << "\n  physical: ";
+    if (materialized == kUnknownSize) {
+      os << "chooser decides at run time, once the input is materialized";
     } else {
-      const MapSample sample =
-          node.sample(graph, options.strategy_sample_inputs);
-      const ShuffleStrategy chosen =
-          ChooseStrategy(resolved.shuffle, sample,
-                         materialized);
-      os << ToString(chosen) << " (chooser: ~"
-         << HumanBytes(sample.bytes_per_input *
-                       static_cast<double>(materialized))
-         << " intermediate vs "
-         << (resolved.shuffle.memory_budget_bytes > 0
-                 ? HumanBytes(static_cast<double>(
-                       resolved.shuffle.memory_budget_bytes)) + " budget"
-                 : std::string("no budget"))
-         << ")";
-      const PartitionerKind partitioner =
-          ChoosePartitioner(resolved.shuffle, sample);
-      os << "\n  partitioner: " << ToString(partitioner);
-      if (resolved.shuffle.partitioner != PartitionerKind::kAuto) {
-        os << " (explicit)";
-      } else if (partitioner == PartitionerKind::kSampledRange) {
-        os << " (chooser: hottest sampled key x"
-           << (sample.distinct_keys > 0
-                   ? static_cast<double>(sample.max_group) /
-                         std::max(1.0, sample.pairs_per_input *
-                                           static_cast<double>(
-                                               sample.sampled_inputs) /
-                                           static_cast<double>(
-                                               sample.distinct_keys))
-                   : 0.0)
-           << " the mean group)";
-      } else {
-        os << " (chooser: keys spread evenly)";
-      }
-    }
-    os << "\n  shards: ";
-    if (resolved.num_shards > 0) {
-      os << resolved.num_shards;
-    } else {
-      os << "auto (per thread, capped for small rounds)";
+      const PhysicalRound physical =
+          ResolveMaterializedRound(graph, node, options).physical;
+      os << "chunks=" << physical.chunks << " shards=" << physical.shards
+         << " strategy=" << ToString(physical.strategy)
+         << " partitioner=" << ToString(physical.partitioner)
+         << " fetch_credits=" << physical.fetch_credits
+         << "\n  reason: " << physical.reason;
     }
     if (resolved.shuffle.memory_budget_bytes > 0) {
       os << "\n  memory budget: "
@@ -641,8 +670,8 @@ std::future<PipelineMetrics> Plan::ExecuteAsync(ExecutionOptions options) {
   });
 }
 
-const std::vector<ShuffleStrategy>& Plan::last_round_strategies() const {
-  return graph_->last_strategies;
+const std::vector<PhysicalRound>& Plan::last_physical_rounds() const {
+  return graph_->last_physical;
 }
 
 }  // namespace mrcost::engine

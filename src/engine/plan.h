@@ -36,14 +36,15 @@ namespace mrcost::engine {
 //                         from declared schema hints or map-fn sampling,
 //                         priced through core::CostModel, before any data
 //                         moves;
-//   * Explain(options)  — the physical plan: per-round shuffle strategy,
-//                         shard count, memory budget, simulation;
+//   * Explain(options)  — the physical plan: each round's PhysicalRound
+//                         (chunks, shards, strategy, partitioner, fetch
+//                         credits, reason), memory budget, simulation;
 //   * Execute(options)  — lowering onto the stage-graph executor
 //                         (src/engine/executor.h), byte-identical to the
 //                         eager RunMapReduce for every shuffle strategy,
-//                         with a per-round strategy chooser
-//                         (serial/sharded/external from estimated
-//                         intermediate bytes vs budget). Rounds whose
+//                         each round shaped by ResolvePhysicalRound
+//                         (serial/sharded/external from the round's
+//                         estimated pairs and bytes vs budget). Rounds whose
 //                         stage declares a per-key input dependency
 //                         (WithPerKeyInput) stream: round k's reduce
 //                         output for shard s feeds round k+1's map with
@@ -105,7 +106,7 @@ struct RoundEstimate {
   double optimality_ratio = 0;
   /// cost_model.Cost(predicted_r, predicted_q) — the Section 1.2 price.
   double cost = 0;
-  /// The strategy the per-round chooser would pick for this round under
+  /// The strategy ResolvePhysicalRound would pick for this round under
   /// the EstimateOptions' shuffle config.
   ShuffleStrategy planned_strategy = ShuffleStrategy::kAuto;
   /// True when any field came from sampling the map function (vs hints
@@ -205,18 +206,14 @@ struct DistOptions {
 struct ExecutionOptions {
   /// Thread sizing, round defaults, simulation, and the pipeline-wide
   /// shuffle backstop — exactly what the eager Pipeline takes, so a plan
-  /// execution is configured like the pipeline it lowers onto.
+  /// execution is configured like the pipeline it lowers onto. A round
+  /// whose shuffle strategy stays kAuto gets serial/sharded/external from
+  /// its estimated intermediate bytes vs the memory budget (declared
+  /// hints, else a map-fn sample of its materialized input), so only
+  /// rounds estimated over budget pay the spill path — not the eager
+  /// path's all-or-nothing budget=>external rule. Outputs are
+  /// byte-identical for every choice.
   PipelineOptions pipeline;
-  /// Per-round strategy chooser: a round whose resolved shuffle strategy
-  /// is still kAuto gets serial/sharded/external picked from its
-  /// estimated intermediate bytes vs the memory budget (sampling the map
-  /// function over `strategy_sample_inputs` of the round's actual,
-  /// materialized inputs). Replaces the eager path's all-or-nothing
-  /// budget=>external rule: only rounds estimated over budget pay the
-  /// spill path. Outputs are byte-identical for every choice; only memory
-  /// behaviour and spill metrics differ.
-  bool choose_strategy_per_round = true;
-  std::size_t strategy_sample_inputs = 256;
   /// Dissolve the barrier between consecutive rounds whose consumer stage
   /// declared a per-key input dependency (WithPerKeyInput): the producer's
   /// per-shard reduce outputs stream into the consumer's map tasks as
@@ -270,9 +267,9 @@ template <typename T>
 struct ExecutionResult {
   std::vector<T> outputs;
   PipelineMetrics metrics;
-  /// The shuffle strategy each executed round actually ran (after the
-  /// per-round chooser), aligned with metrics.rounds.
-  std::vector<ShuffleStrategy> round_strategies;
+  /// The physical shape each executed round ran with, aligned with
+  /// metrics.rounds.
+  std::vector<PhysicalRound> physical_rounds;
 };
 
 namespace internal {
@@ -310,16 +307,15 @@ struct PlanNode {
   std::size_t source_size = 0;  // for sources
   StageEstimate hint;
   std::optional<JobOptions> options;  // per-round overrides (field-wise)
-  /// Stages this round's task graph onto `exec`. `upstream` non-null asks
-  /// for the streamed form (input read per-shard from the producer's
-  /// StreamSource); returns null if this round cannot stream, in which
-  /// case the driver materializes the input and calls again with null.
-  /// `pairs_hint` is the driver's pair estimate for shard sizing (0 =
-  /// unknown).
+  /// Stages this round's task graph onto `exec`, shaped by `physical`.
+  /// `upstream` non-null asks for the streamed form (input read per-shard
+  /// from the producer's StreamSource); returns null if this round cannot
+  /// stream, in which case ExecutePlanGraph materializes the input and
+  /// calls again with null.
   std::function<std::shared_ptr<StagedHandleBase>(
       PlanGraph&, StageGraphExecutor& exec, const JobOptions&,
-      const std::shared_ptr<StagedHandleBase>& upstream,
-      std::uint64_t pairs_hint)>
+      const PhysicalRound& physical,
+      const std::shared_ptr<StagedHandleBase>& upstream)>
       stage;
   std::function<MapSample(const PlanGraph&, std::size_t)> sample;
   std::function<std::size_t(const PlanGraph&)> input_size;
@@ -336,9 +332,9 @@ struct PlanNode {
 struct PlanGraph {
   std::vector<PlanNode> nodes;
   std::vector<std::shared_ptr<void>> slots;
-  /// Per executed round (in execution order), the strategy it ran with —
-  /// filled by the most recent Execute.
-  std::vector<ShuffleStrategy> last_strategies;
+  /// Per executed round (in execution order), the physical shape it ran
+  /// with — filled by the most recent Execute.
+  std::vector<PhysicalRound> last_physical;
   /// Recipe identity for the multi-process backend: when non-empty, a
   /// worker process rebuilds this exact graph via
   /// dist::PlanRegistry::Build(dist_recipe, dist_args), so node indices
@@ -393,22 +389,28 @@ MapSample SampleMapFanout(
 
 /// Resolves the JobOptions one round executes with: per-round overrides
 /// merged over the execution's round defaults, then the pipeline-wide
-/// shuffle backstop — the same order Pipeline::Resolve applies, computed
-/// here too so the strategy chooser sees the merged view.
+/// shuffle backstop — the same order Pipeline::Resolve applies.
 JobOptions ResolveRoundOptions(const PlanNode& node,
                                const ExecutionOptions& options);
 
-/// The per-round strategy chooser (see ExecutionOptions).
-ShuffleStrategy ChooseStrategy(const ShuffleConfig& config,
-                               const MapSample& sample,
-                               std::size_t num_inputs);
+/// The nodes an execution of `target` runs: its ancestry, or every node
+/// when target == kNoNode. Node order is creation order, so producers
+/// precede consumers.
+std::vector<bool> NeededNodes(const PlanGraph& graph, std::size_t target);
 
-/// The per-round partitioner chooser: kAuto resolves to kSampledRange
-/// when the sample shows a skewed key distribution (the hottest key's
-/// group is several times the mean group), and to plain hash placement
-/// otherwise. An explicit configuration always wins.
-PartitionerKind ChoosePartitioner(const ShuffleConfig& config,
-                                  const MapSample& sample);
+/// A round over a materialized input, resolved once when it is staged:
+/// its merged options, the map sample and the physical shape both
+/// backends (and Explain) take from them, and the planner's prediction.
+struct ResolvedRound {
+  JobOptions options;
+  MapSample sample;
+  PhysicalRound physical;
+  RoundPrediction prediction;
+};
+
+ResolvedRound ResolveMaterializedRound(const PlanGraph& graph,
+                                       const PlanNode& node,
+                                       const ExecutionOptions& options);
 
 /// Runs every round node that `target` depends on (all rounds when
 /// target == kNoNode) in node order on one StageGraphExecutor,
@@ -545,7 +547,7 @@ class Dataset {
   ExecutionResult<T> Execute(const ExecutionOptions& options = {}) const {
     ExecutionResult<T> result;
     result.metrics = internal::ExecutePlanGraph(*graph_, options, node_);
-    result.round_strategies = graph_->last_strategies;
+    result.physical_rounds = graph_->last_physical;
     auto slot = std::static_pointer_cast<std::vector<T>>(graph_->slots[node_]);
     if (graph_->nodes[node_].is_source) {
       result.outputs = *slot;  // sources stay materialized
@@ -618,9 +620,10 @@ class Plan {
   PlanEstimate Estimate(const core::Recipe& recipe,
                         const EstimateOptions& options = {}) const;
 
-  /// The human-readable physical plan: per-round shuffle strategy (with
-  /// the chooser's reasoning where it applies), shard count, memory
-  /// budget, and simulation, as `options` would execute it.
+  /// The human-readable physical plan: each round's PhysicalRound with
+  /// its reasons, memory budget, and simulation, as `options` would
+  /// execute it. Rounds whose input is not materialized yet resolve when
+  /// they run.
   std::string Explain(const ExecutionOptions& options = {}) const;
 
   /// Runs every round, returning the accumulated metrics. Typed outputs
@@ -631,8 +634,9 @@ class Plan {
   /// Dataset::ExecuteAsync's caveats).
   std::future<PipelineMetrics> ExecuteAsync(ExecutionOptions options = {});
 
-  /// Per executed round, the strategy the most recent Execute ran with.
-  const std::vector<ShuffleStrategy>& last_round_strategies() const;
+  /// Per executed round, the physical shape the most recent Execute ran
+  /// with.
+  const std::vector<PhysicalRound>& last_physical_rounds() const;
 
   /// The shared node graph. Used by the dist layer: recipe builders stamp
   /// the graph's recipe identity through it and the worker runtime walks
@@ -678,10 +682,9 @@ Dataset<Out> KeyedDataset<In, K, V>::ReduceByKey(ReduceFn reduce,
 
   node.stage = [in_id, out_id, map_fn, combine_fn, reduce_fn](
                    internal::PlanGraph& graph, StageGraphExecutor& exec,
-                   const JobOptions& options,
+                   const JobOptions& options, const PhysicalRound& physical,
                    const std::shared_ptr<internal::StagedHandleBase>&
-                       upstream,
-                   std::uint64_t pairs_hint)
+                       upstream)
       -> std::shared_ptr<internal::StagedHandleBase> {
     using PlainRound = internal::StagedRound<In, K, V, Out, MapFn,
                                              internal::NoCombine, ReduceStd>;
@@ -695,7 +698,8 @@ Dataset<Out> KeyedDataset<In, K, V>::ReduceByKey(ReduceFn reduce,
           dynamic_cast<internal::StreamSource<In>*>(upstream.get());
       if (combine_fn || source == nullptr) return nullptr;
       auto round = PlainRound::StageStreamed(exec, tag, upstream, source,
-                                             map_fn, reduce_fn, options);
+                                             map_fn, reduce_fn, options,
+                                             physical);
       round->set_output_slot(&graph.slots[out_id]);
       return round;
     }
@@ -704,13 +708,13 @@ Dataset<Out> KeyedDataset<In, K, V>::ReduceByKey(ReduceFn reduce,
     if (combine_fn) {
       auto round = CombinedRound::StageMaterialized(
           exec, tag, *input, input, map_fn, combine_fn, reduce_fn, options,
-          pairs_hint);
+          physical);
       round->set_output_slot(&graph.slots[out_id]);
       return round;
     }
     auto round = PlainRound::StageMaterialized(
         exec, tag, *input, input, map_fn, internal::NoCombine{}, reduce_fn,
-        options, pairs_hint);
+        options, physical);
     round->set_output_slot(&graph.slots[out_id]);
     return round;
   };

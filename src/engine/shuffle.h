@@ -37,7 +37,7 @@ const char* ToString(ShuffleStrategy strategy);
 
 /// How pairs are placed onto shuffle shards (and, in the simulator, how
 /// reducers are placed onto workers).
-///   kAuto         — kHash unless the plan chooser's map-fn sample detects
+///   kAuto         — kHash unless the round's map-fn sample detects
 ///                   key skew (max group far above the mean), in which case
 ///                   kSampledRange.
 ///   kHash         — blind IndexOfHash placement (the PR-1 radix path).
@@ -60,10 +60,10 @@ const char* ToString(PartitionerKind kind);
 ///      (PipelineOptions::shuffle / the plan executor's
 ///      ExecutionOptions) via MergedOver;
 ///   3. a still-kAuto strategy resolves through Resolved(): kExternal when
-///      a memory budget is set, else kSharded. The plan executor's
-///      per-round chooser (src/engine/plan.h) refines this step using the
-///      round's estimated intermediate bytes, so only rounds that actually
-///      exceed the budget pay the spill path.
+///      a memory budget is set, else kSharded. ResolvePhysicalRound
+///      (src/engine/plan.cc) refines this step with the round's estimated
+///      intermediate bytes when it has them, so only plan rounds that
+///      actually exceed the budget pay the spill path.
 struct ShuffleConfig {
   /// How the shuffle executes; kAuto defers to step 3 above.
   ShuffleStrategy strategy = ShuffleStrategy::kAuto;
@@ -80,10 +80,11 @@ struct ShuffleConfig {
   /// excess are first merged down in extra passes (merge_passes counts
   /// them).
   std::size_t merge_fan_in = 0;
-  /// How pairs are placed onto shards. kAuto lets the plan chooser pick
-  /// from its map-fn sample (skewed keys => kSampledRange) and otherwise
-  /// behaves as kHash. Ignored by the external shuffle (its placement is
-  /// the sorted merge order) and by the one-shard serial path.
+  /// How pairs are placed onto shards. kAuto lets ResolvePhysicalRound
+  /// pick from the round's map-fn sample (skewed keys => kSampledRange)
+  /// and otherwise behaves as kHash. Ignored by the external shuffle (its
+  /// placement is the sorted merge order), by the one-shard serial path
+  /// and by the multi-process backend (hash placement only).
   PartitionerKind partitioner = PartitionerKind::kAuto;
 
   /// True when any field was moved off its unset value.
@@ -112,7 +113,7 @@ struct ShuffleConfig {
   }
 
   /// Step 3 of the resolution order: the strategy that actually runs when
-  /// no plan-level chooser intervenes.
+  /// no estimate refines it.
   ShuffleStrategy Resolved() const {
     if (strategy != ShuffleStrategy::kAuto) return strategy;
     return memory_budget_bytes > 0 ? ShuffleStrategy::kExternal

@@ -314,8 +314,10 @@ bool WireBlockRunSource::Open() {
 bool WireBlockRunSource::NextBlock() {
   const auto t0 = std::chrono::steady_clock::now();
   if (auto status = dist::ReadFrame(fd_, payload_); !status.ok()) {
-    // EOF mid-stream = the owner died under us; retryable.
-    status_ = dist::IsEof(status)
+    // EOF, a cut frame or a reset mid-stream = the owner died under us;
+    // retryable.
+    status_ = dist::IsEof(status) ||
+                      status.code() == common::StatusCode::kOutOfRange
                   ? common::Status::Unavailable(
                         "wire run: source closed mid-stream for " +
                         options_.run_id)

@@ -197,6 +197,20 @@ TEST(RpcFrame, ShortWritesReassembleAcrossSocketpair) {
   ::close(sv[1]);
 }
 
+TEST(RpcFrame, ResetConnectionIsUnavailable) {
+  // A peer that dies with our frames unread resets the connection — the
+  // retryable "peer is gone" signal a wire fetch re-maps on, not
+  // corruption.
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  ASSERT_TRUE(dist::WriteFrame(sv[0], "never read").ok());
+  ::close(sv[1]);
+  std::string got;
+  const Status status = dist::ReadFrame(sv[0], got);
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+  ::close(sv[0]);
+}
+
 // --------------------------------------------------------------- protocol
 
 TEST(Protocol, HelloRoundTrips) {
@@ -722,6 +736,49 @@ TEST(DistBackend, AgreesWithEveryInProcessStrategy) {
     options.pipeline.round_defaults.shuffle.strategy = strategy;
     EXPECT_EQ(outputs(options), multi)
         << "strategy " << static_cast<int>(strategy);
+  }
+}
+
+TEST(DistBackend, PhysicalRoundIsHostIndependent) {
+  // The word-count combined round (7 keys, 10,000 inputs): combined
+  // partials are per chunk, so pairs_shuffled follows the chunk count.
+  // Chunks come from the input alone — the same at every thread count on
+  // both backends, and so are the shuffled pairs and the output bytes.
+  auto& registry = dist::PlanRegistry::Global();
+  const std::string args = "pairs=10000,keys=7,seed=1,combine=1";
+  std::size_t chunks = 0;
+  std::uint64_t pairs = 0;
+  std::string reference;
+  for (const engine::ExecutionBackend backend :
+       {engine::ExecutionBackend::kInProcess,
+        engine::ExecutionBackend::kMultiProcess}) {
+    for (const std::size_t threads : {1u, 4u, 64u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   (backend == engine::ExecutionBackend::kMultiProcess
+                        ? " multi_process"
+                        : " in_process"));
+      auto plan = registry.Build("shuffle_sweep", args);
+      MRCOST_CHECK_OK(plan.status());
+      engine::ExecutionOptions options;
+      options.backend = backend;
+      options.pipeline.num_threads = threads;
+      const engine::PipelineMetrics metrics = plan->Execute(options);
+      ASSERT_EQ(metrics.rounds.size(), 1u);
+      ASSERT_EQ(plan->last_physical_rounds().size(), 1u);
+      const std::string bytes = SerializedBytes(
+          *std::static_pointer_cast<
+              std::vector<std::pair<std::uint64_t, std::uint64_t>>>(
+              plan->graph()->slots.back()));
+      if (reference.empty()) {
+        chunks = plan->last_physical_rounds()[0].chunks;
+        pairs = metrics.rounds[0].pairs_shuffled;
+        reference = bytes;
+        EXPECT_LT(pairs, 100u);  // 7 keys per chunk, not per input
+      }
+      EXPECT_EQ(plan->last_physical_rounds()[0].chunks, chunks);
+      EXPECT_EQ(metrics.rounds[0].pairs_shuffled, pairs);
+      EXPECT_EQ(bytes, reference);
+    }
   }
 }
 

@@ -83,8 +83,8 @@ TEST(StageGraphExecutor, RecordsSpansForEveryTask) {
   common::ThreadPool pool(2);
   StageGraphExecutor exec(pool);
   const auto a = exec.AddTask(StageKind::kMap, 7, {}, [] {
-    volatile int sink = 0;
-    for (int i = 0; i < 100000; ++i) sink = sink + i;
+    volatile std::uint64_t sink = 0;
+    for (std::uint64_t i = 0; i < 100000; ++i) sink = sink + i;
   });
   exec.Wait();
   const TaskSpan span = exec.SpanOf(a);
@@ -454,9 +454,11 @@ TEST(StagedRound, SpeculativeTwinsReduceOneSharedView) {
   using Round = internal::StagedRound<
       std::uint64_t, std::uint64_t, std::uint64_t, Out,
       decltype(&FoldJob::Map), internal::NoCombine, decltype(reduce)>;
-  auto round = Round::StageMaterialized(exec, 0, inputs, nullptr,
-                                        &FoldJob::Map, internal::NoCombine{},
-                                        reduce, options);
+  auto round = Round::StageMaterialized(
+      exec, 0, inputs, nullptr, &FoldJob::Map, internal::NoCombine{}, reduce,
+      options,
+      internal::ResolvePhysicalRound(options,
+                                     {pool.num_threads(), inputs.size()}));
   round->StageFinalize({});
   while (hot_calls.load() == 0) std::this_thread::yield();
   clock_ms.store(1000.0);  // the hot shard now runs long past its peers

@@ -37,14 +37,14 @@ namespace {
 
 TEST(ShuffleStrategyResolution, AutoFollowsBudget) {
   JobOptions options;
-  EXPECT_EQ(options.ResolvedShuffleStrategy(), ShuffleStrategy::kSharded);
+  EXPECT_EQ(options.shuffle.Resolved(), ShuffleStrategy::kSharded);
   options.shuffle.memory_budget_bytes = 1 << 16;
-  EXPECT_EQ(options.ResolvedShuffleStrategy(), ShuffleStrategy::kExternal);
+  EXPECT_EQ(options.shuffle.Resolved(), ShuffleStrategy::kExternal);
   options.shuffle.strategy = ShuffleStrategy::kSharded;
-  EXPECT_EQ(options.ResolvedShuffleStrategy(), ShuffleStrategy::kSharded);
+  EXPECT_EQ(options.shuffle.Resolved(), ShuffleStrategy::kSharded);
   options.shuffle.strategy = ShuffleStrategy::kSerial;
   options.shuffle.memory_budget_bytes = 0;
-  EXPECT_EQ(options.ResolvedShuffleStrategy(), ShuffleStrategy::kSerial);
+  EXPECT_EQ(options.shuffle.Resolved(), ShuffleStrategy::kSerial);
   EXPECT_STREQ(ToString(ShuffleStrategy::kExternal), "external");
 }
 

@@ -6,9 +6,14 @@
 // metrics compared field by field) and on all four problem-family drivers
 // across {serial, sharded, external} x seeds.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
+#include "src/dist/registry.h"
 #include "src/engine/job.h"
 #include "src/engine/partitioner.h"
 #include "src/engine/plan.h"
@@ -32,6 +38,7 @@
 #include "src/matmul/matrix.h"
 #include "src/matmul/mr_multiply.h"
 #include "src/matmul/problem.h"
+#include "src/obs/export.h"
 
 namespace mrcost::engine {
 namespace {
@@ -116,7 +123,7 @@ TEST(Plan, BuildingRunsNothing) {
   EXPECT_EQ(run.outputs.size(), 10u);
   ASSERT_EQ(run.metrics.rounds.size(), 1u);
   EXPECT_EQ(run.metrics.rounds[0].pairs_shuffled, 100u);
-  ASSERT_EQ(run.round_strategies.size(), 1u);
+  ASSERT_EQ(run.physical_rounds.size(), 1u);
 }
 
 // ----------------------------------------------- plan-vs-eager equivalence
@@ -172,8 +179,8 @@ TEST(Plan, ExecuteMatchesEagerPipelineForEveryStrategy) {
     EXPECT_EQ(run.outputs, eager);  // byte-identical
     ASSERT_EQ(run.metrics.rounds.size(), 1u);
     ExpectSameMetrics(run.metrics.rounds[0], eager_metrics.rounds[0]);
-    ASSERT_EQ(run.round_strategies.size(), 1u);
-    EXPECT_EQ(run.round_strategies[0], strategy);
+    ASSERT_EQ(run.physical_rounds.size(), 1u);
+    EXPECT_EQ(run.physical_rounds[0].strategy, strategy);
   }
 }
 
@@ -292,8 +299,8 @@ TEST(Plan, ChooserSkipsSpillWhenRoundFitsBudget) {
                  .Execute(ExecutionOptions(options));
   EXPECT_EQ(run.outputs, eager.outputs);
   EXPECT_FALSE(run.metrics.rounds[0].external_shuffle());
-  ASSERT_EQ(run.round_strategies.size(), 1u);
-  EXPECT_EQ(run.round_strategies[0], ShuffleStrategy::kSharded);
+  ASSERT_EQ(run.physical_rounds.size(), 1u);
+  EXPECT_EQ(run.physical_rounds[0].strategy, ShuffleStrategy::kSharded);
 }
 
 TEST(Plan, ChooserDecidesPerRoundNotPerPipeline) {
@@ -349,9 +356,9 @@ TEST(Plan, ChooserDecidesPerRoundNotPerPipeline) {
   EXPECT_TRUE(run.metrics.rounds[0].external_shuffle());
   EXPECT_GT(run.metrics.rounds[0].spill_runs, 0u);
   EXPECT_FALSE(run.metrics.rounds[1].external_shuffle());
-  ASSERT_EQ(run.round_strategies.size(), 2u);
-  EXPECT_EQ(run.round_strategies[0], ShuffleStrategy::kExternal);
-  EXPECT_NE(run.round_strategies[1], ShuffleStrategy::kExternal);
+  ASSERT_EQ(run.physical_rounds.size(), 2u);
+  EXPECT_EQ(run.physical_rounds[0].strategy, ShuffleStrategy::kExternal);
+  EXPECT_NE(run.physical_rounds[1].strategy, ShuffleStrategy::kExternal);
 
   // Byte-identical to the no-budget run.
   auto reference = round2.Execute();
@@ -377,15 +384,15 @@ TEST(Plan, ExplicitShardRequestSuppressesSerialDowngrade) {
   };
   Plan tiny;
   auto serial_run = build(tiny).Execute();
-  ASSERT_EQ(serial_run.round_strategies.size(), 1u);
-  EXPECT_EQ(serial_run.round_strategies[0], ShuffleStrategy::kSerial);
+  ASSERT_EQ(serial_run.physical_rounds.size(), 1u);
+  EXPECT_EQ(serial_run.physical_rounds[0].strategy, ShuffleStrategy::kSerial);
 
   JobOptions options;
   options.num_shards = 4;
   Plan sharded;
   auto sharded_run = build(sharded).Execute(ExecutionOptions(options));
-  ASSERT_EQ(sharded_run.round_strategies.size(), 1u);
-  EXPECT_EQ(sharded_run.round_strategies[0], ShuffleStrategy::kSharded);
+  ASSERT_EQ(sharded_run.physical_rounds.size(), 1u);
+  EXPECT_EQ(sharded_run.physical_rounds[0].strategy, ShuffleStrategy::kSharded);
   EXPECT_EQ(sharded_run.outputs, serial_run.outputs);
 }
 
@@ -401,7 +408,7 @@ TEST(Plan, ExplicitStrategyBypassesChooser) {
                      SyntheticJob::ReduceFn)
                  .Execute(ExecutionOptions(options));
   EXPECT_TRUE(run.metrics.rounds[0].external_shuffle());
-  EXPECT_EQ(run.round_strategies[0], ShuffleStrategy::kExternal);
+  EXPECT_EQ(run.physical_rounds[0].strategy, ShuffleStrategy::kExternal);
 }
 
 // --------------------------------------------------------- Estimate/Explain
@@ -595,8 +602,8 @@ TEST(Plan, PlannedStrategyMatchesExecuteChooser) {
   JobOptions options;
   options.shuffle.memory_budget_bytes = 1 << 30;
   auto run = plan->pairs.Execute(ExecutionOptions(options));
-  ASSERT_EQ(run.round_strategies.size(), 1u);
-  EXPECT_EQ(run.round_strategies[0], ShuffleStrategy::kSharded);
+  ASSERT_EQ(run.physical_rounds.size(), 1u);
+  EXPECT_EQ(run.physical_rounds[0].strategy, ShuffleStrategy::kSharded);
 }
 
 TEST(Plan, PipelineWideSimulationReachesEveryRound) {
@@ -657,6 +664,71 @@ TEST(Plan, ExplainNarratesThePhysicalPlan) {
       ShuffleStrategy::kSerial;
   const std::string explicit_text = plan->plan.Explain(explicit_options);
   EXPECT_NE(explicit_text.find("serial (explicit)"), std::string::npos);
+
+  // Explain equals trace: every round Explain resolves prints the
+  // physical fields its Round span then carries, on both backends. A
+  // round whose input is not materialized yet resolves when it runs.
+  const std::string trace_path =
+      (std::filesystem::temp_directory_path() /
+       "mrcost_plan_test_explain_trace.json")
+          .string();
+  const std::vector<std::pair<std::string, std::string>> families = {
+      {"hamming_splitting", "b=10,k=5,d=1"},
+      {"matmul_two_phase", "n=16,s_rows=4,t_js=4,seed=11"},
+      {"join_triangle", "tuples=500,domain=32,exponent=0.3,share=2,seed=7"},
+      {"graph_sample", "nodes=60,edges=200,k=4,seed=5"}};
+  for (const auto& [recipe, args] : families) {
+    for (const ExecutionBackend backend :
+         {ExecutionBackend::kInProcess, ExecutionBackend::kMultiProcess}) {
+      SCOPED_TRACE(recipe + (backend == ExecutionBackend::kMultiProcess
+                                 ? " multi_process"
+                                 : " in_process"));
+      auto family = dist::PlanRegistry::Global().Build(recipe, args);
+      ASSERT_TRUE(family.ok()) << family.status();
+      ExecutionOptions run_options;
+      run_options.backend = backend;
+      run_options.pipeline.num_threads = 2;
+      std::vector<std::string> explained;
+      std::istringstream lines(family->Explain(run_options));
+      for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("  physical: ", 0) == 0) {
+          explained.push_back(line.substr(12));
+        }
+      }
+      std::remove(trace_path.c_str());
+      run_options.trace_out = trace_path;
+      family->Execute(run_options);
+      std::ifstream in(trace_path);
+      std::stringstream buf;
+      buf << in.rdbuf();
+      auto events = obs::ParseChromeTrace(buf.str());
+      ASSERT_TRUE(events.ok()) << events.status();
+      std::vector<const obs::TraceEvent*> rounds;
+      for (const obs::TraceEvent& e : *events) {
+        if (e.name == "Round") rounds.push_back(&e);
+      }
+      std::sort(rounds.begin(), rounds.end(), [](const auto* a, const auto* b) {
+        return a->round < b->round;
+      });
+      ASSERT_EQ(rounds.size(), explained.size());
+      std::size_t resolved = 0;
+      for (std::size_t i = 0; i < rounds.size(); ++i) {
+        if (explained[i].rfind("chunks=", 0) != 0) continue;
+        std::string traced;
+        for (const char* key : {"chunks", "shards", "strategy", "partitioner",
+                                "fetch_credits"}) {
+          for (const obs::TraceArg& arg : rounds[i]->args) {
+            if (arg.key != key) continue;
+            traced += (traced.empty() ? "" : " ") + arg.key + "=" + arg.value;
+          }
+        }
+        EXPECT_EQ(explained[i], traced) << "round " << i + 1;
+        ++resolved;
+      }
+      EXPECT_GE(resolved, 1u);
+    }
+  }
+  std::remove(trace_path.c_str());
 }
 
 // --------------------------------------- family drivers across strategies
@@ -1209,32 +1281,46 @@ TEST(HotKeySplit, SplitThenMergeIsIdentityAcrossKeyDistributions) {
 // --------------------------------- skew defense: chooser and calibration
 
 TEST(PlanChooser, PartitionerFollowsSampledSkew) {
-  ShuffleConfig config;  // partitioner left kAuto
+  // ResolvePhysicalRound reads skew off the map sample of a round with
+  // shards to place onto.
+  JobOptions options;  // partitioner left kAuto
+  options.num_shards = 4;
   internal::MapSample sample;
   sample.valid = true;
   sample.sampled_inputs = 100;
   sample.pairs_per_input = 10.0;  // 1000 sampled pairs
   sample.distinct_keys = 100;     // mean group = 10
+  internal::RoundFacts facts;
+  facts.num_threads = 4;
+  facts.num_inputs = 100000;
+  facts.sample = &sample;
+  const auto partitioner = [&] {
+    return internal::ResolvePhysicalRound(options, facts).partitioner;
+  };
 
   sample.max_group = 100;  // hottest key 10x the mean: skewed
-  EXPECT_EQ(internal::ChoosePartitioner(config, sample),
-            PartitionerKind::kSampledRange);
+  EXPECT_EQ(partitioner(), PartitionerKind::kSampledRange);
   sample.max_group = 20;  // 2x the mean: even enough for hashing
-  EXPECT_EQ(internal::ChoosePartitioner(config, sample), PartitionerKind::kHash);
+  EXPECT_EQ(partitioner(), PartitionerKind::kHash);
 
   // An explicit partitioner always wins over the sample.
-  config.partitioner = PartitionerKind::kHash;
+  options.shuffle.partitioner = PartitionerKind::kHash;
   sample.max_group = 100;
-  EXPECT_EQ(internal::ChoosePartitioner(config, sample), PartitionerKind::kHash);
-  config.partitioner = PartitionerKind::kSampledRange;
+  EXPECT_EQ(partitioner(), PartitionerKind::kHash);
+  options.shuffle.partitioner = PartitionerKind::kSampledRange;
   sample.max_group = 20;
-  EXPECT_EQ(internal::ChoosePartitioner(config, sample),
-            PartitionerKind::kSampledRange);
+  EXPECT_EQ(partitioner(), PartitionerKind::kSampledRange);
 
   // No sample to read: fall back to hashing.
-  config.partitioner = PartitionerKind::kAuto;
+  options.shuffle.partitioner = PartitionerKind::kAuto;
   sample.valid = false;
-  EXPECT_EQ(internal::ChoosePartitioner(config, sample), PartitionerKind::kHash);
+  EXPECT_EQ(partitioner(), PartitionerKind::kHash);
+
+  // Worker processes place by hash, however skewed the sample.
+  sample.valid = true;
+  sample.max_group = 100;
+  facts.multi_process = true;
+  EXPECT_EQ(partitioner(), PartitionerKind::kHash);
 }
 
 TEST(PlanChooser, SampledRangeExecutionStaysByteIdentical) {
