@@ -193,7 +193,7 @@ BENCHMARK(BM_ShuffleShardedSweep)
     ->Args({8, 16});
 
 // ------------------------------------------------- pipeline accounting
-// Two-phase matrix multiplication through the Pipeline driver, reporting
+// Two-phase matrix multiplication as a two-round Plan, reporting
 // each round's realized replication rate r alongside the Section 2.4
 // recipe lower bound at the realized reducer load q. The ratio lands
 // BELOW 1 by design: round 1 only computes partial sums, so it beats the
@@ -272,50 +272,6 @@ void BM_MatMulOnePhase(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MatMulOnePhase)->Arg(32)->Arg(64);
-
-void BM_PlanVsEagerOverhead(benchmark::State& state) {
-  // The lazy Plan path (type-erased std::function map/reduce, per-round
-  // strategy chooser sampling) vs calling RunMapReduce directly with the
-  // same lambdas: range(0) == 0 benches eager, 1 benches the plan. The
-  // delta is the price of the Estimate/Explain/choose seam.
-  const bool lazy = state.range(0) == 1;
-  const std::size_t n = 1 << 17;
-  std::vector<std::uint64_t> inputs(n);
-  std::iota(inputs.begin(), inputs.end(), 0);
-  auto map_fn = [](const std::uint64_t& x,
-                   mrcost::engine::Emitter<std::uint64_t, std::uint64_t>&
-                       emitter) {
-    emitter.Emit(mrcost::common::Mix64(x) % 2048, x);
-  };
-  auto reduce_fn = [](const std::uint64_t&,
-                      mrcost::engine::GroupView<std::uint64_t> values,
-                      std::vector<std::uint64_t>& out) {
-    std::uint64_t sum = 0;
-    for (std::uint64_t v : values) sum += v;
-    out.push_back(sum);
-  };
-  // The plan is built once (as the eager arm's input vector is), so each
-  // lazy iteration measures Execute — the chooser's sampling plus the
-  // type-erased lowering — not source re-materialization.
-  mrcost::engine::Plan plan;
-  auto dataset = plan.Source(inputs)
-                     .Map<std::uint64_t, std::uint64_t>(map_fn)
-                     .ReduceByKey<std::uint64_t>(reduce_fn);
-  for (auto _ : state) {
-    if (lazy) {
-      auto run = dataset.Execute();
-      benchmark::DoNotOptimize(run.outputs);
-    } else {
-      auto result =
-          mrcost::engine::RunMapReduce<std::uint64_t, std::uint64_t,
-                                       std::uint64_t, std::uint64_t>(
-              inputs, map_fn, reduce_fn, {});
-      benchmark::DoNotOptimize(result.outputs);
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
-}
-BENCHMARK(BM_PlanVsEagerOverhead)->Arg(0)->Arg(1);
 
 // ------------------------------------------------- streaming overlap
 // Barrier vs streaming makespan on a two-round workload: round 1 shuffles

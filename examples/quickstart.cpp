@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
   exec_options.recipe = &recipe;  // annotates rounds with the bound ratio
   std::cout << "Explain:\n" << plan->plan.Explain(exec_options) << "\n\n";
 
-  //    Execute: lowers onto the eager engine, byte-identical to it.
+  //    Execute: lowers onto the stage-graph executor.
   auto run = plan->pairs.Execute(exec_options);
   std::cout << "Engine run: found " << run.outputs.size()
             << " distance-1 pairs (expected " << problem.num_outputs()

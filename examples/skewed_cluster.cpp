@@ -56,7 +56,7 @@ void Report(const char* label, const engine::JobMetrics& m) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Optional capture: every eager round below records into one trace, the
+  // Optional capture: every round below records into one trace, the
   // simulated workers appearing as virtual-time lanes on their own pid.
   const obs::CaptureFlags flags = obs::ParseCaptureFlags(argc, argv);
   obs::ScopedCapture trace_scope(flags.trace_out, flags.metrics_out);

@@ -79,8 +79,8 @@ struct JobOptions {
   /// Ignored when `pool` is set (the pool's size governs).
   std::size_t num_threads = 0;
   /// Optional caller-owned thread pool. When set, the round runs on it
-  /// instead of constructing (and tearing down) a private pool — the
-  /// Pipeline driver uses this to reuse one pool across every round.
+  /// instead of constructing (and tearing down) a private pool — a caller
+  /// running several rounds uses this to reuse one pool across them.
   common::ThreadPool* pool = nullptr;
   /// Shuffle shards. 0 = auto: ResolvePhysicalRound sizes them from the
   /// thread count and the round's pair estimate. 1 = one shard, grouping
@@ -121,8 +121,8 @@ struct JobOptions {
 
 /// Field-wise merge of per-round overrides onto defaults: every field left
 /// at its unset value (0 / nullptr / kAuto / "" / disabled simulation)
-/// inherits the default's value. This is the single merge rule used by
-/// Pipeline round defaults and the plan executor — a round overriding only
+/// inherits the default's value. This is the single merge rule the plan
+/// executor applies to a round's WithOptions — a round overriding only
 /// `num_shards` still gets the defaults' memory budget, simulation, and
 /// thread sizing.
 inline JobOptions MergedJobOptions(JobOptions overrides,
@@ -370,9 +370,9 @@ struct RoundFacts {
 };
 
 /// The one decider of a round's physical shape (defined in plan.cc). Both
-/// backends, the eager entry points and Plan::Explain call it, and
-/// nothing else calls NumChunks or ResolveShardCount. Threads may change
-/// the shard count, never the chunk count.
+/// plan backends and Plan::Explain call it, and nothing else calls
+/// NumChunks or ResolveShardCount. Threads may change the shard count,
+/// never the chunk count.
 PhysicalRound ResolvePhysicalRound(const JobOptions& options,
                                    const RoundFacts& facts);
 
@@ -479,10 +479,9 @@ inline StageWindow WindowOf(const TaskScheduler& exec,
 /// ReduceShard -> Finalize task graph (MapSpill -> Merge -> ReduceRange ->
 /// Finalize for the external shuffle) on a StageGraphExecutor, and doubles
 /// as a StreamSource so a per-key downstream round can consume its shard
-/// outputs as they complete. MapFn / CombineFn / ReduceFn are template
-/// parameters so the eager RunMapReduce path keeps direct calls; the plan
-/// path instantiates with std::function. CombineFn == NoCombine marks a
-/// plain round.
+/// outputs as they complete. The plan instantiates MapFn / CombineFn /
+/// ReduceFn with std::function; CombineFn == NoCombine marks a plain
+/// round.
 template <typename In, typename K, typename V, typename Out, typename MapFn,
           typename CombineFn, typename ReduceFn>
 class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
@@ -533,7 +532,6 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
   void set_output_slot(std::shared_ptr<void>* slot) { output_slot_ = slot; }
 
   /// Valid after StageGraphExecutor::Wait (finalize staged and drained).
-  JobResult<Out>& result() { return result_; }
   JobResult<Out> TakeResult() { return std::move(result_); }
 
   // ----- StagedHandleBase

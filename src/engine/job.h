@@ -1,17 +1,17 @@
 #ifndef MRCOST_ENGINE_JOB_H_
 #define MRCOST_ENGINE_JOB_H_
 
-#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "src/engine/executor.h"
+#include "src/engine/plan.h"
 
 namespace mrcost::engine {
 
-// One-round entry points over the stage-graph executor (executor.h).
-// JobOptions / JobResult / MergedJobOptions live there too — this header
-// re-exports them, so callers keep including src/engine/job.h.
+// One-round entry points: each is a one-round Plan (src/engine/plan.h)
+// executed at once, so a round run here is shaped, predicted and traced
+// exactly like a round of any plan. JobOptions / JobResult /
+// MergedJobOptions live in src/engine/executor.h.
 
 /// Runs one map-reduce round.
 ///
@@ -28,12 +28,11 @@ namespace mrcost::engine {
 /// reducer whose input list is the values emitted for it, in input order.
 /// Determinism: outputs are grouped in first-seen key order and value lists
 /// preserve input order regardless of thread count, shard count, and task
-/// schedule — the staged executor tags every pair with its scan position
-/// and merges on tags, so the barrier engine's ordering contract survives
-/// the barriers' removal. The round executes as a task graph (map chunks ->
-/// per-shard grouping -> per-shard reduce -> finalize): a shard whose group
-/// is complete starts reducing while other shards still group, and
-/// JobMetrics reports the stage timings, barrier wait, and overlap.
+/// schedule. The round's physical shape (chunks, shards, strategy) comes
+/// from ResolvePhysicalRound over a map-fn sample of `inputs`, so a memory
+/// budget sends the round to the external shuffle only when its estimated
+/// intermediate does not fit. `inputs` is taken by value: a caller that
+/// builds its input can move it in.
 ///
 /// The external shuffle has no error channel here: environmental spill
 /// failures (disk full, unwritable spill_dir, a corrupted run) CHECK-fail
@@ -41,23 +40,16 @@ namespace mrcost::engine {
 /// need to handle them.
 template <typename Input, typename Key, typename Value, typename Output,
           typename MapFn, typename ReduceFn>
-JobResult<Output> RunMapReduce(const std::vector<Input>& inputs,
-                               MapFn&& map_fn, ReduceFn&& reduce_fn,
+JobResult<Output> RunMapReduce(std::vector<Input> inputs, MapFn&& map_fn,
+                               ReduceFn&& reduce_fn,
                                const JobOptions& options = {}) {
-  internal::PoolRef pool(options);
-  StageGraphExecutor executor(pool.get());
-  using Round =
-      internal::StagedRound<Input, Key, Value, Output, std::decay_t<MapFn>,
-                            internal::NoCombine, std::decay_t<ReduceFn>>;
-  auto round = Round::StageMaterialized(
-      executor, 0, inputs, /*keepalive=*/nullptr,
-      std::forward<MapFn>(map_fn), internal::NoCombine{},
-      std::forward<ReduceFn>(reduce_fn), options,
-      internal::ResolvePhysicalRound(
-          options, {pool.get().num_threads(), inputs.size()}));
-  round->StageFinalize({});
-  executor.Wait();
-  return round->TakeResult();
+  Plan plan;
+  auto run = plan.Source(std::move(inputs))
+                 .template Map<Key, Value>(std::forward<MapFn>(map_fn))
+                 .template ReduceByKey<Output>(
+                     std::forward<ReduceFn>(reduce_fn))
+                 .Execute(ExecutionOptions(options));
+  return {std::move(run.outputs), std::move(run.metrics.rounds.front())};
 }
 
 /// Runs one map-reduce round with a map-side combiner, the standard
@@ -76,25 +68,18 @@ JobResult<Output> RunMapReduce(const std::vector<Input>& inputs,
 /// 2.5) and do nothing for join-shaped ones.
 template <typename Input, typename Key, typename Value, typename Output,
           typename MapFn, typename CombineFn, typename ReduceFn>
-JobResult<Output> RunMapReduceCombined(const std::vector<Input>& inputs,
-                                       MapFn&& map_fn,
-                                       CombineFn&& combine_fn,
+JobResult<Output> RunMapReduceCombined(std::vector<Input> inputs,
+                                       MapFn&& map_fn, CombineFn&& combine_fn,
                                        ReduceFn&& reduce_fn,
                                        const JobOptions& options = {}) {
-  internal::PoolRef pool(options);
-  StageGraphExecutor executor(pool.get());
-  using Round =
-      internal::StagedRound<Input, Key, Value, Output, std::decay_t<MapFn>,
-                            std::decay_t<CombineFn>, std::decay_t<ReduceFn>>;
-  auto round = Round::StageMaterialized(
-      executor, 0, inputs, /*keepalive=*/nullptr,
-      std::forward<MapFn>(map_fn), std::forward<CombineFn>(combine_fn),
-      std::forward<ReduceFn>(reduce_fn), options,
-      internal::ResolvePhysicalRound(
-          options, {pool.get().num_threads(), inputs.size()}));
-  round->StageFinalize({});
-  executor.Wait();
-  return round->TakeResult();
+  Plan plan;
+  auto run = plan.Source(std::move(inputs))
+                 .template Map<Key, Value>(std::forward<MapFn>(map_fn))
+                 .CombineByKey(std::forward<CombineFn>(combine_fn))
+                 .template ReduceByKey<Output>(
+                     std::forward<ReduceFn>(reduce_fn))
+                 .Execute(ExecutionOptions(options));
+  return {std::move(run.outputs), std::move(run.metrics.rounds.front())};
 }
 
 }  // namespace mrcost::engine

@@ -11,41 +11,6 @@ JobOptions PoolSizing(const PipelineOptions& options) {
   return sizing;
 }
 
-Pipeline::Pipeline(PipelineOptions options)
-    : options_(std::move(options)), pool_ref_(PoolSizing(options_)) {
-  if (!options_.trace_out.empty() || !options_.metrics_out.empty()) {
-    capture_.emplace(options_.trace_out, options_.metrics_out);
-  }
-}
-
-Pipeline::Pipeline(const JobOptions& round_defaults)
-    : Pipeline([&] {
-        PipelineOptions options;
-        options.num_threads = round_defaults.num_threads;
-        options.pool = round_defaults.pool;
-        options.round_defaults = round_defaults;
-        return options;
-      }()) {}
-
-JobOptions Pipeline::Resolve(const std::optional<JobOptions>& round_options) {
-  // Per-round options are merged over the round defaults field-wise (see
-  // MergedJobOptions): explicitly set fields win, unset fields inherit.
-  JobOptions resolved =
-      round_options.has_value()
-          ? MergedJobOptions(*round_options, options_.round_defaults)
-          : options_.round_defaults;
-  resolved.pool = &pool_ref_.get();
-  // Pipeline-wide simulation backstop: a round that configures nothing
-  // itself inherits the pipeline's simulated cluster.
-  if (!resolved.simulation.enabled() && options_.simulation.enabled()) {
-    resolved.simulation = options_.simulation;
-  }
-  // Same backstop for the shuffle, field-wise: whatever the round and the
-  // round defaults left unset inherits the pipeline's shuffle config.
-  resolved.shuffle = resolved.shuffle.MergedOver(options_.shuffle);
-  return resolved;
-}
-
 std::vector<RoundCostReport> CompareToLowerBound(
     const PipelineMetrics& metrics, const core::Recipe& recipe) {
   std::vector<RoundCostReport> reports;

@@ -3,123 +3,41 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/common/thread_pool.h"
 #include "src/core/lower_bound.h"
-#include "src/engine/job.h"
+#include "src/engine/executor.h"
 #include "src/engine/metrics.h"
-#include "src/obs/export.h"
 
 namespace mrcost::engine {
 
-/// Knobs for a multi-round pipeline.
+/// Thread sizing and round configuration shared by every round of one
+/// plan execution (ExecutionOptions::pipeline).
 struct PipelineOptions {
-  /// Pool size when the pipeline owns its pool. 0 = hardware concurrency.
+  /// Pool size when the execution owns its pool. 0 = hardware concurrency.
   std::size_t num_threads = 0;
-  /// Optional external pool; when set the pipeline does not construct one.
+  /// Optional external pool; when set the execution does not construct one.
   common::ThreadPool* pool = nullptr;
   /// Defaults applied to every round (num_shards, shuffle config,
-  /// simulation knobs). A per-round JobOptions passed to AddRound is
-  /// merged over these defaults field-wise (MergedJobOptions): fields the
-  /// round leaves unset inherit the default — a round overriding only
-  /// `num_shards` still runs under the defaults' memory budget. The pool
-  /// field is always overridden with the pipeline's shared pool.
+  /// simulation knobs). A round's own JobOptions (WithOptions) is merged
+  /// over these defaults field-wise (MergedJobOptions): fields the round
+  /// leaves unset inherit the default — a round overriding only
+  /// `num_shards` still runs under the defaults' memory budget and
+  /// simulated cluster. The pool field is always the execution's pool.
   JobOptions round_defaults;
-  /// Pipeline-wide cluster simulation: applied to any round whose own
-  /// options leave simulation off, so one knob simulates every round of a
-  /// multi-round computation under the same cluster.
-  SimulationOptions simulation;
-  /// Pipeline-wide shuffle backstop, mirroring `simulation`: any shuffle
-  /// field a round (and the round defaults) leaves unset inherits this
-  /// config field-wise, so one setting runs every round of a multi-round
-  /// computation under the same external-shuffle budget. See
-  /// ShuffleConfig's comment for the full resolution order.
+  /// Execution-wide shuffle backstop: any shuffle field a round (and the
+  /// round defaults) leaves unset inherits this config field-wise, so one
+  /// setting runs every round of a multi-round computation under the same
+  /// memory budget. See ShuffleConfig's comment for the full resolution
+  /// order.
   ShuffleConfig shuffle;
-  /// When non-empty, the pipeline's whole lifetime runs inside an obs
-  /// capture scope (same semantics as ExecutionOptions::trace_out /
-  /// metrics_out); files are written when the pipeline is destroyed.
-  std::string trace_out;
-  std::string metrics_out;
 };
 
-/// The pool-sizing JobOptions internal::PoolRef expects: the pipeline's
-/// thread count or pool. Plan executions size their pool the same way.
+/// The pool-sizing JobOptions internal::PoolRef expects: the execution's
+/// thread count or pool.
 JobOptions PoolSizing(const PipelineOptions& options);
-
-/// Multi-round map-reduce driver: one thread pool shared by every round
-/// (instead of a pool constructed and torn down per RunMapReduce call) and
-/// one PipelineMetrics accumulating each round's exact JobMetrics. Rounds
-/// execute eagerly as they are added — the outputs of round k are returned
-/// so they can be fed (or transformed) into round k+1 — which keeps the
-/// API fully typed without erasing Key/Value/Output types.
-///
-/// This is the engine-level form of the paper's multi-round computations:
-/// Section 6.3's two-phase matrix multiplication and Section 7.1's
-/// join-then-aggregate pipelines are both two AddRound calls.
-class Pipeline {
- public:
-  explicit Pipeline(PipelineOptions options = {});
-  /// Convenience: a pipeline matching one round's JobOptions (pool or
-  /// thread count, shard count, worker simulation) — what the four problem
-  /// family drivers construct from their caller-facing options argument.
-  explicit Pipeline(const JobOptions& round_defaults);
-
-  Pipeline(const Pipeline&) = delete;
-  Pipeline& operator=(const Pipeline&) = delete;
-
-  /// Runs one plain round on the shared pool, records its metrics, and
-  /// returns the reducer outputs (deterministic first-seen key order).
-  template <typename Input, typename Key, typename Value, typename Output,
-            typename MapFn, typename ReduceFn>
-  std::vector<Output> AddRound(const std::vector<Input>& inputs,
-                               MapFn&& map_fn, ReduceFn&& reduce_fn,
-                               std::optional<JobOptions> round_options =
-                                   std::nullopt) {
-    auto result = RunMapReduce<Input, Key, Value, Output>(
-        inputs, std::forward<MapFn>(map_fn),
-        std::forward<ReduceFn>(reduce_fn), Resolve(round_options));
-    metrics_.Add(std::move(result.metrics));
-    return std::move(result.outputs);
-  }
-
-  /// Runs one round with a map-side combiner (see RunMapReduceCombined).
-  template <typename Input, typename Key, typename Value, typename Output,
-            typename MapFn, typename CombineFn, typename ReduceFn>
-  std::vector<Output> AddCombinedRound(const std::vector<Input>& inputs,
-                                       MapFn&& map_fn,
-                                       CombineFn&& combine_fn,
-                                       ReduceFn&& reduce_fn,
-                                       std::optional<JobOptions>
-                                           round_options = std::nullopt) {
-    auto result = RunMapReduceCombined<Input, Key, Value, Output>(
-        inputs, std::forward<MapFn>(map_fn),
-        std::forward<CombineFn>(combine_fn),
-        std::forward<ReduceFn>(reduce_fn), Resolve(round_options));
-    metrics_.Add(std::move(result.metrics));
-    return std::move(result.outputs);
-  }
-
-  common::ThreadPool& pool() { return pool_ref_.get(); }
-  std::size_t num_rounds() const { return metrics_.rounds.size(); }
-  const PipelineMetrics& metrics() const { return metrics_; }
-  /// Moves the accumulated metrics out (for result structs), leaving the
-  /// pipeline empty.
-  PipelineMetrics TakeMetrics() { return std::move(metrics_); }
-
- private:
-  JobOptions Resolve(const std::optional<JobOptions>& round_options);
-
-  PipelineOptions options_;
-  /// Declared before pool_ref_ so capture outlives the rounds' tasks and
-  /// is written only after the pool has drained at destruction.
-  std::optional<obs::ScopedCapture> capture_;
-  internal::PoolRef pool_ref_;
-  PipelineMetrics metrics_;
-};
 
 /// Realized-vs-bound accounting for one round of a pipeline, in the
 /// paper's coordinates: the realized reducer load q (max input-list

@@ -114,7 +114,7 @@ PhysicalRound ResolvePhysicalRound(const JobOptions& options,
       facts.sample != nullptr && facts.sample->valid ? facts.sample : nullptr;
   const double n = static_cast<double>(facts.num_inputs);
   // One pair and byte estimate sizes the round: declared hints first,
-  // then the map sample; < 0 = unknown (eager and streamed rounds).
+  // then the map sample; < 0 = unknown (streamed rounds).
   const double pairs = hint.replication > 0 ? hint.replication * n
                        : sample != nullptr  ? sample->pairs_per_input * n
                                             : -1;
@@ -205,13 +205,6 @@ JobOptions ResolveRoundOptions(const PlanNode& node,
           ? MergedJobOptions(*node.options, options.pipeline.round_defaults)
           : options.pipeline.round_defaults;
   resolved.shuffle = resolved.shuffle.MergedOver(options.pipeline.shuffle);
-  // Pipeline-wide simulation backstop, exactly as Pipeline::Resolve
-  // applies it: a round that configures nothing itself inherits the
-  // pipeline's simulated cluster.
-  if (!resolved.simulation.enabled() &&
-      options.pipeline.simulation.enabled()) {
-    resolved.simulation = options.pipeline.simulation;
-  }
   return resolved;
 }
 
@@ -591,7 +584,6 @@ std::string ExplainPlanGraph(const PlanGraph& graph,
                  ? std::string(", spill dir: <system temp>")
                  : ", spill dir: " + resolved.shuffle.spill_dir);
     }
-    // ResolveRoundOptions already applied the pipeline-wide backstop.
     const SimulationOptions simulation = resolved.ResolvedSimulation();
     os << "\n  simulation: ";
     if (simulation.enabled()) {

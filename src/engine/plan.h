@@ -20,7 +20,6 @@
 #include "src/engine/emitter.h"
 #include "src/engine/executor.h"
 #include "src/engine/hashing.h"
-#include "src/engine/job.h"
 #include "src/engine/metrics.h"
 #include "src/engine/pipeline.h"
 
@@ -40,9 +39,10 @@ namespace mrcost::engine {
 //                         (chunks, shards, strategy, partitioner, fetch
 //                         credits, reason), memory budget, simulation;
 //   * Execute(options)  — lowering onto the stage-graph executor
-//                         (src/engine/executor.h), byte-identical to the
-//                         eager RunMapReduce for every shuffle strategy,
-//                         each round shaped by ResolvePhysicalRound
+//                         (src/engine/executor.h), byte-identical for
+//                         every shuffle strategy (the one lowering:
+//                         RunMapReduce is a one-round plan, job.h), each
+//                         round shaped by ResolvePhysicalRound
 //                         (serial/sharded/external from the round's
 //                         estimated pairs and bytes vs budget). Rounds whose
 //                         stage declares a per-key input dependency
@@ -204,15 +204,12 @@ struct DistOptions {
 
 /// Knobs for Plan::Execute / ExecuteAsync.
 struct ExecutionOptions {
-  /// Thread sizing, round defaults, simulation, and the pipeline-wide
-  /// shuffle backstop — exactly what the eager Pipeline takes, so a plan
-  /// execution is configured like the pipeline it lowers onto. A round
-  /// whose shuffle strategy stays kAuto gets serial/sharded/external from
-  /// its estimated intermediate bytes vs the memory budget (declared
-  /// hints, else a map-fn sample of its materialized input), so only
-  /// rounds estimated over budget pay the spill path — not the eager
-  /// path's all-or-nothing budget=>external rule. Outputs are
-  /// byte-identical for every choice.
+  /// Thread sizing, round defaults (simulation included), and the
+  /// execution-wide shuffle backstop. A round whose shuffle strategy stays
+  /// kAuto gets serial/sharded/external from its estimated intermediate
+  /// bytes vs the memory budget (declared hints, else a map-fn sample of
+  /// its materialized input), so only rounds estimated over budget pay
+  /// the spill path. Outputs are byte-identical for every choice.
   PipelineOptions pipeline;
   /// Dissolve the barrier between consecutive rounds whose consumer stage
   /// declared a per-key input dependency (WithPerKeyInput): the producer's
@@ -251,9 +248,9 @@ struct ExecutionOptions {
   ExecutionOptions() = default;
   explicit ExecutionOptions(PipelineOptions options)
       : pipeline(std::move(options)) {}
-  /// Convenience mirroring Pipeline(const JobOptions&): a plan execution
-  /// matching one round's JobOptions — what the family drivers construct
-  /// from their caller-facing options argument.
+  /// A plan execution matching one round's JobOptions (pool or thread
+  /// count, round defaults) — what RunMapReduce and the family drivers
+  /// construct from their caller-facing options argument.
   explicit ExecutionOptions(const JobOptions& round_defaults) {
     pipeline.num_threads = round_defaults.num_threads;
     pipeline.pool = round_defaults.pool;
@@ -388,8 +385,8 @@ MapSample SampleMapFanout(
 }
 
 /// Resolves the JobOptions one round executes with: per-round overrides
-/// merged over the execution's round defaults, then the pipeline-wide
-/// shuffle backstop — the same order Pipeline::Resolve applies.
+/// merged over the execution's round defaults, then the execution-wide
+/// shuffle backstop.
 JobOptions ResolveRoundOptions(const PlanNode& node,
                                const ExecutionOptions& options);
 

@@ -56,14 +56,13 @@ const char* ToString(PartitionerKind kind);
 /// shuffle's own options). Resolution order, applied field-wise — each
 /// field's zero value (kAuto / 0 / "") means "unset":
 ///   1. explicit per-round settings (JobOptions::shuffle) win;
-///   2. fields still unset inherit the pipeline-wide config
-///      (PipelineOptions::shuffle / the plan executor's
-///      ExecutionOptions) via MergedOver;
-///   3. a still-kAuto strategy resolves through Resolved(): kExternal when
-///      a memory budget is set, else kSharded. ResolvePhysicalRound
-///      (src/engine/plan.cc) refines this step with the round's estimated
-///      intermediate bytes when it has them, so only plan rounds that
-///      actually exceed the budget pay the spill path.
+///   2. fields still unset inherit the execution-wide config
+///      (PipelineOptions::shuffle) via MergedOver;
+///   3. a still-kAuto strategy is picked by ResolvePhysicalRound
+///      (src/engine/plan.cc) from the round's estimated intermediate
+///      bytes, so only rounds that exceed the budget pay the spill path.
+///      When the bytes are unknown it falls back to Resolved(): kExternal
+///      when a memory budget is set, else kSharded.
 struct ShuffleConfig {
   /// How the shuffle executes; kAuto defers to step 3 above.
   ShuffleStrategy strategy = ShuffleStrategy::kAuto;

@@ -256,7 +256,7 @@ TriangleTwoRoundResult MRTrianglesNodeIterator(
     }
   };
   auto round2 = engine::RunMapReduce<Record, Edge, NodeId, Triangle>(
-      round2_inputs, map2, reduce2, options);
+      std::move(round2_inputs), map2, reduce2, options);
 
   TriangleTwoRoundResult result;
   std::sort(round2.outputs.begin(), round2.outputs.end());

@@ -1,8 +1,11 @@
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "src/engine/job.h"
 #include "src/engine/metrics.h"
 #include "src/engine/pipeline.h"
+#include "src/engine/plan.h"
 #include "src/engine/shuffle.h"
 #include "src/engine/simulator.h"
 #include "src/storage/block.h"
@@ -965,41 +969,38 @@ TEST(Simulator, WorkerCountOnlySimulation) {
   EXPECT_GT(run.metrics.makespan, 0.0);
 }
 
-TEST(Simulator, PipelineWideSimulationAndCostReports) {
-  // A pipeline-level SimulationOptions must reach every round, surface in
-  // PipelineMetrics aggregates, and ride along in CompareToLowerBound's
-  // per-round reports.
-  PipelineOptions options;
-  options.simulation.num_workers = 4;
-  options.simulation.reducer_capacity_q = 5;
-  Pipeline pipeline(options);
-  std::vector<int> inputs(100);
+/// Two rounds over 0..n-1: sum by residue mod 10, then regroup the ten
+/// sums by parity and sum again.
+Dataset<std::pair<int, std::int64_t>> ResidueThenParity(Plan& plan, int n) {
+  std::vector<int> inputs(n);
   std::iota(inputs.begin(), inputs.end(), 0);
-  auto map1 = [](const int& x, Emitter<int, int>& emitter) {
-    emitter.Emit(x % 10, x);  // 10 keys x 10 values: violates q = 5
+  auto sum = [](const int& key, auto values,
+                std::vector<std::pair<int, std::int64_t>>& out) {
+    std::int64_t total = 0;
+    for (auto v : values) total += v;
+    out.emplace_back(key, total);
   };
-  auto reduce1 = [](const int& key, GroupView<int> values,
-                    std::vector<std::pair<int, std::int64_t>>& out) {
-    std::int64_t sum = 0;
-    for (int v : values) sum += v;
-    out.emplace_back(key, sum);
-  };
-  auto sums = pipeline.AddRound<int, int, int, std::pair<int, std::int64_t>>(
-      inputs, map1, reduce1);
-  auto map2 = [](const std::pair<int, std::int64_t>& p,
-                 Emitter<int, std::int64_t>& emitter) {
-    emitter.Emit(p.first % 2, p.second);
-  };
-  auto reduce2 = [](const int& key, GroupView<std::int64_t> values,
-                    std::vector<std::pair<int, std::int64_t>>& out) {
-    std::int64_t sum = 0;
-    for (std::int64_t v : values) sum += v;
-    out.emplace_back(key, sum);
-  };
-  pipeline.AddRound<std::pair<int, std::int64_t>, int, std::int64_t,
-                    std::pair<int, std::int64_t>>(sums, map2, reduce2);
+  return plan.Source(std::move(inputs))
+      .Map<int, int>(
+          [](const int& x, Emitter<int, int>& e) { e.Emit(x % 10, x); })
+      .ReduceByKey<std::pair<int, std::int64_t>>(sum)
+      .Map<int, std::int64_t>([](const std::pair<int, std::int64_t>& p,
+                                 Emitter<int, std::int64_t>& e) {
+        e.Emit(p.first % 2, p.second);
+      })
+      .ReduceByKey<std::pair<int, std::int64_t>>(sum);
+}
 
-  const PipelineMetrics& m = pipeline.metrics();
+TEST(Simulator, PipelineWideSimulationAndCostReports) {
+  // A simulated cluster in the round defaults must reach every round,
+  // surface in PipelineMetrics aggregates, and ride along in
+  // CompareToLowerBound's per-round reports.
+  ExecutionOptions options;
+  options.pipeline.round_defaults.simulation.num_workers = 4;
+  options.pipeline.round_defaults.simulation.reducer_capacity_q = 5;
+  Plan plan;
+  // Round 1: 10 keys x 10 values, violating q = 5.
+  const PipelineMetrics m = ResidueThenParity(plan, 100).Execute(options).metrics;
   ASSERT_EQ(m.rounds.size(), 2u);
   EXPECT_TRUE(m.rounds[0].simulated());
   EXPECT_TRUE(m.rounds[1].simulated());
@@ -1046,46 +1047,15 @@ TEST(Job, CallerOwnedPoolIsReused) {
 // ----------------------------------------------------------- pipeline
 
 TEST(Pipeline, TwoRoundMetricsAccumulate) {
-  // Round 1: sum by residue mod 10; round 2: regroup the 10 sums by
-  // parity and sum again.
-  std::vector<int> inputs(100);
-  std::iota(inputs.begin(), inputs.end(), 0);
-  Pipeline pipeline;
-  auto map1 = [](const int& x, Emitter<int, int>& emitter) {
-    emitter.Emit(x % 10, x);
-  };
-  auto reduce1 = [](const int& key, GroupView<int> values,
-                    std::vector<std::pair<int, std::int64_t>>& out) {
-    std::int64_t sum = 0;
-    for (int v : values) sum += v;
-    out.emplace_back(key, sum);
-  };
-  auto sums = pipeline.AddRound<int, int, int, std::pair<int, std::int64_t>>(
-      inputs, map1, reduce1);
-  ASSERT_EQ(sums.size(), 10u);
-
-  auto map2 = [](const std::pair<int, std::int64_t>& p,
-                 Emitter<int, std::int64_t>& emitter) {
-    emitter.Emit(p.first % 2, p.second);
-  };
-  auto reduce2 = [](const int& key,
-                    GroupView<std::int64_t> values,
-                    std::vector<std::pair<int, std::int64_t>>& out) {
-    std::int64_t sum = 0;
-    for (std::int64_t v : values) sum += v;
-    out.emplace_back(key, sum);
-  };
-  auto totals = pipeline.AddRound<std::pair<int, std::int64_t>, int,
-                                  std::int64_t,
-                                  std::pair<int, std::int64_t>>(sums, map2,
-                                                                reduce2);
-  ASSERT_EQ(totals.size(), 2u);
+  Plan plan;
+  const auto run = ResidueThenParity(plan, 100).Execute();
+  ASSERT_EQ(run.outputs.size(), 2u);
   std::int64_t grand = 0;
-  for (const auto& [parity, sum] : totals) grand += sum;
+  for (const auto& [parity, sum] : run.outputs) grand += sum;
   EXPECT_EQ(grand, 99 * 100 / 2);
 
-  ASSERT_EQ(pipeline.num_rounds(), 2u);
-  const PipelineMetrics& m = pipeline.metrics();
+  const PipelineMetrics& m = run.metrics;
+  ASSERT_EQ(m.rounds.size(), 2u);
   EXPECT_EQ(m.rounds[0].num_inputs, 100u);
   EXPECT_EQ(m.rounds[1].num_inputs, 10u);
   EXPECT_EQ(m.total_pairs(), 110u);
@@ -1096,63 +1066,92 @@ TEST(Pipeline, TwoRoundMetricsAccumulate) {
 }
 
 TEST(Pipeline, SharedPoolAndPerRoundOptions) {
+  // Every round of an execution reduces on the caller's pool, and a
+  // round's own options (here a simulated cluster) reach that round alone.
   common::ThreadPool pool(2);
-  PipelineOptions options;
-  options.pool = &pool;
-  Pipeline pipeline(options);
-  EXPECT_EQ(&pipeline.pool(), &pool);
+  ExecutionOptions options;
+  options.pipeline.pool = &pool;
+  std::mutex mu;
+  std::set<std::thread::id> reducer_threads;
+  const auto note_thread = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    reducer_threads.insert(std::this_thread::get_id());
+  };
   std::vector<int> inputs(200);
   std::iota(inputs.begin(), inputs.end(), 0);
-  auto map_fn = [](const int& x, Emitter<int, int>& emitter) {
-    emitter.Emit(x % 5, x);
-  };
-  auto reduce_fn = [](const int& key, GroupView<int> values,
-                      std::vector<std::pair<int, std::size_t>>& out) {
-    out.emplace_back(key, values.size());
-  };
   JobOptions round;
   round.simulation.num_workers = 3;
-  auto outputs = pipeline.AddRound<int, int, int,
-                                   std::pair<int, std::size_t>>(
-      inputs, map_fn, reduce_fn, round);
-  EXPECT_EQ(outputs.size(), 5u);
-  EXPECT_EQ(pipeline.metrics().rounds[0].worker_loads.count(), 3);
+  Plan plan;
+  const auto run =
+      plan.Source(std::move(inputs))
+          .Map<int, int>(
+              [](const int& x, Emitter<int, int>& e) { e.Emit(x % 5, x); })
+          .WithOptions(round)
+          .ReduceByKey<std::pair<int, std::size_t>>(
+              [&](const int& key, GroupView<int> values,
+                  std::vector<std::pair<int, std::size_t>>& out) {
+                note_thread();
+                out.emplace_back(key, values.size());
+              })
+          .Map<int, std::size_t>([](const std::pair<int, std::size_t>& p,
+                                    Emitter<int, std::size_t>& e) {
+            e.Emit(0, p.second);
+          })
+          .ReduceByKey<std::size_t>(
+              [&](const int&, GroupView<std::size_t> values,
+                  std::vector<std::size_t>& out) {
+                note_thread();
+                std::size_t total = 0;
+                for (std::size_t v : values) total += v;
+                out.push_back(total);
+              })
+          .Execute(options);
+  EXPECT_EQ(run.outputs, std::vector<std::size_t>{200});
+  ASSERT_EQ(run.metrics.rounds.size(), 2u);
+  EXPECT_EQ(run.metrics.rounds[0].num_outputs, 5u);
+  EXPECT_EQ(run.metrics.rounds[0].worker_loads.count(), 3);
+  EXPECT_FALSE(run.metrics.rounds[1].simulated());
+  // Both rounds reduced on the two pool threads, never on this one.
+  EXPECT_LE(reducer_threads.size(), 2u);
+  EXPECT_EQ(reducer_threads.count(std::this_thread::get_id()), 0u);
 }
 
 TEST(Pipeline, RoundDefaultsMergeFieldWise) {
   // The historical footgun: per-round options used to replace the
   // defaults wholesale, so a round overriding only num_shards silently
-  // dropped the pipeline's memory budget. MergedJobOptions inherits every
-  // unset field instead — the round below must still spill.
-  PipelineOptions options;
-  options.round_defaults.shuffle.memory_budget_bytes = 1 << 10;
-  options.round_defaults.simulation.num_workers = 4;
-  Pipeline pipeline(options);
+  // dropped the execution's memory budget. MergedJobOptions inherits
+  // every unset field instead — the round below must still spill.
+  ExecutionOptions options;
+  options.pipeline.round_defaults.shuffle.memory_budget_bytes = 1 << 10;
+  options.pipeline.round_defaults.simulation.num_workers = 4;
   std::vector<int> inputs(4000);
   std::iota(inputs.begin(), inputs.end(), 0);
-  auto map_fn = [](const int& x, Emitter<int, int>& emitter) {
-    emitter.Emit(x % 512, x);
-  };
-  auto reduce_fn = [](const int& key, GroupView<int> values,
-                      std::vector<std::pair<int, std::size_t>>& out) {
-    out.emplace_back(key, values.size());
-  };
   JobOptions round;
   round.num_shards = 2;  // the only field the round overrides
-  auto outputs =
-      pipeline.AddRound<int, int, int, std::pair<int, std::size_t>>(
-          inputs, map_fn, reduce_fn, round);
-  EXPECT_EQ(outputs.size(), 512u);
-  const JobMetrics& m = pipeline.metrics().rounds[0];
+  Plan plan;
+  const auto run =
+      plan.Source(std::move(inputs))
+          .Map<int, int>(
+              [](const int& x, Emitter<int, int>& e) { e.Emit(x % 512, x); })
+          .WithOptions(round)
+          .ReduceByKey<std::pair<int, std::size_t>>(
+              [](const int& key, GroupView<int> values,
+                 std::vector<std::pair<int, std::size_t>>& out) {
+                out.emplace_back(key, values.size());
+              })
+          .Execute(options);
+  EXPECT_EQ(run.outputs.size(), 512u);
+  const JobMetrics& m = run.metrics.rounds[0];
   // Budget inherited from the defaults: the round ran externally...
   EXPECT_TRUE(m.external_shuffle());
   EXPECT_GT(m.spill_runs, 0u);
   // ...and the defaults' simulation reached it too.
   EXPECT_EQ(m.worker_loads.count(), 4);
 
-  // The pipeline-wide shuffle backstop composes field-wise as well: a
+  // The execution-wide shuffle backstop composes field-wise as well: a
   // round forcing only the strategy still inherits the backstop budget.
-  JobOptions merged = MergedJobOptions(round, options.round_defaults);
+  JobOptions merged =
+      MergedJobOptions(round, options.pipeline.round_defaults);
   EXPECT_EQ(merged.num_shards, 2u);
   EXPECT_EQ(merged.shuffle.memory_budget_bytes, std::uint64_t{1} << 10);
   EXPECT_EQ(merged.simulation.num_workers, 4u);
@@ -1232,8 +1231,8 @@ TEST(ShuffleConfigResolution, UnsetInheritsEverythingAndZeroStaysZero) {
 }
 
 TEST(ShuffleConfigResolution, ThreeLayerOrderRoundBeatsDefaultsBeatsBackstop) {
-  // The full chain Pipeline::Resolve / the plan executor apply: per-round
-  // fields win, then the round defaults, then the pipeline-wide backstop
+  // The full chain the plan executor applies: per-round fields win, then
+  // the round defaults, then the execution-wide backstop
   // — field by field, not wholesale.
   ShuffleConfig backstop;
   backstop.strategy = ShuffleStrategy::kSerial;
@@ -1272,23 +1271,22 @@ TEST(Pipeline, CombinedRound) {
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     inputs[i] = static_cast<int>(i % 4);
   }
-  Pipeline pipeline;
-  auto map_fn = [](const int& x, Emitter<int, std::int64_t>& emitter) {
-    emitter.Emit(x, 1);
-  };
-  auto combine_fn = [](std::int64_t a, std::int64_t b) { return a + b; };
-  auto reduce_fn = [](const int& key,
-                      GroupView<std::int64_t> values,
-                      std::vector<std::pair<int, std::int64_t>>& out) {
-    std::int64_t total = 0;
-    for (std::int64_t v : values) total += v;
-    out.emplace_back(key, total);
-  };
-  auto counts = pipeline.AddCombinedRound<int, int, std::int64_t,
-                                          std::pair<int, std::int64_t>>(
-      inputs, map_fn, combine_fn, reduce_fn);
-  ASSERT_EQ(counts.size(), 4u);
-  const JobMetrics& m = pipeline.metrics().rounds[0];
+  Plan plan;
+  const auto run =
+      plan.Source(std::move(inputs))
+          .Map<int, std::int64_t>(
+              [](const int& x, Emitter<int, std::int64_t>& e) { e.Emit(x, 1); })
+          .CombineByKey([](std::int64_t a, std::int64_t b) { return a + b; })
+          .ReduceByKey<std::pair<int, std::int64_t>>(
+              [](const int& key, GroupView<std::int64_t> values,
+                 std::vector<std::pair<int, std::int64_t>>& out) {
+                std::int64_t total = 0;
+                for (std::int64_t v : values) total += v;
+                out.emplace_back(key, total);
+              })
+          .Execute();
+  ASSERT_EQ(run.outputs.size(), 4u);
+  const JobMetrics& m = run.metrics.rounds[0];
   EXPECT_EQ(m.pairs_before_combine, 1000u);
   EXPECT_LT(m.pairs_shuffled, m.pairs_before_combine);
 }

@@ -18,6 +18,7 @@
 #include "src/engine/job.h"
 #include "src/engine/metrics.h"
 #include "src/engine/pipeline.h"
+#include "src/engine/plan.h"
 #include "src/engine/shuffle.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
@@ -300,38 +301,35 @@ TEST(ExternalShuffleJob, SimulationComposesWithSpilling) {
 }
 
 TEST(ExternalShufflePipeline, BackstopReachesEveryRoundAndReports) {
-  PipelineOptions options;
-  options.shuffle.memory_budget_bytes = 1 << 10;
-  Pipeline pipeline(options);
+  // The execution-wide budget reaches both rounds of a plan; each round's
+  // estimated intermediate exceeds it, so both spill.
+  ExecutionOptions options;
+  options.pipeline.shuffle.memory_budget_bytes = 1 << 10;
   std::vector<int> inputs(4000);
   std::iota(inputs.begin(), inputs.end(), 0);
-  auto map1 = [](const int& x, Emitter<int, int>& emitter) {
-    emitter.Emit(x % 100, x);
+  auto sum = [](const int& key, auto values,
+                std::vector<std::pair<int, std::int64_t>>& out) {
+    std::int64_t total = 0;
+    for (auto v : values) total += v;
+    out.emplace_back(key, total);
   };
-  auto reduce1 = [](const int& key, GroupView<int> values,
-                    std::vector<std::pair<int, std::int64_t>>& out) {
-    std::int64_t sum = 0;
-    for (int v : values) sum += v;
-    out.emplace_back(key, sum);
-  };
-  auto sums = pipeline.AddRound<int, int, int, std::pair<int, std::int64_t>>(
-      inputs, map1, reduce1);
-  ASSERT_EQ(sums.size(), 100u);
-  auto map2 = [](const std::pair<int, std::int64_t>& p,
-                 Emitter<int, std::int64_t>& emitter) {
-    emitter.Emit(p.first % 2, p.second);
-  };
-  auto reduce2 = [](const int& key, GroupView<std::int64_t> values,
-                    std::vector<std::pair<int, std::int64_t>>& out) {
-    std::int64_t sum = 0;
-    for (std::int64_t v : values) sum += v;
-    out.emplace_back(key, sum);
-  };
-  pipeline.AddRound<std::pair<int, std::int64_t>, int, std::int64_t,
-                    std::pair<int, std::int64_t>>(sums, map2, reduce2);
+  Plan plan;
+  const auto run =
+      plan.Source(std::move(inputs))
+          .Map<int, int>(
+              [](const int& x, Emitter<int, int>& e) { e.Emit(x % 100, x); })
+          .ReduceByKey<std::pair<int, std::int64_t>>(sum)
+          .Map<int, std::int64_t>([](const std::pair<int, std::int64_t>& p,
+                                     Emitter<int, std::int64_t>& e) {
+            e.Emit(p.first % 2, p.second);
+          })
+          .ReduceByKey<std::pair<int, std::int64_t>>(sum)
+          .Execute(options);
+  ASSERT_EQ(run.outputs.size(), 2u);
 
-  const PipelineMetrics& m = pipeline.metrics();
+  const PipelineMetrics& m = run.metrics;
   ASSERT_EQ(m.rounds.size(), 2u);
+  EXPECT_EQ(m.rounds[1].num_inputs, 100u);
   EXPECT_TRUE(m.rounds[0].external_shuffle());
   EXPECT_TRUE(m.rounds[1].external_shuffle());
   EXPECT_GT(m.rounds[0].spill_runs, 0u);

@@ -1,17 +1,20 @@
 // The lazy typed dataflow Plan API (src/engine/plan.h): building is free
 // of execution, Estimate prices rounds against the Section 2.4 recipe
 // before any data moves, Explain narrates the physical plan, and Execute
-// lowers onto the eager Pipeline machinery byte-identically for every
-// shuffle strategy — verified here on a synthetic round (plan vs eager,
-// metrics compared field by field) and on all four problem-family drivers
-// across {serial, sharded, external} x seeds.
+// is byte-identical for every shuffle strategy — verified here on a
+// synthetic round (each strategy vs the serial reference, metrics compared
+// field by field) and on all four problem-family drivers across
+// {serial, sharded, external} x seeds.
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -53,7 +56,8 @@ core::Recipe SyntheticRecipe(double num_inputs, double num_outputs) {
   return recipe;
 }
 
-void ExpectSameMetrics(const JobMetrics& a, const JobMetrics& b) {
+/// The round's communication geometry, which no strategy may change.
+void ExpectSameShuffle(const JobMetrics& a, const JobMetrics& b) {
   EXPECT_EQ(a.num_inputs, b.num_inputs);
   EXPECT_EQ(a.pairs_shuffled, b.pairs_shuffled);
   EXPECT_EQ(a.pairs_before_combine, b.pairs_before_combine);
@@ -61,6 +65,10 @@ void ExpectSameMetrics(const JobMetrics& a, const JobMetrics& b) {
   EXPECT_EQ(a.num_reducers, b.num_reducers);
   EXPECT_EQ(a.max_reducer_input, b.max_reducer_input);
   EXPECT_EQ(a.num_outputs, b.num_outputs);
+}
+
+void ExpectSameMetrics(const JobMetrics& a, const JobMetrics& b) {
+  ExpectSameShuffle(a, b);
   EXPECT_EQ(a.spill_runs, b.spill_runs);
   EXPECT_EQ(a.spill_bytes_written, b.spill_bytes_written);
   EXPECT_EQ(a.merge_passes, b.merge_passes);
@@ -126,7 +134,7 @@ TEST(Plan, BuildingRunsNothing) {
   ASSERT_EQ(run.physical_rounds.size(), 1u);
 }
 
-// ----------------------------------------------- plan-vs-eager equivalence
+// --------------------------------------- strategy equivalence vs serial
 
 /// The shared synthetic workload: colliding keys, order-sensitive fold.
 struct SyntheticJob {
@@ -147,44 +155,45 @@ struct SyntheticJob {
   }
 };
 
-TEST(Plan, ExecuteMatchesEagerPipelineForEveryStrategy) {
+/// Two threads forcing `strategy`, with a budget small enough to spill
+/// when the strategy is external.
+JobOptions ForcedStrategy(ShuffleStrategy strategy) {
+  JobOptions options;
+  options.num_threads = 2;
+  options.shuffle.strategy = strategy;
+  if (strategy == ShuffleStrategy::kExternal) {
+    options.shuffle.memory_budget_bytes = 1 << 12;
+  }
+  return options;
+}
+
+TEST(Plan, EveryStrategyMatchesSerial) {
   SyntheticJob job;
-  for (ShuffleStrategy strategy :
-       {ShuffleStrategy::kSerial, ShuffleStrategy::kSharded,
-        ShuffleStrategy::kExternal}) {
-    SCOPED_TRACE(ToString(strategy));
-    JobOptions options;
-    options.num_threads = 2;
-    options.shuffle.strategy = strategy;
-    if (strategy == ShuffleStrategy::kExternal) {
-      options.shuffle.memory_budget_bytes = 1 << 12;
-    }
-
-    // Eager path: the Pipeline the plan lowers onto.
-    Pipeline pipeline(options);
-    auto eager =
-        pipeline.AddRound<int, int, std::uint64_t,
-                          std::pair<int, std::uint64_t>>(
-            job.inputs, SyntheticJob::MapFn, SyntheticJob::ReduceFn);
-    const PipelineMetrics eager_metrics = pipeline.TakeMetrics();
-
-    // Lazy path, same options.
+  auto run_with = [&](ShuffleStrategy strategy) {
     Plan plan;
-    auto ds = plan.Source(job.inputs)
-                  .Map<int, std::uint64_t>(SyntheticJob::MapFn)
-                  .ReduceByKey<std::pair<int, std::uint64_t>>(
-                      SyntheticJob::ReduceFn);
-    auto run = ds.Execute(ExecutionOptions(options));
-
-    EXPECT_EQ(run.outputs, eager);  // byte-identical
+    return plan.Source(job.inputs)
+        .Map<int, std::uint64_t>(SyntheticJob::MapFn)
+        .ReduceByKey<std::pair<int, std::uint64_t>>(SyntheticJob::ReduceFn)
+        .Execute(ExecutionOptions(ForcedStrategy(strategy)));
+  };
+  const auto serial = run_with(ShuffleStrategy::kSerial);
+  ASSERT_EQ(serial.physical_rounds.size(), 1u);
+  EXPECT_EQ(serial.physical_rounds[0].strategy, ShuffleStrategy::kSerial);
+  for (ShuffleStrategy strategy :
+       {ShuffleStrategy::kSharded, ShuffleStrategy::kExternal}) {
+    SCOPED_TRACE(ToString(strategy));
+    const auto run = run_with(strategy);
+    EXPECT_EQ(run.outputs, serial.outputs);  // byte-identical
     ASSERT_EQ(run.metrics.rounds.size(), 1u);
-    ExpectSameMetrics(run.metrics.rounds[0], eager_metrics.rounds[0]);
+    ExpectSameShuffle(run.metrics.rounds[0], serial.metrics.rounds[0]);
     ASSERT_EQ(run.physical_rounds.size(), 1u);
     EXPECT_EQ(run.physical_rounds[0].strategy, strategy);
+    EXPECT_EQ(run.metrics.rounds[0].external_shuffle(),
+              strategy == ShuffleStrategy::kExternal);
   }
 }
 
-TEST(Plan, CombinedRoundMatchesEager) {
+TEST(Plan, CombinedRoundMatchesSerial) {
   std::vector<int> inputs(8000);
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     inputs[i] = static_cast<int>(i % 613);
@@ -200,26 +209,26 @@ TEST(Plan, CombinedRoundMatchesEager) {
     for (std::int64_t v : values) total += v;
     out.emplace_back(key, total);
   };
-  JobOptions options;
-  options.num_threads = 2;
-
-  Pipeline pipeline(options);
-  auto eager = pipeline.AddCombinedRound<int, int, std::int64_t,
-                                         std::pair<int, std::int64_t>>(
-      inputs, map_fn, combine_fn, reduce_fn);
-  const PipelineMetrics eager_metrics = pipeline.TakeMetrics();
-
-  Plan plan;
-  auto run = plan.Source(inputs)
-                 .Map<int, std::int64_t>(map_fn)
-                 .CombineByKey(combine_fn)
-                 .ReduceByKey<std::pair<int, std::int64_t>>(reduce_fn)
-                 .Execute(ExecutionOptions(options));
-  EXPECT_EQ(run.outputs, eager);
-  ASSERT_EQ(run.metrics.rounds.size(), 1u);
-  ExpectSameMetrics(run.metrics.rounds[0], eager_metrics.rounds[0]);
-  EXPECT_LT(run.metrics.rounds[0].pairs_shuffled,
-            run.metrics.rounds[0].pairs_before_combine);
+  auto run_with = [&](ShuffleStrategy strategy) {
+    Plan plan;
+    return plan.Source(inputs)
+        .Map<int, std::int64_t>(map_fn)
+        .CombineByKey(combine_fn)
+        .ReduceByKey<std::pair<int, std::int64_t>>(reduce_fn)
+        .Execute(ExecutionOptions(ForcedStrategy(strategy)));
+  };
+  const auto serial = run_with(ShuffleStrategy::kSerial);
+  ASSERT_EQ(serial.metrics.rounds.size(), 1u);
+  EXPECT_LT(serial.metrics.rounds[0].pairs_shuffled,
+            serial.metrics.rounds[0].pairs_before_combine);
+  for (ShuffleStrategy strategy :
+       {ShuffleStrategy::kSharded, ShuffleStrategy::kExternal}) {
+    SCOPED_TRACE(ToString(strategy));
+    const auto run = run_with(strategy);
+    EXPECT_EQ(run.outputs, serial.outputs);
+    ASSERT_EQ(run.metrics.rounds.size(), 1u);
+    ExpectSameShuffle(run.metrics.rounds[0], serial.metrics.rounds[0]);
+  }
 }
 
 TEST(Plan, IntermediateDatasetExecutesOnlyItsAncestry) {
@@ -279,17 +288,19 @@ TEST(Plan, ExecuteAsyncMatchesSync) {
 // ------------------------------------------------ per-round strategy chooser
 
 TEST(Plan, ChooserSkipsSpillWhenRoundFitsBudget) {
-  // Eager rule: any budget forces the external shuffle. The plan chooser
-  // only goes external when the round's estimated intermediate bytes
-  // exceed the budget — same outputs, no spill metrics.
+  // A budget alone does not force the external shuffle: the chooser only
+  // goes external when the round's estimated intermediate bytes exceed
+  // it — same outputs, no spill metrics. RunMapReduce is a one-round plan
+  // and follows the same rule.
   SyntheticJob job;
   JobOptions options;
   options.shuffle.memory_budget_bytes = 1 << 30;  // far above the data
 
-  auto eager = RunMapReduce<int, int, std::uint64_t,
-                            std::pair<int, std::uint64_t>>(
+  auto one_round = RunMapReduce<int, int, std::uint64_t,
+                                std::pair<int, std::uint64_t>>(
       job.inputs, SyntheticJob::MapFn, SyntheticJob::ReduceFn, options);
-  EXPECT_TRUE(eager.metrics.external_shuffle());
+  EXPECT_FALSE(one_round.metrics.external_shuffle());
+  EXPECT_EQ(one_round.metrics.spill_runs, 0u);
 
   Plan plan;
   auto run = plan.Source(job.inputs)
@@ -297,7 +308,7 @@ TEST(Plan, ChooserSkipsSpillWhenRoundFitsBudget) {
                  .ReduceByKey<std::pair<int, std::uint64_t>>(
                      SyntheticJob::ReduceFn)
                  .Execute(ExecutionOptions(options));
-  EXPECT_EQ(run.outputs, eager.outputs);
+  EXPECT_EQ(run.outputs, one_round.outputs);
   EXPECT_FALSE(run.metrics.rounds[0].external_shuffle());
   ASSERT_EQ(run.physical_rounds.size(), 1u);
   EXPECT_EQ(run.physical_rounds[0].strategy, ShuffleStrategy::kSharded);
@@ -305,8 +316,7 @@ TEST(Plan, ChooserSkipsSpillWhenRoundFitsBudget) {
 
 TEST(Plan, ChooserDecidesPerRoundNotPerPipeline) {
   // A two-round plan whose round 1 is far over budget and whose round 2 is
-  // far under it: only round 1 pays the spill path. (The eager pipeline
-  // backstop would run both rounds externally.)
+  // far under it: only round 1 pays the spill path.
   std::vector<int> inputs(20000);
   std::iota(inputs.begin(), inputs.end(), 0);
   PipelineOptions pipeline_options;
@@ -607,9 +617,9 @@ TEST(Plan, PlannedStrategyMatchesExecuteChooser) {
 }
 
 TEST(Plan, PipelineWideSimulationReachesEveryRound) {
-  // ExecutionOptions::pipeline.simulation must simulate every round the
-  // plan executes (the backstop Pipeline::Resolve applies), not just be
-  // narrated by Explain — executed and explained plans have to agree.
+  // The round defaults' simulation must simulate every round the plan
+  // executes, not just be narrated by Explain — executed and explained
+  // plans have to agree.
   SyntheticJob job;
   Plan plan;
   auto ds = plan.Source(job.inputs)
@@ -617,13 +627,13 @@ TEST(Plan, PipelineWideSimulationReachesEveryRound) {
                 .ReduceByKey<std::pair<int, std::uint64_t>>(
                     SyntheticJob::ReduceFn);
   ExecutionOptions options;
-  options.pipeline.simulation.num_workers = 8;
+  options.pipeline.round_defaults.simulation.num_workers = 8;
   auto run = ds.Execute(options);
   ASSERT_EQ(run.metrics.rounds.size(), 1u);
   EXPECT_TRUE(run.metrics.rounds[0].simulated());
   EXPECT_EQ(run.metrics.rounds[0].worker_loads.count(), 8);
   EXPECT_GT(run.metrics.rounds[0].makespan, 0.0);
-  // A round's own simulation still wins whole over the backstop.
+  // A round's own simulation still wins whole over the defaults'.
   Plan own;
   JobOptions round_options;
   round_options.simulation.num_workers = 3;
@@ -647,7 +657,7 @@ TEST(Plan, ExplainNarratesThePhysicalPlan) {
 
   ExecutionOptions options;
   options.pipeline.shuffle.memory_budget_bytes = 1 << 10;
-  options.pipeline.simulation.num_workers = 8;
+  options.pipeline.round_defaults.simulation.num_workers = 8;
   const std::string text = plan->plan.Explain(options);
   EXPECT_NE(text.find("source 'matrix elements'"), std::string::npos);
   EXPECT_NE(text.find("round 1 'two-phase cubes'"), std::string::npos);
@@ -838,16 +848,43 @@ ExecutionOptions StreamingOptions(ShuffleStrategy strategy, bool streaming) {
   return options;
 }
 
+/// A one-shot gate: Open releases every waiter, and a waiter gives up
+/// after its timeout.
+class Gate {
+ public:
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  /// True once open; false when `timeout` passed first.
+  bool WaitFor(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [this] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
 TEST(PlanStreaming, StreamedRoundOverlapsProducerReduce) {
   // Round 1: many keys with a deliberately heavy reduce, spread over
   // several shards; round 2: a cheap per-key regroup. With streaming on,
   // round 2's map for shard s starts the moment shard s finishes
   // reducing, while later shards still reduce — so the streamed edge has
   // wall-clock overlap, and outputs stay byte-identical to the barrier
-  // schedule.
+  // schedule. In the streamed run, one round-1 reducer holds its shard
+  // open until round 2's map has run, so the overlap does not hinge on
+  // how the host schedules the threads. A barrier schedule never runs
+  // round 2's map first: the held reducer then gives up after a few
+  // seconds and the test fails instead of hanging.
+  constexpr std::uint64_t kHeldKey = 0;
   std::vector<int> inputs(60000);
   std::iota(inputs.begin(), inputs.end(), 0);
-  auto build = [&](Plan& plan) {
+  std::atomic<bool> held_reducer_timed_out{false};
+  auto build = [&](Plan& plan, Gate* gate) {
     auto round1 =
         plan.Source(inputs)
             .Map<std::uint64_t, std::uint64_t>(
@@ -857,10 +894,15 @@ TEST(PlanStreaming, StreamedRoundOverlapsProducerReduce) {
                 },
                 "fan-in")
             .ReduceByKey<std::pair<std::uint64_t, std::uint64_t>>(
-                [](const std::uint64_t& key,
-                   GroupView<std::uint64_t> values,
-                   std::vector<std::pair<std::uint64_t, std::uint64_t>>&
-                       out) {
+                [gate, &held_reducer_timed_out](
+                    const std::uint64_t& key,
+                    GroupView<std::uint64_t> values,
+                    std::vector<std::pair<std::uint64_t, std::uint64_t>>&
+                        out) {
+                  if (gate != nullptr && key == kHeldKey &&
+                      !gate->WaitFor(std::chrono::seconds(5))) {
+                    held_reducer_timed_out = true;
+                  }
                   std::uint64_t acc = key;
                   for (int pass = 0; pass < 200; ++pass) {
                     for (std::uint64_t v : values) acc = acc * 31 + v;
@@ -869,8 +911,9 @@ TEST(PlanStreaming, StreamedRoundOverlapsProducerReduce) {
                 });
     return round1
         .Map<std::uint64_t, std::uint64_t>(
-            [](const std::pair<std::uint64_t, std::uint64_t>& p,
-               Emitter<std::uint64_t, std::uint64_t>& e) {
+            [gate](const std::pair<std::uint64_t, std::uint64_t>& p,
+                   Emitter<std::uint64_t, std::uint64_t>& e) {
+              if (gate != nullptr) gate->Open();
               e.Emit(p.first % 16, p.second);
             },
             "regroup")
@@ -884,17 +927,19 @@ TEST(PlanStreaming, StreamedRoundOverlapsProducerReduce) {
               out.emplace_back(key, acc);
             });
   };
-  Plan plan;
-  auto target = build(plan);
   ExecutionOptions streaming;
   streaming.pipeline.num_threads = 4;
   streaming.pipeline.round_defaults.num_shards = 8;
   ExecutionOptions barrier = streaming;
   barrier.streaming = false;
 
-  auto streamed_run = target.Execute(streaming);
-  auto barrier_run = target.Execute(barrier);
+  Gate gate;
+  Plan streamed_plan;
+  auto streamed_run = build(streamed_plan, &gate).Execute(streaming);
+  Plan barrier_plan;
+  auto barrier_run = build(barrier_plan, nullptr).Execute(barrier);
 
+  EXPECT_FALSE(held_reducer_timed_out.load());
   EXPECT_EQ(streamed_run.outputs, barrier_run.outputs);
   ASSERT_EQ(streamed_run.metrics.rounds.size(), 2u);
   EXPECT_EQ(streamed_run.metrics.streamed_rounds, 1u);
@@ -1372,10 +1417,11 @@ TEST(RuntimeCalibration, ExecutionFeedbackInflatesEstimate) {
                     SyntheticJob::ReduceFn);
   core::RuntimeCalibration calibration;
   ExecutionOptions options;
-  options.pipeline.simulation.num_workers = 8;
-  options.pipeline.simulation.straggler_fraction = 0.25;
-  options.pipeline.simulation.straggler_slowdown = 4.0;
-  options.pipeline.simulation.seed = 11;
+  SimulationOptions& simulation = options.pipeline.round_defaults.simulation;
+  simulation.num_workers = 8;
+  simulation.straggler_fraction = 0.25;
+  simulation.straggler_slowdown = 4.0;
+  simulation.seed = 11;
   options.calibration = &calibration;
   ds.Execute(options);
   ASSERT_GE(calibration.observations(), 1u);
