@@ -1,27 +1,23 @@
 // Multi-process backend scaling sweep: one shuffle round (the
 // "shuffle_sweep" recipe, default 1M pairs into 4096 keys) executed by
 // the coordinator/worker runtime at 1, 2, 4, and 8 worker processes,
-// under both shuffle transports, against the in-process executor as
-// baseline. Prints a human table plus one machine-readable JSON line per
-// configuration (prefix BENCH_JSON) for BENCH_*.json trajectory tracking
-// and bench/compare_bench.py regression checks (baseline:
-// bench/baselines/bench_distd_wire.jsonl).
+// against the in-process executor as baseline. Prints a human table plus
+// one machine-readable JSON line per configuration (prefix BENCH_JSON)
+// for BENCH_*.json trajectory tracking and bench/compare_bench.py
+// regression checks (baseline: bench/baselines/bench_distd_wire.jsonl).
 //
 // What to expect: on a multi-core host, makespan should fall from 1 to
 // 4 workers (map chunks and reduce shards genuinely run in separate
 // processes), then flatten once worker count passes the round's
 // chunk/shard parallelism. Chunks follow the input (8 at these sizes)
 // and the round pins num_shards=8, so the task graph is host-independent
-// and the sweep measures worker scaling, not chunking. The transport dimension is the
-// point of comparison: transport=spill pays serialization + shared-dir
-// disk write + read-back for every map output, while transport=wire
-// keeps runs in worker memory and streams them socket-to-socket, so its
-// shuffle_mb_per_s should be a multiple of spill's at >= 4 workers
-// (outputs stay byte-identical either way).
+// and the sweep measures worker scaling, not chunking. Map runs stay in
+// worker memory and reducers stream them socket-to-socket (the rows'
+// transport field reads "wire").
 //
 // Flags: --pairs=N overrides the dataset size; --spill_dir=/
-// --keep_spills place and preserve the shuffle transport files;
-// --trace_out=/--metrics_out= capture the coordinator's merged
+// --keep_spills place and preserve the job directory (chunk and result
+// files); --trace_out=/--metrics_out= capture the coordinator's merged
 // worker-lane trace. Leave capture unset when measuring.
 
 #include <sys/socket.h>
@@ -31,7 +27,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -46,8 +41,6 @@
 #include "src/engine/plan.h"
 #include "src/obs/export.h"
 #include "src/storage/block.h"
-#include "src/storage/external_merge.h"
-#include "src/storage/run_writer.h"
 #include "src/storage/wire_run.h"
 
 namespace {
@@ -80,18 +73,11 @@ double ShuffleMb(const RunResult& run) {
 
 // ----------------------------------------------------------------------
 // Transport microbench: the shuffle data path in isolation — encode one
-// sorted run, move it through the transport, decode every block on the
-// far side — with map/reduce compute excluded. This is the apples-to-
-// apples "shuffle throughput" number: the end-to-end sweep above dilutes
-// the transport difference with sort/merge/reduce work (entirely so on a
-// single-core host, where all processes timeshare one CPU).
-//
-//   spill: BlockRunFileWriter (default codec) -> run file ->
-//          DiskBlockRunSource cursor, exactly the per-run file path.
-//   wire:  EncodeRawRunFrames -> RunBlock/RunEnd frames over an AF_UNIX
-//          socket -> DecodeAnyBlock per frame, exactly the DataServer ->
-//          WireBlockRunSource stream (sans credit stalls: one writer, one
-//          reader, kernel socket buffer as the window).
+// sorted run, move it over the socket, decode every block on the far side
+// — with map/reduce compute excluded. EncodeRawRunFrames -> RunBlock/RunEnd
+// frames over an AF_UNIX socket -> DecodeRawBlock per frame, exactly the
+// DataServer -> WireBlockRunSource stream (sans credit stalls: one writer,
+// one reader, kernel socket buffer as the window).
 
 struct TransportResult {
   double seconds = 0;
@@ -118,31 +104,6 @@ mrcost::storage::ColumnarRun SyntheticRun(std::size_t pairs,
     run.values.Append(value);
   }
   return run;
-}
-
-TransportResult SpillTransportOnce(const mrcost::storage::ColumnarRun& run,
-                                   const std::string& dir) {
-  TransportResult result;
-  result.raw_mb = static_cast<double>(run.RawBytes()) / 1e6;
-  const std::string path = dir + "/transport.run";
-  const auto start = std::chrono::steady_clock::now();
-  {
-    auto writer = mrcost::storage::BlockRunFileWriter::Create(path);
-    MRCOST_CHECK_OK(writer.status());
-    MRCOST_CHECK_OK(writer.value().AppendRun(run, 0, run.rows()));
-    MRCOST_CHECK_OK(writer.value().Finish());
-  }
-  mrcost::storage::DiskBlockRunSource source(path);
-  while (source.Peek() != nullptr) {
-    source.Advance();
-    ++result.rows;
-  }
-  MRCOST_CHECK_OK(source.status());
-  result.seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  std::filesystem::remove(path);
-  return result;
 }
 
 TransportResult WireTransportOnce(const mrcost::storage::ColumnarRun& run) {
@@ -178,7 +139,7 @@ TransportResult WireTransportOnce(const mrcost::storage::ColumnarRun& run) {
     if (*type == dist::MsgType::kRunEnd) break;
     const auto view = dist::RunBlockView(payload);
     MRCOST_CHECK_OK(view.status());
-    MRCOST_CHECK_OK(storage::DecodeAnyBlock(*view, block));
+    MRCOST_CHECK_OK(storage::DecodeRawBlock(*view, block));
     result.rows += block.rows();
   }
   result.seconds = std::chrono::duration<double>(
@@ -252,68 +213,53 @@ int main(int argc, char** argv) {
       .Add(static_cast<double>(baseline.metrics.total_spill_bytes()) / 1e6);
   PrintJson("in_process", "none", 0, pairs, baseline);
 
-  for (const std::string transport : {"spill", "wire"}) {
-    for (std::size_t workers : {1u, 2u, 4u, 8u}) {
-      ExecutionOptions options;
-      options.pipeline.round_defaults.num_shards = 8;
-      options.backend = mrcost::engine::ExecutionBackend::kMultiProcess;
-      options.dist.num_workers = workers;
-      options.dist.spill_dir = capture.spill_dir;
-      options.dist.keep_spills = capture.keep_spills;
-      if (transport == "wire") {
-        options.dist.shuffle_transport =
-            mrcost::engine::ShuffleTransport::kWireStream;
-      }
-      const RunResult run = RunOnce(args, options);
-      table.AddRow()
-          .Add("multi_process")
-          .Add(transport)
-          .Add(static_cast<std::uint64_t>(workers))
-          .Add(run.seconds)
-          .Add(static_cast<double>(run.metrics.total_pairs()) / 1e6 /
-               run.seconds)
-          .Add(ShuffleMb(run) / run.seconds)
-          .Add(static_cast<double>(run.metrics.total_spill_bytes()) / 1e6);
-      PrintJson("multi_process", transport, workers, pairs, run);
-    }
+  for (std::size_t workers : {1u, 2u, 4u, 8u}) {
+    ExecutionOptions options;
+    options.pipeline.round_defaults.num_shards = 8;
+    options.backend = mrcost::engine::ExecutionBackend::kMultiProcess;
+    options.dist.num_workers = workers;
+    options.dist.spill_dir = capture.spill_dir;
+    options.dist.keep_spills = capture.keep_spills;
+    const RunResult run = RunOnce(args, options);
+    table.AddRow()
+        .Add("multi_process")
+        .Add("wire")
+        .Add(static_cast<std::uint64_t>(workers))
+        .Add(run.seconds)
+        .Add(static_cast<double>(run.metrics.total_pairs()) / 1e6 /
+             run.seconds)
+        .Add(ShuffleMb(run) / run.seconds)
+        .Add(static_cast<double>(run.metrics.total_spill_bytes()) / 1e6);
+    PrintJson("multi_process", "wire", workers, pairs, run);
   }
 
   table.Print(std::cout,
               "multi-process shuffle scaling, " + std::to_string(pairs) +
                   " pairs, " +
                   std::to_string(std::thread::hardware_concurrency()) +
-                  " cores (transport spill = shared-dir run files, wire = "
-                  "streamed fetch; baseline = in-process executor)");
+                  " cores (wire = streamed fetch; baseline = in-process "
+                  "executor)");
 
   // Transport in isolation: encode -> move -> decode, no map/reduce work.
   const mrcost::storage::ColumnarRun transport_run =
       SyntheticRun(pairs, 4096);
-  const std::string scratch =
-      capture.spill_dir.empty() ? std::string("/tmp") : capture.spill_dir;
-  const TransportResult spill_t = SpillTransportOnce(transport_run, scratch);
-  const TransportResult wire_t = WireTransportOnce(transport_run);
-  MRCOST_CHECK(spill_t.rows == transport_run.rows());
-  MRCOST_CHECK(wire_t.rows == transport_run.rows());
+  const TransportResult wire = WireTransportOnce(transport_run);
+  MRCOST_CHECK(wire.rows == transport_run.rows());
   mrcost::common::Table transport_table(
       {"transport", "sec", "raw_MB", "shuffle_MB/s"});
-  for (const auto& [name, r] :
-       {std::pair<const char*, const TransportResult&>{"spill", spill_t},
-        {"wire", wire_t}}) {
-    transport_table.AddRow()
-        .Add(name)
-        .Add(r.seconds)
-        .Add(r.raw_mb)
-        .Add(r.raw_mb / r.seconds);
-    std::printf(
-        "BENCH_JSON {\"bench\":\"distd_transport\",\"transport\":\"%s\","
-        "\"pairs\":%zu,\"wall_ms\":%.3f,\"shuffle_mb_per_s\":%.3f}\n",
-        name, pairs, r.seconds * 1e3, r.raw_mb / r.seconds);
-  }
+  transport_table.AddRow()
+      .Add("wire")
+      .Add(wire.seconds)
+      .Add(wire.raw_mb)
+      .Add(wire.raw_mb / wire.seconds);
+  std::printf(
+      "BENCH_JSON {\"bench\":\"distd_transport\",\"transport\":\"wire\","
+      "\"pairs\":%zu,\"wall_ms\":%.3f,\"shuffle_mb_per_s\":%.3f}\n",
+      pairs, wire.seconds * 1e3, wire.raw_mb / wire.seconds);
   transport_table.Print(
       std::cout,
-      "shuffle transport in isolation (encode -> move -> decode one " +
+      "shuffle data path in isolation (encode -> move -> decode one " +
           std::to_string(pairs) +
-          "-pair run; spill = codec + run file round-trip, wire = "
-          "identity frames over an AF_UNIX socket)");
+          "-pair run as identity frames over an AF_UNIX socket)");
   return 0;
 }

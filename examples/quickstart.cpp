@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
   using namespace mrcost;  // NOLINT: example brevity
   const obs::CaptureFlags capture = obs::ParseCaptureFlags(argc, argv);
   std::string backend = "in_process";
-  std::string transport = "spill";
   std::size_t workers = 2;
   int kill_worker = -1;
   int kill_fetch = 0;
@@ -50,8 +49,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--backend=", 0) == 0) {
       backend = arg.substr(10);
-    } else if (arg.rfind("--transport=", 0) == 0) {
-      transport = arg.substr(12);  // spill | wire
     } else if (arg.rfind("--workers=", 0) == 0) {
       workers = static_cast<std::size_t>(
           std::strtoull(arg.c_str() + 10, nullptr, 10));
@@ -127,7 +124,7 @@ int main(int argc, char** argv) {
   //    Optional: the same join on the multi-process backend. The
   //    "quickstart" dist recipe rebuilds this exact plan (b=12, k=3,
   //    d=1) in each worker process, so the coordinator can ship (recipe,
-  //    args) instead of closures; the spill-file shuffle must reproduce
+  //    args) instead of closures; the streamed shuffle must reproduce
   //    the in-process run byte for byte — including when --kill_worker
   //    SIGKILLs a worker mid-round and its tasks are re-issued.
   if (backend == "multi_process") {
@@ -145,10 +142,6 @@ int main(int argc, char** argv) {
     dist_options.dist.keep_spills = capture.keep_spills;
     dist_options.dist.kill_worker_index = kill_worker;
     dist_options.dist.kill_after_fetches = kill_fetch;
-    if (transport == "wire") {
-      dist_options.dist.shuffle_transport =
-          engine::ShuffleTransport::kWireStream;
-    }
     dist_plan->Execute(dist_options);
     const auto& slots = dist_plan->graph()->slots;
     const auto* dist_pairs =
@@ -157,8 +150,7 @@ int main(int argc, char** argv) {
             slots.back().get());
     MRCOST_CHECK(dist_pairs != nullptr);
     MRCOST_CHECK(*dist_pairs == run.outputs);
-    std::cout << "Multi-process run (" << workers << " workers, "
-              << transport << " shuffle"
+    std::cout << "Multi-process run (" << workers << " workers"
               << (kill_worker >= 0 ? ", one SIGKILLed mid-round" : "")
               << "): " << dist_pairs->size()
               << " pairs, byte-identical to the in-process engine\n\n";

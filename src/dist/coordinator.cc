@@ -210,7 +210,6 @@ common::Status Coordinator::SpawnWorker(int index) {
           : 0;
   hello.self_kill_after_fetches =
       victim ? static_cast<std::uint32_t>(options_.kill_after_fetches) : 0;
-  hello.shuffle_transport = options_.wire_shuffle ? 1 : 0;
   hello.retain_budget_bytes = options_.retain_budget_bytes;
   hello.coord_now_us = obs::TraceRecorder::NowUs();
   if (auto status = WriteFrame(worker.fd, EncodeHello(hello));
@@ -431,7 +430,7 @@ common::Result<engine::internal::DistReduceOutcome> Coordinator::RunReduce(
     msg.merge_fan_in = spec.merge_fan_in;
     msg.result_path = spec.result_path;
     msg.scratch_dir = spec.scratch_dir;
-    msg.run_paths = spec.run_paths;
+    msg.run_ids = spec.run_ids;
     msg.run_endpoints = spec.run_endpoints;
     msg.fetch_credits = spec.fetch_credits;
     return EncodeReduceTask(msg);

@@ -83,13 +83,14 @@ class Coordinator {
     double heartbeat_timeout_ms = 2000;
     /// Fault injection (tests/CI): worker `kill_worker_index` raises
     /// SIGKILL on receiving its `kill_after_tasks`-th map task — or, when
-    /// `kill_after_fetches` > 0 (wire transport), right after serving the
+    /// `kill_after_fetches` > 0, right after serving the
     /// first block of its `kill_after_fetches`-th FetchRun instead.
     int kill_worker_index = -1;
     int kill_after_tasks = 1;
     int kill_after_fetches = 0;
-    /// kWireStream when true: workers keep runs in their RunRegistry and
-    /// open data sockets; reduce tasks fetch runs over the wire.
+    /// Unread: workers always keep runs in their RunRegistry and serve
+    /// them over data sockets. Kept only because perfbench/driver.cc sets
+    /// it; goes with engine::ShuffleTransport at the next benchmark change.
     bool wire_shuffle = false;
     /// Per-worker cap on RunRegistry in-memory bytes (0 = unbounded).
     std::uint64_t retain_budget_bytes = 0;
@@ -116,8 +117,8 @@ class Coordinator {
   /// itself fails on a live worker (a real error, not a death — a
   /// retryable failure maps to kUnavailable so the executor can repair
   /// inputs and retry) or every worker is dead. `winner`, when non-null,
-  /// receives the index of the worker whose commit won — for the wire
-  /// transport this is the worker now owning the task's runs.
+  /// receives the index of the worker whose commit won — for a map task
+  /// this is the worker now owning the task's runs.
   common::Result<engine::internal::DistMapOutcome> RunMap(
       std::uint32_t node,
       const std::function<engine::internal::DistMapSpec(int attempt)>&
@@ -129,8 +130,8 @@ class Coordinator {
       const std::function<engine::internal::DistReduceSpec(int attempt)>&
           make_spec);
 
-  /// Whether worker `index` is still live (wire transport: whether its
-  /// runs are still fetchable).
+  /// Whether worker `index` is still live (whether its runs are still
+  /// fetchable).
   bool worker_live(int index) const;
 
   /// Graceful shutdown: Shutdown to every live worker, merge their Bye

@@ -1,9 +1,11 @@
 // The multi-process lowering of ExecutePlanGraph: the same round loop as
 // src/engine/plan.cc's in-process path, but each round's map and reduce
-// tasks run in mrcost-worker processes via dist::Coordinator, with spill
-// v2 run files in a shared job directory as the shuffle. Declared in
-// plan.h (engine::internal::ExecutePlanGraphMulti), defined here so the
-// engine library does not depend on the dist layer's headers from its own.
+// tasks run in mrcost-worker processes via dist::Coordinator. Map runs stay
+// in the worker that made them and reducers fetch them over its data
+// socket; chunk and result files pass through a shared job directory.
+// Declared in plan.h (engine::internal::ExecutePlanGraphMulti), defined
+// here so the engine library does not depend on the dist layer's headers
+// from its own.
 
 #include <algorithm>
 #include <atomic>
@@ -26,6 +28,17 @@
 #include "src/obs/trace.h"
 
 namespace mrcost::engine::internal {
+namespace {
+
+// A reduce whose fetch lost its source retries until the dead owner's maps
+// are re-run elsewhere. When no owner is known dead yet (the fetch saw the
+// socket drop before the coordinator did), it sleeps kRetrySleep first;
+// kMaxReduceTries attempts bound the whole wait to about six seconds,
+// three heartbeat timeouts at the default settings.
+constexpr int kMaxReduceTries = 120;
+constexpr std::chrono::milliseconds kRetrySleep{50};
+
+}  // namespace
 
 PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
                                       const ExecutionOptions& options,
@@ -73,9 +86,6 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
   common::TempDir job_dir = std::move(*job_dir_result);
   if (options.dist.keep_spills) job_dir.Keep();
 
-  const bool wire =
-      options.dist.shuffle_transport == ShuffleTransport::kWireStream;
-
   dist::Coordinator coordinator;
   {
     dist::Coordinator::Options copts;
@@ -91,7 +101,6 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
     copts.kill_worker_index = options.dist.kill_worker_index;
     copts.kill_after_tasks = options.dist.kill_after_tasks;
     copts.kill_after_fetches = options.dist.kill_after_fetches;
-    copts.wire_shuffle = wire;
     copts.retain_budget_bytes = options.dist.retain_budget_bytes;
     // A backend the caller asked for that cannot start is fatal, not a
     // silent fallback: CI byte-identity smokes must never "pass" by
@@ -106,9 +115,11 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
   PipelineMetrics pipeline_metrics;
   double exec_begin = std::numeric_limits<double>::infinity();
   double exec_end = -std::numeric_limits<double>::infinity();
-  // Wire transport: runs re-executed because their owner worker died
-  // while (or before) a reducer fetched them.
+  // Runs re-executed because their owner worker died while (or before) a
+  // reducer fetched them, and the time reducers slept waiting for a death
+  // to be detected.
   std::atomic<std::uint64_t> refetched_runs{0};
+  std::atomic<std::uint64_t> retry_wait_ms{0};
 
   for (std::size_t id = 0; id < graph.nodes.size(); ++id) {
     PlanNode& node = graph.nodes[id];
@@ -148,8 +159,8 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
     std::vector<std::string> result_paths(num_shards);
     std::vector<TaskScheduler::TaskId> map_ids(num_chunks);
     std::vector<TaskScheduler::TaskId> reduce_ids(num_shards);
-    // Wire transport: which worker holds each chunk's runs (its endpoint
-    // is where reducers fetch them) — repaired under remap_mu when an
+    // Which worker holds each chunk's runs (its endpoint is where
+    // reducers fetch them) — repaired under remap_mu when an
     // owner dies mid-shuffle. remap_epoch makes repair run ids distinct
     // from every earlier attempt's.
     std::vector<int> chunk_owner(num_chunks, -1);
@@ -186,23 +197,20 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
       reduce_ids[s] = scheduler.AddTask(
           StageKind::kReduce, static_cast<std::uint32_t>(id), map_ids,
           [&, s] {
-            // Runs after every map outcome for this round landed. The
-            // retry loop only spins for the wire transport: a fetch that
-            // lost its source worker fails kUnavailable, we re-execute
-            // the dead owners' maps, and try again with fresh endpoints.
+            // Runs after every map outcome for this round landed. A fetch
+            // that lost its source worker fails kUnavailable; we re-execute
+            // the dead owners' maps and try again with fresh endpoints.
             for (int tries = 1;; ++tries) {
-              std::vector<std::string> run_paths;
+              std::vector<std::string> run_ids;
               std::vector<std::string> run_endpoints;
               {
                 std::lock_guard<std::mutex> lock(remap_mu);
                 for (std::size_t c = 0; c < num_chunks; ++c) {
                   for (const auto& run : map_outcomes[c].runs) {
                     if (run.shard != s) continue;
-                    run_paths.push_back(run.path);
-                    if (wire) {
-                      run_endpoints.push_back(dist::DataEndpointPath(
-                          job_dir.path(), chunk_owner[c]));
-                    }
+                    run_ids.push_back(run.run_id);
+                    run_endpoints.push_back(dist::DataEndpointPath(
+                        job_dir.path(), chunk_owner[c]));
                   }
                 }
               }
@@ -210,9 +218,9 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
                   static_cast<std::uint32_t>(id), [&, s](int attempt) {
                     engine::internal::DistReduceSpec spec;
                     spec.shard = static_cast<std::uint32_t>(s);
-                    spec.run_paths = run_paths;
+                    spec.run_ids = run_ids;
                     spec.run_endpoints = run_endpoints;
-                    spec.fetch_credits = wire ? fetch_credits : 0;
+                    spec.fetch_credits = fetch_credits;
                     spec.result_path = round_prefix + "-s" +
                                        std::to_string(s) + "-t" +
                                        std::to_string(tries) + "-a" +
@@ -229,10 +237,9 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
                 reduce_outcomes[s] = std::move(*outcome);
                 return;
               }
-              const bool retryable =
-                  wire && outcome.status().code() ==
-                              common::StatusCode::kUnavailable;
-              if (!retryable || tries >= 120) {
+              const bool retryable = outcome.status().code() ==
+                                     common::StatusCode::kUnavailable;
+              if (!retryable || tries >= kMaxReduceTries) {
                 MRCOST_CHECK_OK(outcome.status());
               }
               // Repair: re-execute the maps whose owner worker is gone,
@@ -256,7 +263,8 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
                 // The death may not be detected yet (the fetch saw the
                 // socket drop before the coordinator did) — give the
                 // receiver/monitor a beat, then rebuild and retry.
-                std::this_thread::sleep_for(std::chrono::milliseconds(50));
+                std::this_thread::sleep_for(kRetrySleep);
+                retry_wait_ms.fetch_add(kRetrySleep.count());
               }
             }
           });
@@ -334,6 +342,8 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
                                        stats.duplicate_commits);
     obs::Registry::Global().AddCounter("dist.refetched_runs",
                                        refetched_runs.load());
+    obs::Registry::Global().AddCounter("dist.retry_wait_ms",
+                                       retry_wait_ms.load());
   }
 
   if (exec_end > exec_begin) {

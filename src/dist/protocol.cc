@@ -50,7 +50,6 @@ std::string EncodeHello(const HelloMsg& msg) {
   SerializeValue(msg.heartbeat_interval_ms, out);
   SerializeValue(msg.self_kill_after_tasks, out);
   SerializeValue(msg.coord_now_us, out);
-  SerializeValue(msg.shuffle_transport, out);
   SerializeValue(msg.retain_budget_bytes, out);
   SerializeValue(msg.self_kill_after_fetches, out);
   return out;
@@ -69,7 +68,6 @@ common::Status DecodeHello(const std::string& payload, HelloMsg& msg) {
       !DeserializeValue(p, end, msg.heartbeat_interval_ms) ||
       !DeserializeValue(p, end, msg.self_kill_after_tasks) ||
       !DeserializeValue(p, end, msg.coord_now_us) ||
-      !DeserializeValue(p, end, msg.shuffle_transport) ||
       !DeserializeValue(p, end, msg.retain_budget_bytes) ||
       !DeserializeValue(p, end, msg.self_kill_after_fetches)) {
     return Corrupt("hello");
@@ -113,7 +111,7 @@ std::string EncodeReduceTask(const ReduceTaskMsg& msg) {
   SerializeValue(msg.merge_fan_in, out);
   SerializeValue(msg.result_path, out);
   SerializeValue(msg.scratch_dir, out);
-  SerializeValue(msg.run_paths, out);
+  SerializeValue(msg.run_ids, out);
   SerializeValue(msg.run_endpoints, out);
   SerializeValue(msg.fetch_credits, out);
   return out;
@@ -130,7 +128,7 @@ common::Status DecodeReduceTask(const std::string& payload,
       !DeserializeValue(p, end, msg.merge_fan_in) ||
       !DeserializeValue(p, end, msg.result_path) ||
       !DeserializeValue(p, end, msg.scratch_dir) ||
-      !DeserializeValue(p, end, msg.run_paths) ||
+      !DeserializeValue(p, end, msg.run_ids) ||
       !DeserializeValue(p, end, msg.run_endpoints) ||
       !DeserializeValue(p, end, msg.fetch_credits)) {
     return Corrupt("reduce task");
@@ -321,7 +319,7 @@ std::string EncodeMapOutcome(const engine::internal::DistMapOutcome& out) {
   std::vector<std::tuple<std::uint32_t, std::uint64_t, std::string>> runs;
   runs.reserve(out.runs.size());
   for (const auto& run : out.runs) {
-    runs.emplace_back(run.shard, run.rows, run.path);
+    runs.emplace_back(run.shard, run.rows, run.run_id);
   }
   SerializeValue(runs, payload);
   SerializeValue(out.raw_pairs, payload);
@@ -353,9 +351,9 @@ common::Status DecodeMapOutcome(const std::string& payload,
   }
   out.runs.clear();
   out.runs.reserve(runs.size());
-  for (auto& [shard, rows, path] : runs) {
+  for (auto& [shard, rows, run_id] : runs) {
     out.runs.push_back(
-        engine::internal::DistRunInfo{shard, rows, std::move(path)});
+        engine::internal::DistRunInfo{shard, rows, std::move(run_id)});
   }
   return common::Status::Ok();
 }

@@ -22,11 +22,11 @@ namespace mrcost::dist {
 ///   worker -> coordinator: Ready, TaskDone, Heartbeat, Bye
 ///
 /// The FetchRun family travels worker-to-worker on the per-worker data
-/// sockets (the kWireStream shuffle transport), framed identically:
+/// sockets (the shuffle's data plane), framed identically:
 ///
 ///   fetcher -> owner: FetchRun (opens a run stream, grants credits),
 ///                     RunCredit (returns one credit per consumed block)
-///   owner -> fetcher: RunBlock (one encoded spill-v2 block payload),
+///   owner -> fetcher: RunBlock (one encoded run frame),
 ///                     RunEnd (stream complete), RunError (unknown run)
 enum class MsgType : std::uint32_t {
   kHello = 1,
@@ -60,12 +60,8 @@ struct HelloMsg {
   /// Coordinator trace clock at send time; the worker offsets its trace
   /// timestamps so both processes share one timeline.
   std::uint64_t coord_now_us = 0;
-  /// 1 = kWireStream: the worker opens its data socket before Ready,
-  /// keeps map runs in its RunRegistry, and reduce tasks pull runs from
-  /// owner workers instead of the shared directory.
-  std::uint8_t shuffle_transport = 0;
-  /// kWireStream cap on retained run bytes (0 = unbounded); past it new
-  /// runs overflow to worker-private files.
+  /// Cap on the run bytes the worker's RunRegistry retains in memory
+  /// (0 = unbounded); past it new runs overflow to worker-private files.
   std::uint64_t retain_budget_bytes = 0;
   /// > 0 arms mid-stream fault injection: the worker raises SIGKILL right
   /// after serving the first block of the Nth FetchRun on its data socket
@@ -94,13 +90,11 @@ struct ReduceTaskMsg {
   std::uint64_t merge_fan_in = 0;
   std::string result_path;
   std::string scratch_dir;
-  std::vector<std::string> run_paths;
-  /// Parallel to run_paths: the owner worker's data endpoint for a wire
-  /// run, "" for a run that lives on disk at run_paths[i]. Empty vector =
-  /// all runs on disk (the spill-file transport).
+  /// Run ids to fetch, and parallel to them, each owner's data endpoint.
+  std::vector<std::string> run_ids;
   std::vector<std::string> run_endpoints;
-  /// Per-source block credit window for wire fetches (0 = default).
-  std::uint32_t fetch_credits = 0;
+  /// Per-source block credit window (>= 1).
+  std::uint32_t fetch_credits = 1;
 };
 
 struct TaskDoneMsg {

@@ -105,7 +105,7 @@ TaskDoneMsg FailTask(std::uint64_t task_id, const common::Status& status) {
   return done;
 }
 
-/// The kWireStream data-socket server: an AF_UNIX listener at
+/// The data-socket server: an AF_UNIX listener at
 /// DataEndpointPath plus one thread per FetchRun connection. Each
 /// connection streams a registered run's encoded blocks under the
 /// fetcher's credit window: `credits` blocks may be in flight; past that
@@ -343,24 +343,18 @@ int RunWorker(int fd) {
   }
   const auto& graph = plan->graph();
 
-  // kWireStream: publish runs locally and serve them over the data socket.
-  // Both must exist before Ready — the first ReduceTask can dial any
-  // worker the moment the coordinator sees every Ready.
-  std::unique_ptr<storage::RunRegistry> run_registry;
-  std::unique_ptr<DataServer> data_server;
-  if (hello.shuffle_transport != 0) {
-    run_registry = std::make_unique<storage::RunRegistry>(
-        hello.spill_dir + "/ovf-w" + std::to_string(hello.worker_index),
-        hello.retain_budget_bytes);
-    data_server = std::make_unique<DataServer>(
-        *run_registry, hello.self_kill_after_fetches);
-    if (auto status = data_server->Start(
-            DataEndpointPath(hello.spill_dir, hello.worker_index));
-        !status.ok()) {
-      std::fprintf(stderr, "mrcost-worker: %s\n",
-                   status.ToString().c_str());
-      return 1;
-    }
+  // Publish runs locally and serve them over the data socket. Both must
+  // exist before Ready — the first ReduceTask can dial any worker the
+  // moment the coordinator sees every Ready.
+  storage::RunRegistry run_registry(
+      hello.spill_dir + "/ovf-w" + std::to_string(hello.worker_index),
+      hello.retain_budget_bytes);
+  DataServer data_server(run_registry, hello.self_kill_after_fetches);
+  if (auto status = data_server.Start(
+          DataEndpointPath(hello.spill_dir, hello.worker_index));
+      !status.ok()) {
+    std::fprintf(stderr, "mrcost-worker: %s\n", status.ToString().c_str());
+    return 1;
   }
 
   FrameWriter writer(fd);
@@ -409,7 +403,7 @@ int RunWorker(int fd) {
         spec.chunk_index = task.chunk;
         spec.num_shards = task.num_shards;
         spec.run_prefix = task.run_prefix;
-        spec.run_registry = run_registry.get();
+        spec.run_registry = &run_registry;
         auto outcome = graph->nodes[task.node].dist->run_map(spec);
         if (outcome.ok()) {
           done.ok = 1;
@@ -451,7 +445,7 @@ int RunWorker(int fd) {
       } else {
         engine::internal::DistReduceSpec spec;
         spec.shard = task.shard;
-        spec.run_paths = task.run_paths;
+        spec.run_ids = task.run_ids;
         spec.run_endpoints = task.run_endpoints;
         spec.fetch_credits = task.fetch_credits;
         spec.result_path = task.result_path;
@@ -493,7 +487,7 @@ int RunWorker(int fd) {
   // Every round has collected before Shutdown arrives, so no fetch can
   // still be in flight — stop serving (and join the server threads) before
   // snapshotting obs state so their histogram writes are all in.
-  if (data_server != nullptr) data_server->Stop();
+  data_server.Stop();
 
   ByeMsg bye;
   if (hello.metrics_enabled) {

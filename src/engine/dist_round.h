@@ -29,14 +29,15 @@ namespace mrcost::engine::internal {
 // The multi-process lowering of one plan round. A round node whose typed
 // closures were captured at plan-build time cannot cross a process
 // boundary; what can cross is data. MakeDistRoundOps therefore wraps the
-// node's map/combine/reduce closures into four type-erased, file-oriented
-// operations:
+// node's map/combine/reduce closures into four type-erased operations:
 //
 //   coordinator   write_chunk : input slot slice -> framed chunk file
-//   worker        run_map     : chunk file -> per-shard sorted run files
-//                               (spill format v2, pos = MakeSpillPos)
-//   worker        run_reduce  : one shard's runs -> k-way merge -> reduce
-//                               -> framed result file
+//   worker        run_map     : chunk file -> per-shard sorted runs, kept
+//                               as raw frames in the worker's RunRegistry
+//                               (pos = MakeSpillPos)
+//   worker        run_reduce  : fetch one shard's runs from their owners'
+//                               data sockets -> k-way merge -> reduce ->
+//                               framed result file
 //   coordinator   collect     : result files -> output slot + JobMetrics
 //
 // Both the coordinator and the worker binary rebuild the identical plan
@@ -48,11 +49,12 @@ namespace mrcost::engine::internal {
 // order by sorting groups on it — the same scan-order contract
 // StagedRound::Finalize enforces in-process.
 
-/// One sorted run file a map task produced for one reduce shard.
+/// One sorted run a map task published for one reduce shard.
 struct DistRunInfo {
   std::uint32_t shard = 0;
   std::uint64_t rows = 0;
-  std::string path;
+  /// The run's id in the owner worker's RunRegistry.
+  std::string run_id;
 };
 
 /// What one map task reports back, mirroring StagedRound's per-chunk
@@ -81,25 +83,22 @@ struct DistMapSpec {
   std::string chunk_path;
   std::uint32_t chunk_index = 0;
   std::uint32_t num_shards = 1;
-  /// Run files are written as `<run_prefix>-s<shard>.run`; the coordinator
+  /// Runs are published as `<run_prefix>-s<shard>.wire`; the coordinator
   /// bakes the attempt number into the prefix so a re-issued task never
-  /// collides with a dead worker's partial files.
+  /// collides with a dead worker's runs.
   std::string run_prefix;
-  /// kWireStream: runs are encoded into this worker-local registry under
-  /// the id `<run_prefix>-s<shard>.wire` (no shared-dir file) and served
-  /// to reducers over the data socket. nullptr = spill-file transport.
+  /// The worker-local registry the runs go to; reducers fetch them from
+  /// it over the owner's data socket. Required.
   storage::RunRegistry* run_registry = nullptr;
 };
 
 struct DistReduceSpec {
   std::uint32_t shard = 0;
-  std::vector<std::string> run_paths;
-  /// Parallel to run_paths: the owner worker's data endpoint for wire
-  /// runs, "" for a run read from disk. Shorter than run_paths (or empty)
-  /// = trailing runs are on disk.
+  /// Run ids to fetch, and parallel to them, each owner's data endpoint.
+  std::vector<std::string> run_ids;
   std::vector<std::string> run_endpoints;
-  /// Per-source block credit window for wire fetches (0 = default 4).
-  std::uint32_t fetch_credits = 0;
+  /// Per-source block credit window (PhysicalRound::fetch_credits).
+  std::uint32_t fetch_credits = 1;
   std::string result_path;
   /// Scratch dir for multi-pass merge rewrites (the shared job dir).
   std::string scratch_dir;
@@ -170,6 +169,10 @@ DistRoundOps MakeDistRoundOps(
 
   ops.run_map = [map_fn, combine_fn](const DistMapSpec& spec)
       -> common::Result<DistMapOutcome> {
+    if (spec.run_registry == nullptr) {
+      return common::Status::FailedPrecondition(
+          "dist run_map: no run registry");
+    }
     auto file = storage::SpillFileReader::Open(spec.chunk_path);
     if (!file.ok()) return file.status();
     storage::SpillFileReader reader = std::move(file.value());
@@ -237,67 +240,40 @@ DistRoundOps MakeDistRoundOps(
           block, rows, [&spec](std::uint32_t r) {
             return storage::MakeSpillPos(spec.chunk_index, r);
           });
-      if (spec.run_registry != nullptr) {
-        // Wire transport: the same frame slicing the file writer would
-        // have used, but raw columnar frames kept local for reducers to
-        // pull — no shared-dir write, no read-back, no codec CPU, and no
-        // per-key hash recompute on decode (the hash column ships).
-        // Merge output depends only on the record sequence, which the
-        // frame encoding cannot change.
-        std::vector<std::string> frames;
-        storage::BlockEncodeStats stats;
-        storage::EncodeRawRunFrames(run, storage::kDefaultBlockBytes,
-                                    frames, stats);
-        const std::string run_id =
-            spec.run_prefix + "-s" + std::to_string(p) + ".wire";
-        if (auto status = spec.run_registry->Put(run_id, std::move(frames),
-                                                 rows.size());
-            !status.ok()) {
-          return status;
-        }
-        outcome.encode_raw_bytes += stats.raw_bytes;
-        outcome.encode_encoded_bytes += stats.encoded_bytes;
-        outcome.runs.push_back(DistRunInfo{p, rows.size(), run_id});
-        continue;
-      }
-      const std::string path =
-          spec.run_prefix + "-s" + std::to_string(p) + ".run";
-      auto writer = storage::BlockRunFileWriter::Create(path);
-      if (!writer.ok()) return writer.status();
-      if (auto status =
-              writer.value().AppendRun(run, 0, rows.size());
-          !status.ok()) {
-        return status;
-      }
-      if (auto status = writer.value().Finish(); !status.ok()) {
-        return status;
-      }
-      outcome.spill_bytes_written += writer.value().bytes_written();
-      outcome.encode_raw_bytes += writer.value().stats().raw_bytes;
-      outcome.encode_encoded_bytes += writer.value().stats().encoded_bytes;
-      outcome.runs.push_back(DistRunInfo{p, rows.size(), path});
+      // Raw columnar frames kept local for reducers to pull: no
+      // shared-dir write, no codec CPU, and no per-key hash recompute on
+      // decode (the hash column ships). Merge output depends only on the
+      // record sequence, which the frame encoding cannot change.
+      std::vector<std::string> frames;
+      storage::BlockEncodeStats stats;
+      storage::EncodeRawRunFrames(run, storage::kDefaultBlockBytes, frames,
+                                  stats);
+      const std::string run_id =
+          spec.run_prefix + "-s" + std::to_string(p) + ".wire";
+      auto written =
+          spec.run_registry->Put(run_id, std::move(frames), rows.size());
+      if (!written.ok()) return written.status();
+      outcome.spill_bytes_written += *written;
+      outcome.encode_raw_bytes += stats.raw_bytes;
+      outcome.encode_encoded_bytes += stats.encoded_bytes;
+      outcome.runs.push_back(DistRunInfo{p, rows.size(), run_id});
     }
     return outcome;
   };
 
   ops.run_reduce = [reduce_fn](const DistReduceSpec& spec)
       -> common::Result<DistReduceOutcome> {
+    if (spec.run_endpoints.size() != spec.run_ids.size()) {
+      return common::Status::InvalidArgument(
+          "dist run_reduce: one endpoint per run id required");
+    }
     std::vector<std::unique_ptr<storage::BlockRunSource>> sources;
-    sources.reserve(spec.run_paths.size());
-    for (std::size_t i = 0; i < spec.run_paths.size(); ++i) {
-      const bool wire = i < spec.run_endpoints.size() &&
-                        !spec.run_endpoints[i].empty();
-      if (!wire) {
-        sources.push_back(
-            std::make_unique<storage::DiskBlockRunSource>(
-                spec.run_paths[i]));
-        continue;
-      }
+    sources.reserve(spec.run_ids.size());
+    for (std::size_t i = 0; i < spec.run_ids.size(); ++i) {
       storage::WireBlockRunSource::Options wire_options;
       wire_options.endpoint = spec.run_endpoints[i];
-      wire_options.run_id = spec.run_paths[i];
-      wire_options.credits =
-          spec.fetch_credits > 0 ? spec.fetch_credits : 4;
+      wire_options.run_id = spec.run_ids[i];
+      wire_options.credits = spec.fetch_credits;
       wire_options.reducer_shard = spec.shard;
       sources.push_back(std::make_unique<storage::WireBlockRunSource>(
           std::move(wire_options)));

@@ -157,7 +157,8 @@ struct PhysicalRound {
   /// The placement that runs: kSampledRange only for in-process,
   /// in-memory rounds over more than one shard.
   PartitionerKind partitioner = PartitionerKind::kHash;
-  /// Multi-process wire transport: per-source block credit window.
+  /// Multi-process: per-source block credit window of each reduce fetch,
+  /// in [1, 64]; 4 when the round has no memory budget.
   std::uint32_t fetch_credits = 4;
   /// Why each field took its value.
   std::string reason;
@@ -479,14 +480,16 @@ inline StageWindow WindowOf(const TaskScheduler& exec,
 /// ReduceShard -> Finalize task graph (MapSpill -> Merge -> ReduceRange ->
 /// Finalize for the external shuffle) on a StageGraphExecutor, and doubles
 /// as a StreamSource so a per-key downstream round can consume its shard
-/// outputs as they complete. The plan instantiates MapFn / CombineFn /
-/// ReduceFn with std::function; CombineFn == NoCombine marks a plain
-/// round.
-template <typename In, typename K, typename V, typename Out, typename MapFn,
-          typename CombineFn, typename ReduceFn>
+/// outputs as they complete. CombineFn is std::function<V(V, V)> for a
+/// combined round and NoCombine for a plain one, so the combined path is
+/// chosen at compile time.
+template <typename In, typename K, typename V, typename Out, typename CombineFn>
 class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
  public:
   using TaskId = StageGraphExecutor::TaskId;
+  using MapFn = std::function<void(const In&, Emitter<K, V>&)>;
+  using ReduceFn =
+      std::function<void(const K&, GroupView<V>, std::vector<Out>&)>;
   static constexpr bool kCombined = !std::is_same_v<CombineFn, NoCombine>;
 
   /// Stages a round over a materialized input vector, shaped by
@@ -772,10 +775,8 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
 // ---------------------------------------------------------------------------
 // StagedRound implementation.
 
-template <typename In, typename K, typename V, typename Out, typename MapFn,
-          typename CombineFn, typename ReduceFn>
-void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::
-    BuildMaterialized() {
+template <typename In, typename K, typename V, typename Out, typename CombineFn>
+void StagedRound<In, K, V, Out, CombineFn>::BuildMaterialized() {
   const std::size_t n = inputs_->size();
   result_.metrics.num_inputs = n;
   if (physical_.strategy == ShuffleStrategy::kExternal) {
@@ -800,9 +801,8 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::
   StageGroupAndReduce();
 }
 
-template <typename In, typename K, typename V, typename Out, typename MapFn,
-          typename CombineFn, typename ReduceFn>
-void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::BuildStreamed(
+template <typename In, typename K, typename V, typename Out, typename CombineFn>
+void StagedRound<In, K, V, Out, CombineFn>::BuildStreamed(
     StreamSource<In>* upstream) {
   MRCOST_CHECK(physical_.strategy != ShuffleStrategy::kExternal);
   MRCOST_CHECK(physical_.chunks == upstream->stream_block_count());
@@ -824,10 +824,8 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::BuildStreamed(
   StageGroupAndReduce();
 }
 
-template <typename In, typename K, typename V, typename Out, typename MapFn,
-          typename CombineFn, typename ReduceFn>
-void StagedRound<In, K, V, Out, MapFn, CombineFn,
-                 ReduceFn>::StageGroupAndReduce() {
+template <typename In, typename K, typename V, typename Out, typename CombineFn>
+void StagedRound<In, K, V, Out, CombineFn>::StageGroupAndReduce() {
   auto self = self_.lock();
   if (physical_.strategy == ShuffleStrategy::kExternal) {
     const TaskId merge = exec_.AddTask(StageKind::kShuffle, round_tag_,
@@ -886,9 +884,8 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn,
   }
 }
 
-template <typename In, typename K, typename V, typename Out, typename MapFn,
-          typename CombineFn, typename ReduceFn>
-void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::MapChunk(
+template <typename In, typename K, typename V, typename Out, typename CombineFn>
+void StagedRound<In, K, V, Out, CombineFn>::MapChunk(
     std::size_t c, std::size_t lo, std::size_t hi) {
   Emitter<K, V> emitter;
   const auto cc = static_cast<std::uint32_t>(c);
@@ -985,10 +982,8 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::MapChunk(
   if (!use_range()) RouteBlock(c);
 }
 
-template <typename In, typename K, typename V, typename Out, typename MapFn,
-          typename CombineFn, typename ReduceFn>
-void StagedRound<In, K, V, Out, MapFn, CombineFn,
-                 ReduceFn>::PlanPartition() {
+template <typename In, typename K, typename V, typename Out, typename CombineFn>
+void StagedRound<In, K, V, Out, CombineFn>::PlanPartition() {
   // Samples the mapped hash distribution (strided over every block's hash
   // column, capped so huge rounds pay a bounded sort) and cuts it into
   // ranges of near-equal pair weight. One entry per sampled *pair*, so a
@@ -1012,10 +1007,8 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn,
       BuildRangePartitioner(std::move(sample), physical_.shards));
 }
 
-template <typename In, typename K, typename V, typename Out, typename MapFn,
-          typename CombineFn, typename ReduceFn>
-void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::RouteBlock(
-    std::size_t task) {
+template <typename In, typename K, typename V, typename Out, typename CombineFn>
+void StagedRound<In, K, V, Out, CombineFn>::RouteBlock(std::size_t task) {
   // Radix pass: shards receive row-index ranges into the task's block,
   // not copies — the block's hash column already holds the routing hash.
   // Under sampled-range placement this runs as its own task (after
@@ -1035,10 +1028,8 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::RouteBlock(
   }
 }
 
-template <typename In, typename K, typename V, typename Out, typename MapFn,
-          typename CombineFn, typename ReduceFn>
-void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::MapStreamBlock(
-    std::size_t b) {
+template <typename In, typename K, typename V, typename Out, typename CombineFn>
+void StagedRound<In, K, V, Out, CombineFn>::MapStreamBlock(std::size_t b) {
   Emitter<K, V> emitter;
   std::vector<PairPos>& tags = tag_pos_[b];
   std::uint64_t inputs_seen = 0;
@@ -1065,10 +1056,8 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::MapStreamBlock(
   if (!use_range()) RouteBlock(b);
 }
 
-template <typename In, typename K, typename V, typename Out, typename MapFn,
-          typename CombineFn, typename ReduceFn>
-void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::GroupShard(
-    std::size_t p) {
+template <typename In, typename K, typename V, typename Out, typename CombineFn>
+void StagedRound<In, K, V, Out, CombineFn>::GroupShard(std::size_t p) {
   // Grouping builds into an attempt-local Shard: non-speculative rounds
   // move it straight into place; speculative attempts race to commit it
   // first-wins (the loser's copy is dropped, so duplicated work never
@@ -1119,9 +1108,8 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::GroupShard(
   }
 }
 
-template <typename In, typename K, typename V, typename Out, typename MapFn,
-          typename CombineFn, typename ReduceFn>
-void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::MergeSpills() {
+template <typename In, typename K, typename V, typename Out, typename CombineFn>
+void StagedRound<In, K, V, Out, CombineFn>::MergeSpills() {
   for (const common::Status& status : spill_status_) {
     MRCOST_CHECK_OK(status);
   }
@@ -1144,9 +1132,8 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::MergeSpills() {
   if (simulation_.enabled()) flat_loads_.resize(nkeys);
 }
 
-template <typename In, typename K, typename V, typename Out, typename MapFn,
-          typename CombineFn, typename ReduceFn>
-void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::ReduceGroup(
+template <typename In, typename K, typename V, typename Out, typename CombineFn>
+void StagedRound<In, K, V, Out, CombineFn>::ReduceGroup(
     const K& key, GroupView<V> group, std::vector<Out>& out,
     ReducerLoad* load) {
   if (load != nullptr) {
@@ -1161,10 +1148,8 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::ReduceGroup(
   reduce_(key, group, out);
 }
 
-template <typename In, typename K, typename V, typename Out, typename MapFn,
-          typename CombineFn, typename ReduceFn>
-void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::ReduceShard(
-    std::size_t p) {
+template <typename In, typename K, typename V, typename Out, typename CombineFn>
+void StagedRound<In, K, V, Out, CombineFn>::ReduceShard(std::size_t p) {
   // Reducers read views into the committed shard, which no attempt
   // mutates, so speculative twins share it; each reduces into
   // attempt-local buffers and publishes first-wins.
@@ -1201,10 +1186,8 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::ReduceShard(
   }
 }
 
-template <typename In, typename K, typename V, typename Out, typename MapFn,
-          typename CombineFn, typename ReduceFn>
-void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::ReduceRange(
-    std::size_t t) {
+template <typename In, typename K, typename V, typename Out, typename CombineFn>
+void StagedRound<In, K, V, Out, CombineFn>::ReduceRange(std::size_t t) {
   const bool sim = simulation_.enabled();
   for (std::size_t i = range_begin_[t]; i < range_begin_[t + 1]; ++i) {
     std::vector<V>& group = merged_.groups[i];
@@ -1215,10 +1198,8 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::ReduceRange(
   }
 }
 
-template <typename In, typename K, typename V, typename Out, typename MapFn,
-          typename CombineFn, typename ReduceFn>
-void StagedRound<In, K, V, Out, MapFn, CombineFn,
-                 ReduceFn>::AssignKeyRanks() {
+template <typename In, typename K, typename V, typename Out, typename CombineFn>
+void StagedRound<In, K, V, Out, CombineFn>::AssignKeyRanks() {
   for (Shard& shard : shards_) shard.ranks.resize(shard.groups.size());
   // Cache the order for Finalize, which runs strictly after this task
   // (finalize depends on the consumer maps, which depend on it) — the
@@ -1230,10 +1211,8 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn,
   }
 }
 
-template <typename In, typename K, typename V, typename Out, typename MapFn,
-          typename CombineFn, typename ReduceFn>
-void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::FillTimings(
-    JobMetrics& m) const {
+template <typename In, typename K, typename V, typename Out, typename CombineFn>
+void StagedRound<In, K, V, Out, CombineFn>::FillTimings(JobMetrics& m) const {
   const StageWindow map = internal::WindowOf(exec_, map_tasks_);
   const StageWindow shuffle = internal::WindowOf(exec_, group_tasks_);
   const StageWindow reduce = internal::WindowOf(exec_, reduce_tasks_);
@@ -1267,9 +1246,8 @@ void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::FillTimings(
   m.span_ms = std::max({map.end, shuffle.end, reduce.end}) - map.begin;
 }
 
-template <typename In, typename K, typename V, typename Out, typename MapFn,
-          typename CombineFn, typename ReduceFn>
-void StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceFn>::Finalize() {
+template <typename In, typename K, typename V, typename Out, typename CombineFn>
+void StagedRound<In, K, V, Out, CombineFn>::Finalize() {
   JobMetrics& m = result_.metrics;
   const bool obs_metrics = obs::MetricsEnabled();
   common::Log2Histogram reducer_q_hist;

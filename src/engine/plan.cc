@@ -185,7 +185,7 @@ PhysicalRound ResolvePhysicalRound(const JobOptions& options,
   }
   round.reason = why.str();
 
-  // Wire transport: each reducer pulls one run per chunk, so its memory
+  // Multi-process: each reducer pulls one run per chunk, so its memory
   // bound splits the round's budget across the chunks, in blocks. No
   // budget = a small default window.
   if (config.memory_budget_bytes > 0) {

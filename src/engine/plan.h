@@ -145,9 +145,9 @@ enum class ExecutionBackend {
   /// Stage-graph tasks on the in-process thread pool (the default).
   kInProcess,
   /// A coordinator process (this one) fork/execs N `mrcost-worker`
-  /// processes and dispatches map/reduce tasks over socket RPC; the
-  /// shuffle moves through spill-format-v2 run files in a shared
-  /// directory (see src/dist/). Outputs are byte-identical to
+  /// processes and dispatches map/reduce tasks over socket RPC; map runs
+  /// stay in the worker that made them and reducers stream them over
+  /// per-worker data sockets (see src/dist/). Outputs are byte-identical to
   /// kInProcess. Requires the plan to be registered as a dist recipe
   /// (src/dist/registry.h) so workers can rebuild it; unregistered plans
   /// fall back to in-process execution with a warning. Simulation options
@@ -155,32 +155,31 @@ enum class ExecutionBackend {
   kMultiProcess,
 };
 
-/// How shuffled bytes travel from map workers to reduce workers.
+/// How shuffled bytes travel from map workers to reduce workers. There is
+/// one data plane: map tasks retain their encoded runs in a worker-local
+/// registry and reduce tasks pull them over per-worker data sockets with
+/// credit-based flow control (reducers never buffer more than their share
+/// of memory_budget_bytes); a source worker dying before or mid-stream
+/// triggers map re-execution and a re-fetch (dist.refetched_runs). Nothing
+/// reads this enum or DistOptions::shuffle_transport: both are kept only
+/// because perfbench/driver.cc sets them, and go at the next benchmark
+/// change.
 enum class ShuffleTransport {
-  /// Map tasks write spill-format-v2 run files into the shared job
-  /// directory; reduce tasks read them back. Correct and observable, but
-  /// every shuffled byte pays a filesystem write + read and the runtime
-  /// is pinned to one machine.
-  kSpillFiles,
-  /// Map tasks retain their encoded runs in a worker-local registry and
-  /// reduce tasks pull them over per-worker data sockets with
-  /// credit-based flow control (reducers never buffer more than their
-  /// share of memory_budget_bytes). Outputs are byte-identical to
-  /// kSpillFiles; a source worker dying mid-stream triggers map
-  /// re-execution and a re-fetch (dist.refetched_runs).
   kWireStream,
 };
 
 /// Knobs for the multi-process backend.
 struct DistOptions {
   int num_workers = 2;
-  /// Shuffle data path; see ShuffleTransport.
-  ShuffleTransport shuffle_transport = ShuffleTransport::kSpillFiles;
-  /// kWireStream only: cap on the encoded run bytes each worker retains
-  /// in memory for serving; past it, new runs overflow to worker-private
-  /// files (still served over the wire). 0 = unbounded.
+  /// Unread; see ShuffleTransport.
+  ShuffleTransport shuffle_transport = ShuffleTransport::kWireStream;
+  /// Cap on the encoded run bytes each worker retains in memory for
+  /// serving; past it, new runs overflow to worker-private files in the
+  /// shared directory (still served over the data socket, and counted in
+  /// spill_bytes_written). 0 = unbounded.
   std::uint64_t retain_budget_bytes = 0;
-  /// Shared shuffle directory; empty = a fresh TempDir under the system
+  /// Shared job directory (chunk, result and overflow files, data
+  /// sockets); empty = a fresh TempDir under the system
   /// temp dir, removed when the job finishes (unless keep_spills).
   std::string spill_dir;
   bool keep_spills = false;
@@ -195,7 +194,7 @@ struct DistOptions {
   /// coordinator re-issues its tasks; outputs stay byte-identical.
   int kill_worker_index = -1;
   int kill_after_tasks = 1;
-  /// Fault injection (kWireStream): worker `kill_worker_index` raises
+  /// Fault injection: worker `kill_worker_index` raises
   /// SIGKILL while serving its `kill_after_fetches`-th FetchRun — a death
   /// mid-stream, with reducers actively pulling from it. 0 = disabled;
   /// overrides kill_after_tasks when set.
@@ -683,10 +682,9 @@ Dataset<Out> KeyedDataset<In, K, V>::ReduceByKey(ReduceFn reduce,
                    const std::shared_ptr<internal::StagedHandleBase>&
                        upstream)
       -> std::shared_ptr<internal::StagedHandleBase> {
-    using PlainRound = internal::StagedRound<In, K, V, Out, MapFn,
-                                             internal::NoCombine, ReduceStd>;
-    using CombinedRound =
-        internal::StagedRound<In, K, V, Out, MapFn, CombineFn, ReduceStd>;
+    using PlainRound =
+        internal::StagedRound<In, K, V, Out, internal::NoCombine>;
+    using CombinedRound = internal::StagedRound<In, K, V, Out, CombineFn>;
     const auto tag = static_cast<std::uint32_t>(out_id);
     if (upstream != nullptr) {
       // Streamed form: only a plain round over a producer whose output

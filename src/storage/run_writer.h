@@ -87,8 +87,8 @@ class RunSpiller {
   /// `dir` empty = a fresh unique directory under the system temp dir
   /// (a common::TempDir owned by this spiller and removed with it), so
   /// concurrent spillers in separate processes never share a directory
-  /// unless a shared `dir` is passed explicitly — which is exactly what
-  /// the multi-process shuffle transport does.
+  /// unless a shared `dir` is passed explicitly — which is what the
+  /// multi-process reduce does for its multi-pass merge scratch.
   explicit RunSpiller(std::string dir = {});
   ~RunSpiller();
 

@@ -25,41 +25,6 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-}  // namespace
-
-void EncodeRunFrames(const ColumnarRun& run, const Codec* codec,
-                     std::size_t block_bytes,
-                     std::vector<std::string>& frames,
-                     BlockEncodeStats& stats) {
-  if (codec == nullptr) codec = &DefaultSpillCodec();
-  if (block_bytes == 0) block_bytes = kDefaultBlockBytes;
-  // The same raw-size slicing BlockRunFileWriter::AppendRun applies, so a
-  // wire run's frame payloads are exactly what the file transport would
-  // have framed. (Frame boundaries do not affect merge output — only the
-  // record sequence does — but identical slicing keeps the encode stats
-  // and compression ratios comparable across transports.)
-  std::size_t start = 0;
-  std::size_t raw = 0;
-  const std::size_t rows = run.rows();
-  for (std::size_t i = 0; i < rows; ++i) {
-    raw += run.keys.At(i).size() + run.values.At(i).size() + 16;
-    if (raw >= block_bytes) {
-      std::string payload;
-      EncodeBlock(run, start, i + 1, *codec, payload, stats);
-      frames.push_back(std::move(payload));
-      start = i + 1;
-      raw = 0;
-    }
-  }
-  if (start < rows) {
-    std::string payload;
-    EncodeBlock(run, start, rows, *codec, payload, stats);
-    frames.push_back(std::move(payload));
-  }
-}
-
-namespace {
-
 /// One raw frame for rows [lo, hi): marker, counts, then bulk column
 /// appends. `scratch` holds the rebased offsets between frames so each
 /// frame costs one capacity check per column, not one per row — and no
@@ -184,17 +149,9 @@ common::Status DecodeRawBlock(std::string_view payload, ColumnarRun& run) {
   return common::Status::Ok();
 }
 
-common::Status DecodeAnyBlock(std::string_view payload, ColumnarRun& run) {
-  if (!payload.empty() &&
-      static_cast<std::uint8_t>(payload.front()) == kRawFrameMarker) {
-    return DecodeRawBlock(payload, run);
-  }
-  return DecodeBlock(payload, run);
-}
-
-common::Status RunRegistry::Put(const std::string& run_id,
-                                std::vector<std::string> frames,
-                                std::uint64_t rows) {
+common::Result<std::uint64_t> RunRegistry::Put(
+    const std::string& run_id, std::vector<std::string> frames,
+    std::uint64_t rows) {
   auto run = std::make_shared<Run>();
   run->rows = rows;
   for (const std::string& frame : frames) run->frame_bytes += frame.size();
@@ -209,6 +166,7 @@ common::Status RunRegistry::Put(const std::string& run_id,
   }
   lock.unlock();
 
+  std::uint64_t disk_bytes = 0;
   if (overflow) {
     std::error_code ec;
     std::filesystem::create_directories(overflow_dir_, ec);
@@ -222,6 +180,7 @@ common::Status RunRegistry::Put(const std::string& run_id,
       }
     }
     if (auto status = writer.Close(); !status.ok()) return status;
+    disk_bytes = writer.bytes_written();
     run->overflow_path = overflow_path;
   } else {
     run->frames = std::move(frames);
@@ -237,7 +196,7 @@ common::Status RunRegistry::Put(const std::string& run_id,
     return common::Status::InvalidArgument(
         "run registry: duplicate run id " + run_id);
   }
-  return common::Status::Ok();
+  return disk_bytes;
 }
 
 std::shared_ptr<const RunRegistry::Run> RunRegistry::Find(
@@ -337,7 +296,7 @@ bool WireBlockRunSource::NextBlock() {
         status_ = view.status();
         return false;
       }
-      status_ = DecodeAnyBlock(*view, run_);
+      status_ = DecodeRawBlock(*view, run_);
       if (!status_.ok()) return false;
       ++blocks_;
       wire_bytes_ += view->size();

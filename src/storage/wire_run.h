@@ -16,36 +16,27 @@
 
 namespace mrcost::storage {
 
-// The wire shuffle's storage half: map tasks keep their sorted runs as
-// encoded spill-v2 block frames in a worker-local RunRegistry instead of
+// The multi-process shuffle's storage half: map tasks keep their sorted
+// runs as raw columnar frames in a worker-local RunRegistry instead of
 // writing them into the shared job directory, and reduce tasks pull them
 // through a WireBlockRunSource — a BlockRunSource that decodes frames
-// straight off a data socket, so the k-way merge overlaps the fetch. The
-// frame payloads are byte-for-byte what BlockRunFileWriter would have put
-// inside a run file's CRC frames; only the transport differs, which is
-// why both transports produce identical merge outputs.
-
-/// Encodes rows of a sorted run into spill-v2 frame payloads, cut at
-/// ~`block_bytes` of raw columnar data — the same slicing
-/// BlockRunFileWriter::AppendRun applies before framing. `codec` nullptr
-/// means DefaultSpillCodec.
-void EncodeRunFrames(const ColumnarRun& run, const Codec* codec,
-                     std::size_t block_bytes,
-                     std::vector<std::string>& frames,
-                     BlockEncodeStats& stats);
+// straight off a data socket, so the k-way merge overlaps the fetch. Merge
+// output depends only on the record sequence, never on how frames slice
+// it, so it matches the in-process external merge.
 
 /// First byte of a raw columnar frame. Deliberately outside the codec id
 /// space, so a raw frame misrouted into DecodeBlock fails loudly instead
 /// of decoding garbage.
 inline constexpr std::uint8_t kRawFrameMarker = 0xFF;
 
-/// The wire transport's frame format: the run's columns shipped verbatim
-/// (hash column included) instead of the spill files' codec-compressed,
-/// varint-packed bodies. Local sockets move bytes at memcpy speed, so
-/// spending CPU to shrink them is a loss there — and shipping the hashes
-/// lets the decoder skip recomputing HashBytes per key, which is a large
-/// share of DecodeBlock's work. Same `block_bytes` slicing as
-/// EncodeRunFrames. Layout after the marker byte:
+/// The wire frame format: the run's columns shipped verbatim (hash column
+/// included) instead of the spill files' codec-compressed, varint-packed
+/// bodies. Local sockets move bytes at memcpy speed, so spending CPU to
+/// shrink them is a loss there — and shipping the hashes lets the decoder
+/// skip recomputing HashBytes per key, which is a large share of
+/// DecodeBlock's work. Frames are cut at ~`block_bytes` of raw columnar
+/// data, the slicing BlockRunFileWriter::AppendRun applies. Layout after
+/// the marker byte:
 ///
 ///   varint rows | varint key bytes | varint value bytes |
 ///   hashes (rows u64) | positions (rows u64) |
@@ -59,13 +50,10 @@ void EncodeRawRunFrames(const ColumnarRun& run, std::size_t block_bytes,
                         std::vector<std::string>& frames,
                         BlockEncodeStats& stats);
 
-/// Decodes one raw columnar frame back into `run` (cleared first).
+/// Decodes one raw columnar frame back into `run` (cleared first). Map
+/// tasks publish raw frames only, and an overflow file holds the same raw
+/// frames, so anything else on the wire is corruption.
 common::Status DecodeRawBlock(std::string_view payload, ColumnarRun& run);
-
-/// Frame dispatch: DecodeRawBlock for raw-marker payloads, DecodeBlock
-/// for spill-v2 codec payloads — so a fetcher handles both in-memory raw
-/// frames and overflow-file frames transparently.
-common::Status DecodeAnyBlock(std::string_view payload, ColumnarRun& run);
 
 /// A worker's local store of encoded runs awaiting fetch, keyed by run id.
 /// Thread-safe: map tasks Put from the worker main loop while data-server
@@ -76,7 +64,7 @@ common::Status DecodeAnyBlock(std::string_view payload, ColumnarRun& run);
 /// `retain_budget_bytes` caps the in-memory frame bytes: a Put that would
 /// exceed it lands in an overflow file under `overflow_dir` instead
 /// (spill-v2, one frame per CRC block) and is served from disk — the
-/// shuffle degrades to spill-file behavior instead of OOMing.
+/// shuffle pays a disk write and read instead of OOMing.
 class RunRegistry {
  public:
   struct Run {
@@ -94,9 +82,12 @@ class RunRegistry {
         budget_(retain_budget_bytes) {}
 
   /// Publishes `frames` under `run_id` (ids must be unique — the caller
-  /// bakes attempt numbers in). Consumes the frames.
-  common::Status Put(const std::string& run_id,
-                     std::vector<std::string> frames, std::uint64_t rows);
+  /// bakes attempt numbers in). Consumes the frames. Returns the bytes
+  /// written to disk: the overflow file's size, 0 for a run kept in
+  /// memory.
+  common::Result<std::uint64_t> Put(const std::string& run_id,
+                                    std::vector<std::string> frames,
+                                    std::uint64_t rows);
 
   /// The run, or nullptr if the id is unknown.
   std::shared_ptr<const Run> Find(const std::string& run_id) const;

@@ -3,9 +3,8 @@
 // frames, the coordinator's task-attempt state machine, TempDir, the
 // recipe registry, and — the load-bearing contract — e2e byte-identity of
 // every family driver between the in-process and multi-process backends,
-// across worker counts, shuffle transports (spill files and wire
-// streaming), in-process shuffle strategies, and a SIGKILL'd worker both
-// mid-map and mid-fetch.
+// across worker counts, in-process shuffle strategies, overflowing run
+// registries, and a SIGKILL'd worker both mid-map and mid-fetch.
 
 #include <fcntl.h>
 #include <sys/socket.h>
@@ -13,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
@@ -223,7 +223,6 @@ TEST(Protocol, HelloRoundTrips) {
   hello.heartbeat_interval_ms = 12.5;
   hello.self_kill_after_tasks = 2;
   hello.coord_now_us = 987654321;
-  hello.shuffle_transport = 1;
   hello.retain_budget_bytes = 1 << 20;
   hello.self_kill_after_fetches = 3;
   const std::string payload = dist::EncodeHello(hello);
@@ -238,7 +237,6 @@ TEST(Protocol, HelloRoundTrips) {
   EXPECT_EQ(decoded.heartbeat_interval_ms, 12.5);
   EXPECT_EQ(decoded.self_kill_after_tasks, 2u);
   EXPECT_EQ(decoded.coord_now_us, 987654321u);
-  EXPECT_EQ(decoded.shuffle_transport, 1);
   EXPECT_EQ(decoded.retain_budget_bytes, 1u << 20);
   EXPECT_EQ(decoded.self_kill_after_fetches, 3u);
 }
@@ -259,14 +257,14 @@ TEST(Protocol, TaskMessagesRoundTrip) {
   dist::ReduceTaskMsg reduce;
   reduce.task_id = 43;
   reduce.shard = 2;
-  reduce.run_paths = {"/x/a.run", "/x/b.run"};
-  reduce.run_endpoints = {"/x/w0.sock", ""};
+  reduce.run_ids = {"r1-c0-a1-s2.wire", "r1-c1-a1-s2.wire"};
+  reduce.run_endpoints = {"/x/w0.sock", "/x/w1.sock"};
   reduce.fetch_credits = 8;
   reduce.result_path = "/x/s2.res";
   dist::ReduceTaskMsg reduce2;
   ASSERT_TRUE(
       dist::DecodeReduceTask(dist::EncodeReduceTask(reduce), reduce2).ok());
-  EXPECT_EQ(reduce2.run_paths, reduce.run_paths);
+  EXPECT_EQ(reduce2.run_ids, reduce.run_ids);
   EXPECT_EQ(reduce2.run_endpoints, reduce.run_endpoints);
   EXPECT_EQ(reduce2.fetch_credits, 8u);
 
@@ -483,7 +481,7 @@ TEST(WireRun, RawFramesRoundTrip) {
   storage::ColumnarRun got;
   storage::ColumnarRun block;
   for (const std::string& frame : frames) {
-    ASSERT_TRUE(storage::DecodeAnyBlock(frame, block).ok());
+    ASSERT_TRUE(storage::DecodeRawBlock(frame, block).ok());
     for (std::size_t i = 0; i < block.rows(); ++i) {
       got.hashes.push_back(block.hashes[i]);
       got.positions.push_back(block.positions[i]);
@@ -502,16 +500,14 @@ TEST(WireRun, RawFramesRoundTrip) {
   // A truncated raw frame fails loudly instead of mis-decoding.
   std::string bad = frames[0];
   bad.pop_back();
-  EXPECT_FALSE(storage::DecodeAnyBlock(bad, block).ok());
+  EXPECT_FALSE(storage::DecodeRawBlock(bad, block).ok());
 
-  // DecodeAnyBlock also dispatches codec frames (the overflow-file path).
-  std::vector<std::string> codec_frames;
+  // So does a spill-v2 codec frame: it lacks the raw marker.
+  std::string codec_frame;
   storage::BlockEncodeStats codec_stats;
-  storage::EncodeRunFrames(run, nullptr, /*block_bytes=*/512, codec_frames,
-                           codec_stats);
-  ASSERT_FALSE(codec_frames.empty());
-  ASSERT_TRUE(storage::DecodeAnyBlock(codec_frames[0], block).ok());
-  EXPECT_EQ(block.keys.At(0), run.keys.At(0));
+  storage::EncodeBlock(run, 0, 10, storage::DefaultSpillCodec(), codec_frame,
+                       codec_stats);
+  EXPECT_FALSE(storage::DecodeRawBlock(codec_frame, block).ok());
 }
 
 TEST(WireRun, RegistryOverflowsPastBudget) {
@@ -520,7 +516,9 @@ TEST(WireRun, RegistryOverflowsPastBudget) {
   storage::RunRegistry registry(dir->path() + "/ovf",
                                 /*retain_budget_bytes=*/64);
 
-  ASSERT_TRUE(registry.Put("a", {std::string(40, 'x')}, 1).ok());
+  auto put_a = registry.Put("a", {std::string(40, 'x')}, 1);
+  ASSERT_TRUE(put_a.ok());
+  EXPECT_EQ(*put_a, 0u);  // kept in memory: nothing written to disk
   EXPECT_EQ(registry.retained_bytes(), 40u);
   auto a = registry.Find("a");
   ASSERT_NE(a, nullptr);
@@ -529,14 +527,17 @@ TEST(WireRun, RegistryOverflowsPastBudget) {
 
   // The second run would exceed the 64-byte budget: it must land on disk
   // as a spill-v2 file holding the same frame payloads, not in memory.
-  ASSERT_TRUE(
-      registry.Put("b", {std::string(40, 'y'), std::string(8, 'z')}, 2)
-          .ok());
+  auto put_b =
+      registry.Put("b", {std::string(40, 'y'), std::string(8, 'z')}, 2);
+  ASSERT_TRUE(put_b.ok());
   auto b = registry.Find("b");
   ASSERT_NE(b, nullptr);
   EXPECT_FALSE(b->overflow_path.empty());
   EXPECT_TRUE(b->frames.empty());
   EXPECT_EQ(registry.overflow_bytes(), 48u);
+  // The file's size: header plus two framed payloads.
+  EXPECT_EQ(*put_b, std::filesystem::file_size(b->overflow_path));
+  EXPECT_GT(*put_b, 48u);
   auto file = storage::SpillFileReader::Open(b->overflow_path);
   ASSERT_TRUE(file.ok());
   std::string payload;
@@ -572,10 +573,36 @@ engine::ExecutionOptions MultiProcessOptions(int workers) {
   return options;
 }
 
-/// Runs `build()`'s dataset under the in-process backend (with the given
-/// shuffle strategy) and under the multi-process backend for each worker
-/// count and each shuffle transport, asserting byte-identical outputs.
-/// `build` must return a freshly built, recipe-stamped dataset each call.
+/// The shuffle_sweep recipe's output bytes under `options`.
+std::string SweepBytes(const std::string& args,
+                       const engine::ExecutionOptions& options,
+                       engine::PipelineMetrics* metrics = nullptr) {
+  auto plan = dist::PlanRegistry::Global().Build("shuffle_sweep", args);
+  MRCOST_CHECK_OK(plan.status());
+  engine::PipelineMetrics run = plan->Execute(options);
+  if (metrics != nullptr) *metrics = std::move(run);
+  return SerializedBytes(
+      *std::static_pointer_cast<
+          std::vector<std::pair<std::uint64_t, std::uint64_t>>>(
+          plan->graph()->slots.back()));
+}
+
+/// Counter `name` in a metrics JSON dump, or -1 when it is absent.
+long long CounterIn(const std::string& path, const std::string& name) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string json = buffer.str();
+  const std::string key = "\"" + name + "\":";
+  const auto pos = json.find(key);
+  if (pos == std::string::npos) return -1;
+  return std::strtoll(json.c_str() + pos + key.size(), nullptr, 10);
+}
+
+/// Runs `build()`'s dataset under the in-process backend and under the
+/// multi-process backend for each worker count, asserting byte-identical
+/// outputs. `build` must return a freshly built, recipe-stamped dataset
+/// each call.
 template <typename BuildFn>
 void ExpectBackendsAgree(BuildFn build, const std::string& recipe,
                          const std::string& args) {
@@ -591,18 +618,10 @@ void ExpectBackendsAgree(BuildFn build, const std::string& recipe,
   ASSERT_FALSE(reference.empty());
 
   for (const int workers : {1, 2, 4}) {
-    for (const engine::ShuffleTransport transport :
-         {engine::ShuffleTransport::kSpillFiles,
-          engine::ShuffleTransport::kWireStream}) {
-      engine::ExecutionOptions options = MultiProcessOptions(workers);
-      options.dist.shuffle_transport = transport;
-      const auto result = stamped().Execute(options);
-      EXPECT_EQ(SerializedBytes(result.outputs), reference)
-          << recipe << " diverged at " << workers << " workers over "
-          << (transport == engine::ShuffleTransport::kWireStream ? "wire"
-                                                                 : "spill");
-      ASSERT_FALSE(result.metrics.rounds.empty());
-    }
+    const auto result = stamped().Execute(MultiProcessOptions(workers));
+    EXPECT_EQ(SerializedBytes(result.outputs), reference)
+        << recipe << " diverged at " << workers << " workers";
+    ASSERT_FALSE(result.metrics.rounds.empty());
   }
 }
 
@@ -714,27 +733,14 @@ TEST(DistBackend, GraphSampleByteIdentical) {
 TEST(DistBackend, AgreesWithEveryInProcessStrategy) {
   // The multi-process output must match the in-process output under every
   // explicit shuffle strategy, not just the chooser's pick.
-  auto& registry = dist::PlanRegistry::Global();
   const std::string args = "pairs=5000,keys=97,seed=3";
-  const auto outputs = [&](const engine::ExecutionOptions& options) {
-    auto plan = registry.Build("shuffle_sweep", args);
-    MRCOST_CHECK_OK(plan.status());
-    engine::PipelineMetrics metrics = plan->Execute(options);
-    (void)metrics;
-    // The sweep's target is its last node; read it back typed.
-    auto slot = std::static_pointer_cast<
-        std::vector<std::pair<std::uint64_t, std::uint64_t>>>(
-        plan->graph()->slots.back());
-    return SerializedBytes(*slot);
-  };
-
-  const std::string multi = outputs(MultiProcessOptions(2));
+  const std::string multi = SweepBytes(args, MultiProcessOptions(2));
   for (const engine::ShuffleStrategy strategy :
        {engine::ShuffleStrategy::kSerial, engine::ShuffleStrategy::kSharded,
         engine::ShuffleStrategy::kExternal}) {
     engine::ExecutionOptions options;
     options.pipeline.round_defaults.shuffle.strategy = strategy;
-    EXPECT_EQ(outputs(options), multi)
+    EXPECT_EQ(SweepBytes(args, options), multi)
         << "strategy " << static_cast<int>(strategy);
   }
 }
@@ -783,95 +789,79 @@ TEST(DistBackend, PhysicalRoundIsHostIndependent) {
 }
 
 TEST(DistBackend, SurvivesWorkerKillMidMapByteIdentical) {
-  auto& registry = dist::PlanRegistry::Global();
   const std::string args = "pairs=20000,keys=256,seed=9";
-
-  auto reference_plan = registry.Build("shuffle_sweep", args);
-  MRCOST_CHECK_OK(reference_plan.status());
-  reference_plan->Execute({});
-  const auto reference = SerializedBytes(
-      *std::static_pointer_cast<
-          std::vector<std::pair<std::uint64_t, std::uint64_t>>>(
-          reference_plan->graph()->slots.back()));
-
+  const std::string reference = SweepBytes(args, {});
   auto base = common::TempDir::Create();
   ASSERT_TRUE(base.ok());
-  const std::string metrics_path = base->path() + "/metrics.json";
 
-  engine::ExecutionOptions options = MultiProcessOptions(2);
-  // Worker 0 SIGKILLs itself on its first map task; its tasks must be
-  // re-issued to worker 1 with byte-identical results.
-  options.dist.kill_worker_index = 0;
-  options.dist.kill_after_tasks = 1;
-  options.metrics_out = metrics_path;
+  // Worker 0 SIGKILLs itself on its first map task (nothing committed
+  // yet: the task is re-issued to worker 1) or on its second (the first
+  // map's runs died with its memory: reducers fail to fetch them, and the
+  // executor re-runs that map on worker 1). Both end byte-identical.
+  for (const int kill_after_tasks : {1, 2}) {
+    SCOPED_TRACE("kill_after_tasks=" + std::to_string(kill_after_tasks));
+    const std::string metrics_path = base->path() + "/metrics-" +
+                                     std::to_string(kill_after_tasks) +
+                                     ".json";
+    engine::ExecutionOptions options = MultiProcessOptions(2);
+    options.dist.kill_worker_index = 0;
+    options.dist.kill_after_tasks = kill_after_tasks;
+    options.metrics_out = metrics_path;
+    EXPECT_EQ(SweepBytes(args, options), reference);
 
-  auto killed_plan = registry.Build("shuffle_sweep", args);
-  MRCOST_CHECK_OK(killed_plan.status());
-  killed_plan->Execute(options);
-  const auto survived = SerializedBytes(
-      *std::static_pointer_cast<
-          std::vector<std::pair<std::uint64_t, std::uint64_t>>>(
-          killed_plan->graph()->slots.back()));
-  EXPECT_EQ(survived, reference);
-
-  // The coordinator must have actually observed the death and re-issued.
-  std::ifstream in(metrics_path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string metrics_json = buffer.str();
-  EXPECT_NE(metrics_json.find("\"dist.workers_died\":1"), std::string::npos)
-      << metrics_json;
-  EXPECT_NE(metrics_json.find("\"dist.reissued_tasks\""), std::string::npos);
+    // The coordinator must have actually observed the death and re-issued.
+    EXPECT_EQ(CounterIn(metrics_path, "dist.workers_died"), 1);
+    EXPECT_GE(CounterIn(metrics_path, "dist.reissued_tasks"), 0);
+    if (kill_after_tasks == 2) {
+      EXPECT_GE(CounterIn(metrics_path, "dist.refetched_runs"), 1);
+    }
+  }
 }
 
 TEST(DistBackend, SurvivesWorkerKillMidFetchByteIdentical) {
-  // Wire transport, with worker 0 SIGKILLing itself after sending the
-  // first block of its first served FetchRun: the reducer sees the stream
-  // truncate mid-run, fails retryably, the executor re-runs the dead
-  // worker's maps elsewhere, and the re-fetch must still produce
-  // byte-identical output.
-  auto& registry = dist::PlanRegistry::Global();
+  // Worker 0 SIGKILLs itself after sending the first block of its first
+  // served FetchRun: the reducer sees the stream truncate mid-run, fails
+  // retryably, the executor re-runs the dead worker's maps elsewhere, and
+  // the re-fetch must still produce byte-identical output.
   const std::string args = "pairs=20000,keys=256,seed=9";
-
-  auto reference_plan = registry.Build("shuffle_sweep", args);
-  MRCOST_CHECK_OK(reference_plan.status());
-  reference_plan->Execute({});
-  const auto reference = SerializedBytes(
-      *std::static_pointer_cast<
-          std::vector<std::pair<std::uint64_t, std::uint64_t>>>(
-          reference_plan->graph()->slots.back()));
-
+  const std::string reference = SweepBytes(args, {});
   auto base = common::TempDir::Create();
   ASSERT_TRUE(base.ok());
   const std::string metrics_path = base->path() + "/metrics.json";
 
   engine::ExecutionOptions options = MultiProcessOptions(2);
-  options.dist.shuffle_transport = engine::ShuffleTransport::kWireStream;
   options.dist.kill_worker_index = 0;
   options.dist.kill_after_fetches = 1;
   options.metrics_out = metrics_path;
+  EXPECT_EQ(SweepBytes(args, options), reference);
 
-  auto killed_plan = registry.Build("shuffle_sweep", args);
-  MRCOST_CHECK_OK(killed_plan.status());
-  killed_plan->Execute(options);
-  const auto survived = SerializedBytes(
-      *std::static_pointer_cast<
-          std::vector<std::pair<std::uint64_t, std::uint64_t>>>(
-          killed_plan->graph()->slots.back()));
-  EXPECT_EQ(survived, reference);
-
-  std::ifstream in(metrics_path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string metrics_json = buffer.str();
-  EXPECT_NE(metrics_json.find("\"dist.workers_died\":1"), std::string::npos)
-      << metrics_json;
+  EXPECT_EQ(CounterIn(metrics_path, "dist.workers_died"), 1);
   // The executor must have re-run at least one map to replace the dead
-  // worker's unfetchable runs.
-  const std::string key = "\"dist.refetched_runs\":";
-  const auto pos = metrics_json.find(key);
-  ASSERT_NE(pos, std::string::npos) << metrics_json;
-  EXPECT_NE(metrics_json[pos + key.size()], '0') << metrics_json;
+  // worker's unfetchable runs, and reports how long reducers waited for
+  // the death to be noticed.
+  EXPECT_GE(CounterIn(metrics_path, "dist.refetched_runs"), 1);
+  EXPECT_GE(CounterIn(metrics_path, "dist.retry_wait_ms"), 0);
+}
+
+TEST(DistBackend, OverflowingRunRegistryByteIdentical) {
+  // A one-byte retain budget sends every map run to an overflow file,
+  // served from disk over the data socket; the bytes it wrote count as
+  // spill traffic.
+  const std::string args = "pairs=20000,keys=256,seed=9";
+  const std::string reference = SweepBytes(args, {});
+  for (const int workers : {1, 2, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    engine::PipelineMetrics in_memory;
+    EXPECT_EQ(SweepBytes(args, MultiProcessOptions(workers), &in_memory),
+              reference);
+    EXPECT_EQ(in_memory.total_spill_bytes(), 0u);
+
+    engine::ExecutionOptions options = MultiProcessOptions(workers);
+    options.dist.retain_budget_bytes = 1;
+    engine::PipelineMetrics overflowed;
+    EXPECT_EQ(SweepBytes(args, options, &overflowed), reference);
+    EXPECT_GT(overflowed.total_spill_bytes(), 0u);
+  }
 }
 
 TEST(DistBackend, UnstampedPlanFallsBackInProcess) {

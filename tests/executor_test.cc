@@ -451,9 +451,8 @@ TEST(StagedRound, SpeculativeTwinsReduceOneSharedView) {
   options.speculation.slowdown_factor = 2.0;
   options.speculation.min_completed = 3;
   options.speculation.min_task_ms = 0.0;
-  using Round = internal::StagedRound<
-      std::uint64_t, std::uint64_t, std::uint64_t, Out,
-      decltype(&FoldJob::Map), internal::NoCombine, decltype(reduce)>;
+  using Round = internal::StagedRound<std::uint64_t, std::uint64_t,
+                                      std::uint64_t, Out, internal::NoCombine>;
   auto round = Round::StageMaterialized(
       exec, 0, inputs, nullptr, &FoldJob::Map, internal::NoCombine{}, reduce,
       options,
