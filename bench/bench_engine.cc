@@ -30,16 +30,20 @@
 
 namespace {
 
-// Block shuffle throughput on string keys (where the columnar layout
-// pays: one serialize+hash per key at emit time, zero key copies
-// afterwards): fills columnar KVBlocks through the Emitter and runs
-// BlockShardedShuffle. Arguments: {n}.
+// Shuffle throughput on string keys (where the columnar layout pays: one
+// serialize+hash per key at emit time, zero key copies afterwards): a
+// one-round Plan over n inputs on 4 threads and 8 pinned shards, whose
+// map emits one pair per input and whose reducer only counts its group.
+// Arguments: {n}.
 void BM_ShuffleThroughput(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const std::size_t num_chunks = 8;
-  const std::size_t num_shards = 8;
-  const std::size_t chunk = (n + num_chunks - 1) / num_chunks;
   mrcost::common::ThreadPool pool(4);
+  std::vector<std::uint64_t> inputs(n);
+  std::iota(inputs.begin(), inputs.end(), 0);
+  mrcost::engine::JobOptions options;
+  options.pool = &pool;
+  options.num_shards = 8;
+  options.shuffle.strategy = mrcost::engine::ShuffleStrategy::kSharded;
 
   auto key_of = [](std::uint64_t x) {
     return "user:" + std::to_string(mrcost::common::Mix64(x) % (1 << 16)) +
@@ -50,31 +54,31 @@ void BM_ShuffleThroughput(benchmark::State& state) {
   double last_ms = 0;
   for (auto _ : state) {
     const auto start = std::chrono::steady_clock::now();
-    std::vector<std::unique_ptr<
-        mrcost::storage::KVBlock<std::string, std::uint64_t>>>
-        blocks;
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      mrcost::engine::Emitter<std::string, std::uint64_t> emitter;
-      const std::size_t lo = std::min(n, c * chunk);
-      const std::size_t hi = std::min(n, lo + chunk);
-      for (std::size_t i = lo; i < hi; ++i) emitter.Emit(key_of(i), i);
-      blocks.push_back(
-          std::make_unique<
-              mrcost::storage::KVBlock<std::string, std::uint64_t>>(
-              std::move(emitter.block())));
-    }
-    auto result =
-        mrcost::engine::BlockShardedShuffle(blocks, pool, num_shards);
-    keys_seen = result.keys.size();
-    benchmark::DoNotOptimize(result.groups);
+    mrcost::engine::Plan plan;
+    auto run =
+        plan.Source(inputs)
+            .Map<std::string, std::uint64_t>(
+                [&key_of](const std::uint64_t& x,
+                          mrcost::engine::Emitter<std::string, std::uint64_t>&
+                              emitter) { emitter.Emit(key_of(x), x); })
+            .ReduceByKey<std::size_t>(
+                [](const std::string&,
+                   mrcost::engine::GroupView<std::uint64_t> values,
+                   std::vector<std::size_t>& out) {
+                  out.push_back(values.size());
+                })
+            .Execute(mrcost::engine::ExecutionOptions(options));
+    keys_seen = run.outputs.size();
+    benchmark::DoNotOptimize(run.outputs);
     last_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - start)
                   .count();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
   state.counters["keys"] = static_cast<double>(keys_seen);
-  // Wall time includes emitting into the blocks, so the line prices the
-  // full path: emit into blocks, then shuffle row indices.
+  // Wall time covers the whole round — map (emit into blocks), route,
+  // group, reduce and finalize — on a plan built per iteration (its input
+  // copy included).
   std::printf(
       "BENCH_JSON {\"bench\":\"shuffle_throughput\",\"mode\":\"blocks\","
       "\"n\":%zu,\"keys\":%zu,\"wall_ms\":%.3f,\"mpairs_per_s\":%.3f}\n",

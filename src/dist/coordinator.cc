@@ -433,6 +433,7 @@ common::Result<engine::internal::DistReduceOutcome> Coordinator::RunReduce(
     msg.run_ids = spec.run_ids;
     msg.run_endpoints = spec.run_endpoints;
     msg.fetch_credits = spec.fetch_credits;
+    msg.rows = spec.rows;
     return EncodeReduceTask(msg);
   });
   if (!payload.ok()) return payload.status();

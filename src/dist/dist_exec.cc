@@ -203,6 +203,7 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
             for (int tries = 1;; ++tries) {
               std::vector<std::string> run_ids;
               std::vector<std::string> run_endpoints;
+              std::uint64_t rows = 0;
               {
                 std::lock_guard<std::mutex> lock(remap_mu);
                 for (std::size_t c = 0; c < num_chunks; ++c) {
@@ -211,6 +212,7 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
                     run_ids.push_back(run.run_id);
                     run_endpoints.push_back(dist::DataEndpointPath(
                         job_dir.path(), chunk_owner[c]));
+                    rows += run.rows;
                   }
                 }
               }
@@ -220,6 +222,7 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
                     spec.shard = static_cast<std::uint32_t>(s);
                     spec.run_ids = run_ids;
                     spec.run_endpoints = run_endpoints;
+                    spec.rows = rows;
                     spec.fetch_credits = fetch_credits;
                     spec.result_path = round_prefix + "-s" +
                                        std::to_string(s) + "-t" +
@@ -277,8 +280,11 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
     MRCOST_CHECK_OK(collected.status());
     graph.slots[id] = std::move(*collected);
 
-    std::uint64_t encode_raw = 0;
-    std::uint64_t encode_encoded = 0;
+    // Spill statistics mean what they mean in-process: runs and bytes
+    // that reached disk (registry overflow files, merge rewrites), and
+    // merge passes as the deepest pass count of any one reducer, so a
+    // value above 1 still says some reducer's run count exceeded the
+    // fan-in. Raw frames pass through no codec: compression_ratio stays 0.
     for (const auto& outcome : map_outcomes) {
       metrics.pairs_shuffled += outcome.pairs;
       metrics.pairs_before_combine += outcome.raw_pairs;
@@ -286,16 +292,11 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
       metrics.blocks_emitted += outcome.blocks_emitted;
       metrics.bytes_copied += outcome.bytes_copied;
       metrics.spill_bytes_written += outcome.spill_bytes_written;
-      metrics.spill_runs += outcome.runs.size();
-      encode_raw += outcome.encode_raw_bytes;
-      encode_encoded += outcome.encode_encoded_bytes;
-    }
-    if (encode_encoded > 0) {
-      metrics.compression_ratio = static_cast<double>(encode_raw) /
-                                  static_cast<double>(encode_encoded);
+      metrics.spill_runs += outcome.spill_runs;
     }
     for (const auto& outcome : reduce_outcomes) {
-      metrics.merge_passes += outcome.merge_passes;
+      metrics.merge_passes =
+          std::max(metrics.merge_passes, outcome.merge_passes);
       metrics.spill_bytes_written += outcome.spill_bytes_written;
     }
 

@@ -114,6 +114,7 @@ std::string EncodeReduceTask(const ReduceTaskMsg& msg) {
   SerializeValue(msg.run_ids, out);
   SerializeValue(msg.run_endpoints, out);
   SerializeValue(msg.fetch_credits, out);
+  SerializeValue(msg.rows, out);
   return out;
 }
 
@@ -130,7 +131,8 @@ common::Status DecodeReduceTask(const std::string& payload,
       !DeserializeValue(p, end, msg.scratch_dir) ||
       !DeserializeValue(p, end, msg.run_ids) ||
       !DeserializeValue(p, end, msg.run_endpoints) ||
-      !DeserializeValue(p, end, msg.fetch_credits)) {
+      !DeserializeValue(p, end, msg.fetch_credits) ||
+      !DeserializeValue(p, end, msg.rows)) {
     return Corrupt("reduce task");
   }
   return common::Status::Ok();
@@ -327,9 +329,8 @@ std::string EncodeMapOutcome(const engine::internal::DistMapOutcome& out) {
   SerializeValue(out.bytes, payload);
   SerializeValue(out.blocks_emitted, payload);
   SerializeValue(out.bytes_copied, payload);
+  SerializeValue(out.spill_runs, payload);
   SerializeValue(out.spill_bytes_written, payload);
-  SerializeValue(out.encode_raw_bytes, payload);
-  SerializeValue(out.encode_encoded_bytes, payload);
   return payload;
 }
 
@@ -344,9 +345,8 @@ common::Status DecodeMapOutcome(const std::string& payload,
       !DeserializeValue(p, end, out.bytes) ||
       !DeserializeValue(p, end, out.blocks_emitted) ||
       !DeserializeValue(p, end, out.bytes_copied) ||
-      !DeserializeValue(p, end, out.spill_bytes_written) ||
-      !DeserializeValue(p, end, out.encode_raw_bytes) ||
-      !DeserializeValue(p, end, out.encode_encoded_bytes)) {
+      !DeserializeValue(p, end, out.spill_runs) ||
+      !DeserializeValue(p, end, out.spill_bytes_written)) {
     return Corrupt("map outcome");
   }
   out.runs.clear();

@@ -95,6 +95,8 @@ struct ReduceTaskMsg {
   std::vector<std::string> run_endpoints;
   /// Per-source block credit window (>= 1).
   std::uint32_t fetch_credits = 1;
+  /// Rows across the runs, to size the merged value buffer.
+  std::uint64_t rows = 0;
 };
 
 struct TaskDoneMsg {

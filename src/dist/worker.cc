@@ -448,6 +448,7 @@ int RunWorker(int fd) {
         spec.run_ids = task.run_ids;
         spec.run_endpoints = task.run_endpoints;
         spec.fetch_credits = task.fetch_credits;
+        spec.rows = task.rows;
         spec.result_path = task.result_path;
         spec.scratch_dir = task.scratch_dir;
         if (task.merge_fan_in > 0) {

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,18 +35,19 @@ namespace mrcost::engine::internal {
 //                               as raw frames in the worker's RunRegistry
 //                               (pos = MakeSpillPos)
 //   worker        run_reduce  : fetch one shard's runs from their owners'
-//                               data sockets -> k-way merge -> reduce ->
-//                               framed result file
+//                               data sockets -> k-way merge into CSR groups
+//                               (GroupMergedRuns) -> reduce -> framed
+//                               result file
 //   coordinator   collect     : result files -> output slot + JobMetrics
 //
 // Both the coordinator and the worker binary rebuild the identical plan
 // from the recipe registry (src/dist/registry.h), so node indices line up
 // and each side invokes the ops it needs. Outputs are byte-identical to
 // the in-process backend: runs are sorted by (hash, key bytes, emission
-// pos), the merge surfaces each group's minimum emission position as
-// first_pos, and collect restores the engine's global first-seen key
-// order by sorting groups on it — the same scan-order contract
-// StagedRound::Finalize enforces in-process.
+// pos), the merge tags each group with its minimum emission position
+// (CsrGroups::first, written as first_pos), and collect restores the
+// engine's global first-seen key order by sorting groups on it — the same
+// scan-order contract StagedRound::Finalize enforces in-process.
 
 /// One sorted run a map task published for one reduce shard.
 struct DistRunInfo {
@@ -66,9 +66,10 @@ struct DistMapOutcome {
   std::uint64_t bytes = 0;      // ByteSizeOf of what crosses the shuffle
   std::uint64_t blocks_emitted = 0;
   std::uint64_t bytes_copied = 0;
+  /// Runs the registry could not keep in memory, and the overflow file
+  /// bytes they took.
+  std::uint64_t spill_runs = 0;
   std::uint64_t spill_bytes_written = 0;
-  std::uint64_t encode_raw_bytes = 0;
-  std::uint64_t encode_encoded_bytes = 0;
 };
 
 struct DistReduceOutcome {
@@ -97,6 +98,9 @@ struct DistReduceSpec {
   /// Run ids to fetch, and parallel to them, each owner's data endpoint.
   std::vector<std::string> run_ids;
   std::vector<std::string> run_endpoints;
+  /// Rows across the runs (the sum of their DistRunInfo::rows): sizes the
+  /// merged value buffer.
+  std::uint64_t rows = 0;
   /// Per-source block credit window (PhysicalRound::fetch_credits).
   std::uint32_t fetch_credits = 1;
   std::string result_path;
@@ -253,9 +257,8 @@ DistRoundOps MakeDistRoundOps(
       auto written =
           spec.run_registry->Put(run_id, std::move(frames), rows.size());
       if (!written.ok()) return written.status();
+      if (*written > 0) ++outcome.spill_runs;
       outcome.spill_bytes_written += *written;
-      outcome.encode_raw_bytes += stats.raw_bytes;
-      outcome.encode_encoded_bytes += stats.encoded_bytes;
       outcome.runs.push_back(DistRunInfo{p, rows.size(), run_id});
     }
     return outcome;
@@ -280,15 +283,16 @@ DistRoundOps MakeDistRoundOps(
     }
     storage::RunSpiller scratch(spec.scratch_dir);
     storage::SpillStats stats;
-    auto merged = storage::MergeBlockRunsToGroups<K, V>(
-        std::move(sources), scratch, spec.merge_fan_in, stats);
+    auto merged =
+        GroupMergedRuns<K, V>(std::move(sources), scratch, spec.merge_fan_in,
+                              spec.rows, /*num_parts=*/1, stats);
     if (!merged.ok()) return merged.status();
-    storage::MergedGroups<K, V>& groups = merged.value();
+    const CsrGroups<K, V>& groups = merged->front();
 
     DistReduceOutcome outcome;
-    outcome.keys = groups.keys.size();
+    outcome.keys = groups.size();
     outcome.merge_passes = stats.merge_passes;
-    outcome.spill_bytes_written = stats.spill_bytes_written;
+    outcome.spill_bytes_written = scratch.bytes_written();
 
     auto file = storage::SpillFileWriter::Create(
         spec.result_path, storage::kSpillFormatVersionValues);
@@ -306,16 +310,13 @@ DistRoundOps MakeDistRoundOps(
       return status;
     };
     std::vector<Out> outs;
-    for (std::size_t i = 0; i < groups.keys.size(); ++i) {
+    for (std::size_t i = 0; i < groups.size(); ++i) {
       outs.clear();
-      reduce_fn(groups.keys[i], groups.groups[i], outs);
+      reduce_fn(groups.keys[i], groups.group(i), outs);
       outcome.outputs += outs.size();
-      outcome.max_group = std::max(
-          outcome.max_group,
-          static_cast<std::uint64_t>(groups.groups[i].size()));
-      storage::SerializeValue(groups.first_pos[i], payload);
-      storage::SerializeValue(
-          static_cast<std::uint64_t>(groups.groups[i].size()), payload);
+      outcome.max_group = std::max(outcome.max_group, groups.group_size(i));
+      storage::SerializeValue(groups.first[i].major, payload);
+      storage::SerializeValue(groups.group_size(i), payload);
       storage::SerializeValue(outs, payload);
       ++count;
       if (payload.size() >= kDistFileBlockBytes) {

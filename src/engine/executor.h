@@ -150,8 +150,9 @@ struct PhysicalRound {
   /// the input size alone, never of the host: combined partials, and so
   /// pairs_shuffled, are the same on every machine.
   std::size_t chunks = 1;
-  /// Reduce partitions: in-memory shards, external key ranges, or
-  /// multi-process reduce tasks.
+  /// Reduce partitions: in-memory shards, parts of the external merge
+  /// (cut at group boundaries into about equal rows), or multi-process
+  /// reduce tasks.
   std::size_t shards = 1;
   ShuffleStrategy strategy = ShuffleStrategy::kSharded;
   /// The placement that runs: kSampledRange only for in-process,
@@ -440,8 +441,7 @@ class StreamSource {
   virtual StageGraphExecutor::TaskId stream_block_task(
       std::size_t block) const = 0;
   /// Task after which every block's key ranks are readable; staged on
-  /// first call. kNoTask when ranks ride with the block tasks themselves
-  /// (the external shuffle's merged key order is already global).
+  /// first call.
   virtual StageGraphExecutor::TaskId stream_ranks_task() = 0;
   /// Visits block `b`'s keys: global first-seen rank plus the key's
   /// reduce outputs (a view valid for the call). Only valid from a task
@@ -477,7 +477,7 @@ inline StageWindow WindowOf(const TaskScheduler& exec,
 }
 
 /// One staged map-reduce round: builds the MapPartition -> ShardGroup ->
-/// ReduceShard -> Finalize task graph (MapSpill -> Merge -> ReduceRange ->
+/// ReduceShard -> Finalize task graph (MapSpill -> Merge -> ReduceShard ->
 /// Finalize for the external shuffle) on a StageGraphExecutor, and doubles
 /// as a StreamSource so a per-key downstream round can consume its shard
 /// outputs as they complete. CombineFn is std::function<V(V, V)> for a
@@ -573,9 +573,6 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
     return reduce_tasks_[block];
   }
   TaskId stream_ranks_task() override {
-    if (physical_.strategy == ShuffleStrategy::kExternal) {
-      return StageGraphExecutor::kNoTask;  // merged order is global already
-    }
     if (ranks_task_ == StageGraphExecutor::kNoTask) {
       auto self = self_.lock();
       ranks_task_ =
@@ -589,25 +586,20 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
       std::size_t block,
       const std::function<void(std::uint64_t rank, GroupView<Out> outputs)>&
           fn) const override {
-    if (physical_.strategy == ShuffleStrategy::kExternal) {
-      for (std::size_t i = range_begin_[block];
-           i < range_begin_[block + 1]; ++i) {
-        fn(static_cast<std::uint64_t>(i), flat_outputs_[i]);
-      }
-      return;
-    }
     const Shard& shard = shards_[block];
     for (std::size_t i = 0; i < shard.groups.size(); ++i) {
-      fn(shard.ranks[i], shard.outputs[i]);
+      const std::vector<Out>& outputs = shard.outputs[i];
+      fn(shard.ranks[i], GroupView<Out>(outputs.data(), outputs.size()));
     }
   }
 
  private:
   using Block = storage::KVBlock<K, V>;
 
-  /// One in-memory shard's grouped state, filled by its ShardGroup task
-  /// and consumed by its ReduceShard task. Groups are CSR: one value
-  /// buffer per shard (freed once reduced; the offsets keep the sizes).
+  /// One shard's grouped state, filled by its ShardGroup task (in memory)
+  /// or by the Merge task (external), and consumed by its ReduceShard
+  /// task. Groups are CSR: one value buffer per shard (freed once reduced;
+  /// the offsets keep the sizes).
   struct Shard {
     CsrGroups<K, V> groups;
     std::vector<std::uint64_t> ranks;       // filled by AssignKeyRanks
@@ -641,9 +633,8 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
     }
     // Sized before any task can run: a task may start the moment it is
     // added (its deps already done), while staging still goes on.
-    if (physical_.strategy == ShuffleStrategy::kExternal) {
-      range_begin_.assign(physical_.shards + 1, 0);
-    } else {
+    shards_.resize(physical_.shards);
+    if (physical_.strategy != ShuffleStrategy::kExternal) {
       blocks_.resize(physical_.chunks);
       shard_rows_.assign(physical_.chunks,
                          std::vector<std::vector<std::uint32_t>>(
@@ -671,7 +662,6 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
   void ReduceGroup(const K& key, GroupView<V> group, std::vector<Out>& out,
                    ReducerLoad* load);
   void ReduceShard(std::size_t p);
-  void ReduceRange(std::size_t t);
   void AssignKeyRanks();
   void Finalize();
   void FillTimings(JobMetrics& m) const;
@@ -738,11 +728,6 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
   std::vector<common::Status> spill_status_;
   std::vector<storage::ColumnarRun> tails_;
   storage::SpillStats spill_stats_;
-  ShuffleResult<K, V> merged_;
-  std::vector<std::size_t> range_begin_;  // ReduceRange key boundaries
-  std::vector<std::vector<Out>> flat_outputs_;
-  std::vector<std::uint64_t> flat_sizes_;
-  std::vector<ReducerLoad> flat_loads_;
 
   std::vector<Shard> shards_;
 
@@ -763,7 +748,7 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
   std::vector<TaskId> map_tasks_;
   std::vector<TaskId> route_tasks_;   // sampled-range only: deferred radix
   std::vector<TaskId> group_tasks_;   // in-memory: per shard; external: merge
-  std::vector<TaskId> reduce_tasks_;  // per shard / per key range
+  std::vector<TaskId> reduce_tasks_;  // per shard
   TaskId ranks_task_ = StageGraphExecutor::kNoTask;
   TaskId finalize_task_ = StageGraphExecutor::kNoTask;
   bool finalize_staged_ = false;
@@ -828,22 +813,23 @@ template <typename In, typename K, typename V, typename Out, typename CombineFn>
 void StagedRound<In, K, V, Out, CombineFn>::StageGroupAndReduce() {
   auto self = self_.lock();
   if (physical_.strategy == ShuffleStrategy::kExternal) {
+    // One merge task fills every shard, so each shard's reduce waits on
+    // it.
     const TaskId merge = exec_.AddTask(StageKind::kShuffle, round_tag_,
                                        map_tasks_,
                                        [self] { self->MergeSpills(); },
                                        /*speculatable=*/false, "Merge");
     group_tasks_ = {merge};
     reduce_tasks_.reserve(physical_.shards);
-    for (std::size_t t = 0; t < physical_.shards; ++t) {
+    for (std::size_t p = 0; p < physical_.shards; ++p) {
       reduce_tasks_.push_back(
           exec_.AddTask(StageKind::kReduce, round_tag_, {merge},
-                        [self, t] { self->ReduceRange(t); },
-                        /*speculatable=*/false, "ReduceRange",
-                        static_cast<std::uint32_t>(t)));
+                        [self, p] { self->ReduceShard(p); },
+                        /*speculatable=*/false, "ReduceShard",
+                        static_cast<std::uint32_t>(p)));
     }
     return;
   }
-  shards_.resize(physical_.shards);
   if (speculative_) {
     group_committed_.assign(physical_.shards, 0);
     reduce_committed_.assign(physical_.shards, 0);
@@ -1113,23 +1099,33 @@ void StagedRound<In, K, V, Out, CombineFn>::MergeSpills() {
   for (const common::Status& status : spill_status_) {
     MRCOST_CHECK_OK(status);
   }
-  storage::SpillStats stats;
-  auto merged = internal::MergeSpilledBlockRuns<K, V>(
-      *spiller_, tails_, options_.shuffle.merge_fan_in, stats);
-  MRCOST_CHECK_OK(merged.status());
-  spill_stats_ = stats;
-  merged_ = std::move(merged.value());
+  // Merge inputs: every chunk's unspilled tail plus every run the
+  // spiller wrote. Their rows add up to the pairs the maps routed, which
+  // sizes the shards' value buffers.
+  std::vector<std::unique_ptr<storage::BlockRunSource>> sources;
+  for (storage::ColumnarRun& tail : tails_) {
+    if (!tail.empty()) {
+      sources.push_back(
+          std::make_unique<storage::MemoryBlockRunSource>(std::move(tail)));
+    }
+  }
+  for (const std::string& path : spiller_->spill_run_paths()) {
+    sources.push_back(std::make_unique<storage::DiskBlockRunSource>(path));
+  }
+  std::uint64_t rows = 0;
+  for (const std::uint64_t pairs : task_pairs_) rows += pairs;
+  auto parts = GroupMergedRuns<K, V>(std::move(sources), *spiller_,
+                                     options_.shuffle.merge_fan_in, rows,
+                                     physical_.shards, spill_stats_);
+  MRCOST_CHECK_OK(parts.status());
+  spill_stats_.spill_runs = spiller_->spill_runs();
+  spill_stats_.spill_bytes_written = spiller_->bytes_written();
+  spill_stats_.encode = spiller_->encode_stats();
   spiller_.reset();  // run files removed as soon as the merge is done
   tails_.clear();
-
-  const std::size_t nkeys = merged_.keys.size();
-  const std::size_t ranges = range_begin_.size() - 1;
-  for (std::size_t t = 0; t <= ranges; ++t) {
-    range_begin_[t] = t * nkeys / ranges;
+  for (std::size_t p = 0; p < physical_.shards; ++p) {
+    shards_[p].groups = std::move((*parts)[p]);
   }
-  flat_outputs_.resize(nkeys);
-  flat_sizes_.resize(nkeys);
-  if (simulation_.enabled()) flat_loads_.resize(nkeys);
 }
 
 template <typename In, typename K, typename V, typename Out, typename CombineFn>
@@ -1183,18 +1179,6 @@ void StagedRound<In, K, V, Out, CombineFn>::ReduceShard(std::size_t p) {
     reduce_committed_[p] = 1;
     shard.outputs = std::move(outputs);
     shard.loads = std::move(loads);
-  }
-}
-
-template <typename In, typename K, typename V, typename Out, typename CombineFn>
-void StagedRound<In, K, V, Out, CombineFn>::ReduceRange(std::size_t t) {
-  const bool sim = simulation_.enabled();
-  for (std::size_t i = range_begin_[t]; i < range_begin_[t + 1]; ++i) {
-    std::vector<V>& group = merged_.groups[i];
-    flat_sizes_[i] = group.size();
-    ReduceGroup(merged_.keys[i], group, flat_outputs_[i],
-                sim ? &flat_loads_[i] : nullptr);
-    std::vector<V>().swap(group);  // free each group as it reduces
   }
 }
 
@@ -1274,62 +1258,47 @@ void StagedRound<In, K, V, Out, CombineFn>::Finalize() {
     m.spill_bytes_written = spill_stats_.spill_bytes_written;
     m.merge_passes = spill_stats_.merge_passes;
     m.compression_ratio = spill_stats_.encode.CompressionRatio();
-    const std::size_t nkeys = merged_.keys.size();
-    m.num_reducers = nkeys;
-    std::size_t total_outputs = 0;
-    for (std::size_t i = 0; i < nkeys; ++i) {
-      m.reducer_sizes.Add(static_cast<double>(flat_sizes_[i]));
-      m.max_reducer_input =
-          std::max<std::uint64_t>(m.max_reducer_input, flat_sizes_[i]);
-      total_outputs += flat_outputs_[i].size();
-      if (obs_metrics) reducer_q_hist.Add(flat_sizes_[i]);
+  }
+  // Deterministic merge: interleave the shards' keys back into global
+  // first-seen order by scan tag — byte-identical to the serial reference
+  // for every shard count, thread count, and task schedule. (AssignKeyRanks
+  // caches the order when a streamed consumer ran.)
+  const auto order =
+      key_order_.empty() ? SortedKeyOrder() : std::move(key_order_);
+  m.num_reducers = order.size();
+  std::size_t total_outputs = 0;
+  for (const auto& [pos, p, i] : order) {
+    const std::uint64_t size = shards_[p].groups.group_size(i);
+    m.reducer_sizes.Add(static_cast<double>(size));
+    m.max_reducer_input = std::max<std::uint64_t>(m.max_reducer_input, size);
+    total_outputs += shards_[p].outputs[i].size();
+    if (obs_metrics) reducer_q_hist.Add(size);
+  }
+  outputs.reserve(total_outputs);
+  if (sim) loads.reserve(order.size());
+  for (const auto& [pos, p, i] : order) {
+    for (auto& out : shards_[p].outputs[i]) {
+      outputs.push_back(std::move(out));
     }
-    outputs.reserve(total_outputs);
-    for (auto& v : flat_outputs_) {
-      for (auto& out : v) outputs.push_back(std::move(out));
+    if (sim) loads.push_back(shards_[p].loads[i]);
+  }
+  // How evenly the partitioner spread the routed pairs: max over mean
+  // per-shard routed rows. 1.0 = perfectly balanced shards; the gap to 1.0
+  // is what sampled-range placement exists to close. The external merge
+  // routes nothing (its parts are cut from the merged order), so it
+  // reports none.
+  if (physical_.shards > 1) {
+    std::uint64_t total_routed = 0;
+    std::uint64_t max_routed = 0;
+    for (const Shard& shard : shards_) {
+      total_routed += shard.routed_rows;
+      max_routed = std::max(max_routed, shard.routed_rows);
     }
-    if (sim) loads = std::move(flat_loads_);
-  } else {
-    // Deterministic merge: interleave the shards' keys back into global
-    // first-seen order by scan tag — byte-identical to the serial
-    // reference for every shard count, thread count, and task schedule.
-    // (AssignKeyRanks caches the order when a streamed consumer ran.)
-    const auto order =
-        key_order_.empty() ? SortedKeyOrder() : std::move(key_order_);
-    m.num_reducers = order.size();
-    std::size_t total_outputs = 0;
-    for (const auto& [pos, p, i] : order) {
-      const std::uint64_t size = shards_[p].groups.group_size(i);
-      m.reducer_sizes.Add(static_cast<double>(size));
-      m.max_reducer_input = std::max<std::uint64_t>(m.max_reducer_input,
-                                                    size);
-      total_outputs += shards_[p].outputs[i].size();
-      if (obs_metrics) reducer_q_hist.Add(size);
-    }
-    outputs.reserve(total_outputs);
-    if (sim) loads.reserve(order.size());
-    for (const auto& [pos, p, i] : order) {
-      for (auto& out : shards_[p].outputs[i]) {
-        outputs.push_back(std::move(out));
-      }
-      if (sim) loads.push_back(shards_[p].loads[i]);
-    }
-    // How evenly the partitioner spread the routed pairs: max over mean
-    // per-shard routed rows. 1.0 = perfectly balanced shards; the gap to
-    // 1.0 is what sampled-range placement exists to close.
-    if (physical_.shards > 1) {
-      std::uint64_t total_routed = 0;
-      std::uint64_t max_routed = 0;
-      for (const Shard& shard : shards_) {
-        total_routed += shard.routed_rows;
-        max_routed = std::max(max_routed, shard.routed_rows);
-      }
-      if (total_routed > 0) {
-        m.partition_skew_ratio =
-            static_cast<double>(max_routed) /
-            (static_cast<double>(total_routed) /
-             static_cast<double>(physical_.shards));
-      }
+    if (total_routed > 0) {
+      m.partition_skew_ratio =
+          static_cast<double>(max_routed) /
+          (static_cast<double>(total_routed) /
+           static_cast<double>(physical_.shards));
     }
   }
   m.num_outputs = outputs.size();
@@ -1399,9 +1368,6 @@ void StagedRound<In, K, V, Out, CombineFn>::Finalize() {
   // drains every attempt before results are consumed).
   if (!speculative_) {
     shards_.clear();
-    merged_ = ShuffleResult<K, V>{};
-    flat_outputs_.clear();
-    flat_sizes_.clear();
     blocks_.clear();
     shard_rows_.clear();
     tag_pos_.clear();

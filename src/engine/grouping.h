@@ -5,19 +5,24 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/byte_size.h"
+#include "src/common/status.h"
 #include "src/storage/block.h"
+#include "src/storage/external_merge.h"
+#include "src/storage/run_writer.h"
+#include "src/storage/serde.h"
 
 namespace mrcost::engine {
 
 /// A reducer's input: one key's values, read-only and contiguous — a
-/// pointer plus a size, the MR-MPI `multivalue` + `nvalues` idiom. The
-/// in-memory shuffle hands reducers slices of one per-shard value buffer;
-/// paths that still hold a `std::vector<V>` per group (the external merge,
-/// the multi-process reduce) pass it through the implicit conversion.
+/// pointer plus a size, the MR-MPI `multivalue` + `nvalues` idiom. Every
+/// reducer, in memory, after the spill merge and on a worker process,
+/// reads a slice of one CsrGroups value buffer.
 ///
 /// A view is valid only during the reducer call that receives it: the
 /// buffer behind it is freed once its shard is reduced. A reducer that
@@ -31,8 +36,6 @@ class GroupView {
 
   GroupView() = default;
   GroupView(const V* data, std::size_t size) : data_(data), size_(size) {}
-  GroupView(const std::vector<V>& values)  // NOLINT(runtime/explicit)
-      : data_(values.data()), size_(values.size()) {}
 
   const V* begin() const { return data_; }
   const V* end() const { return data_ + size_; }
@@ -193,6 +196,89 @@ CsrGroups<K, V> GroupRows(std::size_t num_rows, ForEachRow&& for_each_row,
     std::move(sorted.begin(), sorted.end(), out.values.begin() + lo);
   }
   return out;
+}
+
+/// The grouping kernel behind every spill merge, in-process and on a
+/// worker: reduces the fan-in if needed (storage::ReduceBlockFanIn), then
+/// pops the merged (hash, key bytes, pos) order once through a
+/// storage::BlockLoserTree, deserializing each key once per group and each
+/// value once into a CsrGroups buffer. Groups come out in merge order;
+/// first[g] = PairPos{pos of the group's first record, 0} — its minimum
+/// spill position, so sorting on it restores first-seen order.
+///
+/// The stream is cut at group boundaries into `num_parts` parts of about
+/// `total_rows / num_parts` rows each (trailing parts may be empty). Each
+/// part's value buffer is reserved up front from `total_rows`, the row
+/// count of all sources, so no buffer grows row by row; only the group
+/// that crosses a part's share can outgrow its reservation.
+template <typename K, typename V>
+common::Result<std::vector<CsrGroups<K, V>>> GroupMergedRuns(
+    std::vector<std::unique_ptr<storage::BlockRunSource>> sources,
+    storage::RunSpiller& spiller, std::size_t max_fan_in,
+    std::uint64_t total_rows, std::size_t num_parts,
+    storage::SpillStats& stats) {
+  if (max_fan_in == 0) max_fan_in = storage::kDefaultMergeFanIn;
+  if (auto status =
+          storage::ReduceBlockFanIn(sources, spiller, max_fan_in, stats);
+      !status.ok()) {
+    return status;
+  }
+  stats.merge_passes += 1;
+
+  std::vector<storage::BlockRunSource*> raw;
+  raw.reserve(sources.size());
+  for (const auto& source : sources) raw.push_back(source.get());
+  storage::BlockLoserTree tree(std::move(raw));
+
+  num_parts = std::max<std::size_t>(1, num_parts);
+  std::vector<CsrGroups<K, V>> parts(num_parts);
+  std::size_t part = 0;
+  std::uint64_t rows = 0;  // rows appended to parts [0, part]
+  // Rows through the end of part p, rounded so the last part ends at the
+  // total.
+  const auto part_end = [&](std::size_t p) {
+    return static_cast<std::uint64_t>(
+        static_cast<unsigned __int128>(total_rows) * (p + 1) / num_parts);
+  };
+  parts[0].values.reserve(part_end(0));
+  CsrGroups<K, V>* out = &parts[0];
+  std::uint64_t prev_hash = 0;
+  std::string prev_key;
+  while (const storage::RecordView* rec = tree.Peek()) {
+    if (rows == 0 || rec->hash != prev_hash || rec->key != prev_key) {
+      if (rows > 0) {
+        // Close the previous group, and its part once it holds its share.
+        out->offsets.push_back(out->values.size());
+        if (part + 1 < num_parts && rows >= part_end(part)) {
+          out = &parts[++part];
+          const std::uint64_t end = part_end(part);
+          out->values.reserve(end - std::min(rows, end));
+        }
+      }
+      prev_hash = rec->hash;
+      prev_key.assign(rec->key);
+      K key;
+      const char* p = rec->key.data();
+      if (!storage::DeserializeValue(p, p + rec->key.size(), key)) {
+        return common::Status::Internal(
+            "external merge: corrupt key bytes in spill block");
+      }
+      out->keys.push_back(std::move(key));
+      out->first.push_back(PairPos{rec->pos, 0});
+    }
+    const char* p = rec->value.data();
+    out->values.emplace_back();
+    if (!storage::DeserializeValue(p, p + rec->value.size(),
+                                   out->values.back())) {
+      return common::Status::Internal(
+          "external merge: corrupt value bytes in spill block");
+    }
+    ++rows;
+    tree.Pop();
+  }
+  if (auto status = tree.status(); !status.ok()) return status;
+  if (rows > 0) out->offsets.push_back(out->values.size());
+  return parts;
 }
 
 }  // namespace internal

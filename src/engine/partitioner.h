@@ -26,40 +26,12 @@ namespace mrcost::engine {
 // applied adaptively: each split buys capacity compliance at the price of
 // replicating one key.
 
-/// Shard placement by hash. The two implementations must agree on the
-/// contract that equal hashes always land on the same shard (grouping
-/// correctness depends on it); they differ only in how the hash space is
-/// cut.
-class Partitioner {
- public:
-  virtual ~Partitioner() = default;
-  virtual std::size_t ShardOf(std::uint64_t hash) const = 0;
-  virtual std::size_t num_shards() const = 0;
-};
-
-/// The PR-1 radix path as a Partitioner: IndexOfHash (Lemire fastrange)
-/// over equal-width hash ranges.
-class HashPartitioner final : public Partitioner {
- public:
-  explicit HashPartitioner(std::size_t num_shards)
-      : num_shards_(num_shards) {
-    MRCOST_CHECK(num_shards > 0);
-  }
-  std::size_t ShardOf(std::uint64_t hash) const override {
-    return IndexOfHash(hash, num_shards_);
-  }
-  std::size_t num_shards() const override { return num_shards_; }
-
- private:
-  std::size_t num_shards_;
-};
-
 /// Contiguous hash ranges with explicit boundaries: shard p owns hashes in
 /// [bounds[p-1], bounds[p]) with an implicit 0 floor and 2^64 ceiling.
 /// Built from a sample of the actual mapped hash distribution (one entry
 /// per *pair*, so a hot key's weight counts once per occurrence), cut at
 /// equal-weight quantiles. Equal hashes never straddle a boundary.
-class RangePartitioner final : public Partitioner {
+class RangePartitioner {
  public:
   /// `upper_bounds` must be strictly increasing; size = num_shards - 1
   /// (the last shard is unbounded above).
@@ -70,7 +42,7 @@ class RangePartitioner final : public Partitioner {
     MRCOST_CHECK(bounds_.size() < num_shards);
   }
 
-  std::size_t ShardOf(std::uint64_t hash) const override {
+  std::size_t ShardOf(std::uint64_t hash) const {
     // First boundary strictly above the hash; the hash belongs to that
     // boundary's shard. Boundaries are few (num_shards - 1), so the
     // binary search is ~log2(shards) probes.
@@ -78,7 +50,7 @@ class RangePartitioner final : public Partitioner {
         std::upper_bound(bounds_.begin(), bounds_.end(), hash) -
         bounds_.begin());
   }
-  std::size_t num_shards() const override { return num_shards_; }
+  std::size_t num_shards() const { return num_shards_; }
   const std::vector<std::uint64_t>& upper_bounds() const { return bounds_; }
 
  private:

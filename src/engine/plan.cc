@@ -142,10 +142,10 @@ PhysicalRound ResolvePhysicalRound(const JobOptions& options,
   why << "); strategy " << ToString(round.strategy) << " (" << strategy_why
       << "); shards ";
   if (round.strategy == ShuffleStrategy::kExternal) {
-    // Key ranges of the merged runs: two per thread keep every thread
-    // reducing while the slowest range finishes.
+    // Parts of the merged runs: two per thread keep every thread
+    // reducing while the slowest part finishes.
     round.shards = std::max<std::size_t>(1, facts.num_threads * 2);
-    why << round.shards << " (two key ranges per thread)";
+    why << round.shards << " (two merged parts per thread)";
   } else if (round.strategy == ShuffleStrategy::kSharded) {
     round.shards = ResolveShardCount(
         options.num_shards, facts.num_threads,

@@ -1,24 +1,14 @@
 #ifndef MRCOST_ENGINE_SHUFFLE_H_
 #define MRCOST_ENGINE_SHUFFLE_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <numeric>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "src/common/status.h"
-#include "src/common/thread_pool.h"
-#include "src/engine/grouping.h"
 #include "src/engine/hashing.h"
-#include "src/obs/trace.h"
-#include "src/storage/block.h"
-#include "src/storage/external_merge.h"
-#include "src/storage/run_writer.h"
 
 namespace mrcost::engine {
 
@@ -171,172 +161,6 @@ ShuffleResult<Key, Value> SerialShuffle(
   }
   return result;
 }
-
-/// Sharded parallel shuffle over columnar blocks, in one call — the staged
-/// executor runs the same passes as separate RouteBlock and ShardGroup
-/// tasks. Inputs arrive as KVBlocks (one per map chunk), a radix pass
-/// routes *row indices* by key hash into per-(block, shard) index lists —
-/// no pair is copied — and each shard groups its rows on a pool thread
-/// with internal::GroupRows, the kernel StagedRound::GroupShard runs. A
-/// deterministic merge finally restores the global first-seen key order,
-/// so the result equals SerialShuffle's for every shard count. Consumes
-/// the blocks' values (blocks stay allocated until return).
-template <typename Key, typename Value>
-ShuffleResult<Key, Value> BlockShardedShuffle(
-    std::vector<std::unique_ptr<storage::KVBlock<Key, Value>>>& blocks,
-    common::ThreadPool& pool, std::size_t num_shards) {
-  const std::size_t num_blocks = blocks.size();
-  num_shards = std::max<std::size_t>(1, num_shards);
-
-  obs::TraceSpan shuffle_span("BlockShardedShuffle", "shuffle");
-  if (shuffle_span.active()) {
-    shuffle_span.AddArg(
-        obs::Arg("blocks", static_cast<std::uint64_t>(num_blocks)));
-    shuffle_span.AddArg(
-        obs::Arg("shards", static_cast<std::uint64_t>(num_shards)));
-  }
-
-  std::vector<std::uint64_t> block_offset(num_blocks + 1, 0);
-  for (std::size_t c = 0; c < num_blocks; ++c) {
-    block_offset[c + 1] =
-        block_offset[c] + (blocks[c] ? blocks[c]->rows() : 0);
-  }
-
-  // Pass 1 (radix partition): route row indices, never rows.
-  obs::TraceSpan radix_span("RadixPartition", "shuffle");
-  std::vector<std::vector<std::uint32_t>> rows(num_blocks * num_shards);
-  common::ParallelFor(pool, 0, num_blocks, [&](std::size_t c) {
-    if (!blocks[c]) return;
-    const auto& block = *blocks[c];
-    std::vector<std::uint32_t>* out = &rows[c * num_shards];
-    for (std::size_t r = 0; r < block.rows(); ++r) {
-      const std::size_t p =
-          num_shards == 1 ? 0 : IndexOfHash(block.hash(r), num_shards);
-      out[p].push_back(static_cast<std::uint32_t>(r));
-    }
-  });
-  radix_span.End();
-
-  // Pass 2: group each shard's rows with the executor's CSR kernel.
-  // Scanning blocks in order visits rows in global scan order, so the
-  // first-seen tags (global row positions) are increasing per shard.
-  obs::TraceSpan group_span("ShardGroup", "shuffle");
-  std::vector<internal::CsrGroups<Key, Value>> shards(num_shards);
-  common::ParallelFor(pool, 0, num_shards, [&](std::size_t p) {
-    std::size_t owned = 0;
-    for (std::size_t c = 0; c < num_blocks; ++c) {
-      owned += rows[c * num_shards + p].size();
-    }
-    const auto for_each_row = [&](auto&& visit) {
-      for (std::size_t c = 0; c < num_blocks; ++c) {
-        if (!blocks[c]) continue;
-        for (const std::uint32_t r : rows[c * num_shards + p]) {
-          visit(*blocks[c], r, internal::PairPos{block_offset[c] + r, 0});
-        }
-      }
-    };
-    shards[p] = internal::GroupRows<Key, Value>(
-        owned, for_each_row,
-        [](storage::KVBlock<Key, Value>& block, std::uint32_t r) {
-          return std::move(block.value(r));
-        },
-        /*tags_in_scan_order=*/true);
-  });
-  group_span.End();
-
-  std::size_t total_keys = 0;
-  for (const auto& shard : shards) total_keys += shard.size();
-  if (shuffle_span.active()) {
-    shuffle_span.AddArg(
-        obs::Arg("keys", static_cast<std::uint64_t>(total_keys)));
-  }
-  struct MergeEntry {
-    std::uint64_t first_pos;
-    std::uint32_t shard;
-    std::uint32_t index;
-  };
-  std::vector<MergeEntry> order;
-  order.reserve(total_keys);
-  for (std::size_t p = 0; p < num_shards; ++p) {
-    for (std::size_t i = 0; i < shards[p].size(); ++i) {
-      order.push_back(MergeEntry{shards[p].first[i].major,
-                                 static_cast<std::uint32_t>(p),
-                                 static_cast<std::uint32_t>(i)});
-    }
-  }
-  std::sort(order.begin(), order.end(),
-            [](const MergeEntry& a, const MergeEntry& b) {
-              return a.first_pos < b.first_pos;
-            });
-
-  ShuffleResult<Key, Value> result;
-  result.keys.reserve(total_keys);
-  result.groups.reserve(total_keys);
-  for (const MergeEntry& e : order) {
-    auto& shard = shards[e.shard];
-    const auto values = shard.values.begin();
-    result.keys.push_back(std::move(shard.keys[e.index]));
-    result.groups.emplace_back(
-        std::make_move_iterator(values + shard.offsets[e.index]),
-        std::make_move_iterator(values + shard.offsets[e.index + 1]));
-  }
-  return result;
-}
-
-namespace internal {
-
-/// Restores the engine's first-seen-key-order contract on a key-ordered
-/// external merge: groups are permuted by the global position of each
-/// key's first record — exactly the order SerialShuffle discovers keys in.
-template <typename Key, typename Value>
-ShuffleResult<Key, Value> ReorderByFirstSeen(
-    storage::MergedGroups<Key, Value>& merged) {
-  std::vector<std::size_t> order(merged.keys.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&merged](std::size_t a, std::size_t b) {
-              return merged.first_pos[a] < merged.first_pos[b];
-            });
-  ShuffleResult<Key, Value> result;
-  result.keys.reserve(order.size());
-  result.groups.reserve(order.size());
-  for (std::size_t i : order) {
-    result.keys.push_back(std::move(merged.keys[i]));
-    result.groups.push_back(std::move(merged.groups[i]));
-  }
-  return result;
-}
-
-/// Builds the merge inputs from per-chunk unspilled tails (columnar runs)
-/// plus every version-2 block file the spiller wrote, merges them over
-/// block cursors (storage::BlockLoserTree), and reorders. `spiller` must
-/// outlive the call (it owns the run files) but not the result. Fills
-/// `stats` with the spiller's run, byte and raw-vs-encoded counters.
-template <typename Key, typename Value>
-common::Result<ShuffleResult<Key, Value>> MergeSpilledBlockRuns(
-    storage::RunSpiller& spiller,
-    std::vector<storage::ColumnarRun>& tails, std::size_t merge_fan_in,
-    storage::SpillStats& stats) {
-  std::vector<std::unique_ptr<storage::BlockRunSource>> sources;
-  for (auto& tail : tails) {
-    if (!tail.empty()) {
-      sources.push_back(
-          std::make_unique<storage::MemoryBlockRunSource>(std::move(tail)));
-    }
-  }
-  for (const std::string& path : spiller.spill_run_paths()) {
-    sources.push_back(std::make_unique<storage::DiskBlockRunSource>(path));
-  }
-  auto merged = storage::MergeBlockRunsToGroups<Key, Value>(
-      std::move(sources), spiller, merge_fan_in, stats);
-  if (!merged.ok()) return merged.status();
-  stats.spill_runs = spiller.spill_runs();
-  stats.spill_bytes_written = spiller.bytes_written();
-  stats.encode = spiller.encode_stats();
-  return ReorderByFirstSeen(*merged);
-}
-
-}  // namespace internal
 
 }  // namespace mrcost::engine
 

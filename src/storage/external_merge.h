@@ -11,24 +11,12 @@
 #include "src/common/status.h"
 #include "src/storage/block.h"
 #include "src/storage/run_writer.h"
-#include "src/storage/serde.h"
 #include "src/storage/spill_file.h"
 
 namespace mrcost::storage {
 
 /// Runs merged per k-way pass when the caller does not say otherwise.
 inline constexpr std::size_t kDefaultMergeFanIn = 64;
-
-/// Merge output: groups in (hash, key bytes) order — "key order" for the
-/// external shuffle — with each group's values in emission order and
-/// first_pos[i] the global position where keys[i] first appeared. The
-/// engine reorders groups by first_pos to restore its first-seen contract.
-template <typename Key, typename Value>
-struct MergedGroups {
-  std::vector<Key> keys;
-  std::vector<std::vector<Value>> groups;
-  std::vector<std::uint64_t> first_pos;
-};
 
 // The k-way merge walks *cursors*: each source exposes a borrowed
 // RecordView into its current decoded block, the loser tree compares
@@ -123,59 +111,6 @@ class BlockLoserTree {
 common::Status ReduceBlockFanIn(
     std::vector<std::unique_ptr<BlockRunSource>>& sources,
     RunSpiller& spiller, std::size_t max_fan_in, SpillStats& stats);
-
-/// The final merge pass: reduces fan-in if needed, then streams the merged
-/// view order once, cutting it into groups at (hash, key bytes) boundaries
-/// and deserializing each key once per group and each value once.
-template <typename Key, typename Value>
-common::Result<MergedGroups<Key, Value>> MergeBlockRunsToGroups(
-    std::vector<std::unique_ptr<BlockRunSource>> sources,
-    RunSpiller& spiller, std::size_t max_fan_in, SpillStats& stats) {
-  if (max_fan_in == 0) max_fan_in = kDefaultMergeFanIn;
-  if (auto status = ReduceBlockFanIn(sources, spiller, max_fan_in, stats);
-      !status.ok()) {
-    return status;
-  }
-  stats.merge_passes += 1;
-
-  std::vector<BlockRunSource*> raw;
-  raw.reserve(sources.size());
-  for (const auto& source : sources) raw.push_back(source.get());
-  BlockLoserTree tree(std::move(raw));
-
-  MergedGroups<Key, Value> out;
-  std::uint64_t prev_hash = 0;
-  std::string prev_key;
-  bool has_prev = false;
-  while (const RecordView* rec = tree.Peek()) {
-    const bool new_group =
-        !has_prev || rec->hash != prev_hash || rec->key != prev_key;
-    if (new_group) {
-      prev_hash = rec->hash;
-      prev_key.assign(rec->key);
-      has_prev = true;
-      Key key;
-      const char* p = rec->key.data();
-      if (!DeserializeValue(p, p + rec->key.size(), key)) {
-        return common::Status::Internal(
-            "external merge: corrupt key bytes in spill block");
-      }
-      out.keys.push_back(std::move(key));
-      out.groups.emplace_back();
-      out.first_pos.push_back(rec->pos);
-    }
-    Value value;
-    const char* p = rec->value.data();
-    if (!DeserializeValue(p, p + rec->value.size(), value)) {
-      return common::Status::Internal(
-          "external merge: corrupt value bytes in spill block");
-    }
-    out.groups.back().push_back(std::move(value));
-    tree.Pop();
-  }
-  if (auto status = tree.status(); !status.ok()) return status;
-  return out;
-}
 
 }  // namespace mrcost::storage
 

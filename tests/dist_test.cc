@@ -260,6 +260,7 @@ TEST(Protocol, TaskMessagesRoundTrip) {
   reduce.run_ids = {"r1-c0-a1-s2.wire", "r1-c1-a1-s2.wire"};
   reduce.run_endpoints = {"/x/w0.sock", "/x/w1.sock"};
   reduce.fetch_credits = 8;
+  reduce.rows = 12345;
   reduce.result_path = "/x/s2.res";
   dist::ReduceTaskMsg reduce2;
   ASSERT_TRUE(
@@ -267,6 +268,7 @@ TEST(Protocol, TaskMessagesRoundTrip) {
   EXPECT_EQ(reduce2.run_ids, reduce.run_ids);
   EXPECT_EQ(reduce2.run_endpoints, reduce.run_endpoints);
   EXPECT_EQ(reduce2.fetch_credits, 8u);
+  EXPECT_EQ(reduce2.rows, 12345u);
 
   dist::TaskDoneMsg done;
   done.task_id = 43;
@@ -855,13 +857,47 @@ TEST(DistBackend, OverflowingRunRegistryByteIdentical) {
     EXPECT_EQ(SweepBytes(args, MultiProcessOptions(workers), &in_memory),
               reference);
     EXPECT_EQ(in_memory.total_spill_bytes(), 0u);
+    EXPECT_EQ(in_memory.total_spill_runs(), 0u);
 
     engine::ExecutionOptions options = MultiProcessOptions(workers);
     options.dist.retain_budget_bytes = 1;
     engine::PipelineMetrics overflowed;
     EXPECT_EQ(SweepBytes(args, options, &overflowed), reference);
     EXPECT_GT(overflowed.total_spill_bytes(), 0u);
+    EXPECT_GT(overflowed.total_spill_runs(), 0u);
   }
+}
+
+TEST(DistBackend, SpillMetricsReportOnlyDiskAndDeepestMerge) {
+  // 8 chunks over 4 pinned shards, every chunk holding rows of every
+  // shard: each reducer merges 8 runs, well under the default fan-in, in
+  // one pass. The round reports that one pass (the deepest reducer's,
+  // not one per reducer), and with every run kept in worker memory no
+  // spill runs and no compression ratio (raw frames pass no codec).
+  const std::string args = "pairs=20000,keys=256,seed=9";
+  auto plan = dist::PlanRegistry::Global().Build("shuffle_sweep", args);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  engine::ExecutionOptions options = MultiProcessOptions(2);
+  options.pipeline.round_defaults.num_shards = 4;
+  const engine::PipelineMetrics metrics = plan->Execute(options);
+  ASSERT_EQ(plan->last_physical_rounds().size(), 1u);
+  EXPECT_EQ(plan->last_physical_rounds()[0].chunks, 8u);
+  EXPECT_EQ(plan->last_physical_rounds()[0].shards, 4u);
+  ASSERT_EQ(metrics.rounds.size(), 1u);
+  const engine::JobMetrics& round = metrics.rounds[0];
+  EXPECT_EQ(round.merge_passes, 1u);
+  EXPECT_EQ(round.spill_runs, 0u);
+  EXPECT_EQ(round.spill_bytes_written, 0u);
+  EXPECT_EQ(round.compression_ratio, 0.0);
+
+  // At fan-in 2 each reducer merges its 8 runs down to 4, then 2, then
+  // groups them: 3 passes, the rewrites counted as spill bytes.
+  options.pipeline.round_defaults.shuffle.merge_fan_in = 2;
+  const engine::PipelineMetrics narrow = plan->Execute(options);
+  ASSERT_EQ(narrow.rounds.size(), 1u);
+  EXPECT_EQ(narrow.rounds[0].merge_passes, 3u);
+  EXPECT_GT(narrow.rounds[0].spill_bytes_written, 0u);
+  EXPECT_EQ(narrow.rounds[0].spill_runs, 0u);
 }
 
 TEST(DistBackend, UnstampedPlanFallsBackInProcess) {

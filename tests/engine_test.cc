@@ -563,29 +563,55 @@ TEST(Shuffle, CombinedDeterministicAcrossThreadAndShardCounts) {
   }
 }
 
-/// One KVBlock per chunk, filled through the Emitter exactly as a map task
-/// fills its block.
+/// Shuffles `chunks` through a one-round Plan whose sharded shuffle is
+/// pinned to `shards` shards: each input is one pair, the map re-emits
+/// it, and each reducer copies its view out. The outputs are therefore
+/// the plan's groups in its output (first-seen) order, in the shape
+/// SerialShuffle returns.
 template <typename Key, typename Value>
-std::vector<std::unique_ptr<storage::KVBlock<Key, Value>>> BlocksFromChunks(
-    const std::vector<std::vector<std::pair<Key, Value>>>& chunks) {
-  std::vector<std::unique_ptr<storage::KVBlock<Key, Value>>> blocks;
+ShuffleResult<Key, Value> PlanShuffle(
+    const std::vector<std::vector<std::pair<Key, Value>>>& chunks,
+    std::size_t shards, common::ThreadPool& pool) {
+  using Pair = std::pair<Key, Value>;
+  using Group = std::pair<Key, std::vector<Value>>;
+  std::vector<Pair> pairs;
   for (const auto& chunk : chunks) {
-    Emitter<Key, Value> emitter;
-    for (const auto& [key, value] : chunk) emitter.Emit(key, value);
-    blocks.push_back(std::make_unique<storage::KVBlock<Key, Value>>(
-        std::move(emitter.block())));
+    pairs.insert(pairs.end(), chunk.begin(), chunk.end());
   }
-  return blocks;
+  JobOptions options;
+  options.pool = &pool;
+  options.num_shards = shards;
+  options.shuffle.strategy = ShuffleStrategy::kSharded;
+  Plan plan;
+  auto run = plan.Source(std::move(pairs))
+                 .template Map<Key, Value>(
+                     [](const Pair& p, Emitter<Key, Value>& e) {
+                       e.Emit(p.first, p.second);
+                     })
+                 .template ReduceByKey<Group>(
+                     [](const Key& key, GroupView<Value> values,
+                        std::vector<Group>& out) {
+                       out.emplace_back(key, std::vector<Value>(
+                                                 values.begin(), values.end()));
+                     })
+                 .Execute(ExecutionOptions(options));
+  EXPECT_EQ(run.physical_rounds.at(0).shards, shards);
+  ShuffleResult<Key, Value> result;
+  for (Group& group : run.outputs) {
+    result.keys.push_back(group.first);
+    result.groups.push_back(std::move(group.second));
+  }
+  return result;
 }
 
 TEST(Shuffle, ShardedMatchesSerialDirectly) {
-  // Exercise BlockShardedShuffle against SerialShuffle below the job
-  // layer, with multi-chunk input and repeated keys straddling chunk
-  // boundaries.
+  // The sharded shuffle of a one-round plan against SerialShuffle, with
+  // enough pairs for several map chunks and repeated keys straddling
+  // chunk boundaries.
   std::vector<std::vector<std::pair<int, int>>> chunks(5);
   int v = 0;
   for (std::size_t c = 0; c < chunks.size(); ++c) {
-    for (int i = 0; i < 200; ++i) {
+    for (int i = 0; i < 1000; ++i) {
       chunks[c].emplace_back((v * 7) % 143, v);
       ++v;
     }
@@ -594,8 +620,7 @@ TEST(Shuffle, ShardedMatchesSerialDirectly) {
   const auto serial = SerialShuffle(serial_chunks);
   common::ThreadPool pool(4);
   for (std::size_t shards : {2u, 3u, 8u, 64u}) {
-    auto blocks = BlocksFromChunks(chunks);
-    const auto sharded = BlockShardedShuffle(blocks, pool, shards);
+    const auto sharded = PlanShuffle(chunks, shards, pool);
     SCOPED_TRACE("shards=" + std::to_string(shards));
     EXPECT_EQ(sharded.keys, serial.keys);
     EXPECT_EQ(sharded.groups, serial.groups);
@@ -649,10 +674,9 @@ using testutil::Name;
 using testutil::RandomChunks;
 
 TEST(ShuffleProperty, SerialVsShardedEquivalence) {
-  // For every distribution, seed, and shard count 1..16: the block
-  // shuffle's keys, group contents, and global first-seen order must
-  // match the serial reference exactly. Both shuffles consume their
-  // inputs, so each run rebuilds its blocks from the same chunks.
+  // For every distribution, seed, and shard count 1..16: the plan's
+  // sharded shuffle keys, group contents, and global first-seen order must
+  // match the serial reference exactly.
   common::ThreadPool pool(4);
   for (KeyDist dist : kAllKeyDists) {
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
@@ -660,8 +684,7 @@ TEST(ShuffleProperty, SerialVsShardedEquivalence) {
       auto serial_chunks = chunks;
       const auto serial = SerialShuffle(serial_chunks);
       for (std::size_t shards = 1; shards <= 16; ++shards) {
-        auto blocks = BlocksFromChunks(chunks);
-        const auto sharded = BlockShardedShuffle(blocks, pool, shards);
+        const auto sharded = PlanShuffle(chunks, shards, pool);
         SCOPED_TRACE(std::string(Name(dist)) +
                      " seed=" + std::to_string(seed) +
                      " shards=" + std::to_string(shards));

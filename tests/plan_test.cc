@@ -42,6 +42,7 @@
 #include "src/matmul/mr_multiply.h"
 #include "src/matmul/problem.h"
 #include "src/obs/export.h"
+#include "src/storage/serde.h"
 
 namespace mrcost::engine {
 namespace {
@@ -1018,6 +1019,77 @@ TEST(PlanStreaming, InterleavedUpstreamBlocksKeepSerialValueOrder) {
   for (std::size_t i = 0; i < serial.keys.size(); ++i) {
     EXPECT_EQ(streamed.outputs[i].first, serial.keys[i]) << i;
     EXPECT_EQ(streamed.outputs[i].second, serial.groups[i]) << i;
+  }
+}
+
+TEST(PlanStreaming, ExternalProducerStreamsIntoShardedConsumer) {
+  // Round 1 runs the external shuffle under a small memory budget; round
+  // 2, sharded in memory, declares the per-key hint. The consumer maps
+  // each of the producer's merged parts as its reduce finishes, reading
+  // the ranks AssignKeyRanks gives the merged groups — and must match the
+  // barrier schedule byte for byte.
+  std::vector<int> inputs(20000);
+  std::iota(inputs.begin(), inputs.end(), 0);
+  using Pair = std::pair<std::uint64_t, std::uint64_t>;
+  using Group = std::pair<std::uint64_t, std::vector<std::uint64_t>>;
+  JobOptions consumer;
+  consumer.num_shards = 4;
+  consumer.shuffle.strategy = ShuffleStrategy::kSharded;
+  Plan plan;
+  auto target =
+      plan.Source(inputs)
+          .Map<std::uint64_t, std::uint64_t>(
+              [](const int& x, Emitter<std::uint64_t, std::uint64_t>& e) {
+                const auto v = static_cast<std::uint64_t>(x);
+                e.Emit(common::Mix64(v) % 997, v);
+              },
+              "fan-in")
+          .ReduceByKey<Pair>([](const std::uint64_t& key,
+                                GroupView<std::uint64_t> values,
+                                std::vector<Pair>& out) {
+            std::uint64_t acc = key;
+            for (std::uint64_t v : values) acc = acc * 31 + v;
+            out.emplace_back(key, acc);
+          })
+          .Map<std::uint64_t, std::uint64_t>(
+              [](const Pair& p, Emitter<std::uint64_t, std::uint64_t>& e) {
+                e.Emit(p.first % 13, p.second);
+              },
+              "regroup")
+          .WithOptions(consumer)
+          .WithPerKeyInput()
+          .ReduceByKey<Group>([](const std::uint64_t& key,
+                                 GroupView<std::uint64_t> values,
+                                 std::vector<Group>& out) {
+            out.emplace_back(key, std::vector<std::uint64_t>(values.begin(),
+                                                             values.end()));
+          });
+  ExecutionOptions streaming;
+  streaming.pipeline.num_threads = 4;
+  streaming.pipeline.round_defaults.shuffle.memory_budget_bytes = 16 << 10;
+  ExecutionOptions barrier = streaming;
+  barrier.streaming = false;
+
+  auto streamed = target.Execute(streaming);
+  auto reference = target.Execute(barrier);
+  ASSERT_EQ(streamed.physical_rounds.size(), 2u);
+  EXPECT_EQ(streamed.physical_rounds[0].strategy, ShuffleStrategy::kExternal);
+  EXPECT_GT(streamed.physical_rounds[0].shards, 1u);
+  EXPECT_EQ(streamed.physical_rounds[1].strategy, ShuffleStrategy::kSharded);
+  EXPECT_EQ(streamed.metrics.streamed_rounds, 1u);
+  EXPECT_EQ(reference.metrics.streamed_rounds, 0u);
+  EXPECT_GT(streamed.metrics.rounds[0].spill_runs, 0u);
+  EXPECT_EQ(streamed.outputs.size(), 13u);
+  std::string streamed_bytes;
+  std::string reference_bytes;
+  for (Group g : streamed.outputs) storage::SerializeValue(g, streamed_bytes);
+  for (Group g : reference.outputs) {
+    storage::SerializeValue(g, reference_bytes);
+  }
+  EXPECT_EQ(streamed_bytes, reference_bytes);
+  for (std::size_t i = 0; i < 2; ++i) {
+    ExpectSameMetrics(streamed.metrics.rounds[i],
+                      reference.metrics.rounds[i]);
   }
 }
 

@@ -15,6 +15,7 @@
 
 #include "src/common/random.h"
 #include "src/common/status.h"
+#include "src/engine/grouping.h"
 #include "src/engine/shuffle.h"
 #include "src/storage/block.h"
 #include "src/storage/external_merge.h"
@@ -445,42 +446,104 @@ TEST(BlockSpill, TruncatedAndCorruptedRunsSurfaceStatus) {
   }
 }
 
-TEST(BlockMerge, MatchesSerialShuffleAcrossDistributions) {
-  // Merging spilled and in-memory runs at the smallest fan-in, then
-  // restoring first-seen order, must reproduce the serial in-memory
-  // reference exactly — same keys, same group contents, same order — for
-  // every distribution.
-  for (KeyDist dist : kAllKeyDists) {
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      SCOPED_TRACE(std::string(Name(dist)) + " seed=" +
-                   std::to_string(seed));
-      auto chunks = RandomChunks(dist, seed);
-      const auto serial = engine::SerialShuffle(chunks);
-
-      // Five runs: spill runs 0-2, keep 3-4 in memory.
-      RunSpiller spiller(TestDir());
-      std::vector<std::unique_ptr<BlockRunSource>> sources;
-      std::size_t r = 0;
-      for (ColumnarRun& run : RunsFor(dist, seed, 5)) {
-        if (r++ < 3) {
-          ASSERT_TRUE(spiller.SpillBlockRun(run).ok());
-          sources.push_back(std::make_unique<DiskBlockRunSource>(
-              spiller.spill_run_paths().back()));
-        } else {
-          sources.push_back(
-              std::make_unique<MemoryBlockRunSource>(std::move(run)));
-        }
-      }
-      SpillStats stats;
-      auto merged = MergeBlockRunsToGroups<std::uint64_t, int>(
-          std::move(sources), spiller, /*max_fan_in=*/2, stats);
-      ASSERT_TRUE(merged.ok()) << merged.status();
-      EXPECT_GT(stats.merge_passes, 1u);
-      const auto result = engine::internal::ReorderByFirstSeen(*merged);
-      EXPECT_EQ(result.keys, serial.keys);
-      EXPECT_EQ(result.groups, serial.groups);
+/// Groups merged into CSR parts, restored to first-seen order by each
+/// group's first tag: the shape SerialShuffle returns.
+template <typename Key, typename Value>
+engine::ShuffleResult<Key, Value> FirstSeenOrder(
+    const std::vector<engine::internal::CsrGroups<Key, Value>>& parts) {
+  std::vector<std::tuple<std::uint64_t, std::size_t, std::size_t>> order;
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    for (std::size_t g = 0; g < parts[p].size(); ++g) {
+      order.emplace_back(parts[p].first[g].major, p, g);
     }
   }
+  std::sort(order.begin(), order.end());
+  engine::ShuffleResult<Key, Value> result;
+  for (const auto& [pos, p, g] : order) {
+    const auto view = parts[p].group(g);
+    result.keys.push_back(parts[p].keys[g]);
+    result.groups.emplace_back(view.begin(), view.end());
+  }
+  return result;
+}
+
+TEST(BlockMerge, MatchesSerialShuffleAcrossDistributions) {
+  // Merging spilled and in-memory runs at the smallest fan-in into CSR
+  // parts, then restoring first-seen order, must reproduce the serial
+  // in-memory reference exactly — same keys, same group contents, same
+  // order — for every distribution and part count.
+  for (KeyDist dist : kAllKeyDists) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      for (std::size_t num_parts : {1u, 3u}) {
+        SCOPED_TRACE(std::string(Name(dist)) + " seed=" +
+                     std::to_string(seed) +
+                     " parts=" + std::to_string(num_parts));
+        auto chunks = RandomChunks(dist, seed);
+        const auto serial = engine::SerialShuffle(chunks);
+
+        // Five runs: spill runs 0-2, keep 3-4 in memory.
+        RunSpiller spiller(TestDir());
+        std::vector<std::unique_ptr<BlockRunSource>> sources;
+        std::uint64_t rows = 0;
+        std::size_t r = 0;
+        for (ColumnarRun& run : RunsFor(dist, seed, 5)) {
+          rows += run.rows();
+          if (r++ < 3) {
+            ASSERT_TRUE(spiller.SpillBlockRun(run).ok());
+            sources.push_back(std::make_unique<DiskBlockRunSource>(
+                spiller.spill_run_paths().back()));
+          } else {
+            sources.push_back(
+                std::make_unique<MemoryBlockRunSource>(std::move(run)));
+          }
+        }
+        SpillStats stats;
+        auto parts = engine::internal::GroupMergedRuns<std::uint64_t, int>(
+            std::move(sources), spiller, /*max_fan_in=*/2, rows, num_parts,
+            stats);
+        ASSERT_TRUE(parts.ok()) << parts.status();
+        ASSERT_EQ(parts->size(), num_parts);
+        EXPECT_GT(stats.merge_passes, 1u);
+        const auto result = FirstSeenOrder(*parts);
+        EXPECT_EQ(result.keys, serial.keys);
+        EXPECT_EQ(result.groups, serial.groups);
+      }
+    }
+  }
+}
+
+TEST(BlockMerge, PartsCutAtGroupBoundariesIntoNearEqualRows) {
+  // 4,000 rows over 100 keys of 40 rows each, cut into 3 parts: a part
+  // closes at the first group boundary at or past its share of the rows
+  // (p + 1) * 4000 / 3, so each part holds whole groups and ends within
+  // one group of its share.
+  ColumnarRun run;
+  for (std::uint64_t pos = 0; pos < 4000; ++pos) {
+    AppendRow(run, pos % 100, static_cast<int>(pos), pos);
+  }
+  std::vector<std::unique_ptr<BlockRunSource>> sources;
+  sources.push_back(std::make_unique<MemoryBlockRunSource>(Sorted(run)));
+  RunSpiller spiller(TestDir());
+  SpillStats stats;
+  auto parts = engine::internal::GroupMergedRuns<std::uint64_t, int>(
+      std::move(sources), spiller, kDefaultMergeFanIn, run.rows(),
+      /*num_parts=*/3, stats);
+  ASSERT_TRUE(parts.ok()) << parts.status();
+  ASSERT_EQ(parts->size(), 3u);
+  EXPECT_EQ(stats.merge_passes, 1u);
+  std::uint64_t end = 0;
+  std::size_t keys = 0;
+  for (std::size_t p = 0; p < parts->size(); ++p) {
+    const auto& part = (*parts)[p];
+    keys += part.size();
+    for (std::size_t g = 0; g < part.size(); ++g) {
+      EXPECT_EQ(part.group_size(g), 40u);
+    }
+    end += part.values.size();
+    EXPECT_GE(end, 4000 * (p + 1) / 3) << p;
+    EXPECT_LT(end, 4000 * (p + 1) / 3 + 40) << p;
+  }
+  EXPECT_EQ(keys, 100u);
 }
 
 TEST(BlockLoserTree, EmptyAndSingleSource) {
@@ -571,8 +634,9 @@ TEST(ExternalMerge, CorruptRunSurfacesStatusNotCrash) {
   std::vector<std::unique_ptr<BlockRunSource>> sources;
   sources.push_back(std::make_unique<DiskBlockRunSource>(path));
   SpillStats stats;
-  auto merged = MergeBlockRunsToGroups<std::uint64_t, int>(
-      std::move(sources), spiller, kDefaultMergeFanIn, stats);
+  auto merged = engine::internal::GroupMergedRuns<std::uint64_t, int>(
+      std::move(sources), spiller, kDefaultMergeFanIn, run.rows(),
+      /*num_parts=*/1, stats);
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.status().code(), common::StatusCode::kOutOfRange);
 }
