@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -30,10 +31,21 @@
 
 namespace {
 
+/// The BENCH_JSON row of BM_ShuffleThroughput's last run per n. The
+/// library calls a benchmark function once per warm-up step and once per
+/// iteration-count probe, and the last call is the measured run, so rows
+/// are kept here and printed once each after every benchmark has run.
+std::map<std::size_t, std::string>& ShuffleThroughputRows() {
+  static std::map<std::size_t, std::string> rows;
+  return rows;
+}
+
 // Shuffle throughput on string keys (where the columnar layout pays: one
 // serialize+hash per key at emit time, zero key copies afterwards): a
 // one-round Plan over n inputs on 4 threads and 8 pinned shards, whose
 // map emits one pair per input and whose reducer only counts its group.
+// Timed on the wall clock after a warm-up: the first rounds of a process
+// pay for page faults and allocator growth that steady state does not.
 // Arguments: {n}.
 void BM_ShuffleThroughput(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -51,7 +63,7 @@ void BM_ShuffleThroughput(benchmark::State& state) {
   };
 
   std::size_t keys_seen = 0;
-  double last_ms = 0;
+  double total_ms = 0;
   for (auto _ : state) {
     const auto start = std::chrono::steady_clock::now();
     mrcost::engine::Plan plan;
@@ -70,22 +82,34 @@ void BM_ShuffleThroughput(benchmark::State& state) {
             .Execute(mrcost::engine::ExecutionOptions(options));
     keys_seen = run.outputs.size();
     benchmark::DoNotOptimize(run.outputs);
-    last_ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
+    total_ms += std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
   state.counters["keys"] = static_cast<double>(keys_seen);
-  // Wall time covers the whole round — map (emit into blocks), route,
-  // group, reduce and finalize — on a plan built per iteration (its input
-  // copy included).
-  std::printf(
+  // Wall time (mean per iteration) covers the whole round — map (emit into
+  // blocks), route, group, reduce and finalize — on a plan built per
+  // iteration (its input copy included).
+  const double wall_ms =
+      state.iterations() > 0
+          ? total_ms / static_cast<double>(state.iterations())
+          : 0.0;
+  char row[256];
+  std::snprintf(
+      row, sizeof(row),
       "BENCH_JSON {\"bench\":\"shuffle_throughput\",\"mode\":\"blocks\","
-      "\"n\":%zu,\"keys\":%zu,\"wall_ms\":%.3f,\"mpairs_per_s\":%.3f}\n",
-      n, keys_seen, last_ms,
-      last_ms > 0 ? static_cast<double>(n) / last_ms / 1e3 : 0.0);
+      "\"n\":%zu,\"keys\":%zu,\"wall_ms\":%.3f,\"mpairs_per_s\":%.3f}",
+      n, keys_seen, wall_ms,
+      wall_ms > 0 ? static_cast<double>(n) / wall_ms / 1e3 : 0.0);
+  ShuffleThroughputRows()[n] = row;
 }
-BENCHMARK(BM_ShuffleThroughput)->ArgNames({"n"})->Arg(1 << 17)->Arg(1 << 20);
+BENCHMARK(BM_ShuffleThroughput)
+    ->ArgNames({"n"})
+    ->Arg(1 << 17)
+    ->Arg(1 << 20)
+    ->UseRealTime()
+    ->MinWarmUpTime(0.3);
 
 void BM_ReplicationFanout(benchmark::State& state) {
   // Each input emitted to `fanout` keys: stresses the replication path the
@@ -413,6 +437,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   benchmark::RunSpecifiedBenchmarks();
+  for (const auto& [n, row] : ShuffleThroughputRows()) {
+    std::printf("%s\n", row.c_str());
+  }
   benchmark::Shutdown();
   return 0;
 }

@@ -6,16 +6,19 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/core/cost_model.h"
 #include "src/core/lower_bound.h"
+#include "src/core/mapping_schema.h"
 #include "src/engine/dist_round.h"
 #include "src/engine/emitter.h"
 #include "src/engine/executor.h"
@@ -57,9 +60,10 @@ template <typename T>
 class Dataset;
 class Plan;
 
-/// Analytic estimate hints for one round, declared by whoever knows the
-/// mapping schema (the four family drivers declare the paper's exact
-/// formulas). A stage declaring both `replication` and `num_reducers` is
+/// Analytic estimate hints for one round. A schema round
+/// (Dataset::MapBySchema) takes them from its core::MappingSchema; other
+/// rounds declare them with WithEstimate. A stage declaring both
+/// `replication` and `num_reducers` is
 /// priced by Estimate without executing anything; when either is 0,
 /// Estimate samples the map function over the round's materialized input
 /// instead — an exhaustive sample (max_sample_inputs >= |I|) reproduces
@@ -535,6 +539,39 @@ class Dataset {
         graph_, node_,
         typename KeyedDataset<T, K, V>::MapFn(std::move(map_fn)),
         std::move(label));
+  }
+
+  /// Starts a round whose map function is `schema`: each element, as the
+  /// value, goes to every reducer schema->ForEachReducer(input_id(element))
+  /// names, keyed by the reducer id as K (an unsigned integer wide enough
+  /// for num_reducers(), checked here). The round's estimate hint is the
+  /// schema's own replication() and num_reducers(), plus
+  /// `outputs_per_reducer` — so the assignment ValidateSchema proves is the
+  /// one that runs and is priced. Emissions go through one reused
+  /// thread-local batch per input.
+  template <typename K, typename InputIdFn>
+  KeyedDataset<T, K, T> MapBySchema(
+      std::shared_ptr<const core::MappingSchema> schema, InputIdFn input_id,
+      std::string label, double outputs_per_reducer = 1) const {
+    static_assert(std::is_integral_v<K> && std::is_unsigned_v<K>,
+                  "MapBySchema keys rows by the reducer id");
+    MRCOST_CHECK(schema->num_reducers() == 0 ||
+                 schema->num_reducers() - 1 <=
+                     std::numeric_limits<K>::max());
+    StageEstimate hint;
+    hint.replication = schema->replication();
+    hint.num_reducers = static_cast<double>(schema->num_reducers());
+    hint.outputs_per_reducer = outputs_per_reducer;
+    auto map_fn = [schema = std::move(schema),
+                   input_id = std::move(input_id)](const T& input,
+                                                   Emitter<K, T>& emitter) {
+      static thread_local typename Emitter<K, T>::Batch batch;
+      schema->ForEachReducer(input_id(input), [&input](core::ReducerId r) {
+        batch.emplace_back(static_cast<K>(r), input);
+      });
+      emitter.EmitBatch(batch);
+    };
+    return Map<K, T>(std::move(map_fn), std::move(label)).WithEstimate(hint);
   }
 
   /// Runs every round this dataset depends on and returns its elements

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -64,50 +65,33 @@ std::uint64_t TrianglePartitionSchema::num_reducers() const {
   return common::MultisetCount(bucketer_.k(), 3);
 }
 
-std::vector<core::ReducerId> TrianglePartitionSchema::ReducersOfInput(
-    core::InputId input) const {
+void TrianglePartitionSchema::ForEachReducer(core::InputId input,
+                                             const ReducerSink& sink) const {
   const auto [u, v] = PairUnrank(n_, input);
   const int a = bucketer_.Bucket(u);
   const int b = bucketer_.Bucket(v);
-  std::vector<core::ReducerId> out;
-  out.reserve(bucketer_.k());
+  const int lo = std::min(a, b);
+  const int hi = std::max(a, b);
   // All size-3 bucket multisets containing {a, b}: one per choice of the
-  // third bucket. Each choice yields a distinct multiset, so r = k exactly.
+  // third bucket x, so r = k exactly. The sorted triple is (x, lo, hi) for
+  // x < lo, (lo, x, hi) up to hi and (lo, hi, x) beyond: lexicographically
+  // increasing in x, so the ranks come out in increasing order.
   for (int x = 0; x < bucketer_.k(); ++x) {
-    std::array<int, 3> t = {a, b, x};
-    std::sort(t.begin(), t.end());
-    out.push_back(common::MultisetRank(bucketer_.k(),
-                                       std::vector<int>{t[0], t[1], t[2]}));
+    sink(common::MultisetRank(
+        bucketer_.k(), x < lo    ? std::vector<int>{x, lo, hi}
+                       : x <= hi ? std::vector<int>{lo, x, hi}
+                                 : std::vector<int>{lo, hi, x}));
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 TriangleJobResult MRTriangles(const Graph& graph, int k, std::uint64_t seed,
                               const engine::JobOptions& options,
                               bool dedup_rule) {
   const NodeBucketer bucketer(k, seed);
+  const NodeId n = graph.num_nodes();
 
-  // Key = rank of the sorted bucket multiset; value = the edge.
-  auto map_fn = [&bucketer](const Edge& e,
-                            engine::Emitter<std::uint64_t, Edge>& emitter) {
-    const int a = bucketer.Bucket(e.u);
-    const int b = bucketer.Bucket(e.v);
-    std::vector<std::uint64_t> keys;
-    keys.reserve(bucketer.k());
-    for (int x = 0; x < bucketer.k(); ++x) {
-      std::array<int, 3> t = {a, b, x};
-      std::sort(t.begin(), t.end());
-      keys.push_back(common::MultisetRank(
-          bucketer.k(), std::vector<int>{t[0], t[1], t[2]}));
-    }
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    for (std::uint64_t key : keys) emitter.Emit(key, e);
-  };
-
-  auto reduce_fn = [&bucketer, k, dedup_rule](
+  // The plan is lazy, so the reducer holds the bucketer by value.
+  auto reduce_fn = [bucketer, k, dedup_rule](
                        const std::uint64_t& key,
                        engine::GroupView<Edge> edges,
                        std::vector<Triangle>& out) {
@@ -158,10 +142,19 @@ TriangleJobResult MRTriangles(const Graph& graph, int k, std::uint64_t seed,
     }
   };
 
-  auto job = engine::RunMapReduce<Edge, std::uint64_t, Edge, Triangle>(
-      graph.edges(), map_fn, reduce_fn, options);
-  std::sort(job.outputs.begin(), job.outputs.end());
-  return TriangleJobResult{std::move(job.outputs), std::move(job.metrics)};
+  // The map is the partition schema: key = rank of a bucket multiset,
+  // value = the edge, whose input id is its pair rank. r = k exactly.
+  engine::Plan plan;
+  auto run = plan.Source(graph.edges(), "edges")
+                 .MapBySchema<std::uint64_t>(
+                     std::make_shared<TrianglePartitionSchema>(n, bucketer),
+                     [n](const Edge& e) { return PairRank(n, e.u, e.v); },
+                     "triangle partition")
+                 .ReduceByKey<Triangle>(reduce_fn)
+                 .Execute(engine::ExecutionOptions(options));
+  std::sort(run.outputs.begin(), run.outputs.end());
+  return TriangleJobResult{std::move(run.outputs),
+                           std::move(run.metrics.rounds[0])};
 }
 
 TriangleTwoRoundResult MRTrianglesNodeIterator(

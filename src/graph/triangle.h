@@ -39,8 +39,10 @@ class TrianglePartitionSchema final : public core::MappingSchema {
 
   std::string name() const override;
   std::uint64_t num_reducers() const override;
-  std::vector<core::ReducerId> ReducersOfInput(
-      core::InputId input) const override;
+  /// The multisets in increasing rank order.
+  void ForEachReducer(core::InputId input,
+                      const ReducerSink& sink) const override;
+  double replication() const override { return bucketer_.k(); }
 
  private:
   NodeId n_;

@@ -32,10 +32,11 @@ std::uint64_t SerialTwoPathCount(const Graph& graph) {
   return count;
 }
 
-std::vector<core::ReducerId> TwoPathNodeSchema::ReducersOfInput(
-    core::InputId input) const {
+void TwoPathNodeSchema::ForEachReducer(core::InputId input,
+                                       const ReducerSink& sink) const {
   const auto [u, v] = PairUnrank(n_, input);
-  return {u, v};
+  sink(u);
+  sink(v);
 }
 
 TwoPathBucketSchema::TwoPathBucketSchema(NodeId n,
@@ -56,19 +57,17 @@ std::uint64_t TwoPathBucketSchema::num_reducers() const {
   return static_cast<std::uint64_t>(n_) * pairs;
 }
 
-std::vector<core::ReducerId> TwoPathBucketSchema::ReducersOfInput(
-    core::InputId input) const {
+void TwoPathBucketSchema::ForEachReducer(core::InputId input,
+                                         const ReducerSink& sink) const {
   const auto [a, b] = PairUnrank(n_, input);
   const int k = bucketer_.k();
   const std::uint64_t pairs_per_node =
       static_cast<std::uint64_t>(k) * (k - 1) / 2;
-  std::vector<core::ReducerId> out;
-  out.reserve(2 * (k - 1));
   auto add = [&](NodeId u, int i, int x) {
     const int lo = std::min(i, x);
     const int hi = std::max(i, x);
-    out.push_back(static_cast<std::uint64_t>(u) * pairs_per_node +
-                  PairRank(k, lo, hi));
+    sink(static_cast<std::uint64_t>(u) * pairs_per_node +
+         PairRank(k, lo, hi));
   };
   const int ha = bucketer_.Bucket(a);
   const int hb = bucketer_.Bucket(b);
@@ -76,7 +75,6 @@ std::vector<core::ReducerId> TwoPathBucketSchema::ReducersOfInput(
     if (x != ha) add(b, ha, x);  // [b, {h(a), *}]
     if (x != hb) add(a, hb, x);  // [a, {*, h(b)}]
   }
-  return out;
 }
 
 TwoPathJobResult MRTwoPathsNode(const Graph& graph,

@@ -41,8 +41,8 @@ class TwoPathNodeSchema final : public core::MappingSchema {
   explicit TwoPathNodeSchema(NodeId n) : n_(n) {}
   std::string name() const override { return "2path-node"; }
   std::uint64_t num_reducers() const override { return n_; }
-  std::vector<core::ReducerId> ReducersOfInput(
-      core::InputId input) const override;
+  void ForEachReducer(core::InputId input,
+                      const ReducerSink& sink) const override;
 
  private:
   NodeId n_;
@@ -59,8 +59,8 @@ class TwoPathBucketSchema final : public core::MappingSchema {
 
   std::string name() const override;
   std::uint64_t num_reducers() const override;
-  std::vector<core::ReducerId> ReducersOfInput(
-      core::InputId input) const override;
+  void ForEachReducer(core::InputId input,
+                      const ReducerSink& sink) const override;
 
  private:
   NodeId n_;

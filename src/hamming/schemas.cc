@@ -15,23 +15,13 @@ std::uint64_t PairsSchema::num_reducers() const {
   return (std::uint64_t{1} << b_) * static_cast<std::uint64_t>(b_);
 }
 
-std::vector<core::ReducerId> PairsSchema::ReducersOfInput(
-    core::InputId input) const {
+void PairsSchema::ForEachReducer(core::InputId input,
+                                 const ReducerSink& sink) const {
   // The pair {u, u ^ (1<<i)} is owned by the endpoint with bit i clear.
-  std::vector<core::ReducerId> out;
-  out.reserve(b_);
   for (int i = 0; i < b_; ++i) {
     const BitString owner = input & ~(BitString{1} << i);
-    out.push_back(owner * b_ + i);
+    sink(owner * b_ + i);
   }
-  return out;
-}
-
-// -------------------------------------------------------- SingleReducer
-
-SingleReducerSchema::SingleReducerSchema(std::uint64_t num_inputs)
-    : num_inputs_(num_inputs) {
-  (void)num_inputs_;
 }
 
 // ------------------------------------------------------------ Splitting
@@ -59,18 +49,15 @@ std::uint64_t SplittingSchema::num_reducers() const {
   return static_cast<std::uint64_t>(c_) << (b_ - b_ / c_);
 }
 
-std::vector<core::ReducerId> SplittingSchema::ReducersOfInput(
-    core::InputId input) const {
+void SplittingSchema::ForEachReducer(core::InputId input,
+                                     const ReducerSink& sink) const {
   const int seg = b_ / c_;
   const std::uint64_t per_group = std::uint64_t{1} << (b_ - seg);
-  std::vector<core::ReducerId> out;
-  out.reserve(c_);
   for (int i = 0; i < c_; ++i) {
     const std::uint64_t residual =
         common::RemoveBitField(input, i * seg, seg);
-    out.push_back(static_cast<std::uint64_t>(i) * per_group + residual);
+    sink(static_cast<std::uint64_t>(i) * per_group + residual);
   }
-  return out;
 }
 
 // --------------------------------------------------- UnevenSplitting
@@ -115,19 +102,16 @@ std::uint64_t UnevenSplittingSchema::num_reducers() const {
   return total;
 }
 
-std::vector<core::ReducerId> UnevenSplittingSchema::ReducersOfInput(
-    core::InputId input) const {
-  std::vector<core::ReducerId> out;
-  out.reserve(c_);
+void UnevenSplittingSchema::ForEachReducer(core::InputId input,
+                                           const ReducerSink& sink) const {
   std::uint64_t group_base = 0;
   for (int i = 0; i < c_; ++i) {
     const int len = SegmentLength(i);
     const std::uint64_t residual =
         common::RemoveBitField(input, SegmentStart(i), len);
-    out.push_back(group_base + residual);
+    sink(group_base + residual);
     group_base += std::uint64_t{1} << (b_ - len);
   }
-  return out;
 }
 
 // ------------------------------------------------------------- Weights
@@ -168,26 +152,24 @@ std::uint64_t Weight2DSchema::num_reducers() const {
   return static_cast<std::uint64_t>(groups_) * groups_;
 }
 
-std::vector<core::ReducerId> Weight2DSchema::ReducersOfInput(
-    core::InputId input) const {
+void Weight2DSchema::ForEachReducer(core::InputId input,
+                                    const ReducerSink& sink) const {
   const int half = b_ / 2;
   const int lw = SegmentWeight(input, 0, half);
   const int rw = SegmentWeight(input, half, half);
   const int gl = internal::WeightGroup(lw, k_, groups_);
   const int gr = internal::WeightGroup(rw, k_, groups_);
-  std::vector<core::ReducerId> out;
-  out.push_back(static_cast<std::uint64_t>(gl) * groups_ + gr);
+  sink(static_cast<std::uint64_t>(gl) * groups_ + gr);
   // Border replication (Fig. 2): a string at the lowest weight of its
   // group must also reach the cell below, in each half independently. A
   // distance-1 pair differs in exactly one half, so diagonal neighbors are
   // never needed.
   if (gl > 0 && internal::IsLowestInGroup(lw, k_, groups_)) {
-    out.push_back(static_cast<std::uint64_t>(gl - 1) * groups_ + gr);
+    sink(static_cast<std::uint64_t>(gl - 1) * groups_ + gr);
   }
   if (gr > 0 && internal::IsLowestInGroup(rw, k_, groups_)) {
-    out.push_back(static_cast<std::uint64_t>(gl) * groups_ + (gr - 1));
+    sink(static_cast<std::uint64_t>(gl) * groups_ + (gr - 1));
   }
-  return out;
 }
 
 common::Result<WeightKDSchema> WeightKDSchema::Make(int b, int d, int k) {
@@ -219,8 +201,8 @@ std::uint64_t WeightKDSchema::num_reducers() const {
   return n;
 }
 
-std::vector<core::ReducerId> WeightKDSchema::ReducersOfInput(
-    core::InputId input) const {
+void WeightKDSchema::ForEachReducer(core::InputId input,
+                                    const ReducerSink& sink) const {
   const int piece = b_ / d_;
   std::vector<int> coord(d_);
   std::vector<int> weight(d_);
@@ -233,16 +215,14 @@ std::vector<core::ReducerId> WeightKDSchema::ReducersOfInput(
     for (int f = 0; f < d_; ++f) id = id * groups_ + c[f];
     return id;
   };
-  std::vector<core::ReducerId> out;
-  out.push_back(cell_id(coord));
+  sink(cell_id(coord));
   for (int f = 0; f < d_; ++f) {
     if (coord[f] > 0 && internal::IsLowestInGroup(weight[f], k_, groups_)) {
-      std::vector<int> neighbor = coord;
-      --neighbor[f];
-      out.push_back(cell_id(neighbor));
+      --coord[f];
+      sink(cell_id(coord));
+      ++coord[f];
     }
   }
-  return out;
 }
 
 // ----------------------------------------------------------------- Ball
@@ -258,15 +238,10 @@ std::string BallSchema::name() const {
   return os.str();
 }
 
-std::vector<core::ReducerId> BallSchema::ReducersOfInput(
-    core::InputId input) const {
-  std::vector<core::ReducerId> out;
-  out.reserve(b_ + (include_center_ ? 1 : 0));
-  for (int i = 0; i < b_; ++i) {
-    out.push_back(input ^ (BitString{1} << i));
-  }
-  if (include_center_) out.push_back(input);
-  return out;
+void BallSchema::ForEachReducer(core::InputId input,
+                                const ReducerSink& sink) const {
+  for (int i = 0; i < b_; ++i) sink(input ^ (BitString{1} << i));
+  if (include_center_) sink(input);
 }
 
 // ------------------------------------------------- Splitting, distance d
@@ -294,36 +269,31 @@ std::string SplittingDistanceDSchema::name() const {
   return os.str();
 }
 
-std::uint64_t SplittingDistanceDSchema::replication() const {
-  return common::BinomialExact(k_, d_);
+double SplittingDistanceDSchema::replication() const {
+  return static_cast<double>(common::BinomialExact(k_, d_));
 }
 
 std::uint64_t SplittingDistanceDSchema::num_reducers() const {
   const int seg = b_ / k_;
-  return replication() << (b_ - d_ * seg);
+  return common::BinomialExact(k_, d_) << (b_ - d_ * seg);
 }
 
-core::ReducerId SplittingDistanceDSchema::ReducerFor(
-    BitString w, const std::vector<int>& subset) const {
+void SplittingDistanceDSchema::ForEachReducer(core::InputId input,
+                                              const ReducerSink& sink) const {
+  // Reducer id: the deleted-segment subset's rank in the high bits, the
+  // residual bits below. Subsets come in lexicographic order, so a counter
+  // is each one's CombinationRank.
   const int seg = b_ / k_;
-  // Delete the chosen segments from highest position to lowest so earlier
-  // removals do not shift later ones.
-  BitString residual = w;
-  for (auto it = subset.rbegin(); it != subset.rend(); ++it) {
-    residual = common::RemoveBitField(residual, *it * seg, seg);
-  }
-  const std::uint64_t rank = common::CombinationRank(k_, subset);
-  return (rank << (b_ - d_ * seg)) | residual;
-}
-
-std::vector<core::ReducerId> SplittingDistanceDSchema::ReducersOfInput(
-    core::InputId input) const {
-  std::vector<core::ReducerId> out;
-  out.reserve(replication());
+  std::uint64_t rank = 0;
   common::ForEachSubsetOfSize(k_, d_, [&](const std::vector<int>& subset) {
-    out.push_back(ReducerFor(input, subset));
+    // Delete the chosen segments from highest position to lowest so earlier
+    // removals do not shift later ones.
+    BitString residual = input;
+    for (auto it = subset.rbegin(); it != subset.rend(); ++it) {
+      residual = common::RemoveBitField(residual, *it * seg, seg);
+    }
+    sink((rank++ << (b_ - d_ * seg)) | residual);
   });
-  return out;
 }
 
 }  // namespace mrcost::hamming

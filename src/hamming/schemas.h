@@ -21,8 +21,8 @@ class PairsSchema final : public core::MappingSchema {
 
   std::string name() const override { return "hamming1-pairs"; }
   std::uint64_t num_reducers() const override;
-  std::vector<core::ReducerId> ReducersOfInput(
-      core::InputId input) const override;
+  void ForEachReducer(core::InputId input,
+                      const ReducerSink& sink) const override;
 
  private:
   int b_;
@@ -31,18 +31,12 @@ class PairsSchema final : public core::MappingSchema {
 /// The q=2^b extreme: a single reducer receives everything; r = 1.
 class SingleReducerSchema final : public core::MappingSchema {
  public:
-  explicit SingleReducerSchema(std::uint64_t num_inputs);
-
   std::string name() const override { return "single-reducer"; }
   std::uint64_t num_reducers() const override { return 1; }
-  std::vector<core::ReducerId> ReducersOfInput(
-      core::InputId input) const override {
-    (void)input;
-    return {0};
+  void ForEachReducer(core::InputId /*input*/,
+                      const ReducerSink& sink) const override {
+    sink(0);
   }
-
- private:
-  std::uint64_t num_inputs_;
 };
 
 /// The Splitting Algorithm of Section 3.3 generalized to c segments:
@@ -57,8 +51,8 @@ class SplittingSchema final : public core::MappingSchema {
 
   std::string name() const override;
   std::uint64_t num_reducers() const override;
-  std::vector<core::ReducerId> ReducersOfInput(
-      core::InputId input) const override;
+  void ForEachReducer(core::InputId input,
+                      const ReducerSink& sink) const override;
 
   int b() const { return b_; }
   int c() const { return c_; }
@@ -85,8 +79,8 @@ class UnevenSplittingSchema final : public core::MappingSchema {
 
   std::string name() const override;
   std::uint64_t num_reducers() const override;
-  std::vector<core::ReducerId> ReducersOfInput(
-      core::InputId input) const override;
+  void ForEachReducer(core::InputId input,
+                      const ReducerSink& sink) const override;
 
   int b() const { return b_; }
   int c() const { return c_; }
@@ -117,8 +111,8 @@ class Weight2DSchema final : public core::MappingSchema {
 
   std::string name() const override;
   std::uint64_t num_reducers() const override;
-  std::vector<core::ReducerId> ReducersOfInput(
-      core::InputId input) const override;
+  void ForEachReducer(core::InputId input,
+                      const ReducerSink& sink) const override;
 
   int num_groups() const { return groups_; }
 
@@ -141,8 +135,8 @@ class WeightKDSchema final : public core::MappingSchema {
 
   std::string name() const override;
   std::uint64_t num_reducers() const override;
-  std::vector<core::ReducerId> ReducersOfInput(
-      core::InputId input) const override;
+  void ForEachReducer(core::InputId input,
+                      const ReducerSink& sink) const override;
 
   int num_groups_per_dim() const { return groups_; }
 
@@ -169,8 +163,8 @@ class BallSchema final : public core::MappingSchema {
   std::uint64_t num_reducers() const override {
     return std::uint64_t{1} << b_;
   }
-  std::vector<core::ReducerId> ReducersOfInput(
-      core::InputId input) const override;
+  void ForEachReducer(core::InputId input,
+                      const ReducerSink& sink) const override;
 
  private:
   int b_;
@@ -189,18 +183,11 @@ class SplittingDistanceDSchema final : public core::MappingSchema {
 
   std::string name() const override;
   std::uint64_t num_reducers() const override;
-  std::vector<core::ReducerId> ReducersOfInput(
-      core::InputId input) const override;
+  void ForEachReducer(core::InputId input,
+                      const ReducerSink& sink) const override;
 
-  int b() const { return b_; }
-  int k() const { return k_; }
-  int d() const { return d_; }
-  std::uint64_t replication() const;  // C(k, d)
-
-  /// Key construction shared with the similarity join: the reducer id for
-  /// string `w` and deleted-segment subset `subset` (sorted ascending).
-  core::ReducerId ReducerFor(BitString w,
-                             const std::vector<int>& subset) const;
+  /// C(k, d): every string goes to one reducer per deleted-segment subset.
+  double replication() const override;
 
  private:
   SplittingDistanceDSchema(int b, int k, int d) : b_(b), k_(k), d_(d) {}

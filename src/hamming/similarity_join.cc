@@ -1,7 +1,6 @@
 #include "src/hamming/similarity_join.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -166,25 +165,6 @@ common::Result<SimilarityJoinPlan> BuildSplittingSimilarityJoinPlan(
     return common::Status::InvalidArgument(
         "SplittingSimilarityJoin: a string has bits at or above b");
   }
-  // The map closure outlives this function (the plan is lazy), so the
-  // schema is owned by shared_ptr rather than captured by reference.
-  auto s = std::make_shared<SplittingDistanceDSchema>(std::move(*schema));
-
-  // Key = reducer id (deleted-subset rank in the high bits, residual bits
-  // below); value = the original string. Each string fans out to C(k,d)
-  // reducers, so the emissions are collected in a reused thread-local
-  // batch and handed over in one EmitBatch call.
-  auto map_fn = [s](const BitString& w,
-                    engine::Emitter<std::uint64_t, BitString>& emitter) {
-    static thread_local engine::Emitter<std::uint64_t, BitString>::Batch
-        batch;
-    common::ForEachSubsetOfSize(
-        s->k(), s->d(), [&](const std::vector<int>& subset) {
-          batch.emplace_back(s->ReducerFor(w, subset), w);
-        });
-    emitter.EmitBatch(batch);
-  };
-
   // All strings in one reducer agree outside its d deleted segments, so a
   // pair at distance 1..d differs by exactly one flip mask over those
   // segments. With the table, a reducer whose group outnumbers its masks
@@ -230,20 +210,18 @@ common::Result<SimilarityJoinPlan> BuildSplittingSimilarityJoinPlan(
     }
   };
 
-  // Section 3.6's exact schema geometry, declared so Estimate needs no
-  // sampling: every string goes to C(k,d) reducers, of C(k,d) * 2^residual
-  // possible; on the full domain every reducer holds exactly 2^(d*b/k)
-  // strings, so the mean load is the max.
-  engine::StageEstimate estimate;
-  estimate.replication = common::BinomialDouble(k, d);
-  estimate.num_reducers =
-      common::BinomialDouble(k, d) * std::ldexp(1.0, residual_bits);
-
+  // The map is the schema itself: key = reducer id (deleted-subset rank in
+  // the high bits, residual bits below), value = the string, whose input id
+  // is the string. Its declared C(k,d) replication over C(k,d) * 2^residual
+  // reducers prices the round without sampling; on the full domain every
+  // reducer holds exactly 2^(d*b/k) strings, so the mean load is the max.
   engine::Plan plan;
   auto pairs =
       plan.Source(strings, "bit strings")
-          .Map<std::uint64_t, BitString>(map_fn, "splitting fan-out")
-          .WithEstimate(estimate)
+          .MapBySchema<std::uint64_t>(
+              std::make_shared<SplittingDistanceDSchema>(std::move(*schema)),
+              [](const BitString& w) { return core::InputId{w}; },
+              "splitting fan-out")
           .ReduceByKey<Pair>(reduce_fn);
   return SimilarityJoinPlan{std::move(plan), std::move(pairs)};
 }

@@ -31,13 +31,14 @@ std::vector<core::InputId> NaturalJoinProblem::InputsOfOutput(
   return {r_tuple, s_tuple};
 }
 
-std::vector<core::ReducerId> HashJoinSchema::ReducersOfInput(
-    core::InputId input) const {
+void HashJoinSchema::ForEachReducer(core::InputId input,
+                                    const ReducerSink& sink) const {
   const std::uint64_t r_count = static_cast<std::uint64_t>(na_) * nb_;
   if (input < r_count) {
-    return {input % nb_};  // R(a,b) -> reducer b
+    sink(input % nb_);  // R(a,b) -> reducer b
+  } else {
+    sink((input - r_count) / nc_);  // S(b,c) -> reducer b
   }
-  return {(input - r_count) / nc_};  // S(b,c) -> reducer b
 }
 
 GroupByProblem::GroupByProblem(int na, int nb) : na_(na), nb_(nb) {

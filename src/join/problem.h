@@ -52,8 +52,8 @@ class HashJoinSchema final : public core::MappingSchema {
 
   std::string name() const override { return "hash-join-by-B"; }
   std::uint64_t num_reducers() const override { return nb_; }
-  std::vector<core::ReducerId> ReducersOfInput(
-      core::InputId input) const override;
+  void ForEachReducer(core::InputId input,
+                      const ReducerSink& sink) const override;
 
  private:
   int na_;
@@ -92,9 +92,9 @@ class GroupBySchema final : public core::MappingSchema {
 
   std::string name() const override { return "group-by-A"; }
   std::uint64_t num_reducers() const override { return num_groups_; }
-  std::vector<core::ReducerId> ReducersOfInput(
-      core::InputId input) const override {
-    return {input / nb_};
+  void ForEachReducer(core::InputId input,
+                      const ReducerSink& sink) const override {
+    sink(input / nb_);
   }
 
  private:

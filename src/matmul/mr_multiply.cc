@@ -1,9 +1,12 @@
 #include "src/matmul/mr_multiply.h"
 
 #include <cmath>
+#include <memory>
 #include <tuple>
 #include <utility>
 #include <vector>
+
+#include "src/matmul/problem.h"
 
 namespace mrcost::matmul {
 namespace {
@@ -28,6 +31,15 @@ std::vector<Element> FlattenInputs(const Matrix& r, const Matrix& s) {
   return inputs;
 }
 
+/// An element's input id in MatMulProblem's numbering (R row-major, then
+/// S), the ids the matmul schemas assign.
+auto ElementInputId(int n) {
+  const std::uint64_t nn = static_cast<std::uint64_t>(n);
+  return [nn](const Element& e) {
+    return core::InputId{e.matrix * nn * nn + e.row * nn + e.col};
+  };
+}
+
 }  // namespace
 
 common::Result<OnePhasePlan> BuildMultiplyOnePhasePlan(const Matrix& r,
@@ -43,27 +55,6 @@ common::Result<OnePhasePlan> BuildMultiplyOnePhasePlan(const Matrix& r,
         "MultiplyOnePhase: tile must divide n");
   }
   const std::uint32_t groups = static_cast<std::uint32_t>(n / tile);
-
-  // Key = row-group * groups + col-group. Every element is replicated to
-  // `groups` reducers, so the fan-out is batched through a reused
-  // thread-local buffer.
-  auto map_fn = [groups, tile](const Element& e,
-                               engine::Emitter<std::uint32_t, Element>&
-                                   emitter) {
-    static thread_local engine::Emitter<std::uint32_t, Element>::Batch batch;
-    if (e.matrix == 0) {
-      const std::uint32_t gi = e.row / tile;
-      for (std::uint32_t gk = 0; gk < groups; ++gk) {
-        batch.emplace_back(gi * groups + gk, e);
-      }
-    } else {
-      const std::uint32_t gk = e.col / tile;
-      for (std::uint32_t gi = 0; gi < groups; ++gi) {
-        batch.emplace_back(gi * groups + gk, e);
-      }
-    }
-    emitter.EmitBatch(batch);
-  };
 
   auto reduce_fn = [n, tile, groups](const std::uint32_t& key,
                                      engine::GroupView<Element> elems,
@@ -93,18 +84,17 @@ common::Result<OnePhasePlan> BuildMultiplyOnePhasePlan(const Matrix& r,
     }
   };
 
-  // Section 6.2's exact geometry: r = n/s replication onto (n/s)^2 tile
-  // reducers of q = 2sn inputs each, s*s product cells out of each.
-  engine::StageEstimate estimate;
-  estimate.replication = static_cast<double>(groups);
-  estimate.num_reducers = static_cast<double>(groups) * groups;
-  estimate.outputs_per_reducer = static_cast<double>(tile) * tile;
-
+  // The map is Section 6.2's schema: key = row-group * groups + col-group,
+  // r = n/s replication onto (n/s)^2 tile reducers of q = 2sn inputs each,
+  // s*s product cells out of each.
   engine::Plan plan;
-  auto cells = plan.Source(FlattenInputs(r, s), "matrix elements")
-                   .Map<std::uint32_t, Element>(map_fn, "one-phase tiles")
-                   .WithEstimate(estimate)
-                   .ReduceByKey<Cell>(reduce_fn);
+  auto cells =
+      plan.Source(FlattenInputs(r, s), "matrix elements")
+          .MapBySchema<std::uint32_t>(
+              std::make_shared<OnePhaseSchema>(*OnePhaseSchema::Make(n, tile)),
+              ElementInputId(n), "one-phase tiles",
+              static_cast<double>(tile) * tile)
+          .ReduceByKey<Cell>(reduce_fn);
   return OnePhasePlan{std::move(plan), std::move(cells)};
 }
 
@@ -138,32 +128,8 @@ common::Result<TwoPhasePlan> BuildMultiplyTwoPhasePlan(const Matrix& r,
   const std::uint32_t i_groups = static_cast<std::uint32_t>(n / s_rows);
   const std::uint32_t j_groups = static_cast<std::uint32_t>(n / t_js);
 
-  // ---- Round 1: key = (I-group, K-group, J-group) flattened.
-  auto cube_key = [i_groups, j_groups](std::uint32_t gi, std::uint32_t gk,
-                                       std::uint32_t gj) {
-    return (static_cast<std::uint64_t>(gi) * i_groups + gk) * j_groups + gj;
-  };
-
-  auto map1 = [cube_key, i_groups, s_rows, t_js](
-                  const Element& e,
-                  engine::Emitter<std::uint64_t, Element>& emitter) {
-    if (e.matrix == 0) {
-      // r_ij: fixed I-group and J-group; all K-groups (Fig. 5).
-      const std::uint32_t gi = e.row / s_rows;
-      const std::uint32_t gj = e.col / t_js;
-      for (std::uint32_t gk = 0; gk < i_groups; ++gk) {
-        emitter.Emit(cube_key(gi, gk, gj), e);
-      }
-    } else {
-      // s_jk: fixed J-group and K-group; all I-groups.
-      const std::uint32_t gj = e.row / t_js;
-      const std::uint32_t gk = e.col / s_rows;
-      for (std::uint32_t gi = 0; gi < i_groups; ++gi) {
-        emitter.Emit(cube_key(gi, gk, gj), e);
-      }
-    }
-  };
-
+  // ---- Round 1: the Figure 5 cube schema, key = (I-group, K-group,
+  // J-group) flattened.
   auto reduce1 = [i_groups, j_groups, s_rows, t_js](
                      const std::uint64_t& key,
                      engine::GroupView<Element> elems,
@@ -194,14 +160,6 @@ common::Result<TwoPhasePlan> BuildMultiplyTwoPhasePlan(const Matrix& r,
     }
   };
 
-  // Round 1 of Section 6.3: every element fans to n/s cubes, of
-  // (n/s)^2 * (n/t) total, q = 2st each, s*s partial sums out.
-  engine::StageEstimate estimate1;
-  estimate1.replication = static_cast<double>(i_groups);
-  estimate1.num_reducers =
-      static_cast<double>(i_groups) * i_groups * j_groups;
-  estimate1.outputs_per_reducer = static_cast<double>(s_rows) * s_rows;
-
   // ---- Round 2: group partial sums by (i, k) and add (embarrassingly
   // parallel; Sec. 6.3).
   using Keyed = std::pair<std::uint64_t, double>;
@@ -223,11 +181,16 @@ common::Result<TwoPhasePlan> BuildMultiplyTwoPhasePlan(const Matrix& r,
   estimate2.num_reducers = static_cast<double>(n) * n;
   estimate2.outputs_per_reducer = 1.0;
 
+  // Round 1 of Section 6.3: every element fans to n/s cubes, of
+  // (n/s)^2 * (n/t) total, q = 2st each, s*s partial sums out.
   engine::Plan plan;
   auto partials =
       plan.Source(FlattenInputs(r, s), "matrix elements")
-          .Map<std::uint64_t, Element>(map1, "two-phase cubes")
-          .WithEstimate(estimate1)
+          .MapBySchema<std::uint64_t>(
+              std::make_shared<TwoPhaseCubeSchema>(
+                  *TwoPhaseCubeSchema::Make(n, s_rows, t_js)),
+              ElementInputId(n), "two-phase cubes",
+              static_cast<double>(s_rows) * s_rows)
           .ReduceByKey<Cell>(reduce1);
   // Round 2 depends on each partial sum individually, so Execute streams
   // round 1's per-shard reduce outputs into round 2's map with no global

@@ -47,26 +47,23 @@ std::uint64_t OnePhaseSchema::num_reducers() const {
   return groups * groups;
 }
 
-std::vector<core::ReducerId> OnePhaseSchema::ReducersOfInput(
-    core::InputId input) const {
+double OnePhaseSchema::replication() const {
+  return static_cast<double>(n_ / s_);
+}
+
+void OnePhaseSchema::ForEachReducer(core::InputId input,
+                                    const ReducerSink& sink) const {
   const std::uint64_t n = static_cast<std::uint64_t>(n_);
   const std::uint64_t groups = n / s_;
-  std::vector<core::ReducerId> out;
-  out.reserve(groups);
   if (input < n * n) {
     const std::uint64_t i = input / n;  // r_ij: fixed row group, all column
     const std::uint64_t gi = i / s_;    // groups
-    for (std::uint64_t gk = 0; gk < groups; ++gk) {
-      out.push_back(gi * groups + gk);
-    }
+    for (std::uint64_t gk = 0; gk < groups; ++gk) sink(gi * groups + gk);
   } else {
     const std::uint64_t k = (input - n * n) % n;  // s_jk: fixed column group
     const std::uint64_t gk = k / s_;
-    for (std::uint64_t gi = 0; gi < groups; ++gi) {
-      out.push_back(gi * groups + gk);
-    }
+    for (std::uint64_t gi = 0; gi < groups; ++gi) sink(gi * groups + gk);
   }
-  return out;
 }
 
 MatMulPhase1Problem::MatMulPhase1Problem(int n) : n_(n) {
@@ -111,31 +108,30 @@ std::uint64_t TwoPhaseCubeSchema::num_reducers() const {
   return i_groups * i_groups * j_groups;
 }
 
-std::vector<core::ReducerId> TwoPhaseCubeSchema::ReducersOfInput(
-    core::InputId input) const {
+double TwoPhaseCubeSchema::replication() const {
+  return static_cast<double>(n_ / s_);
+}
+
+void TwoPhaseCubeSchema::ForEachReducer(core::InputId input,
+                                        const ReducerSink& sink) const {
   const std::uint64_t n = static_cast<std::uint64_t>(n_);
   const std::uint64_t i_groups = n / s_;
   const std::uint64_t j_groups = n / t_;
   auto cell = [&](std::uint64_t gi, std::uint64_t gk, std::uint64_t gj) {
     return (gi * i_groups + gk) * j_groups + gj;
   };
-  std::vector<core::ReducerId> out;
-  out.reserve(i_groups);
   if (input < n * n) {
+    // r_ij: fixed I-group and J-group; all K-groups (Fig. 5).
     const std::uint64_t gi = (input / n) / s_;
     const std::uint64_t gj = (input % n) / t_;
-    for (std::uint64_t gk = 0; gk < i_groups; ++gk) {
-      out.push_back(cell(gi, gk, gj));
-    }
+    for (std::uint64_t gk = 0; gk < i_groups; ++gk) sink(cell(gi, gk, gj));
   } else {
+    // s_jk: fixed J-group and K-group; all I-groups.
     const std::uint64_t local = input - n * n;
     const std::uint64_t gj = (local / n) / t_;
     const std::uint64_t gk = (local % n) / s_;
-    for (std::uint64_t gi = 0; gi < i_groups; ++gi) {
-      out.push_back(cell(gi, gk, gj));
-    }
+    for (std::uint64_t gi = 0; gi < i_groups; ++gi) sink(cell(gi, gk, gj));
   }
-  return out;
 }
 
 core::Recipe MatMulRecipe(int n) {

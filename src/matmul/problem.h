@@ -46,8 +46,10 @@ class OnePhaseSchema final : public core::MappingSchema {
 
   std::string name() const override;
   std::uint64_t num_reducers() const override;
-  std::vector<core::ReducerId> ReducersOfInput(
-      core::InputId input) const override;
+  void ForEachReducer(core::InputId input,
+                      const ReducerSink& sink) const override;
+  /// n/s: an element reaches every tile of its row (or column) group.
+  double replication() const override;
 
   std::uint64_t reducer_size() const {
     return 2 * static_cast<std::uint64_t>(s_) * n_;
@@ -85,8 +87,9 @@ class MatMulPhase1Problem final : public core::Problem {
 /// The Figure 5 cube schema for round 1: reducers are (I-group of size s,
 /// K-group of size s, J-group of size t) cells; r_ij reaches every
 /// K-group in its (I, J) slab and s_jk every I-group. q = 2st exactly,
-/// r = n/s. The engine implementation is MultiplyTwoPhase; this schema
-/// object lets the validator prove the assignment covers every x_ijk.
+/// r = n/s. This object is MultiplyTwoPhase's round 1 (through
+/// MapBySchema), so the assignment the validator proves covers every x_ijk
+/// is the one that runs.
 class TwoPhaseCubeSchema final : public core::MappingSchema {
  public:
   /// Requires s | n and t | n.
@@ -94,8 +97,10 @@ class TwoPhaseCubeSchema final : public core::MappingSchema {
 
   std::string name() const override;
   std::uint64_t num_reducers() const override;
-  std::vector<core::ReducerId> ReducersOfInput(
-      core::InputId input) const override;
+  void ForEachReducer(core::InputId input,
+                      const ReducerSink& sink) const override;
+  /// n/s: an element reaches every K-group (or I-group) of its slab.
+  double replication() const override;
 
   std::uint64_t reducer_size() const {
     return 2 * static_cast<std::uint64_t>(s_) * t_;

@@ -35,12 +35,14 @@
 #include "src/graph/generators.h"
 #include "src/graph/sample_graph_mr.h"
 #include "src/hamming/bitstring.h"
+#include "src/hamming/bounds.h"
 #include "src/hamming/similarity_join.h"
 #include "src/join/generators.h"
 #include "src/join/hypercube.h"
 #include "src/join/query.h"
 #include "src/matmul/matrix.h"
 #include "src/matmul/mr_multiply.h"
+#include "src/matmul/problem.h"
 #include "src/obs/export.h"
 #include "src/storage/block.h"
 #include "src/storage/serde.h"
@@ -730,6 +732,41 @@ TEST(DistBackend, GraphSampleByteIdentical) {
         return graph::BuildSampleGraphPlan(data, pattern, 4, 6).counts;
       },
       "graph_sample", "nodes=60,edges=200,k=4,seed=5");
+}
+
+TEST(DistBackend, SchemaRecipesPredictQAndRExactly) {
+  // The benchmark's prediction errors: Plan::Estimate at build time against
+  // each executed round's realized q and r. On both backends they are
+  // exactly 1 for the recipes whose first round is a schema round.
+  struct Case {
+    std::string recipe;
+    std::string args;
+    core::Recipe bound;
+  };
+  const std::vector<Case> cases = {
+      {"hamming_splitting", "b=10,k=5,d=1", hamming::Hamming1Recipe(10)},
+      {"matmul_one_phase", "n=32,tile=8,seed=11", matmul::MatMulRecipe(32)},
+      {"matmul_two_phase", "n=16,s_rows=4,t_js=4,seed=11",
+       matmul::MatMulRecipe(16)}};
+  for (const Case& c : cases) {
+    for (const bool multi : {false, true}) {
+      SCOPED_TRACE(c.recipe + (multi ? " multi-process" : " in-process"));
+      auto plan = dist::PlanRegistry::Global().Build(c.recipe, c.args);
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      const engine::PlanEstimate estimate = plan->Estimate(c.bound);
+      const engine::PipelineMetrics run = plan->Execute(
+          multi ? MultiProcessOptions(2) : engine::ExecutionOptions{});
+      ASSERT_EQ(run.rounds.size(), estimate.rounds.size());
+      for (std::size_t i = 0; i < run.rounds.size(); ++i) {
+        EXPECT_EQ(estimate.rounds[i].predicted_q,
+                  static_cast<double>(run.rounds[i].max_reducer_input))
+            << "round " << i + 1;
+        EXPECT_EQ(estimate.rounds[i].predicted_r,
+                  run.rounds[i].replication_rate())
+            << "round " << i + 1;
+      }
+    }
+  }
 }
 
 TEST(DistBackend, AgreesWithEveryInProcessStrategy) {

@@ -58,6 +58,21 @@ TEST(Graph, PairRankRoundTrip) {
   }
 }
 
+TEST(Graph, PairUnrankIsExactOnLargeDomains) {
+  // The closed-form unrank must land on the right row at every row
+  // boundary, where floating-point error in the root would show first.
+  for (const std::uint64_t n : {1000ull, 65537ull, 3000000ull}) {
+    for (const std::uint64_t u :
+         std::vector<std::uint64_t>{0, 1, n / 3, n / 2, n - 3, n - 2}) {
+      for (const std::uint64_t v : {u + 1, n - 1}) {
+        const auto [a, b] = PairUnrank(n, PairRank(n, u, v));
+        EXPECT_EQ(a, u) << "n=" << n << " v=" << v;
+        EXPECT_EQ(b, v) << "n=" << n << " u=" << u;
+      }
+    }
+  }
+}
+
 TEST(Graph, TripleRankRoundTrip) {
   const std::uint64_t n = 9;
   std::uint64_t rank = 0;

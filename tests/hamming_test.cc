@@ -98,7 +98,7 @@ TEST(PairsSchema, ReplicationIsExactlyB) {
 
 TEST(SingleReducerSchema, IsValidAtFullDomain) {
   const HammingProblem p(5, 1);
-  const SingleReducerSchema schema(1u << 5);
+  const SingleReducerSchema schema;
   EXPECT_TRUE(core::ValidateSchema(p, schema, 1u << 5).ok());
   const auto stats = core::ComputeSchemaStats(schema, 1u << 5);
   EXPECT_DOUBLE_EQ(stats.replication_rate, 1.0);  // r = b/log2(2^b) = 1

@@ -5,7 +5,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <memory>
+#include <numeric>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +17,7 @@
 #include "src/common/random.h"
 #include "src/core/schema_stats.h"
 #include "src/core/schema_validator.h"
+#include "src/engine/plan.h"
 #include "src/graph/generators.h"
 #include "src/graph/problem.h"
 #include "src/graph/triangle.h"
@@ -34,11 +39,15 @@ class DropOneAssignment final : public core::MappingSchema {
   std::uint64_t num_reducers() const override {
     return inner_.num_reducers();
   }
-  std::vector<core::ReducerId> ReducersOfInput(
-      core::InputId input) const override {
+  void ForEachReducer(core::InputId input,
+                      const ReducerSink& sink) const override {
+    if (input != victim_) {
+      inner_.ForEachReducer(input, sink);
+      return;
+    }
     auto reducers = inner_.ReducersOfInput(input);
-    if (input == victim_ && !reducers.empty()) reducers.pop_back();
-    return reducers;
+    if (!reducers.empty()) reducers.pop_back();
+    for (core::ReducerId r : reducers) sink(r);
   }
 
  private:
@@ -59,16 +68,46 @@ class MisrouteOneInput final : public core::MappingSchema {
   std::uint64_t num_reducers() const override {
     return inner_.num_reducers();
   }
-  std::vector<core::ReducerId> ReducersOfInput(
-      core::InputId input) const override {
-    if (input == victim_) return {0};
-    return inner_.ReducersOfInput(input);
+  void ForEachReducer(core::InputId input,
+                      const ReducerSink& sink) const override {
+    if (input == victim_) {
+      sink(0);
+    } else {
+      inner_.ForEachReducer(input, sink);
+    }
   }
 
  private:
   const core::MappingSchema& inner_;
   core::InputId victim_;
 };
+
+using Incidence = std::pair<core::ReducerId, core::InputId>;
+
+/// The (reducer, input) incidences a MapBySchema round over every input id
+/// in [0, num_inputs) delivers to its reducers, sorted.
+std::vector<Incidence> RuntimeIncidences(
+    std::shared_ptr<const core::MappingSchema> schema,
+    std::uint64_t num_inputs) {
+  std::vector<core::InputId> ids(num_inputs);
+  std::iota(ids.begin(), ids.end(), 0);
+  engine::Plan plan;
+  auto run = plan.Source(std::move(ids))
+                 .MapBySchema<std::uint64_t>(
+                     std::move(schema),
+                     [](const core::InputId& id) { return id; }, "schema")
+                 .ReduceByKey<Incidence>(
+                     [](const std::uint64_t& reducer,
+                        engine::GroupView<core::InputId> inputs,
+                        std::vector<Incidence>& out) {
+                       for (core::InputId input : inputs) {
+                         out.emplace_back(reducer, input);
+                       }
+                     })
+                 .Execute();
+  std::sort(run.outputs.begin(), run.outputs.end());
+  return run.outputs;
+}
 
 class SchemaMutationTest : public ::testing::TestWithParam<core::InputId> {};
 
@@ -97,6 +136,28 @@ TEST_P(SchemaMutationTest, MisroutedInputIsCaught) {
   // b distance-1 pairs, and reducer 0 cannot host them all.
   EXPECT_FALSE(
       core::ValidateSchema(problem, mutated, schema->reducer_size()).ok());
+}
+
+TEST_P(SchemaMutationTest, DroppedAssignmentReachesTheRuntime) {
+  // The engine runs the schema object itself, so a mutation of the schema
+  // is a mutation of the shuffle: exactly the victim's dropped incidence
+  // goes missing, and nothing else moves.
+  const int b = 8, c = 2;
+  auto schema = hamming::SplittingSchema::Make(b, c);
+  ASSERT_TRUE(schema.ok());
+  const auto intact = std::make_shared<hamming::SplittingSchema>(*schema);
+  const std::vector<Incidence> expected =
+      RuntimeIncidences(intact, std::uint64_t{1} << b);
+  const std::vector<Incidence> mutated = RuntimeIncidences(
+      std::make_shared<DropOneAssignment>(*intact, GetParam()),
+      std::uint64_t{1} << b);
+  std::vector<Incidence> missing;
+  std::set_difference(expected.begin(), expected.end(), mutated.begin(),
+                      mutated.end(), std::back_inserter(missing));
+  ASSERT_EQ(missing.size(), 1u);
+  EXPECT_EQ(missing[0].second, GetParam());
+  EXPECT_EQ(missing[0].first, intact->ReducersOfInput(GetParam()).back());
+  EXPECT_EQ(mutated.size(), expected.size() - 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Victims, SchemaMutationTest,

@@ -14,16 +14,19 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
+#include "src/core/schema_stats.h"
 #include "src/dist/registry.h"
 #include "src/engine/job.h"
 #include "src/engine/partitioner.h"
@@ -31,8 +34,10 @@
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/graph/sample_graph_mr.h"
+#include "src/graph/triangle.h"
 #include "src/hamming/bitstring.h"
 #include "src/hamming/bounds.h"
+#include "src/hamming/schemas.h"
 #include "src/hamming/similarity_join.h"
 #include "src/join/generators.h"
 #include "src/join/query.h"
@@ -547,6 +552,80 @@ TEST(Plan, EstimateAgreesWithRealizedOnTableWorkloads) {
     EXPECT_DOUBLE_EQ(estimate.rounds[0].predicted_reducers,
                      static_cast<double>(realized.num_reducers));
   }
+}
+
+// ------------------------------------------------------ schema rounds
+
+/// A schema's declarations against its own full input domain [0,
+/// num_inputs): replication() and num_reducers() match ComputeSchemaStats,
+/// a MapBySchema round over every input id realizes the stats' r, q and
+/// reducer count, and Estimate predicts them without sampling. `uniform`
+/// schemas load every reducer equally, so the predicted mean load is the
+/// max; otherwise it is the stats' mean.
+void ExpectSchemaRoundExact(std::shared_ptr<const core::MappingSchema> schema,
+                            std::uint64_t num_inputs, bool uniform) {
+  SCOPED_TRACE(schema->name());
+  const core::SchemaStats stats = core::ComputeSchemaStats(*schema, num_inputs);
+  EXPECT_EQ(schema->replication(), stats.replication_rate);
+  EXPECT_EQ(schema->num_reducers(), stats.nonempty_reducers);
+
+  std::vector<core::InputId> ids(num_inputs);
+  std::iota(ids.begin(), ids.end(), 0);
+  Plan plan;
+  auto sizes = plan.Source(std::move(ids), "input ids")
+                   .MapBySchema<std::uint64_t>(
+                       schema, [](const core::InputId& id) { return id; },
+                       "schema round")
+                   .ReduceByKey<std::size_t>(
+                       [](const std::uint64_t&, GroupView<core::InputId> group,
+                          std::vector<std::size_t>& out) {
+                         out.push_back(group.size());
+                       });
+  const auto estimate =
+      plan.Estimate(SyntheticRecipe(static_cast<double>(num_inputs), 1));
+  const auto run = sizes.Execute();
+  const JobMetrics& realized = run.metrics.rounds[0];
+  EXPECT_EQ(realized.replication_rate(), stats.replication_rate);
+  EXPECT_EQ(realized.max_reducer_input, stats.max_reducer_load);
+  EXPECT_EQ(realized.num_reducers, stats.nonempty_reducers);
+
+  ASSERT_EQ(estimate.rounds.size(), 1u);
+  const RoundEstimate& predicted = estimate.rounds[0];
+  EXPECT_FALSE(predicted.sampled);
+  EXPECT_EQ(predicted.predicted_r, stats.replication_rate);
+  EXPECT_EQ(predicted.predicted_reducers,
+            static_cast<double>(stats.nonempty_reducers));
+  EXPECT_EQ(predicted.predicted_q,
+            uniform ? static_cast<double>(stats.max_reducer_load)
+                    : static_cast<double>(stats.total_assignments) /
+                          static_cast<double>(stats.num_reducers));
+}
+
+TEST(PlanSchemaRound, DeclaringSchemasAreExactOnTheirFullDomain) {
+  for (const auto& [b, k, d] : {std::tuple{8, 4, 2}, std::tuple{9, 3, 1}}) {
+    auto splitting = hamming::SplittingDistanceDSchema::Make(b, k, d);
+    ASSERT_TRUE(splitting.ok()) << splitting.status();
+    ExpectSchemaRoundExact(
+        std::make_shared<hamming::SplittingDistanceDSchema>(*splitting),
+        std::uint64_t{1} << b, /*uniform=*/true);
+  }
+  const int n = 8;
+  auto one_phase = matmul::OnePhaseSchema::Make(n, 2);
+  ASSERT_TRUE(one_phase.ok());
+  ExpectSchemaRoundExact(
+      std::make_shared<matmul::OnePhaseSchema>(*one_phase), 2 * n * n,
+      /*uniform=*/true);
+  auto cube = matmul::TwoPhaseCubeSchema::Make(n, 4, 2);
+  ASSERT_TRUE(cube.ok());
+  ExpectSchemaRoundExact(std::make_shared<matmul::TwoPhaseCubeSchema>(*cube),
+                         2 * n * n, /*uniform=*/true);
+  // Triangle reducers hold different edge counts ({i,i,i} only edges
+  // inside bucket i), so the estimate's q is the mean load.
+  const graph::NodeId nodes = 30;
+  ExpectSchemaRoundExact(std::make_shared<graph::TrianglePartitionSchema>(
+                             nodes, graph::NodeBucketer(3, 5)),
+                         std::uint64_t{nodes} * (nodes - 1) / 2,
+                         /*uniform=*/false);
 }
 
 TEST(Plan, EstimatePropagatesPerProducerOnBranchedPlans) {

@@ -56,8 +56,7 @@ TEST_P(HammingSoundness, AllSchemasRespectTheLowerBound) {
   const core::Recipe recipe = hamming::Hamming1Recipe(b);
 
   CheckSoundness(problem, hamming::PairsSchema(b), recipe);
-  CheckSoundness(problem,
-                 hamming::SingleReducerSchema(problem.num_inputs()), recipe);
+  CheckSoundness(problem, hamming::SingleReducerSchema(), recipe);
   for (int c = 2; c <= b; ++c) {
     if (b % c == 0) {
       auto splitting = hamming::SplittingSchema::Make(b, c);
