@@ -142,7 +142,7 @@ void OrderingTable() {
     const double radix_ms = MedianMs(kReps, [&] {
       std::vector<std::uint32_t> rows(block.rows());
       std::iota(rows.begin(), rows.end(), 0u);
-      b = mrcost::storage::SpillOrder(block.hashes(), block.keys(), rows);
+      b = mrcost::storage::SpillOrder(block, rows);
     });
     if (a != b) {
       std::cerr << "spill order mismatch at keys=" << shape.keys << "\n";

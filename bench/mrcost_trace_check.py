@@ -15,8 +15,9 @@ Checks, in order:
      invariant: a backup either rescued the task or lost, never both).
   4. Round accounting: every cat == "round" summary span carries
      realized_q and realized_r; with --require-prediction it must also
-     carry predicted_q and predicted_r (plan-driven runs annotate rounds
-     with the StageEstimate they were priced at).
+     carry positive predicted_q and predicted_r (plan-driven runs annotate
+     rounds with the StageEstimate they were priced at; 0 means the round
+     was not priced).
   5. Category coverage: with --require-categories, every named category
      appears at least once (CI smokes assert map,shuffle,reduce).
   6. Fetch accounting: with --check-fetch-spans, at least one cat ==
@@ -115,9 +116,14 @@ def check_rounds(events, require_prediction, errors):
                               f"numeric {field}")
         if require_prediction:
             for field in ("predicted_q", "predicted_r"):
-                if not isinstance(args.get(field), (int, float)):
+                value = args.get(field)
+                if not isinstance(value, (int, float)):
                     errors.append(f"round span at ts={event['ts']}: missing "
                                   f"{field} (--require-prediction)")
+                elif not value > 0:
+                    errors.append(f"round span at ts={event['ts']}: {field} "
+                                  f"{value} is not positive "
+                                  "(--require-prediction)")
     return len(rounds)
 
 
@@ -150,7 +156,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("trace", help="Chrome trace_event JSON file")
     parser.add_argument("--require-prediction", action="store_true",
-                        help="round spans must carry predicted_q/predicted_r")
+                        help="round spans must carry positive "
+                        "predicted_q/predicted_r")
     parser.add_argument("--require-categories", default="",
                         help="comma-separated categories that must appear")
     parser.add_argument("--check-fetch-spans", action="store_true",

@@ -8,7 +8,7 @@
 // program prints the measured communication of each and the paper's
 // closed forms.
 //
-// Run: ./build/examples/matrix_pipeline
+// Run: ./build/examples/matrix_pipeline [--trace_out=trace.json]
 
 #include <cstdint>
 #include <iostream>
@@ -18,9 +18,11 @@
 #include "src/matmul/matrix.h"
 #include "src/matmul/mr_multiply.h"
 #include "src/matmul/problem.h"
+#include "src/obs/export.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace mrcost;  // NOLINT: example brevity
+  const obs::CaptureFlags capture = obs::ParseCaptureFlags(argc, argv);
 
   const int n = 96;
   common::SplitMix64 rng(31);
@@ -38,6 +40,9 @@ int main() {
             << "\n  one-phase tile s = " << one_phase_tile
             << "; two-phase tiles (s, t) = (" << s2 << ", " << t2 << ")\n\n";
 
+  // One capture scope over both algorithms: the trace shows the one-phase
+  // round and the two-phase pipeline, whose round 2 streams from round 1.
+  obs::ScopedCapture trace_scope(capture.trace_out, capture.metrics_out);
   auto one = matmul::MultiplyOnePhase(a, b, one_phase_tile);
   auto two = matmul::MultiplyTwoPhase(a, b, s2, t2);
   if (!one.ok() || !two.ok()) {

@@ -1,5 +1,7 @@
 #include "src/engine/executor.h"
 
+#include <sys/resource.h>
+
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
 
@@ -54,7 +56,8 @@ struct AttemptLabel {
 };
 
 void EmitAttemptSpan(const AttemptLabel& label, std::uint64_t t_start_us,
-                     std::uint64_t t_end_us, bool is_backup, bool won) {
+                     std::uint64_t t_end_us, bool is_backup, bool won,
+                     std::uint64_t minor_faults) {
   if (!obs::TraceRecorder::enabled() || label.trace_id == 0) return;
   obs::TraceEvent event;
   event.name = label.name != nullptr ? label.name
@@ -67,6 +70,7 @@ void EmitAttemptSpan(const AttemptLabel& label, std::uint64_t t_start_us,
   event.t_end_us = t_end_us;
   event.args.push_back(obs::Arg("attempt", is_backup ? "backup" : "primary"));
   event.args.push_back(obs::Arg("outcome", won ? "win" : "loss"));
+  event.args.push_back(obs::Arg("minor_faults", minor_faults));
   obs::TraceRecorder::Global().Append(std::move(event));
 }
 
@@ -159,7 +163,8 @@ void StageGraphExecutor::RunAttempt(TaskId id, bool is_backup) {
       // Emit before the outstanding-count decrement: once Wait() can
       // return, every attempt span must already be recorded.
       const std::uint64_t now_us = obs::TraceRecorder::NowUs();
-      EmitAttemptSpan(label, now_us, now_us, is_backup, /*won=*/false);
+      EmitAttemptSpan(label, now_us, now_us, is_backup, /*won=*/false,
+                      /*minor_faults=*/0);
       if (--attempts_outstanding_ == 0 && pending_ == 0) {
         all_done_.notify_all();
       }
@@ -178,15 +183,23 @@ void StageGraphExecutor::RunAttempt(TaskId id, bool is_backup) {
     }
   }
 
+  // Page faults are counted only on traced tasks: two getrusage calls an
+  // attempt, and nothing reads the count but the trace.
+  const bool traced = label.trace_id != 0;
+  const std::uint64_t faults_before =
+      traced ? internal::ThreadMinorFaults() : 0;
   const std::uint64_t attempt_start_us = obs::TraceRecorder::NowUs();
   fn();
   const std::uint64_t attempt_end_us = obs::TraceRecorder::NowUs();
+  const std::uint64_t minor_faults =
+      traced ? internal::ThreadMinorFaults() - faults_before : 0;
 
   std::vector<TaskId> ready;
   bool won = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
     Task& task = tasks_[id];
+    task.minor_faults += minor_faults;
     if (task.done) {
       // The other attempt committed first; this copy's work is discarded
       // (its data never left attempt-local buffers).
@@ -216,7 +229,8 @@ void StageGraphExecutor::RunAttempt(TaskId id, bool is_backup) {
     // return, every attempt's span and counters must already be visible.
     // The recorder/registry only take their own uncontended per-thread
     // locks, never mu_, so there is no ordering cycle.
-    EmitAttemptSpan(label, attempt_start_us, attempt_end_us, is_backup, won);
+    EmitAttemptSpan(label, attempt_start_us, attempt_end_us, is_backup, won,
+                    minor_faults);
     if (obs::MetricsEnabled()) {
       obs::Registry& registry = obs::Registry::Global();
       registry.ObserveHistogram("exec.task_duration_us",
@@ -324,6 +338,15 @@ StageGraphExecutor::SnapshotRecords() const {
   return records;
 }
 
+std::uint64_t StageGraphExecutor::MinorFaults(std::uint32_t round_tag) const {
+  std::unique_lock<std::mutex> lock(mu_);
+  std::uint64_t total = 0;
+  for (const Task& task : tasks_) {
+    if (task.round_tag == round_tag) total += task.minor_faults;
+  }
+  return total;
+}
+
 AsyncRunner::AsyncRunner() : pool_(2) {}
 
 AsyncRunner& AsyncRunner::Global() {
@@ -334,6 +357,12 @@ AsyncRunner& AsyncRunner::Global() {
 }
 
 namespace internal {
+
+std::uint64_t ThreadMinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_THREAD, &usage);
+  return static_cast<std::uint64_t>(usage.ru_minflt);
+}
 
 void AppendRoundArgs(const PhysicalRound& physical,
                      const RoundPrediction& prediction, const JobMetrics& m,

@@ -260,6 +260,11 @@ class StageGraphExecutor : public TaskScheduler {
   };
   std::vector<TaskRecord> SnapshotRecords() const;
 
+  /// Minor page faults of every finished attempt of the round's tasks
+  /// (each attempt's RUSAGE_THREAD ru_minflt delta). Counted only for
+  /// tasks added while tracing was on; 0 otherwise.
+  std::uint64_t MinorFaults(std::uint32_t round_tag) const;
+
   /// Milliseconds since this executor's construction.
   double NowMs() const override;
 
@@ -283,6 +288,7 @@ class StageGraphExecutor : public TaskScheduler {
     const char* trace_name = nullptr;
     std::uint32_t shard = 0;
     std::uint64_t trace_id = 0;
+    std::uint64_t minor_faults = 0;  // summed over finished attempts
   };
 
   void RunAttempt(TaskId id, bool is_backup);
@@ -390,7 +396,14 @@ struct RoundPrediction {
   double q = 0;            // predicted max reducer input
   double r = 0;            // predicted replication rate
   double bound_ratio = 0;  // predicted r / lower-bound r(q); 0 = unknown
+  // Predicted outputs (reducers x outputs_per_reducer), the input count a
+  // streamed consumer is priced at; 0 = unknown.
+  double outputs = 0;
 };
+
+/// Minor page faults the calling thread has taken so far
+/// (getrusage(RUSAGE_THREAD) ru_minflt).
+std::uint64_t ThreadMinorFaults();
 
 /// The "Round" span's args, one vocabulary for both backends: the
 /// physical plan, the realized and the predicted q/r.
@@ -1232,6 +1245,8 @@ void StagedRound<In, K, V, Out, CombineFn>::FillTimings(JobMetrics& m) const {
 
 template <typename In, typename K, typename V, typename Out, typename CombineFn>
 void StagedRound<In, K, V, Out, CombineFn>::Finalize() {
+  const bool traced = obs::TraceRecorder::enabled();
+  const std::uint64_t faults_at_start = traced ? ThreadMinorFaults() : 0;
   JobMetrics& m = result_.metrics;
   const bool obs_metrics = obs::MetricsEnabled();
   common::Log2Histogram reducer_q_hist;
@@ -1333,7 +1348,7 @@ void StagedRound<In, K, V, Out, CombineFn>::Finalize() {
     registry.MergeHistogram("engine.reducer_q", reducer_q_hist);
     registry.MergeHistogram("engine.map_task_bytes", map_bytes_hist);
   }
-  if (obs::TraceRecorder::enabled()) {
+  if (traced) {
     // One summary span covering the round from its first map task to now
     // (finalize is the round's last task), carrying the planner's
     // predicted q/r next to the realized values so a trace answers
@@ -1353,6 +1368,11 @@ void StagedRound<In, K, V, Out, CombineFn>::Finalize() {
     event.t_end_us = to_trace_us(exec_.NowMs());
     event.args.push_back(obs::Arg("backend", "in_process"));
     AppendRoundArgs(physical_, prediction_, m, event.args);
+    // Finished tasks plus this finalize so far (its own attempt span
+    // closes after this one is recorded).
+    event.args.push_back(obs::Arg(
+        "minor_faults", exec_.MinorFaults(round_tag_) +
+                            (ThreadMinorFaults() - faults_at_start)));
     obs::TraceRecorder::Global().Append(std::move(event));
   }
 

@@ -7,6 +7,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -71,25 +72,71 @@ struct PairPos {
   }
 };
 
+/// Dense first-seen group ids over one call's rows. A typed-key block's
+/// key in [0, bound) indexes a slot array: no hash probe and no compare
+/// against an earlier row's key bytes. The array grows on demand to the
+/// largest such key seen, never past `bound` (callers pass their row
+/// count, so it costs at most 4 bytes a row). Every other key — negative,
+/// at or beyond the bound, or not an integer — goes through a
+/// storage::KeyIndex on (hash, key bytes). Both draw ids from one counter,
+/// so ids are first-seen order whatever the mix of keys.
+class GroupIds {
+ public:
+  explicit GroupIds(std::size_t bound) : bound_(bound) {}
+
+  template <typename K, typename V>
+  std::uint32_t FindOrInsert(const storage::KVBlock<K, V>& block,
+                             std::size_t r, bool& inserted) {
+    if constexpr (storage::KVBlock<K, V>::kTypedKeys) {
+      const K key = block.KeyAt(r);
+      bool in_range = true;
+      if constexpr (std::is_signed_v<K>) in_range = key >= 0;
+      if (in_range && static_cast<std::uint64_t>(key) < bound_) {
+        const auto v = static_cast<std::size_t>(key);
+        if (v >= slots_.size()) {
+          slots_.resize(std::min(bound_, std::max(v + 1, 2 * slots_.size())),
+                        kNone);
+        }
+        std::uint32_t& slot = slots_[v];
+        inserted = slot == kNone;
+        if (inserted) slot = next_++;
+        return slot;
+      }
+    }
+    const std::size_t g =
+        index_.FindOrInsert(block.hash(r), block.key_bytes(r), inserted);
+    if (inserted) probed_.push_back(next_++);
+    return probed_[g];
+  }
+
+ private:
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+
+  std::size_t bound_;
+  std::uint32_t next_ = 0;
+  std::vector<std::uint32_t> slots_;   // key value -> id
+  storage::KeyIndex index_;
+  std::vector<std::uint32_t> probed_;  // KeyIndex id -> id
+};
+
 /// Map-side combine over one block, in first-seen key order within it:
 /// duplicates fold into the first row's value with `combine`. Keys dedup
-/// on serialized bytes (serde is injective), so no key object is rebuilt:
-/// inserts re-append the raw key bytes and hash. Consumes `in`'s values.
-/// `bytes` receives what crosses the shuffle (ByteSizeOf key + value per
-/// combined row); `row_bytes`, when set, each row's share. The one fold
-/// both backends run, so post-combine rows — and their spill positions —
-/// match.
+/// on GroupIds (serialized bytes for non-integer keys; serde is
+/// injective), so no key object is rebuilt: inserts re-append the raw key
+/// bytes and hash. Consumes `in`'s values. `bytes` receives what crosses
+/// the shuffle (ByteSizeOf key + value per combined row); `row_bytes`,
+/// when set, each row's share. The one fold both backends run, so
+/// post-combine rows — and their spill positions — match.
 template <typename K, typename V, typename Combine>
 storage::KVBlock<K, V> CombineBlock(storage::KVBlock<K, V>& in,
                                     const Combine& combine,
                                     std::uint64_t& bytes,
                                     std::vector<std::uint64_t>* row_bytes) {
   storage::KVBlock<K, V> out;
-  storage::KeyIndex index;
+  GroupIds ids(in.rows());
   for (std::size_t r = 0; r < in.rows(); ++r) {
     bool inserted = false;
-    const std::size_t g =
-        index.FindOrInsert(in.hash(r), in.key_bytes(r), inserted);
+    const std::uint32_t g = ids.FindOrInsert(in, r, inserted);
     if (inserted) {
       out.AppendRaw(in.key_bytes(r), in.hash(r), std::move(in.value(r)));
     } else {
@@ -127,10 +174,11 @@ struct CsrGroups {
 };
 
 /// The grouping kernel behind every in-memory shuffle. `for_each_row(f)`
-/// calls f(block, row, tag) for each of a shard's routed rows, in the same
-/// order each time; it is called twice:
-///   1. a storage::KeyIndex probe over the rows' precomputed hashes and
-///      key bytes gives each row a dense first-seen group id and counts
+/// calls f(block, row, tag) for each of a shard's `num_rows` routed rows,
+/// in the same order each time; it is called twice:
+///   1. GroupIds (a slot lookup for integer keys below `num_rows`, a
+///      storage::KeyIndex probe over the precomputed hashes and key bytes
+///      otherwise) gives each row a dense first-seen group id and counts
 ///      the rows per group; a prefix sum turns counts into offsets;
 ///   2. values scatter, stably, into the one value buffer —
 ///      `take(block, row)` yields each (moved, or copied when the blocks
@@ -145,13 +193,12 @@ CsrGroups<K, V> GroupRows(std::size_t num_rows, ForEachRow&& for_each_row,
                           Take&& take, bool tags_in_scan_order) {
   using Block = storage::KVBlock<K, V>;
   CsrGroups<K, V> out;
-  storage::KeyIndex index;
+  GroupIds ids(num_rows);
   std::vector<std::uint32_t> gid;
   gid.reserve(num_rows);
   for_each_row([&](const Block& block, std::uint32_t r, const PairPos& tag) {
     bool inserted = false;
-    const std::size_t g =
-        index.FindOrInsert(block.hash(r), block.key_bytes(r), inserted);
+    const std::uint32_t g = ids.FindOrInsert(block, r, inserted);
     if (inserted) {
       out.keys.push_back(block.KeyAt(r));
       out.first.push_back(tag);
@@ -160,7 +207,7 @@ CsrGroups<K, V> GroupRows(std::size_t num_rows, ForEachRow&& for_each_row,
       out.first[g] = tag;
     }
     ++out.offsets[g + 1];
-    gid.push_back(static_cast<std::uint32_t>(g));
+    gid.push_back(g);
   });
   for (std::size_t g = 0; g < out.size(); ++g) {
     out.offsets[g + 1] += out.offsets[g];

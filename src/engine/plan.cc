@@ -229,6 +229,8 @@ RoundPrediction PredictRound(const PlanNode& node, const MapSample& sample,
       hint.num_reducers > 0
           ? hint.num_reducers
           : (sample.valid && n > 0 ? ExtrapolateDistinct(sample, n) : 0.0);
+  pred.outputs =
+      reducers * (hint.outputs_per_reducer > 0 ? hint.outputs_per_reducer : 1);
   if (hint.num_reducers <= 0 && sample.valid && sample.exhaustive) {
     // An exhaustive sample knows the exact max input-list length.
     pred.q = static_cast<double>(sample.max_group);
@@ -350,8 +352,14 @@ PipelineMetrics ExecutePlanGraph(PlanGraph& graph,
         // behind the consumer's map tasks that read them.
         handles[producer]->StageFinalize(handle->map_task_ids());
         streamed.push_back(StreamedEdge{producer, id});
-        prediction = PredictRound(node, MapSample{}, kUnknownSize,
-                                  options.recipe);
+        // Priced at the producer's predicted output count, the input
+        // count Plan::Estimate propagates.
+        const double upstream = handles[producer]->prediction().outputs;
+        prediction = PredictRound(
+            node, MapSample{},
+            upstream > 0 ? static_cast<std::size_t>(std::llround(upstream))
+                         : kUnknownSize,
+            options.recipe);
       }
     }
     if (handle == nullptr) {

@@ -413,13 +413,10 @@ common::Status DecodeBlock(std::string_view payload, ColumnarRun& run) {
   return common::Status::Ok();
 }
 
-std::vector<std::uint32_t> SpillOrder(const std::vector<std::uint64_t>& hashes,
-                                      const ByteSlab& keys,
-                                      const std::vector<std::uint32_t>& rows) {
-  struct HashRow {
-    std::uint64_t hash;
-    std::uint32_t row;
-  };
+namespace internal {
+
+std::vector<HashRow> SortByHashThenRow(const std::vector<std::uint64_t>& hashes,
+                                       const std::vector<std::uint32_t>& rows) {
   const std::size_t n = rows.size();
   std::vector<HashRow> sorted(n);
   for (std::size_t i = 0; i < n; ++i) sorted[i] = {hashes[rows[i]], rows[i]};
@@ -464,27 +461,9 @@ std::vector<std::uint32_t> SpillOrder(const std::vector<std::uint64_t>& hashes,
       sorted.swap(scratch);
     }
   }
-
-  std::vector<std::uint32_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = sorted[i].row;
-  // Equal-hash stretches hold one key unless 64 bits collided; only a
-  // stretch with distinct key bytes pays a (stable) byte sort.
-  for (std::size_t i = 0; i < n;) {
-    std::size_t j = i + 1;
-    bool collided = false;
-    while (j < n && sorted[j].hash == sorted[i].hash) {
-      collided = collided || keys.At(order[j]) != keys.At(order[i]);
-      ++j;
-    }
-    if (collided) {
-      std::stable_sort(order.begin() + i, order.begin() + j,
-                       [&keys](std::uint32_t a, std::uint32_t b) {
-                         return keys.At(a) < keys.At(b);
-                       });
-    }
-    i = j;
-  }
-  return order;
+  return sorted;
 }
+
+}  // namespace internal
 
 }  // namespace mrcost::storage

@@ -4,9 +4,11 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -359,23 +361,37 @@ class KeyIndex {
 // ----------------------------------------------------------------------
 // KVBlock: the emitter-facing block.
 
-/// One map task's emissions in columnar form: serialized key bytes in a
-/// slab, finalized hashes (HashBytes, computed once at append), and the
+/// One map task's emissions in columnar form: keys, finalized hashes
+/// (HashBytes over the serialized key, computed once at append), and the
 /// values still typed — values only serialize when a block spills, so the
 /// in-memory path moves each value exactly once (emitter column to reduce
 /// group). Rows are in emission order; row index == the pair's local
 /// emission position, which is what the executor's scan-order tags build
 /// on.
+///
+/// Keys live in one of two columns, fixed by the key type. An integral
+/// key (bool aside: std::vector<bool> packs bits, so a row has no
+/// addressable bytes) stays typed in a std::vector<Key>. Serde encodes an
+/// integer as its host-order bytes, so key_bytes(i) is a view over the
+/// column entry, and every hash, spill run and wire frame is byte-identical
+/// to the serialized form. Any other key serializes into a ByteSlab.
 template <typename Key, typename Value>
 class KVBlock {
  public:
+  static constexpr bool kTypedKeys =
+      std::is_integral_v<Key> && !std::is_same_v<Key, bool>;
+
   std::size_t rows() const { return hashes_.size(); }
   bool empty() const { return hashes_.empty(); }
 
   void Append(const Key& key, Value&& value) {
     const std::size_t r = rows();
-    keys_.AppendSerialized(key);
-    hashes_.push_back(HashBytes(keys_.At(r)));
+    if constexpr (kTypedKeys) {
+      keys_.push_back(key);
+    } else {
+      keys_.AppendSerialized(key);
+    }
+    hashes_.push_back(HashBytes(key_bytes(r)));
     values_.push_back(std::move(value));
   }
 
@@ -383,69 +399,141 @@ class KVBlock {
   /// block's bytes and hash instead of re-serializing).
   void AppendRaw(std::string_view key_bytes, std::uint64_t hash,
                  Value&& value) {
-    keys_.Append(key_bytes);
+    if constexpr (kTypedKeys) {
+      MRCOST_CHECK(key_bytes.size() == sizeof(Key));
+      Key key;
+      std::memcpy(&key, key_bytes.data(), sizeof(Key));
+      keys_.push_back(key);
+    } else {
+      keys_.Append(key_bytes);
+    }
     hashes_.push_back(hash);
     values_.push_back(std::move(value));
   }
 
-  std::string_view key_bytes(std::size_t i) const { return keys_.At(i); }
+  std::string_view key_bytes(std::size_t i) const {
+    if constexpr (kTypedKeys) {
+      return std::string_view(reinterpret_cast<const char*>(&keys_[i]),
+                              sizeof(Key));
+    } else {
+      return keys_.At(i);
+    }
+  }
   std::uint64_t hash(std::size_t i) const { return hashes_[i]; }
   const std::vector<std::uint64_t>& hashes() const { return hashes_; }
   Value& value(std::size_t i) { return values_[i]; }
   const Value& value(std::size_t i) const { return values_[i]; }
 
-  /// Deserializes row i's key — paid once per distinct key at group time,
-  /// not once per pair.
+  /// Row i's key: a column read for typed keys; otherwise deserialized —
+  /// paid once per distinct key at group time, not once per pair.
   Key KeyAt(std::size_t i) const {
-    Key key{};
-    const std::string_view bytes = keys_.At(i);
-    const char* p = bytes.data();
-    MRCOST_CHECK(DeserializeValue(p, bytes.data() + bytes.size(), key));
-    return key;
+    if constexpr (kTypedKeys) {
+      return keys_[i];
+    } else {
+      Key key{};
+      const std::string_view bytes = keys_.At(i);
+      const char* p = bytes.data();
+      MRCOST_CHECK(DeserializeValue(p, bytes.data() + bytes.size(), key));
+      return key;
+    }
   }
 
   void Clear() {
-    keys_.Clear();
+    if constexpr (kTypedKeys) {
+      keys_.clear();
+    } else {
+      keys_.Clear();
+    }
     hashes_.clear();
     values_.clear();
   }
 
-  /// Bytes physically copied into this block so far: the key slab plus
-  /// one moved Value object per row — the JobMetrics::bytes_copied
-  /// currency.
+  /// Serialized key bytes over all rows.
+  std::size_t KeyPayloadBytes() const {
+    if constexpr (kTypedKeys) {
+      return keys_.size() * sizeof(Key);
+    } else {
+      return keys_.bytes().size();
+    }
+  }
+
+  /// Bytes physically copied into this block so far: every row's key
+  /// bytes plus one moved Value object per row — the
+  /// JobMetrics::bytes_copied currency.
   std::uint64_t CopiedBytes() const {
-    return keys_.bytes().size() + values_.size() * sizeof(Value);
+    return KeyPayloadBytes() + values_.size() * sizeof(Value);
   }
 
   /// In-memory footprint under the src/common/byte_size.h convention:
-  /// the block object plus every owned payload (key arena, offset and
-  /// hash columns, and each value's own footprint).
+  /// the block object plus every owned payload (the key column — a typed
+  /// column, or a key arena with its offset column — the hash column, and
+  /// each value's own footprint).
   std::size_t ByteSize() const {
-    std::size_t total = sizeof(KVBlock) + keys_.PayloadBytes() +
-                        hashes_.size() * sizeof(std::uint64_t);
+    std::size_t total =
+        sizeof(KVBlock) + hashes_.size() * sizeof(std::uint64_t);
+    if constexpr (kTypedKeys) {
+      total += KeyPayloadBytes();
+    } else {
+      total += keys_.PayloadBytes();
+    }
     for (const Value& v : values_) total += common::ByteSizeOf(v);
     return total;
   }
 
-  const ByteSlab& keys() const { return keys_; }
-
  private:
-  ByteSlab keys_;
+  std::conditional_t<kTypedKeys, std::vector<Key>, ByteSlab> keys_;
   std::vector<std::uint64_t> hashes_;
   std::vector<Value> values_;
 };
 
-/// The permutation of `rows` (ascending row indices into a block whose
-/// hash column is `hashes` and key slab `keys`) into spill order: (hash,
-/// key bytes, row). No comparison sort of the rows: a stable LSD radix
-/// sort over packed (hash, row) — four 16-bit digits of the hash, passes
-/// whose digit is constant skipped — yields (hash, row) order; one linear
-/// scan then finds equal-hash stretches, and only a stretch where a 64-bit
-/// collision put distinct keys together is stably re-sorted by key bytes
-/// (stability keeps row order within each key).
-std::vector<std::uint32_t> SpillOrder(const std::vector<std::uint64_t>& hashes,
-                                      const ByteSlab& keys,
-                                      const std::vector<std::uint32_t>& rows);
+namespace internal {
+
+struct HashRow {
+  std::uint64_t hash;
+  std::uint32_t row;
+};
+
+/// `rows` (ascending row indices into a hash column) as (hash, row) pairs
+/// in (hash, row) order. No comparison sort of the rows: a stable LSD
+/// radix sort over packed (hash, row) — four 16-bit digits of the hash,
+/// passes whose digit is constant skipped.
+std::vector<HashRow> SortByHashThenRow(const std::vector<std::uint64_t>& hashes,
+                                       const std::vector<std::uint32_t>& rows);
+
+}  // namespace internal
+
+/// The permutation of `rows` (ascending row indices into `block`) into
+/// spill order: (hash, key bytes, row). internal::SortByHashThenRow yields
+/// (hash, row) order; one linear scan then finds equal-hash stretches, and
+/// only a stretch where a 64-bit collision put distinct keys together is
+/// stably re-sorted by key bytes (stability keeps row order within each
+/// key).
+template <typename Key, typename Value>
+std::vector<std::uint32_t> SpillOrder(const KVBlock<Key, Value>& block,
+                                      const std::vector<std::uint32_t>& rows) {
+  const std::vector<internal::HashRow> sorted =
+      internal::SortByHashThenRow(block.hashes(), rows);
+  const std::size_t n = sorted.size();
+  std::vector<std::uint32_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = sorted[i].row;
+  for (std::size_t i = 0; i < n;) {
+    std::size_t j = i + 1;
+    bool collided = false;
+    while (j < n && sorted[j].hash == sorted[i].hash) {
+      collided = collided ||
+                 block.key_bytes(order[j]) != block.key_bytes(order[i]);
+      ++j;
+    }
+    if (collided) {
+      std::stable_sort(order.begin() + i, order.begin() + j,
+                       [&block](std::uint32_t a, std::uint32_t b) {
+                         return block.key_bytes(a) < block.key_bytes(b);
+                       });
+    }
+    i = j;
+  }
+  return order;
+}
 
 /// Serializes an ascending subset `rows` of `block` as one ColumnarRun in
 /// spill order (SpillOrder). `make_pos(r)` packs row r's emission position
@@ -458,14 +546,14 @@ ColumnarRun SortedRunFromRows(const KVBlock<Key, Value>& block,
                               const std::vector<std::uint32_t>& rows,
                               MakePos make_pos) {
   const std::vector<std::uint32_t> order =
-      SpillOrder(block.hashes(), block.keys(), rows);
+      SpillOrder(block, rows);
   const std::size_t n = order.size();
   ColumnarRun run;
   run.hashes.reserve(n);
   run.positions.reserve(n);
   // Key bytes in proportion to the subset's share of the block.
   const std::size_t key_bytes =
-      block.rows() == 0 ? 0 : block.keys().bytes().size() / block.rows() * n;
+      block.rows() == 0 ? 0 : block.KeyPayloadBytes() / block.rows() * n;
   run.keys.Reserve(n, key_bytes + n);
   run.values.Reserve(n, 0);
   for (const std::uint32_t r : order) {

@@ -16,6 +16,7 @@
 #include "src/common/thread_pool.h"
 #include "src/core/lower_bound.h"
 #include "src/engine/emitter.h"
+#include "src/engine/grouping.h"
 #include "src/engine/hashing.h"
 #include "src/engine/job.h"
 #include "src/engine/metrics.h"
@@ -110,15 +111,128 @@ TEST(ByteSize, BlockTypesConvention) {
   EXPECT_EQ(common::ByteSizeOf(block),
             sizeof(block) + sizeof(std::uint64_t));  // offset sentinel
   block.Append(std::string("hello block"), 7);
-  const std::size_t key_arena = block.keys().bytes().size();
+  const std::size_t key_arena = sizeof(std::uint64_t) + 11;  // length + bytes
+  ASSERT_EQ(block.KeyPayloadBytes(), key_arena);
   EXPECT_EQ(common::ByteSizeOf(block),
             sizeof(block) + key_arena + 2 * sizeof(std::uint64_t)  // offsets
                 + sizeof(std::uint64_t)                            // hash
                 + sizeof(std::uint64_t));                          // value
 
+  // An integer key lives in a typed column: no arena, no offsets.
+  storage::KVBlock<std::uint64_t, std::uint64_t> typed;
+  EXPECT_EQ(common::ByteSizeOf(typed), sizeof(typed));
+  typed.Append(std::uint64_t{42}, 7);
+  EXPECT_EQ(common::ByteSizeOf(typed),
+            sizeof(typed) + sizeof(std::uint64_t)   // key
+                + sizeof(std::uint64_t)             // hash
+                + sizeof(std::uint64_t));           // value
+
   storage::ColumnarRun run;
   EXPECT_EQ(common::ByteSizeOf(run),
             sizeof(run) + 2 * sizeof(std::uint64_t));  // two slab sentinels
+}
+
+// ----------------------------------------------------------- grouping
+
+/// A non-integral key with an integer's serialized bytes, so its block
+/// keeps the serialized slab and GroupRows looks it up through KeyIndex.
+template <typename T>
+struct SlabKey {
+  T v;
+};
+
+/// GroupRows over `blocks`, every row in order, with materialized
+/// (global position) tags or the given streamed tags.
+template <typename K>
+internal::CsrGroups<K, int> GroupAll(
+    std::vector<storage::KVBlock<K, int>>& blocks,
+    const std::vector<internal::PairPos>* streamed_tags) {
+  std::size_t rows = 0;
+  for (const auto& block : blocks) rows += block.rows();
+  const auto for_each_row = [&](auto&& visit) {
+    std::uint64_t pos = 0;
+    for (auto& block : blocks) {
+      for (std::uint32_t r = 0; r < block.rows(); ++r, ++pos) {
+        visit(block, r,
+              streamed_tags != nullptr ? (*streamed_tags)[pos]
+                                       : internal::PairPos{pos, 0});
+      }
+    }
+  };
+  const auto take = [](storage::KVBlock<K, int>& block, std::uint32_t r) {
+    return block.value(r);
+  };
+  return internal::GroupRows<K, int>(rows, for_each_row, take,
+                                     streamed_tags == nullptr);
+}
+
+template <typename T>
+void ExpectSlotGroupingMatchesKeyIndex(const std::vector<T>& keys,
+                                       std::uint64_t seed) {
+  // Three blocks, as a shard sees rows routed from three map tasks.
+  std::vector<storage::KVBlock<T, int>> typed(3);
+  std::vector<storage::KVBlock<SlabKey<T>, int>> slab(3);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    typed[i % 3].Append(keys[i], static_cast<int>(i));
+    slab[i % 3].Append(SlabKey<T>{keys[i]}, static_cast<int>(i));
+  }
+  // Streamed tags: a key's rows arrive out of tag order, with ties on
+  // the major part.
+  common::SplitMix64 rng(seed);
+  std::vector<internal::PairPos> tags;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    tags.push_back({rng.UniformBelow(keys.size() / 4 + 1), rng.Next()});
+  }
+  for (const auto* streamed : {static_cast<decltype(&tags)>(nullptr), &tags}) {
+    SCOPED_TRACE(streamed == nullptr ? "materialized" : "streamed");
+    const auto got = GroupAll(typed, streamed);
+    const auto want = GroupAll(slab, streamed);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t g = 0; g < got.size(); ++g) {
+      ASSERT_EQ(got.keys[g], want.keys[g].v) << g;
+      ASSERT_EQ(got.first[g].major, want.first[g].major) << g;
+      ASSERT_EQ(got.first[g].minor, want.first[g].minor) << g;
+    }
+    EXPECT_EQ(got.offsets, want.offsets);
+    EXPECT_EQ(got.values, want.values);
+  }
+}
+
+TEST(GroupRows, SlotLookupMatchesKeyIndexGrouping) {
+  // Rows = 2000, so the slot bound is 2000: ids below it take the slot
+  // array, ids at or above it, the extremes and negative keys go through
+  // KeyIndex, all in one pass.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    common::SplitMix64 rng(seed);
+    std::vector<std::uint64_t> ids;
+    std::vector<std::int64_t> signed_ids;
+    for (int i = 0; i < 2000; ++i) {
+      std::uint64_t id = rng.UniformBelow(300);  // below the bound
+      switch (rng.UniformBelow(8)) {
+        case 0:
+          id = 2000 + rng.UniformBelow(40);  // at or above the bound
+          break;
+        case 1:
+          id = UINT64_MAX - rng.UniformBelow(2);
+          break;
+        case 2:
+          id = 1999;  // the last slot
+          break;
+        default:
+          break;
+      }
+      ids.push_back(id);
+      signed_ids.push_back(rng.Bernoulli(0.3)
+                               ? -static_cast<std::int64_t>(
+                                     rng.UniformBelow(50)) - 1
+                               : static_cast<std::int64_t>(id >> 1));
+    }
+    ExpectSlotGroupingMatchesKeyIndex(ids, seed);
+    ExpectSlotGroupingMatchesKeyIndex(signed_ids, seed);
+    std::vector<int> narrow(signed_ids.begin(), signed_ids.end());
+    ExpectSlotGroupingMatchesKeyIndex(narrow, seed);
+  }
 }
 
 // ------------------------------------------------------------- emitter

@@ -17,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -1243,6 +1244,69 @@ TEST(PlanStreaming, FallsBackWhenStreamingDoesNotApply) {
     auto run = right.Execute();
     EXPECT_EQ(run.outputs.size(), 10u);
   }
+}
+
+TEST(PlanStreaming, StreamedRoundSpanCarriesPredictionAndPageFaults) {
+  // A streamed round has no materialized input when it is staged; it is
+  // priced at its producer's predicted output count, so the in-process
+  // span of two-phase matmul's round 2 reads the predicted q the
+  // multi-process span (which materializes round 1) reads. Every traced
+  // attempt carries its minor page faults, and each in-process Round span
+  // at least the sum over its map, group and reduce attempts.
+  const std::string trace_path =
+      (std::filesystem::temp_directory_path() /
+       "mrcost_plan_test_streamed_prediction.json")
+          .string();
+  const auto numeric_arg = [](const obs::TraceEvent& e, const char* key) {
+    for (const obs::TraceArg& arg : e.args) {
+      if (arg.key == key) return std::optional<double>(std::stod(arg.value));
+    }
+    return std::optional<double>();
+  };
+  for (const ExecutionBackend backend :
+       {ExecutionBackend::kInProcess, ExecutionBackend::kMultiProcess}) {
+    const bool in_process = backend == ExecutionBackend::kInProcess;
+    SCOPED_TRACE(in_process ? "in_process" : "multi_process");
+    auto family = dist::PlanRegistry::Global().Build(
+        "matmul_two_phase", "n=16,s_rows=4,t_js=4,seed=11");
+    ASSERT_TRUE(family.ok()) << family.status();
+    ExecutionOptions run_options;
+    run_options.backend = backend;
+    run_options.pipeline.num_threads = 2;
+    run_options.trace_out = trace_path;
+    std::remove(trace_path.c_str());
+    const PipelineMetrics metrics = family->Execute(run_options);
+    if (in_process) EXPECT_EQ(metrics.streamed_rounds, 1u);
+    std::ifstream in(trace_path);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    auto events = obs::ParseChromeTrace(buf.str());
+    ASSERT_TRUE(events.ok()) << events.status();
+    std::vector<const obs::TraceEvent*> rounds;
+    for (const obs::TraceEvent& e : *events) {
+      if (e.name == "Round") rounds.push_back(&e);
+    }
+    std::sort(rounds.begin(), rounds.end(), [](const auto* a, const auto* b) {
+      return a->round < b->round;
+    });
+    ASSERT_EQ(rounds.size(), 2u);
+    EXPECT_EQ(numeric_arg(*rounds[1], "predicted_q"), 4.0);
+    EXPECT_EQ(numeric_arg(*rounds[1], "realized_q"), 4.0);
+    if (!in_process) continue;
+    for (const obs::TraceEvent* round : rounds) {
+      double attempts = 0;
+      for (const obs::TraceEvent& e : *events) {
+        if (e.round != round->round || e.task_id == 0) continue;
+        const auto faults = numeric_arg(e, "minor_faults");
+        ASSERT_TRUE(faults.has_value()) << e.name;
+        if (e.name != "Finalize") attempts += *faults;
+      }
+      const auto total = numeric_arg(*round, "minor_faults");
+      ASSERT_TRUE(total.has_value());
+      EXPECT_GE(*total, attempts) << "round " << round->round;
+    }
+  }
+  std::remove(trace_path.c_str());
 }
 
 TEST(PlanStreaming, FamiliesByteIdenticalToBarrierAcrossStrategiesAndSeeds) {

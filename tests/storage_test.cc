@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -22,6 +23,7 @@
 #include "src/storage/run_writer.h"
 #include "src/storage/serde.h"
 #include "src/storage/spill_file.h"
+#include "src/storage/wire_run.h"
 #include "tests/shuffle_inputs.h"
 
 namespace mrcost::storage {
@@ -786,6 +788,88 @@ TEST(RunOrder, ForcedHashCollisionsOrderByKeyBytes) {
       ASSERT_TRUE(RecordViewLess(run.View(i - 1), run.View(i))) << i;
     }
   }
+}
+
+// ------------------------------------------------------ typed key column
+
+/// A non-integral key with an integer's serialized bytes: KVBlock keeps it
+/// in the serialized slab, the encoding a typed key column must match.
+template <typename T>
+struct SlabKey {
+  T v;
+};
+
+template <typename T>
+void ExpectTypedColumnMatchesSlab(const std::vector<T>& keys) {
+  static_assert(KVBlock<T, int>::kTypedKeys);
+  static_assert(!KVBlock<SlabKey<T>, int>::kTypedKeys);
+  KVBlock<T, int> typed;
+  KVBlock<SlabKey<T>, int> slab;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    typed.Append(keys[i], static_cast<int>(i));
+    slab.Append(SlabKey<T>{keys[i]}, static_cast<int>(i));
+  }
+  ASSERT_EQ(typed.rows(), keys.size());
+  EXPECT_EQ(typed.KeyPayloadBytes(), keys.size() * sizeof(T));
+  EXPECT_EQ(typed.CopiedBytes(), slab.CopiedBytes());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    std::string serialized;
+    SerializeValue(keys[i], serialized);
+    ASSERT_EQ(typed.key_bytes(i), serialized) << i;
+    ASSERT_EQ(slab.key_bytes(i), serialized) << i;
+    ASSERT_EQ(typed.KeyAt(i), keys[i]) << i;
+  }
+  EXPECT_EQ(typed.hashes(), slab.hashes());
+
+  // Spill runs and wire frames: a whole block and a hash-routed subset.
+  std::vector<std::uint32_t> all(keys.size());
+  std::iota(all.begin(), all.end(), 0u);
+  std::vector<std::uint32_t> shard;
+  for (const std::uint32_t r : all) {
+    if (engine::IndexOfHash(typed.hash(r), 3) == 1) shard.push_back(r);
+  }
+  const auto pos = [](std::uint32_t r) { return MakeSpillPos(2, r); };
+  for (const auto* rows : {&all, &shard}) {
+    const ColumnarRun got = SortedRunFromRows(typed, *rows, pos);
+    const ColumnarRun want = SortedRunFromRows(slab, *rows, pos);
+    ExpectSameRunBytes(got, want);
+    std::vector<std::string> got_frames;
+    std::vector<std::string> want_frames;
+    BlockEncodeStats stats;
+    EncodeRawRunFrames(got, /*block_bytes=*/256, got_frames, stats);
+    EncodeRawRunFrames(want, /*block_bytes=*/256, want_frames, stats);
+    EXPECT_EQ(got_frames, want_frames);
+  }
+
+  // AppendRaw round-trips the bytes and hash it is given.
+  KVBlock<T, int> raw;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    raw.AppendRaw(slab.key_bytes(i), slab.hash(i), static_cast<int>(i));
+    ASSERT_EQ(raw.KeyAt(i), keys[i]) << i;
+    ASSERT_EQ(raw.key_bytes(i), slab.key_bytes(i)) << i;
+    ASSERT_EQ(raw.value(i), static_cast<int>(i)) << i;
+  }
+  EXPECT_EQ(raw.hashes(), slab.hashes());
+}
+
+template <typename T>
+std::vector<T> TypedTestKeys(std::uint64_t seed) {
+  // Small ids with repeats (reducer ids), both extremes, and random
+  // values over the whole range.
+  common::SplitMix64 rng(seed);
+  std::vector<T> keys = {std::numeric_limits<T>::max(),
+                         std::numeric_limits<T>::min(), T{0}, T{1}};
+  for (int i = 0; i < 3000; ++i) {
+    keys.push_back(rng.Bernoulli(0.7) ? static_cast<T>(rng.UniformBelow(200))
+                                      : static_cast<T>(rng.Next()));
+  }
+  return keys;
+}
+
+TEST(TypedKeyColumn, IntegerKeysMatchTheSerializedEncoding) {
+  ExpectTypedColumnMatchesSlab(TypedTestKeys<std::uint32_t>(1));
+  ExpectTypedColumnMatchesSlab(TypedTestKeys<std::uint64_t>(2));
+  ExpectTypedColumnMatchesSlab(TypedTestKeys<int>(3));
 }
 
 /// Removes the per-process scratch directory. gtest runs suites in
