@@ -105,8 +105,12 @@ class GroupIds {
     }
     const std::size_t g =
         index_.FindOrInsert(block.hash(r), block.key_bytes(r), inserted);
-    if (inserted) probed_.push_back(next_++);
-    return probed_[g];
+    if constexpr (!storage::KVBlock<K, V>::kTypedKeys) {
+      return static_cast<std::uint32_t>(g);  // the index hands out every id
+    } else {
+      if (inserted) probed_.push_back(next_++);
+      return probed_[g];
+    }
   }
 
  private:
