@@ -134,13 +134,6 @@ TEST(ByteSize, BlockTypesConvention) {
 
 // ----------------------------------------------------------- grouping
 
-/// A non-integral key with an integer's serialized bytes, so its block
-/// keeps the serialized slab and GroupRows looks it up through KeyIndex.
-template <typename T>
-struct SlabKey {
-  T v;
-};
-
 /// GroupRows over `blocks`, every row in order, with materialized
 /// (global position) tags or the given streamed tags.
 template <typename K>
@@ -165,6 +158,8 @@ internal::CsrGroups<K, int> GroupAll(
   return internal::GroupRows<K, int>(rows, for_each_row, take,
                                      streamed_tags == nullptr);
 }
+
+using testutil::SlabKey;
 
 template <typename T>
 void ExpectSlotGroupingMatchesKeyIndex(const std::vector<T>& keys,

@@ -63,6 +63,14 @@ inline std::vector<std::vector<std::pair<std::uint64_t, int>>> RandomChunks(
   return chunks;
 }
 
+/// A non-integral key with an integer's serialized bytes: a KVBlock keeps
+/// it in the serialized byte slab and groups it through KeyIndex — the
+/// reference a typed integer key column and its slot lookup must match.
+template <typename T>
+struct SlabKey {
+  T v;
+};
+
 }  // namespace mrcost::testutil
 
 #endif  // MRCOST_TESTS_SHUFFLE_INPUTS_H_

@@ -196,6 +196,7 @@ using testutil::kAllKeyDists;
 using testutil::KeyDist;
 using testutil::Name;
 using testutil::RandomChunks;
+using testutil::SlabKey;
 
 TEST(Varint, RoundTripsAndRejectsTruncation) {
   for (const std::uint64_t v :
@@ -791,13 +792,6 @@ TEST(RunOrder, ForcedHashCollisionsOrderByKeyBytes) {
 }
 
 // ------------------------------------------------------ typed key column
-
-/// A non-integral key with an integer's serialized bytes: KVBlock keeps it
-/// in the serialized slab, the encoding a typed key column must match.
-template <typename T>
-struct SlabKey {
-  T v;
-};
 
 template <typename T>
 void ExpectTypedColumnMatchesSlab(const std::vector<T>& keys) {
