@@ -301,98 +301,6 @@ void BM_MatMulOnePhase(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulOnePhase)->Arg(32)->Arg(64);
 
-// ------------------------------------------------- streaming overlap
-// Barrier vs streaming makespan on a two-round workload: round 1 shuffles
-// 128k pairs into 4k keys with a deliberately compute-heavy reduce spread
-// over 8 shards; round 2 declares a per-key input dependency and regroups
-// the sums. streaming:0 runs the sequential round-by-round schedule,
-// streaming:1 dissolves the round barrier — round 2's map for shard s
-// starts as soon as shard s finishes reducing. Outputs are byte-identical
-// either way; the counters (and a BENCH_JSON line per mode) report the
-// wall-clock difference, the measured overlap fraction, and the idle
-// thread-time at stage barriers.
-void BM_StreamingOverlap(benchmark::State& state) {
-  const bool streaming = state.range(0) == 1;
-  const std::size_t n = 1 << 17;
-  std::vector<std::uint64_t> inputs(n);
-  std::iota(inputs.begin(), inputs.end(), 0);
-
-  mrcost::engine::Plan plan;
-  auto round1 =
-      plan.Source(std::move(inputs), "uniform keys")
-          .Map<std::uint64_t, std::uint64_t>(
-              [](const std::uint64_t& x,
-                 mrcost::engine::Emitter<std::uint64_t, std::uint64_t>& e) {
-                e.Emit(mrcost::common::Mix64(x) % 4096, x);
-              },
-              "fan-in")
-          .ReduceByKey<std::pair<std::uint64_t, std::uint64_t>>(
-              [](const std::uint64_t& key,
-                 mrcost::engine::GroupView<std::uint64_t> values,
-                 std::vector<std::pair<std::uint64_t, std::uint64_t>>&
-                     out) {
-                std::uint64_t acc = key;
-                for (int pass = 0; pass < 64; ++pass) {
-                  for (std::uint64_t v : values) acc = acc * 31 + v;
-                }
-                out.emplace_back(key, acc);
-              });
-  auto target =
-      round1
-          .Map<std::uint64_t, std::uint64_t>(
-              [](const std::pair<std::uint64_t, std::uint64_t>& p,
-                 mrcost::engine::Emitter<std::uint64_t, std::uint64_t>& e) {
-                e.Emit(p.first % 64, p.second);
-              },
-              "regroup")
-          .WithPerKeyInput()
-          .ReduceByKey<std::pair<std::uint64_t, std::uint64_t>>(
-              [](const std::uint64_t& key,
-                 mrcost::engine::GroupView<std::uint64_t> values,
-                 std::vector<std::pair<std::uint64_t, std::uint64_t>>&
-                     out) {
-                std::uint64_t acc = key;
-                for (std::uint64_t v : values) acc = acc * 131 + v;
-                out.emplace_back(key, acc);
-              });
-
-  mrcost::engine::ExecutionOptions options;
-  options.pipeline.num_threads = 4;
-  options.pipeline.round_defaults.num_shards = 8;
-  options.streaming = streaming;
-
-  mrcost::engine::PipelineMetrics last;
-  double wall_ms = 0;
-  for (auto _ : state) {
-    const auto start = std::chrono::steady_clock::now();
-    auto run = target.Execute(options);
-    wall_ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
-    benchmark::DoNotOptimize(run.outputs);
-    last = std::move(run.metrics);
-  }
-  state.counters["makespan_ms"] = wall_ms;
-  state.counters["overlap_fraction"] = last.overlap_fraction();
-  state.counters["streamed_overlap_ms"] = last.streamed_overlap_ms;
-  state.counters["barrier_wait_ms"] = last.total_barrier_wait_ms();
-  state.counters["streamed_rounds"] =
-      static_cast<double>(last.streamed_rounds);
-  std::printf(
-      "BENCH_JSON {\"bench\":\"streaming_overlap\",\"mode\":\"%s\","
-      "\"makespan_ms\":%.3f,\"overlap_fraction\":%.4f,"
-      "\"streamed_overlap_ms\":%.3f,\"barrier_wait_ms\":%.3f,"
-      "\"streamed_rounds\":%zu}\n",
-      streaming ? "streaming" : "barrier", wall_ms, last.overlap_fraction(),
-      last.streamed_overlap_ms, last.total_barrier_wait_ms(),
-      last.streamed_rounds);
-}
-BENCHMARK(BM_StreamingOverlap)
-    ->ArgNames({"streaming"})
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_MatMulTwoPhase(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   mrcost::common::SplitMix64 rng(3);

@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
             << "; two-phase tiles (s, t) = (" << s2 << ", " << t2 << ")\n\n";
 
   // One capture scope over both algorithms: the trace shows the one-phase
-  // round and the two-phase pipeline, whose round 2 streams from round 1.
+  // round and the two-phase pipeline, whose round 2 reads the partial sums
+  // round 1 materialized.
   obs::ScopedCapture trace_scope(capture.trace_out, capture.metrics_out);
   auto one = matmul::MultiplyOnePhase(a, b, one_phase_tile);
   auto two = matmul::MultiplyTwoPhase(a, b, s2, t2);

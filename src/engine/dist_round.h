@@ -126,6 +126,82 @@ struct DistRoundOps {
 /// spill reader's block-size ceiling).
 inline constexpr std::size_t kDistFileBlockBytes = std::size_t{4} << 20;
 
+/// The one format of chunk and result files: a value-format spill file
+/// whose blocks each hold SerializeValue(count) and then `count` records,
+/// a block closing once its records reach kDistFileBlockBytes.
+class FramedValueWriter {
+ public:
+  static common::Result<FramedValueWriter> Create(const std::string& path) {
+    auto file = storage::SpillFileWriter::Create(
+        path, storage::kSpillFormatVersionValues);
+    if (!file.ok()) return file.status();
+    return FramedValueWriter(std::move(file.value()));
+  }
+
+  /// Appends one record: `fields`, serialized back to back.
+  template <typename... Fields>
+  common::Status Append(const Fields&... fields) {
+    (storage::SerializeValue(fields, payload_), ...);
+    ++count_;
+    return payload_.size() >= kDistFileBlockBytes ? Flush()
+                                                  : common::Status::Ok();
+  }
+
+  /// Writes the last partial block and closes the file.
+  common::Status Close() {
+    if (count_ > 0) {
+      if (auto status = Flush(); !status.ok()) return status;
+    }
+    return writer_.Close();
+  }
+
+ private:
+  explicit FramedValueWriter(storage::SpillFileWriter writer)
+      : writer_(std::move(writer)) {}
+
+  common::Status Flush() {
+    std::string framed;
+    storage::SerializeValue(count_, framed);
+    framed.append(payload_);
+    payload_.clear();
+    count_ = 0;
+    return writer_.AppendBlock(framed);
+  }
+
+  storage::SpillFileWriter writer_;
+  std::string payload_;
+  std::uint64_t count_ = 0;
+};
+
+/// Reads a FramedValueWriter file back, calling `read_record(p, end)` once
+/// per record; it parses one record from [p, end), advancing p, and
+/// returns false on corrupt bytes. `what` prefixes the error.
+template <typename ReadRecord>
+common::Status ReadFramedValues(const std::string& path, const char* what,
+                                ReadRecord&& read_record) {
+  auto file = storage::SpillFileReader::Open(path);
+  if (!file.ok()) return file.status();
+  storage::SpillFileReader reader = std::move(file.value());
+  std::string payload;
+  bool done = false;
+  while (true) {
+    if (auto status = reader.Next(payload, done); !status.ok()) return status;
+    if (done) return common::Status::Ok();
+    const char* p = payload.data();
+    const char* end = p + payload.size();
+    std::uint64_t count = 0;
+    if (!storage::DeserializeValue(p, end, count)) {
+      return common::Status::Internal(std::string(what) + ": corrupt block");
+    }
+    for (std::uint64_t i = 0; i < count; ++i) {
+      if (!read_record(p, end)) {
+        return common::Status::Internal(std::string(what) +
+                                        ": corrupt record");
+      }
+    }
+  }
+}
+
 template <typename In, typename K, typename V, typename Out>
 DistRoundOps MakeDistRoundOps(
     std::function<void(const In&, Emitter<K, V>&)> map_fn,
@@ -143,32 +219,14 @@ DistRoundOps MakeDistRoundOps(
       return common::Status::FailedPrecondition(
           "dist write_chunk: input slot not materialized");
     }
-    auto file = storage::SpillFileWriter::Create(
-        path, storage::kSpillFormatVersionValues);
-    if (!file.ok()) return file.status();
-    storage::SpillFileWriter writer = std::move(file.value());
-    std::string payload;
-    std::uint64_t count = 0;
-    auto flush = [&]() -> common::Status {
-      std::string framed;
-      storage::SerializeValue(count, framed);
-      framed.append(payload);
-      auto status = writer.AppendBlock(framed);
-      payload.clear();
-      count = 0;
-      return status;
-    };
+    auto writer = FramedValueWriter::Create(path);
+    if (!writer.ok()) return writer.status();
     for (std::size_t i = lo; i < hi; ++i) {
-      storage::SerializeValue((*input)[i], payload);
-      ++count;
-      if (payload.size() >= kDistFileBlockBytes) {
-        if (auto status = flush(); !status.ok()) return status;
+      if (auto status = writer->Append((*input)[i]); !status.ok()) {
+        return status;
       }
     }
-    if (count > 0) {
-      if (auto status = flush(); !status.ok()) return status;
-    }
-    return writer.Close();
+    return writer->Close();
   };
 
   ops.run_map = [map_fn, combine_fn](const DistMapSpec& spec)
@@ -177,34 +235,20 @@ DistRoundOps MakeDistRoundOps(
       return common::Status::FailedPrecondition(
           "dist run_map: no run registry");
     }
-    auto file = storage::SpillFileReader::Open(spec.chunk_path);
-    if (!file.ok()) return file.status();
-    storage::SpillFileReader reader = std::move(file.value());
-
     // Re-run the captured map over the chunk. The whole chunk accumulates
     // in one block, matching the in-process in-memory path: emission row
     // index == local emission position.
     Emitter<K, V> emitter;
-    std::string payload;
-    bool done = false;
-    while (true) {
-      if (auto status = reader.Next(payload, done); !status.ok()) {
-        return status;
-      }
-      if (done) break;
-      const char* p = payload.data();
-      const char* end = p + payload.size();
-      std::uint64_t count = 0;
-      if (!storage::DeserializeValue(p, end, count)) {
-        return common::Status::Internal("dist run_map: corrupt chunk block");
-      }
-      for (std::uint64_t i = 0; i < count; ++i) {
-        In row;
-        if (!storage::DeserializeValue(p, end, row)) {
-          return common::Status::Internal("dist run_map: corrupt chunk row");
-        }
-        map_fn(row, emitter);
-      }
+    if (auto status = ReadFramedValues(
+            spec.chunk_path, "dist run_map chunk",
+            [&](const char*& p, const char* end) {
+              In row;
+              if (!storage::DeserializeValue(p, end, row)) return false;
+              map_fn(row, emitter);
+              return true;
+            });
+        !status.ok()) {
+      return status;
     }
 
     DistMapOutcome outcome;
@@ -294,39 +338,21 @@ DistRoundOps MakeDistRoundOps(
     outcome.merge_passes = stats.merge_passes;
     outcome.spill_bytes_written = scratch.bytes_written();
 
-    auto file = storage::SpillFileWriter::Create(
-        spec.result_path, storage::kSpillFormatVersionValues);
-    if (!file.ok()) return file.status();
-    storage::SpillFileWriter writer = std::move(file.value());
-    std::string payload;
-    std::uint64_t count = 0;
-    auto flush = [&]() -> common::Status {
-      std::string framed;
-      storage::SerializeValue(count, framed);
-      framed.append(payload);
-      auto status = writer.AppendBlock(framed);
-      payload.clear();
-      count = 0;
-      return status;
-    };
+    auto writer = FramedValueWriter::Create(spec.result_path);
+    if (!writer.ok()) return writer.status();
     std::vector<Out> outs;
     for (std::size_t i = 0; i < groups.size(); ++i) {
       outs.clear();
       reduce_fn(groups.keys[i], groups.group(i), outs);
       outcome.outputs += outs.size();
       outcome.max_group = std::max(outcome.max_group, groups.group_size(i));
-      storage::SerializeValue(groups.first[i].major, payload);
-      storage::SerializeValue(groups.group_size(i), payload);
-      storage::SerializeValue(outs, payload);
-      ++count;
-      if (payload.size() >= kDistFileBlockBytes) {
-        if (auto status = flush(); !status.ok()) return status;
+      if (auto status =
+              writer->Append(groups.first[i], groups.group_size(i), outs);
+          !status.ok()) {
+        return status;
       }
     }
-    if (count > 0) {
-      if (auto status = flush(); !status.ok()) return status;
-    }
-    if (auto status = writer.Close(); !status.ok()) return status;
+    if (auto status = writer->Close(); !status.ok()) return status;
     return outcome;
   };
 
@@ -340,33 +366,20 @@ DistRoundOps MakeDistRoundOps(
     };
     std::vector<Entry> entries;
     for (const std::string& path : result_paths) {
-      auto file = storage::SpillFileReader::Open(path);
-      if (!file.ok()) return file.status();
-      storage::SpillFileReader reader = std::move(file.value());
-      std::string payload;
-      bool done = false;
-      while (true) {
-        if (auto status = reader.Next(payload, done); !status.ok()) {
-          return status;
-        }
-        if (done) break;
-        const char* p = payload.data();
-        const char* end = p + payload.size();
-        std::uint64_t count = 0;
-        if (!storage::DeserializeValue(p, end, count)) {
-          return common::Status::Internal(
-              "dist collect: corrupt result block");
-        }
-        for (std::uint64_t i = 0; i < count; ++i) {
-          Entry entry;
-          if (!storage::DeserializeValue(p, end, entry.first_pos) ||
-              !storage::DeserializeValue(p, end, entry.group_size) ||
-              !storage::DeserializeValue(p, end, entry.outs)) {
-            return common::Status::Internal(
-                "dist collect: corrupt result row");
-          }
-          entries.push_back(std::move(entry));
-        }
+      if (auto status = ReadFramedValues(
+              path, "dist collect result",
+              [&entries](const char*& p, const char* end) {
+                Entry entry;
+                if (!storage::DeserializeValue(p, end, entry.first_pos) ||
+                    !storage::DeserializeValue(p, end, entry.group_size) ||
+                    !storage::DeserializeValue(p, end, entry.outs)) {
+                  return false;
+                }
+                entries.push_back(std::move(entry));
+                return true;
+              });
+          !status.ok()) {
+        return status;
       }
     }
     // Global first-seen order: each group's first_pos is its minimum

@@ -45,12 +45,11 @@ namespace mrcost::engine {
 // each round decomposes into per-chunk MapPartition tasks, per-shard
 // ShardGroup tasks, per-shard ReduceShard tasks, and one Finalize task,
 // with explicit dependency edges. A shard whose group is complete starts
-// reducing while other shards are still grouping, and — when a Plan stage
-// declares a per-key input dependency — round k's reduce output for shard
-// s streams straight into round k+1's map with no global barrier.
-// Outputs stay byte-identical to the barrier engine for every strategy:
-// every emitted pair carries a scan-order tag (internal::PairPos) and the
-// deterministic first-seen merge runs on tags instead of arrival order.
+// reducing while other shards are still grouping. Every round maps over a
+// materialized input; outputs stay byte-identical to the barrier engine
+// for every strategy: every grouped key carries its first row's global
+// emission position, and the deterministic first-seen merge runs on
+// positions instead of arrival order.
 
 /// Speculative-backup knobs: the executor re-issues a slow shard task
 /// (ShardGroup / ReduceShard) on another pool thread once its elapsed time
@@ -189,9 +188,9 @@ struct JobResult {
 /// added with explicit dependency edges and submitted to the pool the
 /// moment their last dependency completes — there are no phase barriers,
 /// only the edges the computation actually requires. Tasks may be added
-/// while the graph is running (the plan executor stages round k+1 against
-/// round k's still-running tasks); Wait blocks until every task added so
-/// far has finished. Task completion is published under the executor's
+/// while the graph is running (a round's early tasks start while it is
+/// still being staged); Wait blocks until every task added so far has
+/// finished. Task completion is published under the executor's
 /// mutex, so a task's writes happen-before every dependent task's reads.
 class StageGraphExecutor : public TaskScheduler {
  public:
@@ -251,7 +250,7 @@ class StageGraphExecutor : public TaskScheduler {
   /// The task's recorded span (zeros until it ran). Thread-safe.
   TaskSpan SpanOf(TaskId id) const override;
 
-  /// Every task's (kind, round tag, span), for cross-round overlap
+  /// Every task's (kind, round tag, span), for the execution's span
   /// accounting. Call after Wait.
   struct TaskRecord {
     StageKind kind;
@@ -369,8 +368,6 @@ struct MapSample;  // src/engine/plan.h
 struct RoundFacts {
   std::size_t num_threads = 1;  // size of the pool the round runs on
   std::size_t num_inputs = 0;   // materialized input size
-  /// > 0: the input streams from this many upstream shards instead.
-  std::size_t streamed_blocks = 0;
   const StageEstimate* estimate = nullptr;  // declared schema hints
   const MapSample* sample = nullptr;        // map-fn sample of the input
   /// Worker processes place rows by hash only.
@@ -396,9 +393,6 @@ struct RoundPrediction {
   double q = 0;            // predicted max reducer input
   double r = 0;            // predicted replication rate
   double bound_ratio = 0;  // predicted r / lower-bound r(q); 0 = unknown
-  // Predicted outputs (reducers x outputs_per_reducer), the input count a
-  // streamed consumer is priced at; 0 = unknown.
-  double outputs = 0;
 };
 
 /// Minor page faults the calling thread has taken so far
@@ -411,58 +405,23 @@ void AppendRoundArgs(const PhysicalRound& physical,
                      const RoundPrediction& prediction, const JobMetrics& m,
                      std::vector<obs::TraceArg>& args);
 
-/// Type-erased face of a staged round — all the plan driver needs: stage
-/// the finalize task, read metrics, and wire streamed consumers.
+/// Type-erased face of a staged round — all the plan driver needs: attach
+/// the prediction, stage the finalize task, and read metrics.
 class StagedHandleBase {
  public:
   virtual ~StagedHandleBase() = default;
 
   /// Attaches the planner's prediction for trace attribution. Call before
-  /// the round's finalize task can run (i.e. before executor Wait).
+  /// staging finalize.
   virtual void SetPrediction(const RoundPrediction& prediction) = 0;
   virtual const RoundPrediction& prediction() const = 0;
 
-  /// Stages the finalize task (deterministic merge + metrics). Streaming
-  /// consumers pass their map-task ids as `extra_deps` so finalize does
-  /// not move the shard outputs out from under a reader. Idempotent after
-  /// the first call.
-  virtual void StageFinalize(
-      std::vector<StageGraphExecutor::TaskId> extra_deps) = 0;
-  virtual bool finalize_staged() const = 0;
+  /// Stages the finalize task (deterministic merge + metrics) behind the
+  /// round's reduce tasks. Call once.
+  virtual void StageFinalize() = 0;
 
   /// Valid once the executor has drained this round's tasks.
   virtual const JobMetrics& metrics() const = 0;
-  virtual const PhysicalRound& physical() const = 0;
-
-  /// Map / reduce task ids, for cross-round overlap accounting and for
-  /// chaining a streamed consumer's maps behind this round's reduces.
-  virtual const std::vector<StageGraphExecutor::TaskId>& map_task_ids()
-      const = 0;
-  virtual const std::vector<StageGraphExecutor::TaskId>& reduce_task_ids()
-      const = 0;
-};
-
-/// Typed streaming face of a staged round: per-shard blocks of reduce
-/// outputs a downstream per-key round consumes without a global barrier.
-template <typename T>
-class StreamSource {
- public:
-  virtual ~StreamSource() = default;
-
-  virtual std::size_t stream_block_count() const = 0;
-  /// Task after which block `b`'s outputs are readable (its reduce task).
-  virtual StageGraphExecutor::TaskId stream_block_task(
-      std::size_t block) const = 0;
-  /// Task after which every block's key ranks are readable; staged on
-  /// first call.
-  virtual StageGraphExecutor::TaskId stream_ranks_task() = 0;
-  /// Visits block `b`'s keys: global first-seen rank plus the key's
-  /// reduce outputs (a view valid for the call). Only valid from a task
-  /// depending on the block task and the ranks task.
-  virtual void VisitStreamBlock(
-      std::size_t block,
-      const std::function<void(std::uint64_t rank, GroupView<T> outputs)>&
-          fn) const = 0;
 };
 
 inline double IntervalOverlap(double a_begin, double a_end, double b_begin,
@@ -491,13 +450,12 @@ inline StageWindow WindowOf(const TaskScheduler& exec,
 
 /// One staged map-reduce round: builds the MapPartition -> ShardGroup ->
 /// ReduceShard -> Finalize task graph (MapSpill -> Merge -> ReduceShard ->
-/// Finalize for the external shuffle) on a StageGraphExecutor, and doubles
-/// as a StreamSource so a per-key downstream round can consume its shard
-/// outputs as they complete. CombineFn is std::function<V(V, V)> for a
-/// combined round and NoCombine for a plain one, so the combined path is
-/// chosen at compile time.
+/// Finalize for the external shuffle) on a StageGraphExecutor over a
+/// materialized input. CombineFn is std::function<V(V, V)> for a combined
+/// round and NoCombine for a plain one, so the combined path is chosen at
+/// compile time.
 template <typename In, typename K, typename V, typename Out, typename CombineFn>
-class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
+class StagedRound final : public StagedHandleBase {
  public:
   using TaskId = StageGraphExecutor::TaskId;
   using MapFn = std::function<void(const In&, Emitter<K, V>&)>;
@@ -520,26 +478,7 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
     self->self_ = self;
     self->inputs_ = &inputs;
     self->keepalive_ = std::move(keepalive);
-    self->BuildMaterialized();
-    return self;
-  }
-
-  /// Stages a plain round whose input streams per-shard from `upstream`,
-  /// one map task per upstream shard. Only in-memory strategies stream;
-  /// the caller falls back to the materialized path for external and
-  /// combined rounds.
-  static std::shared_ptr<StagedRound> StageStreamed(
-      StageGraphExecutor& exec, std::uint32_t round_tag,
-      std::shared_ptr<StagedHandleBase> upstream_handle,
-      StreamSource<In>* upstream, MapFn map_fn, ReduceFn reduce_fn,
-      const JobOptions& options, const PhysicalRound& physical) {
-    static_assert(!kCombined, "combined rounds do not stream their input");
-    auto self = std::shared_ptr<StagedRound>(new StagedRound(
-        exec, round_tag, std::move(map_fn), CombineFn{},
-        std::move(reduce_fn), options, physical));
-    self->self_ = self;
-    self->upstream_keepalive_ = std::move(upstream_handle);
-    self->BuildStreamed(upstream);
+    self->Build();
     return self;
   }
 
@@ -552,59 +491,17 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
 
   // ----- StagedHandleBase
 
-  void StageFinalize(std::vector<TaskId> extra_deps) override {
-    if (finalize_staged_) return;
-    finalize_staged_ = true;
-    std::vector<TaskId> deps = reduce_tasks_;
-    deps.insert(deps.end(), extra_deps.begin(), extra_deps.end());
+  void StageFinalize() override {
     auto self = self_.lock();
-    finalize_task_ = exec_.AddTask(StageKind::kFinalize, round_tag_,
-                                   std::move(deps),
-                                   [self] { self->Finalize(); },
-                                   /*speculatable=*/false, "Finalize");
+    exec_.AddTask(StageKind::kFinalize, round_tag_, reduce_tasks_,
+                  [self] { self->Finalize(); },
+                  /*speculatable=*/false, "Finalize");
   }
-  bool finalize_staged() const override { return finalize_staged_; }
   const JobMetrics& metrics() const override { return result_.metrics; }
-  const PhysicalRound& physical() const override { return physical_; }
   void SetPrediction(const RoundPrediction& prediction) override {
     prediction_ = prediction;
   }
   const RoundPrediction& prediction() const override { return prediction_; }
-  const std::vector<TaskId>& map_task_ids() const override {
-    return map_tasks_;
-  }
-  const std::vector<TaskId>& reduce_task_ids() const override {
-    return reduce_tasks_;
-  }
-
-  // ----- StreamSource<Out>
-
-  std::size_t stream_block_count() const override {
-    return reduce_tasks_.size();
-  }
-  TaskId stream_block_task(std::size_t block) const override {
-    return reduce_tasks_[block];
-  }
-  TaskId stream_ranks_task() override {
-    if (ranks_task_ == StageGraphExecutor::kNoTask) {
-      auto self = self_.lock();
-      ranks_task_ =
-          exec_.AddTask(StageKind::kOther, round_tag_, group_tasks_,
-                        [self] { self->AssignKeyRanks(); },
-                        /*speculatable=*/false, "AssignKeyRanks");
-    }
-    return ranks_task_;
-  }
-  void VisitStreamBlock(
-      std::size_t block,
-      const std::function<void(std::uint64_t rank, GroupView<Out> outputs)>&
-          fn) const override {
-    const Shard& shard = shards_[block];
-    for (std::size_t i = 0; i < shard.groups.size(); ++i) {
-      const std::vector<Out>& outputs = shard.outputs[i];
-      fn(shard.ranks[i], GroupView<Out>(outputs.data(), outputs.size()));
-    }
-  }
 
  private:
   using Block = storage::KVBlock<K, V>;
@@ -615,7 +512,6 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
   /// the offsets keep the sizes).
   struct Shard {
     CsrGroups<K, V> groups;
-    std::vector<std::uint64_t> ranks;       // filled by AssignKeyRanks
     std::vector<std::vector<Out>> outputs;  // filled by ReduceShard
     std::vector<ReducerLoad> loads;         // when simulating
     std::uint64_t routed_rows = 0;          // rows routed to this shard
@@ -641,7 +537,7 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
                    std::is_copy_constructible_v<V>;
     if (speculative_) exec_.ConfigureSpeculation(options_.speculation);
     for (auto* counter : {&task_pairs_, &task_raw_pairs_, &task_bytes_,
-                          &task_inputs_, &task_blocks_, &task_copied_}) {
+                          &task_blocks_, &task_copied_}) {
       counter->assign(physical_.chunks, 0);
     }
     // Sized before any task can run: a task may start the moment it is
@@ -662,12 +558,8 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
   bool use_range() const {
     return physical_.partitioner == PartitionerKind::kSampledRange;
   }
-  void BuildMaterialized();
-  void BuildStreamed(StreamSource<In>* upstream);
-  void StageGroupAndReduce();
-
+  void Build();
   void MapChunk(std::size_t c, std::size_t lo, std::size_t hi);
-  void MapStreamBlock(std::size_t b);
   void PlanPartition();
   void RouteBlock(std::size_t task);
   void GroupShard(std::size_t p);
@@ -675,31 +567,8 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
   void ReduceGroup(const K& key, GroupView<V> group, std::vector<Out>& out,
                    ReducerLoad* load);
   void ReduceShard(std::size_t p);
-  void AssignKeyRanks();
   void Finalize();
   void FillTimings(JobMetrics& m) const;
-
-  /// The shards' keys in global first-seen order: (scan tag, shard, index
-  /// within shard), sorted by tag. The single source of the cross-shard
-  /// key order — AssignKeyRanks and Finalize's merge both use it, so
-  /// streamed ranks can never diverge from the finalize order.
-  std::vector<std::tuple<PairPos, std::uint32_t, std::uint32_t>>
-  SortedKeyOrder() const {
-    std::size_t total = 0;
-    for (const Shard& shard : shards_) total += shard.groups.size();
-    std::vector<std::tuple<PairPos, std::uint32_t, std::uint32_t>> order;
-    order.reserve(total);
-    for (std::uint32_t p = 0; p < shards_.size(); ++p) {
-      for (std::uint32_t i = 0; i < shards_[p].groups.size(); ++i) {
-        order.emplace_back(shards_[p].groups.first[i], p, i);
-      }
-    }
-    std::sort(order.begin(), order.end(),
-              [](const auto& a, const auto& b) {
-                return std::get<0>(a) < std::get<0>(b);
-              });
-    return order;
-  }
 
   StageGraphExecutor& exec_;
   std::uint32_t round_tag_ = 0;
@@ -714,12 +583,8 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
   double exec_base_ms_ = 0;
   std::weak_ptr<StagedRound> self_;
 
-  // Input: exactly one of (inputs_, upstream_) is set.
   const std::vector<In>* inputs_ = nullptr;
   std::shared_ptr<const void> keepalive_;
-  StreamSource<In>* upstream_ = nullptr;
-  std::shared_ptr<StagedHandleBase> upstream_keepalive_;
-  bool streamed_input_ = false;
 
   // Per-map-task partials (indexed by task). Each map task owns one
   // columnar block; shard_rows_[task][shard] holds the row indices the
@@ -727,12 +592,9 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
   // ranges instead of copied pairs.
   std::vector<std::unique_ptr<Block>> blocks_;
   std::vector<std::vector<std::vector<std::uint32_t>>> shard_rows_;
-  // Streamed only: scan-order tag per block row (parallel column).
-  std::vector<std::vector<PairPos>> tag_pos_;
   std::vector<std::uint64_t> task_pairs_;      // routed (post-combine)
   std::vector<std::uint64_t> task_raw_pairs_;  // pre-combine
   std::vector<std::uint64_t> task_bytes_;      // shuffled bytes
-  std::vector<std::uint64_t> task_inputs_;     // streamed: inputs consumed
   std::vector<std::uint64_t> task_blocks_;     // blocks handed downstream
   std::vector<std::uint64_t> task_copied_;     // bytes physically copied
 
@@ -743,10 +605,6 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
   storage::SpillStats spill_stats_;
 
   std::vector<Shard> shards_;
-
-  /// Global key order cached by AssignKeyRanks for Finalize (empty when
-  /// no streamed consumer forced the rank task).
-  std::vector<std::tuple<PairPos, std::uint32_t, std::uint32_t>> key_order_;
 
   // Skew defenses (see src/engine/partitioner.h). Sampled-range
   // placement defers the radix routing behind a sampling task;
@@ -762,9 +620,6 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
   std::vector<TaskId> route_tasks_;   // sampled-range only: deferred radix
   std::vector<TaskId> group_tasks_;   // in-memory: per shard; external: merge
   std::vector<TaskId> reduce_tasks_;  // per shard
-  TaskId ranks_task_ = StageGraphExecutor::kNoTask;
-  TaskId finalize_task_ = StageGraphExecutor::kNoTask;
-  bool finalize_staged_ = false;
 
   std::shared_ptr<void>* output_slot_ = nullptr;
   JobResult<Out> result_;
@@ -774,7 +629,7 @@ class StagedRound final : public StagedHandleBase, public StreamSource<Out> {
 // StagedRound implementation.
 
 template <typename In, typename K, typename V, typename Out, typename CombineFn>
-void StagedRound<In, K, V, Out, CombineFn>::BuildMaterialized() {
+void StagedRound<In, K, V, Out, CombineFn>::Build() {
   const std::size_t n = inputs_->size();
   result_.metrics.num_inputs = n;
   if (physical_.strategy == ShuffleStrategy::kExternal) {
@@ -796,35 +651,6 @@ void StagedRound<In, K, V, Out, CombineFn>::BuildMaterialized() {
                                                           : "MapPartition",
         static_cast<std::uint32_t>(c)));
   }
-  StageGroupAndReduce();
-}
-
-template <typename In, typename K, typename V, typename Out, typename CombineFn>
-void StagedRound<In, K, V, Out, CombineFn>::BuildStreamed(
-    StreamSource<In>* upstream) {
-  MRCOST_CHECK(physical_.strategy != ShuffleStrategy::kExternal);
-  MRCOST_CHECK(physical_.chunks == upstream->stream_block_count());
-  streamed_input_ = true;
-  upstream_ = upstream;
-  tag_pos_.resize(physical_.chunks);
-
-  const TaskId ranks = upstream->stream_ranks_task();
-  map_tasks_.reserve(physical_.chunks);
-  auto self = self_.lock();
-  for (std::size_t b = 0; b < upstream->stream_block_count(); ++b) {
-    map_tasks_.push_back(exec_.AddTask(
-        StageKind::kMap, round_tag_,
-        {upstream->stream_block_task(b), ranks},
-        [self, b] { self->MapStreamBlock(b); },
-        /*speculatable=*/false, "MapPartition",
-        static_cast<std::uint32_t>(b)));
-  }
-  StageGroupAndReduce();
-}
-
-template <typename In, typename K, typename V, typename Out, typename CombineFn>
-void StagedRound<In, K, V, Out, CombineFn>::StageGroupAndReduce() {
-  auto self = self_.lock();
   if (physical_.strategy == ShuffleStrategy::kExternal) {
     // One merge task fills every shard, so each shard's reduce waits on
     // it.
@@ -1028,34 +854,6 @@ void StagedRound<In, K, V, Out, CombineFn>::RouteBlock(std::size_t task) {
 }
 
 template <typename In, typename K, typename V, typename Out, typename CombineFn>
-void StagedRound<In, K, V, Out, CombineFn>::MapStreamBlock(std::size_t b) {
-  Emitter<K, V> emitter;
-  std::vector<PairPos>& tags = tag_pos_[b];
-  std::uint64_t inputs_seen = 0;
-  upstream_->VisitStreamBlock(
-      b, [&](std::uint64_t rank, GroupView<In> outs) {
-        const std::size_t mark = emitter.block().rows();
-        for (const In& o : outs) {
-          ++inputs_seen;
-          map_(o, emitter);
-        }
-        // Rows emitted for this upstream key carry its final (rank, seq)
-        // tag in a parallel column — the block itself stays append-only.
-        std::uint64_t seq = 0;
-        for (std::size_t r = mark; r < emitter.block().rows(); ++r) {
-          tags.push_back(PairPos{rank, seq++});
-        }
-      });
-  task_inputs_[b] = inputs_seen;
-  task_raw_pairs_[b] = task_pairs_[b] = emitter.block().rows();
-  task_bytes_[b] = emitter.bytes();
-  task_blocks_[b] = emitter.blocks_emitted();
-  task_copied_[b] = emitter.bytes_copied();
-  blocks_[b] = std::make_unique<Block>(std::move(emitter.block()));
-  if (!use_range()) RouteBlock(b);
-}
-
-template <typename In, typename K, typename V, typename Out, typename CombineFn>
 void StagedRound<In, K, V, Out, CombineFn>::GroupShard(std::size_t p) {
   // Grouping builds into an attempt-local Shard: non-speculative rounds
   // move it straight into place; speculative attempts race to commit it
@@ -1075,24 +873,22 @@ void StagedRound<In, K, V, Out, CombineFn>::GroupShard(std::size_t p) {
     }
     return std::move(block.value(r));
   };
-  // Materialized input: scanning each task's routed rows in row order
-  // visits pairs in global scan order (tasks are contiguous input ranges),
-  // so the tag is the task base plus the row. Streamed input: rows carry
-  // their final (rank, seq) tags but interleave upstream shards.
+  // Scanning each task's routed rows in row order visits pairs in global
+  // emission order (tasks are contiguous input ranges), so a row's
+  // position is its task's base plus the row.
   const auto for_each_row = [this, p](auto&& visit) {
     std::uint64_t base = 0;
     for (std::size_t t = 0; t < physical_.chunks; ++t) {
       if (blocks_[t] != nullptr) {
         Block& block = *blocks_[t];
         for (const std::uint32_t r : shard_rows_[t][p]) {
-          visit(block, r,
-                streamed_input_ ? tag_pos_[t][r] : PairPos{base + r, 0});
+          visit(block, r, base + r);
         }
       }
       base += task_pairs_[t];
     }
   };
-  sh.groups = GroupRows<K, V>(owned, for_each_row, take, !streamed_input_);
+  sh.groups = GroupRows<K, V>(owned, for_each_row, take);
   if (!speculative_) {
     for (std::size_t t = 0; t < physical_.chunks; ++t) {
       std::vector<std::uint32_t>().swap(shard_rows_[t][p]);
@@ -1196,19 +992,6 @@ void StagedRound<In, K, V, Out, CombineFn>::ReduceShard(std::size_t p) {
 }
 
 template <typename In, typename K, typename V, typename Out, typename CombineFn>
-void StagedRound<In, K, V, Out, CombineFn>::AssignKeyRanks() {
-  for (Shard& shard : shards_) shard.ranks.resize(shard.groups.size());
-  // Cache the order for Finalize, which runs strictly after this task
-  // (finalize depends on the consumer maps, which depend on it) — the
-  // O(K log K) merge sort is paid once per round, not twice.
-  key_order_ = SortedKeyOrder();
-  for (std::size_t r = 0; r < key_order_.size(); ++r) {
-    shards_[std::get<1>(key_order_[r])].ranks[std::get<2>(key_order_[r])] =
-        r;
-  }
-}
-
-template <typename In, typename K, typename V, typename Out, typename CombineFn>
 void StagedRound<In, K, V, Out, CombineFn>::FillTimings(JobMetrics& m) const {
   const StageWindow map = internal::WindowOf(exec_, map_tasks_);
   const StageWindow shuffle = internal::WindowOf(exec_, group_tasks_);
@@ -1259,10 +1042,6 @@ void StagedRound<In, K, V, Out, CombineFn>::Finalize() {
     m.bytes_copied += task_copied_[t];
     if (obs_metrics) map_bytes_hist.Add(task_bytes_[t]);
   }
-  if (streamed_input_) {
-    m.num_inputs = 0;
-    for (std::uint64_t n : task_inputs_) m.num_inputs += n;
-  }
 
   std::vector<Out> outputs;
   std::vector<ReducerLoad> loads;
@@ -1275,11 +1054,21 @@ void StagedRound<In, K, V, Out, CombineFn>::Finalize() {
     m.compression_ratio = spill_stats_.encode.CompressionRatio();
   }
   // Deterministic merge: interleave the shards' keys back into global
-  // first-seen order by scan tag — byte-identical to the serial reference
-  // for every shard count, thread count, and task schedule. (AssignKeyRanks
-  // caches the order when a streamed consumer ran.)
-  const auto order =
-      key_order_.empty() ? SortedKeyOrder() : std::move(key_order_);
+  // first-seen order — (first position, shard, index within shard) sorted
+  // on the position is byte-identical to the serial reference for every
+  // shard count, thread count, and task schedule.
+  std::size_t num_keys = 0;
+  for (const Shard& shard : shards_) num_keys += shard.groups.size();
+  std::vector<std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>> order;
+  order.reserve(num_keys);
+  for (std::uint32_t p = 0; p < shards_.size(); ++p) {
+    for (std::uint32_t i = 0; i < shards_[p].groups.size(); ++i) {
+      order.emplace_back(shards_[p].groups.first[i], p, i);
+    }
+  }
+  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+    return std::get<0>(a) < std::get<0>(b);
+  });
   m.num_reducers = order.size();
   std::size_t total_outputs = 0;
   for (const auto& [pos, p, i] : order) {
@@ -1381,8 +1170,8 @@ void StagedRound<In, K, V, Out, CombineFn>::Finalize() {
   } else {
     result_.outputs = std::move(outputs);
   }
-  // Release the bulky intermediate state; nothing reads it after finalize
-  // (streamed consumers are finalize dependencies). A speculative round
+  // Release the bulky intermediate state; nothing reads it after finalize.
+  // A speculative round
   // keeps it: a losing attempt may still be draining against the blocks
   // and groups, so the state dies with the round object instead (Wait
   // drains every attempt before results are consumed).
@@ -1390,7 +1179,6 @@ void StagedRound<In, K, V, Out, CombineFn>::Finalize() {
     shards_.clear();
     blocks_.clear();
     shard_rows_.clear();
-    tag_pos_.clear();
   }
 }
 

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -53,24 +52,6 @@ class GroupView {
 };
 
 namespace internal {
-
-/// Scan-order tag carried by every routed pair. Lexicographic (major,
-/// minor) order over a round's pairs equals the barrier engine's global
-/// scan order, so the first-seen-key merge is identical no matter which
-/// task produced a pair or when it ran:
-///   * materialized input — major is the pair's global emission position
-///     (task base + local index, bases applied at group time), minor 0;
-///   * streamed input — major is the producing upstream key's global
-///     first-seen rank, minor a per-key emission counter (a key's outputs
-///     are mapped in order, so (rank, counter) reproduces the order a
-///     barrier round would scan the materialized outputs in).
-struct PairPos {
-  std::uint64_t major = 0;
-  std::uint64_t minor = 0;
-  friend bool operator<(const PairPos& a, const PairPos& b) {
-    return a.major != b.major ? a.major < b.major : a.minor < b.minor;
-  }
-};
 
 /// Dense first-seen group ids over one call's rows. A typed-key block's
 /// key in [0, bound) indexes a slot array: no hash probe and no compare
@@ -160,11 +141,14 @@ storage::KVBlock<K, V> CombineBlock(storage::KVBlock<K, V>& in,
 
 /// One shard's groups in CSR form: keys in first-seen order, and every
 /// key's values contiguous in one buffer — group g is
-/// values[offsets[g], offsets[g + 1]).
+/// values[offsets[g], offsets[g + 1]). first[g] is the emission position
+/// of the group's first row; positions order a round's rows the way the
+/// barrier engine scans them, so sorting every shard's keys on it gives
+/// the global first-seen order whichever task grouped them.
 template <typename K, typename V>
 struct CsrGroups {
   std::vector<K> keys;
-  std::vector<PairPos> first;  // scan tag of each key's first row
+  std::vector<std::uint64_t> first;
   std::vector<std::size_t> offsets = {0};
   std::vector<V> values;
 
@@ -178,8 +162,9 @@ struct CsrGroups {
 };
 
 /// The grouping kernel behind every in-memory shuffle. `for_each_row(f)`
-/// calls f(block, row, tag) for each of a shard's `num_rows` routed rows,
-/// in the same order each time; it is called twice:
+/// calls f(block, row, pos) for each of a shard's `num_rows` routed rows,
+/// in the same order each time and in ascending emission position `pos`;
+/// it is called twice:
 ///   1. GroupIds (a slot lookup for integer keys below `num_rows`, a
 ///      storage::KeyIndex probe over the precomputed hashes and key bytes
 ///      otherwise) gives each row a dense first-seen group id and counts
@@ -187,28 +172,23 @@ struct CsrGroups {
 ///   2. values scatter, stably, into the one value buffer —
 ///      `take(block, row)` yields each (moved, or copied when the blocks
 ///      are shared).
-/// `tags_in_scan_order` says the visit order is already tag order
-/// (materialized input); otherwise (streamed input, whose rows interleave
-/// upstream shards) each key's first tag is the minimum and each group's
-/// slice is restored to tag order. V must be default-constructible (the
-/// buffer is sized before the scatter fills it).
+/// V must be default-constructible (the buffer is sized before the
+/// scatter fills it).
 template <typename K, typename V, typename ForEachRow, typename Take>
 CsrGroups<K, V> GroupRows(std::size_t num_rows, ForEachRow&& for_each_row,
-                          Take&& take, bool tags_in_scan_order) {
+                          Take&& take) {
   using Block = storage::KVBlock<K, V>;
   CsrGroups<K, V> out;
   GroupIds ids(num_rows);
   std::vector<std::uint32_t> gid;
   gid.reserve(num_rows);
-  for_each_row([&](const Block& block, std::uint32_t r, const PairPos& tag) {
+  for_each_row([&](const Block& block, std::uint32_t r, std::uint64_t pos) {
     bool inserted = false;
     const std::uint32_t g = ids.FindOrInsert(block, r, inserted);
     if (inserted) {
       out.keys.push_back(block.KeyAt(r));
-      out.first.push_back(tag);
+      out.first.push_back(pos);
       out.offsets.push_back(0);
-    } else if (!tags_in_scan_order && tag < out.first[g]) {
-      out.first[g] = tag;
     }
     ++out.offsets[g + 1];
     gid.push_back(g);
@@ -219,33 +199,10 @@ CsrGroups<K, V> GroupRows(std::size_t num_rows, ForEachRow&& for_each_row,
 
   std::vector<std::size_t> cursor(out.offsets.begin(), out.offsets.end() - 1);
   out.values.resize(gid.size());
-  std::vector<PairPos> tags(tags_in_scan_order ? 0 : gid.size());
   std::size_t i = 0;
-  for_each_row([&](Block& block, std::uint32_t r, const PairPos& tag) {
-    const std::size_t slot = cursor[gid[i++]]++;
-    out.values[slot] = take(block, r);
-    if (!tags_in_scan_order) tags[slot] = tag;
+  for_each_row([&](Block& block, std::uint32_t r, std::uint64_t) {
+    out.values[cursor[gid[i++]]++] = take(block, r);
   });
-  if (tags_in_scan_order) return out;
-
-  std::vector<std::uint32_t> order;
-  std::vector<V> sorted;
-  for (std::size_t g = 0; g < out.size(); ++g) {
-    const auto lo = static_cast<std::ptrdiff_t>(out.offsets[g]);
-    const auto hi = static_cast<std::ptrdiff_t>(out.offsets[g + 1]);
-    if (std::is_sorted(tags.begin() + lo, tags.begin() + hi)) continue;
-    order.resize(static_cast<std::size_t>(hi - lo));
-    for (std::uint32_t k = 0; k < order.size(); ++k) order[k] = k;
-    std::sort(order.begin(), order.end(),
-              [&tags, lo](std::uint32_t a, std::uint32_t b) {
-                return tags[lo + a] < tags[lo + b];
-              });
-    sorted.clear();
-    for (const std::uint32_t k : order) {
-      sorted.push_back(std::move(out.values[lo + k]));
-    }
-    std::move(sorted.begin(), sorted.end(), out.values.begin() + lo);
-  }
   return out;
 }
 
@@ -254,8 +211,8 @@ CsrGroups<K, V> GroupRows(std::size_t num_rows, ForEachRow&& for_each_row,
 /// pops the merged (hash, key bytes, pos) order once through a
 /// storage::BlockLoserTree, deserializing each key once per group and each
 /// value once into a CsrGroups buffer. Groups come out in merge order;
-/// first[g] = PairPos{pos of the group's first record, 0} — its minimum
-/// spill position, so sorting on it restores first-seen order.
+/// first[g] is the pos of the group's first record — its minimum spill
+/// position, so sorting on it restores first-seen order.
 ///
 /// The stream is cut at group boundaries into `num_parts` parts of about
 /// `total_rows / num_parts` rows each (trailing parts may be empty). Each
@@ -315,7 +272,7 @@ common::Result<std::vector<CsrGroups<K, V>>> GroupMergedRuns(
             "external merge: corrupt key bytes in spill block");
       }
       out->keys.push_back(std::move(key));
-      out->first.push_back(PairPos{rec->pos, 0});
+      out->first.push_back(rec->pos);
     }
     const char* p = rec->value.data();
     out->values.emplace_back();

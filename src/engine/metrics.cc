@@ -188,7 +188,7 @@ double PipelineMetrics::total_barrier_wait_ms() const {
 }
 
 double PipelineMetrics::total_overlap_ms() const {
-  double total = streamed_overlap_ms;
+  double total = 0;
   for (const auto& m : rounds) total += m.overlap_ms;
   return total;
 }
@@ -230,10 +230,9 @@ std::string PipelineMetrics::ToString() const {
        << total_speculative_launched()
        << ", hot keys split=" << total_hot_keys_split();
   }
-  if (total_overlap_ms() > 0 || streamed_rounds > 0) {
+  if (total_overlap_ms() > 0) {
     os << ", overlap=" << overlap_fraction()
-       << " (streamed rounds=" << streamed_rounds
-       << "), barrier wait=" << total_barrier_wait_ms() << "ms";
+       << ", barrier wait=" << total_barrier_wait_ms() << "ms";
   }
   for (std::size_t i = 0; i < rounds.size(); ++i) {
     os << "\n  round " << i + 1 << ": " << rounds[i].ToString();

@@ -142,14 +142,9 @@ struct JobMetrics {
 struct PipelineMetrics {
   std::vector<JobMetrics> rounds;
 
-  /// Cross-round streaming observed by the plan executor: wall-clock
-  /// during which a streamed round's map overlapped its producer's
-  /// reduce, the executor's whole span, and how many rounds consumed
-  /// their input as a stream. All zero for barrier (sequential-round)
-  /// executions.
-  double streamed_overlap_ms = 0;
+  /// Wall clock of the whole execution, first task start to last task
+  /// end (0 when nothing ran).
   double exec_span_ms = 0;
-  std::size_t streamed_rounds = 0;
 
   void Add(JobMetrics m) { rounds.push_back(std::move(m)); }
 
@@ -170,9 +165,8 @@ struct PipelineMetrics {
   std::uint64_t total_spill_runs() const;
   std::uint64_t total_merge_passes() const;
   /// Timing aggregates (0 when rounds ran untimed): total idle
-  /// thread-time at stage barriers, total stage overlap (within-round
-  /// plus cross-round streaming), and the overlap as a fraction of the
-  /// execution span.
+  /// thread-time at stage barriers, total within-round stage overlap,
+  /// and the overlap as a fraction of the execution span.
   double total_barrier_wait_ms() const;
   double total_overlap_ms() const;
   double overlap_fraction() const;

@@ -114,7 +114,7 @@ PhysicalRound ResolvePhysicalRound(const JobOptions& options,
       facts.sample != nullptr && facts.sample->valid ? facts.sample : nullptr;
   const double n = static_cast<double>(facts.num_inputs);
   // One pair and byte estimate sizes the round: declared hints first,
-  // then the map sample; < 0 = unknown (streamed rounds).
+  // then the map sample; < 0 = unknown (neither declared nor sampled).
   const double pairs = hint.replication > 0 ? hint.replication * n
                        : sample != nullptr  ? sample->pairs_per_input * n
                                             : -1;
@@ -125,16 +125,9 @@ PhysicalRound ResolvePhysicalRound(const JobOptions& options,
   PhysicalRound round;
   std::ostringstream why;
 
-  // Chunks follow the input: its size, or the upstream's shards when it
-  // streams in.
-  const bool streamed = facts.streamed_blocks > 0;
-  round.chunks = streamed ? facts.streamed_blocks : NumChunks(facts.num_inputs);
-  why << "chunks " << round.chunks << " (";
-  if (streamed) {
-    why << "upstream shards";
-  } else {
-    why << facts.num_inputs << " inputs";
-  }
+  // Chunks follow the input's size.
+  round.chunks = NumChunks(facts.num_inputs);
+  why << "chunks " << round.chunks << " (" << facts.num_inputs << " inputs";
 
   std::string strategy_why;
   round.strategy =
@@ -211,13 +204,13 @@ JobOptions ResolveRoundOptions(const PlanNode& node,
 /// What the planner would tell the cost model about this round, mirroring
 /// EstimatePlanGraph's pricing inputs: declared hints first, the round's
 /// map sample as fallback. Attached to the round's trace span and used for
-/// per-stage calibration residuals after the round runs.
+/// per-stage calibration residuals after the round runs. `input_size` is
+/// the round's materialized input count.
 RoundPrediction PredictRound(const PlanNode& node, const MapSample& sample,
                              std::size_t input_size,
                              const core::Recipe* recipe) {
   RoundPrediction pred;
-  const double n =
-      input_size != kUnknownSize ? static_cast<double>(input_size) : 0.0;
+  const double n = static_cast<double>(input_size);
   const StageEstimate& hint = node.hint;
   const double r = hint.replication > 0
                        ? hint.replication
@@ -229,8 +222,6 @@ RoundPrediction PredictRound(const PlanNode& node, const MapSample& sample,
       hint.num_reducers > 0
           ? hint.num_reducers
           : (sample.valid && n > 0 ? ExtrapolateDistinct(sample, n) : 0.0);
-  pred.outputs =
-      reducers * (hint.outputs_per_reducer > 0 ? hint.outputs_per_reducer : 1);
   if (hint.num_reducers <= 0 && sample.valid && sample.exhaustive) {
     // An exhaustive sample knows the exact max input-list length.
     pred.q = static_cast<double>(sample.max_group);
@@ -291,95 +282,23 @@ PipelineMetrics ExecutePlanGraph(PlanGraph& graph,
   StageGraphExecutor exec(pool.get());
   graph.last_physical.clear();
 
-  // How many needed rounds consume each node's output. Streaming needs a
-  // sole consumer: the producer's finalize (which moves the shard
-  // outputs) is sequenced behind exactly that consumer's map tasks.
-  std::vector<int> needed_consumers(graph.nodes.size(), 0);
-  for (std::size_t id = 0; id < graph.nodes.size(); ++id) {
-    if (needed[id] && !graph.nodes[id].is_source &&
-        graph.nodes[id].input != kNoNode) {
-      ++needed_consumers[graph.nodes[id].input];
-    }
-  }
-
-  std::vector<std::shared_ptr<StagedHandleBase>> handles(graph.nodes.size());
-  // Rounds staged but not yet finalized/awaited — the open streaming
-  // chain. Every non-streamed round first closes it (the old sequential
-  // schedule); a streamed round keeps it growing instead.
-  std::vector<std::size_t> open;
-  std::vector<std::size_t> executed;  // round node ids, node order
-  struct StreamedEdge {
-    std::size_t producer;
-    std::size_t consumer;
-  };
-  std::vector<StreamedEdge> streamed;
-
-  const auto close_chain = [&] {
-    if (open.empty()) return;
-    for (std::size_t id : open) {
-      handles[id]->StageFinalize({});
-    }
-    open.clear();
-    exec.Wait();
-  };
-
+  // One schedule: each round stages over the slot its producer
+  // materialized, finalizes, and drains before the next one resolves.
+  std::vector<std::shared_ptr<StagedHandleBase>> executed;  // node order
   for (std::size_t id = 0; id < graph.nodes.size(); ++id) {
     PlanNode& node = graph.nodes[id];
     if (node.is_source || !needed[id]) continue;
-    executed.push_back(id);
-
-    const std::size_t producer = node.input;
-    std::shared_ptr<StagedHandleBase> handle;
-    RoundPrediction prediction;
-    if (options.streaming && node.per_key_input && !node.combined &&
-        producer != kNoNode &&
-        std::find(open.begin(), open.end(), producer) != open.end() &&
-        needed_consumers[producer] == 1) {
-      // A streamed round has no materialized input to sample; it maps
-      // one task per upstream shard. External (spill) rounds fall back to
-      // the barrier path — spilling wants the whole input on hand anyway.
-      const JobOptions resolved = ResolveRoundOptions(node, options);
-      RoundFacts facts;
-      facts.num_threads = pool.get().num_threads();
-      facts.streamed_blocks = handles[producer]->physical().shards;
-      const PhysicalRound physical = ResolvePhysicalRound(resolved, facts);
-      if (physical.strategy != ShuffleStrategy::kExternal) {
-        handle = node.stage(graph, exec, resolved, physical,
-                            handles[producer]);
-      }
-      if (handle != nullptr) {
-        // The producer's finalize moves its shard outputs; sequence it
-        // behind the consumer's map tasks that read them.
-        handles[producer]->StageFinalize(handle->map_task_ids());
-        streamed.push_back(StreamedEdge{producer, id});
-        // Priced at the producer's predicted output count, the input
-        // count Plan::Estimate propagates.
-        const double upstream = handles[producer]->prediction().outputs;
-        prediction = PredictRound(
-            node, MapSample{},
-            upstream > 0 ? static_cast<std::size_t>(std::llround(upstream))
-                         : kUnknownSize,
-            options.recipe);
-      }
-    }
-    if (handle == nullptr) {
-      close_chain();  // materialize this round's input
-      const ResolvedRound round =
-          ResolveMaterializedRound(graph, node, options);
-      handle = node.stage(graph, exec, round.options, round.physical,
-                          nullptr);
-      prediction = round.prediction;
-    }
-    handle->SetPrediction(prediction);
-    handles[id] = handle;
-    open.push_back(id);
-    graph.last_physical.push_back(handle->physical());
+    const ResolvedRound round = ResolveMaterializedRound(graph, node, options);
+    auto handle = node.stage(graph, exec, round.options, round.physical);
+    handle->SetPrediction(round.prediction);
+    handle->StageFinalize();
+    exec.Wait();
+    graph.last_physical.push_back(round.physical);
+    executed.push_back(std::move(handle));
   }
-  close_chain();
 
   PipelineMetrics metrics;
-  for (std::size_t id : executed) metrics.Add(handles[id]->metrics());
-  metrics.streamed_rounds = streamed.size();
+  for (const auto& handle : executed) metrics.Add(handle->metrics());
   if (!executed.empty()) {
     const auto records = exec.SnapshotRecords();
     double begin = records.front().span.begin_ms;
@@ -389,28 +308,18 @@ PipelineMetrics ExecutePlanGraph(PlanGraph& graph,
       end = std::max(end, record.span.end_ms);
     }
     metrics.exec_span_ms = end - begin;
-    // Cross-round overlap per streamed edge: the producer's reduce window
-    // against the consumer's map window.
-    for (const StreamedEdge& edge : streamed) {
-      const StageWindow reduce =
-          WindowOf(exec, handles[edge.producer]->reduce_task_ids());
-      const StageWindow map =
-          WindowOf(exec, handles[edge.consumer]->map_task_ids());
-      metrics.streamed_overlap_ms += IntervalOverlap(
-          reduce.begin, reduce.end, map.begin, map.end);
-    }
   }
   // Feed realized skew and per-stage residuals back into the caller's
   // calibration so later estimates price the cluster — and the stages —
   // that actually ran: "map" carries the replication (communication)
   // residual, "reduce" the max-reducer-input residual.
   if (options.calibration != nullptr) {
-    for (std::size_t id : executed) {
-      const JobMetrics& m = handles[id]->metrics();
+    for (const auto& handle : executed) {
+      const JobMetrics& m = handle->metrics();
       if (m.simulated()) {
         options.calibration->Observe(m.load_imbalance, m.straggler_impact);
       }
-      const RoundPrediction& pred = handles[id]->prediction();
+      const RoundPrediction& pred = handle->prediction();
       if (pred.valid) {
         if (pred.r > 0 && m.replication_rate() > 0) {
           options.calibration->ObserveStage(

@@ -47,11 +47,10 @@ namespace mrcost::engine {
 //                         RunMapReduce is a one-round plan, job.h), each
 //                         round shaped by ResolvePhysicalRound
 //                         (serial/sharded/external from the round's
-//                         estimated pairs and bytes vs budget). Rounds whose
-//                         stage declares a per-key input dependency
-//                         (WithPerKeyInput) stream: round k's reduce
-//                         output for shard s feeds round k+1's map with
-//                         no global barrier between the rounds;
+//                         estimated pairs and bytes vs budget). Rounds run
+//                         in node order, each over the input its producer
+//                         materialized (the paper prices a round on that
+//                         input, Sec. 6.3);
 //   * ExecuteAsync      — the same, returning a future backed by the
 //                         bounded AsyncRunner instead of a detached
 //                         thread per call.
@@ -214,16 +213,6 @@ struct ExecutionOptions {
   /// its materialized input), so only rounds estimated over budget pay
   /// the spill path. Outputs are byte-identical for every choice.
   PipelineOptions pipeline;
-  /// Dissolve the barrier between consecutive rounds whose consumer stage
-  /// declared a per-key input dependency (WithPerKeyInput): the producer's
-  /// per-shard reduce outputs stream into the consumer's map tasks as
-  /// each shard completes, on one shared stage graph. Byte-identical to
-  /// the barrier schedule — outputs and (non-timing) metrics are the
-  /// same; only wall-clock overlap changes. Streaming needs an in-memory
-  /// strategy on both sides, a plain (uncombined) consumer, and a sole
-  /// consumer; anything else falls back to the barrier path. Set false to
-  /// force the sequential round-by-round schedule (the bench's baseline).
-  bool streaming = true;
   /// Optional feedback sink: after each simulated round, the executor
   /// calls calibration->Observe(load_imbalance, straggler_impact) so later
   /// Plan::Estimate calls (passing the same object in EstimateOptions)
@@ -299,23 +288,15 @@ struct PlanNode {
   std::string label;
   bool is_source = false;
   bool combined = false;
-  /// The stage declared a per-key input dependency: its map consumes each
-  /// upstream output independently, so the executor may stream the
-  /// producer's per-shard reduce outputs into this round's map tasks.
-  bool per_key_input = false;
   std::size_t input = kNoNode;  // producer node of this round's input
   std::size_t source_size = 0;  // for sources
   StageEstimate hint;
   std::optional<JobOptions> options;  // per-round overrides (field-wise)
-  /// Stages this round's task graph onto `exec`, shaped by `physical`.
-  /// `upstream` non-null asks for the streamed form (input read per-shard
-  /// from the producer's StreamSource); returns null if this round cannot
-  /// stream, in which case ExecutePlanGraph materializes the input and
-  /// calls again with null.
+  /// Stages this round's task graph onto `exec` over its materialized
+  /// input slot, shaped by `physical`.
   std::function<std::shared_ptr<StagedHandleBase>(
       PlanGraph&, StageGraphExecutor& exec, const JobOptions&,
-      const PhysicalRound& physical,
-      const std::shared_ptr<StagedHandleBase>& upstream)>
+      const PhysicalRound& physical)>
       stage;
   std::function<MapSample(const PlanGraph&, std::size_t)> sample;
   std::function<std::size_t(const PlanGraph&)> input_size;
@@ -413,12 +394,10 @@ ResolvedRound ResolveMaterializedRound(const PlanGraph& graph,
                                        const ExecutionOptions& options);
 
 /// Runs every round node that `target` depends on (all rounds when
-/// target == kNoNode) in node order on one StageGraphExecutor,
-/// materializing slots, and returns the accumulated metrics. Consecutive
-/// rounds joined by a per-key dependency hint share the task graph with
-/// no barrier between them (ExecutionOptions::streaming); everything else
-/// runs round by round exactly as before. Not reentrant: one execution
-/// per PlanGraph at a time.
+/// target == kNoNode) in node order on one StageGraphExecutor: each round
+/// stages over its producer's materialized slot, finalizes, and is waited
+/// on before the next one stages. Returns the accumulated metrics. Not
+/// reentrant: one execution per PlanGraph at a time.
 PipelineMetrics ExecutePlanGraph(PlanGraph& graph,
                                  const ExecutionOptions& options,
                                  std::size_t target);
@@ -480,21 +459,6 @@ class KeyedDataset {
     return copy;
   }
 
-  /// Declares that this stage's map depends on each upstream output
-  /// individually (per key), not on the producing round as a whole —
-  /// always true of a map function by the paper's model (Section 2.3);
-  /// the hint is the caller's assertion that nothing outside the plan
-  /// needs the producer's materialized output before this round runs.
-  /// With it, Execute streams the producer's per-shard reduce outputs
-  /// into this round's map tasks with no global barrier between the
-  /// rounds (see ExecutionOptions::streaming for the fallback rules).
-  /// Outputs are byte-identical either way.
-  KeyedDataset WithPerKeyInput(bool per_key = true) const {
-    KeyedDataset copy = *this;
-    copy.per_key_input_ = per_key;
-    return copy;
-  }
-
   /// Closes the round: appends a lazy map(+combine)+reduce node to the
   /// plan and returns the typed (unmaterialized) output dataset.
   /// `reduce` is void(const K&, GroupView<V>, std::vector<Out>&): the
@@ -522,7 +486,6 @@ class KeyedDataset {
   std::string label_;
   StageEstimate hint_;
   std::optional<JobOptions> options_;
-  bool per_key_input_ = false;
 };
 
 /// A typed handle onto one node of a plan: either a materialized source
@@ -703,7 +666,6 @@ Dataset<Out> KeyedDataset<In, K, V>::ReduceByKey(ReduceFn reduce,
   node.label = label.empty() ? label_ : std::move(label);
   node.input = input_;
   node.combined = static_cast<bool>(combine_);
-  node.per_key_input = per_key_input_;
   node.hint = hint_;
   node.options = options_;
 
@@ -715,26 +677,12 @@ Dataset<Out> KeyedDataset<In, K, V>::ReduceByKey(ReduceFn reduce,
 
   node.stage = [in_id, out_id, map_fn, combine_fn, reduce_fn](
                    internal::PlanGraph& graph, StageGraphExecutor& exec,
-                   const JobOptions& options, const PhysicalRound& physical,
-                   const std::shared_ptr<internal::StagedHandleBase>&
-                       upstream)
+                   const JobOptions& options, const PhysicalRound& physical)
       -> std::shared_ptr<internal::StagedHandleBase> {
     using PlainRound =
         internal::StagedRound<In, K, V, Out, internal::NoCombine>;
     using CombinedRound = internal::StagedRound<In, K, V, Out, CombineFn>;
     const auto tag = static_cast<std::uint32_t>(out_id);
-    if (upstream != nullptr) {
-      // Streamed form: only a plain round over a producer whose output
-      // type matches can consume per-shard blocks.
-      auto* source =
-          dynamic_cast<internal::StreamSource<In>*>(upstream.get());
-      if (combine_fn || source == nullptr) return nullptr;
-      auto round = PlainRound::StageStreamed(exec, tag, upstream, source,
-                                             map_fn, reduce_fn, options,
-                                             physical);
-      round->set_output_slot(&graph.slots[out_id]);
-      return round;
-    }
     auto input =
         std::static_pointer_cast<const std::vector<In>>(graph.slots[in_id]);
     if (combine_fn) {

@@ -62,7 +62,7 @@ std::vector<SimReducer> ApplyHotKeySplit(
     for (std::uint64_t p = 0; p < parts; ++p) {
       // Sub-hashes scatter the fragments across the hash space so they
       // land on different workers; near-equal sizes, earlier parts take
-      // the remainder (mirrors SplitHotGroups).
+      // the remainder.
       SimReducer sub;
       sub.hash = common::Mix64(r.key_hash ^ (p + 1));
       sub.pairs = r.pairs / parts + (p < r.pairs % parts ? 1 : 0);

@@ -109,15 +109,11 @@ common::Result<JoinAggregatePlan> BuildHyperCubeJoinAggregatePlan(
           .WithEstimate(
               internal::HyperCubeStageEstimate(query, relations, shares))
           .ReduceByKey<Partial>(reduce1);
-  // Round 2 consumes each partial independently (per key), so Execute
-  // streams round 1's per-shard reduce outputs straight into round 2's
-  // map — the join cells' aggregation starts while other cells still
-  // join.
+  // Round 2 reads the partials round 1 materialized.
   auto sums = partials
                   .Map<Value, std::int64_t>(map2, pre_aggregate
                                                       ? "sum partials"
                                                       : "group and sum")
-                  .WithPerKeyInput()
                   .ReduceByKey<std::pair<Value, std::int64_t>>(reduce2);
   return JoinAggregatePlan{std::move(plan), std::move(sums)};
 }

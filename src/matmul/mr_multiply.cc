@@ -192,12 +192,10 @@ common::Result<TwoPhasePlan> BuildMultiplyTwoPhasePlan(const Matrix& r,
               ElementInputId(n), "two-phase cubes",
               static_cast<double>(s_rows) * s_rows)
           .ReduceByKey<Cell>(reduce1);
-  // Round 2 depends on each partial sum individually, so Execute streams
-  // round 1's per-shard reduce outputs into round 2's map with no global
-  // barrier between the rounds.
+  // Round 2 reads the partial sums round 1 materialized, and is priced on
+  // them (Sec. 6.3).
   auto sums = partials.Map<std::uint64_t, double>(map2, "partial-sum add")
                   .WithEstimate(estimate2)
-                  .WithPerKeyInput()
                   .ReduceByKey<Keyed>(reduce2);
   return TwoPhasePlan{std::move(plan), std::move(sums)};
 }

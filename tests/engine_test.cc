@@ -134,36 +134,30 @@ TEST(ByteSize, BlockTypesConvention) {
 
 // ----------------------------------------------------------- grouping
 
-/// GroupRows over `blocks`, every row in order, with materialized
-/// (global position) tags or the given streamed tags.
+/// GroupRows over `blocks`, every row in order at its global position.
 template <typename K>
 internal::CsrGroups<K, int> GroupAll(
-    std::vector<storage::KVBlock<K, int>>& blocks,
-    const std::vector<internal::PairPos>* streamed_tags) {
+    std::vector<storage::KVBlock<K, int>>& blocks) {
   std::size_t rows = 0;
   for (const auto& block : blocks) rows += block.rows();
   const auto for_each_row = [&](auto&& visit) {
     std::uint64_t pos = 0;
     for (auto& block : blocks) {
       for (std::uint32_t r = 0; r < block.rows(); ++r, ++pos) {
-        visit(block, r,
-              streamed_tags != nullptr ? (*streamed_tags)[pos]
-                                       : internal::PairPos{pos, 0});
+        visit(block, r, pos);
       }
     }
   };
   const auto take = [](storage::KVBlock<K, int>& block, std::uint32_t r) {
     return block.value(r);
   };
-  return internal::GroupRows<K, int>(rows, for_each_row, take,
-                                     streamed_tags == nullptr);
+  return internal::GroupRows<K, int>(rows, for_each_row, take);
 }
 
 using testutil::SlabKey;
 
 template <typename T>
-void ExpectSlotGroupingMatchesKeyIndex(const std::vector<T>& keys,
-                                       std::uint64_t seed) {
+void ExpectSlotGroupingMatchesKeyIndex(const std::vector<T>& keys) {
   // Three blocks, as a shard sees rows routed from three map tasks.
   std::vector<storage::KVBlock<T, int>> typed(3);
   std::vector<storage::KVBlock<SlabKey<T>, int>> slab(3);
@@ -171,26 +165,15 @@ void ExpectSlotGroupingMatchesKeyIndex(const std::vector<T>& keys,
     typed[i % 3].Append(keys[i], static_cast<int>(i));
     slab[i % 3].Append(SlabKey<T>{keys[i]}, static_cast<int>(i));
   }
-  // Streamed tags: a key's rows arrive out of tag order, with ties on
-  // the major part.
-  common::SplitMix64 rng(seed);
-  std::vector<internal::PairPos> tags;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    tags.push_back({rng.UniformBelow(keys.size() / 4 + 1), rng.Next()});
+  const auto got = GroupAll(typed);
+  const auto want = GroupAll(slab);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t g = 0; g < got.size(); ++g) {
+    ASSERT_EQ(got.keys[g], want.keys[g].v) << g;
   }
-  for (const auto* streamed : {static_cast<decltype(&tags)>(nullptr), &tags}) {
-    SCOPED_TRACE(streamed == nullptr ? "materialized" : "streamed");
-    const auto got = GroupAll(typed, streamed);
-    const auto want = GroupAll(slab, streamed);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t g = 0; g < got.size(); ++g) {
-      ASSERT_EQ(got.keys[g], want.keys[g].v) << g;
-      ASSERT_EQ(got.first[g].major, want.first[g].major) << g;
-      ASSERT_EQ(got.first[g].minor, want.first[g].minor) << g;
-    }
-    EXPECT_EQ(got.offsets, want.offsets);
-    EXPECT_EQ(got.values, want.values);
-  }
+  EXPECT_EQ(got.first, want.first);
+  EXPECT_EQ(got.offsets, want.offsets);
+  EXPECT_EQ(got.values, want.values);
 }
 
 TEST(GroupRows, SlotLookupMatchesKeyIndexGrouping) {
@@ -223,10 +206,10 @@ TEST(GroupRows, SlotLookupMatchesKeyIndexGrouping) {
                                      rng.UniformBelow(50)) - 1
                                : static_cast<std::int64_t>(id >> 1));
     }
-    ExpectSlotGroupingMatchesKeyIndex(ids, seed);
-    ExpectSlotGroupingMatchesKeyIndex(signed_ids, seed);
+    ExpectSlotGroupingMatchesKeyIndex(ids);
+    ExpectSlotGroupingMatchesKeyIndex(signed_ids);
     std::vector<int> narrow(signed_ids.begin(), signed_ids.end());
-    ExpectSlotGroupingMatchesKeyIndex(narrow, seed);
+    ExpectSlotGroupingMatchesKeyIndex(narrow);
   }
 }
 

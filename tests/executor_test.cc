@@ -458,7 +458,7 @@ TEST(StagedRound, SpeculativeTwinsReduceOneSharedView) {
       options,
       internal::ResolvePhysicalRound(options,
                                      {pool.num_threads(), inputs.size()}));
-  round->StageFinalize({});
+  round->StageFinalize();
   while (hot_calls.load() == 0) std::this_thread::yield();
   clock_ms.store(1000.0);  // the hot shard now runs long past its peers
   exec.Wait();

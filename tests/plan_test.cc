@@ -8,14 +8,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <numeric>
 #include <optional>
 #include <sstream>
@@ -30,7 +27,6 @@
 #include "src/core/schema_stats.h"
 #include "src/dist/registry.h"
 #include "src/engine/job.h"
-#include "src/engine/partitioner.h"
 #include "src/engine/plan.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
@@ -919,343 +915,77 @@ TEST(PlanFamilies, MatmulTwoPhaseAcrossStrategies) {
   }
 }
 
-// ---------------------------------------------- streaming vs barrier
-
-/// Execution options for the streaming comparisons: explicit strategy
-/// (tight budget when external) and the streaming switch.
-ExecutionOptions StreamingOptions(ShuffleStrategy strategy, bool streaming) {
-  ExecutionOptions options(StrategyOptions(strategy));
-  options.streaming = streaming;
-  return options;
-}
-
-/// A one-shot gate: Open releases every waiter, and a waiter gives up
-/// after its timeout.
-class Gate {
- public:
-  void Open() {
-    std::lock_guard<std::mutex> lock(mu_);
-    open_ = true;
-    cv_.notify_all();
-  }
-  /// True once open; false when `timeout` passed first.
-  bool WaitFor(std::chrono::milliseconds timeout) {
-    std::unique_lock<std::mutex> lock(mu_);
-    return cv_.wait_for(lock, timeout, [this] { return open_; });
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool open_ = false;
-};
-
-TEST(PlanStreaming, StreamedRoundOverlapsProducerReduce) {
-  // Round 1: many keys with a deliberately heavy reduce, spread over
-  // several shards; round 2: a cheap per-key regroup. With streaming on,
-  // round 2's map for shard s starts the moment shard s finishes
-  // reducing, while later shards still reduce — so the streamed edge has
-  // wall-clock overlap, and outputs stay byte-identical to the barrier
-  // schedule. In the streamed run, one round-1 reducer holds its shard
-  // open until round 2's map has run, so the overlap does not hinge on
-  // how the host schedules the threads. A barrier schedule never runs
-  // round 2's map first: the held reducer then gives up after a few
-  // seconds and the test fails instead of hanging.
-  constexpr std::uint64_t kHeldKey = 0;
-  std::vector<int> inputs(60000);
-  std::iota(inputs.begin(), inputs.end(), 0);
-  std::atomic<bool> held_reducer_timed_out{false};
-  auto build = [&](Plan& plan, Gate* gate) {
-    auto round1 =
-        plan.Source(inputs)
-            .Map<std::uint64_t, std::uint64_t>(
-                [](const int& x, Emitter<std::uint64_t, std::uint64_t>& e) {
-                  const auto v = static_cast<std::uint64_t>(x);
-                  e.Emit(v % 1024, v);
-                },
-                "fan-in")
-            .ReduceByKey<std::pair<std::uint64_t, std::uint64_t>>(
-                [gate, &held_reducer_timed_out](
-                    const std::uint64_t& key,
-                    GroupView<std::uint64_t> values,
-                    std::vector<std::pair<std::uint64_t, std::uint64_t>>&
-                        out) {
-                  if (gate != nullptr && key == kHeldKey &&
-                      !gate->WaitFor(std::chrono::seconds(5))) {
-                    held_reducer_timed_out = true;
-                  }
-                  std::uint64_t acc = key;
-                  for (int pass = 0; pass < 200; ++pass) {
-                    for (std::uint64_t v : values) acc = acc * 31 + v;
-                  }
-                  out.emplace_back(key, acc);
-                });
-    return round1
-        .Map<std::uint64_t, std::uint64_t>(
-            [gate](const std::pair<std::uint64_t, std::uint64_t>& p,
-                   Emitter<std::uint64_t, std::uint64_t>& e) {
-              if (gate != nullptr) gate->Open();
-              e.Emit(p.first % 16, p.second);
-            },
-            "regroup")
-        .WithPerKeyInput()
-        .ReduceByKey<std::pair<std::uint64_t, std::uint64_t>>(
-            [](const std::uint64_t& key,
-               GroupView<std::uint64_t> values,
-               std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) {
-              std::uint64_t acc = key;
-              for (std::uint64_t v : values) acc = acc * 131 + v;
-              out.emplace_back(key, acc);
-            });
+TEST(PlanFamilies, TwoRoundPlansByteIdenticalToSerialAcrossStrategiesAndSeeds) {
+  // Round 2 of both two-round families maps over the outputs round 1
+  // materialized. Under every strategy and seed, the plan's outputs (in
+  // first-seen order, unsorted) and each round's shuffle geometry equal
+  // the serial strategy's.
+  const std::vector<ShuffleStrategy> strategies = {
+      ShuffleStrategy::kSharded, ShuffleStrategy::kExternal};
+  const auto options = [](ShuffleStrategy strategy) {
+    return ExecutionOptions(StrategyOptions(strategy));
   };
-  ExecutionOptions streaming;
-  streaming.pipeline.num_threads = 4;
-  streaming.pipeline.round_defaults.num_shards = 8;
-  ExecutionOptions barrier = streaming;
-  barrier.streaming = false;
 
-  Gate gate;
-  Plan streamed_plan;
-  auto streamed_run = build(streamed_plan, &gate).Execute(streaming);
-  Plan barrier_plan;
-  auto barrier_run = build(barrier_plan, nullptr).Execute(barrier);
+  for (std::uint64_t seed : {31u, 32u}) {
+    const int n = 16;
+    matmul::Matrix r(n, n), s(n, n);
+    common::SplitMix64 rng(seed);
+    r.FillRandom(rng);
+    s.FillRandom(rng);
+    auto plan = matmul::BuildMultiplyTwoPhasePlan(r, s, 4, 2);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    const auto serial =
+        plan->sums.Execute(options(ShuffleStrategy::kSerial));
+    ASSERT_EQ(serial.metrics.rounds.size(), 2u);
+    for (ShuffleStrategy strategy : strategies) {
+      SCOPED_TRACE(std::string("matmul ") + ToString(strategy) +
+                   " seed=" + std::to_string(seed));
+      const auto run = plan->sums.Execute(options(strategy));
+      EXPECT_EQ(run.outputs, serial.outputs);
+      ASSERT_EQ(run.metrics.rounds.size(), 2u);
+      for (std::size_t i = 0; i < 2; ++i) {
+        ExpectSameShuffle(run.metrics.rounds[i], serial.metrics.rounds[i]);
+      }
+    }
+  }
 
-  EXPECT_FALSE(held_reducer_timed_out.load());
-  EXPECT_EQ(streamed_run.outputs, barrier_run.outputs);
-  ASSERT_EQ(streamed_run.metrics.rounds.size(), 2u);
-  EXPECT_EQ(streamed_run.metrics.streamed_rounds, 1u);
-  EXPECT_EQ(barrier_run.metrics.streamed_rounds, 0u);
-  EXPECT_GT(streamed_run.metrics.exec_span_ms, 0.0);
-  // The acceptance bar: the streamed edge overlapped in wall clock.
-  EXPECT_GT(streamed_run.metrics.streamed_overlap_ms, 0.0);
-  EXPECT_GT(streamed_run.metrics.overlap_fraction(), 0.0);
-  // Non-timing metrics are schedule-independent.
-  for (std::size_t i = 0; i < 2; ++i) {
-    ExpectSameMetrics(streamed_run.metrics.rounds[i],
-                      barrier_run.metrics.rounds[i]);
+  const join::Query query = join::ChainQuery(2);
+  for (std::uint64_t seed : {41u, 42u}) {
+    const auto relations = join::ZipfRelationsForQuery(
+        query, /*size=*/500, /*domain=*/30, /*exponent=*/0.7, seed);
+    std::vector<const join::Relation*> ptrs;
+    for (const auto& rel : relations) ptrs.push_back(&rel);
+    const std::vector<int> shares{1, 4, 1};
+    auto plan = join::BuildHyperCubeJoinAggregatePlan(
+        query, ptrs, shares, /*group_attr=*/0, /*sum_attr=*/2,
+        /*pre_aggregate=*/false, /*seed=*/3);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    const auto serial =
+        plan->sums.Execute(options(ShuffleStrategy::kSerial));
+    ASSERT_EQ(serial.metrics.rounds.size(), 2u);
+    for (ShuffleStrategy strategy : strategies) {
+      SCOPED_TRACE(std::string("join ") + ToString(strategy) +
+                   " seed=" + std::to_string(seed));
+      const auto run = plan->sums.Execute(options(strategy));
+      EXPECT_EQ(run.outputs, serial.outputs);
+      ASSERT_EQ(run.metrics.rounds.size(), 2u);
+      for (std::size_t i = 0; i < 2; ++i) {
+        ExpectSameShuffle(run.metrics.rounds[i], serial.metrics.rounds[i]);
+      }
+    }
   }
 }
 
-TEST(PlanStreaming, InterleavedUpstreamBlocksKeepSerialValueOrder) {
-  // Every downstream key collects values from all eight upstream shards,
-  // so a consumer shard's rows arrive interleaved across upstream blocks:
-  // its CSR group slices are filled out of tag order and must be restored.
-  // The reducer returns each group verbatim; keys and value lists must
-  // equal SerialShuffle over the barrier-ordered round-1 outputs.
-  std::vector<int> inputs(20000);
-  std::iota(inputs.begin(), inputs.end(), 0);
-  using Pair = std::pair<std::uint64_t, std::uint64_t>;
-  using Group = std::pair<std::uint64_t, std::vector<std::uint64_t>>;
-  const auto regroup = [](const Pair& p,
-                          Emitter<std::uint64_t, std::uint64_t>& e) {
-    e.Emit(p.first % 5, p.second);
-    e.Emit(100 + p.second % 3, p.first);
-  };
-  Plan plan;
-  auto round1 =
-      plan.Source(inputs)
-          .Map<std::uint64_t, std::uint64_t>(
-              [](const int& x, Emitter<std::uint64_t, std::uint64_t>& e) {
-                e.Emit(static_cast<std::uint64_t>(x) % 997,
-                       static_cast<std::uint64_t>(x));
-              },
-              "fan-in")
-          .ReduceByKey<Pair>([](const std::uint64_t& key,
-                                GroupView<std::uint64_t> values,
-                                std::vector<Pair>& out) {
-            std::uint64_t acc = key;
-            for (std::uint64_t v : values) acc = acc * 31 + v;
-            out.emplace_back(key, acc);
-          });
-  auto round2 =
-      round1.Map<std::uint64_t, std::uint64_t>(regroup, "regroup")
-          .WithPerKeyInput()
-          .ReduceByKey<Group>([](const std::uint64_t& key,
-                                 GroupView<std::uint64_t> values,
-                                 std::vector<Group>& out) {
-            out.emplace_back(key, std::vector<std::uint64_t>(values.begin(),
-                                                             values.end()));
-          });
-  ExecutionOptions streaming;
-  streaming.pipeline.num_threads = 4;
-  streaming.pipeline.round_defaults.num_shards = 8;
-  streaming.pipeline.round_defaults.shuffle.strategy =
-      ShuffleStrategy::kSharded;
-  auto streamed = round2.Execute(streaming);
-  ASSERT_EQ(streamed.metrics.streamed_rounds, 1u);
-
-  ExecutionOptions barrier = streaming;
-  barrier.streaming = false;
-  const std::vector<Pair> upstream = round1.Execute(barrier).outputs;
-  std::vector<std::vector<Pair>> chunks(1);
-  Emitter<std::uint64_t, std::uint64_t> emitter;
-  for (const Pair& p : upstream) regroup(p, emitter);
-  for (std::size_t r = 0; r < emitter.block().rows(); ++r) {
-    chunks[0].emplace_back(emitter.block().KeyAt(r),
-                           emitter.block().value(r));
-  }
-  const auto serial = SerialShuffle(chunks);
-  ASSERT_EQ(streamed.outputs.size(), serial.keys.size());
-  for (std::size_t i = 0; i < serial.keys.size(); ++i) {
-    EXPECT_EQ(streamed.outputs[i].first, serial.keys[i]) << i;
-    EXPECT_EQ(streamed.outputs[i].second, serial.groups[i]) << i;
-  }
-}
-
-TEST(PlanStreaming, ExternalProducerStreamsIntoShardedConsumer) {
-  // Round 1 runs the external shuffle under a small memory budget; round
-  // 2, sharded in memory, declares the per-key hint. The consumer maps
-  // each of the producer's merged parts as its reduce finishes, reading
-  // the ranks AssignKeyRanks gives the merged groups — and must match the
-  // barrier schedule byte for byte.
-  std::vector<int> inputs(20000);
-  std::iota(inputs.begin(), inputs.end(), 0);
-  using Pair = std::pair<std::uint64_t, std::uint64_t>;
-  using Group = std::pair<std::uint64_t, std::vector<std::uint64_t>>;
-  JobOptions consumer;
-  consumer.num_shards = 4;
-  consumer.shuffle.strategy = ShuffleStrategy::kSharded;
-  Plan plan;
-  auto target =
-      plan.Source(inputs)
-          .Map<std::uint64_t, std::uint64_t>(
-              [](const int& x, Emitter<std::uint64_t, std::uint64_t>& e) {
-                const auto v = static_cast<std::uint64_t>(x);
-                e.Emit(common::Mix64(v) % 997, v);
-              },
-              "fan-in")
-          .ReduceByKey<Pair>([](const std::uint64_t& key,
-                                GroupView<std::uint64_t> values,
-                                std::vector<Pair>& out) {
-            std::uint64_t acc = key;
-            for (std::uint64_t v : values) acc = acc * 31 + v;
-            out.emplace_back(key, acc);
-          })
-          .Map<std::uint64_t, std::uint64_t>(
-              [](const Pair& p, Emitter<std::uint64_t, std::uint64_t>& e) {
-                e.Emit(p.first % 13, p.second);
-              },
-              "regroup")
-          .WithOptions(consumer)
-          .WithPerKeyInput()
-          .ReduceByKey<Group>([](const std::uint64_t& key,
-                                 GroupView<std::uint64_t> values,
-                                 std::vector<Group>& out) {
-            out.emplace_back(key, std::vector<std::uint64_t>(values.begin(),
-                                                             values.end()));
-          });
-  ExecutionOptions streaming;
-  streaming.pipeline.num_threads = 4;
-  streaming.pipeline.round_defaults.shuffle.memory_budget_bytes = 16 << 10;
-  ExecutionOptions barrier = streaming;
-  barrier.streaming = false;
-
-  auto streamed = target.Execute(streaming);
-  auto reference = target.Execute(barrier);
-  ASSERT_EQ(streamed.physical_rounds.size(), 2u);
-  EXPECT_EQ(streamed.physical_rounds[0].strategy, ShuffleStrategy::kExternal);
-  EXPECT_GT(streamed.physical_rounds[0].shards, 1u);
-  EXPECT_EQ(streamed.physical_rounds[1].strategy, ShuffleStrategy::kSharded);
-  EXPECT_EQ(streamed.metrics.streamed_rounds, 1u);
-  EXPECT_EQ(reference.metrics.streamed_rounds, 0u);
-  EXPECT_GT(streamed.metrics.rounds[0].spill_runs, 0u);
-  EXPECT_EQ(streamed.outputs.size(), 13u);
-  std::string streamed_bytes;
-  std::string reference_bytes;
-  for (Group g : streamed.outputs) storage::SerializeValue(g, streamed_bytes);
-  for (Group g : reference.outputs) {
-    storage::SerializeValue(g, reference_bytes);
-  }
-  EXPECT_EQ(streamed_bytes, reference_bytes);
-  for (std::size_t i = 0; i < 2; ++i) {
-    ExpectSameMetrics(streamed.metrics.rounds[i],
-                      reference.metrics.rounds[i]);
-  }
-}
-
-TEST(PlanStreaming, FallsBackWhenStreamingDoesNotApply) {
-  std::vector<int> inputs(3000);
-  std::iota(inputs.begin(), inputs.end(), 0);
-  auto map1 = [](const int& x, Emitter<int, std::int64_t>& e) {
-    e.Emit(x % 100, x);
-  };
-  auto sum_reduce = [](const int& key,
-                       GroupView<std::int64_t> values,
-                       std::vector<std::pair<int, std::int64_t>>& out) {
-    std::int64_t total = 0;
-    for (std::int64_t v : values) total += v;
-    out.emplace_back(key, total);
-  };
-  auto map2 = [](const std::pair<int, std::int64_t>& p,
-                 Emitter<int, std::int64_t>& e) {
-    e.Emit(p.first % 10, p.second);
-  };
-
-  // External consumer strategy: spilling wants the whole input on hand,
-  // so the per-key hint is ignored and the rounds run with a barrier.
-  {
-    Plan plan;
-    auto target = plan.Source(inputs)
-                      .Map<int, std::int64_t>(map1)
-                      .ReduceByKey<std::pair<int, std::int64_t>>(sum_reduce)
-                      .Map<int, std::int64_t>(map2)
-                      .WithPerKeyInput()
-                      .ReduceByKey<std::pair<int, std::int64_t>>(sum_reduce);
-    auto run = target.Execute(
-        StreamingOptions(ShuffleStrategy::kExternal, /*streaming=*/true));
-    EXPECT_EQ(run.metrics.streamed_rounds, 0u);
-    EXPECT_EQ(run.outputs.size(), 10u);
-  }
-
-  // Combined consumer: the chunk-local combine is chunking-dependent, so
-  // a combined round never streams its input.
-  {
-    Plan plan;
-    auto target = plan.Source(inputs)
-                      .Map<int, std::int64_t>(map1)
-                      .ReduceByKey<std::pair<int, std::int64_t>>(sum_reduce)
-                      .Map<int, std::int64_t>(map2)
-                      .CombineByKey([](std::int64_t a, std::int64_t b) {
-                        return a + b;
-                      })
-                      .WithPerKeyInput()
-                      .ReduceByKey<std::pair<int, std::int64_t>>(sum_reduce);
-    auto run = target.Execute();
-    EXPECT_EQ(run.metrics.streamed_rounds, 0u);
-    EXPECT_EQ(run.outputs.size(), 10u);
-  }
-
-  // Branched consumers: finalize may only chase one streamed reader, so
-  // a producer with two needed consumers runs with a barrier.
-  {
-    Plan plan;
-    auto round1 = plan.Source(inputs)
-                      .Map<int, std::int64_t>(map1)
-                      .ReduceByKey<std::pair<int, std::int64_t>>(sum_reduce);
-    auto left = round1.Map<int, std::int64_t>(map2)
-                    .WithPerKeyInput()
-                    .ReduceByKey<std::pair<int, std::int64_t>>(sum_reduce);
-    auto right = round1.Map<int, std::int64_t>(map2)
-                     .WithPerKeyInput()
-                     .ReduceByKey<std::pair<int, std::int64_t>>(sum_reduce);
-    (void)left;
-    auto metrics = plan.Execute();
-    EXPECT_EQ(metrics.streamed_rounds, 0u);
-    auto run = right.Execute();
-    EXPECT_EQ(run.outputs.size(), 10u);
-  }
-}
-
-TEST(PlanStreaming, StreamedRoundSpanCarriesPredictionAndPageFaults) {
-  // A streamed round has no materialized input when it is staged; it is
-  // priced at its producer's predicted output count, so the in-process
-  // span of two-phase matmul's round 2 reads the predicted q the
-  // multi-process span (which materializes round 1) reads. Every traced
-  // attempt carries its minor page faults, and each in-process Round span
-  // at least the sum over its map, group and reduce attempts.
+TEST(PlanTrace, TwoPhaseMatmulRoundSpansCarryPredictionAndPageFaults) {
+  // Two-phase matmul's round 2 is priced on the partial sums round 1
+  // materialized, so its Round span reads a predicted q equal to the
+  // realized one on both backends, and both backends resolve the same
+  // physical rounds. Every traced in-process attempt carries its minor
+  // page faults, and each in-process Round span at least the sum over its
+  // map, group and reduce attempts.
   const std::string trace_path =
       (std::filesystem::temp_directory_path() /
-       "mrcost_plan_test_streamed_prediction.json")
+       "mrcost_plan_test_two_phase_prediction.json")
           .string();
   const auto numeric_arg = [](const obs::TraceEvent& e, const char* key) {
     for (const obs::TraceArg& arg : e.args) {
@@ -1263,6 +993,7 @@ TEST(PlanStreaming, StreamedRoundSpanCarriesPredictionAndPageFaults) {
     }
     return std::optional<double>();
   };
+  std::vector<std::vector<PhysicalRound>> physical;
   for (const ExecutionBackend backend :
        {ExecutionBackend::kInProcess, ExecutionBackend::kMultiProcess}) {
     const bool in_process = backend == ExecutionBackend::kInProcess;
@@ -1275,8 +1006,8 @@ TEST(PlanStreaming, StreamedRoundSpanCarriesPredictionAndPageFaults) {
     run_options.pipeline.num_threads = 2;
     run_options.trace_out = trace_path;
     std::remove(trace_path.c_str());
-    const PipelineMetrics metrics = family->Execute(run_options);
-    if (in_process) EXPECT_EQ(metrics.streamed_rounds, 1u);
+    family->Execute(run_options);
+    physical.push_back(family->last_physical_rounds());
     std::ifstream in(trace_path);
     std::stringstream buf;
     buf << in.rdbuf();
@@ -1307,105 +1038,17 @@ TEST(PlanStreaming, StreamedRoundSpanCarriesPredictionAndPageFaults) {
     }
   }
   std::remove(trace_path.c_str());
-}
-
-TEST(PlanStreaming, FamiliesByteIdenticalToBarrierAcrossStrategiesAndSeeds) {
-  // The acceptance matrix: streaming == barrier, byte for byte, for all
-  // four families x {serial, sharded, external} x seeds. The multi-round
-  // families (matmul two-phase, join-aggregate) actually stream; the
-  // one-round families pin the degenerate case.
-  const std::vector<ShuffleStrategy> strategies = {
-      ShuffleStrategy::kSerial, ShuffleStrategy::kSharded,
-      ShuffleStrategy::kExternal};
-
-  // Two-phase matmul: round 2 declares the per-key hint.
-  for (std::uint64_t seed : {31u, 32u}) {
-    const int n = 16;
-    matmul::Matrix r(n, n), s(n, n);
-    common::SplitMix64 rng(seed);
-    r.FillRandom(rng);
-    s.FillRandom(rng);
-    auto plan = matmul::BuildMultiplyTwoPhasePlan(r, s, 4, 2);
-    ASSERT_TRUE(plan.ok()) << plan.status();
-    for (ShuffleStrategy strategy : strategies) {
-      SCOPED_TRACE(std::string("matmul ") + ToString(strategy) +
-                   " seed=" + std::to_string(seed));
-      auto streamed = plan->sums.Execute(StreamingOptions(strategy, true));
-      auto barrier = plan->sums.Execute(StreamingOptions(strategy, false));
-      EXPECT_EQ(streamed.outputs, barrier.outputs);
-      ASSERT_EQ(streamed.metrics.rounds.size(), 2u);
-      for (std::size_t i = 0; i < 2; ++i) {
-        ExpectSameMetrics(streamed.metrics.rounds[i],
-                          barrier.metrics.rounds[i]);
-      }
-      EXPECT_EQ(barrier.metrics.streamed_rounds, 0u);
-      if (strategy != ShuffleStrategy::kExternal) {
-        EXPECT_EQ(streamed.metrics.streamed_rounds, 1u);
-      }
-    }
-  }
-
-  // HyperCube join + aggregate: round 2 declares the per-key hint.
-  {
-    const join::Query query = join::ChainQuery(2);
-    for (std::uint64_t seed : {41u, 42u}) {
-      const auto relations = join::ZipfRelationsForQuery(
-          query, /*size=*/500, /*domain=*/30, /*exponent=*/0.7, seed);
-      std::vector<const join::Relation*> ptrs;
-      for (const auto& rel : relations) ptrs.push_back(&rel);
-      const std::vector<int> shares{1, 4, 1};
-      auto plan = join::BuildHyperCubeJoinAggregatePlan(
-          query, ptrs, shares, /*group_attr=*/0, /*sum_attr=*/2,
-          /*pre_aggregate=*/false, /*seed=*/3);
-      ASSERT_TRUE(plan.ok()) << plan.status();
-      for (ShuffleStrategy strategy : strategies) {
-        SCOPED_TRACE(std::string("join ") + ToString(strategy) +
-                     " seed=" + std::to_string(seed));
-        auto streamed = plan->sums.Execute(StreamingOptions(strategy, true));
-        auto barrier = plan->sums.Execute(StreamingOptions(strategy, false));
-        EXPECT_EQ(streamed.outputs, barrier.outputs);
-        ASSERT_EQ(streamed.metrics.rounds.size(), 2u);
-        for (std::size_t i = 0; i < 2; ++i) {
-          ExpectSameMetrics(streamed.metrics.rounds[i],
-                            barrier.metrics.rounds[i]);
-        }
-      }
-    }
-  }
-
-  // Hamming splitting join (one round: the degenerate streaming case).
-  for (std::uint64_t seed : {51u, 52u}) {
-    const auto strings = hamming::SkewedStrings(
-        /*b=*/12, /*n=*/400, /*num_hubs=*/8, /*exponent=*/0.8, seed);
-    auto plan = hamming::BuildSplittingSimilarityJoinPlan(strings, 12, 3, 1);
-    ASSERT_TRUE(plan.ok()) << plan.status();
-    for (ShuffleStrategy strategy : strategies) {
-      SCOPED_TRACE(std::string("hamming ") + ToString(strategy) +
-                   " seed=" + std::to_string(seed));
-      auto streamed = plan->pairs.Execute(StreamingOptions(strategy, true));
-      auto barrier = plan->pairs.Execute(StreamingOptions(strategy, false));
-      EXPECT_EQ(streamed.outputs, barrier.outputs);
-      ExpectSameMetrics(streamed.metrics.rounds[0],
-                        barrier.metrics.rounds[0]);
-    }
-  }
-
-  // Sample-graph enumeration (one round).
-  for (std::uint64_t seed : {61u, 62u}) {
-    const graph::Graph data =
-        graph::ZipfGraph(/*n=*/150, /*m=*/600, /*exponent=*/0.6, seed);
-    const graph::Graph pattern(3, {{0, 1}, {1, 2}, {0, 2}});
-    auto plan = graph::BuildSampleGraphPlan(data, pattern, /*k=*/5,
-                                            /*seed=*/7);
-    for (ShuffleStrategy strategy : strategies) {
-      SCOPED_TRACE(std::string("graph ") + ToString(strategy) +
-                   " seed=" + std::to_string(seed));
-      auto streamed = plan.counts.Execute(StreamingOptions(strategy, true));
-      auto barrier = plan.counts.Execute(StreamingOptions(strategy, false));
-      EXPECT_EQ(streamed.outputs, barrier.outputs);
-      ExpectSameMetrics(streamed.metrics.rounds[0],
-                        barrier.metrics.rounds[0]);
-    }
+  ASSERT_EQ(physical.size(), 2u);
+  ASSERT_EQ(physical[0].size(), 2u);
+  ASSERT_EQ(physical[1].size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE("round " + std::to_string(i + 1));
+    EXPECT_EQ(physical[0][i].chunks, physical[1][i].chunks);
+    EXPECT_EQ(physical[0][i].shards, physical[1][i].shards);
+    EXPECT_EQ(physical[0][i].strategy, physical[1][i].strategy);
+    EXPECT_EQ(physical[0][i].partitioner, physical[1][i].partitioner);
+    EXPECT_EQ(physical[0][i].fetch_credits, physical[1][i].fetch_credits);
+    EXPECT_EQ(physical[0][i].reason, physical[1][i].reason);
   }
 }
 
@@ -1427,113 +1070,6 @@ TEST(PlanFamilies, SampleGraphAcrossStrategiesAndSeeds) {
       EXPECT_EQ(run.metrics.pairs_shuffled, reference.metrics.pairs_shuffled);
       EXPECT_EQ(run.metrics.bytes_shuffled, reference.metrics.bytes_shuffled);
       EXPECT_EQ(run.metrics.num_reducers, reference.metrics.num_reducers);
-    }
-  }
-}
-
-// ------------------------------------- skew defense: hot-key splitting
-
-using U64Shuffle = ShuffleResult<std::uint64_t, std::uint64_t>;
-
-U64Shuffle CopyShuffle(const U64Shuffle& result) {
-  return result;
-}
-
-TEST(HotKeySplit, SingleKeyHoldingEveryPairSplitsToCapacity) {
-  // The degenerate extreme: one key owns 100% of the pairs. The split
-  // must produce ceil(size / q) sub-groups, every one within q, all under
-  // the replicated key, and the merge must restore the original exactly.
-  U64Shuffle result;
-  result.keys.push_back(7);
-  result.groups.emplace_back(1000);
-  std::iota(result.groups[0].begin(), result.groups[0].end(), 0ull);
-  const U64Shuffle original = CopyShuffle(result);
-
-  auto split = SplitHotGroups(std::move(result), /*threshold=*/100);
-  EXPECT_EQ(split.stats.hot_keys_split, 1u);
-  EXPECT_EQ(split.stats.sub_groups, 10u);
-  EXPECT_EQ(split.stats.extra_replicas(), 9u);
-  ASSERT_EQ(split.shuffled.keys.size(), 10u);
-  for (std::size_t i = 0; i < split.shuffled.keys.size(); ++i) {
-    EXPECT_EQ(split.shuffled.keys[i], 7u);       // key replicated
-    EXPECT_LE(split.shuffled.groups[i].size(), 100u);  // within q
-    EXPECT_EQ(split.origin[i], 0u);
-  }
-  const auto merged = MergeSplitGroups(std::move(split));
-  EXPECT_EQ(merged.keys, original.keys);
-  EXPECT_EQ(merged.groups, original.groups);
-}
-
-TEST(HotKeySplit, GroupExactlyAtCapacityIsNotSplit) {
-  // The boundary case: a group of exactly q pairs already fits and must
-  // not pay any replication; q + 1 pairs must split (into two parts).
-  U64Shuffle result;
-  result.keys = {1, 2};
-  result.groups.emplace_back(64);   // exactly at threshold
-  result.groups.emplace_back(65);   // one over
-  std::iota(result.groups[0].begin(), result.groups[0].end(), 0ull);
-  std::iota(result.groups[1].begin(), result.groups[1].end(), 100ull);
-  const U64Shuffle original = CopyShuffle(result);
-
-  auto split = SplitHotGroups(std::move(result), /*threshold=*/64);
-  EXPECT_EQ(split.stats.hot_keys_split, 1u);  // only the 65-pair group
-  EXPECT_EQ(split.stats.sub_groups, 2u);
-  ASSERT_EQ(split.shuffled.keys.size(), 3u);
-  EXPECT_EQ(split.shuffled.groups[0].size(), 64u);  // untouched
-  EXPECT_EQ(split.shuffled.groups[1].size(), 33u);  // 65 -> 33 + 32
-  EXPECT_EQ(split.shuffled.groups[2].size(), 32u);
-  const auto merged = MergeSplitGroups(std::move(split));
-  EXPECT_EQ(merged.keys, original.keys);
-  EXPECT_EQ(merged.groups, original.groups);
-}
-
-TEST(HotKeySplit, ZeroThresholdDisablesSplitting) {
-  U64Shuffle result;
-  result.keys = {1};
-  result.groups.emplace_back(5000, 9ull);
-  const U64Shuffle original = CopyShuffle(result);
-  auto split = SplitHotGroups(std::move(result), /*threshold=*/0);
-  EXPECT_EQ(split.stats.hot_keys_split, 0u);
-  EXPECT_EQ(split.stats.sub_groups, 0u);
-  EXPECT_EQ(split.shuffled.keys, original.keys);
-  EXPECT_EQ(split.shuffled.groups, original.groups);
-}
-
-TEST(HotKeySplit, SplitThenMergeIsIdentityAcrossKeyDistributions) {
-  // Split-then-merge must be the identity on the SerialShuffle result of
-  // every PR-2 key distribution — uniform, zipf, all-same, all-distinct —
-  // which is the invariant that keeps defended outputs byte-identical.
-  enum class Dist { kUniform, kZipf, kAllSame, kAllDistinct };
-  for (Dist dist :
-       {Dist::kUniform, Dist::kZipf, Dist::kAllSame, Dist::kAllDistinct}) {
-    SCOPED_TRACE(static_cast<int>(dist));
-    common::SplitMix64 rng(17 + static_cast<std::uint64_t>(dist));
-    common::ZipfDistribution zipf(400, 1.3);
-    std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> chunks(
-        3);
-    std::uint64_t serial = 0;
-    for (auto& chunk : chunks) {
-      for (int i = 0; i < 2000; ++i, ++serial) {
-        std::uint64_t key = 0;
-        switch (dist) {
-          case Dist::kUniform: key = rng.UniformBelow(300); break;
-          case Dist::kZipf: key = zipf.Sample(rng); break;
-          case Dist::kAllSame: key = 42; break;
-          case Dist::kAllDistinct: key = serial; break;
-        }
-        chunk.emplace_back(key, serial);
-      }
-    }
-    U64Shuffle reference = SerialShuffle(chunks);
-    const U64Shuffle original = CopyShuffle(reference);
-    for (std::uint64_t threshold : {1u, 16u, 1000u, 100000u}) {
-      auto split = SplitHotGroups(CopyShuffle(original), threshold);
-      for (const auto& group : split.shuffled.groups) {
-        EXPECT_LE(group.size(), threshold);
-      }
-      const auto merged = MergeSplitGroups(std::move(split));
-      EXPECT_EQ(merged.keys, original.keys) << "threshold=" << threshold;
-      EXPECT_EQ(merged.groups, original.groups) << "threshold=" << threshold;
     }
   }
 }

@@ -49,7 +49,7 @@ T RoundTrip(const T& value) {
   SerializeValue(value, bytes);
   const char* p = bytes.data();
   const char* end = p + bytes.size();
-  T out;
+  T out{};
   EXPECT_TRUE(DeserializeValue(p, end, out));
   EXPECT_EQ(p, end) << "deserialize must consume every byte";
   return out;
@@ -450,14 +450,14 @@ TEST(BlockSpill, TruncatedAndCorruptedRunsSurfaceStatus) {
 }
 
 /// Groups merged into CSR parts, restored to first-seen order by each
-/// group's first tag: the shape SerialShuffle returns.
+/// group's first position: the shape SerialShuffle returns.
 template <typename Key, typename Value>
 engine::ShuffleResult<Key, Value> FirstSeenOrder(
     const std::vector<engine::internal::CsrGroups<Key, Value>>& parts) {
   std::vector<std::tuple<std::uint64_t, std::size_t, std::size_t>> order;
   for (std::size_t p = 0; p < parts.size(); ++p) {
     for (std::size_t g = 0; g < parts[p].size(); ++g) {
-      order.emplace_back(parts[p].first[g].major, p, g);
+      order.emplace_back(parts[p].first[g], p, g);
     }
   }
   std::sort(order.begin(), order.end());
