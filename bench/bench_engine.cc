@@ -19,8 +19,6 @@
 
 #include "src/common/random.h"
 #include "src/core/lower_bound.h"
-#include "src/engine/job.h"
-#include "src/engine/pipeline.h"
 #include "src/engine/plan.h"
 #include "src/engine/shuffle.h"
 #include "src/join/aggregate.h"
@@ -131,10 +129,12 @@ void BM_ReplicationFanout(benchmark::State& state) {
     out.push_back(values.size());
   };
   for (auto _ : state) {
-    auto result = mrcost::engine::RunMapReduce<std::uint64_t, std::uint64_t,
-                                               std::uint64_t, std::size_t>(
-        inputs, map_fn, reduce_fn, {});
-    benchmark::DoNotOptimize(result.metrics.pairs_shuffled);
+    auto result = mrcost::engine::Plan()
+                      .Source(inputs)
+                      .Map<std::uint64_t, std::uint64_t>(map_fn)
+                      .ReduceByKey<std::size_t>(reduce_fn)
+                      .Execute();
+    benchmark::DoNotOptimize(result.metrics.rounds[0].pairs_shuffled);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n *
                           fanout);
@@ -163,9 +163,11 @@ void BM_ThreadScaling(benchmark::State& state) {
     out.push_back(acc);
   };
   for (auto _ : state) {
-    auto result = mrcost::engine::RunMapReduce<std::uint64_t, std::uint64_t,
-                                               std::uint64_t, std::uint64_t>(
-        inputs, map_fn, reduce_fn, options);
+    auto result = mrcost::engine::Plan()
+                      .Source(inputs)
+                      .Map<std::uint64_t, std::uint64_t>(map_fn)
+                      .ReduceByKey<std::uint64_t>(reduce_fn)
+                      .Execute(mrcost::engine::ExecutionOptions(options));
     benchmark::DoNotOptimize(result.outputs);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
@@ -196,9 +198,11 @@ void BM_ShuffleShardedSweep(benchmark::State& state) {
     out.push_back(values.size());
   };
   for (auto _ : state) {
-    auto result = mrcost::engine::RunMapReduce<std::uint64_t, std::uint64_t,
-                                               std::uint64_t, std::size_t>(
-        inputs, map_fn, reduce_fn, options);
+    auto result = mrcost::engine::Plan()
+                      .Source(inputs)
+                      .Map<std::uint64_t, std::uint64_t>(map_fn)
+                      .ReduceByKey<std::size_t>(reduce_fn)
+                      .Execute(mrcost::engine::ExecutionOptions(options));
     benchmark::DoNotOptimize(result.outputs);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);

@@ -27,7 +27,7 @@
 
 #include "src/common/random.h"
 #include "src/common/table.h"
-#include "src/engine/job.h"
+#include "src/engine/plan.h"
 #include "src/engine/shuffle.h"
 #include "src/obs/export.h"
 #include "src/storage/block.h"
@@ -58,14 +58,15 @@ RunResult RunConfig(const std::vector<std::uint64_t>& inputs,
     out.push_back(sum);
   };
   const auto start = std::chrono::steady_clock::now();
-  auto result =
-      engine::RunMapReduce<std::uint64_t, std::uint64_t, std::uint64_t,
-                           std::uint64_t>(inputs, map_fn, reduce_fn,
-                                          options);
+  auto result = engine::Plan()
+                    .Source(inputs)
+                    .Map<std::uint64_t, std::uint64_t>(map_fn)
+                    .ReduceByKey<std::uint64_t>(reduce_fn)
+                    .Execute(engine::ExecutionOptions(options));
   const auto stop = std::chrono::steady_clock::now();
   RunResult out;
   out.seconds = std::chrono::duration<double>(stop - start).count();
-  out.metrics = std::move(result.metrics);
+  out.metrics = std::move(result.metrics.rounds[0]);
   return out;
 }
 

@@ -19,7 +19,7 @@
 #include "src/core/presence.h"
 #include "src/core/schema_stats.h"
 #include "src/core/schema_validator.h"
-#include "src/engine/job.h"
+#include "src/engine/plan.h"
 #include "src/hamming/bounds.h"
 #include "src/hamming/coverage.h"
 #include "src/hamming/schemas.h"
@@ -126,25 +126,28 @@ void CombinerEffect() {
     for (std::int64_t v : values) total += v;
     out.emplace_back(key, total);
   };
-  auto plain = mrcost::engine::RunMapReduce<int, int, std::int64_t,
-                                            std::pair<int, std::int64_t>>(
-      inputs, map_fn, reduce_fn, {});
-  auto combined =
-      mrcost::engine::RunMapReduceCombined<int, int, std::int64_t,
-                                           std::pair<int, std::int64_t>>(
-          inputs, map_fn, combine_fn, reduce_fn, {});
+  using Out = std::pair<int, std::int64_t>;
+  const auto keyed = mrcost::engine::Plan()
+                         .Source(std::move(inputs))
+                         .Map<int, std::int64_t>(map_fn);
+  const auto plain =
+      keyed.ReduceByKey<Out>(reduce_fn).Execute().metrics.rounds[0];
+  const auto combined = keyed.CombineByKey(combine_fn)
+                            .ReduceByKey<Out>(reduce_fn)
+                            .Execute()
+                            .metrics.rounds[0];
   Table t({"variant", "map-emitted pairs", "pairs shuffled",
            "max reducer input"});
   t.AddRow()
       .Add("no combiner")
-      .Add(plain.metrics.pairs_before_combine)
-      .Add(plain.metrics.pairs_shuffled)
-      .Add(plain.metrics.max_reducer_input);
+      .Add(plain.pairs_before_combine)
+      .Add(plain.pairs_shuffled)
+      .Add(plain.max_reducer_input);
   t.AddRow()
       .Add("with combiner")
-      .Add(combined.metrics.pairs_before_combine)
-      .Add(combined.metrics.pairs_shuffled)
-      .Add(combined.metrics.max_reducer_input);
+      .Add(combined.pairs_before_combine)
+      .Add(combined.pairs_shuffled)
+      .Add(combined.max_reducer_input);
   t.Print(std::cout,
           "Footnote 1, executable: combining folds mapper-side computation "
           "into less communication for aggregations (100k occurrences, "

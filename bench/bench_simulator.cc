@@ -20,8 +20,7 @@
 
 #include "src/common/random.h"
 #include "src/common/table.h"
-#include "src/engine/job.h"
-#include "src/engine/pipeline.h"
+#include "src/engine/plan.h"
 #include "src/engine/simulator.h"
 #include "src/graph/alon.h"
 #include "src/graph/generators.h"
@@ -46,7 +45,7 @@ namespace engine = mrcost::engine;
 /// The synthetic workload every sweep uses: `n` inputs whose keys are
 /// drawn Zipf(exponent) over `num_keys` (exponent 0 = uniform), counted
 /// per key.
-engine::JobResult<std::pair<std::uint64_t, std::int64_t>> ZipfCountJob(
+engine::ExecutionResult<std::pair<std::uint64_t, std::int64_t>> ZipfCountJob(
     std::size_t n, std::uint64_t num_keys, double exponent,
     const engine::JobOptions& options) {
   mrcost::common::SplitMix64 rng(7);
@@ -62,9 +61,11 @@ engine::JobResult<std::pair<std::uint64_t, std::int64_t>> ZipfCountJob(
          std::vector<std::pair<std::uint64_t, std::int64_t>>& out) {
         out.emplace_back(key, static_cast<std::int64_t>(values.size()));
       };
-  return engine::RunMapReduce<std::uint64_t, std::uint64_t, int,
-                              std::pair<std::uint64_t, std::int64_t>>(
-      inputs, map_fn, reduce_fn, options);
+  return engine::Plan()
+      .Source(std::move(inputs))
+      .Map<std::uint64_t, int>(map_fn)
+      .ReduceByKey<std::pair<std::uint64_t, std::int64_t>>(reduce_fn)
+      .Execute(engine::ExecutionOptions(options));
 }
 
 void SkewSweep() {
@@ -77,7 +78,7 @@ void SkewSweep() {
       engine::JobOptions options;
       options.simulation.num_workers = workers;
       const auto run = ZipfCountJob(n, num_keys, exponent, options);
-      const engine::JobMetrics& m = run.metrics;
+      const engine::JobMetrics& m = run.metrics.rounds[0];
       const double ideal =
           m.worker_loads.sum() / static_cast<double>(workers);
       t.AddRow()
@@ -115,13 +116,14 @@ void StragglerSweep() {
         options.simulation.speed_jitter = jitter;
         options.simulation.seed = 13;
         const auto run = ZipfCountJob(n, 4096, 0.0, options);
+        const engine::JobMetrics& m = run.metrics.rounds[0];
         t.AddRow()
             .Add(fraction)
             .Add(slowdown)
             .Add(jitter)
-            .Add(run.metrics.makespan)
-            .Add(run.metrics.straggler_impact)
-            .Add(run.metrics.load_imbalance);
+            .Add(m.makespan)
+            .Add(m.straggler_impact)
+            .Add(m.load_imbalance);
       }
     }
   }
@@ -143,12 +145,13 @@ void CapacitySweep() {
     options.simulation.num_workers = 16;
     options.simulation.reducer_capacity_q = capacity_q;
     const auto run = ZipfCountJob(n, num_keys, exponent, options);
+    const engine::JobMetrics& m = run.metrics.rounds[0];
     t.AddRow()
         .Add(exponent)
         .Add(capacity_q)
-        .Add(run.metrics.max_reducer_input)
-        .Add(run.metrics.capacity_violations)
-        .Add(run.metrics.load_imbalance);
+        .Add(m.max_reducer_input)
+        .Add(m.capacity_violations)
+        .Add(m.load_imbalance);
   }
   t.Print(std::cout,
           "Capacity sweep: a q provisioned for uniform keys (4x mean) is "
@@ -191,30 +194,32 @@ void MakespanRecovery() {
       // The in-process byte-identity smoke: defenses must not change one
       // output bit.
       MRCOST_CHECK(fast.outputs == slow.outputs);
+      const engine::JobMetrics& undef = slow.metrics.rounds[0];
+      const engine::JobMetrics& def = fast.metrics.rounds[0];
 
       const double recovery_pct =
-          slow.metrics.makespan > 0
-              ? 100.0 * (slow.metrics.makespan - fast.metrics.makespan) /
-                    slow.metrics.makespan
+          undef.makespan > 0
+              ? 100.0 * (undef.makespan - def.makespan) /
+                    undef.makespan
               : 0.0;
       t.AddRow()
           .Add(exponent)
           .Add(speculation ? "on" : "off")
-          .Add(slow.metrics.makespan)
-          .Add(fast.metrics.makespan)
+          .Add(undef.makespan)
+          .Add(def.makespan)
           .Add(recovery_pct)
-          .Add(slow.metrics.load_imbalance)
-          .Add(fast.metrics.load_imbalance)
-          .Add(fast.metrics.hot_keys_split)
-          .Add(std::to_string(fast.metrics.speculative_won) + "/" +
-               std::to_string(fast.metrics.speculative_launched));
+          .Add(undef.load_imbalance)
+          .Add(def.load_imbalance)
+          .Add(def.hot_keys_split)
+          .Add(std::to_string(def.speculative_won) + "/" +
+               std::to_string(def.speculative_launched));
       std::printf(
           "BENCH_JSON {\"bench\":\"skew_recovery\",\"zipf\":%.1f,"
           "\"workers\":16,\"speculation\":\"%s\","
           "\"undefended_makespan_ms\":%.3f,\"defended_makespan_ms\":%.3f,"
           "\"recovery_pct\":%.3f}\n",
-          exponent, speculation ? "on" : "off", slow.metrics.makespan,
-          fast.metrics.makespan, recovery_pct);
+          exponent, speculation ? "on" : "off", undef.makespan,
+          def.makespan, recovery_pct);
     }
   }
   t.Print(std::cout,
@@ -247,10 +252,10 @@ void AddFamilyRow(Table& t, const std::string& name,
       .Add(report.realized_r)
       .Add(report.lower_bound_r)
       .Add(report.optimality_ratio)
-      .Add(report.makespan)
-      .Add(report.load_imbalance)
-      .Add(report.straggler_impact)
-      .Add(report.capacity_violations);
+      .Add(report.metrics.makespan)
+      .Add(report.metrics.load_imbalance)
+      .Add(report.metrics.straggler_impact)
+      .Add(report.metrics.capacity_violations);
 }
 
 void FamilyDriversUnderSkew() {

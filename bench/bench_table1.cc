@@ -10,7 +10,7 @@
 #include "src/common/random.h"
 #include "src/common/table.h"
 #include "src/core/lower_bound.h"
-#include "src/engine/pipeline.h"
+#include "src/engine/metrics.h"
 #include "src/graph/alon.h"
 #include "src/graph/generators.h"
 #include "src/graph/triangle.h"

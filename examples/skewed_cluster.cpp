@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/engine/job.h"
+#include "src/engine/plan.h"
 #include "src/engine/simulator.h"
 #include "src/obs/export.h"
 
@@ -28,9 +28,10 @@ namespace {
 
 using namespace mrcost;  // NOLINT: example brevity
 
-/// `n` inputs, keys Zipf(exponent) over `num_keys`; exponent 0 = uniform.
-engine::JobResult<std::pair<std::uint64_t, std::int64_t>> CountJob(
-    double exponent, const engine::JobOptions& options) {
+/// Counts 100k keys drawn Zipf(exponent) over 2048 (exponent 0 = uniform)
+/// and returns the round's metrics.
+engine::JobMetrics CountJob(double exponent,
+                            const engine::JobOptions& options) {
   common::SplitMix64 rng(1);
   const common::ZipfDistribution zipf(2048, exponent);
   std::vector<std::uint64_t> inputs(100000);
@@ -44,9 +45,12 @@ engine::JobResult<std::pair<std::uint64_t, std::int64_t>> CountJob(
          std::vector<std::pair<std::uint64_t, std::int64_t>>& out) {
         out.emplace_back(key, static_cast<std::int64_t>(values.size()));
       };
-  return engine::RunMapReduce<std::uint64_t, std::uint64_t, int,
-                              std::pair<std::uint64_t, std::int64_t>>(
-      inputs, map_fn, reduce_fn, options);
+  auto run = engine::Plan()
+                 .Source(std::move(inputs))
+                 .Map<std::uint64_t, int>(map_fn)
+                 .ReduceByKey<std::pair<std::uint64_t, std::int64_t>>(reduce_fn)
+                 .Execute(engine::ExecutionOptions(options));
+  return std::move(run.metrics.rounds[0]);
 }
 
 void Report(const char* label, const engine::JobMetrics& m) {
@@ -66,15 +70,14 @@ int main(int argc, char** argv) {
   engine::JobOptions options;
   options.simulation.num_workers = 16;
   const auto uniform = CountJob(0.0, options);
-  Report("1. Uniform keys: imbalance ~1, makespan ~ total/16",
-         uniform.metrics);
+  Report("1. Uniform keys: imbalance ~1, makespan ~ total/16", uniform);
 
   // 2. Zipf(1.2) keys: replication rate r is *unchanged* (still one pair
   //    per input — skew is invisible to the paper's communication cost),
   //    but the worker owning key rank 0 now defines the round.
   const auto skewed = CountJob(1.2, options);
   Report("\n2. Zipf(1.2) keys: same r, same reducers — skewed makespan",
-         skewed.metrics);
+         skewed);
 
   // 3. Capacity: provision q = 4x the uniform mean group size. The
   //    uniform run fits; the skewed run's hot reducers violate q, and the
@@ -82,9 +85,9 @@ int main(int argc, char** argv) {
   options.simulation.reducer_capacity_q =
       4.0 * 100000.0 / 2048.0;  // ~195 pairs
   Report("\n3a. Uniform under provisioned q (no violations)",
-         CountJob(0.0, options).metrics);
+         CountJob(0.0, options));
   Report("3b. Zipf(1.2) under the same q (violations reported)",
-         CountJob(1.2, options).metrics);
+         CountJob(1.2, options));
   options.simulation.reducer_capacity_q = 0;
 
   // 4. Stragglers: uniform keys, but 4 of 16 workers run 4x slower.
@@ -96,7 +99,7 @@ int main(int argc, char** argv) {
   options.simulation.seed = 5;
   Report("\n4. Uniform keys + 25% stragglers at 4x: balanced load, "
          "stretched makespan",
-         CountJob(0.0, options).metrics);
+         CountJob(0.0, options));
 
   std::cout << "\nTakeaway: r (communication) and q (reducer capacity) "
                "bound what a schema ships;\nmakespan, imbalance, and "

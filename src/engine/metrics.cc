@@ -240,4 +240,73 @@ std::string PipelineMetrics::ToString() const {
   return os.str();
 }
 
+RoundCostReport CompareToLowerBound(const JobMetrics& metrics,
+                                    const core::Recipe& recipe) {
+  RoundCostReport report;
+  report.round = 1;
+  report.realized_q = static_cast<double>(metrics.max_reducer_input);
+  report.realized_r = metrics.replication_rate();
+  report.lower_bound_r =
+      report.realized_q >= 1
+          ? core::ClampedReplicationLowerBound(recipe, report.realized_q)
+          : 0.0;
+  report.optimality_ratio = report.lower_bound_r > 0
+                                ? report.realized_r / report.lower_bound_r
+                                : 0.0;
+  report.metrics = metrics;
+  return report;
+}
+
+std::vector<RoundCostReport> CompareToLowerBound(
+    const PipelineMetrics& metrics, const core::Recipe& recipe) {
+  std::vector<RoundCostReport> reports;
+  reports.reserve(metrics.rounds.size());
+  for (const JobMetrics& round : metrics.rounds) {
+    reports.push_back(CompareToLowerBound(round, recipe));
+    reports.back().round = reports.size();
+  }
+  return reports;
+}
+
+std::string ToString(const std::vector<RoundCostReport>& reports) {
+  std::ostringstream os;
+  for (const RoundCostReport& report : reports) {
+    const JobMetrics& m = report.metrics;
+    if (report.round > 1) os << "\n";
+    os << "round " << report.round << ": q=" << report.realized_q
+       << " r=" << report.realized_r << " bound=" << report.lower_bound_r
+       << " ratio=" << report.optimality_ratio;
+    if (m.external_shuffle()) {
+      os << " spill_runs=" << m.spill_runs
+         << " spill_bytes=" << m.spill_bytes_written
+         << " merge_passes=" << m.merge_passes;
+      if (m.compression_ratio > 0) {
+        os << " compression=" << m.compression_ratio;
+      }
+    }
+    if (m.blocks_emitted > 0) {
+      os << " blocks=" << m.blocks_emitted
+         << " copied_bytes=" << m.bytes_copied;
+    }
+    if (m.simulated()) {
+      os << " makespan=" << m.makespan << " imbalance=" << m.load_imbalance
+         << " straggler_impact=" << m.straggler_impact
+         << " capacity_violations=" << m.capacity_violations;
+    }
+    if (m.speculative_launched > 0 || m.hot_keys_split > 0 ||
+        m.partition_skew_ratio > 0) {
+      os << " partition_skew=" << m.partition_skew_ratio
+         << " speculative=" << m.speculative_won << "/"
+         << m.speculative_launched << " hot_keys_split=" << m.hot_keys_split;
+    }
+    if (m.timed()) {
+      os << " map_ms=" << m.map_ms << " shuffle_ms=" << m.shuffle_ms
+         << " reduce_ms=" << m.reduce_ms
+         << " barrier_wait_ms=" << m.barrier_wait_ms
+         << " overlap=" << m.overlap_fraction();
+    }
+  }
+  return os.str();
+}
+
 }  // namespace mrcost::engine

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/common/stats.h"
+#include "src/core/lower_bound.h"
 
 namespace mrcost::obs {
 class Registry;
@@ -188,6 +189,40 @@ struct PipelineMetrics {
 
   std::string ToString() const;
 };
+
+/// Realized-vs-bound accounting for one round, in the paper's
+/// coordinates: the realized reducer load q (max input-list length), the
+/// realized replication rate r = pairs_shuffled / num_inputs, and the
+/// Section 2.4 recipe lower bound on r at that q (clamped at the trivial
+/// r >= 1).
+struct RoundCostReport {
+  std::size_t round = 0;  // 1-based, matching PipelineMetrics::ToString
+  double realized_q = 0;
+  double realized_r = 0;
+  double lower_bound_r = 0;
+  /// realized_r / lower_bound_r. For a round that solves the recipe's
+  /// problem outright this is >= 1 (Equation 4), and close to 1 means the
+  /// schema is communication-optimal at its q. A ratio below 1 is not a
+  /// bound violation — it is the signature of a round that only computes
+  /// partial results (e.g. round 1 of Section 6.3's two-phase matmul),
+  /// quantifying exactly how much the multi-round computation evades the
+  /// single-round tradeoff.
+  double optimality_ratio = 0;
+  /// The round's own metrics: simulation, skew-defense, spill, block and
+  /// timing counters beside the paper's q/r point.
+  JobMetrics metrics;
+};
+
+/// Evaluates every round of `metrics` against `recipe`'s lower bound.
+std::vector<RoundCostReport> CompareToLowerBound(
+    const PipelineMetrics& metrics, const core::Recipe& recipe);
+
+/// Single-round convenience: evaluates one JobMetrics (a one-round job or
+/// schema-stat synthesis) against `recipe` — what the bench tables call.
+RoundCostReport CompareToLowerBound(const JobMetrics& metrics,
+                                    const core::Recipe& recipe);
+
+std::string ToString(const std::vector<RoundCostReport>& reports);
 
 }  // namespace mrcost::engine
 

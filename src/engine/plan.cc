@@ -39,6 +39,15 @@ constexpr std::size_t kMaxChunks = 8;
 /// Inputs of a materialized round the map function is sampled over.
 constexpr std::size_t kSampleInputs = 256;
 
+/// The pool-sizing JobOptions internal::PoolRef expects: the execution's
+/// thread count or pool.
+JobOptions PoolSizing(const PipelineOptions& options) {
+  JobOptions sizing;
+  sizing.num_threads = options.num_threads;
+  sizing.pool = options.pool;
+  return sizing;
+}
+
 /// Extrapolates the sample's distinct-key count to the full input: exact
 /// when exhaustive, else linear in the input count (a deliberate, crude
 /// upper bound — fan-out schemas revisit keys, so scaling overestimates;

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/thread_pool.h"
 #include "src/core/cost_model.h"
 #include "src/core/lower_bound.h"
 #include "src/core/mapping_schema.h"
@@ -24,7 +25,6 @@
 #include "src/engine/executor.h"
 #include "src/engine/hashing.h"
 #include "src/engine/metrics.h"
-#include "src/engine/pipeline.h"
 
 namespace mrcost::engine {
 
@@ -44,8 +44,8 @@ namespace mrcost::engine {
 //   * Execute(options)  — lowering onto the stage-graph executor
 //                         (src/engine/executor.h), byte-identical for
 //                         every shuffle strategy (the one lowering:
-//                         RunMapReduce is a one-round plan, job.h), each
-//                         round shaped by ResolvePhysicalRound
+//                         every family driver is a plan), each round
+//                         shaped by ResolvePhysicalRound
 //                         (serial/sharded/external from the round's
 //                         estimated pairs and bytes vs budget). Rounds run
 //                         in node order, each over the input its producer
@@ -204,6 +204,28 @@ struct DistOptions {
   int kill_after_fetches = 0;
 };
 
+/// Thread sizing and round configuration shared by every round of one
+/// plan execution (ExecutionOptions::pipeline).
+struct PipelineOptions {
+  /// Pool size when the execution owns its pool. 0 = hardware concurrency.
+  std::size_t num_threads = 0;
+  /// Optional external pool; when set the execution does not construct one.
+  common::ThreadPool* pool = nullptr;
+  /// Defaults applied to every round (num_shards, shuffle config,
+  /// simulation knobs). A round's own JobOptions (WithOptions) is merged
+  /// over these defaults field-wise (MergedJobOptions): fields the round
+  /// leaves unset inherit the default — a round overriding only
+  /// `num_shards` still runs under the defaults' memory budget and
+  /// simulated cluster. The pool field is always the execution's pool.
+  JobOptions round_defaults;
+  /// Execution-wide shuffle backstop: any shuffle field a round (and the
+  /// round defaults) leaves unset inherits this config field-wise, so one
+  /// setting runs every round of a multi-round computation under the same
+  /// memory budget. See ShuffleConfig's comment for the full resolution
+  /// order.
+  ShuffleConfig shuffle;
+};
+
 /// Knobs for Plan::Execute / ExecuteAsync.
 struct ExecutionOptions {
   /// Thread sizing, round defaults (simulation included), and the
@@ -241,8 +263,8 @@ struct ExecutionOptions {
   explicit ExecutionOptions(PipelineOptions options)
       : pipeline(std::move(options)) {}
   /// A plan execution matching one round's JobOptions (pool or thread
-  /// count, round defaults) — what RunMapReduce and the family drivers
-  /// construct from their caller-facing options argument.
+  /// count, round defaults) — what the family drivers construct from
+  /// their caller-facing options argument.
   explicit ExecutionOptions(const JobOptions& round_defaults) {
     pipeline.num_threads = round_defaults.num_threads;
     pipeline.pool = round_defaults.pool;

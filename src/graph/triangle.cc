@@ -160,25 +160,24 @@ TriangleJobResult MRTriangles(const Graph& graph, int k, std::uint64_t seed,
 TriangleTwoRoundResult MRTrianglesNodeIterator(
     const Graph& graph, bool low_degree_ordering,
     const engine::JobOptions& options) {
-  // A wedge record: endpoints (a < b by id) with the middle node; edge
-  // records reuse the key with a marker value.
+  // Round 1's output and round 2's input: a wedge keyed by its endpoint
+  // pair with its middle node, or an edge keyed by itself with a marker.
   constexpr NodeId kEdgeMarker = 0xFFFFFFFFu;
-
-  // Total order for pivot selection: by (degree, id) when mitigating
-  // skew, so high-degree nodes center few wedges.
-  auto precedes = [&graph, low_degree_ordering](NodeId x, NodeId y) {
-    if (!low_degree_ordering) return false;  // placeholder, unused
-    const std::uint64_t dx = graph.Degree(x);
-    const std::uint64_t dy = graph.Degree(y);
-    return dx != dy ? dx < dy : x < y;
+  struct Record {
+    Edge key;
+    NodeId middle;  // kEdgeMarker for edge records
   };
 
-  // ---- Round 1: group edges around pivot nodes and emit wedges.
-  auto map1 = [&](const Edge& e, engine::Emitter<NodeId, NodeId>& emitter) {
+  // ---- Round 1: group edges around pivot nodes and emit wedges. In
+  // degree-ordered mode each edge lives only at its smaller endpoint in
+  // the (degree, id) order — degrees are read off the graph, which
+  // outlives the plan; the value is the other endpoint.
+  auto map1 = [&graph, low_degree_ordering](
+                  const Edge& e, engine::Emitter<NodeId, NodeId>& emitter) {
     if (low_degree_ordering) {
-      // The edge lives only at its smaller endpoint in the (degree, id)
-      // order; the value is the other endpoint.
-      if (precedes(e.u, e.v)) {
+      const std::uint64_t du = graph.Degree(e.u);
+      const std::uint64_t dv = graph.Degree(e.v);
+      if (du != dv ? du < dv : e.u < e.v) {
         emitter.Emit(e.u, e.v);
       } else {
         emitter.Emit(e.v, e.u);
@@ -188,39 +187,29 @@ TriangleTwoRoundResult MRTrianglesNodeIterator(
       emitter.Emit(e.v, e.u);
     }
   };
-  struct Wedge {
-    NodeId a;
-    NodeId b;
-    NodeId middle;
-  };
-  auto reduce1 = [](const NodeId& pivot, engine::GroupView<NodeId> ends,
-                    std::vector<Wedge>& out) {
+  // Besides its wedges, a pivot passes each edge it received on to round
+  // 2 once: every edge reaches exactly one pivot in degree-ordered mode,
+  // both endpoints in the ablation mode (where the smaller one passes it).
+  auto reduce1 = [low_degree_ordering](const NodeId& pivot,
+                                       engine::GroupView<NodeId> ends,
+                                       std::vector<Record>& out) {
     std::vector<NodeId> sorted(ends.begin(), ends.end());
     std::sort(sorted.begin(), sorted.end());
     sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
     for (std::size_t i = 0; i < sorted.size(); ++i) {
       for (std::size_t j = i + 1; j < sorted.size(); ++j) {
-        out.push_back(Wedge{sorted[i], sorted[j], pivot});
+        out.push_back(Record{Edge(sorted[i], sorted[j]), pivot});
+      }
+    }
+    for (const NodeId other : sorted) {
+      if (low_degree_ordering || pivot < other) {
+        out.push_back(Record{Edge(pivot, other), kEdgeMarker});
       }
     }
   };
-  auto round1 = engine::RunMapReduce<Edge, NodeId, NodeId, Wedge>(
-      graph.edges(), map1, reduce1, options);
 
   // ---- Round 2: join wedges with the edge set; a present closing edge
   // turns each wedge into a triangle.
-  struct Record {
-    Edge key;
-    NodeId middle;  // kEdgeMarker for edge records
-  };
-  std::vector<Record> round2_inputs;
-  round2_inputs.reserve(round1.outputs.size() + graph.num_edges());
-  for (const Wedge& w : round1.outputs) {
-    round2_inputs.push_back(Record{Edge(w.a, w.b), w.middle});
-  }
-  for (const Edge& e : graph.edges()) {
-    round2_inputs.push_back(Record{e, kEdgeMarker});
-  }
   auto map2 = [](const Record& r, engine::Emitter<Edge, NodeId>& emitter) {
     emitter.Emit(r.key, r.middle);
   };
@@ -248,14 +237,19 @@ TriangleTwoRoundResult MRTrianglesNodeIterator(
       out.push_back(t);
     }
   };
-  auto round2 = engine::RunMapReduce<Record, Edge, NodeId, Triangle>(
-      std::move(round2_inputs), map2, reduce2, options);
+
+  engine::Plan plan;
+  auto run = plan.Source(graph.edges(), "edges")
+                 .Map<NodeId, NodeId>(map1, "wedges")
+                 .ReduceByKey<Record>(reduce1)
+                 .Map<Edge, NodeId>(map2, "close wedges")
+                 .ReduceByKey<Triangle>(reduce2)
+                 .Execute(engine::ExecutionOptions(options));
 
   TriangleTwoRoundResult result;
-  std::sort(round2.outputs.begin(), round2.outputs.end());
-  result.triangles = std::move(round2.outputs);
-  result.metrics.Add(std::move(round1.metrics));
-  result.metrics.Add(std::move(round2.metrics));
+  std::sort(run.outputs.begin(), run.outputs.end());
+  result.triangles = std::move(run.outputs);
+  result.metrics = std::move(run.metrics);
   return result;
 }
 

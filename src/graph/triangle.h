@@ -8,7 +8,7 @@
 #include "src/common/status.h"
 #include "src/core/lower_bound.h"
 #include "src/core/mapping_schema.h"
-#include "src/engine/job.h"
+#include "src/engine/plan.h"
 #include "src/graph/bucketing.h"
 #include "src/graph/graph.h"
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -77,17 +78,43 @@ void TwoPathBucketSchema::ForEachReducer(core::InputId input,
   }
 }
 
+namespace {
+
+/// The other endpoint of `e`, one of whose endpoints is `mid`.
+NodeId OtherEnd(const Edge& e, NodeId mid) { return e.u == mid ? e.v : e.u; }
+
+/// Runs the one-round plan mapping the edges by `schema` (input id = the
+/// edge's pair rank; key = reducer id, value = the edge) and sorts the
+/// 2-paths its reducers emit.
+template <typename ReduceFn>
+TwoPathJobResult RunTwoPathSchema(
+    const Graph& graph, std::shared_ptr<const core::MappingSchema> schema,
+    ReduceFn reduce_fn, const engine::JobOptions& options) {
+  const NodeId n = graph.num_nodes();
+  engine::Plan plan;
+  auto run = plan.Source(graph.edges(), "edges")
+                 .template MapBySchema<std::uint64_t>(
+                     std::move(schema),
+                     [n](const Edge& e) { return PairRank(n, e.u, e.v); },
+                     "two-path fan-out")
+                 .template ReduceByKey<TwoPath>(std::move(reduce_fn))
+                 .Execute(engine::ExecutionOptions(options));
+  std::sort(run.outputs.begin(), run.outputs.end());
+  return TwoPathJobResult{std::move(run.outputs),
+                          std::move(run.metrics.rounds[0])};
+}
+
+}  // namespace
+
 TwoPathJobResult MRTwoPathsNode(const Graph& graph,
                                 const engine::JobOptions& options) {
-  // Key = middle-node candidate; value = the other endpoint.
-  auto map_fn = [](const Edge& e,
-                   engine::Emitter<NodeId, NodeId>& emitter) {
-    emitter.Emit(e.u, e.v);
-    emitter.Emit(e.v, e.u);
-  };
-  auto reduce_fn = [](const NodeId& mid, engine::GroupView<NodeId> ends,
+  // Key = the middle node; each edge there contributes its other end.
+  auto reduce_fn = [](const std::uint64_t& key, engine::GroupView<Edge> edges,
                       std::vector<TwoPath>& out) {
-    std::vector<NodeId> sorted(ends.begin(), ends.end());
+    const auto mid = static_cast<NodeId>(key);
+    std::vector<NodeId> sorted;
+    sorted.reserve(edges.size());
+    for (const Edge& e : edges) sorted.push_back(OtherEnd(e, mid));
     std::sort(sorted.begin(), sorted.end());
     for (std::size_t i = 0; i < sorted.size(); ++i) {
       for (std::size_t j = i + 1; j < sorted.size(); ++j) {
@@ -95,10 +122,9 @@ TwoPathJobResult MRTwoPathsNode(const Graph& graph,
       }
     }
   };
-  auto job = engine::RunMapReduce<Edge, NodeId, NodeId, TwoPath>(
-      graph.edges(), map_fn, reduce_fn, options);
-  std::sort(job.outputs.begin(), job.outputs.end());
-  return TwoPathJobResult{std::move(job.outputs), std::move(job.metrics)};
+  return RunTwoPathSchema(
+      graph, std::make_shared<TwoPathNodeSchema>(graph.num_nodes()),
+      reduce_fn, options);
 }
 
 TwoPathJobResult MRTwoPathsBucket(const Graph& graph, int k,
@@ -106,28 +132,20 @@ TwoPathJobResult MRTwoPathsBucket(const Graph& graph, int k,
                                   const engine::JobOptions& options) {
   MRCOST_CHECK(k >= 2);
   const NodeBucketer bucketer(k, seed);
-  using Key = std::pair<NodeId, std::uint32_t>;  // (middle, bucket-pair rank)
+  const std::uint64_t pairs_per_node =
+      static_cast<std::uint64_t>(k) * (k - 1) / 2;
 
-  auto pair_rank = [k](int i, int x) {
-    const int lo = std::min(i, x);
-    const int hi = std::max(i, x);
-    return static_cast<std::uint32_t>(PairRank(k, lo, hi));
-  };
-
-  auto map_fn = [&](const Edge& e, engine::Emitter<Key, NodeId>& emitter) {
-    const int ha = bucketer.Bucket(e.u);
-    const int hb = bucketer.Bucket(e.v);
-    for (int x = 0; x < k; ++x) {
-      // Edge (a,b) reaches [b, {h(a), *}] and [a, {*, h(b)}] (Sec. 5.4.2).
-      if (x != ha) emitter.Emit({e.v, pair_rank(ha, x)}, e.u);
-      if (x != hb) emitter.Emit({e.u, pair_rank(hb, x)}, e.v);
-    }
-  };
-
-  auto reduce_fn = [&](const Key& key, engine::GroupView<NodeId> ends,
+  // Key = middle node * C(k,2) + rank of the bucket pair {i, j}; the
+  // plan is lazy, so the reducer holds the bucketer by value.
+  auto reduce_fn = [bucketer, k, pairs_per_node](
+                       const std::uint64_t& key,
+                       engine::GroupView<Edge> edges,
                        std::vector<TwoPath>& out) {
-    const auto [i, j] = PairUnrank(k, key.second);
-    std::vector<NodeId> sorted(ends.begin(), ends.end());
+    const auto mid = static_cast<NodeId>(key / pairs_per_node);
+    const auto [i, j] = PairUnrank(k, key % pairs_per_node);
+    std::vector<NodeId> sorted;
+    sorted.reserve(edges.size());
+    for (const Edge& e : edges) sorted.push_back(OtherEnd(e, mid));
     std::sort(sorted.begin(), sorted.end());
     sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
     for (std::size_t x = 0; x < sorted.size(); ++x) {
@@ -151,15 +169,13 @@ TwoPathJobResult MRTwoPathsBucket(const Graph& graph, int k,
           emit = (c == static_cast<int>(i) || c == static_cast<int>(j)) &&
                  other == (c + 1) % k;
         }
-        if (emit) out.push_back(TwoPath{key.first, v, w});
+        if (emit) out.push_back(TwoPath{mid, v, w});
       }
     }
   };
-
-  auto job = engine::RunMapReduce<Edge, Key, NodeId, TwoPath>(
-      graph.edges(), map_fn, reduce_fn, options);
-  std::sort(job.outputs.begin(), job.outputs.end());
-  return TwoPathJobResult{std::move(job.outputs), std::move(job.metrics)};
+  return RunTwoPathSchema(
+      graph, std::make_shared<TwoPathBucketSchema>(graph.num_nodes(), bucketer),
+      reduce_fn, options);
 }
 
 core::Recipe TwoPathRecipe(NodeId n) {

@@ -7,7 +7,7 @@
 
 #include "src/core/lower_bound.h"
 #include "src/core/mapping_schema.h"
-#include "src/engine/job.h"
+#include "src/engine/plan.h"
 #include "src/graph/bucketing.h"
 #include "src/graph/graph.h"
 
@@ -41,8 +41,10 @@ class TwoPathNodeSchema final : public core::MappingSchema {
   explicit TwoPathNodeSchema(NodeId n) : n_(n) {}
   std::string name() const override { return "2path-node"; }
   std::uint64_t num_reducers() const override { return n_; }
+  /// The smaller endpoint's reducer, then the larger's.
   void ForEachReducer(core::InputId input,
                       const ReducerSink& sink) const override;
+  double replication() const override { return 2; }
 
  private:
   NodeId n_;
@@ -58,9 +60,11 @@ class TwoPathBucketSchema final : public core::MappingSchema {
   TwoPathBucketSchema(NodeId n, const NodeBucketer& bucketer);
 
   std::string name() const override;
+  /// Reducer [u, {i, j}] has id u * C(k,2) + PairRank(k, i, j).
   std::uint64_t num_reducers() const override;
   void ForEachReducer(core::InputId input,
                       const ReducerSink& sink) const override;
+  double replication() const override { return 2.0 * (bucketer_.k() - 1); }
 
  private:
   NodeId n_;
@@ -72,11 +76,14 @@ struct TwoPathJobResult {
   engine::JobMetrics metrics;
 };
 
-/// Runs the node algorithm (q = max degree, r = 2).
+/// Runs the node algorithm (q = max degree, r = 2): the round maps the
+/// edges by TwoPathNodeSchema, each edge (input id PairRank(n, u, v))
+/// shipped whole to both endpoint reducers.
 TwoPathJobResult MRTwoPathsNode(const Graph& graph,
                                 const engine::JobOptions& options = {});
 
-/// Runs the bucket-pair algorithm with k >= 2 buckets, using the paper's
+/// Runs the bucket-pair algorithm with k >= 2 buckets, mapping the edges by
+/// TwoPathBucketSchema (r = 2(k-1)), using the paper's
 /// tie-break rule so that each 2-path is emitted by exactly one reducer:
 /// reducer [u, {i, j}] produces v-u-w iff {h(v), h(w)} == {i, j}, or
 /// h(v) == h(w) == x in {i,j} and the other element is x+1 (mod k).

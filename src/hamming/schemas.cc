@@ -229,7 +229,7 @@ void WeightKDSchema::ForEachReducer(core::InputId input,
 
 BallSchema::BallSchema(int b, bool include_center)
     : b_(b), include_center_(include_center) {
-  MRCOST_CHECK(b >= 1 && b <= 24);
+  MRCOST_CHECK(b >= 1 && b <= 32);
 }
 
 std::string BallSchema::name() const {
@@ -240,8 +240,12 @@ std::string BallSchema::name() const {
 
 void BallSchema::ForEachReducer(core::InputId input,
                                 const ReducerSink& sink) const {
-  for (int i = 0; i < b_; ++i) sink(input ^ (BitString{1} << i));
   if (include_center_) sink(input);
+  for (int i = 0; i < b_; ++i) sink(input ^ (BitString{1} << i));
+}
+
+double BallSchema::replication() const {
+  return b_ + (include_center_ ? 1 : 0);
 }
 
 // ------------------------------------------------- Splitting, distance d

@@ -157,14 +157,19 @@ class WeightKDSchema final : public core::MappingSchema {
 /// reason the Section 3.1 style lower-bound argument fails for distance 2.
 class BallSchema final : public core::MappingSchema {
  public:
+  /// Requires 1 <= b <= 32.
   BallSchema(int b, bool include_center);
 
   std::string name() const override;
   std::uint64_t num_reducers() const override {
     return std::uint64_t{1} << b_;
   }
+  /// The center (when included) first, then the b flips, lowest bit first.
   void ForEachReducer(core::InputId input,
                       const ReducerSink& sink) const override;
+
+  /// b, plus one for the center.
+  double replication() const override;
 
  private:
   int b_;

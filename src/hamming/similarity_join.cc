@@ -137,6 +137,14 @@ class GroupSet {
   int shift_ = 60;
 };
 
+/// True when some string has a bit at or above b: it lies outside the
+/// schema's domain of length-b strings.
+bool HasBitsAtOrAbove(const std::vector<BitString>& strings, int b) {
+  BitString all_bits = 0;
+  for (const BitString w : strings) all_bits |= w;
+  return (all_bits >> b) != 0;
+}
+
 void SortPairs(std::vector<Pair>& pairs) {
   std::sort(pairs.begin(), pairs.end());
 }
@@ -159,9 +167,7 @@ common::Result<SimilarityJoinPlan> BuildSplittingSimilarityJoinPlan(
   auto schema = SplittingDistanceDSchema::Make(b, k, d);
   if (!schema.ok()) return schema.status();
   // A bit at or above b would spill into the rank bits of the reducer key.
-  BitString all_bits = 0;
-  for (const BitString w : strings) all_bits |= w;
-  if (all_bits >> b != 0) {
+  if (HasBitsAtOrAbove(strings, b)) {
     return common::Status::InvalidArgument(
         "SplittingSimilarityJoin: a string has bits at or above b");
   }
@@ -242,19 +248,12 @@ common::Result<SimilarityJoinPlan> BuildBallSimilarityJoinPlan(
   if (b < 1 || b > 32) {
     return common::Status::InvalidArgument("BallSimilarityJoin: 1<=b<=32");
   }
-
-  // Key = center string; value = original string (center itself included so
-  // distance-1 pairs are covered; see Section 3.6 discussion). The b + 1
-  // emissions per string go through the batched path.
-  auto map_fn = [b](const BitString& w,
-                    engine::Emitter<BitString, BitString>& emitter) {
-    static thread_local engine::Emitter<BitString, BitString>::Batch batch;
-    batch.emplace_back(w, w);
-    for (int i = 0; i < b; ++i) {
-      batch.emplace_back(w ^ (BitString{1} << i), w);
-    }
-    emitter.EmitBatch(batch);
-  };
+  // Flips cover only the low b bits: a pair differing above them would
+  // never meet at a reducer.
+  if (HasBitsAtOrAbove(strings, b)) {
+    return common::Status::InvalidArgument(
+        "BallSimilarityJoin: a string has bits at or above b");
+  }
 
   auto reduce_fn = [d](const BitString& center,
                        engine::GroupView<BitString> values,
@@ -280,16 +279,17 @@ common::Result<SimilarityJoinPlan> BuildBallSimilarityJoinPlan(
     }
   };
 
-  // r = b + 1 independent of the data (the Ball-2 signature); how many
-  // distinct centers the strings touch is data-dependent, left to
-  // sampling.
-  engine::StageEstimate estimate;
-  estimate.replication = static_cast<double>(b) + 1.0;
-
+  // The map is the schema with its center: key = center string, value =
+  // the string, sent to its own reducer first (so distance-1 pairs are
+  // covered; see Section 3.6) and then to the b reducers at distance 1.
+  // r = b + 1 is declared; on the full domain every center holds b + 1
+  // strings, so the mean load is the max.
   engine::Plan plan;
   auto pairs = plan.Source(strings, "bit strings")
-                   .Map<BitString, BitString>(map_fn, "ball-2 fan-out")
-                   .WithEstimate(estimate)
+                   .MapBySchema<BitString>(
+                       std::make_shared<BallSchema>(b, /*include_center=*/true),
+                       [](const BitString& w) { return core::InputId{w}; },
+                       "ball-2 fan-out")
                    .ReduceByKey<Pair>(reduce_fn);
   return SimilarityJoinPlan{std::move(plan), std::move(pairs)};
 }

@@ -37,8 +37,8 @@ struct SimilarityJoinPlan {
 common::Result<SimilarityJoinPlan> BuildSplittingSimilarityJoinPlan(
     const std::vector<BitString>& strings, int b, int k, int d);
 
-/// Builds (without running) the Ball-2 join plan; r = b + 1 declared, the
-/// data-dependent reducer count left to sampling.
+/// Builds (without running) the Ball-2 join plan: the round maps by
+/// BallSchema with its center, so r = b + 1 over 2^b reducers is declared.
 common::Result<SimilarityJoinPlan> BuildBallSimilarityJoinPlan(
     const std::vector<BitString>& strings, int b, int d);
 
@@ -61,7 +61,8 @@ common::Result<SimilarityJoinResult> SplittingSimilarityJoin(
 /// in [1, d] for d in {1, 2}; replication rate is b + 1 independent of the
 /// data. Each pair is emitted by exactly one canonical center.
 ///
-/// Requires 1 <= d <= 2. `strings` must be distinct.
+/// Requires 1 <= d <= 2, 1 <= b <= 32 and every string below 2^b
+/// (InvalidArgument otherwise). `strings` must be distinct.
 common::Result<SimilarityJoinResult> BallSimilarityJoin(
     const std::vector<BitString>& strings, int b, int d,
     const engine::JobOptions& options = {});

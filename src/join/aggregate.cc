@@ -37,11 +37,14 @@ WordCountResult WordCount(const std::vector<std::string>& occurrences,
     for (std::uint64_t one : ones) total += one;
     out.emplace_back(word, total);
   };
-  auto job = engine::RunMapReduce<std::string, std::string, std::uint64_t,
-                                  std::pair<std::string, std::uint64_t>>(
-      occurrences, map_fn, reduce_fn, options);
-  std::sort(job.outputs.begin(), job.outputs.end());
-  return WordCountResult{std::move(job.outputs), std::move(job.metrics)};
+  engine::Plan plan;
+  auto run = plan.Source(occurrences, "words")
+                 .Map<std::string, std::uint64_t>(map_fn, "word count")
+                 .ReduceByKey<std::pair<std::string, std::uint64_t>>(reduce_fn)
+                 .Execute(engine::ExecutionOptions(options));
+  std::sort(run.outputs.begin(), run.outputs.end());
+  return WordCountResult{std::move(run.outputs),
+                         std::move(run.metrics.rounds[0])};
 }
 
 GroupBySumResult GroupBySum(const std::vector<std::pair<Value, Value>>& rows,
@@ -56,11 +59,14 @@ GroupBySumResult GroupBySum(const std::vector<std::pair<Value, Value>>& rows,
     for (Value v : values) total += v;
     out.emplace_back(group, total);
   };
-  auto job = engine::RunMapReduce<std::pair<Value, Value>, Value, Value,
-                                  std::pair<Value, std::int64_t>>(
-      rows, map_fn, reduce_fn, options);
-  std::sort(job.outputs.begin(), job.outputs.end());
-  return GroupBySumResult{std::move(job.outputs), std::move(job.metrics)};
+  engine::Plan plan;
+  auto run = plan.Source(rows, "rows")
+                 .Map<Value, Value>(map_fn, "group by")
+                 .ReduceByKey<std::pair<Value, std::int64_t>>(reduce_fn)
+                 .Execute(engine::ExecutionOptions(options));
+  std::sort(run.outputs.begin(), run.outputs.end());
+  return GroupBySumResult{std::move(run.outputs),
+                          std::move(run.metrics.rounds[0])};
 }
 
 }  // namespace mrcost::join

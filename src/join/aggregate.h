@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/engine/job.h"
+#include "src/engine/plan.h"
 #include "src/join/relation.h"
 
 namespace mrcost::join {

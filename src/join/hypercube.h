@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/engine/job.h"
 #include "src/engine/plan.h"
 #include "src/join/query.h"
 #include "src/join/relation.h"

@@ -745,6 +745,7 @@ TEST(DistBackend, SchemaRecipesPredictQAndRExactly) {
   };
   const std::vector<Case> cases = {
       {"hamming_splitting", "b=10,k=5,d=1", hamming::Hamming1Recipe(10)},
+      {"hamming_ball", "b=10,d=1", hamming::Hamming1Recipe(10)},
       {"matmul_one_phase", "n=32,tile=8,seed=11", matmul::MatMulRecipe(32)},
       {"matmul_two_phase", "n=16,s_rows=4,t_js=4,seed=11",
        matmul::MatMulRecipe(16)}};

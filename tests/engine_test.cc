@@ -18,9 +18,7 @@
 #include "src/engine/emitter.h"
 #include "src/engine/grouping.h"
 #include "src/engine/hashing.h"
-#include "src/engine/job.h"
 #include "src/engine/metrics.h"
-#include "src/engine/pipeline.h"
 #include "src/engine/plan.h"
 #include "src/engine/shuffle.h"
 #include "src/engine/simulator.h"
@@ -284,7 +282,7 @@ TEST(Emitter, EmitBatchReusesMovedFromBatch) {
 // ---------------------------------------------------------------- job
 
 /// A toy job: map each integer x to key x % modulus; reducer sums values.
-JobResult<std::pair<int, std::int64_t>> SumByResidue(
+ExecutionResult<std::pair<int, std::int64_t>> SumByResidue(
     const std::vector<int>& inputs, int modulus, const JobOptions& options) {
   auto map_fn = [modulus](const int& x, Emitter<int, int>& emitter) {
     emitter.Emit(x % modulus, x);
@@ -295,8 +293,11 @@ JobResult<std::pair<int, std::int64_t>> SumByResidue(
     for (int v : values) sum += v;
     out.emplace_back(key, sum);
   };
-  return RunMapReduce<int, int, int, std::pair<int, std::int64_t>>(
-      inputs, map_fn, reduce_fn, options);
+  return Plan()
+      .Source(inputs)
+      .Map<int, int>(map_fn)
+      .ReduceByKey<std::pair<int, std::int64_t>>(reduce_fn)
+      .Execute(ExecutionOptions(options));
 }
 
 TEST(Job, BasicGroupingAndMetrics) {
@@ -308,7 +309,7 @@ TEST(Job, BasicGroupingAndMetrics) {
   for (const auto& [key, sum] : result.outputs) total += sum;
   EXPECT_EQ(total, 99 * 100 / 2);
 
-  const JobMetrics& m = result.metrics;
+  const JobMetrics& m = result.metrics.rounds[0];
   EXPECT_EQ(m.num_inputs, 100u);
   EXPECT_EQ(m.pairs_shuffled, 100u);  // one pair per input
   EXPECT_EQ(m.num_reducers, 10u);
@@ -331,10 +332,13 @@ TEST(Job, ReplicationRateCountsAllEmits) {
     (void)key;
     out.push_back(static_cast<int>(values.size()));
   };
-  auto result =
-      RunMapReduce<int, int, int, int>(inputs, map_fn, reduce_fn, {});
-  EXPECT_DOUBLE_EQ(result.metrics.replication_rate(), 3.0);
-  EXPECT_EQ(result.metrics.num_reducers, 150u);
+  auto result = Plan()
+      .Source(inputs)
+      .Map<int, int>(map_fn)
+      .ReduceByKey<int>(reduce_fn)
+      .Execute();
+  EXPECT_DOUBLE_EQ(result.metrics.rounds[0].replication_rate(), 3.0);
+  EXPECT_EQ(result.metrics.rounds[0].num_reducers, 150u);
 }
 
 TEST(Job, ValueOrderIsInputOrder) {
@@ -352,8 +356,11 @@ TEST(Job, ValueOrderIsInputOrder) {
                         std::vector<std::vector<int>>& out) {
       out.emplace_back(values.begin(), values.end());
     };
-    auto result = RunMapReduce<int, int, int, std::vector<int>>(
-        inputs, map_fn, reduce_fn, options);
+    auto result = Plan()
+        .Source(inputs)
+        .Map<int, int>(map_fn)
+        .ReduceByKey<std::vector<int>>(reduce_fn)
+        .Execute(ExecutionOptions(options));
     ASSERT_EQ(result.outputs.size(), 1u);
     EXPECT_EQ(result.outputs[0], inputs) << "threads=" << threads;
   }
@@ -369,16 +376,18 @@ TEST(Job, DeterministicAcrossThreadCounts) {
   auto a = SumByResidue(inputs, 13, one);
   auto b = SumByResidue(inputs, 13, many);
   EXPECT_EQ(a.outputs, b.outputs);
-  EXPECT_EQ(a.metrics.pairs_shuffled, b.metrics.pairs_shuffled);
-  EXPECT_EQ(a.metrics.num_reducers, b.metrics.num_reducers);
+  const JobMetrics& ma = a.metrics.rounds[0];
+  const JobMetrics& mb = b.metrics.rounds[0];
+  EXPECT_EQ(ma.pairs_shuffled, mb.pairs_shuffled);
+  EXPECT_EQ(ma.num_reducers, mb.num_reducers);
 }
 
 TEST(Job, EmptyInput) {
   auto result = SumByResidue({}, 10, {});
   EXPECT_TRUE(result.outputs.empty());
-  EXPECT_EQ(result.metrics.num_inputs, 0u);
-  EXPECT_EQ(result.metrics.pairs_shuffled, 0u);
-  EXPECT_EQ(result.metrics.replication_rate(), 0.0);
+  EXPECT_EQ(result.metrics.rounds[0].num_inputs, 0u);
+  EXPECT_EQ(result.metrics.rounds[0].pairs_shuffled, 0u);
+  EXPECT_EQ(result.metrics.rounds[0].replication_rate(), 0.0);
 }
 
 TEST(Job, MapCanEmitNothing) {
@@ -386,10 +395,13 @@ TEST(Job, MapCanEmitNothing) {
   auto map_fn = [](const int&, Emitter<int, int>&) {};
   auto reduce_fn = [](const int&, GroupView<int>,
                       std::vector<int>&) {};
-  auto result =
-      RunMapReduce<int, int, int, int>(inputs, map_fn, reduce_fn, {});
-  EXPECT_EQ(result.metrics.pairs_shuffled, 0u);
-  EXPECT_EQ(result.metrics.num_reducers, 0u);
+  auto result = Plan()
+      .Source(inputs)
+      .Map<int, int>(map_fn)
+      .ReduceByKey<int>(reduce_fn)
+      .Execute();
+  EXPECT_EQ(result.metrics.rounds[0].pairs_shuffled, 0u);
+  EXPECT_EQ(result.metrics.rounds[0].num_reducers, 0u);
 }
 
 TEST(Job, BytesShuffledAccounting) {
@@ -399,9 +411,12 @@ TEST(Job, BytesShuffledAccounting) {
   };
   auto reduce_fn = [](const int&, GroupView<double>,
                       std::vector<int>&) {};
-  auto result =
-      RunMapReduce<int, int, double, int>(inputs, map_fn, reduce_fn, {});
-  EXPECT_EQ(result.metrics.bytes_shuffled,
+  auto result = Plan()
+      .Source(inputs)
+      .Map<int, double>(map_fn)
+      .ReduceByKey<int>(reduce_fn)
+      .Execute();
+  EXPECT_EQ(result.metrics.rounds[0].bytes_shuffled,
             3 * (sizeof(int) + sizeof(double)));
 }
 
@@ -416,11 +431,14 @@ TEST(Job, ReducerSizeDistribution) {
   };
   auto reduce_fn = [](const int&, GroupView<int>,
                       std::vector<int>&) {};
-  auto result =
-      RunMapReduce<int, int, int, int>(inputs, map_fn, reduce_fn, {});
-  EXPECT_EQ(result.metrics.max_reducer_input, 5u);
-  EXPECT_EQ(result.metrics.reducer_sizes.count(), 5);
-  EXPECT_DOUBLE_EQ(result.metrics.reducer_sizes.mean(), 3.0);
+  auto result = Plan()
+      .Source(inputs)
+      .Map<int, int>(map_fn)
+      .ReduceByKey<int>(reduce_fn)
+      .Execute();
+  EXPECT_EQ(result.metrics.rounds[0].max_reducer_input, 5u);
+  EXPECT_EQ(result.metrics.rounds[0].reducer_sizes.count(), 5);
+  EXPECT_DOUBLE_EQ(result.metrics.rounds[0].reducer_sizes.mean(), 3.0);
 }
 
 TEST(Job, SimulatedWorkerLoads) {
@@ -428,11 +446,11 @@ TEST(Job, SimulatedWorkerLoads) {
   std::iota(inputs.begin(), inputs.end(), 0);
   JobOptions options;
   options.simulation.num_workers = 7;
-  auto result = SumByResidue(inputs, 100, options);
-  EXPECT_EQ(result.metrics.worker_loads.count(), 7);
+  const JobMetrics m = SumByResidue(inputs, 100, options).metrics.rounds[0];
+  EXPECT_EQ(m.worker_loads.count(), 7);
   // Loads sum to the total pairs shuffled.
-  EXPECT_DOUBLE_EQ(result.metrics.worker_loads.sum(),
-                   static_cast<double>(result.metrics.pairs_shuffled));
+  EXPECT_DOUBLE_EQ(m.worker_loads.sum(),
+                   static_cast<double>(m.pairs_shuffled));
 }
 
 TEST(Job, StringKeysWork) {
@@ -446,10 +464,11 @@ TEST(Job, StringKeysWork) {
                       std::vector<std::pair<std::string, std::size_t>>& out) {
     out.emplace_back(w, ones.size());
   };
-  auto result =
-      RunMapReduce<std::string, std::string, std::uint64_t,
-                   std::pair<std::string, std::size_t>>(inputs, map_fn,
-                                                        reduce_fn, {});
+  auto result = Plan()
+      .Source(inputs)
+      .Map<std::string, std::uint64_t>(map_fn)
+      .ReduceByKey<std::pair<std::string, std::size_t>>(reduce_fn)
+      .Execute();
   ASSERT_EQ(result.outputs.size(), 3u);
   // First-seen key order is deterministic.
   EXPECT_EQ(result.outputs[0], (std::pair<std::string, std::size_t>{"a", 3}));
@@ -477,21 +496,26 @@ TEST(Combiner, SameResultLessCommunication) {
     for (std::int64_t v : values) total += v;
     out.emplace_back(key, total);
   };
-  auto plain = RunMapReduce<int, int, std::int64_t,
-                            std::pair<int, std::int64_t>>(
-      inputs, map_fn, reduce_fn, {});
-  auto combined = RunMapReduceCombined<int, int, std::int64_t,
-                                       std::pair<int, std::int64_t>>(
-      inputs, map_fn, combine_fn, reduce_fn, {});
+  auto plain = Plan()
+      .Source(inputs)
+      .Map<int, std::int64_t>(map_fn)
+      .ReduceByKey<std::pair<int, std::int64_t>>(reduce_fn)
+      .Execute();
+  auto combined = Plan()
+      .Source(inputs)
+      .Map<int, std::int64_t>(map_fn)
+      .CombineByKey(combine_fn)
+      .ReduceByKey<std::pair<int, std::int64_t>>(reduce_fn)
+      .Execute();
   auto sort_pairs = [](auto& v) { std::sort(v.begin(), v.end()); };
   sort_pairs(plain.outputs);
   sort_pairs(combined.outputs);
   EXPECT_EQ(plain.outputs, combined.outputs);
-  EXPECT_EQ(combined.metrics.pairs_before_combine, inputs.size());
-  EXPECT_LT(combined.metrics.pairs_shuffled,
-            combined.metrics.pairs_before_combine / 100);
-  EXPECT_EQ(plain.metrics.pairs_before_combine,
-            plain.metrics.pairs_shuffled);
+  EXPECT_EQ(combined.metrics.rounds[0].pairs_before_combine, inputs.size());
+  EXPECT_LT(combined.metrics.rounds[0].pairs_shuffled,
+            combined.metrics.rounds[0].pairs_before_combine / 100);
+  EXPECT_EQ(plain.metrics.rounds[0].pairs_before_combine,
+            plain.metrics.rounds[0].pairs_shuffled);
 }
 
 TEST(Combiner, NoOpWhenKeysAreUnique) {
@@ -506,10 +530,14 @@ TEST(Combiner, NoOpWhenKeysAreUnique) {
   auto combine_fn = [](int a, int) { return a; };
   auto reduce_fn = [](const int&, GroupView<int>,
                       std::vector<int>&) {};
-  auto result = RunMapReduceCombined<int, int, int, int>(
-      inputs, map_fn, combine_fn, reduce_fn, {});
-  EXPECT_EQ(result.metrics.pairs_shuffled,
-            result.metrics.pairs_before_combine);
+  auto result = Plan()
+      .Source(inputs)
+      .Map<int, int>(map_fn)
+      .CombineByKey(combine_fn)
+      .ReduceByKey<int>(reduce_fn)
+      .Execute();
+  EXPECT_EQ(result.metrics.rounds[0].pairs_shuffled,
+            result.metrics.rounds[0].pairs_before_combine);
 }
 
 TEST(Combiner, DeterministicAcrossThreadCounts) {
@@ -532,18 +560,25 @@ TEST(Combiner, DeterministicAcrossThreadCounts) {
   one.num_threads = 1;
   JobOptions many;
   many.num_threads = 8;
-  auto a = RunMapReduceCombined<int, int, std::int64_t,
-                                std::pair<int, std::int64_t>>(
-      inputs, map_fn, combine_fn, reduce_fn, one);
-  auto b = RunMapReduceCombined<int, int, std::int64_t,
-                                std::pair<int, std::int64_t>>(
-      inputs, map_fn, combine_fn, reduce_fn, many);
+  auto a = Plan()
+      .Source(inputs)
+      .Map<int, std::int64_t>(map_fn)
+      .CombineByKey(combine_fn)
+      .ReduceByKey<std::pair<int, std::int64_t>>(reduce_fn)
+      .Execute(ExecutionOptions(one));
+  auto b = Plan()
+      .Source(inputs)
+      .Map<int, std::int64_t>(map_fn)
+      .CombineByKey(combine_fn)
+      .ReduceByKey<std::pair<int, std::int64_t>>(reduce_fn)
+      .Execute(ExecutionOptions(many));
   std::sort(a.outputs.begin(), a.outputs.end());
   std::sort(b.outputs.begin(), b.outputs.end());
   EXPECT_EQ(a.outputs, b.outputs);
   // Sums are thread-layout independent even though per-chunk combining
   // differs.
-  EXPECT_EQ(a.metrics.pairs_before_combine, b.metrics.pairs_before_combine);
+  EXPECT_EQ(a.metrics.rounds[0].pairs_before_combine,
+            b.metrics.rounds[0].pairs_before_combine);
 }
 
 TEST(Combiner, EmptyInput) {
@@ -553,9 +588,13 @@ TEST(Combiner, EmptyInput) {
   auto combine_fn = [](int a, int b) { return a + b; };
   auto reduce_fn = [](const int&, GroupView<int>,
                       std::vector<int>&) {};
-  auto result = RunMapReduceCombined<int, int, int, int>(
-      {}, map_fn, combine_fn, reduce_fn, {});
-  EXPECT_EQ(result.metrics.pairs_shuffled, 0u);
+  auto result = Plan()
+      .Source(std::vector<int>{})
+      .Map<int, int>(map_fn)
+      .CombineByKey(combine_fn)
+      .ReduceByKey<int>(reduce_fn)
+      .Execute();
+  EXPECT_EQ(result.metrics.rounds[0].pairs_shuffled, 0u);
   EXPECT_TRUE(result.outputs.empty());
 }
 
@@ -563,7 +602,7 @@ TEST(Combiner, EmptyInput) {
 
 /// Fanout-3 workload with colliding keys: enough key reuse that grouping
 /// order matters and enough keys that every shard owns some.
-JobResult<std::pair<int, std::uint64_t>> FanoutJob(
+ExecutionResult<std::pair<int, std::uint64_t>> FanoutJob(
     const JobOptions& options) {
   std::vector<int> inputs(3000);
   std::iota(inputs.begin(), inputs.end(), 0);
@@ -580,8 +619,11 @@ JobResult<std::pair<int, std::uint64_t>> FanoutJob(
     for (int v : values) acc = acc * 31 + static_cast<std::uint64_t>(v);
     out.emplace_back(key, acc);
   };
-  return RunMapReduce<int, int, int, std::pair<int, std::uint64_t>>(
-      inputs, map_fn, reduce_fn, options);
+  return Plan()
+      .Source(inputs)
+      .Map<int, int>(map_fn)
+      .ReduceByKey<std::pair<int, std::uint64_t>>(reduce_fn)
+      .Execute(ExecutionOptions(options));
 }
 
 TEST(Shuffle, DeterministicAcrossThreadAndShardCounts) {
@@ -598,11 +640,12 @@ TEST(Shuffle, DeterministicAcrossThreadAndShardCounts) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " shards=" + std::to_string(shards));
       EXPECT_EQ(run.outputs, reference.outputs);
-      EXPECT_EQ(run.metrics.pairs_shuffled, reference.metrics.pairs_shuffled);
-      EXPECT_EQ(run.metrics.bytes_shuffled, reference.metrics.bytes_shuffled);
-      EXPECT_EQ(run.metrics.num_reducers, reference.metrics.num_reducers);
-      EXPECT_EQ(run.metrics.max_reducer_input,
-                reference.metrics.max_reducer_input);
+      const JobMetrics& m = run.metrics.rounds[0];
+      const JobMetrics& want = reference.metrics.rounds[0];
+      EXPECT_EQ(m.pairs_shuffled, want.pairs_shuffled);
+      EXPECT_EQ(m.bytes_shuffled, want.bytes_shuffled);
+      EXPECT_EQ(m.num_reducers, want.num_reducers);
+      EXPECT_EQ(m.max_reducer_input, want.max_reducer_input);
     }
   }
 }
@@ -628,9 +671,12 @@ TEST(Shuffle, CombinedDeterministicAcrossThreadAndShardCounts) {
     JobOptions options;
     options.num_threads = threads;
     options.num_shards = shards;
-    auto result = RunMapReduceCombined<int, int, std::int64_t,
-                                       std::pair<int, std::int64_t>>(
-        inputs, map_fn, combine_fn, reduce_fn, options);
+    auto result = Plan()
+        .Source(inputs)
+        .Map<int, std::int64_t>(map_fn)
+        .CombineByKey(combine_fn)
+        .ReduceByKey<std::pair<int, std::int64_t>>(reduce_fn)
+        .Execute(ExecutionOptions(options));
     std::sort(result.outputs.begin(), result.outputs.end());
     return result;
   };
@@ -641,15 +687,14 @@ TEST(Shuffle, CombinedDeterministicAcrossThreadAndShardCounts) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " shards=" + std::to_string(shards));
       EXPECT_EQ(sharded.outputs, reference.outputs);
-      EXPECT_EQ(sharded.metrics.pairs_before_combine,
-                reference.metrics.pairs_before_combine);
+      const JobMetrics& m = sharded.metrics.rounds[0];
+      const JobMetrics& want = reference.metrics.rounds[0];
+      EXPECT_EQ(m.pairs_before_combine, want.pairs_before_combine);
       // pairs_shuffled depends on the chunking (per-chunk combining), which
       // is fixed per thread count; at equal thread counts it must match.
       if (threads == 1) {
-        EXPECT_EQ(sharded.metrics.pairs_shuffled,
-                  reference.metrics.pairs_shuffled);
-        EXPECT_EQ(sharded.metrics.bytes_shuffled,
-                  reference.metrics.bytes_shuffled);
+        EXPECT_EQ(m.pairs_shuffled, want.pairs_shuffled);
+        EXPECT_EQ(m.bytes_shuffled, want.bytes_shuffled);
       }
     }
   }
@@ -752,10 +797,10 @@ TEST(Shuffle, SimulatedWorkerLoadBalance) {
   JobOptions options;
   options.simulation.num_workers = 16;
   auto result = SumByResidue(inputs, 20000, options);
-  ASSERT_EQ(result.metrics.worker_loads.count(), 16);
-  const double mean = result.metrics.worker_loads.mean();
-  EXPECT_LT(result.metrics.worker_loads.max(), 1.15 * mean);
-  EXPECT_GT(result.metrics.worker_loads.min(), 0.85 * mean);
+  ASSERT_EQ(result.metrics.rounds[0].worker_loads.count(), 16);
+  const double mean = result.metrics.rounds[0].worker_loads.mean();
+  EXPECT_LT(result.metrics.rounds[0].worker_loads.max(), 1.15 * mean);
+  EXPECT_GT(result.metrics.rounds[0].worker_loads.min(), 0.85 * mean);
 }
 
 // ------------------------------------------- shuffle property harness
@@ -935,7 +980,7 @@ TEST(Simulator, StragglerStretchesMakespan) {
 
 /// A key-skewed job: `inputs` keys drawn Zipf(exponent) over `num_keys`
 /// (exponent 0 = uniform), one pair per input.
-JobResult<std::pair<std::uint64_t, std::int64_t>> ZipfJob(
+ExecutionResult<std::pair<std::uint64_t, std::int64_t>> ZipfJob(
     double exponent, const JobOptions& options) {
   common::SplitMix64 rng(99);
   const common::ZipfDistribution zipf(512, exponent);
@@ -950,9 +995,11 @@ JobResult<std::pair<std::uint64_t, std::int64_t>> ZipfJob(
                           out) {
     out.emplace_back(key, static_cast<std::int64_t>(values.size()));
   };
-  return RunMapReduce<std::uint64_t, std::uint64_t, int,
-                      std::pair<std::uint64_t, std::int64_t>>(
-      inputs, map_fn, reduce_fn, options);
+  return Plan()
+      .Source(inputs)
+      .Map<std::uint64_t, int>(map_fn)
+      .ReduceByKey<std::pair<std::uint64_t, std::int64_t>>(reduce_fn)
+      .Execute(ExecutionOptions(options));
 }
 
 TEST(Simulator, OutputsBitIdenticalWithAndWithoutSimulation) {
@@ -997,27 +1044,22 @@ TEST(Simulator, MetricsDeterministicAcrossThreadCounts) {
   base.simulation.straggler_slowdown = 2.0;
   base.simulation.reducer_capacity_q = 100;
   base.simulation.seed = 42;
-  const auto reference = ZipfJob(1.3, base);
-  EXPECT_GT(reference.metrics.makespan, 0.0);
+  const JobMetrics want = ZipfJob(1.3, base).metrics.rounds[0];
+  EXPECT_GT(want.makespan, 0.0);
   for (std::size_t threads : {2u, 8u}) {
     for (std::size_t shards : {1u, 4u, 16u}) {
       JobOptions options = base;
       options.num_threads = threads;
       options.num_shards = shards;
-      const auto run = ZipfJob(1.3, options);
+      const JobMetrics m = ZipfJob(1.3, options).metrics.rounds[0];
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " shards=" + std::to_string(shards));
-      EXPECT_DOUBLE_EQ(run.metrics.makespan, reference.metrics.makespan);
-      EXPECT_DOUBLE_EQ(run.metrics.load_imbalance,
-                       reference.metrics.load_imbalance);
-      EXPECT_DOUBLE_EQ(run.metrics.straggler_impact,
-                       reference.metrics.straggler_impact);
-      EXPECT_EQ(run.metrics.capacity_violations,
-                reference.metrics.capacity_violations);
-      EXPECT_DOUBLE_EQ(run.metrics.worker_loads.max(),
-                       reference.metrics.worker_loads.max());
-      EXPECT_DOUBLE_EQ(run.metrics.worker_loads.mean(),
-                       reference.metrics.worker_loads.mean());
+      EXPECT_DOUBLE_EQ(m.makespan, want.makespan);
+      EXPECT_DOUBLE_EQ(m.load_imbalance, want.load_imbalance);
+      EXPECT_DOUBLE_EQ(m.straggler_impact, want.straggler_impact);
+      EXPECT_EQ(m.capacity_violations, want.capacity_violations);
+      EXPECT_DOUBLE_EQ(m.worker_loads.max(), want.worker_loads.max());
+      EXPECT_DOUBLE_EQ(m.worker_loads.mean(), want.worker_loads.mean());
     }
   }
 }
@@ -1037,28 +1079,33 @@ TEST(Simulator, CapacityViolationsInsteadOfSilentOverfill) {
   JobOptions options;
   options.simulation.num_workers = 4;
   options.simulation.reducer_capacity_q = 3;
-  auto result =
-      RunMapReduce<int, int, int, int>(inputs, map_fn, reduce_fn, options);
-  EXPECT_EQ(result.metrics.capacity_violations, 2u);
-  ASSERT_TRUE(result.metrics.simulated());
+  auto result = Plan()
+      .Source(inputs)
+      .Map<int, int>(map_fn)
+      .ReduceByKey<int>(reduce_fn)
+      .Execute(ExecutionOptions(options));
+  EXPECT_EQ(result.metrics.rounds[0].capacity_violations, 2u);
+  ASSERT_TRUE(result.metrics.rounds[0].simulated());
   // And with a generous q, no violations.
   options.simulation.reducer_capacity_q = 5;
-  result = RunMapReduce<int, int, int, int>(inputs, map_fn, reduce_fn,
-                                            options);
-  EXPECT_EQ(result.metrics.capacity_violations, 0u);
+  result = Plan()
+      .Source(inputs)
+      .Map<int, int>(map_fn)
+      .ReduceByKey<int>(reduce_fn)
+      .Execute(ExecutionOptions(options));
+  EXPECT_EQ(result.metrics.rounds[0].capacity_violations, 0u);
 }
 
 TEST(Simulator, ZipfSkewRaisesImbalance) {
   JobOptions options;
   options.simulation.num_workers = 8;
-  const auto uniform = ZipfJob(0.0, options);
-  const auto skewed = ZipfJob(1.5, options);
+  const JobMetrics uniform = ZipfJob(0.0, options).metrics.rounds[0];
+  const JobMetrics skewed = ZipfJob(1.5, options).metrics.rounds[0];
   // Uniform keys spread evenly; heavy Zipf concentrates pairs on whichever
   // worker owns key rank 0.
-  EXPECT_LT(uniform.metrics.load_imbalance, 1.3);
-  EXPECT_GT(skewed.metrics.load_imbalance,
-            1.5 * uniform.metrics.load_imbalance);
-  EXPECT_GT(skewed.metrics.makespan, uniform.metrics.makespan);
+  EXPECT_LT(uniform.load_imbalance, 1.3);
+  EXPECT_GT(skewed.load_imbalance, 1.5 * uniform.load_imbalance);
+  EXPECT_GT(skewed.makespan, uniform.makespan);
 }
 
 TEST(SimulatorDeathTest, SkewKnobsWithoutWorkersFailLoudly) {
@@ -1077,11 +1124,11 @@ TEST(Simulator, WorkerCountOnlySimulation) {
   const auto sim = options.ResolvedSimulation();
   EXPECT_TRUE(sim.enabled());
   EXPECT_EQ(sim.num_workers, 7u);
-  const auto run = ZipfJob(0.0, options);
-  EXPECT_EQ(run.metrics.worker_loads.count(), 7);
-  EXPECT_DOUBLE_EQ(run.metrics.worker_loads.sum(),
-                   static_cast<double>(run.metrics.pairs_shuffled));
-  EXPECT_GT(run.metrics.makespan, 0.0);
+  const JobMetrics m = ZipfJob(0.0, options).metrics.rounds[0];
+  EXPECT_EQ(m.worker_loads.count(), 7);
+  EXPECT_DOUBLE_EQ(m.worker_loads.sum(),
+                   static_cast<double>(m.pairs_shuffled));
+  EXPECT_GT(m.makespan, 0.0);
 }
 
 /// Two rounds over 0..n-1: sum by residue mod 10, then regroup the ten
@@ -1133,9 +1180,9 @@ TEST(Simulator, PipelineWideSimulationAndCostReports) {
   recipe.num_outputs = 100;
   const auto reports = CompareToLowerBound(m, recipe);
   ASSERT_EQ(reports.size(), 2u);
-  EXPECT_TRUE(reports[0].simulated);
-  EXPECT_DOUBLE_EQ(reports[0].makespan, m.rounds[0].makespan);
-  EXPECT_EQ(reports[0].capacity_violations, 10u);
+  EXPECT_TRUE(reports[0].metrics.simulated());
+  EXPECT_DOUBLE_EQ(reports[0].metrics.makespan, m.rounds[0].makespan);
+  EXPECT_EQ(reports[0].metrics.capacity_violations, 10u);
   EXPECT_NE(ToString(reports).find("capacity_violations=10"),
             std::string::npos);
 }
@@ -1155,7 +1202,8 @@ TEST(Job, CallerOwnedPoolIsReused) {
   for (int round = 0; round < 2; ++round) {
     const auto pooled = SumByResidue(inputs, 17, options);
     EXPECT_EQ(pooled.outputs, baseline.outputs);
-    EXPECT_EQ(pooled.metrics.pairs_shuffled, baseline.metrics.pairs_shuffled);
+    EXPECT_EQ(pooled.metrics.rounds[0].pairs_shuffled,
+              baseline.metrics.rounds[0].pairs_shuffled);
   }
 }
 

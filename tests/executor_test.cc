@@ -18,7 +18,7 @@
 
 #include "src/common/thread_pool.h"
 #include "src/engine/executor.h"
-#include "src/engine/job.h"
+#include "src/engine/plan.h"
 
 namespace mrcost::engine {
 namespace {
@@ -113,6 +113,15 @@ struct FoldJob {
     for (std::uint64_t v : values) acc = acc * 1099511628211ULL + v;
     out.emplace_back(key, acc);
   }
+  /// The fold as a one-round plan executed under `options`.
+  static ExecutionResult<std::pair<std::uint64_t, std::uint64_t>> Run(
+      const std::vector<std::uint64_t>& inputs, const JobOptions& options) {
+    return Plan()
+        .Source(inputs)
+        .Map<std::uint64_t, std::uint64_t>(&FoldJob::Map)
+        .ReduceByKey<std::pair<std::uint64_t, std::uint64_t>>(&FoldJob::Reduce)
+        .Execute(ExecutionOptions(options));
+  }
 };
 
 TEST(StagedRound, ByteIdenticalAcrossStrategiesThreadsAndShards) {
@@ -122,10 +131,7 @@ TEST(StagedRound, ByteIdenticalAcrossStrategiesThreadsAndShards) {
   JobOptions serial;
   serial.num_threads = 1;
   serial.shuffle.strategy = ShuffleStrategy::kSerial;
-  const auto reference =
-      RunMapReduce<std::uint64_t, std::uint64_t, std::uint64_t,
-                   std::pair<std::uint64_t, std::uint64_t>>(
-          inputs, FoldJob::Map, FoldJob::Reduce, serial);
+  const auto reference = FoldJob::Run(inputs, serial);
 
   for (std::size_t threads : {1u, 2u, 4u}) {
     for (std::size_t shards : {0u, 1u, 3u, 8u}) {
@@ -139,18 +145,15 @@ TEST(StagedRound, ByteIdenticalAcrossStrategiesThreadsAndShards) {
         if (strategy == ShuffleStrategy::kExternal) {
           options.shuffle.memory_budget_bytes = 1 << 12;
         }
-        const auto run =
-            RunMapReduce<std::uint64_t, std::uint64_t, std::uint64_t,
-                         std::pair<std::uint64_t, std::uint64_t>>(
-                inputs, FoldJob::Map, FoldJob::Reduce, options);
+        const auto run = FoldJob::Run(inputs, options);
         EXPECT_EQ(run.outputs, reference.outputs)
             << "threads=" << threads << " shards=" << shards
             << " strategy=" << ToString(strategy);
-        EXPECT_EQ(run.metrics.pairs_shuffled,
-                  reference.metrics.pairs_shuffled);
-        EXPECT_EQ(run.metrics.num_reducers, reference.metrics.num_reducers);
-        EXPECT_EQ(run.metrics.max_reducer_input,
-                  reference.metrics.max_reducer_input);
+        const JobMetrics& m = run.metrics.rounds[0];
+        const JobMetrics& want = reference.metrics.rounds[0];
+        EXPECT_EQ(m.pairs_shuffled, want.pairs_shuffled);
+        EXPECT_EQ(m.num_reducers, want.num_reducers);
+        EXPECT_EQ(m.max_reducer_input, want.max_reducer_input);
       }
     }
   }
@@ -163,11 +166,8 @@ TEST(StagedRound, ReportsStageTimings) {
   options.num_threads = 4;
   options.num_shards = 4;
   options.shuffle.strategy = ShuffleStrategy::kSharded;
-  const auto run =
-      RunMapReduce<std::uint64_t, std::uint64_t, std::uint64_t,
-                   std::pair<std::uint64_t, std::uint64_t>>(
-          inputs, FoldJob::Map, FoldJob::Reduce, options);
-  const JobMetrics& m = run.metrics;
+  const auto run = FoldJob::Run(inputs, options);
+  const JobMetrics& m = run.metrics.rounds[0];
   EXPECT_TRUE(m.timed());
   EXPECT_GT(m.span_ms, 0.0);
   EXPECT_GT(m.map_ms, 0.0);
@@ -180,13 +180,10 @@ TEST(StagedRound, ReportsStageTimings) {
 
 TEST(StagedRound, EmptyInputProducesEmptyTimedRound) {
   std::vector<std::uint64_t> inputs;
-  const auto run =
-      RunMapReduce<std::uint64_t, std::uint64_t, std::uint64_t,
-                   std::pair<std::uint64_t, std::uint64_t>>(
-          inputs, FoldJob::Map, FoldJob::Reduce, {});
+  const auto run = FoldJob::Run(inputs, {});
   EXPECT_TRUE(run.outputs.empty());
-  EXPECT_EQ(run.metrics.num_inputs, 0u);
-  EXPECT_EQ(run.metrics.num_reducers, 0u);
+  EXPECT_EQ(run.metrics.rounds[0].num_inputs, 0u);
+  EXPECT_EQ(run.metrics.rounds[0].num_reducers, 0u);
 }
 
 TEST(StagedRound, SimulationIdenticalAcrossSchedules) {
@@ -202,17 +199,16 @@ TEST(StagedRound, SimulationIdenticalAcrossSchedules) {
     options.simulation.straggler_fraction = 0.3;
     options.simulation.straggler_slowdown = 3.0;
     options.simulation.seed = 11;
-    return RunMapReduce<std::uint64_t, std::uint64_t, std::uint64_t,
-                        std::pair<std::uint64_t, std::uint64_t>>(
-        inputs, FoldJob::Map, FoldJob::Reduce, options);
+    return FoldJob::Run(inputs, options);
   };
   const auto one = run_with_threads(1);
   const auto four = run_with_threads(4);
   EXPECT_EQ(one.outputs, four.outputs);
-  EXPECT_DOUBLE_EQ(one.metrics.makespan, four.metrics.makespan);
-  EXPECT_DOUBLE_EQ(one.metrics.load_imbalance, four.metrics.load_imbalance);
-  EXPECT_DOUBLE_EQ(one.metrics.worker_loads.sum(),
-                   four.metrics.worker_loads.sum());
+  const JobMetrics& m1 = one.metrics.rounds[0];
+  const JobMetrics& m4 = four.metrics.rounds[0];
+  EXPECT_DOUBLE_EQ(m1.makespan, m4.makespan);
+  EXPECT_DOUBLE_EQ(m1.load_imbalance, m4.load_imbalance);
+  EXPECT_DOUBLE_EQ(m1.worker_loads.sum(), m4.worker_loads.sum());
 }
 
 // ------------------------------------------------------- speculation
@@ -385,10 +381,7 @@ TEST(StagedRound, SpeculationPreservesOutputsAndReportsStats) {
   JobOptions serial;
   serial.num_threads = 1;
   serial.shuffle.strategy = ShuffleStrategy::kSerial;
-  const auto reference =
-      RunMapReduce<std::uint64_t, std::uint64_t, std::uint64_t,
-                   std::pair<std::uint64_t, std::uint64_t>>(
-          inputs, FoldJob::Map, FoldJob::Reduce, serial);
+  const auto reference = FoldJob::Run(inputs, serial);
 
   JobOptions options;
   options.num_threads = 4;
@@ -398,12 +391,10 @@ TEST(StagedRound, SpeculationPreservesOutputsAndReportsStats) {
   options.speculation.slowdown_factor = 1.0;  // hair trigger
   options.speculation.min_completed = 1;
   options.speculation.min_task_ms = 0.0;
-  const auto run =
-      RunMapReduce<std::uint64_t, std::uint64_t, std::uint64_t,
-                   std::pair<std::uint64_t, std::uint64_t>>(
-          inputs, FoldJob::Map, FoldJob::Reduce, options);
+  const auto run = FoldJob::Run(inputs, options);
   EXPECT_EQ(run.outputs, reference.outputs);
-  EXPECT_GE(run.metrics.speculative_launched, run.metrics.speculative_won);
+  const JobMetrics& m = run.metrics.rounds[0];
+  EXPECT_GE(m.speculative_launched, m.speculative_won);
 }
 
 TEST(StagedRound, SpeculativeTwinsReduceOneSharedView) {
@@ -417,9 +408,7 @@ TEST(StagedRound, SpeculativeTwinsReduceOneSharedView) {
   JobOptions serial;
   serial.num_threads = 1;
   serial.shuffle.strategy = ShuffleStrategy::kSerial;
-  const auto reference =
-      RunMapReduce<std::uint64_t, std::uint64_t, std::uint64_t, Out>(
-          inputs, FoldJob::Map, FoldJob::Reduce, serial);
+  const auto reference = FoldJob::Run(inputs, serial);
 
   constexpr std::uint64_t kHot = 5;
   std::atomic<int> hot_calls{0};

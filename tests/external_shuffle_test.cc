@@ -15,9 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
-#include "src/engine/job.h"
 #include "src/engine/metrics.h"
-#include "src/engine/pipeline.h"
 #include "src/engine/plan.h"
 #include "src/engine/shuffle.h"
 #include "src/graph/generators.h"
@@ -85,7 +83,8 @@ TEST(ShuffleConfigResolution, FieldWiseMergeOrder) {
 
 /// The fanout workload of the sharded-shuffle determinism tests: colliding
 /// keys, order-sensitive reduce fold.
-JobResult<std::pair<int, std::uint64_t>> FanoutJob(const JobOptions& options) {
+ExecutionResult<std::pair<int, std::uint64_t>> FanoutJob(
+    const JobOptions& options) {
   std::vector<int> inputs(3000);
   std::iota(inputs.begin(), inputs.end(), 0);
   auto map_fn = [](const int& x, Emitter<int, int>& emitter) {
@@ -99,8 +98,11 @@ JobResult<std::pair<int, std::uint64_t>> FanoutJob(const JobOptions& options) {
     for (int v : values) acc = acc * 31 + static_cast<std::uint64_t>(v);
     out.emplace_back(key, acc);
   };
-  return RunMapReduce<int, int, int, std::pair<int, std::uint64_t>>(
-      inputs, map_fn, reduce_fn, options);
+  return Plan()
+      .Source(std::move(inputs))
+      .Map<int, int>(map_fn)
+      .ReduceByKey<std::pair<int, std::uint64_t>>(reduce_fn)
+      .Execute(ExecutionOptions(options));
 }
 
 TEST(ExternalShuffleJob, IdenticalToInMemoryAcrossBudgetsAndThreads) {
@@ -108,6 +110,7 @@ TEST(ExternalShuffleJob, IdenticalToInMemoryAcrossBudgetsAndThreads) {
   baseline.num_threads = 1;
   baseline.num_shards = 1;
   const auto reference = FanoutJob(baseline);
+  const JobMetrics& want = reference.metrics.rounds[0];
   for (std::size_t threads : {1u, 2u, 8u}) {
     for (std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{1} << 10,
                                  std::uint64_t{1} << 14,
@@ -120,22 +123,22 @@ TEST(ExternalShuffleJob, IdenticalToInMemoryAcrossBudgetsAndThreads) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " budget=" + std::to_string(budget));
       EXPECT_EQ(run.outputs, reference.outputs);
-      EXPECT_EQ(run.metrics.pairs_shuffled, reference.metrics.pairs_shuffled);
-      EXPECT_EQ(run.metrics.bytes_shuffled, reference.metrics.bytes_shuffled);
-      EXPECT_EQ(run.metrics.num_reducers, reference.metrics.num_reducers);
-      EXPECT_EQ(run.metrics.max_reducer_input,
-                reference.metrics.max_reducer_input);
-      EXPECT_TRUE(run.metrics.external_shuffle());
-      EXPECT_GE(run.metrics.merge_passes, 1u);
+      const JobMetrics& m = run.metrics.rounds[0];
+      EXPECT_EQ(m.pairs_shuffled, want.pairs_shuffled);
+      EXPECT_EQ(m.bytes_shuffled, want.bytes_shuffled);
+      EXPECT_EQ(m.num_reducers, want.num_reducers);
+      EXPECT_EQ(m.max_reducer_input, want.max_reducer_input);
+      EXPECT_TRUE(m.external_shuffle());
+      EXPECT_GE(m.merge_passes, 1u);
       if (budget < (std::uint64_t{1} << 14)) {
-        EXPECT_GT(run.metrics.spill_runs, 0u);
-        EXPECT_GT(run.metrics.spill_bytes_written, 0u);
+        EXPECT_GT(m.spill_runs, 0u);
+        EXPECT_GT(m.spill_bytes_written, 0u);
       }
     }
   }
   // The in-memory strategies report no spill activity.
-  EXPECT_FALSE(reference.metrics.external_shuffle());
-  EXPECT_EQ(reference.metrics.spill_runs, 0u);
+  EXPECT_FALSE(want.external_shuffle());
+  EXPECT_EQ(want.spill_runs, 0u);
 }
 
 // ----------------------------- round-trip property vs SerialShuffle
@@ -160,10 +163,10 @@ Grouped<Key, Value> SerialGroups(
   return rows;
 }
 
-/// The same pairs through a full RunMapReduce round: the map re-emits each
+/// The same pairs through a full one-round plan: the map re-emits each
 /// pair (inputs in scan order), the reduce emits its key and group as-is.
 template <typename Key, typename Value>
-JobResult<std::pair<Key, std::vector<Value>>> GroupJob(
+ExecutionResult<std::pair<Key, std::vector<Value>>> GroupJob(
     const std::vector<std::vector<std::pair<Key, Value>>>& chunks,
     const JobOptions& options) {
   std::vector<std::pair<Key, Value>> inputs;
@@ -179,9 +182,11 @@ JobResult<std::pair<Key, std::vector<Value>>> GroupJob(
     out.emplace_back(key,
                      std::vector<Value>(values.begin(), values.end()));
   };
-  return RunMapReduce<std::pair<Key, Value>, Key, Value,
-                      std::pair<Key, std::vector<Value>>>(inputs, map_fn,
-                                                          reduce_fn, options);
+  return Plan()
+      .Source(std::move(inputs))
+      .template Map<Key, Value>(map_fn)
+      .template ReduceByKey<std::pair<Key, std::vector<Value>>>(reduce_fn)
+      .Execute(ExecutionOptions(options));
 }
 
 TEST(ExternalShuffleJob, MatchesSerialShuffleAcrossDistributionsAndBudgets) {
@@ -204,10 +209,11 @@ TEST(ExternalShuffleJob, MatchesSerialShuffleAcrossDistributionsAndBudgets) {
                      " seed=" + std::to_string(seed) +
                      " budget=" + std::to_string(budget));
         ASSERT_EQ(run.outputs, serial);
-        EXPECT_TRUE(run.metrics.external_shuffle());
-        EXPECT_GE(run.metrics.merge_passes, 1u);
+        const JobMetrics& m = run.metrics.rounds[0];
+        EXPECT_TRUE(m.external_shuffle());
+        EXPECT_GE(m.merge_passes, 1u);
         if (budget == 0 && !serial.empty()) {
-          EXPECT_GT(run.metrics.spill_runs, 0u);
+          EXPECT_GT(m.spill_runs, 0u);
         }
       }
     }
@@ -223,8 +229,8 @@ TEST(ExternalShuffleJob, TinyFanInForcesMultiPassMerge) {
   options.shuffle.merge_fan_in = 2;           // smallest legal fan-in
   const auto run = GroupJob(chunks, options);
   EXPECT_EQ(run.outputs, SerialGroups(chunks));
-  EXPECT_GT(run.metrics.merge_passes, 1u);
-  EXPECT_GT(run.metrics.spill_runs, 2u);
+  EXPECT_GT(run.metrics.rounds[0].merge_passes, 1u);
+  EXPECT_GT(run.metrics.rounds[0].spill_runs, 2u);
 }
 
 TEST(ExternalShuffleJob, StringKeysAndValues) {
@@ -245,7 +251,7 @@ TEST(ExternalShuffleJob, StringKeysAndValues) {
   options.shuffle.memory_budget_bytes = 2048;
   const auto run = GroupJob(chunks, options);
   EXPECT_EQ(run.outputs, SerialGroups(chunks));
-  EXPECT_GT(run.metrics.spill_runs, 0u);
+  EXPECT_GT(run.metrics.rounds[0].spill_runs, 0u);
 }
 
 TEST(ExternalShuffleJob, CombinedRoundMatchesInMemory) {
@@ -265,10 +271,12 @@ TEST(ExternalShuffleJob, CombinedRoundMatchesInMemory) {
     out.emplace_back(key, total);
   };
   auto run = [&](const JobOptions& options) {
-    auto result = RunMapReduceCombined<int, int, std::int64_t,
-                                       std::pair<int, std::int64_t>>(
-        inputs, map_fn, combine_fn, reduce_fn, options);
-    return result;
+    return Plan()
+        .Source(inputs)
+        .Map<int, std::int64_t>(map_fn)
+        .CombineByKey(combine_fn)
+        .ReduceByKey<std::pair<int, std::int64_t>>(reduce_fn)
+        .Execute(ExecutionOptions(options));
   };
   JobOptions plain;
   plain.num_threads = 2;
@@ -277,11 +285,12 @@ TEST(ExternalShuffleJob, CombinedRoundMatchesInMemory) {
   external.shuffle.memory_budget_bytes = 1 << 10;
   const auto spilled = run(external);
   EXPECT_EQ(spilled.outputs, reference.outputs);
-  EXPECT_EQ(spilled.metrics.pairs_shuffled, reference.metrics.pairs_shuffled);
-  EXPECT_EQ(spilled.metrics.pairs_before_combine,
-            reference.metrics.pairs_before_combine);
-  EXPECT_TRUE(spilled.metrics.external_shuffle());
-  EXPECT_GT(spilled.metrics.spill_runs, 0u);
+  const JobMetrics& m = spilled.metrics.rounds[0];
+  const JobMetrics& want = reference.metrics.rounds[0];
+  EXPECT_EQ(m.pairs_shuffled, want.pairs_shuffled);
+  EXPECT_EQ(m.pairs_before_combine, want.pairs_before_combine);
+  EXPECT_TRUE(m.external_shuffle());
+  EXPECT_GT(m.spill_runs, 0u);
 }
 
 TEST(ExternalShuffleJob, SimulationComposesWithSpilling) {
@@ -294,10 +303,11 @@ TEST(ExternalShuffleJob, SimulationComposesWithSpilling) {
   const auto run = FanoutJob(options);
   const auto reference = FanoutJob({});
   EXPECT_EQ(run.outputs, reference.outputs);
-  EXPECT_TRUE(run.metrics.simulated());
-  EXPECT_TRUE(run.metrics.external_shuffle());
-  EXPECT_GT(run.metrics.makespan, 0.0);
-  EXPECT_GT(run.metrics.spill_runs, 0u);
+  const JobMetrics& m = run.metrics.rounds[0];
+  EXPECT_TRUE(m.simulated());
+  EXPECT_TRUE(m.external_shuffle());
+  EXPECT_GT(m.makespan, 0.0);
+  EXPECT_GT(m.spill_runs, 0u);
 }
 
 TEST(ExternalShufflePipeline, BackstopReachesEveryRoundAndReports) {
@@ -345,9 +355,10 @@ TEST(ExternalShufflePipeline, BackstopReachesEveryRoundAndReports) {
   recipe.num_outputs = 100;
   const auto reports = CompareToLowerBound(m, recipe);
   ASSERT_EQ(reports.size(), 2u);
-  EXPECT_TRUE(reports[0].external_shuffle);
-  EXPECT_EQ(reports[0].spill_runs, m.rounds[0].spill_runs);
-  EXPECT_EQ(reports[0].spill_bytes_written, m.rounds[0].spill_bytes_written);
+  EXPECT_TRUE(reports[0].metrics.external_shuffle());
+  EXPECT_EQ(reports[0].metrics.spill_runs, m.rounds[0].spill_runs);
+  EXPECT_EQ(reports[0].metrics.spill_bytes_written,
+            m.rounds[0].spill_bytes_written);
   EXPECT_NE(ToString(reports).find("spill_runs="), std::string::npos);
 }
 

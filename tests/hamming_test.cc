@@ -434,6 +434,10 @@ TEST(SimilarityJoin, RejectsUnsupportedParameters) {
   EXPECT_FALSE(
       SplittingSimilarityJoin({1, 3, 0x301, 0x303, 0xF01}, 8, 4, 1).ok());
   EXPECT_FALSE(BallSimilarityJoin(strings, 8, 3).ok());           // d > 2
+  // Ball flips cover only the low b bits: pairs differing above them
+  // would never meet at a reducer.
+  EXPECT_FALSE(
+      BallSimilarityJoin({0, 1u << 20, 3, (1u << 20) | 1}, 8, 2).ok());
 }
 
 TEST(SimilarityJoin, FullDomainPairCountMatchesFormula) {

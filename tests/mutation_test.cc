@@ -21,6 +21,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/problem.h"
 #include "src/graph/triangle.h"
+#include "src/graph/two_path.h"
 #include "src/hamming/bounds.h"
 #include "src/hamming/problem.h"
 #include "src/hamming/schemas.h"
@@ -141,23 +142,38 @@ TEST_P(SchemaMutationTest, MisroutedInputIsCaught) {
 TEST_P(SchemaMutationTest, DroppedAssignmentReachesTheRuntime) {
   // The engine runs the schema object itself, so a mutation of the schema
   // is a mutation of the shuffle: exactly the victim's dropped incidence
-  // goes missing, and nothing else moves.
-  const int b = 8, c = 2;
-  auto schema = hamming::SplittingSchema::Make(b, c);
-  ASSERT_TRUE(schema.ok());
-  const auto intact = std::make_shared<hamming::SplittingSchema>(*schema);
-  const std::vector<Incidence> expected =
-      RuntimeIncidences(intact, std::uint64_t{1} << b);
-  const std::vector<Incidence> mutated = RuntimeIncidences(
-      std::make_shared<DropOneAssignment>(*intact, GetParam()),
-      std::uint64_t{1} << b);
-  std::vector<Incidence> missing;
-  std::set_difference(expected.begin(), expected.end(), mutated.begin(),
-                      mutated.end(), std::back_inserter(missing));
-  ASSERT_EQ(missing.size(), 1u);
-  EXPECT_EQ(missing[0].second, GetParam());
-  EXPECT_EQ(missing[0].first, intact->ReducersOfInput(GetParam()).back());
-  EXPECT_EQ(mutated.size(), expected.size() - 1);
+  // goes missing, and nothing else moves. Checked for the Splitting, Ball
+  // and two-path schemas, each over its full input domain.
+  const int b = 8;
+  const graph::NodeId n = 24;  // C(24,2) = 276 possible edges
+  auto splitting = hamming::SplittingSchema::Make(b, 2);
+  ASSERT_TRUE(splitting.ok());
+  const std::vector<
+      std::pair<std::shared_ptr<const core::MappingSchema>, std::uint64_t>>
+      schemas = {
+          {std::make_shared<hamming::SplittingSchema>(*splitting),
+           std::uint64_t{1} << b},
+          {std::make_shared<hamming::BallSchema>(b, /*include_center=*/true),
+           std::uint64_t{1} << b},
+          {std::make_shared<graph::TwoPathNodeSchema>(n),
+           std::uint64_t{n} * (n - 1) / 2},
+          {std::make_shared<graph::TwoPathBucketSchema>(
+               n, graph::NodeBucketer(3, 1)),
+           std::uint64_t{n} * (n - 1) / 2}};
+  for (const auto& [intact, num_inputs] : schemas) {
+    SCOPED_TRACE(intact->name());
+    const std::vector<Incidence> expected =
+        RuntimeIncidences(intact, num_inputs);
+    const std::vector<Incidence> mutated = RuntimeIncidences(
+        std::make_shared<DropOneAssignment>(*intact, GetParam()), num_inputs);
+    std::vector<Incidence> missing;
+    std::set_difference(expected.begin(), expected.end(), mutated.begin(),
+                        mutated.end(), std::back_inserter(missing));
+    ASSERT_EQ(missing.size(), 1u);
+    EXPECT_EQ(missing[0].second, GetParam());
+    EXPECT_EQ(missing[0].first, intact->ReducersOfInput(GetParam()).back());
+    EXPECT_EQ(mutated.size(), expected.size() - 1);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Victims, SchemaMutationTest,

@@ -18,7 +18,7 @@
 
 #include "src/common/thread_pool.h"
 #include "src/engine/executor.h"
-#include "src/engine/job.h"
+#include "src/engine/plan.h"
 #include "src/obs/export.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
@@ -311,10 +311,11 @@ TEST(Registry, EngineCountersAreRunDeterministic) {
     };
     engine::JobOptions options;
     options.num_threads = 4;
-    auto result =
-        engine::RunMapReduce<std::uint64_t, std::uint64_t, int,
-                             std::uint64_t>(inputs, map_fn, reduce_fn,
-                                            options);
+    engine::Plan()
+        .Source(inputs)
+        .Map<std::uint64_t, int>(map_fn)
+        .ReduceByKey<std::uint64_t>(reduce_fn)
+        .Execute(engine::ExecutionOptions(options));
     std::map<std::string, std::uint64_t> engine_counters;
     for (const auto& [name, value] :
          registry.TakeSnapshot().counters) {
@@ -408,9 +409,11 @@ TEST(TraceEndToEnd, JobProducesStageSpansForEveryRound) {
     engine::JobOptions options;
     options.num_threads = 4;
     options.num_shards = 4;
-    auto result = engine::RunMapReduce<std::uint64_t, std::uint64_t, int,
-                                       std::uint64_t>(inputs, map_fn,
-                                                      reduce_fn, options);
+    auto result = engine::Plan()
+                      .Source(inputs)
+                      .Map<std::uint64_t, int>(map_fn)
+                      .ReduceByKey<std::uint64_t>(reduce_fn)
+                      .Execute(engine::ExecutionOptions(options));
     ASSERT_EQ(result.outputs.size(), 11u);
   }
   std::ifstream in(trace_path);

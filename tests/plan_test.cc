@@ -26,12 +26,12 @@
 #include "src/common/random.h"
 #include "src/core/schema_stats.h"
 #include "src/dist/registry.h"
-#include "src/engine/job.h"
 #include "src/engine/plan.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/graph/sample_graph_mr.h"
 #include "src/graph/triangle.h"
+#include "src/graph/two_path.h"
 #include "src/hamming/bitstring.h"
 #include "src/hamming/bounds.h"
 #include "src/hamming/schemas.h"
@@ -156,6 +156,15 @@ struct SyntheticJob {
     for (std::uint64_t v : values) acc = acc * 31 + v;
     out.emplace_back(key, acc);
   }
+  /// The job as a one-round plan executed under `options`.
+  ExecutionResult<std::pair<int, std::uint64_t>> Run(
+      const JobOptions& options) const {
+    return Plan()
+        .Source(inputs)
+        .Map<int, std::uint64_t>(MapFn)
+        .ReduceByKey<std::pair<int, std::uint64_t>>(ReduceFn)
+        .Execute(ExecutionOptions(options));
+  }
 };
 
 /// Two threads forcing `strategy`, with a budget small enough to spill
@@ -173,11 +182,7 @@ JobOptions ForcedStrategy(ShuffleStrategy strategy) {
 TEST(Plan, EveryStrategyMatchesSerial) {
   SyntheticJob job;
   auto run_with = [&](ShuffleStrategy strategy) {
-    Plan plan;
-    return plan.Source(job.inputs)
-        .Map<int, std::uint64_t>(SyntheticJob::MapFn)
-        .ReduceByKey<std::pair<int, std::uint64_t>>(SyntheticJob::ReduceFn)
-        .Execute(ExecutionOptions(ForcedStrategy(strategy)));
+    return job.Run(ForcedStrategy(strategy));
   };
   const auto serial = run_with(ShuffleStrategy::kSerial);
   ASSERT_EQ(serial.physical_rounds.size(), 1u);
@@ -293,26 +298,17 @@ TEST(Plan, ExecuteAsyncMatchesSync) {
 TEST(Plan, ChooserSkipsSpillWhenRoundFitsBudget) {
   // A budget alone does not force the external shuffle: the chooser only
   // goes external when the round's estimated intermediate bytes exceed
-  // it — same outputs, no spill metrics. RunMapReduce is a one-round plan
-  // and follows the same rule.
+  // it — same outputs, no spill metrics.
   SyntheticJob job;
   JobOptions options;
   options.shuffle.memory_budget_bytes = 1 << 30;  // far above the data
 
-  auto one_round = RunMapReduce<int, int, std::uint64_t,
-                                std::pair<int, std::uint64_t>>(
-      job.inputs, SyntheticJob::MapFn, SyntheticJob::ReduceFn, options);
-  EXPECT_FALSE(one_round.metrics.external_shuffle());
-  EXPECT_EQ(one_round.metrics.spill_runs, 0u);
-
-  Plan plan;
-  auto run = plan.Source(job.inputs)
-                 .Map<int, std::uint64_t>(SyntheticJob::MapFn)
-                 .ReduceByKey<std::pair<int, std::uint64_t>>(
-                     SyntheticJob::ReduceFn)
-                 .Execute(ExecutionOptions(options));
-  EXPECT_EQ(run.outputs, one_round.outputs);
+  const auto run = job.Run(options);
+  JobOptions serial;
+  serial.shuffle.strategy = ShuffleStrategy::kSerial;
+  EXPECT_EQ(run.outputs, job.Run(serial).outputs);
   EXPECT_FALSE(run.metrics.rounds[0].external_shuffle());
+  EXPECT_EQ(run.metrics.rounds[0].spill_runs, 0u);
   ASSERT_EQ(run.physical_rounds.size(), 1u);
   EXPECT_EQ(run.physical_rounds[0].strategy, ShuffleStrategy::kSharded);
 }
@@ -414,12 +410,7 @@ TEST(Plan, ExplicitStrategyBypassesChooser) {
   JobOptions options;
   options.shuffle.strategy = ShuffleStrategy::kExternal;
   options.shuffle.memory_budget_bytes = 1 << 30;  // would fit in memory
-  Plan plan;
-  auto run = plan.Source(job.inputs)
-                 .Map<int, std::uint64_t>(SyntheticJob::MapFn)
-                 .ReduceByKey<std::pair<int, std::uint64_t>>(
-                     SyntheticJob::ReduceFn)
-                 .Execute(ExecutionOptions(options));
+  const auto run = job.Run(options);
   EXPECT_TRUE(run.metrics.rounds[0].external_shuffle());
   EXPECT_EQ(run.physical_rounds[0].strategy, ShuffleStrategy::kExternal);
 }
@@ -616,13 +607,27 @@ TEST(PlanSchemaRound, DeclaringSchemasAreExactOnTheirFullDomain) {
   ASSERT_TRUE(cube.ok());
   ExpectSchemaRoundExact(std::make_shared<matmul::TwoPhaseCubeSchema>(*cube),
                          2 * n * n, /*uniform=*/true);
-  // Triangle reducers hold different edge counts ({i,i,i} only edges
-  // inside bucket i), so the estimate's q is the mean load.
+  // Ball-2 over all 2^b strings: each center holds itself and its b
+  // neighbors.
+  const int ball_b = 8;
+  ExpectSchemaRoundExact(
+      std::make_shared<hamming::BallSchema>(ball_b, /*include_center=*/true),
+      std::uint64_t{1} << ball_b, /*uniform=*/true);
+  // Graph schemas over the complete graph's C(n,2) edges. Triangle
+  // reducers hold different edge counts ({i,i,i} only edges inside bucket
+  // i), and so do two-path bucket reducers (bucket sizes differ), so their
+  // estimated q is the mean load; every node reducer holds n-1 edges.
   const graph::NodeId nodes = 30;
-  ExpectSchemaRoundExact(std::make_shared<graph::TrianglePartitionSchema>(
-                             nodes, graph::NodeBucketer(3, 5)),
-                         std::uint64_t{nodes} * (nodes - 1) / 2,
-                         /*uniform=*/false);
+  const std::uint64_t edges = std::uint64_t{nodes} * (nodes - 1) / 2;
+  const graph::NodeBucketer bucketer(3, 5);
+  ExpectSchemaRoundExact(
+      std::make_shared<graph::TrianglePartitionSchema>(nodes, bucketer),
+      edges, /*uniform=*/false);
+  ExpectSchemaRoundExact(std::make_shared<graph::TwoPathNodeSchema>(nodes),
+                         edges, /*uniform=*/true);
+  ExpectSchemaRoundExact(
+      std::make_shared<graph::TwoPathBucketSchema>(nodes, bucketer), edges,
+      /*uniform=*/false);
 }
 
 TEST(Plan, EstimatePropagatesPerProducerOnBranchedPlans) {
@@ -1124,21 +1129,18 @@ TEST(PlanChooser, SampledRangeExecutionStaysByteIdentical) {
   JobOptions serial;
   serial.num_threads = 1;
   serial.shuffle.strategy = ShuffleStrategy::kSerial;
-  const auto reference =
-      RunMapReduce<int, int, std::uint64_t, std::pair<int, std::uint64_t>>(
-          job.inputs, SyntheticJob::MapFn, SyntheticJob::ReduceFn, serial);
+  const auto reference = job.Run(serial);
 
   JobOptions options;
   options.num_threads = 4;
   options.num_shards = 8;
   options.shuffle.strategy = ShuffleStrategy::kSharded;
   options.shuffle.partitioner = PartitionerKind::kSampledRange;
-  const auto run =
-      RunMapReduce<int, int, std::uint64_t, std::pair<int, std::uint64_t>>(
-          job.inputs, SyntheticJob::MapFn, SyntheticJob::ReduceFn, options);
+  const auto run = job.Run(options);
   EXPECT_EQ(run.outputs, reference.outputs);
-  ExpectSameMetrics(run.metrics, reference.metrics);
-  EXPECT_GT(run.metrics.partition_skew_ratio, 0.0);  // placement reported
+  ExpectSameMetrics(run.metrics.rounds[0], reference.metrics.rounds[0]);
+  // The placement is reported.
+  EXPECT_GT(run.metrics.rounds[0].partition_skew_ratio, 0.0);
 }
 
 TEST(RuntimeCalibration, LearnsSkewByEwmaAndClampsAtOne) {

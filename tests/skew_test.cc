@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
-#include "src/engine/job.h"
 #include "src/engine/partitioner.h"
 #include "src/engine/plan.h"
 #include "src/graph/generators.h"
@@ -64,11 +63,13 @@ struct ZipfJob {
     out.emplace_back(key, acc);
   }
 
-  JobResult<std::pair<std::uint64_t, std::uint64_t>> Run(
+  ExecutionResult<std::pair<std::uint64_t, std::uint64_t>> Run(
       const JobOptions& options) const {
-    return RunMapReduce<std::uint64_t, std::uint64_t, std::uint64_t,
-                        std::pair<std::uint64_t, std::uint64_t>>(
-        inputs, Map, Reduce, options);
+    return Plan()
+        .Source(inputs)
+        .Map<std::uint64_t, std::uint64_t>(&Map)
+        .ReduceByKey<std::pair<std::uint64_t, std::uint64_t>>(&Reduce)
+        .Execute(ExecutionOptions(options));
   }
 };
 
@@ -123,12 +124,12 @@ TEST(SkewHarness, DefensesPreserveOutputsAcrossZipfStragglersAndShards) {
 
             const auto run = job.Run(options);
             EXPECT_EQ(run.outputs, reference.outputs);
-            EXPECT_EQ(run.metrics.pairs_shuffled,
-                      reference.metrics.pairs_shuffled);
-            EXPECT_EQ(run.metrics.num_reducers,
-                      reference.metrics.num_reducers);
-            EXPECT_GE(run.metrics.speculative_launched,
-                      run.metrics.speculative_won);
+            EXPECT_EQ(run.metrics.rounds[0].pairs_shuffled,
+                      reference.metrics.rounds[0].pairs_shuffled);
+            EXPECT_EQ(run.metrics.rounds[0].num_reducers,
+                      reference.metrics.rounds[0].num_reducers);
+            EXPECT_GE(run.metrics.rounds[0].speculative_launched,
+                      run.metrics.rounds[0].speculative_won);
           }
         }
       }
@@ -154,7 +155,7 @@ TEST(SkewHarness, SampledRangeStrictlyImprovesImbalanceUnderSkew) {
         options.simulation.defense.partitioner = partitioner;
         options.simulation.defense.hot_key_split_threshold = 512;
         const auto run = job.Run(options);
-        return run.metrics.load_imbalance;
+        return run.metrics.rounds[0].load_imbalance;
       };
       const double hashed = imbalance_with(PartitionerKind::kHash);
       const double ranged = imbalance_with(PartitionerKind::kSampledRange);
@@ -179,13 +180,13 @@ TEST(SkewHarness, HotKeySplitRestoresCapacityCompliance) {
   undefended.simulation = StragglerCluster(9);
   undefended.simulation.reducer_capacity_q = 1024;
   const auto broken = job.Run(undefended);
-  ASSERT_GT(broken.metrics.capacity_violations, 0u);
+  ASSERT_GT(broken.metrics.rounds[0].capacity_violations, 0u);
 
   JobOptions defended = undefended;
   defended.simulation.defense.hot_key_split_threshold = 1024;
   const auto fixed = job.Run(defended);
-  EXPECT_EQ(fixed.metrics.capacity_violations, 0u);
-  EXPECT_GT(fixed.metrics.hot_keys_split, 0u);
+  EXPECT_EQ(fixed.metrics.rounds[0].capacity_violations, 0u);
+  EXPECT_GT(fixed.metrics.rounds[0].hot_keys_split, 0u);
   EXPECT_EQ(fixed.outputs, reference.outputs);
   EXPECT_EQ(broken.outputs, reference.outputs);
 }
@@ -204,10 +205,10 @@ TEST(SkewHarness, SimulatedSpeculationRecoversMakespan) {
   defended.simulation.defense.speculation = true;
   defended.simulation.defense.speculation_slowdown_factor = 1.5;
   const auto fast = job.Run(defended);
-  EXPECT_GT(fast.metrics.speculative_launched, 0u);
-  EXPECT_GE(fast.metrics.speculative_launched,
-            fast.metrics.speculative_won);
-  EXPECT_LT(fast.metrics.makespan, slow.metrics.makespan);
+  EXPECT_GT(fast.metrics.rounds[0].speculative_launched, 0u);
+  EXPECT_GE(fast.metrics.rounds[0].speculative_launched,
+            fast.metrics.rounds[0].speculative_won);
+  EXPECT_LT(fast.metrics.rounds[0].makespan, slow.metrics.rounds[0].makespan);
   EXPECT_EQ(fast.outputs, slow.outputs);
 }
 
