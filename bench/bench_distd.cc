@@ -73,7 +73,7 @@ double ShuffleMb(const RunResult& run) {
 
 // ----------------------------------------------------------------------
 // Transport microbench: the shuffle data path in isolation — encode one
-// sorted run, move it over the socket, decode every block on the far side
+// run, move it over the socket, decode every block on the far side
 // — with map/reduce compute excluded. EncodeRawRunFrames -> RunBlock/RunEnd
 // frames over an AF_UNIX socket -> DecodeRawBlock per frame, exactly the
 // DataServer -> WireBlockRunSource stream (sans credit stalls: one writer,

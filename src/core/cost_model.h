@@ -3,9 +3,7 @@
 
 #include <cstddef>
 #include <functional>
-#include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace mrcost::core {
@@ -26,80 +24,6 @@ struct CostModel {
     return communication_weight * r + processing_weight * q +
            wallclock_weight * q * q;
   }
-};
-
-/// Feedback loop from realized rounds into the cost model. The static
-/// model above prices a round assuming reducers spread evenly over
-/// workers; a skewed cluster violates that by a measurable factor — the
-/// simulated makespan exceeds the perfect-balance floor by
-/// load_imbalance x straggler_impact. Executed rounds Observe() those two
-/// ratios and an exponential moving average remembers them, so the next
-/// Plan::Estimate can scale its wall-clock terms by skew_factor() instead
-/// of assuming a balanced cluster. Plain state, no locking: share one
-/// instance per planning thread.
-class RuntimeCalibration {
- public:
-  /// `smoothing` in (0, 1]: weight of the newest observation (1 = only
-  /// the latest round counts).
-  explicit RuntimeCalibration(double smoothing = 0.3)
-      : smoothing_(smoothing) {}
-
-  /// Feeds one executed round's realized skew. Ratios < 1 are clamped to
-  /// 1 (a round cannot beat perfect balance).
-  void Observe(double load_imbalance, double straggler_impact) {
-    const double factor = ClampAtOne(load_imbalance) *
-                          ClampAtOne(straggler_impact);
-    skew_factor_ = observations_ == 0
-                       ? factor
-                       : (1.0 - smoothing_) * skew_factor_ +
-                             smoothing_ * factor;
-    ++observations_;
-  }
-
-  /// Multiplier (>= 1) for wall-clock cost estimates: how much slower
-  /// than perfect balance the observed cluster has been running. 1.0
-  /// until the first observation.
-  double skew_factor() const { return skew_factor_; }
-  std::size_t observations() const { return observations_; }
-
-  /// Feeds a per-stage residual: realized/predicted for one quantity of
-  /// one stage ("map" → replication rate r, "reduce" → max reducer input
-  /// q). Unlike Observe(), residuals are not clamped at 1 — a stage the
-  /// model consistently over-prices should pull its factor below 1, not
-  /// just above. Non-positive ratios (missing predictions) are ignored.
-  void ObserveStage(std::string_view stage, double residual_ratio) {
-    if (!(residual_ratio > 0.0)) return;
-    StageState& state = stages_[std::string(stage)];
-    state.factor = state.observations == 0
-                       ? residual_ratio
-                       : (1.0 - smoothing_) * state.factor +
-                             smoothing_ * residual_ratio;
-    ++state.observations;
-  }
-
-  /// EWMA of realized/predicted for `stage`; 1.0 until observed, so an
-  /// uncalibrated stage leaves estimates untouched.
-  double stage_factor(std::string_view stage) const {
-    const auto it = stages_.find(stage);
-    return it == stages_.end() ? 1.0 : it->second.factor;
-  }
-  std::size_t stage_observations(std::string_view stage) const {
-    const auto it = stages_.find(stage);
-    return it == stages_.end() ? 0 : it->second.observations;
-  }
-
- private:
-  static double ClampAtOne(double x) { return x > 1.0 ? x : 1.0; }
-
-  struct StageState {
-    double factor = 1.0;
-    std::size_t observations = 0;
-  };
-
-  double smoothing_;
-  double skew_factor_ = 1.0;
-  std::size_t observations_ = 0;
-  std::map<std::string, StageState, std::less<>> stages_;
 };
 
 /// One point on a tradeoff curve: an algorithm (or bound) achieving

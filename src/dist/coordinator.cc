@@ -417,31 +417,24 @@ common::Result<engine::internal::DistMapOutcome> Coordinator::RunMap(
   return outcome;
 }
 
-common::Result<engine::internal::DistReduceOutcome> Coordinator::RunReduce(
+common::Status Coordinator::RunReduce(
     std::uint32_t node,
     const std::function<engine::internal::DistReduceSpec(int attempt)>&
         make_spec) {
-  auto payload = RunTask([&](int attempt, std::uint64_t task_id) {
-    const auto spec = make_spec(attempt);
-    ReduceTaskMsg msg;
-    msg.task_id = task_id;
-    msg.node = node;
-    msg.shard = spec.shard;
-    msg.merge_fan_in = spec.merge_fan_in;
-    msg.result_path = spec.result_path;
-    msg.scratch_dir = spec.scratch_dir;
-    msg.run_ids = spec.run_ids;
-    msg.run_endpoints = spec.run_endpoints;
-    msg.fetch_credits = spec.fetch_credits;
-    msg.rows = spec.rows;
-    return EncodeReduceTask(msg);
-  });
-  if (!payload.ok()) return payload.status();
-  engine::internal::DistReduceOutcome outcome;
-  if (auto status = DecodeReduceOutcome(*payload, outcome); !status.ok()) {
-    return status;
-  }
-  return outcome;
+  return RunTask([&](int attempt, std::uint64_t task_id) {
+           const auto spec = make_spec(attempt);
+           ReduceTaskMsg msg;
+           msg.task_id = task_id;
+           msg.node = node;
+           msg.shard = spec.shard;
+           msg.result_path = spec.result_path;
+           msg.run_ids = spec.run_ids;
+           msg.run_endpoints = spec.run_endpoints;
+           msg.fetch_credits = spec.fetch_credits;
+           msg.rows = spec.rows;
+           return EncodeReduceTask(msg);
+         })
+      .status();
 }
 
 void Coordinator::Stop() {

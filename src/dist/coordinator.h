@@ -125,7 +125,7 @@ class Coordinator {
           make_spec,
       std::uint32_t chunk, std::uint32_t num_shards,
       int* winner = nullptr);
-  common::Result<engine::internal::DistReduceOutcome> RunReduce(
+  common::Status RunReduce(
       std::uint32_t node,
       const std::function<engine::internal::DistReduceSpec(int attempt)>&
           make_spec);

@@ -133,7 +133,6 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
     const PhysicalRound& physical = round.physical;
     const std::size_t num_chunks = physical.chunks;
     const std::size_t num_shards = physical.shards;
-    const std::size_t merge_fan_in = round.options.shuffle.merge_fan_in;
     const std::uint32_t fetch_credits = physical.fetch_credits;
 
     const std::string round_prefix =
@@ -154,8 +153,6 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
     // shard). Each task blocks inside the coordinator while a worker
     // executes it; worker death re-issues below this seam.
     std::vector<engine::internal::DistMapOutcome> map_outcomes(num_chunks);
-    std::vector<engine::internal::DistReduceOutcome> reduce_outcomes(
-        num_shards);
     std::vector<std::string> result_paths(num_shards);
     std::vector<TaskScheduler::TaskId> map_ids(num_chunks);
     std::vector<TaskScheduler::TaskId> reduce_ids(num_shards);
@@ -197,9 +194,10 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
       reduce_ids[s] = scheduler.AddTask(
           StageKind::kReduce, static_cast<std::uint32_t>(id), map_ids,
           [&, s] {
-            // Runs after every map outcome for this round landed. A fetch
-            // that lost its source worker fails kUnavailable; we re-execute
-            // the dead owners' maps and try again with fresh endpoints.
+            // Runs after every map outcome for this round landed; run ids
+            // go in chunk order. A fetch that lost its source worker fails
+            // kUnavailable; we re-execute the dead owners' maps and try
+            // again with fresh endpoints.
             for (int tries = 1;; ++tries) {
               std::vector<std::string> run_ids;
               std::vector<std::string> run_endpoints;
@@ -216,7 +214,7 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
                   }
                 }
               }
-              auto outcome = coordinator.RunReduce(
+              const common::Status status = coordinator.RunReduce(
                   static_cast<std::uint32_t>(id), [&, s](int attempt) {
                     engine::internal::DistReduceSpec spec;
                     spec.shard = static_cast<std::uint32_t>(s);
@@ -228,22 +226,17 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
                                        std::to_string(s) + "-t" +
                                        std::to_string(tries) + "-a" +
                                        std::to_string(attempt) + ".res";
-                    spec.scratch_dir = job_dir.path();
-                    if (merge_fan_in > 0) spec.merge_fan_in = merge_fan_in;
                     // One attempt is in flight at a time and only the
                     // latest can commit (dead workers' sockets are cut),
                     // so the last spec built is the winning attempt's.
                     result_paths[s] = spec.result_path;
                     return spec;
                   });
-              if (outcome.ok()) {
-                reduce_outcomes[s] = std::move(*outcome);
-                return;
-              }
-              const bool retryable = outcome.status().code() ==
-                                     common::StatusCode::kUnavailable;
+              if (status.ok()) return;
+              const bool retryable =
+                  status.code() == common::StatusCode::kUnavailable;
               if (!retryable || tries >= kMaxReduceTries) {
-                MRCOST_CHECK_OK(outcome.status());
+                MRCOST_CHECK_OK(status);
               }
               // Repair: re-execute the maps whose owner worker is gone,
               // publishing their runs on a live worker. Serialized so
@@ -281,23 +274,13 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
     graph.slots[id] = std::move(*collected);
 
     // Spill statistics mean what they mean in-process: runs and bytes
-    // that reached disk (registry overflow files, merge rewrites), and
-    // merge passes as the deepest pass count of any one reducer, so a
-    // value above 1 still says some reducer's run count exceeded the
-    // fan-in. Raw frames pass through no codec: compression_ratio stays 0.
+    // that reached disk (registry overflow files). Reducers group in
+    // memory, as in-process shards do, so merge_passes stays 0, and raw
+    // frames pass through no codec, so compression_ratio stays 0.
     for (const auto& outcome : map_outcomes) {
-      metrics.pairs_shuffled += outcome.pairs;
-      metrics.pairs_before_combine += outcome.raw_pairs;
-      metrics.bytes_shuffled += outcome.bytes;
-      metrics.blocks_emitted += outcome.blocks_emitted;
-      metrics.bytes_copied += outcome.bytes_copied;
+      outcome.counters.AddTo(metrics);
       metrics.spill_bytes_written += outcome.spill_bytes_written;
       metrics.spill_runs += outcome.spill_runs;
-    }
-    for (const auto& outcome : reduce_outcomes) {
-      metrics.merge_passes =
-          std::max(metrics.merge_passes, outcome.merge_passes);
-      metrics.spill_bytes_written += outcome.spill_bytes_written;
     }
 
     // Stage windows from the scheduler spans (each span wraps the remote

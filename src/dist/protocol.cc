@@ -108,9 +108,7 @@ std::string EncodeReduceTask(const ReduceTaskMsg& msg) {
   SerializeValue(msg.task_id, out);
   SerializeValue(msg.node, out);
   SerializeValue(msg.shard, out);
-  SerializeValue(msg.merge_fan_in, out);
   SerializeValue(msg.result_path, out);
-  SerializeValue(msg.scratch_dir, out);
   SerializeValue(msg.run_ids, out);
   SerializeValue(msg.run_endpoints, out);
   SerializeValue(msg.fetch_credits, out);
@@ -126,9 +124,7 @@ common::Status DecodeReduceTask(const std::string& payload,
   if (!DeserializeValue(p, end, msg.task_id) ||
       !DeserializeValue(p, end, msg.node) ||
       !DeserializeValue(p, end, msg.shard) ||
-      !DeserializeValue(p, end, msg.merge_fan_in) ||
       !DeserializeValue(p, end, msg.result_path) ||
-      !DeserializeValue(p, end, msg.scratch_dir) ||
       !DeserializeValue(p, end, msg.run_ids) ||
       !DeserializeValue(p, end, msg.run_endpoints) ||
       !DeserializeValue(p, end, msg.fetch_credits) ||
@@ -324,11 +320,7 @@ std::string EncodeMapOutcome(const engine::internal::DistMapOutcome& out) {
     runs.emplace_back(run.shard, run.rows, run.run_id);
   }
   SerializeValue(runs, payload);
-  SerializeValue(out.raw_pairs, payload);
-  SerializeValue(out.pairs, payload);
-  SerializeValue(out.bytes, payload);
-  SerializeValue(out.blocks_emitted, payload);
-  SerializeValue(out.bytes_copied, payload);
+  SerializeValue(out.counters, payload);
   SerializeValue(out.spill_runs, payload);
   SerializeValue(out.spill_bytes_written, payload);
   return payload;
@@ -340,11 +332,7 @@ common::Status DecodeMapOutcome(const std::string& payload,
   const char* end = p + payload.size();
   std::vector<std::tuple<std::uint32_t, std::uint64_t, std::string>> runs;
   if (!DeserializeValue(p, end, runs) ||
-      !DeserializeValue(p, end, out.raw_pairs) ||
-      !DeserializeValue(p, end, out.pairs) ||
-      !DeserializeValue(p, end, out.bytes) ||
-      !DeserializeValue(p, end, out.blocks_emitted) ||
-      !DeserializeValue(p, end, out.bytes_copied) ||
+      !DeserializeValue(p, end, out.counters) ||
       !DeserializeValue(p, end, out.spill_runs) ||
       !DeserializeValue(p, end, out.spill_bytes_written)) {
     return Corrupt("map outcome");
@@ -354,31 +342,6 @@ common::Status DecodeMapOutcome(const std::string& payload,
   for (auto& [shard, rows, run_id] : runs) {
     out.runs.push_back(
         engine::internal::DistRunInfo{shard, rows, std::move(run_id)});
-  }
-  return common::Status::Ok();
-}
-
-std::string EncodeReduceOutcome(
-    const engine::internal::DistReduceOutcome& out) {
-  std::string payload;
-  SerializeValue(out.keys, payload);
-  SerializeValue(out.outputs, payload);
-  SerializeValue(out.max_group, payload);
-  SerializeValue(out.merge_passes, payload);
-  SerializeValue(out.spill_bytes_written, payload);
-  return payload;
-}
-
-common::Status DecodeReduceOutcome(
-    const std::string& payload, engine::internal::DistReduceOutcome& out) {
-  const char* p = payload.data();
-  const char* end = p + payload.size();
-  if (!DeserializeValue(p, end, out.keys) ||
-      !DeserializeValue(p, end, out.outputs) ||
-      !DeserializeValue(p, end, out.max_group) ||
-      !DeserializeValue(p, end, out.merge_passes) ||
-      !DeserializeValue(p, end, out.spill_bytes_written)) {
-    return Corrupt("reduce outcome");
   }
   return common::Status::Ok();
 }

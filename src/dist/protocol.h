@@ -87,15 +87,14 @@ struct ReduceTaskMsg {
   std::uint64_t task_id = 0;
   std::uint32_t node = 0;
   std::uint32_t shard = 0;
-  std::uint64_t merge_fan_in = 0;
   std::string result_path;
-  std::string scratch_dir;
-  /// Run ids to fetch, and parallel to them, each owner's data endpoint.
+  /// Run ids to fetch in chunk order, and parallel to them, each owner's
+  /// data endpoint.
   std::vector<std::string> run_ids;
   std::vector<std::string> run_endpoints;
   /// Per-source block credit window (>= 1).
   std::uint32_t fetch_credits = 1;
-  /// Rows across the runs, to size the merged value buffer.
+  /// Rows across the runs, to size the reducer's block.
   std::uint64_t rows = 0;
 };
 
@@ -106,7 +105,7 @@ struct TaskDoneMsg {
   /// Failure is worth retrying against re-executed inputs (a wire fetch
   /// hit a dead source worker), as opposed to a deterministic task error.
   std::uint8_t retryable = 0;
-  /// EncodeMapOutcome / EncodeReduceOutcome bytes when ok.
+  /// EncodeMapOutcome bytes when a map task succeeds.
   std::string payload;
 };
 
@@ -190,14 +189,11 @@ common::Status DecodeRunError(const std::string& payload, RunErrorMsg& msg);
 /// only while the payload string is alive and unmodified.
 common::Result<std::string_view> RunBlockView(const std::string& payload);
 
-/// Task-result payloads inside TaskDoneMsg.
+/// A map task's result payload inside TaskDoneMsg (a reduce task's
+/// result is its result file).
 std::string EncodeMapOutcome(const engine::internal::DistMapOutcome& out);
 common::Status DecodeMapOutcome(const std::string& payload,
                                 engine::internal::DistMapOutcome& out);
-std::string EncodeReduceOutcome(
-    const engine::internal::DistReduceOutcome& out);
-common::Status DecodeReduceOutcome(
-    const std::string& payload, engine::internal::DistReduceOutcome& out);
 
 /// Obs payloads inside ByeMsg. Decoding merges rather than replaces:
 /// counters add, stats/histograms Merge, gauges land prefixed with

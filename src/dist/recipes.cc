@@ -13,6 +13,7 @@
 #include "src/graph/sample_graph_mr.h"
 #include "src/hamming/bitstring.h"
 #include "src/hamming/similarity_join.h"
+#include "src/join/aggregate.h"
 #include "src/join/generators.h"
 #include "src/join/hypercube.h"
 #include "src/join/query.h"
@@ -215,9 +216,31 @@ common::Result<engine::Plan> BuildGraphSample(const std::string& args) {
   return plan;
 }
 
+/// Word count over `words` occurrences drawn uniformly from a `vocab`-word
+/// vocabulary ("w0", "w1", ...). Its keys are strings, so workers group
+/// them through storage::KeyIndex instead of the integer-key slot array.
+common::Result<engine::Plan> BuildWordCount(const std::string& args) {
+  auto parsed = ArgMap::Parse(args);
+  if (!parsed.ok()) return parsed.status();
+  const auto words =
+      static_cast<std::uint64_t>(parsed->GetInt("words", 5000));
+  const auto vocab = static_cast<std::uint64_t>(parsed->GetInt("vocab", 300));
+  const auto seed = static_cast<std::uint64_t>(parsed->GetInt("seed", 3));
+  common::SplitMix64 rng(seed);
+  std::vector<std::string> occurrences;
+  occurrences.reserve(words);
+  for (std::uint64_t i = 0; i < words; ++i) {
+    occurrences.push_back(
+        "w" + std::to_string(rng.UniformBelow(vocab == 0 ? 1 : vocab)));
+  }
+  engine::Plan plan = join::BuildWordCountPlan(occurrences).plan;
+  Stamp(plan, "word_count", args);
+  return plan;
+}
+
 /// The bench/CI workhorse: `pairs` mixed u64 rows summed into `keys`
 /// groups. Pure engine-level shuffle with no family math on top, so
-/// bench_distd measures transport and merge, not reduce CPU. `combine=1`
+/// bench_distd measures transport and grouping, not reduce CPU. `combine=1`
 /// sums map-side first (the word-count shape).
 common::Result<engine::Plan> BuildShuffleSweep(const std::string& args) {
   auto parsed = ArgMap::Parse(args);
@@ -274,6 +297,7 @@ void RegisterBuiltinRecipes(PlanRegistry& registry) {
   registry.Register("graph_sample", BuildGraphSample);
   registry.Register("quickstart", BuildHammingSplitting);
   registry.Register("shuffle_sweep", BuildShuffleSweep);
+  registry.Register("word_count", BuildWordCount);
 }
 
 }  // namespace mrcost::dist

@@ -32,6 +32,9 @@ class PlanRegistry;
 ///                                          synthetic sum-by-key shuffle used
 ///                                          by bench_distd; combine=1 sums
 ///                                          map-side first
+///   word_count         words=5000,vocab=300,seed=3
+///                                          Example 2.5 word count: string
+///                                          keys
 void RegisterBuiltinRecipes(PlanRegistry& registry);
 
 /// "k=v,k=v" argument strings with typed defaulting accessors.

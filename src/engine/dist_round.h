@@ -10,14 +10,13 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/byte_size.h"
 #include "src/common/status.h"
 #include "src/engine/emitter.h"
+#include "src/engine/executor.h"
 #include "src/engine/grouping.h"
 #include "src/engine/metrics.h"
-#include "src/engine/shuffle.h"
+#include "src/obs/trace.h"
 #include "src/storage/block.h"
-#include "src/storage/external_merge.h"
 #include "src/storage/run_writer.h"
 #include "src/storage/serde.h"
 #include "src/storage/spill_file.h"
@@ -31,25 +30,28 @@ namespace mrcost::engine::internal {
 // node's map/combine/reduce closures into four type-erased operations:
 //
 //   coordinator   write_chunk : input slot slice -> framed chunk file
-//   worker        run_map     : chunk file -> per-shard sorted runs, kept
-//                               as raw frames in the worker's RunRegistry
-//                               (pos = MakeSpillPos)
-//   worker        run_reduce  : fetch one shard's runs from their owners'
-//                               data sockets -> k-way merge into CSR groups
-//                               (GroupMergedRuns) -> reduce -> framed
+//   worker        run_map     : chunk file -> MapBlock + RouteRows -> one
+//                               run per shard, the shard's rows in emission
+//                               order as raw frames in the worker's
+//                               RunRegistry (pos = MakeSpillPos)
+//   worker        run_reduce  : fetch one shard's runs in chunk order from
+//                               their owners' data sockets -> one block ->
+//                               GroupShardRows -> ReduceGroups -> framed
 //                               result file
 //   coordinator   collect     : result files -> output slot + JobMetrics
 //
-// Both the coordinator and the worker binary rebuild the identical plan
-// from the recipe registry (src/dist/registry.h), so node indices line up
-// and each side invokes the ops it needs. Outputs are byte-identical to
-// the in-process backend: runs are sorted by (hash, key bytes, emission
-// pos), the merge tags each group with its minimum emission position
-// (CsrGroups::first, written as first_pos), and collect restores the
-// engine's global first-seen key order by sorting groups on it — the same
-// scan-order contract StagedRound::Finalize enforces in-process.
+// The worker runs the in-process round body (src/engine/executor.h), so
+// only the shuffle's transport differs between the backends. Both the
+// coordinator and the worker binary rebuild the identical plan from the
+// recipe registry (src/dist/registry.h), so node indices line up and each
+// side invokes the ops it needs. Outputs are byte-identical to the
+// in-process backend: a reducer groups its runs in chunk order, so each
+// group's first position (CsrGroups::first, written as first_pos) is its
+// minimum emission position, and collect restores the engine's global
+// first-seen key order by sorting groups on it — the same scan-order
+// contract StagedRound::Finalize enforces in-process.
 
-/// One sorted run a map task published for one reduce shard.
+/// One run a map task published for one reduce shard.
 struct DistRunInfo {
   std::uint32_t shard = 0;
   std::uint64_t rows = 0;
@@ -57,31 +59,20 @@ struct DistRunInfo {
   std::string run_id;
 };
 
-/// What one map task reports back, mirroring StagedRound's per-chunk
-/// counters so the merged JobMetrics match the in-process round's.
+/// What one map task reports back: its runs and the MapCounters an
+/// in-process map task fills, so the merged JobMetrics match.
 struct DistMapOutcome {
   std::vector<DistRunInfo> runs;
-  std::uint64_t raw_pairs = 0;  // pre-combine emitted pairs
-  std::uint64_t pairs = 0;      // pairs crossing the shuffle
-  std::uint64_t bytes = 0;      // ByteSizeOf of what crosses the shuffle
-  std::uint64_t blocks_emitted = 0;
-  std::uint64_t bytes_copied = 0;
+  MapCounters counters;
   /// Runs the registry could not keep in memory, and the overflow file
   /// bytes they took.
   std::uint64_t spill_runs = 0;
   std::uint64_t spill_bytes_written = 0;
 };
 
-struct DistReduceOutcome {
-  std::uint64_t keys = 0;
-  std::uint64_t outputs = 0;
-  std::uint64_t max_group = 0;
-  std::uint64_t merge_passes = 0;
-  std::uint64_t spill_bytes_written = 0;
-};
-
 struct DistMapSpec {
   std::string chunk_path;
+  std::uint32_t node = 0;  // the plan node, for trace tagging
   std::uint32_t chunk_index = 0;
   std::uint32_t num_shards = 1;
   /// Runs are published as `<run_prefix>-s<shard>.wire`; the coordinator
@@ -94,19 +85,18 @@ struct DistMapSpec {
 };
 
 struct DistReduceSpec {
+  std::uint32_t node = 0;  // the plan node, for trace tagging
   std::uint32_t shard = 0;
-  /// Run ids to fetch, and parallel to them, each owner's data endpoint.
+  /// Run ids to fetch in chunk order, and parallel to them, each owner's
+  /// data endpoint.
   std::vector<std::string> run_ids;
   std::vector<std::string> run_endpoints;
   /// Rows across the runs (the sum of their DistRunInfo::rows): sizes the
-  /// merged value buffer.
+  /// reducer's block.
   std::uint64_t rows = 0;
   /// Per-source block credit window (PhysicalRound::fetch_credits).
   std::uint32_t fetch_credits = 1;
   std::string result_path;
-  /// Scratch dir for multi-pass merge rewrites (the shared job dir).
-  std::string scratch_dir;
-  std::size_t merge_fan_in = storage::kDefaultMergeFanIn;
 };
 
 struct DistRoundOps {
@@ -115,8 +105,7 @@ struct DistRoundOps {
                                const std::string& path)>
       write_chunk;
   std::function<common::Result<DistMapOutcome>(const DistMapSpec&)> run_map;
-  std::function<common::Result<DistReduceOutcome>(const DistReduceSpec&)>
-      run_reduce;
+  std::function<common::Status(const DistReduceSpec&)> run_reduce;
   std::function<common::Result<std::shared_ptr<void>>(
       const std::vector<std::string>& result_paths, JobMetrics& metrics)>
       collect;
@@ -235,67 +224,42 @@ DistRoundOps MakeDistRoundOps(
       return common::Status::FailedPrecondition(
           "dist run_map: no run registry");
     }
-    // Re-run the captured map over the chunk. The whole chunk accumulates
-    // in one block, matching the in-process in-memory path: emission row
-    // index == local emission position.
-    Emitter<K, V> emitter;
-    if (auto status = ReadFramedValues(
-            spec.chunk_path, "dist run_map chunk",
-            [&](const char*& p, const char* end) {
-              In row;
-              if (!storage::DeserializeValue(p, end, row)) return false;
-              map_fn(row, emitter);
-              return true;
-            });
-        !status.ok()) {
-      return status;
-    }
-
     DistMapOutcome outcome;
-    using Block = storage::KVBlock<K, V>;
-    Block& emitted = emitter.block();
-    outcome.raw_pairs = emitted.rows();
-    outcome.blocks_emitted = emitter.blocks_emitted();
-    outcome.bytes_copied = emitter.bytes_copied();
-
-    // Map-side combine: the same first-seen fold the in-process round
-    // runs, so post-combine rows — and therefore spill positions — are
-    // identical to the in-process combined round.
-    Block combined;
-    Block* work = &emitted;
-    if (combine_fn) {
-      combined = CombineBlock(emitted, combine_fn, outcome.bytes, nullptr);
-      work = &combined;
-      outcome.bytes_copied += combined.CopiedBytes();
-    } else {
-      outcome.bytes = emitter.bytes();
-    }
-    const Block& block = *work;
-    outcome.pairs = block.rows();
-
-    // Partition rows by hash, then write one run per non-empty shard in
-    // spill order, pos = MakeSpillPos(chunk, row) — the ordering the
-    // in-process spill path uses, applied to each shard's row subset.
+    storage::KVBlock<K, V> block;
     std::vector<std::vector<std::uint32_t>> shard_rows(spec.num_shards);
-    for (std::size_t r = 0; r < block.rows(); ++r) {
-      shard_rows[IndexOfHash(block.hash(r), spec.num_shards)].push_back(
-          static_cast<std::uint32_t>(r));
+    {
+      obs::TraceSpan span("MapPartition", "map", spec.node, spec.chunk_index);
+      common::Status read;
+      block = MapBlock<K, V>(
+          [&](Emitter<K, V>& emitter) {
+            read = ReadFramedValues(
+                spec.chunk_path, "dist run_map chunk",
+                [&](const char*& p, const char* end) {
+                  In row;
+                  if (!storage::DeserializeValue(p, end, row)) return false;
+                  map_fn(row, emitter);
+                  return true;
+                });
+          },
+          combine_fn, outcome.counters);
+      if (!read.ok()) return read;
+      RouteRows(block, /*range=*/nullptr, shard_rows);
     }
+    // One run per non-empty shard, kept local as raw columnar frames for
+    // reducers to pull: no shared-dir write, no codec CPU, and no per-key
+    // hash recompute on decode (the hash column ships).
     for (std::uint32_t p = 0; p < spec.num_shards; ++p) {
       const std::vector<std::uint32_t>& rows = shard_rows[p];
       if (rows.empty()) continue;
-      const storage::ColumnarRun run = storage::SortedRunFromRows(
-          block, rows, [&spec](std::uint32_t r) {
-            return storage::MakeSpillPos(spec.chunk_index, r);
-          });
-      // Raw columnar frames kept local for reducers to pull: no
-      // shared-dir write, no codec CPU, and no per-key hash recompute on
-      // decode (the hash column ships). Merge output depends only on the
-      // record sequence, which the frame encoding cannot change.
       std::vector<std::string> frames;
       storage::BlockEncodeStats stats;
-      storage::EncodeRawRunFrames(run, storage::kDefaultBlockBytes, frames,
-                                  stats);
+      storage::EncodeRawRunFrames(
+          storage::RunFromRows(block, rows,
+                               [&spec](std::uint32_t r) {
+                                 return storage::MakeSpillPos(
+                                     spec.chunk_index, r);
+                               }),
+          storage::kDefaultBlockBytes, frames, stats);
       const std::string run_id =
           spec.run_prefix + "-s" + std::to_string(p) + ".wire";
       auto written =
@@ -308,13 +272,14 @@ DistRoundOps MakeDistRoundOps(
     return outcome;
   };
 
-  ops.run_reduce = [reduce_fn](const DistReduceSpec& spec)
-      -> common::Result<DistReduceOutcome> {
+  ops.run_reduce = [reduce_fn](const DistReduceSpec& spec) -> common::Status {
     if (spec.run_endpoints.size() != spec.run_ids.size()) {
       return common::Status::InvalidArgument(
           "dist run_reduce: one endpoint per run id required");
     }
-    std::vector<std::unique_ptr<storage::BlockRunSource>> sources;
+    // Every source sends its FetchRun before the first is read, so all
+    // credit windows fill in parallel.
+    std::vector<std::unique_ptr<storage::WireBlockRunSource>> sources;
     sources.reserve(spec.run_ids.size());
     for (std::size_t i = 0; i < spec.run_ids.size(); ++i) {
       storage::WireBlockRunSource::Options wire_options;
@@ -324,36 +289,63 @@ DistRoundOps MakeDistRoundOps(
       wire_options.reducer_shard = spec.shard;
       sources.push_back(std::make_unique<storage::WireBlockRunSource>(
           std::move(wire_options)));
+      if (!sources.back()->Open()) return sources.back()->status();
     }
-    storage::RunSpiller scratch(spec.scratch_dir);
-    storage::SpillStats stats;
-    auto merged =
-        GroupMergedRuns<K, V>(std::move(sources), scratch, spec.merge_fan_in,
-                              spec.rows, /*num_parts=*/1, stats);
-    if (!merged.ok()) return merged.status();
-    const CsrGroups<K, V>& groups = merged->front();
+    // The runs, read in chunk order, fill one block whose positions
+    // ascend: the order an in-process shard's rows are grouped in.
+    storage::KVBlock<K, V> block;
+    block.Reserve(spec.rows);
+    std::vector<std::uint64_t> positions;
+    positions.reserve(spec.rows);
+    for (auto& source : sources) {
+      while (const storage::RecordView* rec = source->Peek()) {
+        if constexpr (storage::KVBlock<K, V>::kTypedKeys) {
+          if (rec->key.size() != sizeof(K)) {
+            return common::Status::Internal(
+                "dist run_reduce: corrupt key bytes");
+          }
+        }
+        V value;
+        const char* p = rec->value.data();
+        if (!storage::DeserializeValue(p, p + rec->value.size(), value)) {
+          return common::Status::Internal(
+              "dist run_reduce: corrupt value bytes");
+        }
+        block.AppendRaw(rec->key, rec->hash, std::move(value));
+        positions.push_back(rec->pos);
+        source->Advance();
+      }
+      if (auto status = source->status(); !status.ok()) return status;
+      source.reset();
+    }
 
-    DistReduceOutcome outcome;
-    outcome.keys = groups.size();
-    outcome.merge_passes = stats.merge_passes;
-    outcome.spill_bytes_written = scratch.bytes_written();
+    CsrGroups<K, V> groups;
+    {
+      obs::TraceSpan span("ShardGroup", "shuffle", spec.node, spec.shard);
+      groups = GroupShardRows<K, V>(
+          block.rows(),
+          [&](auto&& visit) {
+            for (std::size_t r = 0; r < block.rows(); ++r) {
+              visit(block, static_cast<std::uint32_t>(r), positions[r]);
+            }
+          },
+          /*copy_values=*/false);
+    }
+    block = {};
+    std::vector<std::uint64_t>().swap(positions);
 
+    obs::TraceSpan span("ReduceShard", "reduce", spec.node, spec.shard);
     auto writer = FramedValueWriter::Create(spec.result_path);
     if (!writer.ok()) return writer.status();
-    std::vector<Out> outs;
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      outs.clear();
-      reduce_fn(groups.keys[i], groups.group(i), outs);
-      outcome.outputs += outs.size();
-      outcome.max_group = std::max(outcome.max_group, groups.group_size(i));
-      if (auto status =
-              writer->Append(groups.first[i], groups.group_size(i), outs);
-          !status.ok()) {
-        return status;
-      }
-    }
-    if (auto status = writer->Close(); !status.ok()) return status;
-    return outcome;
+    common::Status status;
+    ReduceGroups<Out>(groups, reduce_fn,
+                      [&](std::size_t g, std::vector<Out>& outs) {
+                        status = writer->Append(
+                            groups.first[g], groups.group_size(g), outs);
+                        return status.ok();
+                      });
+    if (!status.ok()) return status;
+    return writer->Close();
   };
 
   ops.collect = [](const std::vector<std::string>& result_paths,

@@ -384,6 +384,92 @@ PhysicalRound ResolvePhysicalRound(const JobOptions& options,
 /// Sentinel combiner type marking a plain (uncombined) round.
 struct NoCombine {};
 
+// ---------------------------------------------------------------------------
+// The in-memory round body. StagedRound's in-memory tasks and the worker
+// processes' map and reduce tasks (src/engine/dist_round.h) call these
+// same functions, so both backends compute a round identically; they
+// differ only in how a shard's routed rows reach it.
+
+/// MapPartition's body: `map_inputs(emitter)` runs the map over one
+/// chunk's inputs, and a combined round then folds the block
+/// (CombineBlock). Returns the block that crosses the shuffle, rows in
+/// emission order, and fills `counters`.
+template <typename K, typename V, typename CombineFn, typename MapInputs>
+storage::KVBlock<K, V> MapBlock(MapInputs&& map_inputs,
+                                const CombineFn& combine,
+                                MapCounters& counters) {
+  Emitter<K, V> emitter;
+  map_inputs(emitter);
+  counters.raw_pairs = emitter.num_emitted();
+  counters.blocks = emitter.blocks_emitted();
+  counters.copied = emitter.bytes_copied();
+  if constexpr (!std::is_same_v<CombineFn, NoCombine>) {
+    if (combine) {
+      storage::KVBlock<K, V> combined =
+          CombineBlock(emitter.block(), combine, counters.bytes, nullptr);
+      counters.pairs = combined.rows();
+      counters.copied += combined.CopiedBytes();
+      return combined;
+    }
+  }
+  counters.pairs = counters.raw_pairs;
+  counters.bytes = emitter.bytes();
+  return std::move(emitter.block());
+}
+
+/// RouteBlock's body, a radix pass: appends each row of `block`, in row
+/// order, to the row list of its shard — `range`'s when set (sampled-range
+/// placement), else the hash's. Shards receive row indices into the
+/// block, not copies; the hash column already holds the routing hash.
+template <typename K, typename V>
+void RouteRows(const storage::KVBlock<K, V>& block,
+               const RangePartitioner* range,
+               std::vector<std::vector<std::uint32_t>>& shard_rows) {
+  const std::size_t shards = shard_rows.size();
+  for (std::size_t r = 0; r < block.rows(); ++r) {
+    const std::size_t p =
+        shards == 1 ? 0
+                    : (range != nullptr ? range->ShardOf(block.hash(r))
+                                        : IndexOfHash(block.hash(r), shards));
+    shard_rows[p].push_back(static_cast<std::uint32_t>(r));
+  }
+}
+
+/// ShardGroup's body: GroupRows over one shard's `num_rows` rows, which
+/// `for_each_row` visits chunk by chunk at positions
+/// storage::MakeSpillPos(chunk, row). Values move out of the blocks, or
+/// are copied when `copy_values` (a speculative twin reads the same
+/// blocks).
+template <typename K, typename V, typename ForEachRow>
+CsrGroups<K, V> GroupShardRows(std::size_t num_rows,
+                               ForEachRow&& for_each_row, bool copy_values) {
+  return GroupRows<K, V>(
+      num_rows, for_each_row,
+      [copy_values](storage::KVBlock<K, V>& block, std::uint32_t r) -> V {
+        if constexpr (std::is_copy_constructible_v<V>) {
+          if (copy_values) return block.value(r);
+        }
+        return std::move(block.value(r));
+      });
+}
+
+/// ReduceShard's body: reduces each group in order and hands its outputs
+/// to `take(g, outs)`, stopping early once take returns false. Reducers
+/// append into one reused scratch vector, so a caller that keeps outputs
+/// gives each key a single exact-size allocation instead of a vector
+/// grown push by push (that allocator churn showed up as reduce time).
+template <typename Out, typename K, typename V, typename ReduceFn,
+          typename Take>
+void ReduceGroups(const CsrGroups<K, V>& groups, const ReduceFn& reduce,
+                  Take&& take) {
+  std::vector<Out> scratch;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    scratch.clear();
+    reduce(groups.keys[g], groups.group(g), scratch);
+    if (!take(g, scratch)) return;
+  }
+}
+
 /// What the planner predicted for a round before running it, attached to
 /// the round's trace so predicted-vs-realized q/r can be read off a single
 /// span ("which stage blew its bound"). All zeros / !valid when the round
@@ -414,7 +500,6 @@ class StagedHandleBase {
   /// Attaches the planner's prediction for trace attribution. Call before
   /// staging finalize.
   virtual void SetPrediction(const RoundPrediction& prediction) = 0;
-  virtual const RoundPrediction& prediction() const = 0;
 
   /// Stages the finalize task (deterministic merge + metrics) behind the
   /// round's reduce tasks. Call once.
@@ -501,7 +586,6 @@ class StagedRound final : public StagedHandleBase {
   void SetPrediction(const RoundPrediction& prediction) override {
     prediction_ = prediction;
   }
-  const RoundPrediction& prediction() const override { return prediction_; }
 
  private:
   using Block = storage::KVBlock<K, V>;
@@ -536,10 +620,7 @@ class StagedRound final : public StagedHandleBase {
                    physical_.strategy != ShuffleStrategy::kExternal &&
                    std::is_copy_constructible_v<V>;
     if (speculative_) exec_.ConfigureSpeculation(options_.speculation);
-    for (auto* counter : {&task_pairs_, &task_raw_pairs_, &task_bytes_,
-                          &task_blocks_, &task_copied_}) {
-      counter->assign(physical_.chunks, 0);
-    }
+    counters_.resize(physical_.chunks);
     // Sized before any task can run: a task may start the moment it is
     // added (its deps already done), while staging still goes on.
     shards_.resize(physical_.shards);
@@ -564,8 +645,7 @@ class StagedRound final : public StagedHandleBase {
   void RouteBlock(std::size_t task);
   void GroupShard(std::size_t p);
   void MergeSpills();
-  void ReduceGroup(const K& key, GroupView<V> group, std::vector<Out>& out,
-                   ReducerLoad* load);
+  ReducerLoad LoadOf(const K& key, GroupView<V> group) const;
   void ReduceShard(std::size_t p);
   void Finalize();
   void FillTimings(JobMetrics& m) const;
@@ -592,11 +672,7 @@ class StagedRound final : public StagedHandleBase {
   // ranges instead of copied pairs.
   std::vector<std::unique_ptr<Block>> blocks_;
   std::vector<std::vector<std::vector<std::uint32_t>>> shard_rows_;
-  std::vector<std::uint64_t> task_pairs_;      // routed (post-combine)
-  std::vector<std::uint64_t> task_raw_pairs_;  // pre-combine
-  std::vector<std::uint64_t> task_bytes_;      // shuffled bytes
-  std::vector<std::uint64_t> task_blocks_;     // blocks handed downstream
-  std::vector<std::uint64_t> task_copied_;     // bytes physically copied
+  std::vector<MapCounters> counters_;
 
   // External-shuffle state.
   std::unique_ptr<storage::RunSpiller> spiller_;
@@ -712,9 +788,9 @@ void StagedRound<In, K, V, Out, CombineFn>::Build() {
 template <typename In, typename K, typename V, typename Out, typename CombineFn>
 void StagedRound<In, K, V, Out, CombineFn>::MapChunk(
     std::size_t c, std::size_t lo, std::size_t hi) {
-  Emitter<K, V> emitter;
-  const auto cc = static_cast<std::uint32_t>(c);
   if (physical_.strategy == ShuffleStrategy::kExternal) {
+    Emitter<K, V> emitter;
+    const auto cc = static_cast<std::uint32_t>(c);
     common::Status& status = spill_status_[c];
     if constexpr (kCombined) {
       // Post-combine rows are what cross the shuffle. The combined block
@@ -724,15 +800,14 @@ void StagedRound<In, K, V, Out, CombineFn>::MapChunk(
       const std::uint64_t budget =
           options_.shuffle.memory_budget_bytes / physical_.chunks;
       for (std::size_t i = lo; i < hi; ++i) map_((*inputs_)[i], emitter);
-      task_raw_pairs_[c] = emitter.block().rows();
-      std::uint64_t bytes = 0;
+      MapCounters& counters = counters_[c];
+      counters.raw_pairs = emitter.block().rows();
       std::vector<std::uint64_t> row_bytes;
       Block combined =
-          CombineBlock(emitter.block(), combine_, bytes, &row_bytes);
-      task_bytes_[c] = bytes;
-      task_pairs_[c] = combined.rows();
-      task_blocks_[c] = emitter.blocks_emitted();
-      task_copied_[c] = emitter.bytes_copied() + combined.CopiedBytes();
+          CombineBlock(emitter.block(), combine_, counters.bytes, &row_bytes);
+      counters.pairs = combined.rows();
+      counters.blocks = emitter.blocks_emitted();
+      counters.copied = emitter.bytes_copied() + combined.CopiedBytes();
       std::size_t lo_row = 0;
       std::uint64_t acc = 0;
       for (std::size_t r = 0; r < combined.rows() && status.ok(); ++r) {
@@ -772,10 +847,11 @@ void StagedRound<In, K, V, Out, CombineFn>::MapChunk(
         status = spiller_->SpillBlockRun(run);
       });
       for (std::size_t i = lo; i < hi; ++i) map_((*inputs_)[i], emitter);
-      task_bytes_[c] = emitter.bytes();
-      task_raw_pairs_[c] = task_pairs_[c] = emitter.num_emitted();
-      task_blocks_[c] = emitter.blocks_emitted();
-      task_copied_[c] = emitter.bytes_copied();
+      MapCounters& counters = counters_[c];
+      counters.bytes = emitter.bytes();
+      counters.raw_pairs = counters.pairs = emitter.num_emitted();
+      counters.blocks = emitter.blocks_emitted();
+      counters.copied = emitter.bytes_copied();
       if (status.ok() && !emitter.block().empty()) {
         Block& block = emitter.block();
         tails_[c] = storage::SortedRunFromBlock(
@@ -787,23 +863,11 @@ void StagedRound<In, K, V, Out, CombineFn>::MapChunk(
     return;
   }
 
-  for (std::size_t i = lo; i < hi; ++i) map_((*inputs_)[i], emitter);
-  if constexpr (kCombined) {
-    task_raw_pairs_[c] = emitter.block().rows();
-    std::uint64_t bytes = 0;
-    blocks_[c] = std::make_unique<Block>(
-        CombineBlock(emitter.block(), combine_, bytes, nullptr));
-    task_bytes_[c] = bytes;
-    task_pairs_[c] = blocks_[c]->rows();
-    task_blocks_[c] = emitter.blocks_emitted();
-    task_copied_[c] = emitter.bytes_copied() + blocks_[c]->CopiedBytes();
-  } else {
-    task_raw_pairs_[c] = task_pairs_[c] = emitter.num_emitted();
-    task_bytes_[c] = emitter.bytes();
-    task_blocks_[c] = emitter.blocks_emitted();
-    task_copied_[c] = emitter.bytes_copied();
-    blocks_[c] = std::make_unique<Block>(std::move(emitter.block()));
-  }
+  blocks_[c] = std::make_unique<Block>(MapBlock<K, V>(
+      [&](Emitter<K, V>& emitter) {
+        for (std::size_t i = lo; i < hi; ++i) map_((*inputs_)[i], emitter);
+      },
+      combine_, counters_[c]));
   if (!use_range()) RouteBlock(c);
 }
 
@@ -834,23 +898,11 @@ void StagedRound<In, K, V, Out, CombineFn>::PlanPartition() {
 
 template <typename In, typename K, typename V, typename Out, typename CombineFn>
 void StagedRound<In, K, V, Out, CombineFn>::RouteBlock(std::size_t task) {
-  // Radix pass: shards receive row-index ranges into the task's block,
-  // not copies — the block's hash column already holds the routing hash.
   // Under sampled-range placement this runs as its own task (after
   // PlanPartition); equal hashes land on equal shards either way, which
   // is all grouping correctness needs.
   if (blocks_[task] == nullptr) return;
-  auto& rows = shard_rows_[task];
-  const Block& block = *blocks_[task];
-  const RangePartitioner* range = range_partitioner_.get();
-  for (std::size_t r = 0; r < block.rows(); ++r) {
-    const std::size_t p =
-        physical_.shards == 1
-            ? 0
-            : (range != nullptr ? range->ShardOf(block.hash(r))
-                                : IndexOfHash(block.hash(r), physical_.shards));
-    rows[p].push_back(static_cast<std::uint32_t>(r));
-  }
+  RouteRows(*blocks_[task], range_partitioner_.get(), shard_rows_[task]);
 }
 
 template <typename In, typename K, typename V, typename Out, typename CombineFn>
@@ -867,28 +919,20 @@ void StagedRound<In, K, V, Out, CombineFn>::GroupShard(std::size_t p) {
     owned += shard_rows_[t][p].size();
   }
   sh.routed_rows = owned;
-  const auto take = [this](Block& block, std::uint32_t r) -> V {
-    if constexpr (std::is_copy_constructible_v<V>) {
-      if (speculative_) return block.value(r);
-    }
-    return std::move(block.value(r));
-  };
-  // Scanning each task's routed rows in row order visits pairs in global
-  // emission order (tasks are contiguous input ranges), so a row's
-  // position is its task's base plus the row.
-  const auto for_each_row = [this, p](auto&& visit) {
-    std::uint64_t base = 0;
-    for (std::size_t t = 0; t < physical_.chunks; ++t) {
-      if (blocks_[t] != nullptr) {
-        Block& block = *blocks_[t];
-        for (const std::uint32_t r : shard_rows_[t][p]) {
-          visit(block, r, base + r);
+  // Each task's routed rows in row order, tasks in order: ascending
+  // positions, since tasks are contiguous input ranges.
+  sh.groups = GroupShardRows<K, V>(
+      owned,
+      [this, p](auto&& visit) {
+        for (std::size_t t = 0; t < physical_.chunks; ++t) {
+          if (blocks_[t] == nullptr) continue;
+          const auto chunk = static_cast<std::uint32_t>(t);
+          for (const std::uint32_t r : shard_rows_[t][p]) {
+            visit(*blocks_[t], r, storage::MakeSpillPos(chunk, r));
+          }
         }
-      }
-      base += task_pairs_[t];
-    }
-  };
-  sh.groups = GroupRows<K, V>(owned, for_each_row, take);
+      },
+      speculative_);
   if (!speculative_) {
     for (std::size_t t = 0; t < physical_.chunks; ++t) {
       std::vector<std::uint32_t>().swap(shard_rows_[t][p]);
@@ -922,7 +966,7 @@ void StagedRound<In, K, V, Out, CombineFn>::MergeSpills() {
     sources.push_back(std::make_unique<storage::DiskBlockRunSource>(path));
   }
   std::uint64_t rows = 0;
-  for (const std::uint64_t pairs : task_pairs_) rows += pairs;
+  for (const MapCounters& counters : counters_) rows += counters.pairs;
   auto parts = GroupMergedRuns<K, V>(std::move(sources), *spiller_,
                                      options_.shuffle.merge_fan_in, rows,
                                      physical_.shards, spill_stats_);
@@ -938,19 +982,15 @@ void StagedRound<In, K, V, Out, CombineFn>::MergeSpills() {
 }
 
 template <typename In, typename K, typename V, typename Out, typename CombineFn>
-void StagedRound<In, K, V, Out, CombineFn>::ReduceGroup(
-    const K& key, GroupView<V> group, std::vector<Out>& out,
-    ReducerLoad* load) {
-  if (load != nullptr) {
-    std::uint64_t bytes = 0;
-    if (simulation_.cost_per_byte > 0 ||
-        simulation_.reducer_capacity_bytes > 0) {
-      bytes = common::ByteSizeOf(key);
-      for (const V& v : group) bytes += common::ByteSizeOf(v);
-    }
-    *load = ReducerLoad{HashValue(key), group.size(), bytes};
+ReducerLoad StagedRound<In, K, V, Out, CombineFn>::LoadOf(
+    const K& key, GroupView<V> group) const {
+  std::uint64_t bytes = 0;
+  if (simulation_.cost_per_byte > 0 ||
+      simulation_.reducer_capacity_bytes > 0) {
+    bytes = common::ByteSizeOf(key);
+    for (const V& v : group) bytes += common::ByteSizeOf(v);
   }
-  reduce_(key, group, out);
+  return ReducerLoad{HashValue(key), group.size(), bytes};
 }
 
 template <typename In, typename K, typename V, typename Out, typename CombineFn>
@@ -964,19 +1004,13 @@ void StagedRound<In, K, V, Out, CombineFn>::ReduceShard(std::size_t p) {
   const bool sim = simulation_.enabled();
   std::vector<std::vector<Out>> outputs(n);
   std::vector<ReducerLoad> loads(sim ? n : 0);
-  // Reducers append into one reused scratch vector; each key's outputs
-  // then take a single exact-size allocation instead of growing their own
-  // vector push by push (with the values in one buffer, freed groups no
-  // longer feed that growth, and the allocator churn showed up as reduce
-  // time).
-  std::vector<Out> scratch;
-  for (std::size_t i = 0; i < n; ++i) {
-    scratch.clear();
-    ReduceGroup(groups.keys[i], groups.group(i), scratch,
-                sim ? &loads[i] : nullptr);
-    outputs[i].reserve(scratch.size());
-    for (Out& o : scratch) outputs[i].push_back(std::move(o));
-  }
+  ReduceGroups<Out>(
+      groups, reduce_, [&](std::size_t g, std::vector<Out>& outs) {
+        if (sim) loads[g] = LoadOf(groups.keys[g], groups.group(g));
+        outputs[g].reserve(outs.size());
+        for (Out& o : outs) outputs[g].push_back(std::move(o));
+        return true;
+      });
   if (!speculative_) {
     shard.outputs = std::move(outputs);
     shard.loads = std::move(loads);
@@ -1034,13 +1068,9 @@ void StagedRound<In, K, V, Out, CombineFn>::Finalize() {
   const bool obs_metrics = obs::MetricsEnabled();
   common::Log2Histogram reducer_q_hist;
   common::Log2Histogram map_bytes_hist;
-  for (std::size_t t = 0; t < physical_.chunks; ++t) {
-    m.pairs_before_combine += task_raw_pairs_[t];
-    m.pairs_shuffled += task_pairs_[t];
-    m.bytes_shuffled += task_bytes_[t];
-    m.blocks_emitted += task_blocks_[t];
-    m.bytes_copied += task_copied_[t];
-    if (obs_metrics) map_bytes_hist.Add(task_bytes_[t]);
+  for (const MapCounters& counters : counters_) {
+    counters.AddTo(m);
+    if (obs_metrics) map_bytes_hist.Add(counters.bytes);
   }
 
   std::vector<Out> outputs;

@@ -161,7 +161,8 @@ struct CsrGroups {
   }
 };
 
-/// The grouping kernel behind every in-memory shuffle. `for_each_row(f)`
+/// The grouping kernel behind every in-memory shuffle, in-process and on
+/// a worker process. `for_each_row(f)`
 /// calls f(block, row, pos) for each of a shard's `num_rows` routed rows,
 /// in the same order each time and in ascending emission position `pos`;
 /// it is called twice:
@@ -206,8 +207,8 @@ CsrGroups<K, V> GroupRows(std::size_t num_rows, ForEachRow&& for_each_row,
   return out;
 }
 
-/// The grouping kernel behind every spill merge, in-process and on a
-/// worker: reduces the fan-in if needed (storage::ReduceBlockFanIn), then
+/// The grouping kernel behind the external shuffle's spill merge: reduces
+/// the fan-in if needed (storage::ReduceBlockFanIn), then
 /// pops the merged (hash, key bytes, pos) order once through a
 /// storage::BlockLoserTree, deserializing each key once per group and each
 /// value once into a CsrGroups buffer. Groups come out in merge order;

@@ -138,6 +138,24 @@ struct JobMetrics {
   std::string ToString() const;
 };
 
+/// One map task's shuffle accounting, the same on both backends: each map
+/// task fills one, and AddTo folds it into its round's JobMetrics.
+struct MapCounters {
+  std::uint64_t raw_pairs = 0;  // emitted pairs, pre-combine
+  std::uint64_t pairs = 0;      // pairs crossing the shuffle
+  std::uint64_t bytes = 0;      // ByteSizeOf of what crosses the shuffle
+  std::uint64_t blocks = 0;     // blocks handed downstream
+  std::uint64_t copied = 0;     // bytes physically copied into blocks
+
+  void AddTo(JobMetrics& m) const {
+    m.pairs_before_combine += raw_pairs;
+    m.pairs_shuffled += pairs;
+    m.bytes_shuffled += bytes;
+    m.blocks_emitted += blocks;
+    m.bytes_copied += copied;
+  }
+};
+
 /// Accumulated metrics across the rounds of a multi-round computation
 /// (Section 6.3's two-phase matrix multiplication).
 struct PipelineMetrics {

@@ -212,9 +212,8 @@ JobOptions ResolveRoundOptions(const PlanNode& node,
 
 /// What the planner would tell the cost model about this round, mirroring
 /// EstimatePlanGraph's pricing inputs: declared hints first, the round's
-/// map sample as fallback. Attached to the round's trace span and used for
-/// per-stage calibration residuals after the round runs. `input_size` is
-/// the round's materialized input count.
+/// map sample as fallback. Attached to the round's trace span.
+/// `input_size` is the round's materialized input count.
 RoundPrediction PredictRound(const PlanNode& node, const MapSample& sample,
                              std::size_t input_size,
                              const core::Recipe* recipe) {
@@ -280,7 +279,7 @@ PipelineMetrics ExecutePlanGraph(PlanGraph& graph,
     return ExecutePlanGraphMulti(graph, options, target);
   }
   // Tracing/metrics capture spans the whole execution; files are written
-  // when the scope closes, after metrics (and calibration) are final.
+  // when the scope closes, after metrics are final.
   std::optional<obs::ScopedCapture> capture;
   if (!options.trace_out.empty() || !options.metrics_out.empty()) {
     capture.emplace(options.trace_out, options.metrics_out);
@@ -317,30 +316,6 @@ PipelineMetrics ExecutePlanGraph(PlanGraph& graph,
       end = std::max(end, record.span.end_ms);
     }
     metrics.exec_span_ms = end - begin;
-  }
-  // Feed realized skew and per-stage residuals back into the caller's
-  // calibration so later estimates price the cluster — and the stages —
-  // that actually ran: "map" carries the replication (communication)
-  // residual, "reduce" the max-reducer-input residual.
-  if (options.calibration != nullptr) {
-    for (const auto& handle : executed) {
-      const JobMetrics& m = handle->metrics();
-      if (m.simulated()) {
-        options.calibration->Observe(m.load_imbalance, m.straggler_impact);
-      }
-      const RoundPrediction& pred = handle->prediction();
-      if (pred.valid) {
-        if (pred.r > 0 && m.replication_rate() > 0) {
-          options.calibration->ObserveStage(
-              "map", m.replication_rate() / pred.r);
-        }
-        if (pred.q > 0 && m.max_reducer_input > 0) {
-          options.calibration->ObserveStage(
-              "reduce",
-              static_cast<double>(m.max_reducer_input) / pred.q);
-        }
-      }
-    }
   }
   return metrics;
 }
@@ -427,28 +402,6 @@ PlanEstimate EstimatePlanGraph(const PlanGraph& graph,
                                  : 0;
     round.cost =
         options.cost_model.Cost(round.predicted_r, round.predicted_q);
-    if (options.calibration != nullptr &&
-        (options.calibration->observations() > 0 ||
-         options.calibration->stage_observations("map") > 0 ||
-         options.calibration->stage_observations("reduce") > 0)) {
-      // Calibrated correction, two independent knobs: per-stage residuals
-      // scale the predictions themselves (executed rounds reported how far
-      // realized r and q landed from the model's), then the realized-skew
-      // factor inflates the processing/wall-clock terms for uneven
-      // placement. Both default to 1.0 when unobserved, so an uncalibrated
-      // estimate is unchanged. Communication (r) is placement-independent
-      // and skips the skew factor.
-      const double skew = options.calibration->skew_factor();
-      const double calibrated_r =
-          round.predicted_r * options.calibration->stage_factor("map");
-      const double calibrated_q =
-          round.predicted_q * options.calibration->stage_factor("reduce");
-      const core::CostModel& cm = options.cost_model;
-      round.cost = cm.communication_weight * calibrated_r +
-                   skew * (cm.processing_weight * calibrated_q +
-                           cm.wallclock_weight * calibrated_q *
-                               calibrated_q);
-    }
     // The strategy rule ResolvePhysicalRound applies, fed by the round's
     // (declared or sampled) predictions.
     std::string why;

@@ -135,12 +135,6 @@ struct EstimateOptions {
   std::size_t max_sample_inputs = 1024;
   /// Shuffle config the planned_strategy annotation is computed against.
   ShuffleConfig shuffle;
-  /// Optional feedback from executed rounds: when set, each round's
-  /// wall-clock cost terms are scaled by calibration->skew_factor() — the
-  /// realized makespan inflation previous executions observed — so the
-  /// estimate prices the cluster that actually ran, not the perfectly
-  /// balanced one. Not owned; may be null.
-  const core::RuntimeCalibration* calibration = nullptr;
 };
 
 /// Which runtime executes the plan's rounds.
@@ -235,13 +229,6 @@ struct ExecutionOptions {
   /// its materialized input), so only rounds estimated over budget pay
   /// the spill path. Outputs are byte-identical for every choice.
   PipelineOptions pipeline;
-  /// Optional feedback sink: after each simulated round, the executor
-  /// calls calibration->Observe(load_imbalance, straggler_impact) so later
-  /// Plan::Estimate calls (passing the same object in EstimateOptions)
-  /// price the cluster's realized skew. Not owned; may be null. The
-  /// object is mutated from the execution thread — share one per planning
-  /// thread.
-  core::RuntimeCalibration* calibration = nullptr;
   /// When non-empty, the execution runs inside an obs capture scope:
   /// trace_out receives a Chrome trace_event JSON timeline (Perfetto /
   /// chrome://tracing loadable) of every stage-graph task plus one

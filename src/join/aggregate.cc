@@ -23,8 +23,8 @@ std::vector<std::string> Tokenize(const std::vector<std::string>& documents) {
   return words;
 }
 
-WordCountResult WordCount(const std::vector<std::string>& occurrences,
-                          const engine::JobOptions& options) {
+WordCountPlan BuildWordCountPlan(
+    const std::vector<std::string>& occurrences) {
   auto map_fn = [](const std::string& word,
                    engine::Emitter<std::string, std::uint64_t>& emitter) {
     emitter.Emit(word, 1);
@@ -38,10 +38,17 @@ WordCountResult WordCount(const std::vector<std::string>& occurrences,
     out.emplace_back(word, total);
   };
   engine::Plan plan;
-  auto run = plan.Source(occurrences, "words")
-                 .Map<std::string, std::uint64_t>(map_fn, "word count")
-                 .ReduceByKey<std::pair<std::string, std::uint64_t>>(reduce_fn)
-                 .Execute(engine::ExecutionOptions(options));
+  auto counts =
+      plan.Source(occurrences, "words")
+          .Map<std::string, std::uint64_t>(map_fn, "word count")
+          .ReduceByKey<std::pair<std::string, std::uint64_t>>(reduce_fn);
+  return WordCountPlan{std::move(plan), std::move(counts)};
+}
+
+WordCountResult WordCount(const std::vector<std::string>& occurrences,
+                          const engine::JobOptions& options) {
+  auto run = BuildWordCountPlan(occurrences)
+                 .counts.Execute(engine::ExecutionOptions(options));
   std::sort(run.outputs.begin(), run.outputs.end());
   return WordCountResult{std::move(run.outputs),
                          std::move(run.metrics.rounds[0])};

@@ -22,6 +22,17 @@ struct WordCountResult {
   engine::JobMetrics metrics;
 };
 
+/// Word count as a lazy one-round plan keyed by the word: `counts` holds
+/// (word, count) in first-seen word order once the plan executes.
+struct WordCountPlan {
+  engine::Plan plan;
+  engine::Dataset<std::pair<std::string, std::uint64_t>> counts;
+};
+
+/// Builds (without running) the word-count plan; `occurrences` are copied
+/// into the plan.
+WordCountPlan BuildWordCountPlan(const std::vector<std::string>& occurrences);
+
 /// Example 2.5: the canonical embarrassingly parallel job. Inputs are word
 /// occurrences; each is mapped to exactly one key-value pair, so
 /// metrics.replication_rate() == 1 for every reducer-size limit.

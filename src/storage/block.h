@@ -207,8 +207,9 @@ inline bool RecordViewLess(const RecordView& a, const RecordView& b) {
   return a.pos < b.pos;
 }
 
-/// One sorted run of records in columnar form: hash and position columns
-/// plus key/value byte slabs. Rows are sorted by (hash, key bytes, pos).
+/// One run of records in columnar form: hash and position columns plus
+/// key/value byte slabs. Spill runs are sorted by (hash, key bytes, pos);
+/// a multi-process map's runs keep emission order.
 struct ColumnarRun {
   std::vector<std::uint64_t> hashes;
   std::vector<std::uint64_t> positions;
@@ -384,6 +385,17 @@ class KVBlock {
   std::size_t rows() const { return hashes_.size(); }
   bool empty() const { return hashes_.empty(); }
 
+  /// Capacity for `rows` more rows (key bytes aside for non-integer keys).
+  void Reserve(std::size_t rows) {
+    if constexpr (kTypedKeys) {
+      keys_.reserve(keys_.size() + rows);
+    } else {
+      keys_.Reserve(rows, 0);
+    }
+    hashes_.reserve(hashes_.size() + rows);
+    values_.reserve(values_.size() + rows);
+  }
+
   void Append(const Key& key, Value&& value) {
     const std::size_t r = rows();
     if constexpr (kTypedKeys) {
@@ -535,18 +547,14 @@ std::vector<std::uint32_t> SpillOrder(const KVBlock<Key, Value>& block,
   return order;
 }
 
-/// Serializes an ascending subset `rows` of `block` as one ColumnarRun in
-/// spill order (SpillOrder). `make_pos(r)` packs row r's emission position
-/// (MakeSpillPos-style); row index must be emission order within the block
-/// (it is — row index is local emission position). Values serialize here,
-/// at spill time only. The one ordering function behind in-process spills
-/// and the multi-process map's per-shard runs.
+/// Serializes rows `order` of `block`, in that order, as one ColumnarRun;
+/// `make_pos(r)` packs row r's emission position (MakeSpillPos-style).
+/// Values serialize here, at spill or publish time only. A multi-process
+/// map task publishes each shard's rows in emission order through it.
 template <typename Key, typename Value, typename MakePos>
-ColumnarRun SortedRunFromRows(const KVBlock<Key, Value>& block,
-                              const std::vector<std::uint32_t>& rows,
-                              MakePos make_pos) {
-  const std::vector<std::uint32_t> order =
-      SpillOrder(block, rows);
+ColumnarRun RunFromRows(const KVBlock<Key, Value>& block,
+                        const std::vector<std::uint32_t>& order,
+                        MakePos make_pos) {
   const std::size_t n = order.size();
   ColumnarRun run;
   run.hashes.reserve(n);
@@ -563,6 +571,17 @@ ColumnarRun SortedRunFromRows(const KVBlock<Key, Value>& block,
     run.values.AppendSerialized(block.value(r));
   }
   return run;
+}
+
+/// Serializes an ascending subset `rows` of `block` as one ColumnarRun in
+/// spill order (SpillOrder); row index must be emission order within the
+/// block (it is — row index is local emission position). The one ordering
+/// function behind in-process spills.
+template <typename Key, typename Value, typename MakePos>
+ColumnarRun SortedRunFromRows(const KVBlock<Key, Value>& block,
+                              const std::vector<std::uint32_t>& rows,
+                              MakePos make_pos) {
+  return RunFromRows(block, SpillOrder(block, rows), make_pos);
 }
 
 /// SortedRunFromRows over the contiguous rows [lo, hi); `make_pos` takes

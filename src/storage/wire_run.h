@@ -16,13 +16,12 @@
 
 namespace mrcost::storage {
 
-// The multi-process shuffle's storage half: map tasks keep their sorted
-// runs as raw columnar frames in a worker-local RunRegistry instead of
-// writing them into the shared job directory, and reduce tasks pull them
-// through a WireBlockRunSource — a BlockRunSource that decodes frames
-// straight off a data socket, so the k-way merge overlaps the fetch. Merge
-// output depends only on the record sequence, never on how frames slice
-// it, so it matches the in-process external merge.
+// The multi-process shuffle's storage half: a map task keeps each shard's
+// run — the shard's rows in emission order — as raw columnar frames in a
+// worker-local RunRegistry instead of writing it into the shared job
+// directory, and a reduce task pulls the runs through WireBlockRunSources,
+// which decode frames straight off a data socket. The reducer reads the
+// records, never how frames slice them, so framing cannot change results.
 
 /// First byte of a raw columnar frame. Deliberately outside the codec id
 /// space, so a raw frame misrouted into DecodeBlock fails loudly instead
@@ -105,12 +104,12 @@ class RunRegistry {
   std::unordered_map<std::string, std::shared_ptr<const Run>> runs_;
 };
 
-/// A sorted run streamed over a worker data socket (dist/protocol.h
-/// FetchRun family), decoded one block at a time like DiskBlockRunSource.
-/// Connects lazily on the first Peek: sends FetchRun{run_id, credits},
-/// then decodes RunBlock frames, returning one credit per decoded block so
-/// the server never has more than `credits` un-consumed blocks in flight —
-/// the reducer's memory bound under memory_budget_bytes.
+/// A run streamed over a worker data socket (dist/protocol.h FetchRun
+/// family), decoded one block at a time like DiskBlockRunSource. Open
+/// (or else the first Peek) connects and sends FetchRun{run_id, credits};
+/// Peek then decodes RunBlock frames, returning one credit per decoded
+/// block so the server never has more than `credits` un-consumed blocks in
+/// flight.
 ///
 /// A connect failure, mid-stream EOF, or RunError surfaces as
 /// StatusCode::kUnavailable — the signal the distributed executor turns
@@ -130,12 +129,14 @@ class WireBlockRunSource : public BlockRunSource {
       : options_(std::move(options)) {}
   ~WireBlockRunSource() override;
 
+  /// Connects and sends FetchRun, so the owner starts filling the credit
+  /// window before the first Peek. False sets status(). Call at most once.
+  bool Open();
   const RecordView* Peek() override;
   void Advance() override { ++next_; }
   common::Status status() const override { return status_; }
 
  private:
-  bool Open();       // connect + FetchRun; false sets status_
   bool NextBlock();  // one RunBlock into run_; false = end/error
   void EmitFetchSpan();
 

@@ -445,7 +445,7 @@ TEST(PlanRegistry, BuildsBuiltinsAndRejectsUnknown) {
   for (const char* expected :
        {"hamming_splitting", "hamming_ball", "join_triangle",
         "matmul_one_phase", "matmul_two_phase", "graph_sample", "quickstart",
-        "shuffle_sweep"}) {
+        "shuffle_sweep", "word_count"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }
@@ -577,18 +577,26 @@ engine::ExecutionOptions MultiProcessOptions(int workers) {
   return options;
 }
 
+/// The output bytes of `recipe`, whose last round yields `Out`s, under
+/// `options`.
+template <typename Out>
+std::string RecipeBytes(const std::string& recipe, const std::string& args,
+                        const engine::ExecutionOptions& options,
+                        engine::PipelineMetrics* metrics = nullptr) {
+  auto plan = dist::PlanRegistry::Global().Build(recipe, args);
+  MRCOST_CHECK_OK(plan.status());
+  engine::PipelineMetrics run = plan->Execute(options);
+  if (metrics != nullptr) *metrics = std::move(run);
+  return SerializedBytes(*std::static_pointer_cast<std::vector<Out>>(
+      plan->graph()->slots.back()));
+}
+
 /// The shuffle_sweep recipe's output bytes under `options`.
 std::string SweepBytes(const std::string& args,
                        const engine::ExecutionOptions& options,
                        engine::PipelineMetrics* metrics = nullptr) {
-  auto plan = dist::PlanRegistry::Global().Build("shuffle_sweep", args);
-  MRCOST_CHECK_OK(plan.status());
-  engine::PipelineMetrics run = plan->Execute(options);
-  if (metrics != nullptr) *metrics = std::move(run);
-  return SerializedBytes(
-      *std::static_pointer_cast<
-          std::vector<std::pair<std::uint64_t, std::uint64_t>>>(
-          plan->graph()->slots.back()));
+  return RecipeBytes<std::pair<std::uint64_t, std::uint64_t>>(
+      "shuffle_sweep", args, options, metrics);
 }
 
 /// Counter `name` in a metrics JSON dump, or -1 when it is absent.
@@ -732,6 +740,21 @@ TEST(DistBackend, GraphSampleByteIdentical) {
         return graph::BuildSampleGraphPlan(data, pattern, 4, 6).counts;
       },
       "graph_sample", "nodes=60,edges=200,k=4,seed=5");
+}
+
+TEST(DistBackend, WordCountStringKeysByteIdentical) {
+  // Every other recipe keys by an integer; word count's std::string keys
+  // take the workers' storage::KeyIndex grouping path.
+  const std::string args = "words=5000,vocab=300,seed=3";
+  using Count = std::pair<std::string, std::uint64_t>;
+  const std::string reference = RecipeBytes<Count>("word_count", args, {});
+  ASSERT_FALSE(reference.empty());
+  for (const int workers : {1, 2, 4}) {
+    EXPECT_EQ(RecipeBytes<Count>("word_count", args,
+                                 MultiProcessOptions(workers)),
+              reference)
+        << "diverged at " << workers << " workers";
+  }
 }
 
 TEST(DistBackend, SchemaRecipesPredictQAndRExactly) {
@@ -906,12 +929,12 @@ TEST(DistBackend, OverflowingRunRegistryByteIdentical) {
   }
 }
 
-TEST(DistBackend, SpillMetricsReportOnlyDiskAndDeepestMerge) {
+TEST(DistBackend, SpillMetricsReportOnlyDisk) {
   // 8 chunks over 4 pinned shards, every chunk holding rows of every
-  // shard: each reducer merges 8 runs, well under the default fan-in, in
-  // one pass. The round reports that one pass (the deepest reducer's,
-  // not one per reducer), and with every run kept in worker memory no
-  // spill runs and no compression ratio (raw frames pass no codec).
+  // shard. Reducers group their runs in memory, as in-process shards do,
+  // so the round reports no merge pass; with every run kept in worker
+  // memory it reports no spill runs and no compression ratio (raw frames
+  // pass no codec).
   const std::string args = "pairs=20000,keys=256,seed=9";
   auto plan = dist::PlanRegistry::Global().Build("shuffle_sweep", args);
   ASSERT_TRUE(plan.ok()) << plan.status();
@@ -923,19 +946,18 @@ TEST(DistBackend, SpillMetricsReportOnlyDiskAndDeepestMerge) {
   EXPECT_EQ(plan->last_physical_rounds()[0].shards, 4u);
   ASSERT_EQ(metrics.rounds.size(), 1u);
   const engine::JobMetrics& round = metrics.rounds[0];
-  EXPECT_EQ(round.merge_passes, 1u);
+  EXPECT_EQ(round.merge_passes, 0u);
   EXPECT_EQ(round.spill_runs, 0u);
   EXPECT_EQ(round.spill_bytes_written, 0u);
   EXPECT_EQ(round.compression_ratio, 0.0);
 
-  // At fan-in 2 each reducer merges its 8 runs down to 4, then 2, then
-  // groups them: 3 passes, the rewrites counted as spill bytes.
-  options.pipeline.round_defaults.shuffle.merge_fan_in = 2;
-  const engine::PipelineMetrics narrow = plan->Execute(options);
-  ASSERT_EQ(narrow.rounds.size(), 1u);
-  EXPECT_EQ(narrow.rounds[0].merge_passes, 3u);
-  EXPECT_GT(narrow.rounds[0].spill_bytes_written, 0u);
-  EXPECT_EQ(narrow.rounds[0].spill_runs, 0u);
+  engine::ExecutionOptions sharded;
+  sharded.pipeline.round_defaults.num_shards = 4;
+  sharded.pipeline.round_defaults.shuffle.strategy =
+      engine::ShuffleStrategy::kSharded;
+  const engine::PipelineMetrics in_process = plan->Execute(sharded);
+  ASSERT_EQ(in_process.rounds.size(), 1u);
+  EXPECT_EQ(in_process.rounds[0].merge_passes, round.merge_passes);
 }
 
 TEST(DistBackend, UnstampedPlanFallsBackInProcess) {

@@ -1079,7 +1079,7 @@ TEST(PlanFamilies, SampleGraphAcrossStrategiesAndSeeds) {
   }
 }
 
-// --------------------------------- skew defense: chooser and calibration
+// --------------------------------- skew defense: the chooser
 
 TEST(PlanChooser, PartitionerFollowsSampledSkew) {
   // ResolvePhysicalRound reads skew off the map sample of a round with
@@ -1141,56 +1141,6 @@ TEST(PlanChooser, SampledRangeExecutionStaysByteIdentical) {
   ExpectSameMetrics(run.metrics.rounds[0], reference.metrics.rounds[0]);
   // The placement is reported.
   EXPECT_GT(run.metrics.rounds[0].partition_skew_ratio, 0.0);
-}
-
-TEST(RuntimeCalibration, LearnsSkewByEwmaAndClampsAtOne) {
-  core::RuntimeCalibration calibration;
-  EXPECT_EQ(calibration.observations(), 0u);
-  EXPECT_DOUBLE_EQ(calibration.skew_factor(), 1.0);  // neutral until fed
-  calibration.Observe(/*load_imbalance=*/2.0, /*straggler_impact=*/1.5);
-  EXPECT_DOUBLE_EQ(calibration.skew_factor(), 3.0);  // first obs taken whole
-  calibration.Observe(1.0, 1.0);  // a perfectly balanced round
-  EXPECT_NEAR(calibration.skew_factor(), 0.7 * 3.0 + 0.3 * 1.0, 1e-12);
-
-  // Ratios below 1 clamp to 1: a lucky round cannot promise speedups.
-  core::RuntimeCalibration clamped;
-  clamped.Observe(0.5, 0.0);
-  EXPECT_DOUBLE_EQ(clamped.skew_factor(), 1.0);
-}
-
-TEST(RuntimeCalibration, ExecutionFeedbackInflatesEstimate) {
-  // A skewed simulated execution observes its realized imbalance into the
-  // calibration; a later Estimate holding the same object prices the
-  // wall-clock terms higher than the uncalibrated estimate.
-  SyntheticJob job;
-  Plan plan;
-  auto ds = plan.Source(job.inputs)
-                .Map<int, std::uint64_t>(SyntheticJob::MapFn)
-                .ReduceByKey<std::pair<int, std::uint64_t>>(
-                    SyntheticJob::ReduceFn);
-  core::RuntimeCalibration calibration;
-  ExecutionOptions options;
-  SimulationOptions& simulation = options.pipeline.round_defaults.simulation;
-  simulation.num_workers = 8;
-  simulation.straggler_fraction = 0.25;
-  simulation.straggler_slowdown = 4.0;
-  simulation.seed = 11;
-  options.calibration = &calibration;
-  ds.Execute(options);
-  ASSERT_GE(calibration.observations(), 1u);
-  EXPECT_GT(calibration.skew_factor(), 1.0);
-
-  EstimateOptions estimate_options;
-  estimate_options.cost_model.communication_weight = 1.0;
-  estimate_options.cost_model.processing_weight = 1.0;
-  estimate_options.cost_model.wallclock_weight = 0.1;
-  const auto recipe = SyntheticRecipe(job.inputs.size(), 251);
-  const double baseline =
-      plan.Estimate(recipe, estimate_options).total_cost();
-  estimate_options.calibration = &calibration;
-  const double calibrated =
-      plan.Estimate(recipe, estimate_options).total_cost();
-  EXPECT_GT(calibrated, baseline);
 }
 
 }  // namespace
