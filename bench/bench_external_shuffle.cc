@@ -4,11 +4,11 @@
 // machine-readable JSON line per configuration (prefix BENCH_JSON) for
 // BENCH_*.json trajectory tracking.
 //
-// What to expect: the external shuffle pays serialization + disk + merge
-// for its bounded memory, so the in-memory path wins while data fits in
-// RAM — the point of the sweep is to measure that price and to watch the
-// spill counters (runs, bytes, merge passes) respond to the budget, the
-// way Section 2.2's communication cost responds to q.
+// What to expect: the external shuffle pays serialization + disk + a
+// re-read for its bounded memory, so the in-memory path wins while data
+// fits in RAM — the point of the sweep is to measure that price and to
+// watch the spill counters (runs, bytes) respond to the budget, the way
+// Section 2.2's communication cost responds to q.
 //
 // A second table times spill-run *ordering* alone (no encode, no disk):
 // storage::SpillOrder's radix order against the comparator row sort it
@@ -166,7 +166,7 @@ void OrderingTable() {
 
 int main(int argc, char** argv) {
   // Optional --trace_out=/--metrics_out= capture over the whole sweep:
-  // the spill/merge spans make the external strategy's disk passes
+  // the spill spans make the external strategy's disk writes
   // visible. Leave unset when measuring.
   const mrcost::obs::CaptureFlags capture =
       mrcost::obs::ParseCaptureFlags(argc, argv);

@@ -4,6 +4,7 @@
 Usage: mrcost_trace_check.py TRACE.json [--require-prediction]
                                         [--require-categories map,shuffle,...]
                                         [--check-fetch-spans]
+                                        [--span-names-subset-of=OTHER.json]
 
 Checks, in order:
   1. The file parses as JSON and holds a {"traceEvents": [...]} document.
@@ -25,9 +26,16 @@ Checks, in order:
      FetchRun record), every one carries the flow-control args (run,
      reducer, credits, blocks, bytes, stall_ms, credit_wait_ms), and no
      (reducer, run) pair appears twice — a duplicate would mean a reducer
-     fetched the same run twice. Only meaningful on failure-free runs:
-     a worker death legitimately re-fetches surviving runs, so the kill
-     smokes must not pass this flag.
+     fetched the same run twice — and no two FetchRun spans on one lane
+     (pid, tid) overlap: a reducer drains its runs one after another, so
+     each span must time its own run's drain, not the wait behind earlier
+     runs. Only meaningful on failure-free runs: a worker death
+     legitimately re-fetches surviving runs, so the kill smokes must not
+     pass this flag.
+  7. One span vocabulary: with --span-names-subset-of=OTHER, every span
+     name in TRACE must also appear in OTHER (a trace of the other
+     backend), except the container and transport spans only one backend
+     has: Round, dist-map, dist-reduce and FetchRun.
 
 Exit 0 with a one-line summary on success; exit 1 with the list of
 violations otherwise. Metadata ('M') records are tolerated and skipped.
@@ -149,7 +157,45 @@ def check_fetch_spans(events, errors):
         if count != 1:
             errors.append(f"reducer {reducer} fetched run {run!r} "
                           f"{count} times (expected once)")
+    lanes = {}
+    for event in fetches:
+        lanes.setdefault((event.get("pid"), event.get("tid")),
+                         []).append(event)
+    for (pid, tid), spans in sorted(lanes.items(), key=str):
+        spans.sort(key=lambda e: e["ts"])
+        for prev, cur in zip(spans, spans[1:]):
+            if cur["ts"] < prev["ts"] + prev["dur"]:
+                errors.append(
+                    f"lane pid={pid} tid={tid}: FetchRun of run "
+                    f"{cur.get('args', {}).get('run')!r} starts at "
+                    f"ts={cur['ts']} inside the one of run "
+                    f"{prev.get('args', {}).get('run')!r} "
+                    f"[{prev['ts']}, {prev['ts'] + prev['dur']})")
     return len(fetches)
+
+
+# Spans only one backend emits: the round summary and the multi-process
+# task and transport spans.
+BACKEND_ONLY_SPANS = {"Round", "dist-map", "dist-reduce", "FetchRun"}
+
+
+def span_names(events):
+    return {e["name"] for e in events if e.get("ph") == "X"}
+
+
+def check_span_names_subset(events, other_path, errors):
+    """Every span name here, backend-only spans aside, appears in the
+    trace at `other_path`."""
+    try:
+        with open(other_path, encoding="utf-8") as fh:
+            other = json.load(fh).get("traceEvents", [])
+    except (OSError, json.JSONDecodeError, AttributeError) as err:
+        errors.append(f"--span-names-subset-of: {other_path}: {err}")
+        return
+    known = span_names(e for e in other if isinstance(e, dict))
+    for name in sorted(span_names(events) - known - BACKEND_ONLY_SPANS):
+        errors.append(f"span {name!r} never appears in {other_path} "
+                      "(--span-names-subset-of)")
 
 
 def main():
@@ -162,6 +208,10 @@ def main():
                         help="comma-separated categories that must appear")
     parser.add_argument("--check-fetch-spans", action="store_true",
                         help="validate wire-shuffle FetchRun span accounting")
+    parser.add_argument("--span-names-subset-of", default="",
+                        metavar="OTHER",
+                        help="every span name, backend-only spans aside, "
+                        "must appear in the trace OTHER")
     opts = parser.parse_args()
 
     try:
@@ -182,6 +232,10 @@ def main():
 
     tasks = check_attempts(events, errors)
     rounds = check_rounds(events, opts.require_prediction, errors)
+    if opts.check_fetch_spans:
+        check_fetch_spans(events, errors)
+    if opts.span_names_subset_of:
+        check_span_names_subset(events, opts.span_names_subset_of, errors)
 
     seen_categories = {e.get("cat") for e in events}
     for cat in filter(None, opts.require_categories.split(",")):

@@ -274,8 +274,8 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
     graph.slots[id] = std::move(*collected);
 
     // Spill statistics mean what they mean in-process: runs and bytes
-    // that reached disk (registry overflow files). Reducers group in
-    // memory, as in-process shards do, so merge_passes stays 0, and raw
+    // that reached disk (registry overflow files). Reducers read fetched
+    // runs, not spills, so merge_passes stays 0, and raw
     // frames pass through no codec, so compression_ratio stays 0.
     for (const auto& outcome : map_outcomes) {
       outcome.counters.AddTo(metrics);

@@ -34,14 +34,16 @@ namespace mrcost::engine::internal {
 //                               run per shard, the shard's rows in emission
 //                               order as raw frames in the worker's
 //                               RunRegistry (pos = MakeSpillPos)
-//   worker        run_reduce  : fetch one shard's runs in chunk order from
-//                               their owners' data sockets -> one block ->
-//                               GroupShardRows -> ReduceGroups -> framed
-//                               result file
+//   worker        run_reduce  : stream one shard's runs in chunk order
+//                               from their owners' data sockets ->
+//                               GroupRuns -> ReduceGroups -> framed result
+//                               file
 //   coordinator   collect     : result files -> output slot + JobMetrics
 //
-// The worker runs the in-process round body (src/engine/executor.h), so
-// only the shuffle's transport differs between the backends. Both the
+// The worker runs the in-process round body (src/engine/executor.h) and
+// groups its runs with the kernel an external in-process shard uses
+// (GroupRuns, src/engine/grouping.h), so only the shuffle's transport
+// differs between the backends. Both the
 // coordinator and the worker binary rebuild the identical plan from the
 // recipe registry (src/dist/registry.h), so node indices line up and each
 // side invokes the ops it needs. Outputs are byte-identical to the
@@ -92,7 +94,7 @@ struct DistReduceSpec {
   std::vector<std::string> run_ids;
   std::vector<std::string> run_endpoints;
   /// Rows across the runs (the sum of their DistRunInfo::rows): sizes the
-  /// reducer's block.
+  /// reducer's group buffers.
   std::uint64_t rows = 0;
   /// Per-source block credit window (PhysicalRound::fetch_credits).
   std::uint32_t fetch_credits = 1;
@@ -243,7 +245,7 @@ DistRoundOps MakeDistRoundOps(
           },
           combine_fn, outcome.counters);
       if (!read.ok()) return read;
-      RouteRows(block, /*range=*/nullptr, shard_rows);
+      RouteRows(block, 0, block.rows(), /*range=*/nullptr, shard_rows);
     }
     // One run per non-empty shard, kept local as raw columnar frames for
     // reducers to pull: no shared-dir write, no codec CPU, and no per-key
@@ -279,7 +281,7 @@ DistRoundOps MakeDistRoundOps(
     }
     // Every source sends its FetchRun before the first is read, so all
     // credit windows fill in parallel.
-    std::vector<std::unique_ptr<storage::WireBlockRunSource>> sources;
+    std::vector<std::unique_ptr<storage::BlockRunSource>> sources;
     sources.reserve(spec.run_ids.size());
     for (std::size_t i = 0; i < spec.run_ids.size(); ++i) {
       storage::WireBlockRunSource::Options wire_options;
@@ -287,52 +289,20 @@ DistRoundOps MakeDistRoundOps(
       wire_options.run_id = spec.run_ids[i];
       wire_options.credits = spec.fetch_credits;
       wire_options.reducer_shard = spec.shard;
-      sources.push_back(std::make_unique<storage::WireBlockRunSource>(
-          std::move(wire_options)));
-      if (!sources.back()->Open()) return sources.back()->status();
+      auto source = std::make_unique<storage::WireBlockRunSource>(
+          std::move(wire_options));
+      if (!source->Open()) return source->status();
+      sources.push_back(std::move(source));
     }
-    // The runs, read in chunk order, fill one block whose positions
-    // ascend: the order an in-process shard's rows are grouped in.
-    storage::KVBlock<K, V> block;
-    block.Reserve(spec.rows);
-    std::vector<std::uint64_t> positions;
-    positions.reserve(spec.rows);
-    for (auto& source : sources) {
-      while (const storage::RecordView* rec = source->Peek()) {
-        if constexpr (storage::KVBlock<K, V>::kTypedKeys) {
-          if (rec->key.size() != sizeof(K)) {
-            return common::Status::Internal(
-                "dist run_reduce: corrupt key bytes");
-          }
-        }
-        V value;
-        const char* p = rec->value.data();
-        if (!storage::DeserializeValue(p, p + rec->value.size(), value)) {
-          return common::Status::Internal(
-              "dist run_reduce: corrupt value bytes");
-        }
-        block.AppendRaw(rec->key, rec->hash, std::move(value));
-        positions.push_back(rec->pos);
-        source->Advance();
-      }
-      if (auto status = source->status(); !status.ok()) return status;
-      source.reset();
-    }
-
+    // The runs, read in chunk order, stream their positions in ascending
+    // order: the order an in-process shard's rows are grouped in.
     CsrGroups<K, V> groups;
     {
       obs::TraceSpan span("ShardGroup", "shuffle", spec.node, spec.shard);
-      groups = GroupShardRows<K, V>(
-          block.rows(),
-          [&](auto&& visit) {
-            for (std::size_t r = 0; r < block.rows(); ++r) {
-              visit(block, static_cast<std::uint32_t>(r), positions[r]);
-            }
-          },
-          /*copy_values=*/false);
+      auto grouped = GroupRuns<K, V>(std::move(sources), spec.rows);
+      if (!grouped.ok()) return grouped.status();
+      groups = std::move(*grouped);
     }
-    block = {};
-    std::vector<std::uint64_t>().swap(positions);
 
     obs::TraceSpan span("ReduceShard", "reduce", spec.node, spec.shard);
     auto writer = FramedValueWriter::Create(spec.result_path);

@@ -85,9 +85,9 @@ struct JobOptions {
   /// thread count and the round's pair estimate. 1 = one shard, grouping
   /// every key in one table. Ignored by the external shuffle.
   std::size_t num_shards = 0;
-  /// Shuffle configuration (strategy, memory budget, spill dir, merge
-  /// fan-in) — the one ShuffleConfig shared with PipelineOptions and the
-  /// external shuffle; see its comment for the field-wise resolution
+  /// Shuffle configuration (strategy, memory budget, spill dir,
+  /// partitioner) — the one ShuffleConfig shared with PipelineOptions and
+  /// the external shuffle; see its comment for the field-wise resolution
   /// order. All strategies produce byte-identical outputs; only memory
   /// behaviour and metrics differ.
   ShuffleConfig shuffle;
@@ -149,9 +149,10 @@ struct PhysicalRound {
   /// the input size alone, never of the host: combined partials, and so
   /// pairs_shuffled, are the same on every machine.
   std::size_t chunks = 1;
-  /// Reduce partitions: in-memory shards, parts of the external merge
-  /// (cut at group boundaries into about equal rows), or multi-process
-  /// reduce tasks.
+  /// Reduce partitions: in-memory shards, external shards (each reading
+  /// its own spilled and in-memory runs), or multi-process reduce tasks.
+  /// Every strategy but the serial one routes rows onto them by
+  /// `partitioner`.
   std::size_t shards = 1;
   ShuffleStrategy strategy = ShuffleStrategy::kSharded;
   /// The placement that runs: kSampledRange only for in-process,
@@ -417,16 +418,17 @@ storage::KVBlock<K, V> MapBlock(MapInputs&& map_inputs,
   return std::move(emitter.block());
 }
 
-/// RouteBlock's body, a radix pass: appends each row of `block`, in row
-/// order, to the row list of its shard — `range`'s when set (sampled-range
-/// placement), else the hash's. Shards receive row indices into the
-/// block, not copies; the hash column already holds the routing hash.
+/// RouteBlock's body, a radix pass: appends each row in [lo, hi) of
+/// `block`, in row order, to the row list of its shard — `range`'s when
+/// set (sampled-range placement), else the hash's. Shards receive row
+/// indices into the block, not copies; the hash column already holds the
+/// routing hash.
 template <typename K, typename V>
-void RouteRows(const storage::KVBlock<K, V>& block,
-               const RangePartitioner* range,
+void RouteRows(const storage::KVBlock<K, V>& block, std::size_t lo,
+               std::size_t hi, const RangePartitioner* range,
                std::vector<std::vector<std::uint32_t>>& shard_rows) {
   const std::size_t shards = shard_rows.size();
-  for (std::size_t r = 0; r < block.rows(); ++r) {
+  for (std::size_t r = lo; r < hi; ++r) {
     const std::size_t p =
         shards == 1 ? 0
                     : (range != nullptr ? range->ShardOf(block.hash(r))
@@ -534,11 +536,11 @@ inline StageWindow WindowOf(const TaskScheduler& exec,
 }
 
 /// One staged map-reduce round: builds the MapPartition -> ShardGroup ->
-/// ReduceShard -> Finalize task graph (MapSpill -> Merge -> ReduceShard ->
-/// Finalize for the external shuffle) on a StageGraphExecutor over a
-/// materialized input. CombineFn is std::function<V(V, V)> for a combined
-/// round and NoCombine for a plain one, so the combined path is chosen at
-/// compile time.
+/// ReduceShard -> Finalize task graph (MapSpill -> ShardGroup ->
+/// ReduceShard -> Finalize for the external shuffle) on a
+/// StageGraphExecutor over a materialized input. CombineFn is
+/// std::function<V(V, V)> for a combined round and NoCombine for a plain
+/// one, so the combined path is chosen at compile time.
 template <typename In, typename K, typename V, typename Out, typename CombineFn>
 class StagedRound final : public StagedHandleBase {
  public:
@@ -590,10 +592,9 @@ class StagedRound final : public StagedHandleBase {
  private:
   using Block = storage::KVBlock<K, V>;
 
-  /// One shard's grouped state, filled by its ShardGroup task (in memory)
-  /// or by the Merge task (external), and consumed by its ReduceShard
-  /// task. Groups are CSR: one value buffer per shard (freed once reduced;
-  /// the offsets keep the sizes).
+  /// One shard's grouped state, filled by its ShardGroup task and
+  /// consumed by its ReduceShard task. Groups are CSR: one value buffer
+  /// per shard (freed once reduced; the offsets keep the sizes).
   struct Shard {
     CsrGroups<K, V> groups;
     std::vector<std::vector<Out>> outputs;  // filled by ReduceShard
@@ -612,8 +613,8 @@ class StagedRound final : public StagedHandleBase {
         options_(options),
         physical_(physical),
         simulation_(options.ResolvedSimulation()) {
-    // Speculation covers the in-memory shard tasks only (spill/merge is
-    // I/O-bound and externally ordered) and needs copyable values: both
+    // Speculation covers the in-memory shard tasks only (an external
+    // shard's group consumes its runs) and needs copyable values: both
     // attempts read the same routed blocks, so neither may move from
     // them. Move-only rounds silently run undefended.
     speculative_ = options_.speculation.enabled &&
@@ -644,7 +645,9 @@ class StagedRound final : public StagedHandleBase {
   void PlanPartition();
   void RouteBlock(std::size_t task);
   void GroupShard(std::size_t p);
-  void MergeSpills();
+  void SpillRouted(std::size_t c, const Block& block, std::size_t lo,
+                   std::size_t hi, std::uint64_t base, bool keep_in_memory);
+  void GroupSpilledShard(std::size_t p);
   ReducerLoad LoadOf(const K& key, GroupView<V> group) const;
   void ReduceShard(std::size_t p);
   void Finalize();
@@ -674,11 +677,16 @@ class StagedRound final : public StagedHandleBase {
   std::vector<std::vector<std::vector<std::uint32_t>>> shard_rows_;
   std::vector<MapCounters> counters_;
 
-  // External-shuffle state.
+  // External-shuffle state: one spiller for the round, and per (chunk,
+  // shard) the runs spilled, their rows and the unspilled tail run.
+  struct ChunkShardSpill {
+    std::uint32_t runs = 0;
+    std::uint64_t rows = 0;
+    storage::ColumnarRun tail;
+  };
   std::unique_ptr<storage::RunSpiller> spiller_;
   std::vector<common::Status> spill_status_;
-  std::vector<storage::ColumnarRun> tails_;
-  storage::SpillStats spill_stats_;
+  std::vector<std::vector<ChunkShardSpill>> spills_;
 
   std::vector<Shard> shards_;
 
@@ -694,7 +702,7 @@ class StagedRound final : public StagedHandleBase {
 
   std::vector<TaskId> map_tasks_;
   std::vector<TaskId> route_tasks_;   // sampled-range only: deferred radix
-  std::vector<TaskId> group_tasks_;   // in-memory: per shard; external: merge
+  std::vector<TaskId> group_tasks_;   // per shard
   std::vector<TaskId> reduce_tasks_;  // per shard
 
   std::shared_ptr<void>* output_slot_ = nullptr;
@@ -708,11 +716,13 @@ template <typename In, typename K, typename V, typename Out, typename CombineFn>
 void StagedRound<In, K, V, Out, CombineFn>::Build() {
   const std::size_t n = inputs_->size();
   result_.metrics.num_inputs = n;
-  if (physical_.strategy == ShuffleStrategy::kExternal) {
+  const bool external = physical_.strategy == ShuffleStrategy::kExternal;
+  if (external) {
     spiller_ =
         std::make_unique<storage::RunSpiller>(options_.shuffle.spill_dir);
     spill_status_.assign(physical_.chunks, common::Status::Ok());
-    tails_.resize(physical_.chunks);
+    spills_.resize(physical_.chunks);
+    for (auto& chunk : spills_) chunk.resize(physical_.shards);
   }
 
   map_tasks_.reserve(physical_.chunks);
@@ -722,28 +732,8 @@ void StagedRound<In, K, V, Out, CombineFn>::Build() {
     map_tasks_.push_back(exec_.AddTask(
         StageKind::kMap, round_tag_, {},
         [self, c, range] { self->MapChunk(c, range.first, range.second); },
-        /*speculatable=*/false,
-        physical_.strategy == ShuffleStrategy::kExternal ? "MapSpill"
-                                                          : "MapPartition",
+        /*speculatable=*/false, external ? "MapSpill" : "MapPartition",
         static_cast<std::uint32_t>(c)));
-  }
-  if (physical_.strategy == ShuffleStrategy::kExternal) {
-    // One merge task fills every shard, so each shard's reduce waits on
-    // it.
-    const TaskId merge = exec_.AddTask(StageKind::kShuffle, round_tag_,
-                                       map_tasks_,
-                                       [self] { self->MergeSpills(); },
-                                       /*speculatable=*/false, "Merge");
-    group_tasks_ = {merge};
-    reduce_tasks_.reserve(physical_.shards);
-    for (std::size_t p = 0; p < physical_.shards; ++p) {
-      reduce_tasks_.push_back(
-          exec_.AddTask(StageKind::kReduce, round_tag_, {merge},
-                        [self, p] { self->ReduceShard(p); },
-                        /*speculatable=*/false, "ReduceShard",
-                        static_cast<std::uint32_t>(p)));
-    }
-    return;
   }
   if (speculative_) {
     group_committed_.assign(physical_.shards, 0);
@@ -771,10 +761,13 @@ void StagedRound<In, K, V, Out, CombineFn>::Build() {
   }
   group_tasks_.reserve(physical_.shards);
   for (std::size_t p = 0; p < physical_.shards; ++p) {
+    auto group = [self, p, external] {
+      external ? self->GroupSpilledShard(p) : self->GroupShard(p);
+    };
     group_tasks_.push_back(
         exec_.AddTask(StageKind::kShuffle, round_tag_, *group_deps,
-                      [self, p] { self->GroupShard(p); }, speculative_,
-                      "ShardGroup", static_cast<std::uint32_t>(p)));
+                      std::move(group), speculative_, "ShardGroup",
+                      static_cast<std::uint32_t>(p)));
   }
   reduce_tasks_.reserve(physical_.shards);
   for (std::size_t p = 0; p < physical_.shards; ++p) {
@@ -789,18 +782,19 @@ template <typename In, typename K, typename V, typename Out, typename CombineFn>
 void StagedRound<In, K, V, Out, CombineFn>::MapChunk(
     std::size_t c, std::size_t lo, std::size_t hi) {
   if (physical_.strategy == ShuffleStrategy::kExternal) {
+    // The chunk's budget share backs one block buffer. Rows past it spill
+    // routed, one run per shard in emission order; the tail stays in
+    // memory as one run per shard.
+    const std::uint64_t share =
+        options_.shuffle.memory_budget_bytes / physical_.chunks;
     Emitter<K, V> emitter;
-    const auto cc = static_cast<std::uint32_t>(c);
-    common::Status& status = spill_status_[c];
+    MapCounters& counters = counters_[c];
     if constexpr (kCombined) {
       // Post-combine rows are what cross the shuffle. The combined block
-      // is sliced by accumulated ByteSizeOf at the chunk's budget share;
-      // each slice sorts and spills as one columnar run. Spill positions
-      // are the post-combine emission order.
-      const std::uint64_t budget =
-          options_.shuffle.memory_budget_bytes / physical_.chunks;
+      // is sliced by accumulated ByteSizeOf at the share, and each slice
+      // spills routed. Spill positions are the post-combine emission
+      // order.
       for (std::size_t i = lo; i < hi; ++i) map_((*inputs_)[i], emitter);
-      MapCounters& counters = counters_[c];
       counters.raw_pairs = emitter.block().rows();
       std::vector<std::uint64_t> row_bytes;
       Block combined =
@@ -810,55 +804,28 @@ void StagedRound<In, K, V, Out, CombineFn>::MapChunk(
       counters.copied = emitter.bytes_copied() + combined.CopiedBytes();
       std::size_t lo_row = 0;
       std::uint64_t acc = 0;
-      for (std::size_t r = 0; r < combined.rows() && status.ok(); ++r) {
+      for (std::size_t r = 0; r < combined.rows(); ++r) {
         acc += row_bytes[r];
-        if (acc > budget) {
-          auto run = storage::SortedRunFromBlock(
-              combined, lo_row, r + 1, [&](std::uint32_t j) {
-                return storage::MakeSpillPos(cc, lo_row + j);
-              });
-          status = spiller_->SpillBlockRun(run);
+        if (acc > share) {
+          SpillRouted(c, combined, lo_row, r + 1, 0, false);
           lo_row = r + 1;
           acc = 0;
         }
       }
-      if (status.ok() && lo_row < combined.rows()) {
-        tails_[c] = storage::SortedRunFromBlock(
-            combined, lo_row, combined.rows(), [&](std::uint32_t j) {
-              return storage::MakeSpillPos(cc, lo_row + j);
-            });
-      }
+      SpillRouted(c, combined, lo_row, combined.rows(), 0, true);
     } else {
-      // One block buffer at the chunk's full budget share: blocks spill
-      // straight from the emitter, so there is no second serialization
-      // stage to reserve for. Each overflowed block sorts and spills as
-      // one columnar run.
-      const std::uint64_t share =
-          options_.shuffle.memory_budget_bytes / physical_.chunks;
       std::uint64_t next_local = 0;
-      emitter.SetOverflow(share, [this, &status, &next_local, cc](
-                                     Block& block) {
-        if (!status.ok()) return;
-        auto run = storage::SortedRunFromBlock(
-            block, 0, block.rows(), [&](std::uint32_t j) {
-              return storage::MakeSpillPos(cc, next_local + j);
-            });
+      emitter.SetOverflow(share, [this, c, &next_local](Block& block) {
+        SpillRouted(c, block, 0, block.rows(), next_local, false);
         next_local += block.rows();
-        status = spiller_->SpillBlockRun(run);
       });
       for (std::size_t i = lo; i < hi; ++i) map_((*inputs_)[i], emitter);
-      MapCounters& counters = counters_[c];
       counters.bytes = emitter.bytes();
       counters.raw_pairs = counters.pairs = emitter.num_emitted();
       counters.blocks = emitter.blocks_emitted();
       counters.copied = emitter.bytes_copied();
-      if (status.ok() && !emitter.block().empty()) {
-        Block& block = emitter.block();
-        tails_[c] = storage::SortedRunFromBlock(
-            block, 0, block.rows(), [&](std::uint32_t j) {
-              return storage::MakeSpillPos(cc, next_local + j);
-            });
-      }
+      SpillRouted(c, emitter.block(), 0, emitter.block().rows(), next_local,
+                  true);
     }
     return;
   }
@@ -902,7 +869,8 @@ void StagedRound<In, K, V, Out, CombineFn>::RouteBlock(std::size_t task) {
   // PlanPartition); equal hashes land on equal shards either way, which
   // is all grouping correctness needs.
   if (blocks_[task] == nullptr) return;
-  RouteRows(*blocks_[task], range_partitioner_.get(), shard_rows_[task]);
+  RouteRows(*blocks_[task], 0, blocks_[task]->rows(),
+            range_partitioner_.get(), shard_rows_[task]);
 }
 
 template <typename In, typename K, typename V, typename Out, typename CombineFn>
@@ -948,37 +916,64 @@ void StagedRound<In, K, V, Out, CombineFn>::GroupShard(std::size_t p) {
 }
 
 template <typename In, typename K, typename V, typename Out, typename CombineFn>
-void StagedRound<In, K, V, Out, CombineFn>::MergeSpills() {
+void StagedRound<In, K, V, Out, CombineFn>::SpillRouted(
+    std::size_t c, const Block& block, std::size_t lo, std::size_t hi,
+    std::uint64_t base, bool keep_in_memory) {
+  // Rows [lo, hi) of chunk c's `block`, row r at local position base + r,
+  // routed by hash; each shard's rows become one run in emission order,
+  // spilled or, for the chunk's tail, kept.
+  common::Status& status = spill_status_[c];
+  if (!status.ok()) return;
+  std::vector<std::vector<std::uint32_t>> rows(physical_.shards);
+  RouteRows(block, lo, hi, /*range=*/nullptr, rows);
+  const auto chunk = static_cast<std::uint32_t>(c);
+  for (std::size_t p = 0; p < physical_.shards && status.ok(); ++p) {
+    if (rows[p].empty()) continue;
+    ChunkShardSpill& spill = spills_[c][p];
+    spill.rows += rows[p].size();
+    storage::ColumnarRun run =
+        storage::RunFromRows(block, rows[p], [&](std::uint32_t r) {
+          return storage::MakeSpillPos(chunk, base + r);
+        });
+    if (keep_in_memory) {
+      spill.tail = std::move(run);
+    } else {
+      ++spill.runs;
+      status = spiller_->SpillBlockRun(run, static_cast<std::uint32_t>(p));
+    }
+  }
+}
+
+template <typename In, typename K, typename V, typename Out, typename CombineFn>
+void StagedRound<In, K, V, Out, CombineFn>::GroupSpilledShard(std::size_t p) {
   for (const common::Status& status : spill_status_) {
     MRCOST_CHECK_OK(status);
   }
-  // Merge inputs: every chunk's unspilled tail plus every run the
-  // spiller wrote. Their rows add up to the pairs the maps routed, which
-  // sizes the shards' value buffers.
+  // The shard's runs in position order: chunk by chunk, each chunk's
+  // spilled runs (the spiller lists them in position order) and then its
+  // tail.
+  const std::vector<std::string> paths =
+      spiller_->spill_run_paths(static_cast<std::uint32_t>(p));
   std::vector<std::unique_ptr<storage::BlockRunSource>> sources;
-  for (storage::ColumnarRun& tail : tails_) {
-    if (!tail.empty()) {
-      sources.push_back(
-          std::make_unique<storage::MemoryBlockRunSource>(std::move(tail)));
+  std::size_t next_path = 0;
+  std::uint64_t rows = 0;
+  for (std::vector<ChunkShardSpill>& chunk : spills_) {
+    ChunkShardSpill& spill = chunk[p];
+    rows += spill.rows;
+    for (std::uint32_t i = 0; i < spill.runs; ++i) {
+      sources.push_back(std::make_unique<storage::DiskBlockRunSource>(
+          paths.at(next_path++)));
+    }
+    if (!spill.tail.empty()) {
+      sources.push_back(std::make_unique<storage::MemoryBlockRunSource>(
+          std::move(spill.tail)));
     }
   }
-  for (const std::string& path : spiller_->spill_run_paths()) {
-    sources.push_back(std::make_unique<storage::DiskBlockRunSource>(path));
-  }
-  std::uint64_t rows = 0;
-  for (const MapCounters& counters : counters_) rows += counters.pairs;
-  auto parts = GroupMergedRuns<K, V>(std::move(sources), *spiller_,
-                                     options_.shuffle.merge_fan_in, rows,
-                                     physical_.shards, spill_stats_);
-  MRCOST_CHECK_OK(parts.status());
-  spill_stats_.spill_runs = spiller_->spill_runs();
-  spill_stats_.spill_bytes_written = spiller_->bytes_written();
-  spill_stats_.encode = spiller_->encode_stats();
-  spiller_.reset();  // run files removed as soon as the merge is done
-  tails_.clear();
-  for (std::size_t p = 0; p < physical_.shards; ++p) {
-    shards_[p].groups = std::move((*parts)[p]);
-  }
+  MRCOST_CHECK(next_path == paths.size());
+  auto groups = GroupRuns<K, V>(std::move(sources), rows);
+  MRCOST_CHECK_OK(groups.status());
+  shards_[p].groups = std::move(*groups);
+  shards_[p].routed_rows = rows;
 }
 
 template <typename In, typename K, typename V, typename Out, typename CombineFn>
@@ -1078,10 +1073,11 @@ void StagedRound<In, K, V, Out, CombineFn>::Finalize() {
   const bool sim = simulation_.enabled();
 
   if (physical_.strategy == ShuffleStrategy::kExternal) {
-    m.spill_runs = spill_stats_.spill_runs;
-    m.spill_bytes_written = spill_stats_.spill_bytes_written;
-    m.merge_passes = spill_stats_.merge_passes;
-    m.compression_ratio = spill_stats_.encode.CompressionRatio();
+    m.spill_runs = spiller_->spill_runs();
+    m.spill_bytes_written = spiller_->bytes_written();
+    m.merge_passes = 1;  // each shard reads its runs once
+    m.compression_ratio = spiller_->encode_stats().CompressionRatio();
+    spiller_.reset();  // the run files go with it
   }
   // Deterministic merge: interleave the shards' keys back into global
   // first-seen order — (first position, shard, index within shard) sorted
@@ -1118,9 +1114,7 @@ void StagedRound<In, K, V, Out, CombineFn>::Finalize() {
   }
   // How evenly the partitioner spread the routed pairs: max over mean
   // per-shard routed rows. 1.0 = perfectly balanced shards; the gap to 1.0
-  // is what sampled-range placement exists to close. The external merge
-  // routes nothing (its parts are cut from the merged order), so it
-  // reports none.
+  // is what sampled-range placement exists to close.
   if (physical_.shards > 1) {
     std::uint64_t total_routed = 0;
     std::uint64_t max_routed = 0;
@@ -1209,6 +1203,7 @@ void StagedRound<In, K, V, Out, CombineFn>::Finalize() {
     shards_.clear();
     blocks_.clear();
     shard_rows_.clear();
+    spills_.clear();
   }
 }
 

@@ -4,8 +4,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
-#include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -14,15 +15,14 @@
 #include "src/common/status.h"
 #include "src/storage/block.h"
 #include "src/storage/external_merge.h"
-#include "src/storage/run_writer.h"
 #include "src/storage/serde.h"
 
 namespace mrcost::engine {
 
 /// A reducer's input: one key's values, read-only and contiguous — a
 /// pointer plus a size, the MR-MPI `multivalue` + `nvalues` idiom. Every
-/// reducer, in memory, after the spill merge and on a worker process,
-/// reads a slice of one CsrGroups value buffer.
+/// reducer, in memory, over spilled runs and on a worker process, reads a
+/// slice of one CsrGroups value buffer.
 ///
 /// A view is valid only during the reducer call that receives it: the
 /// buffer behind it is freed once its shard is reduced. A reducer that
@@ -53,23 +53,34 @@ class GroupView {
 
 namespace internal {
 
-/// Dense first-seen group ids over one call's rows. A typed-key block's
-/// key in [0, bound) indexes a slot array: no hash probe and no compare
-/// against an earlier row's key bytes. The array grows on demand to the
-/// largest such key seen, never past `bound` (callers pass their row
-/// count, so it costs at most 4 bytes a row). Every other key — negative,
-/// at or beyond the bound, or not an integer — goes through a
-/// storage::KeyIndex on (hash, key bytes). Both draw ids from one counter,
-/// so ids are first-seen order whatever the mix of keys.
+/// Dense first-seen group ids over one call's rows. An integer key in
+/// [0, bound) indexes a slot array: no hash probe and no compare against
+/// an earlier row's key bytes. The array grows on demand to the largest
+/// such key seen, never past `bound` (callers pass their row count, so it
+/// costs at most 4 bytes a row). Every other key — negative, at or beyond
+/// the bound, or not an integer — goes through a storage::KeyIndex on
+/// (hash, key bytes), which copies each new key's bytes when `copy_keys`
+/// (keys read from run sources). Both draw ids from one counter, so ids
+/// are first-seen order whatever the mix of keys.
 class GroupIds {
  public:
-  explicit GroupIds(std::size_t bound) : bound_(bound) {}
+  explicit GroupIds(std::size_t bound, bool copy_keys = false)
+      : bound_(bound), index_(copy_keys) {}
 
   template <typename K, typename V>
   std::uint32_t FindOrInsert(const storage::KVBlock<K, V>& block,
                              std::size_t r, bool& inserted) {
-    if constexpr (storage::KVBlock<K, V>::kTypedKeys) {
-      const K key = block.KeyAt(r);
+    return FindOrInsert<K>(block.hash(r), block.key_bytes(r), inserted);
+  }
+
+  /// A key given as its hash and serialized bytes; for an integer K the
+  /// bytes must be sizeof(K) long (serde's host-order form).
+  template <typename K>
+  std::uint32_t FindOrInsert(std::uint64_t hash, std::string_view bytes,
+                             bool& inserted) {
+    if constexpr (storage::kTypedKey<K>) {
+      K key;
+      std::memcpy(&key, bytes.data(), sizeof(K));
       bool in_range = true;
       if constexpr (std::is_signed_v<K>) in_range = key >= 0;
       if (in_range && static_cast<std::uint64_t>(key) < bound_) {
@@ -84,9 +95,8 @@ class GroupIds {
         return slot;
       }
     }
-    const std::size_t g =
-        index_.FindOrInsert(block.hash(r), block.key_bytes(r), inserted);
-    if constexpr (!storage::KVBlock<K, V>::kTypedKeys) {
+    const std::size_t g = index_.FindOrInsert(hash, bytes, inserted);
+    if constexpr (!storage::kTypedKey<K>) {
       return static_cast<std::uint32_t>(g);  // the index hands out every id
     } else {
       if (inserted) probed_.push_back(next_++);
@@ -207,87 +217,67 @@ CsrGroups<K, V> GroupRows(std::size_t num_rows, ForEachRow&& for_each_row,
   return out;
 }
 
-/// The grouping kernel behind the external shuffle's spill merge: reduces
-/// the fan-in if needed (storage::ReduceBlockFanIn), then
-/// pops the merged (hash, key bytes, pos) order once through a
-/// storage::BlockLoserTree, deserializing each key once per group and each
-/// value once into a CsrGroups buffer. Groups come out in merge order;
-/// first[g] is the pos of the group's first record — its minimum spill
-/// position, so sorting on it restores first-seen order.
-///
-/// The stream is cut at group boundaries into `num_parts` parts of about
-/// `total_rows / num_parts` rows each (trailing parts may be empty). Each
-/// part's value buffer is reserved up front from `total_rows`, the row
-/// count of all sources, so no buffer grows row by row; only the group
-/// that crosses a part's share can outgrow its reservation.
+/// The grouping kernel behind every shuffle that reads runs: an external
+/// round's ShardGroup over its spilled and in-memory runs, and a worker's
+/// reduce task over the runs it fetches. `sources` hold one shard's `rows`
+/// records, each in ascending position and the sources in position order,
+/// so records arrive in the order GroupRows visits rows. One streaming
+/// pass numbers the groups (GroupIds; a source's current block is
+/// overwritten on its next decode, so the index copies each new key's
+/// bytes) and keeps only each record's value and group id; the values
+/// then scatter, stably, into the CSR buffer. Each source is released
+/// once drained. A failed source, or key or value bytes that do not
+/// decode, return a Status.
 template <typename K, typename V>
-common::Result<std::vector<CsrGroups<K, V>>> GroupMergedRuns(
+common::Result<CsrGroups<K, V>> GroupRuns(
     std::vector<std::unique_ptr<storage::BlockRunSource>> sources,
-    storage::RunSpiller& spiller, std::size_t max_fan_in,
-    std::uint64_t total_rows, std::size_t num_parts,
-    storage::SpillStats& stats) {
-  if (max_fan_in == 0) max_fan_in = storage::kDefaultMergeFanIn;
-  if (auto status =
-          storage::ReduceBlockFanIn(sources, spiller, max_fan_in, stats);
-      !status.ok()) {
-    return status;
-  }
-  stats.merge_passes += 1;
-
-  std::vector<storage::BlockRunSource*> raw;
-  raw.reserve(sources.size());
-  for (const auto& source : sources) raw.push_back(source.get());
-  storage::BlockLoserTree tree(std::move(raw));
-
-  num_parts = std::max<std::size_t>(1, num_parts);
-  std::vector<CsrGroups<K, V>> parts(num_parts);
-  std::size_t part = 0;
-  std::uint64_t rows = 0;  // rows appended to parts [0, part]
-  // Rows through the end of part p, rounded so the last part ends at the
-  // total.
-  const auto part_end = [&](std::size_t p) {
-    return static_cast<std::uint64_t>(
-        static_cast<unsigned __int128>(total_rows) * (p + 1) / num_parts);
-  };
-  parts[0].values.reserve(part_end(0));
-  CsrGroups<K, V>* out = &parts[0];
-  std::uint64_t prev_hash = 0;
-  std::string prev_key;
-  while (const storage::RecordView* rec = tree.Peek()) {
-    if (rows == 0 || rec->hash != prev_hash || rec->key != prev_key) {
-      if (rows > 0) {
-        // Close the previous group, and its part once it holds its share.
-        out->offsets.push_back(out->values.size());
-        if (part + 1 < num_parts && rows >= part_end(part)) {
-          out = &parts[++part];
-          const std::uint64_t end = part_end(part);
-          out->values.reserve(end - std::min(rows, end));
+    std::uint64_t rows) {
+  CsrGroups<K, V> out;
+  GroupIds ids(rows, /*copy_keys=*/true);
+  std::vector<std::uint32_t> gid;
+  std::vector<V> values;
+  gid.reserve(rows);
+  values.reserve(rows);
+  for (auto& source : sources) {
+    while (const storage::RecordView* rec = source->Peek()) {
+      if (storage::kTypedKey<K> && rec->key.size() != sizeof(K)) {
+        return common::Status::Internal("run grouping: corrupt key bytes");
+      }
+      bool inserted = false;
+      const std::uint32_t g = ids.FindOrInsert<K>(rec->hash, rec->key,
+                                                  inserted);
+      if (inserted) {
+        K key{};
+        const char* p = rec->key.data();
+        if (!storage::DeserializeValue(p, p + rec->key.size(), key)) {
+          return common::Status::Internal("run grouping: corrupt key bytes");
         }
+        out.keys.push_back(std::move(key));
+        out.first.push_back(rec->pos);
+        out.offsets.push_back(0);
       }
-      prev_hash = rec->hash;
-      prev_key.assign(rec->key);
-      K key;
-      const char* p = rec->key.data();
-      if (!storage::DeserializeValue(p, p + rec->key.size(), key)) {
-        return common::Status::Internal(
-            "external merge: corrupt key bytes in spill block");
+      ++out.offsets[g + 1];
+      gid.push_back(g);
+      const char* p = rec->value.data();
+      values.emplace_back();
+      if (!storage::DeserializeValue(p, p + rec->value.size(),
+                                     values.back())) {
+        return common::Status::Internal("run grouping: corrupt value bytes");
       }
-      out->keys.push_back(std::move(key));
-      out->first.push_back(rec->pos);
+      source->Advance();
     }
-    const char* p = rec->value.data();
-    out->values.emplace_back();
-    if (!storage::DeserializeValue(p, p + rec->value.size(),
-                                   out->values.back())) {
-      return common::Status::Internal(
-          "external merge: corrupt value bytes in spill block");
-    }
-    ++rows;
-    tree.Pop();
+    if (auto status = source->status(); !status.ok()) return status;
+    source.reset();
   }
-  if (auto status = tree.status(); !status.ok()) return status;
-  if (rows > 0) out->offsets.push_back(out->values.size());
-  return parts;
+  for (std::size_t g = 0; g < out.size(); ++g) {
+    out.offsets[g + 1] += out.offsets[g];
+  }
+  std::vector<std::size_t> cursor(out.offsets.begin(), out.offsets.end() - 1);
+  out.values.resize(gid.size());
+  for (std::size_t i = 0; i < gid.size(); ++i) {
+    out.values[cursor[gid[i]]++] = std::move(values[i]);
+  }
+  return out;
 }
 
 }  // namespace internal

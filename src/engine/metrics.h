@@ -86,13 +86,13 @@ struct JobMetrics {
 
   /// External-shuffle spill accounting (all zero unless the round ran
   /// ShuffleStrategy::kExternal; see src/storage/):
-  /// bytes written to spill files (map-side runs plus multi-pass merge
-  /// rewrites),
+  /// bytes written to spill files,
   std::uint64_t spill_bytes_written = 0;
-  /// sorted runs spilled to disk by over-budget map batches,
+  /// runs spilled to disk by over-budget map blocks (one per overflow and
+  /// shard that received rows),
   std::uint64_t spill_runs = 0;
-  /// and k-way merge passes, the final grouping pass included (>1 means
-  /// the run count exceeded the merge fan-in).
+  /// and passes over the spilled runs: 1 for an external round, whose
+  /// shards each read their runs once.
   std::uint64_t merge_passes = 0;
 
   /// Columnar-block accounting (src/storage/block.h):

@@ -144,10 +144,10 @@ PhysicalRound ResolvePhysicalRound(const JobOptions& options,
   why << "); strategy " << ToString(round.strategy) << " (" << strategy_why
       << "); shards ";
   if (round.strategy == ShuffleStrategy::kExternal) {
-    // Parts of the merged runs: two per thread keep every thread
-    // reducing while the slowest part finishes.
+    // Two hash-routed shards per thread keep every thread grouping and
+    // reducing while the slowest shard finishes.
     round.shards = std::max<std::size_t>(1, facts.num_threads * 2);
-    why << round.shards << " (two merged parts per thread)";
+    why << round.shards << " (two spill shards per thread)";
   } else if (round.strategy == ShuffleStrategy::kSharded) {
     round.shards = ResolveShardCount(
         options.num_shards, facts.num_threads,
@@ -164,8 +164,10 @@ PhysicalRound ResolvePhysicalRound(const JobOptions& options,
   }
 
   why << "; partitioner ";
-  if (round.strategy == ShuffleStrategy::kExternal || round.shards <= 1) {
+  if (round.shards <= 1) {
     why << "hash (no shards to place)";
+  } else if (round.strategy == ShuffleStrategy::kExternal) {
+    why << "hash (runs spill routed, before any sample)";
   } else if (facts.multi_process) {
     why << "hash (workers place by hash)";
   } else if (config.partitioner != PartitionerKind::kAuto) {

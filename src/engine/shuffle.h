@@ -16,10 +16,11 @@ namespace mrcost::engine {
 ///   kAuto     — kExternal when a memory budget is set, else kSharded.
 ///   kSerial   — the single-map reference shuffle (one thread, no shards).
 ///   kSharded  — radix-partitioned parallel in-memory shuffle.
-///   kExternal — spill-to-disk shuffle: map-side batches over the memory
-///               budget are sorted and spilled as runs, then k-way merged
-///               back into groups. The only strategy that can run rounds
-///               whose intermediate data exceeds RAM.
+///   kExternal — spill-to-disk shuffle: a map chunk's rows past its share
+///               of the memory budget are routed by hash and spilled, one
+///               run per shard in emission order; each shard then groups
+///               its runs (no sort, no merge). The only strategy that can
+///               run rounds whose intermediate data exceeds RAM.
 /// All strategies produce byte-identical ShuffleResults.
 enum class ShuffleStrategy { kAuto = 0, kSerial, kSharded, kExternal };
 
@@ -58,29 +59,25 @@ struct ShuffleConfig {
   ShuffleStrategy strategy = ShuffleStrategy::kAuto;
   /// Shuffle memory budget in ByteSizeOf bytes (src/common/byte_size.h —
   /// the same convention the simulator's capacity checks use). The budget
-  /// is split evenly across the round's map chunks; a chunk's batch spills
-  /// to a sorted run once it exceeds its share. 0 spills every pair
+  /// is split evenly across the round's map chunks; a chunk's block spills,
+  /// one run per shard, once it exceeds its share. 0 spills every pair
   /// individually when kExternal is explicit (valid, maximally
   /// degenerate).
   std::uint64_t memory_budget_bytes = 0;
   /// Where run files live; "" = std::filesystem::temp_directory_path().
   std::string spill_dir;
-  /// Runs merged per k-way pass; 0 = storage::kDefaultMergeFanIn. Runs in
-  /// excess are first merged down in extra passes (merge_passes counts
-  /// them).
-  std::size_t merge_fan_in = 0;
   /// How pairs are placed onto shards. kAuto lets ResolvePhysicalRound
   /// pick from the round's map-fn sample (skewed keys => kSampledRange)
-  /// and otherwise behaves as kHash. Ignored by the external shuffle (its
-  /// placement is the sorted merge order), by the one-shard serial path
-  /// and by the multi-process backend (hash placement only).
+  /// and otherwise behaves as kHash. Ignored by the external shuffle and
+  /// the multi-process backend (both place by hash: a spilled or
+  /// published run is routed before any sample could exist) and by the
+  /// one-shard serial path.
   PartitionerKind partitioner = PartitionerKind::kAuto;
 
   /// True when any field was moved off its unset value.
   bool configured() const {
     return strategy != ShuffleStrategy::kAuto || memory_budget_bytes > 0 ||
-           !spill_dir.empty() || merge_fan_in > 0 ||
-           partitioner != PartitionerKind::kAuto;
+           !spill_dir.empty() || partitioner != PartitionerKind::kAuto;
   }
 
   /// Step 2 of the resolution order: fields still unset here inherit
@@ -94,7 +91,6 @@ struct ShuffleConfig {
       merged.memory_budget_bytes = fallback.memory_budget_bytes;
     }
     if (merged.spill_dir.empty()) merged.spill_dir = fallback.spill_dir;
-    if (merged.merge_fan_in == 0) merged.merge_fan_in = fallback.merge_fan_in;
     if (merged.partitioner == PartitionerKind::kAuto) {
       merged.partitioner = fallback.partitioner;
     }
@@ -138,9 +134,8 @@ struct ShuffleResult {
 
 /// Serial reference shuffle: a single hash map over all chunks of pairs,
 /// as the seed engine did inline. The engine itself only shuffles columnar
-/// blocks (the sharded block shuffle in memory, the spilled-run merge
-/// under a budget); this is the oracle the tests hold every one of those
-/// paths to — same keys, same first-seen key order, same values in
+/// blocks (routed rows in memory, routed runs under a budget); this is the
+/// oracle the tests hold every one of those paths to — same keys, same first-seen key order, same values in
 /// emission order.
 template <typename Key, typename Value>
 ShuffleResult<Key, Value> SerialShuffle(

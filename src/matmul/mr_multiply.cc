@@ -12,20 +12,25 @@ namespace mrcost::matmul {
 namespace {
 
 /// Flattens both matrices into tagged elements (the job's input list).
+/// Elements are built through Element's constructor so that each is stored
+/// field by field into the vector: a brace-initialized aggregate lets GCC,
+/// when it does not inline the vector's grow path, assemble a stack
+/// temporary with narrow stores and copy it with one wide load — a
+/// store-forwarding stall on every element.
 std::vector<Element> FlattenInputs(const Matrix& r, const Matrix& s) {
   std::vector<Element> inputs;
   inputs.reserve(static_cast<std::size_t>(r.rows()) * r.cols() +
                  static_cast<std::size_t>(s.rows()) * s.cols());
   for (int i = 0; i < r.rows(); ++i) {
     for (int j = 0; j < r.cols(); ++j) {
-      inputs.push_back(Element{0, static_cast<std::uint32_t>(i),
-                               static_cast<std::uint32_t>(j), r.At(i, j)});
+      inputs.push_back(Element(0, static_cast<std::uint32_t>(i),
+                               static_cast<std::uint32_t>(j), r.At(i, j)));
     }
   }
   for (int j = 0; j < s.rows(); ++j) {
     for (int k = 0; k < s.cols(); ++k) {
-      inputs.push_back(Element{1, static_cast<std::uint32_t>(j),
-                               static_cast<std::uint32_t>(k), s.At(j, k)});
+      inputs.push_back(Element(1, static_cast<std::uint32_t>(j),
+                               static_cast<std::uint32_t>(k), s.At(j, k)));
     }
   }
   return inputs;

@@ -12,7 +12,14 @@
 namespace mrcost::matmul {
 
 /// One matrix element in flight, tagged with which matrix it came from.
+/// The constructor lets a vector store an element field by field (see
+/// FlattenInputs).
 struct Element {
+  Element() = default;
+  Element(std::uint8_t matrix, std::uint32_t row, std::uint32_t col,
+          double value)
+      : matrix(matrix), row(row), col(col), value(value) {}
+
   std::uint8_t matrix;  // 0 = R, 1 = S
   std::uint32_t row;
   std::uint32_t col;

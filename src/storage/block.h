@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <string_view>
@@ -26,8 +27,8 @@ namespace mrcost::storage {
 // Downstream stages route *row indices* into the block rather than copying
 // pairs, spill paths encode whole blocks (varint lengths, optional
 // run-length key dictionary, optional per-block compression behind the
-// Codec interface) into the existing CRC32 spill frames, and the k-way
-// merge walks block cursors instead of materialized records.
+// Codec interface) into the existing CRC32 spill frames, and run readers
+// walk block cursors instead of materialized records.
 
 // ----------------------------------------------------------------------
 // Varint encoding: LEB128, the block format's length encoding.
@@ -51,8 +52,8 @@ inline bool GetVarint(const char*& p, const char* end, std::uint64_t& out) {
   return false;  // > 10 continuation bytes: malformed
 }
 
-/// Signed deltas (the position column is sorted by key, not position) map
-/// onto unsigned varints via zigzag.
+/// Signed deltas (a sorted run's position column follows its keys, not
+/// its positions) map onto unsigned varints via zigzag.
 inline std::uint64_t ZigZagEncode(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
          static_cast<std::uint64_t>(v >> 63);
@@ -68,7 +69,7 @@ inline std::int64_t ZigZagDecode(std::uint64_t v) {
 
 /// FNV-1a over the serialized key bytes with a final avalanche mix — the
 /// one hash both the emitter (at append time) and the block decoder (when
-/// a spilled block is re-read) compute, so routing and merge order agree
+/// a spilled block is re-read) compute, so routing and grouping agree
 /// without storing the hash column on disk. Serialization is injective,
 /// so equal hashes + equal bytes means equal keys.
 inline std::uint64_t HashBytes(std::string_view bytes) {
@@ -184,7 +185,7 @@ class ByteSlab {
 };
 
 // ----------------------------------------------------------------------
-// ColumnarRun: one sorted spill run in columnar form.
+// ColumnarRun: one run in columnar form.
 
 /// A borrowed view of one record of a run: the key/value views point into
 /// the owning run's slabs and stay valid until the run (or the disk
@@ -196,10 +197,11 @@ struct RecordView {
   std::string_view value;
 };
 
-/// The spill order every run is sorted in and the k-way merge pops in:
-/// (hash, key bytes, position). Serialization is injective, so equal
-/// (hash, key bytes) means equal keys, and ordering by position within a
-/// key reproduces emission order — the engine's determinism contract.
+/// Sorted-run order: (hash, key bytes, position), the order
+/// SortedRunFromRows builds. Serialization is injective, so equal (hash,
+/// key bytes) means equal keys, and ordering by position within a key
+/// keeps emission order. No shuffle path sorts; sorted runs remain for
+/// codec measurements, whose dictionary thrives on adjacent equal keys.
 inline bool RecordViewLess(const RecordView& a, const RecordView& b) {
   if (a.hash != b.hash) return a.hash < b.hash;
   const int c = a.key.compare(b.key);
@@ -208,8 +210,8 @@ inline bool RecordViewLess(const RecordView& a, const RecordView& b) {
 }
 
 /// One run of records in columnar form: hash and position columns plus
-/// key/value byte slabs. Spill runs are sorted by (hash, key bytes, pos);
-/// a multi-process map's runs keep emission order.
+/// key/value byte slabs. Shuffle runs — spilled, kept in memory or
+/// published by a worker — hold one shard's rows in emission order.
 struct ColumnarRun {
   std::vector<std::uint64_t> hashes;
   std::vector<std::uint64_t> positions;
@@ -276,13 +278,13 @@ struct BlockEncodeStats {
   }
 };
 
-/// Encodes rows [lo, hi) of a sorted run as one spill-frame payload:
+/// Encodes rows [lo, hi) of a run as one spill-frame payload:
 ///
 ///   u8 codec id | varint raw body size | body (codec-compressed)
 ///
 /// body: varint rows | u8 flags | key section | position section | value
-/// section. Keys are varint-length-prefixed; when the rows' sorted order
-/// makes equal keys adjacent and at least halves the entry count, the key
+/// section. Keys are varint-length-prefixed; when the rows' order makes
+/// equal keys adjacent and at least halves the entry count, the key
 /// section switches to a run-length dictionary (flags bit 0): varint runs,
 /// then per run (varint key length, key bytes, varint row count).
 /// Positions are zigzag varint deltas. The hash column is not stored — the
@@ -302,13 +304,19 @@ common::Status DecodeBlock(std::string_view payload, ColumnarRun& run);
 /// the grouping engine behind the block shuffle. Replaces the per-shard
 /// std::unordered_map<Key, ...>: no per-node allocation, no re-hashing of
 /// typed keys (hashes arrive precomputed from the block's hash column),
-/// and key equality is one byte comparison against a slab view. The views
-/// handed to FindOrInsert must stay valid for the index's lifetime (block
-/// slabs are stable until cleared). The table grows with the distinct keys
-/// it sees and is never pre-sized: the row count callers know can exceed
-/// the key count by orders of magnitude, and every slot is zero-filled.
+/// and key equality is one byte comparison against a slab view. The index
+/// keeps views: the bytes handed to FindOrInsert must stay valid for the
+/// index's lifetime (block slabs are stable until cleared), unless it was
+/// built with `copy_keys`, in which case it copies each inserted key's
+/// bytes into chunks it owns — for keys read from a run source, whose
+/// current block is overwritten on the next decode. The table grows with
+/// the distinct keys it sees and is never pre-sized: the row count callers
+/// know can exceed the key count by orders of magnitude, and every slot is
+/// zero-filled.
 class KeyIndex {
  public:
+  explicit KeyIndex(bool copy_keys = false) : copy_keys_(copy_keys) {}
+
   /// Group id for (hash, key); allocates the next dense id when unseen.
   std::size_t FindOrInsert(std::uint64_t hash, std::string_view key,
                            bool& inserted) {
@@ -322,7 +330,7 @@ class KeyIndex {
       if (slot.group == kEmpty) {
         slot.hash = hash;
         slot.group = static_cast<std::uint32_t>(groups_.size());
-        groups_.emplace_back(hash, key);
+        groups_.emplace_back(hash, copy_keys_ ? Keep(key) : key);
         inserted = true;
         return slot.group;
       }
@@ -355,8 +363,27 @@ class KeyIndex {
     slots_ = std::move(fresh);
   }
 
+  /// A copy of `key` in the owned chunks, which never move: a chunk is
+  /// filled and then left, never grown.
+  std::string_view Keep(std::string_view key) {
+    if (key.size() > chunk_left_) {
+      chunk_left_ = std::max<std::size_t>(std::size_t{64} << 10, key.size());
+      chunks_.emplace_back(new char[chunk_left_]);
+      chunk_next_ = chunks_.back().get();
+    }
+    std::memcpy(chunk_next_, key.data(), key.size());
+    const std::string_view kept(chunk_next_, key.size());
+    chunk_next_ += key.size();
+    chunk_left_ -= key.size();
+    return kept;
+  }
+
   std::vector<Slot> slots_;
   std::vector<std::pair<std::uint64_t, std::string_view>> groups_;
+  bool copy_keys_ = false;
+  std::vector<std::unique_ptr<char[]>> chunks_;
+  char* chunk_next_ = nullptr;
+  std::size_t chunk_left_ = 0;
 };
 
 // ----------------------------------------------------------------------
@@ -376,11 +403,15 @@ class KeyIndex {
 /// integer as its host-order bytes, so key_bytes(i) is a view over the
 /// column entry, and every hash, spill run and wire frame is byte-identical
 /// to the serialized form. Any other key serializes into a ByteSlab.
+/// Whether KVBlock keeps `Key` in a typed column (see KVBlock).
+template <typename Key>
+inline constexpr bool kTypedKey =
+    std::is_integral_v<Key> && !std::is_same_v<Key, bool>;
+
 template <typename Key, typename Value>
 class KVBlock {
  public:
-  static constexpr bool kTypedKeys =
-      std::is_integral_v<Key> && !std::is_same_v<Key, bool>;
+  static constexpr bool kTypedKeys = kTypedKey<Key>;
 
   std::size_t rows() const { return hashes_.size(); }
   bool empty() const { return hashes_.empty(); }
@@ -549,8 +580,10 @@ std::vector<std::uint32_t> SpillOrder(const KVBlock<Key, Value>& block,
 
 /// Serializes rows `order` of `block`, in that order, as one ColumnarRun;
 /// `make_pos(r)` packs row r's emission position (MakeSpillPos-style).
-/// Values serialize here, at spill or publish time only. A multi-process
-/// map task publishes each shard's rows in emission order through it.
+/// Values serialize here, at spill or publish time only. Every shuffle run
+/// goes through it with one shard's rows in emission order: an external
+/// round's spills and tails, and a multi-process map task's published
+/// runs.
 template <typename Key, typename Value, typename MakePos>
 ColumnarRun RunFromRows(const KVBlock<Key, Value>& block,
                         const std::vector<std::uint32_t>& order,
@@ -575,8 +608,7 @@ ColumnarRun RunFromRows(const KVBlock<Key, Value>& block,
 
 /// Serializes an ascending subset `rows` of `block` as one ColumnarRun in
 /// spill order (SpillOrder); row index must be emission order within the
-/// block (it is — row index is local emission position). The one ordering
-/// function behind in-process spills.
+/// block (it is — row index is local emission position).
 template <typename Key, typename Value, typename MakePos>
 ColumnarRun SortedRunFromRows(const KVBlock<Key, Value>& block,
                               const std::vector<std::uint32_t>& rows,

@@ -2,31 +2,24 @@
 #define MRCOST_STORAGE_EXTERNAL_MERGE_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/storage/block.h"
-#include "src/storage/run_writer.h"
 #include "src/storage/spill_file.h"
 
 namespace mrcost::storage {
 
-/// Runs merged per k-way pass when the caller does not say otherwise.
-inline constexpr std::size_t kDefaultMergeFanIn = 64;
+// Run sources walk *cursors*: each exposes a borrowed RecordView into its
+// current decoded block, and the consumer (engine::internal::GroupRuns)
+// copies only what it keeps — each group's key once, each value once. No
+// per-record allocation on the read path.
 
-// The k-way merge walks *cursors*: each source exposes a borrowed
-// RecordView into its current decoded block, the loser tree compares
-// views, and consumers copy only what they keep (group values) or
-// re-append raw bytes (merge rewrites). No per-record allocation anywhere
-// in the merge.
-
-/// A sorted stream of records in columnar form. Peek returns the current
-/// record or nullptr when drained/errored (check status()); the view stays
-/// valid until the next Advance on this source.
+/// A stream of records in columnar form, in ascending emission position.
+/// Peek returns the current record or nullptr when drained/errored (check
+/// status()); the view stays valid until the next Advance on this source.
 class BlockRunSource {
  public:
   virtual ~BlockRunSource() = default;
@@ -35,7 +28,7 @@ class BlockRunSource {
   virtual common::Status status() const = 0;
 };
 
-/// An unspilled in-memory tail, already sorted by RecordViewLess.
+/// A run kept in memory: an external round's unspilled chunk tail.
 class MemoryBlockRunSource : public BlockRunSource {
  public:
   explicit MemoryBlockRunSource(ColumnarRun run) : run_(std::move(run)) {}
@@ -54,8 +47,8 @@ class MemoryBlockRunSource : public BlockRunSource {
   RecordView view_;
 };
 
-/// A version-2 spill file, streamed and decoded one block at a time (a
-/// k-way merge holds k decoded blocks, not k runs).
+/// A version-2 spill file, streamed and decoded one block at a time (its
+/// reader holds one decoded block, not the run).
 class DiskBlockRunSource : public BlockRunSource {
  public:
   explicit DiskBlockRunSource(std::string path) : path_(std::move(path)) {}
@@ -75,42 +68,6 @@ class DiskBlockRunSource : public BlockRunSource {
   std::size_t next_ = 0;
   RecordView view_;
 };
-
-/// Loser-tree k-way merge over block cursors: pops the least record (by
-/// RecordViewLess) across all sources with one leaf-to-root replay per pop
-/// — log2(k) comparisons instead of the k-1 a naive scan costs. Positions
-/// are globally unique, so the order is total and the merge deterministic.
-/// Pops borrowed views: consume *Peek() before calling Pop — Pop advances
-/// the winning source, which may decode a new block over the view's
-/// storage.
-class BlockLoserTree {
- public:
-  explicit BlockLoserTree(std::vector<BlockRunSource*> sources);
-
-  /// The least unconsumed record across all sources; nullptr when drained
-  /// or errored (see status()).
-  const RecordView* Peek();
-  void Pop();
-  common::Status status() const { return status_; }
-
- private:
-  bool Beats(std::size_t a, std::size_t b);
-  void Replay(std::size_t source);
-
-  std::vector<BlockRunSource*> sources_;
-  std::vector<std::size_t> losers_;
-  std::size_t winner_ = 0;
-  common::Status status_;
-};
-
-/// Merges `sources` down to at most `max_fan_in` by rewriting batches of
-/// runs into single merged runs through `spiller.NewBlockRun`,
-/// re-appending raw key/value bytes — records are never deserialized
-/// during fan-in reduction. Each sweep over the sources counts one merge
-/// pass in `stats`.
-common::Status ReduceBlockFanIn(
-    std::vector<std::unique_ptr<BlockRunSource>>& sources,
-    RunSpiller& spiller, std::size_t max_fan_in, SpillStats& stats);
 
 }  // namespace mrcost::storage
 

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 
@@ -28,18 +29,10 @@ common::Result<BlockRunFileWriter> BlockRunFileWriter::Create(
   return BlockRunFileWriter(std::move(file.value()), codec, block_bytes);
 }
 
-common::Status BlockRunFileWriter::Append(const RecordView& rec) {
-  pending_.Append(rec);
-  if (pending_.RawBytes() >= block_bytes_) return FlushPending();
-  return common::Status::Ok();
-}
-
 common::Status BlockRunFileWriter::AppendRun(const ColumnarRun& run,
                                              std::size_t lo,
                                              std::size_t hi) {
-  // Rows are already sorted and contiguous — encode directly in
-  // ~block_bytes_ slices instead of staging through pending_.
-  if (auto status = FlushPending(); !status.ok()) return status;
+  // Encode straight from the run's columns in ~block_bytes_ slices.
   std::size_t start = lo;
   std::size_t raw = 0;
   for (std::size_t i = lo; i < hi; ++i) {
@@ -62,17 +55,7 @@ common::Status BlockRunFileWriter::AppendRun(const ColumnarRun& run,
   return common::Status::Ok();
 }
 
-common::Status BlockRunFileWriter::Finish() {
-  if (auto status = FlushPending(); !status.ok()) return status;
-  return file_.Close();
-}
-
-common::Status BlockRunFileWriter::FlushPending() {
-  if (pending_.empty()) return common::Status::Ok();
-  EncodeBlock(pending_, 0, pending_.rows(), *codec_, payload_, stats_);
-  pending_.Clear();
-  return file_.AppendBlock(payload_);
-}
+common::Status BlockRunFileWriter::Finish() { return file_.Close(); }
 
 RunSpiller::RunSpiller(std::string dir)
     : dir_(std::move(dir)), spiller_id_(NextSpillerId()) {
@@ -91,12 +74,7 @@ RunSpiller::RunSpiller(std::string dir)
 
 RunSpiller::~RunSpiller() {
   std::error_code ec;
-  for (const auto& [key, path] : spill_paths_) {
-    std::filesystem::remove(path, ec);
-  }
-  for (const std::string& path : merge_paths_) {
-    std::filesystem::remove(path, ec);
-  }
+  for (const SpilledRun& run : runs_) std::filesystem::remove(run.path, ec);
 }
 
 std::string RunSpiller::NextPath() {
@@ -109,26 +87,22 @@ std::string RunSpiller::NextPath() {
 }
 
 common::Status RunSpiller::SpillBlockRun(ColumnarRun& run,
-                                         const Codec* codec) {
+                                         std::uint32_t shard) {
   obs::TraceSpan span("SpillBlockRun", "spill");
   if (span.active()) {
     span.AddArg(obs::Arg("rows", static_cast<std::uint64_t>(run.rows())));
   }
   // Emission positions are globally unique and assigned in scan order, so
-  // a run's smallest position is a deterministic merge-order key — unlike
+  // a run's first position is a deterministic read-order key — unlike
   // registration order, which depends on which map thread spilled first.
-  std::uint64_t order_key = 0;
-  if (!run.positions.empty()) {
-    order_key =
-        *std::min_element(run.positions.begin(), run.positions.end());
-  }
   std::string path;
   {
     std::lock_guard<std::mutex> lock(mu_);
     path = NextPath();
-    spill_paths_.emplace_back(order_key, path);
+    runs_.push_back(SpilledRun{
+        shard, run.positions.empty() ? 0 : run.positions.front(), path});
   }
-  auto writer = BlockRunFileWriter::Create(path, codec);
+  auto writer = BlockRunFileWriter::Create(path);
   if (!writer.ok()) return writer.status();
   if (auto status = writer->AppendRun(run, 0, run.rows()); !status.ok()) {
     return status;
@@ -151,58 +125,30 @@ common::Status RunSpiller::SpillBlockRun(ColumnarRun& run,
   return common::Status::Ok();
 }
 
-common::Result<BlockRunFileWriter> RunSpiller::NewBlockRun(
-    const Codec* codec) {
-  std::string path;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    path = NextPath();
-    merge_paths_.push_back(path);
-  }
-  return BlockRunFileWriter::Create(path, codec);
-}
-
-common::Status RunSpiller::CloseBlockRun(BlockRunFileWriter& writer) {
-  if (auto status = writer.Finish(); !status.ok()) return status;
-  std::lock_guard<std::mutex> lock(mu_);
-  bytes_written_ += writer.bytes_written();
-  encode_stats_.Add(writer.stats());
-  return common::Status::Ok();
-}
-
 BlockEncodeStats RunSpiller::encode_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return encode_stats_;
 }
 
-std::vector<std::string> RunSpiller::run_paths() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> all;
-  all.reserve(spill_paths_.size() + merge_paths_.size());
-  for (const auto& [key, path] : spill_paths_) all.push_back(path);
-  all.insert(all.end(), merge_paths_.begin(), merge_paths_.end());
-  return all;
-}
-
-std::vector<std::string> RunSpiller::spill_run_paths() const {
+std::vector<std::string> RunSpiller::spill_run_paths(
+    std::uint32_t shard) const {
   std::vector<std::pair<std::uint64_t, std::string>> keyed;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    keyed = spill_paths_;
+    for (const SpilledRun& run : runs_) {
+      if (run.shard == shard) keyed.emplace_back(run.first_pos, run.path);
+    }
   }
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
+  std::sort(keyed.begin(), keyed.end());
   std::vector<std::string> paths;
   paths.reserve(keyed.size());
-  for (auto& [key, path] : keyed) paths.push_back(std::move(path));
+  for (auto& [pos, path] : keyed) paths.push_back(std::move(path));
   return paths;
 }
 
 std::uint64_t RunSpiller::spill_runs() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return spill_paths_.size();
+  return runs_.size();
 }
 
 std::uint64_t RunSpiller::bytes_written() const {

@@ -225,7 +225,6 @@ WireBlockRunSource::~WireBlockRunSource() {
 
 bool WireBlockRunSource::Open() {
   opened_ = true;
-  t_open_us_ = obs::TraceRecorder::NowUs();
   const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     status_ = common::Status::Internal(
@@ -351,6 +350,7 @@ bool WireBlockRunSource::NextBlock() {
 const RecordView* WireBlockRunSource::Peek() {
   if (done_ || !status_.ok()) return nullptr;
   if (!opened_ && !Open()) return nullptr;
+  if (t_first_peek_us_ == 0) t_first_peek_us_ = obs::TraceRecorder::NowUs();
   while (next_ >= run_.rows()) {
     if (!NextBlock()) return nullptr;
     next_ = 0;
@@ -373,8 +373,8 @@ void WireBlockRunSource::EmitFetchSpan() {
   event.name = "FetchRun";
   event.category = "fetch";
   event.shard = options_.reducer_shard;
-  event.t_start_us = t_open_us_;
   event.t_end_us = obs::TraceRecorder::NowUs();
+  event.t_start_us = t_first_peek_us_ != 0 ? t_first_peek_us_ : event.t_end_us;
   event.args.push_back(obs::Arg("run", options_.run_id));
   event.args.push_back(obs::Arg("reducer", options_.reducer_shard));
   event.args.push_back(obs::Arg("credits", options_.credits));

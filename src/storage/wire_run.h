@@ -17,11 +17,13 @@
 namespace mrcost::storage {
 
 // The multi-process shuffle's storage half: a map task keeps each shard's
-// run — the shard's rows in emission order — as raw columnar frames in a
-// worker-local RunRegistry instead of writing it into the shared job
-// directory, and a reduce task pulls the runs through WireBlockRunSources,
-// which decode frames straight off a data socket. The reducer reads the
-// records, never how frames slice them, so framing cannot change results.
+// run — the shard's rows in emission order, the same run an external
+// in-process round spills — as raw columnar frames in a worker-local
+// RunRegistry instead of writing it into the shared job directory, and a
+// reduce task streams the runs through WireBlockRunSources, which decode
+// frames straight off a data socket, into GroupRuns. The reducer reads
+// the records, never how frames slice them, so framing cannot change
+// results.
 
 /// First byte of a raw columnar frame. Deliberately outside the codec id
 /// space, so a raw frame misrouted into DecodeBlock fails loudly instead
@@ -150,8 +152,10 @@ class WireBlockRunSource : public BlockRunSource {
   std::size_t next_ = 0;
   RecordView view_;
 
-  // Per-fetch observability, emitted once as a "FetchRun" span.
-  std::uint64_t t_open_us_ = 0;
+  // Per-fetch observability, emitted once as a "FetchRun" span from the
+  // first Peek to RunEnd: the run's drain, not its time queued behind the
+  // reducer's earlier runs.
+  std::uint64_t t_first_peek_us_ = 0;
   std::uint64_t blocks_ = 0;
   std::uint64_t wire_bytes_ = 0;
   double stall_ms_ = 0;

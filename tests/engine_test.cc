@@ -1328,7 +1328,7 @@ ShuffleConfig FullShuffleDefaults() {
   defaults.strategy = ShuffleStrategy::kSharded;
   defaults.memory_budget_bytes = 1 << 20;
   defaults.spill_dir = "/tmp/mrcost-default-spill";
-  defaults.merge_fan_in = 16;
+  defaults.partitioner = PartitionerKind::kSampledRange;
   return defaults;
 }
 
@@ -1345,7 +1345,7 @@ TEST(ShuffleConfigResolution, SingleFieldOverridesInheritTheRest) {
     EXPECT_EQ(merged.strategy, ShuffleStrategy::kExternal);
     EXPECT_EQ(merged.memory_budget_bytes, defaults.memory_budget_bytes);
     EXPECT_EQ(merged.spill_dir, defaults.spill_dir);
-    EXPECT_EQ(merged.merge_fan_in, defaults.merge_fan_in);
+    EXPECT_EQ(merged.partitioner, defaults.partitioner);
   }
   {
     ShuffleConfig round;
@@ -1354,7 +1354,7 @@ TEST(ShuffleConfigResolution, SingleFieldOverridesInheritTheRest) {
     EXPECT_EQ(merged.strategy, defaults.strategy);
     EXPECT_EQ(merged.memory_budget_bytes, std::uint64_t{1} << 12);
     EXPECT_EQ(merged.spill_dir, defaults.spill_dir);
-    EXPECT_EQ(merged.merge_fan_in, defaults.merge_fan_in);
+    EXPECT_EQ(merged.partitioner, defaults.partitioner);
   }
   {
     ShuffleConfig round;
@@ -1363,16 +1363,16 @@ TEST(ShuffleConfigResolution, SingleFieldOverridesInheritTheRest) {
     EXPECT_EQ(merged.strategy, defaults.strategy);
     EXPECT_EQ(merged.memory_budget_bytes, defaults.memory_budget_bytes);
     EXPECT_EQ(merged.spill_dir, "/tmp/mrcost-round-spill");
-    EXPECT_EQ(merged.merge_fan_in, defaults.merge_fan_in);
+    EXPECT_EQ(merged.partitioner, defaults.partitioner);
   }
   {
     ShuffleConfig round;
-    round.merge_fan_in = 2;
+    round.partitioner = PartitionerKind::kHash;
     const ShuffleConfig merged = round.MergedOver(defaults);
     EXPECT_EQ(merged.strategy, defaults.strategy);
     EXPECT_EQ(merged.memory_budget_bytes, defaults.memory_budget_bytes);
     EXPECT_EQ(merged.spill_dir, defaults.spill_dir);
-    EXPECT_EQ(merged.merge_fan_in, 2u);
+    EXPECT_EQ(merged.partitioner, PartitionerKind::kHash);
   }
 }
 
@@ -1382,14 +1382,14 @@ TEST(ShuffleConfigResolution, UnsetInheritsEverythingAndZeroStaysZero) {
   EXPECT_EQ(inherited.strategy, defaults.strategy);
   EXPECT_EQ(inherited.memory_budget_bytes, defaults.memory_budget_bytes);
   EXPECT_EQ(inherited.spill_dir, defaults.spill_dir);
-  EXPECT_EQ(inherited.merge_fan_in, defaults.merge_fan_in);
+  EXPECT_EQ(inherited.partitioner, defaults.partitioner);
   EXPECT_TRUE(inherited.configured());
 
   const ShuffleConfig untouched = ShuffleConfig{}.MergedOver(ShuffleConfig{});
   EXPECT_EQ(untouched.strategy, ShuffleStrategy::kAuto);
   EXPECT_EQ(untouched.memory_budget_bytes, 0u);
   EXPECT_TRUE(untouched.spill_dir.empty());
-  EXPECT_EQ(untouched.merge_fan_in, 0u);
+  EXPECT_EQ(untouched.partitioner, PartitionerKind::kAuto);
   EXPECT_FALSE(untouched.configured());
 }
 
@@ -1401,14 +1401,14 @@ TEST(ShuffleConfigResolution, ThreeLayerOrderRoundBeatsDefaultsBeatsBackstop) {
   backstop.strategy = ShuffleStrategy::kSerial;
   backstop.memory_budget_bytes = 1 << 22;
   backstop.spill_dir = "/tmp/mrcost-backstop-spill";
-  backstop.merge_fan_in = 64;
+  backstop.partitioner = PartitionerKind::kSampledRange;
 
   ShuffleConfig defaults;  // sets two of four fields
   defaults.memory_budget_bytes = 1 << 16;
-  defaults.merge_fan_in = 8;
+  defaults.partitioner = PartitionerKind::kSampledRange;
 
   ShuffleConfig round;  // sets one field the defaults also set, one not
-  round.merge_fan_in = 3;
+  round.partitioner = PartitionerKind::kHash;
   round.strategy = ShuffleStrategy::kExternal;
 
   const ShuffleConfig merged =
@@ -1417,7 +1417,7 @@ TEST(ShuffleConfigResolution, ThreeLayerOrderRoundBeatsDefaultsBeatsBackstop) {
   EXPECT_EQ(merged.memory_budget_bytes,
             std::uint64_t{1} << 16);                       // defaults
   EXPECT_EQ(merged.spill_dir, backstop.spill_dir);         // backstop
-  EXPECT_EQ(merged.merge_fan_in, 3u);                      // round
+  EXPECT_EQ(merged.partitioner, PartitionerKind::kHash);  // round
 }
 
 TEST(ShuffleConfigResolution, ResolvedStrategyFollowsBudget) {

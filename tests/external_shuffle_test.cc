@@ -7,14 +7,18 @@
 // instead of simulated.
 
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
+#include "src/common/thread_pool.h"
+#include "src/engine/executor.h"
 #include "src/engine/metrics.h"
 #include "src/engine/plan.h"
 #include "src/engine/shuffle.h"
@@ -55,7 +59,7 @@ TEST(ShuffleConfigResolution, FieldWiseMergeOrder) {
   fallback.strategy = ShuffleStrategy::kSharded;
   fallback.memory_budget_bytes = 1 << 20;
   fallback.spill_dir = "/tmp/fallback";
-  fallback.merge_fan_in = 8;
+  fallback.partitioner = PartitionerKind::kSampledRange;
 
   ShuffleConfig round;  // everything unset
   EXPECT_FALSE(round.configured());
@@ -63,7 +67,7 @@ TEST(ShuffleConfigResolution, FieldWiseMergeOrder) {
   EXPECT_EQ(merged.strategy, ShuffleStrategy::kSharded);
   EXPECT_EQ(merged.memory_budget_bytes, std::uint64_t{1} << 20);
   EXPECT_EQ(merged.spill_dir, "/tmp/fallback");
-  EXPECT_EQ(merged.merge_fan_in, 8u);
+  EXPECT_EQ(merged.partitioner, PartitionerKind::kSampledRange);
 
   round.strategy = ShuffleStrategy::kExternal;
   round.spill_dir = "/tmp/round";
@@ -72,7 +76,7 @@ TEST(ShuffleConfigResolution, FieldWiseMergeOrder) {
   EXPECT_EQ(merged.spill_dir, "/tmp/round");               // round wins
   EXPECT_EQ(merged.memory_budget_bytes,
             std::uint64_t{1} << 20);  // inherited field-wise
-  EXPECT_EQ(merged.merge_fan_in, 8u);
+  EXPECT_EQ(merged.partitioner, PartitionerKind::kSampledRange);
 
   // kAuto resolution after the merge: budget => external.
   ShuffleConfig auto_config;
@@ -220,17 +224,99 @@ TEST(ExternalShuffleJob, MatchesSerialShuffleAcrossDistributionsAndBudgets) {
   }
 }
 
-TEST(ExternalShuffleJob, TinyFanInForcesMultiPassMerge) {
-  const auto chunks = RandomChunks(KeyDist::kUniform, 9);
+/// One external round staged straight onto the executor with an explicit
+/// shape — the resolver gives external rounds two shards per thread, so
+/// this is how a test picks an odd shard count. Its reducer emits each
+/// key's group as-is.
+template <typename CombineFn>
+JobResult<std::pair<std::uint64_t, std::vector<int>>> ExternalRound(
+    const std::vector<std::pair<std::uint64_t, int>>& inputs,
+    std::size_t chunks, std::size_t shards, std::uint64_t share,
+    CombineFn combine) {
+  using In = std::pair<std::uint64_t, int>;
+  using Out = std::pair<std::uint64_t, std::vector<int>>;
+  common::ThreadPool pool(2);
+  StageGraphExecutor exec(pool);
   JobOptions options;
-  options.num_threads = 4;
+  options.pool = &pool;
   options.shuffle.strategy = ShuffleStrategy::kExternal;
-  options.shuffle.memory_budget_bytes = 512;  // many small runs
-  options.shuffle.merge_fan_in = 2;           // smallest legal fan-in
-  const auto run = GroupJob(chunks, options);
-  EXPECT_EQ(run.outputs, SerialGroups(chunks));
-  EXPECT_GT(run.metrics.rounds[0].merge_passes, 1u);
-  EXPECT_GT(run.metrics.rounds[0].spill_runs, 2u);
+  options.shuffle.memory_budget_bytes = share * chunks;
+  PhysicalRound physical;
+  physical.chunks = chunks;
+  physical.shards = shards;
+  physical.strategy = ShuffleStrategy::kExternal;
+  auto map_fn = [](const In& kv, Emitter<std::uint64_t, int>& emitter) {
+    emitter.Emit(kv.first, kv.second);
+  };
+  auto reduce_fn = [](const std::uint64_t& key, GroupView<int> values,
+                      std::vector<Out>& out) {
+    out.emplace_back(key, std::vector<int>(values.begin(), values.end()));
+  };
+  using Round =
+      internal::StagedRound<In, std::uint64_t, int, Out, CombineFn>;
+  auto round = Round::StageMaterialized(exec, 0, inputs, nullptr, map_fn,
+                                        combine, reduce_fn, options,
+                                        physical);
+  round->StageFinalize();
+  exec.Wait();
+  return round->TakeResult();
+}
+
+TEST(ExternalShuffleJob, ManyOverflowsPerChunkAcrossShardCounts) {
+  // A share of a few rows per chunk overflows each map chunk dozens of
+  // times, every overflow spilling one run per shard. Each shard must
+  // still read its runs in position order: outputs byte-identical to
+  // SerialShuffle over the rows that cross the shuffle — the raw pairs
+  // for a plain round, each chunk's pairs folded per key in first-seen
+  // order for a combined one.
+  constexpr std::size_t kChunks = 3;
+  const std::function<int(int, int)> sum = [](int a, int b) { return a + b; };
+  for (KeyDist dist : {KeyDist::kUniform, KeyDist::kZipf,
+                       KeyDist::kAllDistinct}) {
+    for (std::uint64_t seed : {1u, 2u}) {
+      std::vector<std::pair<std::uint64_t, int>> inputs;
+      for (const auto& chunk : RandomChunks(dist, seed)) {
+        inputs.insert(inputs.end(), chunk.begin(), chunk.end());
+      }
+      std::vector<std::vector<std::pair<std::uint64_t, int>>> raw(kChunks);
+      std::vector<std::vector<std::pair<std::uint64_t, int>>> folded(
+          kChunks);
+      PhysicalRound shape;
+      shape.chunks = kChunks;
+      for (std::size_t c = 0; c < kChunks; ++c) {
+        const auto [lo, hi] = shape.ChunkRange(c, inputs.size());
+        std::unordered_map<std::uint64_t, std::size_t> at;
+        for (std::size_t i = lo; i < hi; ++i) {
+          const auto& [key, value] = inputs[i];
+          raw[c].emplace_back(key, value);
+          const auto [it, fresh] = at.try_emplace(key, folded[c].size());
+          if (fresh) {
+            folded[c].emplace_back(key, value);
+          } else {
+            folded[c][it->second].second += value;
+          }
+        }
+      }
+      const auto plain_want = SerialGroups(raw);
+      const auto combined_want = SerialGroups(folded);
+      for (std::size_t shards : {1u, 2u, 4u, 7u}) {
+        SCOPED_TRACE(std::string(Name(dist)) + " seed=" +
+                     std::to_string(seed) +
+                     " shards=" + std::to_string(shards));
+        const auto plain = ExternalRound(inputs, kChunks, shards,
+                                         /*share=*/48, internal::NoCombine{});
+        EXPECT_EQ(plain.outputs, plain_want);
+        EXPECT_GT(plain.metrics.spill_runs, kChunks);
+        EXPECT_EQ(plain.metrics.merge_passes, 1u);
+        const auto combined =
+            ExternalRound(inputs, kChunks, shards, /*share=*/24, sum);
+        EXPECT_EQ(combined.outputs, combined_want);
+        EXPECT_GT(combined.metrics.spill_runs, kChunks);
+        EXPECT_EQ(combined.metrics.pairs_shuffled,
+                  folded[0].size() + folded[1].size() + folded[2].size());
+      }
+    }
+  }
 }
 
 TEST(ExternalShuffleJob, StringKeysAndValues) {

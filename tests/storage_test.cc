@@ -383,13 +383,13 @@ TEST(BlockSpill, WriterRoundTripsThroughDiskSource) {
   ColumnarRun run = RunFor(KeyDist::kZipf, 11);
   const ColumnarRun expect =
       RunFor(KeyDist::kZipf, 11);
-  ASSERT_TRUE(spiller.SpillBlockRun(run).ok());
+  ASSERT_TRUE(spiller.SpillBlockRun(run, 0).ok());
   EXPECT_TRUE(run.empty()) << "spill consumes the run";
   EXPECT_EQ(spiller.spill_runs(), 1u);
   EXPECT_GT(spiller.bytes_written(), 0u);
   EXPECT_GT(spiller.encode_stats().blocks, 0u);
 
-  DiskBlockRunSource source(spiller.spill_run_paths()[0]);
+  DiskBlockRunSource source(spiller.spill_run_paths(0)[0]);
   std::size_t i = 0;
   while (const RecordView* rec = source.Peek()) {
     ASSERT_LT(i, expect.rows());
@@ -408,8 +408,8 @@ TEST(BlockSpill, TruncatedAndCorruptedRunsSurfaceStatus) {
   // Truncation mid-frame: kOutOfRange from the frame layer.
   RunSpiller spiller(TestDir());
   ColumnarRun run = RunFor(KeyDist::kUniform, 13);
-  ASSERT_TRUE(spiller.SpillBlockRun(run).ok());
-  const std::string path = spiller.spill_run_paths()[0];
+  ASSERT_TRUE(spiller.SpillBlockRun(run, 0).ok());
+  const std::string path = spiller.spill_run_paths(0)[0];
   const auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size - 5);
   {
@@ -421,8 +421,8 @@ TEST(BlockSpill, TruncatedAndCorruptedRunsSurfaceStatus) {
   // A flipped byte inside the compressed frame: the CRC catches it
   // (kInternal) before the codec ever sees the bytes.
   ColumnarRun again = RunFor(KeyDist::kUniform, 13);
-  ASSERT_TRUE(spiller.SpillBlockRun(again).ok());
-  const std::string path2 = spiller.spill_run_paths()[1];
+  ASSERT_TRUE(spiller.SpillBlockRun(again, 0).ok());
+  const std::string path2 = spiller.spill_run_paths(0)[1];
   {
     std::fstream f(path2, std::ios::binary | std::ios::in | std::ios::out);
     f.seekp(-3, std::ios::end);
@@ -449,65 +449,103 @@ TEST(BlockSpill, TruncatedAndCorruptedRunsSurfaceStatus) {
   }
 }
 
-/// Groups merged into CSR parts, restored to first-seen order by each
-/// group's first position: the shape SerialShuffle returns.
+/// Per-shard CSR groups restored to first-seen order by each group's
+/// first position: the shape SerialShuffle returns.
 template <typename Key, typename Value>
 engine::ShuffleResult<Key, Value> FirstSeenOrder(
-    const std::vector<engine::internal::CsrGroups<Key, Value>>& parts) {
+    const std::vector<engine::internal::CsrGroups<Key, Value>>& shards) {
   std::vector<std::tuple<std::uint64_t, std::size_t, std::size_t>> order;
-  for (std::size_t p = 0; p < parts.size(); ++p) {
-    for (std::size_t g = 0; g < parts[p].size(); ++g) {
-      order.emplace_back(parts[p].first[g], p, g);
+  for (std::size_t p = 0; p < shards.size(); ++p) {
+    for (std::size_t g = 0; g < shards[p].size(); ++g) {
+      order.emplace_back(shards[p].first[g], p, g);
     }
   }
   std::sort(order.begin(), order.end());
   engine::ShuffleResult<Key, Value> result;
   for (const auto& [pos, p, g] : order) {
-    const auto view = parts[p].group(g);
-    result.keys.push_back(parts[p].keys[g]);
+    const auto view = shards[p].group(g);
+    result.keys.push_back(shards[p].keys[g]);
     result.groups.emplace_back(view.begin(), view.end());
   }
   return result;
 }
 
-TEST(BlockMerge, MatchesSerialShuffleAcrossDistributions) {
-  // Merging spilled and in-memory runs at the smallest fan-in into CSR
-  // parts, then restoring first-seen order, must reproduce the serial
-  // in-memory reference exactly — same keys, same group contents, same
-  // order — for every distribution and part count.
+/// `rows` of `block` in row order as one run, positions MakeSpillPos(c, r).
+template <typename K>
+ColumnarRun ChunkRun(const KVBlock<K, int>& block, std::uint32_t c,
+                     const std::vector<std::uint32_t>& rows) {
+  return RunFromRows(block, rows,
+                     [c](std::uint32_t r) { return MakeSpillPos(c, r); });
+}
+
+TEST(GroupRuns, MatchesSerialShuffleAcrossDistributions) {
+  // The external round's shape: every chunk's rows routed by hash, each
+  // shard's rows split into a spilled run (filed under the shard) and an
+  // in-memory tail. Grouping each shard's runs in position order, then
+  // restoring first-seen order, must reproduce the serial in-memory
+  // reference exactly — same keys, same group contents, same order — for
+  // every distribution and shard count.
   for (KeyDist dist : kAllKeyDists) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      for (std::size_t num_parts : {1u, 3u}) {
+      for (std::size_t num_shards : {1u, 3u}) {
         SCOPED_TRACE(std::string(Name(dist)) + " seed=" +
                      std::to_string(seed) +
-                     " parts=" + std::to_string(num_parts));
+                     " shards=" + std::to_string(num_shards));
         auto chunks = RandomChunks(dist, seed);
         const auto serial = engine::SerialShuffle(chunks);
+        chunks = RandomChunks(dist, seed);
 
-        // Five runs: spill runs 0-2, keep 3-4 in memory.
         RunSpiller spiller(TestDir());
-        std::vector<std::unique_ptr<BlockRunSource>> sources;
-        std::uint64_t rows = 0;
-        std::size_t r = 0;
-        for (ColumnarRun& run : RunsFor(dist, seed, 5)) {
-          rows += run.rows();
-          if (r++ < 3) {
-            ASSERT_TRUE(spiller.SpillBlockRun(run).ok());
-            sources.push_back(std::make_unique<DiskBlockRunSource>(
-                spiller.spill_run_paths().back()));
-          } else {
-            sources.push_back(
-                std::make_unique<MemoryBlockRunSource>(std::move(run)));
+        // tails[c][p], and whether chunk c spilled a run for shard p.
+        std::vector<std::vector<ColumnarRun>> tails(chunks.size());
+        std::vector<std::vector<bool>> spilled(chunks.size());
+        std::vector<std::uint64_t> shard_rows(num_shards);
+        for (std::uint32_t c = 0; c < chunks.size(); ++c) {
+          KVBlock<std::uint64_t, int> block;
+          for (auto& [key, value] : chunks[c]) block.Append(key, int(value));
+          std::vector<std::vector<std::uint32_t>> routed(num_shards);
+          for (std::uint32_t r = 0; r < block.rows(); ++r) {
+            routed[engine::IndexOfHash(block.hash(r), num_shards)]
+                .push_back(r);
+          }
+          tails[c].resize(num_shards);
+          spilled[c].assign(num_shards, false);
+          for (std::size_t p = 0; p < num_shards; ++p) {
+            const std::vector<std::uint32_t>& rows = routed[p];
+            shard_rows[p] += rows.size();
+            const std::size_t half = rows.size() / 2;
+            if (half > 0) {
+              ColumnarRun run = ChunkRun(
+                  block, c, {rows.begin(), rows.begin() + half});
+              ASSERT_TRUE(
+                  spiller.SpillBlockRun(run, static_cast<std::uint32_t>(p))
+                      .ok());
+              spilled[c][p] = true;
+            }
+            tails[c][p] = ChunkRun(block, c, {rows.begin() + half, rows.end()});
           }
         }
-        SpillStats stats;
-        auto parts = engine::internal::GroupMergedRuns<std::uint64_t, int>(
-            std::move(sources), spiller, /*max_fan_in=*/2, rows, num_parts,
-            stats);
-        ASSERT_TRUE(parts.ok()) << parts.status();
-        ASSERT_EQ(parts->size(), num_parts);
-        EXPECT_GT(stats.merge_passes, 1u);
-        const auto result = FirstSeenOrder(*parts);
+        std::vector<engine::internal::CsrGroups<std::uint64_t, int>> shards;
+        for (std::size_t p = 0; p < num_shards; ++p) {
+          const auto paths =
+              spiller.spill_run_paths(static_cast<std::uint32_t>(p));
+          std::size_t next = 0;
+          std::vector<std::unique_ptr<BlockRunSource>> sources;
+          for (std::size_t c = 0; c < chunks.size(); ++c) {
+            if (spilled[c][p]) {
+              sources.push_back(
+                  std::make_unique<DiskBlockRunSource>(paths.at(next++)));
+            }
+            sources.push_back(std::make_unique<MemoryBlockRunSource>(
+                std::move(tails[c][p])));
+          }
+          EXPECT_EQ(next, paths.size());
+          auto groups = engine::internal::GroupRuns<std::uint64_t, int>(
+              std::move(sources), shard_rows[p]);
+          ASSERT_TRUE(groups.ok()) << groups.status();
+          shards.push_back(std::move(*groups));
+        }
+        const auto result = FirstSeenOrder(shards);
         EXPECT_EQ(result.keys, serial.keys);
         EXPECT_EQ(result.groups, serial.groups);
       }
@@ -515,133 +553,166 @@ TEST(BlockMerge, MatchesSerialShuffleAcrossDistributions) {
   }
 }
 
-TEST(BlockMerge, PartsCutAtGroupBoundariesIntoNearEqualRows) {
-  // 4,000 rows over 100 keys of 40 rows each, cut into 3 parts: a part
-  // closes at the first group boundary at or past its share of the rows
-  // (p + 1) * 4000 / 3, so each part holds whole groups and ends within
-  // one group of its share.
-  ColumnarRun run;
-  for (std::uint64_t pos = 0; pos < 4000; ++pos) {
-    AppendRow(run, pos % 100, static_cast<int>(pos), pos);
+/// GroupRows over `keys` dealt round-robin into three blocks (row r of
+/// block c at position MakeSpillPos(c, r)) against GroupRuns over the
+/// same rows as runs: each block's first half written to disk in frames
+/// of a few rows, so keys recur across decoded blocks, and its second
+/// half kept in memory.
+template <typename K>
+void ExpectRunsGroupLikeRows(const std::vector<K>& keys,
+                             const std::string& name) {
+  std::vector<KVBlock<K, int>> blocks(3);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    blocks[i % 3].Append(keys[i], static_cast<int>(i));
   }
+  const auto want = engine::internal::GroupRows<K, int>(
+      keys.size(),
+      [&](auto&& visit) {
+        for (std::uint32_t c = 0; c < blocks.size(); ++c) {
+          for (std::uint32_t r = 0; r < blocks[c].rows(); ++r) {
+            visit(blocks[c], r, MakeSpillPos(c, r));
+          }
+        }
+      },
+      [](KVBlock<K, int>& block, std::uint32_t r) { return block.value(r); });
+
   std::vector<std::unique_ptr<BlockRunSource>> sources;
-  sources.push_back(std::make_unique<MemoryBlockRunSource>(Sorted(run)));
-  RunSpiller spiller(TestDir());
-  SpillStats stats;
-  auto parts = engine::internal::GroupMergedRuns<std::uint64_t, int>(
-      std::move(sources), spiller, kDefaultMergeFanIn, run.rows(),
-      /*num_parts=*/3, stats);
-  ASSERT_TRUE(parts.ok()) << parts.status();
-  ASSERT_EQ(parts->size(), 3u);
-  EXPECT_EQ(stats.merge_passes, 1u);
-  std::uint64_t end = 0;
-  std::size_t keys = 0;
-  for (std::size_t p = 0; p < parts->size(); ++p) {
-    const auto& part = (*parts)[p];
-    keys += part.size();
-    for (std::size_t g = 0; g < part.size(); ++g) {
-      EXPECT_EQ(part.group_size(g), 40u);
+  for (std::uint32_t c = 0; c < blocks.size(); ++c) {
+    std::vector<std::uint32_t> head(blocks[c].rows() / 2);
+    std::iota(head.begin(), head.end(), 0u);
+    std::vector<std::uint32_t> tail(blocks[c].rows() - head.size());
+    std::iota(tail.begin(), tail.end(),
+              static_cast<std::uint32_t>(head.size()));
+    const std::string path =
+        TestPath("group-runs-" + name + "-" + std::to_string(c) + ".run");
+    auto writer =
+        BlockRunFileWriter::Create(path, nullptr, /*block_bytes=*/64);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    const ColumnarRun run = ChunkRun(blocks[c], c, head);
+    ASSERT_TRUE(writer->AppendRun(run, 0, run.rows()).ok());
+    ASSERT_TRUE(writer->Finish().ok());
+    ASSERT_GT(writer->stats().blocks, 2u);
+    sources.push_back(std::make_unique<DiskBlockRunSource>(path));
+    sources.push_back(
+        std::make_unique<MemoryBlockRunSource>(ChunkRun(blocks[c], c, tail)));
+  }
+  const auto got =
+      engine::internal::GroupRuns<K, int>(std::move(sources), keys.size());
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->keys, want.keys);
+  EXPECT_EQ(got->first, want.first);
+  EXPECT_EQ(got->offsets, want.offsets);
+  EXPECT_EQ(got->values, want.values);
+}
+
+TEST(GroupRuns, MatchesGroupRowsAcrossKeyKinds) {
+  // 600 rows, so the slot bound is 600: u64 ids below it take the slot
+  // array; ids at or above it, the extremes, negative ids and strings go
+  // through the key index, which must keep its own copy of each key —
+  // every key recurs after the block that introduced it was overwritten.
+  common::SplitMix64 rng(7);
+  std::vector<std::uint64_t> ids;
+  std::vector<std::int64_t> signed_ids;
+  std::vector<std::string> words;
+  for (int i = 0; i < 600; ++i) {
+    std::uint64_t id = rng.UniformBelow(200);
+    switch (rng.UniformBelow(6)) {
+      case 0: id = 600 + rng.UniformBelow(30); break;
+      case 1: id = UINT64_MAX - rng.UniformBelow(2); break;
+      case 2: id = 599; break;
+      default: break;
     }
-    end += part.values.size();
-    EXPECT_GE(end, 4000 * (p + 1) / 3) << p;
-    EXPECT_LT(end, 4000 * (p + 1) / 3 + 40) << p;
+    ids.push_back(id);
+    signed_ids.push_back(static_cast<std::int64_t>(rng.UniformBelow(40)) -
+                         20);
+    words.push_back(i % 5 == 0 ? std::string(40, 'r') + "-recurring"
+                               : "w" + std::to_string(rng.UniformBelow(60)));
   }
-  EXPECT_EQ(keys, 100u);
+  ExpectRunsGroupLikeRows(ids, "u64");
+  ExpectRunsGroupLikeRows(signed_ids, "i64");
+  ExpectRunsGroupLikeRows(words, "string");
 }
 
-TEST(BlockLoserTree, EmptyAndSingleSource) {
-  BlockLoserTree empty({});
-  EXPECT_EQ(empty.Peek(), nullptr);
-  EXPECT_TRUE(empty.status().ok());
-
-  ColumnarRun run;
-  AppendRow(run, 2, 20, 0);
-  AppendRow(run, 5, 50, 1);
-  const ColumnarRun expect = Sorted(run);
-  MemoryBlockRunSource source(Sorted(run));
-  BlockLoserTree tree({&source});
-  for (std::size_t i = 0; i < expect.rows(); ++i) {
-    const RecordView* rec = tree.Peek();
-    ASSERT_NE(rec, nullptr);
-    EXPECT_EQ(rec->pos, expect.positions[i]);
-    EXPECT_EQ(rec->value, expect.values.At(i));
-    tree.Pop();
-  }
-  EXPECT_EQ(tree.Peek(), nullptr);
-  EXPECT_TRUE(tree.status().ok());
-}
-
-TEST(BlockLoserTree, MergesManySourcesInOrder) {
-  // 7 sources with colliding keys; positions globally unique, so every
-  // pop must be strictly greater than the last under RecordViewLess.
-  common::SplitMix64 rng(13);
-  std::vector<ColumnarRun> runs(7);
-  for (std::uint64_t pos = 0; pos < 500; ++pos) {
-    AppendRow(runs[rng.UniformBelow(7)], rng.UniformBelow(40),
-              static_cast<int>(pos), pos);
-  }
-  std::vector<MemoryBlockRunSource> owned;
-  owned.reserve(runs.size());
-  for (const ColumnarRun& run : runs) owned.emplace_back(Sorted(run));
-  std::vector<BlockRunSource*> sources;
-  for (auto& source : owned) sources.push_back(&source);
-  BlockLoserTree tree(sources);
-  ColumnarRun popped;
-  while (const RecordView* rec = tree.Peek()) {
-    if (!popped.empty()) {
-      EXPECT_TRUE(RecordViewLess(popped.View(popped.rows() - 1), *rec));
-    }
-    popped.Append(*rec);
-    tree.Pop();
-  }
-  EXPECT_EQ(popped.rows(), 500u);
-  EXPECT_TRUE(tree.status().ok());
-}
-
-TEST(RunSpiller, RemovesItsFilesOnDestruction) {
-  std::vector<std::string> paths;
-  {
-    RunSpiller spiller(TestDir());
-    ColumnarRun run;
-    AppendRow(run, 1, 1, 1);
-    ASSERT_TRUE(spiller.SpillBlockRun(run).ok());
-    // A merge rewrite is the spiller's file too.
-    auto rewrite = spiller.NewBlockRun();
-    ASSERT_TRUE(rewrite.ok()) << rewrite.status();
-    AppendRow(run, 2, 2, 2);
-    ASSERT_TRUE(rewrite->Append(run.View(0)).ok());
-    ASSERT_TRUE(spiller.CloseBlockRun(*rewrite).ok());
-    paths = spiller.run_paths();
-    ASSERT_EQ(paths.size(), 2u);
-    for (const std::string& path : paths) {
-      EXPECT_TRUE(std::filesystem::exists(path)) << path;
-    }
-  }
-  for (const std::string& path : paths) {
-    EXPECT_FALSE(std::filesystem::exists(path)) << path;
-  }
-}
-
-TEST(ExternalMerge, CorruptRunSurfacesStatusNotCrash) {
+TEST(GroupRuns, CorruptRunSurfacesStatusNotCrash) {
+  // A truncated spill file: the frame layer's kOutOfRange, as a Status.
   RunSpiller spiller(TestDir());
   ColumnarRun run;
   for (int i = 0; i < 50; ++i) {
     AppendRow(run, static_cast<std::uint64_t>(i), i,
               static_cast<std::uint64_t>(i));
   }
-  run = Sorted(run);
-  ASSERT_TRUE(spiller.SpillBlockRun(run).ok());
-  const std::string path = spiller.spill_run_paths()[0];
+  ASSERT_TRUE(spiller.SpillBlockRun(run, 0).ok());
+  const std::string path = spiller.spill_run_paths(0)[0];
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 7);
-
   std::vector<std::unique_ptr<BlockRunSource>> sources;
   sources.push_back(std::make_unique<DiskBlockRunSource>(path));
-  SpillStats stats;
-  auto merged = engine::internal::GroupMergedRuns<std::uint64_t, int>(
-      std::move(sources), spiller, kDefaultMergeFanIn, run.rows(),
-      /*num_parts=*/1, stats);
-  ASSERT_FALSE(merged.ok());
-  EXPECT_EQ(merged.status().code(), common::StatusCode::kOutOfRange);
+  auto truncated = engine::internal::GroupRuns<std::uint64_t, int>(
+      std::move(sources), 50);
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.status().code(), common::StatusCode::kOutOfRange);
+
+  // Key or value bytes that do not decode: kInternal, never a crash.
+  const auto group_one = [](std::string_view key, std::string_view value) {
+    ColumnarRun bad;
+    bad.Append(RecordView{HashBytes(key), 0, key, value});
+    std::vector<std::unique_ptr<BlockRunSource>> one;
+    one.push_back(std::make_unique<MemoryBlockRunSource>(std::move(bad)));
+    return one;
+  };
+  std::string u64_key;
+  SerializeValue(std::uint64_t{3}, u64_key);
+  std::string int_value;
+  SerializeValue(7, int_value);
+  std::string string_value;
+  SerializeValue(std::string("payload"), string_value);
+  auto short_key = engine::internal::GroupRuns<std::uint64_t, int>(
+      group_one(u64_key.substr(0, 3), int_value), 1);
+  ASSERT_FALSE(short_key.ok());
+  EXPECT_EQ(short_key.status().code(), common::StatusCode::kInternal);
+  auto bad_string_key = engine::internal::GroupRuns<std::string, int>(
+      group_one(string_value.substr(0, 5), int_value), 1);
+  ASSERT_FALSE(bad_string_key.ok());
+  EXPECT_EQ(bad_string_key.status().code(), common::StatusCode::kInternal);
+  auto bad_value = engine::internal::GroupRuns<std::uint64_t, std::string>(
+      group_one(u64_key, string_value.substr(0, 5)), 1);
+  ASSERT_FALSE(bad_value.ok());
+  EXPECT_EQ(bad_value.status().code(), common::StatusCode::kInternal);
+}
+
+TEST(RunSpiller, FilesRunsByShardAndRemovesThemOnDestruction) {
+  std::vector<std::string> shard0;
+  std::vector<std::string> shard1;
+  {
+    RunSpiller spiller(TestDir());
+    // Registered out of position order: the spiller lists each shard's
+    // runs by first position, whichever thread spilled first.
+    ColumnarRun run;
+    AppendRow(run, 1, 1, 40);
+    ASSERT_TRUE(spiller.SpillBlockRun(run, 0).ok());
+    AppendRow(run, 2, 2, 50);
+    ASSERT_TRUE(spiller.SpillBlockRun(run, 1).ok());
+    AppendRow(run, 3, 3, 10);
+    ASSERT_TRUE(spiller.SpillBlockRun(run, 0).ok());
+    EXPECT_EQ(spiller.spill_runs(), 3u);
+    shard0 = spiller.spill_run_paths(0);
+    shard1 = spiller.spill_run_paths(1);
+    ASSERT_EQ(shard0.size(), 2u);
+    ASSERT_EQ(shard1.size(), 1u);
+    DiskBlockRunSource first(shard0[0]);
+    ASSERT_NE(first.Peek(), nullptr);
+    EXPECT_EQ(first.Peek()->pos, 10u);
+    EXPECT_TRUE(spiller.spill_run_paths(2).empty());
+    for (const auto* paths : {&shard0, &shard1}) {
+      for (const std::string& path : *paths) {
+        EXPECT_TRUE(std::filesystem::exists(path)) << path;
+      }
+    }
+  }
+  for (const auto* paths : {&shard0, &shard1}) {
+    for (const std::string& path : *paths) {
+      EXPECT_FALSE(std::filesystem::exists(path)) << path;
+    }
+  }
 }
 
 TEST(SpillFile, BlockFormatVersionAcceptedUnknownRejected) {
