@@ -1,16 +1,22 @@
 // Cluster-simulator sweeps: the paper charges every computation a
 // replication rate r against a reducer capacity q, but placement alone
 // says nothing about what skewed keys, heterogeneous machines, or
-// stragglers do to the round's wall clock. This bench sweeps the
-// simulator over workers x Zipf exponent x straggler factor and shows
+// stragglers do to the round's wall clock. Every sweep here runs a real
+// round and then prices the placement it made: SimulateCluster treats
+// each shard as one worker draining the rows the shuffle routed to it
+// (JobMetrics::shard_pairs). The tables show
 //   * load imbalance near 1.0 for uniform keys, growing with the Zipf
-//     exponent (the hot key's worker owns the round),
-//   * makespan stretching linearly with the straggler slowdown, and
-//   * capacity violations appearing as soon as skew pushes a reducer past
-//     the q the schema was provisioned for.
+//     exponent (the hot key's shard owns the round),
+//   * makespan stretching with the straggler slowdown,
+//   * the realized q (max_reducer_input) outgrowing a q provisioned for
+//     uniform keys as soon as the keys skew, and
+//   * what the runtime's own defenses recover: sampled-range placement
+//     and simulated speculative backups (the CI skew gate).
 // A final table runs all four problem-family reproductions under skewed
-// generators with the simulation on, next to their Section 2.4 lower
-// bounds via CompareToLowerBound.
+// generators, next to their Section 2.4 lower bounds via
+// CompareToLowerBound.
+//
+// Run: ./build/bench_simulator
 
 #include <cstdint>
 #include <cstdio>
@@ -68,6 +74,15 @@ engine::ExecutionResult<std::pair<std::uint64_t, std::int64_t>> ZipfCountJob(
       .Execute(engine::ExecutionOptions(options));
 }
 
+engine::JobOptions ShardedOptions(std::size_t shards,
+                                  engine::PartitionerKind partitioner) {
+  engine::JobOptions options;
+  options.num_shards = shards;
+  options.shuffle.strategy = engine::ShuffleStrategy::kSharded;
+  options.shuffle.partitioner = partitioner;
+  return options;
+}
+
 void SkewSweep() {
   const std::size_t n = 1 << 18;
   const std::uint64_t num_keys = 4096;
@@ -75,29 +90,33 @@ void SkewSweep() {
            "makespan/ideal"});
   for (std::size_t workers : {4u, 16u, 64u}) {
     for (double exponent : {0.0, 0.5, 1.0, 1.5}) {
-      engine::JobOptions options;
-      options.simulation.num_workers = workers;
-      const auto run = ZipfCountJob(n, num_keys, exponent, options);
-      const engine::JobMetrics& m = run.metrics.rounds[0];
-      const double ideal =
-          m.worker_loads.sum() / static_cast<double>(workers);
+      const auto run = ZipfCountJob(
+          n, num_keys, exponent,
+          ShardedOptions(workers, engine::PartitionerKind::kHash));
+      const auto report =
+          engine::SimulateCluster(run.metrics.rounds[0].shard_pairs, {});
       t.AddRow()
           .Add(static_cast<std::uint64_t>(workers))
           .Add(exponent)
-          .Add(m.makespan)
-          .Add(ideal)
-          .Add(m.load_imbalance)
-          .Add(ideal > 0 ? m.makespan / ideal : 0.0);
+          .Add(report.makespan)
+          .Add(report.ideal_makespan)
+          .Add(report.load_imbalance)
+          .Add(report.makespan / report.ideal_makespan);
     }
   }
   t.Print(std::cout,
-          "Skew sweep (256k pairs, 4096 keys): uniform keys stay near "
-          "imbalance 1.0; Zipf skew hands one worker the hot key and the "
-          "round with it");
+          "Skew sweep (256k pairs, 4096 keys, one worker per hash shard): "
+          "uniform keys stay near imbalance 1.0; Zipf skew hands one shard "
+          "the hot key and the round with it");
 }
 
 void StragglerSweep() {
   const std::size_t n = 1 << 18;
+  // One real round; the sweep only varies the machines it runs on.
+  const auto run = ZipfCountJob(
+      n, 4096, 0.0, ShardedOptions(16, engine::PartitionerKind::kHash));
+  const std::vector<std::uint64_t>& shard_pairs =
+      run.metrics.rounds[0].shard_pairs;
   Table t({"stragglers", "slowdown", "jitter", "makespan",
            "straggler impact", "imbalance"});
   for (double fraction : {0.0, 0.25}) {
@@ -109,26 +128,24 @@ void StragglerSweep() {
       const bool straggled = fraction > 0.0 && slowdown > 1.0;
       if (!baseline && !straggled) continue;
       for (double jitter : {0.0, 0.2}) {
-        engine::JobOptions options;
-        options.simulation.num_workers = 16;
-        options.simulation.straggler_fraction = fraction;
-        options.simulation.straggler_slowdown = slowdown;
-        options.simulation.speed_jitter = jitter;
-        options.simulation.seed = 13;
-        const auto run = ZipfCountJob(n, 4096, 0.0, options);
-        const engine::JobMetrics& m = run.metrics.rounds[0];
+        engine::SimulationOptions cluster;
+        cluster.straggler_fraction = fraction;
+        cluster.straggler_slowdown = slowdown;
+        cluster.speed_jitter = jitter;
+        cluster.seed = 13;
+        const auto report = engine::SimulateCluster(shard_pairs, cluster);
         t.AddRow()
             .Add(fraction)
             .Add(slowdown)
             .Add(jitter)
-            .Add(m.makespan)
-            .Add(m.straggler_impact)
-            .Add(m.load_imbalance);
+            .Add(report.makespan)
+            .Add(report.straggler_impact)
+            .Add(report.load_imbalance);
       }
     }
   }
   t.Print(std::cout,
-          "Straggler sweep (16 workers, uniform keys): load stays balanced "
+          "Straggler sweep (16 shards, uniform keys): load stays balanced "
           "— placement cannot see machine speed — but makespan stretches "
           "with the slowdown factor; jitter adds noise on top");
 }
@@ -138,69 +155,74 @@ void CapacitySweep() {
   const std::uint64_t num_keys = 4096;
   // Provision q for the uniform case: 4x the mean group size.
   const double capacity_q = 4.0 * static_cast<double>(n) / num_keys;
-  Table t({"zipf exponent", "provisioned q", "max group", "violations",
-           "imbalance"});
+  Table t({"zipf exponent", "provisioned q", "realized q (max group)",
+           "realized/provisioned", "partition skew"});
   for (double exponent : {0.0, 0.5, 1.0, 1.5}) {
-    engine::JobOptions options;
-    options.simulation.num_workers = 16;
-    options.simulation.reducer_capacity_q = capacity_q;
-    const auto run = ZipfCountJob(n, num_keys, exponent, options);
+    const auto run = ZipfCountJob(
+        n, num_keys, exponent,
+        ShardedOptions(16, engine::PartitionerKind::kHash));
     const engine::JobMetrics& m = run.metrics.rounds[0];
     t.AddRow()
         .Add(exponent)
         .Add(capacity_q)
         .Add(m.max_reducer_input)
-        .Add(m.capacity_violations)
-        .Add(m.load_imbalance);
+        .Add(static_cast<double>(m.max_reducer_input) / capacity_q)
+        .Add(m.partition_skew_ratio);
   }
   t.Print(std::cout,
           "Capacity sweep: a q provisioned for uniform keys (4x mean) is "
-          "violated as soon as the key distribution skews — the simulator "
-          "reports it instead of silently overfilling workers");
+          "outgrown by the realized q as soon as the key distribution "
+          "skews — no placement moves a hot key's pairs off its reducer");
+}
+
+/// The straggler-ridden cluster the recovery gate and the family table
+/// price their rounds on: a quarter of the workers 4x slow, mild jitter.
+engine::SimulationOptions StragglerCluster() {
+  engine::SimulationOptions cluster;
+  cluster.straggler_fraction = 0.25;
+  cluster.straggler_slowdown = 4.0;
+  cluster.speed_jitter = 0.1;
+  cluster.seed = 21;
+  return cluster;
 }
 
 void MakespanRecovery() {
-  // The acceptance sweep for the adaptive skew defenses: a Zipf-skewed
-  // count job on a straggler-ridden cluster, undefended vs fully defended
-  // (sampled-range placement + speculative backups + hot-key splitting at
-  // 4x the mean group). Outputs must stay byte-identical — the defenses
-  // move work, never change it — while the simulated makespan recovers.
-  // One BENCH_JSON line per exponent (metric: recovery_pct; the raw
-  // makespans carry an _ms suffix so the comparator treats them as
-  // timings, though they are simulated cost units).
+  // The skew gate: a Zipf-skewed count job at 16 shards on a straggler-
+  // ridden cluster, undefended (hash placement) vs defended (the
+  // runtime's sampled-range placement, plus simulated speculative backups
+  // for the "on" rows). Outputs must stay byte-identical — placement
+  // moves work, never changes it — while the simulated makespan of the
+  // real placement is what moves. One BENCH_JSON line per case (metric:
+  // recovery_pct; the raw makespans carry an _ms suffix so the comparator
+  // treats them as timings, though they are simulated cost units).
   const std::size_t n = 1 << 18;
   const std::uint64_t num_keys = 4096;
+  constexpr std::size_t kWorkers = 16;
   Table t({"zipf exponent", "speculation", "makespan undefended",
            "makespan defended", "recovery %", "imbalance undef",
-           "imbalance def", "hot keys split", "backups won/launched"});
+           "imbalance def", "backups won/launched"});
   for (double exponent : {1.2, 1.6}) {
-    engine::JobOptions undefended;
-    undefended.simulation.num_workers = 16;
-    undefended.simulation.straggler_fraction = 0.25;
-    undefended.simulation.straggler_slowdown = 4.0;
-    undefended.simulation.speed_jitter = 0.1;
-    undefended.simulation.seed = 21;
-    const auto slow = ZipfCountJob(n, num_keys, exponent, undefended);
+    const auto hashed = ZipfCountJob(
+        n, num_keys, exponent,
+        ShardedOptions(kWorkers, engine::PartitionerKind::kHash));
+    const auto ranged = ZipfCountJob(
+        n, num_keys, exponent,
+        ShardedOptions(kWorkers, engine::PartitionerKind::kSampledRange));
+    // The in-process byte-identity smoke: placement must not change one
+    // output bit.
+    MRCOST_CHECK(ranged.outputs == hashed.outputs);
+    const engine::SimulationReport undef = engine::SimulateCluster(
+        hashed.metrics.rounds[0].shard_pairs, StragglerCluster());
 
     for (bool speculation : {false, true}) {
-      engine::JobOptions defended = undefended;
-      defended.simulation.defense.partitioner =
-          engine::PartitionerKind::kSampledRange;
-      defended.simulation.defense.speculation = speculation;
-      defended.simulation.defense.speculation_slowdown_factor = 1.5;
-      defended.simulation.defense.hot_key_split_threshold =
-          4 * n / num_keys;
-      const auto fast = ZipfCountJob(n, num_keys, exponent, defended);
-      // The in-process byte-identity smoke: defenses must not change one
-      // output bit.
-      MRCOST_CHECK(fast.outputs == slow.outputs);
-      const engine::JobMetrics& undef = slow.metrics.rounds[0];
-      const engine::JobMetrics& def = fast.metrics.rounds[0];
-
+      engine::SimulationOptions cluster = StragglerCluster();
+      cluster.speculation = speculation;
+      cluster.speculation_slowdown_factor = 1.5;
+      const engine::SimulationReport def = engine::SimulateCluster(
+          ranged.metrics.rounds[0].shard_pairs, cluster);
       const double recovery_pct =
           undef.makespan > 0
-              ? 100.0 * (undef.makespan - def.makespan) /
-                    undef.makespan
+              ? 100.0 * (undef.makespan - def.makespan) / undef.makespan
               : 0.0;
       t.AddRow()
           .Add(exponent)
@@ -210,34 +232,23 @@ void MakespanRecovery() {
           .Add(recovery_pct)
           .Add(undef.load_imbalance)
           .Add(def.load_imbalance)
-          .Add(def.hot_keys_split)
           .Add(std::to_string(def.speculative_won) + "/" +
                std::to_string(def.speculative_launched));
       std::printf(
           "BENCH_JSON {\"bench\":\"skew_recovery\",\"zipf\":%.1f,"
-          "\"workers\":16,\"speculation\":\"%s\","
+          "\"workers\":%zu,\"speculation\":\"%s\","
           "\"undefended_makespan_ms\":%.3f,\"defended_makespan_ms\":%.3f,"
           "\"recovery_pct\":%.3f}\n",
-          exponent, speculation ? "on" : "off", undef.makespan,
+          exponent, kWorkers, speculation ? "on" : "off", undef.makespan,
           def.makespan, recovery_pct);
     }
   }
   t.Print(std::cout,
-          "Makespan recovery (256k Zipf pairs, 16 workers, 25% stragglers "
-          "at 4x): sampled-range placement + hot-key splitting recover the "
-          "skew, speculative backups recover the stragglers — outputs "
-          "byte-identical throughout (checked in-process)");
-}
-
-/// Shared simulated cluster for the four family reproductions below.
-engine::SimulationOptions FamilyCluster() {
-  engine::SimulationOptions sim;
-  sim.num_workers = 16;
-  sim.straggler_fraction = 0.25;
-  sim.straggler_slowdown = 4.0;
-  sim.speed_jitter = 0.1;
-  sim.seed = 21;
-  return sim;
+          "Makespan recovery (256k Zipf pairs, 16 shards, 25% stragglers "
+          "at 4x): sampled-range placement evens out the hot key's "
+          "neighbours, speculative backups rescue the stragglers; a hot key "
+          "itself stays on one shard — outputs byte-identical throughout "
+          "(checked in-process)");
 }
 
 void AddFamilyRow(Table& t, const std::string& name,
@@ -245,6 +256,8 @@ void AddFamilyRow(Table& t, const std::string& name,
                   const engine::JobMetrics& metrics,
                   const mrcost::core::Recipe& recipe) {
   const auto report = engine::CompareToLowerBound(metrics, recipe);
+  const auto sim =
+      engine::SimulateCluster(metrics.shard_pairs, StragglerCluster());
   t.AddRow()
       .Add(name)
       .Add(instance)
@@ -252,18 +265,17 @@ void AddFamilyRow(Table& t, const std::string& name,
       .Add(report.realized_r)
       .Add(report.lower_bound_r)
       .Add(report.optimality_ratio)
-      .Add(report.metrics.makespan)
-      .Add(report.metrics.load_imbalance)
-      .Add(report.metrics.straggler_impact)
-      .Add(report.metrics.capacity_violations);
+      .Add(sim.makespan)
+      .Add(sim.load_imbalance)
+      .Add(sim.straggler_impact);
 }
 
 void FamilyDriversUnderSkew() {
   Table t({"reproduction", "skewed instance", "q", "r", "bound @q",
-           "r/bound", "makespan", "imbalance", "straggler impact",
-           "violations"});
+           "r/bound", "makespan", "imbalance", "straggler impact"});
+  // 16 shards, so 16 simulated workers.
   engine::JobOptions options;
-  options.simulation = FamilyCluster();
+  options.num_shards = 16;
 
   // Hamming: strings huddled around Zipf-popular hubs.
   {
@@ -330,17 +342,17 @@ void FamilyDriversUnderSkew() {
   }
 
   t.Print(std::cout,
-          "All four reproductions under skewed generators on a simulated "
-          "16-worker cluster (25% stragglers at 4x, 10% jitter): realized "
-          "q/r vs the Section 2.4 bound, plus what the skew costs in "
-          "makespan");
+          "All four reproductions under skewed generators, each round's "
+          "16 shards priced on a simulated cluster (25% stragglers at 4x, "
+          "10% jitter): realized q/r vs the Section 2.4 bound, plus what "
+          "the skew costs in makespan");
 }
 
 }  // namespace
 
 int main() {
-  std::cout << "=== bench_simulator: per-worker queues, skew injection, "
-               "stragglers ===\n";
+  std::cout << "=== bench_simulator: real placements priced on simulated "
+               "workers, skew injection, stragglers ===\n";
   SkewSweep();
   StragglerSweep();
   CapacitySweep();

@@ -83,9 +83,12 @@ void OneVsTwoRounds() {
   const auto g = mrcost::graph::PreferentialAttachmentGraph(
       2000, /*attach=*/4, /*seed=*/33);
   Table t({"algorithm", "rounds", "total pairs", "max reducer input",
-           "worker-load skew (max/mean)", "triangles"});
+           "shard-load skew (max/mean)", "triangles"});
+  // 16 hash shards: the skew column is the round's real
+  // partition_skew_ratio over them.
   mrcost::engine::JobOptions options;
-  options.simulation.num_workers = 16;
+  options.num_shards = 16;
+  options.shuffle.partitioner = mrcost::engine::PartitionerKind::kHash;
 
   const auto partition = MRTriangles(g, 6, /*seed=*/2, options);
   t.AddRow()
@@ -93,7 +96,7 @@ void OneVsTwoRounds() {
       .Add(1)
       .Add(partition.metrics.pairs_shuffled)
       .Add(partition.metrics.max_reducer_input)
-      .Add(partition.metrics.worker_loads.skew())
+      .Add(partition.metrics.partition_skew_ratio)
       .Add(partition.triangles.size());
 
   for (bool ordering : {true, false}) {
@@ -105,7 +108,7 @@ void OneVsTwoRounds() {
         .Add(2)
         .Add(ni.metrics.total_pairs())
         .Add(ni.metrics.max_reducer_input())
-        .Add(ni.metrics.rounds[0].worker_loads.skew())
+        .Add(ni.metrics.rounds[0].partition_skew_ratio)
         .Add(ni.triangles.size());
   }
   t.Print(std::cout,

@@ -13,10 +13,8 @@ namespace mrcost::common {
 
 /// Estimated in-memory footprint of a value, in bytes. One convention is
 /// used everywhere the engine compares sizes — the shuffle's
-/// bytes_shuffled accounting, the cluster simulator's
-/// reducer_capacity_bytes checks, and the external shuffle's spill
-/// trigger — so a capacity budget derived from one of them always agrees
-/// with the others.
+/// bytes_shuffled accounting and the external shuffle's spill trigger — so
+/// a budget derived from one of them always agrees with the other.
 ///
 /// The convention measures what a value costs while buffered in engine
 /// memory (the object itself plus the heap payload it owns), not its

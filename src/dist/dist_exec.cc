@@ -16,6 +16,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/temp_dir.h"
@@ -276,12 +277,16 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
     // Spill statistics mean what they mean in-process: runs and bytes
     // that reached disk (registry overflow files). Reducers read fetched
     // runs, not spills, so merge_passes stays 0, and raw
-    // frames pass through no codec, so compression_ratio stays 0.
+    // frames pass through no codec, so compression_ratio stays 0. Each
+    // shard's pairs are the rows of the runs its reduce task read.
+    std::vector<std::uint64_t> shard_pairs(num_shards, 0);
     for (const auto& outcome : map_outcomes) {
       outcome.counters.AddTo(metrics);
       metrics.spill_bytes_written += outcome.spill_bytes_written;
       metrics.spill_runs += outcome.spill_runs;
+      for (const auto& run : outcome.runs) shard_pairs[run.shard] += run.rows;
     }
+    metrics.SetShardPairs(std::move(shard_pairs));
 
     // Stage windows from the scheduler spans (each span wraps the remote
     // execution it waited on).

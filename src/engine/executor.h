@@ -20,16 +20,13 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/byte_size.h"
 #include "src/common/status.h"
 #include "src/common/thread_pool.h"
 #include "src/engine/emitter.h"
 #include "src/engine/grouping.h"
-#include "src/engine/hashing.h"
 #include "src/engine/metrics.h"
 #include "src/engine/partitioner.h"
 #include "src/engine/shuffle.h"
-#include "src/engine/simulator.h"
 #include "src/engine/task_scheduler.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
@@ -91,24 +88,10 @@ struct JobOptions {
   /// order. All strategies produce byte-identical outputs; only memory
   /// behaviour and metrics differ.
   ShuffleConfig shuffle;
-  /// Full cluster-simulation knobs (per-worker queues, capacity q,
-  /// stragglers, heterogeneous speeds). When enabled, JobMetrics gains
-  /// makespan, load_imbalance, straggler_impact, and capacity_violations.
-  /// Simulation never changes reduce outputs — only the metrics.
-  SimulationOptions simulation;
   /// Speculative backup tasks for slow in-memory shard tasks (first
   /// finisher wins, outputs unchanged). Requires copyable value types;
   /// rounds whose values are move-only silently run without backups.
   SpeculationConfig speculation;
-
-  /// The simulation that actually runs. Skew/capacity knobs with
-  /// num_workers left 0 are a misconfiguration (the run would silently
-  /// report makespan 0 / no violations), so they fail loudly instead.
-  SimulationOptions ResolvedSimulation() const {
-    if (simulation.enabled()) return simulation;
-    MRCOST_CHECK(!simulation.customized());
-    return SimulationOptions{};
-  }
 
   std::size_t ResolvedThreads() const {
     if (pool != nullptr) return pool->num_threads();
@@ -119,10 +102,10 @@ struct JobOptions {
 };
 
 /// Field-wise merge of per-round overrides onto defaults: every field left
-/// at its unset value (0 / nullptr / kAuto / "" / disabled simulation)
+/// at its unset value (0 / nullptr / kAuto / "" / disabled speculation)
 /// inherits the default's value. This is the single merge rule the plan
 /// executor applies to a round's WithOptions — a round overriding only
-/// `num_shards` still gets the defaults' memory budget, simulation, and
+/// `num_shards` still gets the defaults' memory budget, speculation and
 /// thread sizing.
 inline JobOptions MergedJobOptions(JobOptions overrides,
                                    const JobOptions& defaults) {
@@ -130,11 +113,6 @@ inline JobOptions MergedJobOptions(JobOptions overrides,
   if (overrides.pool == nullptr) overrides.pool = defaults.pool;
   if (overrides.num_shards == 0) overrides.num_shards = defaults.num_shards;
   overrides.shuffle = overrides.shuffle.MergedOver(defaults.shuffle);
-  // Simulation inherits only when the override configures nothing, so a
-  // round's explicit simulation always wins whole.
-  if (!overrides.simulation.enabled() && !overrides.simulation.customized()) {
-    overrides.simulation = defaults.simulation;
-  }
   if (!overrides.speculation.enabled) {
     overrides.speculation = defaults.speculation;
   }
@@ -598,7 +576,6 @@ class StagedRound final : public StagedHandleBase {
   struct Shard {
     CsrGroups<K, V> groups;
     std::vector<std::vector<Out>> outputs;  // filled by ReduceShard
-    std::vector<ReducerLoad> loads;         // when simulating
     std::uint64_t routed_rows = 0;          // rows routed to this shard
   };
 
@@ -611,8 +588,7 @@ class StagedRound final : public StagedHandleBase {
         combine_(std::move(combine_fn)),
         reduce_(std::move(reduce_fn)),
         options_(options),
-        physical_(physical),
-        simulation_(options.ResolvedSimulation()) {
+        physical_(physical) {
     // Speculation covers the in-memory shard tasks only (an external
     // shard's group consumes its runs) and needs copyable values: both
     // attempts read the same routed blocks, so neither may move from
@@ -648,7 +624,6 @@ class StagedRound final : public StagedHandleBase {
   void SpillRouted(std::size_t c, const Block& block, std::size_t lo,
                    std::size_t hi, std::uint64_t base, bool keep_in_memory);
   void GroupSpilledShard(std::size_t p);
-  ReducerLoad LoadOf(const K& key, GroupView<V> group) const;
   void ReduceShard(std::size_t p);
   void Finalize();
   void FillTimings(JobMetrics& m) const;
@@ -660,7 +635,6 @@ class StagedRound final : public StagedHandleBase {
   ReduceFn reduce_;
   JobOptions options_;
   const PhysicalRound physical_;
-  SimulationOptions simulation_;
   RoundPrediction prediction_;
   std::uint64_t trace_base_us_ = 0;
   double exec_base_ms_ = 0;
@@ -977,38 +951,21 @@ void StagedRound<In, K, V, Out, CombineFn>::GroupSpilledShard(std::size_t p) {
 }
 
 template <typename In, typename K, typename V, typename Out, typename CombineFn>
-ReducerLoad StagedRound<In, K, V, Out, CombineFn>::LoadOf(
-    const K& key, GroupView<V> group) const {
-  std::uint64_t bytes = 0;
-  if (simulation_.cost_per_byte > 0 ||
-      simulation_.reducer_capacity_bytes > 0) {
-    bytes = common::ByteSizeOf(key);
-    for (const V& v : group) bytes += common::ByteSizeOf(v);
-  }
-  return ReducerLoad{HashValue(key), group.size(), bytes};
-}
-
-template <typename In, typename K, typename V, typename Out, typename CombineFn>
 void StagedRound<In, K, V, Out, CombineFn>::ReduceShard(std::size_t p) {
   // Reducers read views into the committed shard, which no attempt
   // mutates, so speculative twins share it; each reduces into
   // attempt-local buffers and publishes first-wins.
   Shard& shard = shards_[p];
   const CsrGroups<K, V>& groups = shard.groups;
-  const std::size_t n = groups.size();
-  const bool sim = simulation_.enabled();
-  std::vector<std::vector<Out>> outputs(n);
-  std::vector<ReducerLoad> loads(sim ? n : 0);
+  std::vector<std::vector<Out>> outputs(groups.size());
   ReduceGroups<Out>(
       groups, reduce_, [&](std::size_t g, std::vector<Out>& outs) {
-        if (sim) loads[g] = LoadOf(groups.keys[g], groups.group(g));
         outputs[g].reserve(outs.size());
         for (Out& o : outs) outputs[g].push_back(std::move(o));
         return true;
       });
   if (!speculative_) {
     shard.outputs = std::move(outputs);
-    shard.loads = std::move(loads);
     std::vector<V>().swap(shard.groups.values);
     return;
   }
@@ -1016,7 +973,6 @@ void StagedRound<In, K, V, Out, CombineFn>::ReduceShard(std::size_t p) {
   if (!reduce_committed_[p]) {
     reduce_committed_[p] = 1;
     shard.outputs = std::move(outputs);
-    shard.loads = std::move(loads);
   }
 }
 
@@ -1069,8 +1025,6 @@ void StagedRound<In, K, V, Out, CombineFn>::Finalize() {
   }
 
   std::vector<Out> outputs;
-  std::vector<ReducerLoad> loads;
-  const bool sim = simulation_.enabled();
 
   if (physical_.strategy == ShuffleStrategy::kExternal) {
     m.spill_runs = spiller_->spill_runs();
@@ -1105,52 +1059,23 @@ void StagedRound<In, K, V, Out, CombineFn>::Finalize() {
     if (obs_metrics) reducer_q_hist.Add(size);
   }
   outputs.reserve(total_outputs);
-  if (sim) loads.reserve(order.size());
   for (const auto& [pos, p, i] : order) {
     for (auto& out : shards_[p].outputs[i]) {
       outputs.push_back(std::move(out));
     }
-    if (sim) loads.push_back(shards_[p].loads[i]);
   }
-  // How evenly the partitioner spread the routed pairs: max over mean
-  // per-shard routed rows. 1.0 = perfectly balanced shards; the gap to 1.0
-  // is what sampled-range placement exists to close.
-  if (physical_.shards > 1) {
-    std::uint64_t total_routed = 0;
-    std::uint64_t max_routed = 0;
-    for (const Shard& shard : shards_) {
-      total_routed += shard.routed_rows;
-      max_routed = std::max(max_routed, shard.routed_rows);
-    }
-    if (total_routed > 0) {
-      m.partition_skew_ratio =
-          static_cast<double>(max_routed) /
-          (static_cast<double>(total_routed) /
-           static_cast<double>(physical_.shards));
-    }
-  }
+  // The placement the round made: rows routed to each shard, and from
+  // them partition_skew_ratio.
+  std::vector<std::uint64_t> shard_pairs;
+  shard_pairs.reserve(shards_.size());
+  for (const Shard& shard : shards_) shard_pairs.push_back(shard.routed_rows);
+  m.SetShardPairs(std::move(shard_pairs));
   m.num_outputs = outputs.size();
 
   if (speculative_) {
     const auto stats = exec_.speculation_stats(round_tag_);
     m.speculative_launched = stats.launched;
     m.speculative_won = stats.won;
-  }
-
-  if (sim) {
-    // Loads arrive in global first-seen key order — the exact order the
-    // barrier engine fed SimulateCluster, so reports are bit-identical.
-    const SimulationReport report = SimulateCluster(loads, simulation_);
-    m.worker_loads = report.worker_pairs;
-    m.makespan = report.makespan;
-    m.load_imbalance = report.load_imbalance;
-    m.straggler_impact = report.straggler_impact;
-    m.capacity_violations = report.capacity_violations;
-    // Simulated-defense accounting folds into the same counters the
-    // executor's real backups use: both measure the round's defenses.
-    m.hot_keys_split = report.hot_keys_split;
-    m.speculative_launched += report.speculative_launched;
-    m.speculative_won += report.speculative_won;
   }
 
   FillTimings(m);

@@ -12,9 +12,9 @@
 
 namespace mrcost::engine {
 
-/// Generic, standard-library-independent hashing for reduce keys. The engine
-/// and the Cluster worker assignment both use HashValue so that key grouping
-/// and worker placement are stable across platforms. Supports integral and
+/// Generic, standard-library-independent hashing for keys of in-memory hash
+/// tables (KeyHash), stable across platforms. The shuffle places rows by
+/// storage::HashBytes of the serialized key instead. Supports integral and
 /// enum types, strings, pairs, tuples, vectors, and any type exposing a
 /// `std::uint64_t Hash() const` member.
 template <typename T>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "src/obs/registry.h"
 
@@ -26,19 +27,7 @@ void JobMetrics::PublishTo(obs::Registry& registry) const {
     registry.AddCounter("engine.speculative_launched", speculative_launched);
     registry.AddCounter("engine.speculative_won", speculative_won);
   }
-  if (hot_keys_split > 0) {
-    registry.AddCounter("engine.hot_keys_split", hot_keys_split);
-  }
-  if (capacity_violations > 0) {
-    registry.AddCounter("engine.capacity_violations", capacity_violations);
-  }
   registry.MergeStats("engine.reducer_sizes", reducer_sizes);
-  if (simulated()) {
-    registry.MergeStats("engine.worker_loads", worker_loads);
-    registry.SetGauge("engine.last_makespan", makespan);
-    registry.SetGauge("engine.last_load_imbalance", load_imbalance);
-    registry.SetGauge("engine.last_straggler_impact", straggler_impact);
-  }
   if (partition_skew_ratio > 0) {
     registry.SetGauge("engine.last_partition_skew_ratio",
                       partition_skew_ratio);
@@ -72,14 +61,7 @@ std::string JobMetrics::ToString() const {
     os << " | blocks: emitted=" << blocks_emitted
        << " copied_bytes=" << bytes_copied;
   }
-  if (simulated()) {
-    os << " | sim: workers=" << worker_loads.count()
-       << " makespan=" << makespan << " imbalance=" << load_imbalance
-       << " straggler_impact=" << straggler_impact
-       << " capacity_violations=" << capacity_violations;
-  }
-  if (speculative_launched > 0 || hot_keys_split > 0 ||
-      partition_skew_ratio > 0) {
+  if (speculative_launched > 0 || partition_skew_ratio > 0) {
     os << " | defense:";
     if (partition_skew_ratio > 0) {
       os << " partition_skew=" << partition_skew_ratio;
@@ -87,7 +69,6 @@ std::string JobMetrics::ToString() const {
     if (speculative_launched > 0) {
       os << " speculative=" << speculative_won << "/" << speculative_launched;
     }
-    if (hot_keys_split > 0) os << " hot_keys_split=" << hot_keys_split;
   }
   if (timed()) {
     os << " | stages: map=" << map_ms << "ms shuffle=" << shuffle_ms
@@ -95,6 +76,22 @@ std::string JobMetrics::ToString() const {
        << "ms overlap=" << overlap_fraction();
   }
   return os.str();
+}
+
+void JobMetrics::SetShardPairs(std::vector<std::uint64_t> pairs) {
+  shard_pairs = std::move(pairs);
+  partition_skew_ratio = 0;
+  std::uint64_t total = 0;
+  std::uint64_t max_pairs = 0;
+  for (std::uint64_t p : shard_pairs) {
+    total += p;
+    max_pairs = std::max(max_pairs, p);
+  }
+  if (shard_pairs.size() > 1 && total > 0) {
+    partition_skew_ratio =
+        static_cast<double>(max_pairs) /
+        (static_cast<double>(total) / static_cast<double>(shard_pairs.size()));
+  }
 }
 
 std::uint64_t PipelineMetrics::total_pairs() const {
@@ -113,30 +110,6 @@ std::uint64_t PipelineMetrics::max_reducer_input() const {
   std::uint64_t max_q = 0;
   for (const auto& m : rounds) max_q = std::max(max_q, m.max_reducer_input);
   return max_q;
-}
-
-double PipelineMetrics::max_makespan() const {
-  double worst = 0;
-  for (const auto& m : rounds) worst = std::max(worst, m.makespan);
-  return worst;
-}
-
-double PipelineMetrics::total_makespan() const {
-  double total = 0;
-  for (const auto& m : rounds) total += m.makespan;
-  return total;
-}
-
-double PipelineMetrics::max_load_imbalance() const {
-  double worst = 0;
-  for (const auto& m : rounds) worst = std::max(worst, m.load_imbalance);
-  return worst;
-}
-
-std::uint64_t PipelineMetrics::total_capacity_violations() const {
-  std::uint64_t total = 0;
-  for (const auto& m : rounds) total += m.capacity_violations;
-  return total;
 }
 
 std::uint64_t PipelineMetrics::total_spill_bytes() const {
@@ -166,12 +139,6 @@ std::uint64_t PipelineMetrics::total_speculative_launched() const {
 std::uint64_t PipelineMetrics::total_speculative_won() const {
   std::uint64_t total = 0;
   for (const auto& m : rounds) total += m.speculative_won;
-  return total;
-}
-
-std::uint64_t PipelineMetrics::total_hot_keys_split() const {
-  std::uint64_t total = 0;
-  for (const auto& m : rounds) total += m.hot_keys_split;
   return total;
 }
 
@@ -220,15 +187,9 @@ std::string PipelineMetrics::ToString() const {
     os << ", spill runs=" << total_spill_runs()
        << ", spill bytes=" << total_spill_bytes();
   }
-  if (total_capacity_violations() > 0 || max_makespan() > 0) {
-    os << ", sim makespan=" << total_makespan()
-       << ", worst imbalance=" << max_load_imbalance()
-       << ", capacity violations=" << total_capacity_violations();
-  }
-  if (total_speculative_launched() > 0 || total_hot_keys_split() > 0) {
+  if (total_speculative_launched() > 0) {
     os << ", speculative=" << total_speculative_won() << "/"
-       << total_speculative_launched()
-       << ", hot keys split=" << total_hot_keys_split();
+       << total_speculative_launched();
   }
   if (total_overlap_ms() > 0) {
     os << ", overlap=" << overlap_fraction()
@@ -288,16 +249,10 @@ std::string ToString(const std::vector<RoundCostReport>& reports) {
       os << " blocks=" << m.blocks_emitted
          << " copied_bytes=" << m.bytes_copied;
     }
-    if (m.simulated()) {
-      os << " makespan=" << m.makespan << " imbalance=" << m.load_imbalance
-         << " straggler_impact=" << m.straggler_impact
-         << " capacity_violations=" << m.capacity_violations;
-    }
-    if (m.speculative_launched > 0 || m.hot_keys_split > 0 ||
-        m.partition_skew_ratio > 0) {
+    if (m.speculative_launched > 0 || m.partition_skew_ratio > 0) {
       os << " partition_skew=" << m.partition_skew_ratio
          << " speculative=" << m.speculative_won << "/"
-         << m.speculative_launched << " hot_keys_split=" << m.hot_keys_split;
+         << m.speculative_launched;
     }
     if (m.timed()) {
       os << " map_ms=" << m.map_ms << " shuffle_ms=" << m.shuffle_ms

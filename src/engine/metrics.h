@@ -39,20 +39,10 @@ struct JobMetrics {
 
   /// Distribution of q_i across reducers.
   common::RunningStats reducer_sizes;
-  /// Distribution of per-worker input load (pairs) when keys are assigned
-  /// to simulated reduce workers (empty if not simulated).
-  common::RunningStats worker_loads;
-
-  /// Cluster-simulation results (all zero unless the round ran with
-  /// SimulationOptions enabled; see src/engine/simulator.h):
-  /// time the slowest simulated worker finished,
-  double makespan = 0;
-  /// max/mean per-worker load in pairs (1.0 = perfectly even),
-  double load_imbalance = 0;
-  /// makespan relative to identical-speed workers (1.0 = homogeneous),
-  double straggler_impact = 0;
-  /// and reducers whose input exceeded the configured capacity q.
-  std::uint64_t capacity_violations = 0;
+  /// Rows the shuffle routed to each shard (one entry per shard, summing
+  /// to pairs_shuffled): the placement the round really made, which
+  /// SimulateCluster (src/engine/simulator.h) prices.
+  std::vector<std::uint64_t> shard_pairs;
 
   /// Skew-defense accounting (all zero when no defense ran; see
   /// src/engine/partitioner.h and SpeculationConfig in executor.h):
@@ -60,10 +50,8 @@ struct JobMetrics {
   std::uint64_t speculative_launched = 0;
   /// backups that finished before the original (first finisher wins),
   std::uint64_t speculative_won = 0;
-  /// hot keys the simulated defense split across sub-reducers,
-  std::uint64_t hot_keys_split = 0;
-  /// and max/mean routed rows per shard after partitioning (1.0 =
-  /// perfectly even shards; 0 when the round did not route shards).
+  /// and max/mean of shard_pairs (1.0 = perfectly even shards; 0 when the
+  /// round routed no rows over more than one shard).
   double partition_skew_ratio = 0;
 
   /// Stage-graph timing (all zero when the round ran untimed — see
@@ -110,9 +98,6 @@ struct JobMetrics {
   /// True iff this round ran the external (spill-to-disk) shuffle.
   bool external_shuffle() const { return merge_passes > 0; }
 
-  /// True iff this round ran the cluster simulation.
-  bool simulated() const { return worker_loads.count() > 0; }
-
   /// True iff the round recorded stage timings.
   bool timed() const { return span_ms > 0; }
 
@@ -121,6 +106,9 @@ struct JobMetrics {
   double overlap_fraction() const {
     return span_ms > 0 ? overlap_ms / span_ms : 0.0;
   }
+
+  /// Sets shard_pairs and derives partition_skew_ratio from it.
+  void SetShardPairs(std::vector<std::uint64_t> pairs);
 
   /// r = pairs_shuffled / num_inputs; 0 when there are no inputs.
   double replication_rate() const {
@@ -170,14 +158,6 @@ struct PipelineMetrics {
   std::uint64_t total_pairs() const;
   std::uint64_t total_bytes() const;
   std::uint64_t max_reducer_input() const;
-  /// Simulation aggregates across rounds (0 when no round was simulated):
-  /// the slowest round's makespan, the sum of round makespans (total
-  /// simulated wall clock — rounds are barriers), the worst per-round
-  /// imbalance, and the total capacity violations.
-  double max_makespan() const;
-  double total_makespan() const;
-  double max_load_imbalance() const;
-  std::uint64_t total_capacity_violations() const;
   /// Spill aggregates across rounds (0 when no round shuffled
   /// externally).
   std::uint64_t total_spill_bytes() const;
@@ -190,11 +170,10 @@ struct PipelineMetrics {
   double total_overlap_ms() const;
   double overlap_fraction() const;
   /// Skew-defense aggregates (0 when no round ran a defense): speculative
-  /// backups launched/won across rounds, hot keys split, and the worst
-  /// per-round partition skew.
+  /// backups launched/won across rounds, and the worst per-round
+  /// partition skew.
   std::uint64_t total_speculative_launched() const;
   std::uint64_t total_speculative_won() const;
-  std::uint64_t total_hot_keys_split() const;
   double max_partition_skew_ratio() const;
 
   /// Replication rate of round `i` (0-based): rounds[i].replication_rate().
@@ -226,7 +205,7 @@ struct RoundCostReport {
   /// quantifying exactly how much the multi-round computation evades the
   /// single-round tradeoff.
   double optimality_ratio = 0;
-  /// The round's own metrics: simulation, skew-defense, spill, block and
+  /// The round's own metrics: placement, skew-defense, spill, block and
   /// timing counters beside the paper's q/r point.
   JobMetrics metrics;
 };

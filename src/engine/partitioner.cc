@@ -12,54 +12,32 @@ RangePartitioner BuildRangePartitioner(
     std::sort(sampled_hashes.begin(), sampled_hashes.end());
     bounds.reserve(num_shards - 1);
     const std::size_t n = sampled_hashes.size();
+    auto cut_at = [&](std::uint64_t cut) {
+      if (bounds.size() + 1 < num_shards &&
+          (bounds.empty() || cut > bounds.back())) {
+        bounds.push_back(cut);
+      }
+    };
     for (std::size_t p = 1; p < num_shards; ++p) {
       // The cut sits *after* the p-th equal-count slice. Using the next
       // strictly larger hash as the (exclusive) boundary keeps every
       // occurrence of the boundary hash in the left shard.
       const std::uint64_t at = sampled_hashes[p * n / num_shards];
-      const auto above = std::upper_bound(sampled_hashes.begin(),
+      const auto below = std::lower_bound(sampled_hashes.begin(),
                                           sampled_hashes.end(), at);
+      const auto above = std::upper_bound(below, sampled_hashes.end(), at);
+      // A hash worth a shard of its own is cut off below as well, so its
+      // range does not also carry the lighter hashes before it.
+      const auto count = static_cast<std::size_t>(above - below);
+      if (count * num_shards >= n && at > 0) cut_at(at);
       if (above == sampled_hashes.end()) break;  // tail is one hash
-      const std::uint64_t cut = *above;
-      if (!bounds.empty() && cut <= bounds.back()) continue;
-      bounds.push_back(cut);
+      cut_at(*above);
     }
   } else if (num_shards > 1) {
     // No sample: equal-width ranges, the uniform-key behaviour.
     const std::uint64_t width = ~std::uint64_t{0} / num_shards;
     for (std::size_t p = 1; p < num_shards; ++p) {
       bounds.push_back(width * p);
-    }
-  }
-  return RangePartitioner(std::move(bounds), num_shards);
-}
-
-RangePartitioner BuildWeightedRangePartitioner(
-    std::vector<std::pair<std::uint64_t, double>> items,
-    std::size_t num_shards) {
-  MRCOST_CHECK(num_shards > 0);
-  std::vector<std::uint64_t> bounds;
-  if (num_shards > 1 && !items.empty()) {
-    std::sort(items.begin(), items.end());
-    double remaining = 0;
-    for (const auto& [hash, weight] : items) remaining += weight;
-    bounds.reserve(num_shards - 1);
-    double acc = 0;
-    std::size_t ranges_left = num_shards;
-    for (std::size_t i = 0; i + 1 < items.size(); ++i) {
-      acc += items[i].second;
-      remaining -= items[i].second;
-      // Close the range once it carries its share of what is left; the
-      // target re-averages over the remaining ranges so early heavy items
-      // do not starve the tail of boundaries.
-      if (ranges_left > 1 &&
-          acc >= remaining / static_cast<double>(ranges_left - 1) &&
-          items[i + 1].first > items[i].first) {
-        bounds.push_back(items[i + 1].first);
-        --ranges_left;
-        acc = 0;
-        if (ranges_left == 1) break;
-      }
     }
   }
   return RangePartitioner(std::move(bounds), num_shards);

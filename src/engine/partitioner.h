@@ -16,11 +16,11 @@ namespace mrcost::engine {
 //
 // The paper prices a computation as a replication rate r against a reducer
 // capacity q assuming keys spread evenly; a Zipf-skewed key set breaks that
-// assumption: hash placement hands whole hot ranges to one shard/worker.
-// The RangePartitioner cuts the *sampled* hash distribution into ranges of
+// assumption: hash placement hands whole hot ranges to one shard. The
+// RangePartitioner cuts the *sampled* hash distribution into ranges of
 // equal pair weight instead of equal hash width ("Assignment Problems of
-// Different-Sized Inputs in MapReduce" is the theory). A single key past q
-// is split only by the simulator (ApplyHotKeySplit in simulator.cc).
+// Different-Sized Inputs in MapReduce" is the theory). No placement splits
+// one key: a single key past q is a schema problem, not a placement one.
 
 /// Contiguous hash ranges with explicit boundaries: shard p owns hashes in
 /// [bounds[p-1], bounds[p]) with an implicit 0 floor and 2^64 ceiling.
@@ -56,21 +56,14 @@ class RangePartitioner {
 
 /// Builds a RangePartitioner from a sample of pair hashes: sorts the
 /// sample and cuts it at the i * |sample| / num_shards quantiles, skipping
-/// cuts that would duplicate a boundary (equal hashes stay together, so a
-/// single ultra-hot key degenerates gracefully toward fewer effective
-/// ranges rather than splitting a group). Consumes `sampled_hashes`.
-/// An empty sample yields equal-width ranges (= hash behaviour under
-/// uniform keys). Deterministic: same sample, same cuts.
+/// cuts that would duplicate a boundary (equal hashes stay together). A
+/// cut that lands on a hot hash — one holding at least 1/num_shards of the
+/// sample — also cuts at that hash's lower edge, so the hot key gets a
+/// shard of its own instead of keeping its neighbours. Consumes
+/// `sampled_hashes`. An empty sample yields equal-width ranges (= hash
+/// behaviour under uniform keys). Deterministic: same sample, same cuts.
 RangePartitioner BuildRangePartitioner(
     std::vector<std::uint64_t> sampled_hashes, std::size_t num_shards);
-
-/// Weighted form for the simulator: items are (hash, weight) reducer
-/// loads. Sorts by hash and sweeps greedily, closing a range once its
-/// accumulated weight reaches the remaining-average target — the classic
-/// LPT-flavoured contiguous assignment. Consumes `items`.
-RangePartitioner BuildWeightedRangePartitioner(
-    std::vector<std::pair<std::uint64_t, double>> items,
-    std::size_t num_shards);
 
 }  // namespace mrcost::engine
 

@@ -465,20 +465,6 @@ std::string ExplainPlanGraph(const PlanGraph& graph,
                  ? std::string(", spill dir: <system temp>")
                  : ", spill dir: " + resolved.shuffle.spill_dir);
     }
-    const SimulationOptions simulation = resolved.ResolvedSimulation();
-    os << "\n  simulation: ";
-    if (simulation.enabled()) {
-      os << simulation.num_workers << " workers";
-      if (simulation.reducer_capacity_q > 0) {
-        os << ", capacity q=" << simulation.reducer_capacity_q;
-      }
-      if (simulation.straggler_fraction > 0) {
-        os << ", stragglers " << simulation.straggler_fraction << "x"
-           << simulation.straggler_slowdown;
-      }
-    } else {
-      os << "off";
-    }
   }
   return os.str();
 }

@@ -40,7 +40,7 @@ namespace mrcost::engine {
 //                         moves;
 //   * Explain(options)  — the physical plan: each round's PhysicalRound
 //                         (chunks, shards, strategy, partitioner, fetch
-//                         credits, reason), memory budget, simulation;
+//                         credits, reason) and memory budget;
 //   * Execute(options)  — lowering onto the stage-graph executor
 //                         (src/engine/executor.h), byte-identical for
 //                         every shuffle strategy (the one lowering:
@@ -147,8 +147,8 @@ enum class ExecutionBackend {
   /// per-worker data sockets (see src/dist/). Outputs are byte-identical to
   /// kInProcess. Requires the plan to be registered as a dist recipe
   /// (src/dist/registry.h) so workers can rebuild it; unregistered plans
-  /// fall back to in-process execution with a warning. Simulation options
-  /// are ignored — real worker processes replace the simulated cluster.
+  /// fall back to in-process execution with a warning. Placement is hash
+  /// on every shard count: a kSampledRange pick resolves to kHash.
   kMultiProcess,
 };
 
@@ -206,11 +206,11 @@ struct PipelineOptions {
   /// Optional external pool; when set the execution does not construct one.
   common::ThreadPool* pool = nullptr;
   /// Defaults applied to every round (num_shards, shuffle config,
-  /// simulation knobs). A round's own JobOptions (WithOptions) is merged
-  /// over these defaults field-wise (MergedJobOptions): fields the round
-  /// leaves unset inherit the default — a round overriding only
-  /// `num_shards` still runs under the defaults' memory budget and
-  /// simulated cluster. The pool field is always the execution's pool.
+  /// speculation). A round's own JobOptions (WithOptions) is merged over
+  /// these defaults field-wise (MergedJobOptions): fields the round leaves
+  /// unset inherit the default — a round overriding only `num_shards`
+  /// still runs under the defaults' memory budget and speculation. The
+  /// pool field is always the execution's pool.
   JobOptions round_defaults;
   /// Execution-wide shuffle backstop: any shuffle field a round (and the
   /// round defaults) leaves unset inherits this config field-wise, so one
@@ -222,7 +222,7 @@ struct PipelineOptions {
 
 /// Knobs for Plan::Execute / ExecuteAsync.
 struct ExecutionOptions {
-  /// Thread sizing, round defaults (simulation included), and the
+  /// Thread sizing, round defaults (speculation included), and the
   /// execution-wide shuffle backstop. A round whose shuffle strategy stays
   /// kAuto gets serial/sharded/external from its estimated intermediate
   /// bytes vs the memory budget (declared hints, else a map-fn sample of
@@ -626,7 +626,7 @@ class Plan {
                         const EstimateOptions& options = {}) const;
 
   /// The human-readable physical plan: each round's PhysicalRound with
-  /// its reasons, memory budget, and simulation, as `options` would
+  /// its reasons and memory budget, as `options` would
   /// execute it. Rounds whose input is not materialized yet resolve when
   /// they run.
   std::string Explain(const ExecutionOptions& options = {}) const;

@@ -26,8 +26,8 @@ enum class ShuffleStrategy { kAuto = 0, kSerial, kSharded, kExternal };
 
 const char* ToString(ShuffleStrategy strategy);
 
-/// How pairs are placed onto shuffle shards (and, in the simulator, how
-/// reducers are placed onto workers).
+/// How pairs are placed onto shuffle shards (the placement the cluster
+/// simulator then prices, one simulated worker per shard).
 ///   kAuto         — kHash unless the round's map-fn sample detects
 ///                   key skew (max group far above the mean), in which case
 ///                   kSampledRange.
@@ -58,7 +58,7 @@ struct ShuffleConfig {
   /// How the shuffle executes; kAuto defers to step 3 above.
   ShuffleStrategy strategy = ShuffleStrategy::kAuto;
   /// Shuffle memory budget in ByteSizeOf bytes (src/common/byte_size.h —
-  /// the same convention the simulator's capacity checks use). The budget
+  /// the same convention bytes_shuffled uses). The budget
   /// is split evenly across the round's map chunks; a chunk's block spills,
   /// one run per shard, once it exceeds its share. 0 spills every pair
   /// individually when kExternal is explicit (valid, maximally
@@ -107,10 +107,9 @@ struct ShuffleConfig {
 };
 
 /// Maps a finalized 64-bit hash onto [0, n) with a 128-bit multiply
-/// (Lemire's fastrange) instead of `%`. All of the engine's placement
-/// decisions — shuffle shard selection and the simulated reduce-worker
-/// assignment — go through this one function, so they draw on the hash's
-/// high bits uniformly rather than on its low-bit residue.
+/// (Lemire's fastrange) instead of `%`. Hash placement of shuffle rows on
+/// both backends goes through this one function, so it draws on the
+/// hash's high bits uniformly rather than on its low-bit residue.
 inline std::size_t IndexOfHash(std::uint64_t hash, std::size_t n) {
   return static_cast<std::size_t>(
       (static_cast<unsigned __int128>(hash) * n) >> 64);

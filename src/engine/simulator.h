@@ -6,62 +6,17 @@
 #include <string>
 #include <vector>
 
-#include "src/common/stats.h"
-#include "src/engine/shuffle.h"
-
 namespace mrcost::engine {
 
-/// The simulator's runtime skew defenses — the counterpart of the engine's
-/// own speculative tasks and sampled-range shuffle placement, applied in
-/// the simulated cost domain where makespan is defined. All three knobs
-/// change only how reducer load is placed and re-executed across simulated
-/// workers; the reduce outputs a defended round produces stay byte-
-/// identical to the undefended run (defenses never touch data).
-struct SkewDefense {
-  /// How reducers are assigned to workers. kAuto/kHash = the blind
-  /// IndexOfHash placement; kSampledRange = sort reducers by key hash and
-  /// cut contiguous ranges of near-equal *cost* (pairs/bytes-weighted), so
-  /// a hot key stops dragging a full hash range's worth of neighbours onto
-  /// its worker.
-  PartitionerKind partitioner = PartitionerKind::kAuto;
-  /// Speculative backup tasks: a worker whose finish time exceeds
-  /// speculation_slowdown_factor x the median worker finish gets its queue
-  /// re-issued on the fastest worker at the trigger time; the earlier
-  /// finisher wins. Models the executor's first-finisher-wins backups.
-  bool speculation = false;
-  double speculation_slowdown_factor = 3.0;
-  /// A reducer whose input exceeds this many pairs is split into
-  /// ceil(pairs / threshold) sub-reducers (scattered by sub-hash) plus one
-  /// merge reducer combining the partial results — the paper's q-vs-r
-  /// tradeoff applied adaptively. 0 = off.
-  double hot_key_split_threshold = 0;
-
-  bool configured() const {
-    return partitioner != PartitionerKind::kAuto || speculation ||
-           speculation_slowdown_factor != 3.0 ||
-           hot_key_split_threshold != 0;
-  }
-};
-
-/// Knobs for the cluster-simulation layer. The paper's cost model charges a
-/// computation a replication rate r against a reducer capacity q; this layer
-/// makes the other half of that tradeoff observable by assigning every
-/// reduce key to a simulated worker queue and accumulating per-worker cost,
-/// so skewed key distributions, heterogeneous machines, and stragglers show
-/// up as makespan and load imbalance instead of staying invisible behind
-/// placement counts.
+/// Knobs for the cluster simulator. The paper charges a computation a
+/// replication rate r against a reducer capacity q; the simulator prices
+/// what a round's real placement costs on machines of unequal speed. Each
+/// shard of a finished round is one simulated worker that drains the rows
+/// the shuffle routed to it (JobMetrics::shard_pairs), so skewed keys,
+/// heterogeneous machines and stragglers show up as makespan instead of
+/// staying invisible behind placement counts. The worker count is the
+/// round's shard count: set it with JobOptions::num_shards.
 struct SimulationOptions {
-  /// Number of simulated reduce workers; 0 disables the simulation.
-  std::size_t num_workers = 0;
-
-  /// The recipe's reducer capacity q, in input pairs: a reducer (key group)
-  /// whose value list is longer than this is a capacity violation.
-  /// 0 = unlimited.
-  double reducer_capacity_q = 0;
-  /// Byte-level form of the same capacity, measured with ByteSizeOf over
-  /// the key and its value list. 0 = unlimited.
-  std::uint64_t reducer_capacity_bytes = 0;
-
   /// Fraction of workers (rounded down, chosen by `seed`) that straggle.
   double straggler_fraction = 0;
   /// Stragglers process their queue this factor slower. Must be >= 1.
@@ -70,125 +25,84 @@ struct SimulationOptions {
   /// is drawn from [1 - jitter, 1 + jitter]. Models mildly heterogeneous
   /// machines; 0 = identical workers.
   double speed_jitter = 0;
-  /// Seeds the speed jitter and the straggler choice. The simulation is a
-  /// pure function of (reducer loads, options), so a fixed seed gives
-  /// identical reports for every thread/shard count. Jitter and straggler
+  /// Seeds the speed jitter and the straggler choice. Jitter and straggler
   /// selection draw from independent streams derived from this seed, so
   /// each axis is reproducible on its own: changing the jitter knob never
   /// changes *which* workers straggle, and vice versa.
   std::uint64_t seed = 0;
 
-  /// Runtime skew defenses (range placement, speculative backups, hot-key
-  /// splitting); see SkewDefense. Defaults leave every defense off — the
-  /// undefended cluster the defenses are measured against.
-  SkewDefense defense;
-
-  /// Simulated time units charged per input pair and per input byte of a
-  /// reducer's value list. Defaults model the paper's pair-count cost;
-  /// set cost_per_byte to weigh big values more.
-  double cost_per_pair = 1.0;
-  double cost_per_byte = 0;
-
-  bool enabled() const { return num_workers > 0; }
-
-  /// True when any knob beyond num_workers was moved off its default.
-  /// Used to catch configurations that set skew/capacity knobs but forgot
-  /// num_workers — which would otherwise silently skip the simulation.
-  bool customized() const {
-    return reducer_capacity_q != 0 || reducer_capacity_bytes != 0 ||
-           straggler_fraction != 0 || straggler_slowdown != 1.0 ||
-           speed_jitter != 0 || cost_per_pair != 1.0 || cost_per_byte != 0 ||
-           defense.configured();
-  }
+  /// Virtual-time speculative backups: a worker whose finish time exceeds
+  /// speculation_slowdown_factor x the median busy-worker finish gets its
+  /// queue re-issued on the fastest worker at the trigger time; the
+  /// earlier finisher wins. Models the executor's first-finisher-wins
+  /// backups (JobOptions::speculation) on a cluster with stragglers.
+  bool speculation = false;
+  double speculation_slowdown_factor = 3.0;
 };
 
-/// One reducer (reduce key) as the simulator sees it: its finalized key
-/// hash (which decides the worker via IndexOfHash) and the size of its
-/// input list in pairs and bytes.
-struct ReducerLoad {
-  std::uint64_t key_hash = 0;
-  std::uint64_t pairs = 0;
-  std::uint64_t bytes = 0;
-};
-
-/// One simulated worker's queue after assignment: the reducers it owns (in
-/// arrival order, i.e. global first-seen key order), its accumulated load,
-/// its speed, and when it finishes draining the queue.
+/// One simulated worker: the pairs the shuffle routed to its shard, its
+/// speed, and when it finishes draining them.
 struct WorkerQueue {
-  std::vector<std::uint32_t> reducers;  // indices into the ReducerLoad list
   std::uint64_t pairs = 0;
-  std::uint64_t bytes = 0;
-  double cost = 0;         // cost_per_pair * pairs + cost_per_byte * bytes
   double speed = 1.0;      // jitter and straggler slowdown applied
-  double finish_time = 0;  // cost / speed, before any speculative rescue
+  double finish_time = 0;  // pairs / speed, before any speculative rescue
   /// Finish after a speculative backup (if one fired and won); equals
   /// finish_time when speculation is off or did not help this worker.
   double effective_finish_time = 0;
 };
 
-/// Everything the simulation measures for one round.
+/// Everything the simulation measures for one round, in cost units of one
+/// pair.
 struct SimulationReport {
   std::size_t num_workers = 0;
 
-  /// Time the slowest worker finishes: max over workers of cost / speed.
+  /// Time the slowest worker finishes: max over workers of its effective
+  /// finish time.
   double makespan = 0;
-  /// Perfect-balance floor: total cost / total speed. makespan/ideal
+  /// Perfect-balance floor: total pairs / total speed. makespan/ideal
   /// quantifies what placement skew plus heterogeneity cost this round.
   double ideal_makespan = 0;
-  /// Max worker load / mean worker load, in pairs; 1.0 = perfectly even,
-  /// grows with key skew. 0 when nothing was shuffled.
+  /// Max worker load / mean worker load, in pairs; 1.0 = perfectly even.
+  /// The same ratio as the round's partition_skew_ratio; 0 when nothing
+  /// was shuffled.
   double load_imbalance = 0;
   /// makespan / (makespan on identical-speed workers): the slowdown
-  /// attributable purely to stragglers and jitter. 1.0 = homogeneous.
+  /// attributable to stragglers and jitter. 1.0 = homogeneous.
   double straggler_impact = 0;
-  /// Reducers whose input list exceeds reducer_capacity_q pairs or
-  /// reducer_capacity_bytes bytes — the schema promised q and broke it.
-  /// Counted after hot-key splitting: a split that brings every sub-group
-  /// under q removes the violation (that is the point of the defense).
-  std::uint64_t capacity_violations = 0;
   std::uint64_t max_worker_pairs = 0;
 
-  /// Skew-defense accounting (all zero when SkewDefense is off):
-  /// hot keys split into sub-reducers,
-  std::uint64_t hot_keys_split = 0;
-  /// speculative backups launched for slow workers,
+  /// Speculative backups launched for slow workers, and backups that
+  /// finished before their straggler (both 0 when speculation is off).
   std::uint64_t speculative_launched = 0;
-  /// and backups that actually finished before their straggler.
   std::uint64_t speculative_won = 0;
 
-  /// Per-worker distributions (count == num_workers, zero-load workers
-  /// included).
-  common::RunningStats worker_pairs;
-  common::RunningStats worker_bytes;
-  common::RunningStats worker_times;
-
-  /// The queues themselves, for callers that want to inspect placement
-  /// (tests, benches). queues[w].reducers indexes the ReducerLoad vector
-  /// passed to SimulateCluster.
+  /// The workers themselves, in shard order.
   std::vector<WorkerQueue> queues;
 
   std::string ToString() const;
 };
 
-/// Deterministic per-worker speeds for `options`: jitter applied from the
+/// Deterministic speeds of `num_workers` workers: jitter applied from the
 /// seed, then the straggler subset (floor(fraction * workers) workers,
 /// sampled without replacement) divided by straggler_slowdown. Jitter and
 /// straggler selection use independent streams derived from the seed
 /// (seed ^ per-purpose constants), so the straggler set is a function of
 /// (seed, num_workers, fraction) alone — sweeping the jitter axis keeps
 /// the same workers straggling.
-std::vector<double> WorkerSpeeds(const SimulationOptions& options);
+std::vector<double> WorkerSpeeds(const SimulationOptions& options,
+                                 std::size_t num_workers);
 
 /// The straggler subset on its own (sorted worker indices) — the second
 /// of WorkerSpeeds' two streams, exposed so tests can pin it per-axis.
-std::vector<std::uint64_t> StragglerWorkers(const SimulationOptions& options);
+std::vector<std::uint64_t> StragglerWorkers(const SimulationOptions& options,
+                                            std::size_t num_workers);
 
-/// Runs the simulation: every reducer is enqueued on worker
-/// IndexOfHash(key_hash, num_workers), per-worker cost accumulates, and the
-/// report summarizes makespan, imbalance, straggler impact, and capacity
-/// violations. Pure and serial — identical results for any thread count.
-/// Requires options.enabled().
-SimulationReport SimulateCluster(const std::vector<ReducerLoad>& reducers,
+/// Prices a finished round: worker p drains shard_pairs[p] (the rows the
+/// shuffle routed to shard p, JobMetrics::shard_pairs) at its own speed,
+/// and the round ends when the slowest worker finishes. A pure function
+/// of its arguments, so a fixed seed gives identical reports for every
+/// thread count. Requires at least one shard.
+SimulationReport SimulateCluster(const std::vector<std::uint64_t>& shard_pairs,
                                  const SimulationOptions& options);
 
 }  // namespace mrcost::engine

@@ -960,6 +960,33 @@ TEST(DistBackend, SpillMetricsReportOnlyDisk) {
   EXPECT_EQ(in_process.rounds[0].merge_passes, round.merge_passes);
 }
 
+TEST(DistBackend, ShardPairsMatchInProcess) {
+  // Both backends place rows by the same hash: at a pinned shard count,
+  // the rows each multi-process reduce task read equal the rows the
+  // in-process round routed to that shard, and so does the skew ratio.
+  const std::string args = "pairs=20000,keys=256,seed=9";
+  auto plan = dist::PlanRegistry::Global().Build("shuffle_sweep", args);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  engine::ExecutionOptions multi = MultiProcessOptions(2);
+  multi.pipeline.round_defaults.num_shards = 4;
+  const engine::PipelineMetrics remote = plan->Execute(multi);
+
+  engine::ExecutionOptions local;
+  local.pipeline.round_defaults.num_shards = 4;
+  local.pipeline.round_defaults.shuffle.strategy =
+      engine::ShuffleStrategy::kSharded;
+  local.pipeline.round_defaults.shuffle.partitioner =
+      engine::PartitionerKind::kHash;
+  const engine::PipelineMetrics in_process = plan->Execute(local);
+  ASSERT_EQ(remote.rounds.size(), 1u);
+  ASSERT_EQ(in_process.rounds.size(), 1u);
+  ASSERT_EQ(remote.rounds[0].shard_pairs.size(), 4u);
+  EXPECT_EQ(remote.rounds[0].shard_pairs, in_process.rounds[0].shard_pairs);
+  EXPECT_GT(remote.rounds[0].partition_skew_ratio, 1.0);
+  EXPECT_EQ(remote.rounds[0].partition_skew_ratio,
+            in_process.rounds[0].partition_skew_ratio);
+}
+
 TEST(DistBackend, UnstampedPlanFallsBackInProcess) {
   // A plan never registered as a recipe cannot cross processes; the multi
   // backend must still produce correct results (in-process fallback).

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -23,6 +24,7 @@
 #include "src/engine/shuffle.h"
 #include "src/engine/simulator.h"
 #include "src/storage/block.h"
+#include "src/storage/serde.h"
 #include "tests/shuffle_inputs.h"
 
 namespace mrcost::engine {
@@ -441,16 +443,22 @@ TEST(Job, ReducerSizeDistribution) {
   EXPECT_DOUBLE_EQ(result.metrics.rounds[0].reducer_sizes.mean(), 3.0);
 }
 
-TEST(Job, SimulatedWorkerLoads) {
+TEST(Job, ShardPairsCoverEveryShuffledPair) {
+  // One entry per shard, and every shuffled pair routed to exactly one.
   std::vector<int> inputs(300);
   std::iota(inputs.begin(), inputs.end(), 0);
   JobOptions options;
-  options.simulation.num_workers = 7;
+  options.num_shards = 7;
   const JobMetrics m = SumByResidue(inputs, 100, options).metrics.rounds[0];
-  EXPECT_EQ(m.worker_loads.count(), 7);
-  // Loads sum to the total pairs shuffled.
-  EXPECT_DOUBLE_EQ(m.worker_loads.sum(),
-                   static_cast<double>(m.pairs_shuffled));
+  ASSERT_EQ(m.shard_pairs.size(), 7u);
+  EXPECT_EQ(std::accumulate(m.shard_pairs.begin(), m.shard_pairs.end(),
+                            std::uint64_t{0}),
+            m.pairs_shuffled);
+  const std::uint64_t max_pairs =
+      *std::max_element(m.shard_pairs.begin(), m.shard_pairs.end());
+  EXPECT_DOUBLE_EQ(m.partition_skew_ratio,
+                   static_cast<double>(max_pairs) /
+                       (static_cast<double>(m.pairs_shuffled) / 7.0));
 }
 
 TEST(Job, StringKeysWork) {
@@ -788,19 +796,24 @@ TEST(Shuffle, IndexOfHashRangeAndBalance) {
   }
 }
 
-TEST(Shuffle, SimulatedWorkerLoadBalance) {
-  // The finalized-hash placement must spread many uniform keys evenly over
-  // the simulated workers (the biased low-bit placement this replaced
-  // could collapse onto a subset of workers for structured keys).
+TEST(Shuffle, HashShardLoadBalance) {
+  // Hash placement must spread many uniform keys evenly over the shards
+  // (a biased low-bit placement could collapse structured keys onto a
+  // subset of them).
   std::vector<int> inputs(40000);
   std::iota(inputs.begin(), inputs.end(), 0);
   JobOptions options;
-  options.simulation.num_workers = 16;
+  options.num_shards = 16;
+  options.shuffle.partitioner = PartitionerKind::kHash;
   auto result = SumByResidue(inputs, 20000, options);
-  ASSERT_EQ(result.metrics.rounds[0].worker_loads.count(), 16);
-  const double mean = result.metrics.rounds[0].worker_loads.mean();
-  EXPECT_LT(result.metrics.rounds[0].worker_loads.max(), 1.15 * mean);
-  EXPECT_GT(result.metrics.rounds[0].worker_loads.min(), 0.85 * mean);
+  const std::vector<std::uint64_t>& loads =
+      result.metrics.rounds[0].shard_pairs;
+  ASSERT_EQ(loads.size(), 16u);
+  const double mean = 40000.0 / 16;
+  for (std::uint64_t load : loads) {
+    EXPECT_LT(static_cast<double>(load), 1.15 * mean);
+    EXPECT_GT(static_cast<double>(load), 0.85 * mean);
+  }
 }
 
 // ------------------------------------------- shuffle property harness
@@ -862,13 +875,12 @@ TEST(Shuffle, ResolveShardCountZeroPairs) {
 
 TEST(Simulator, WorkerSpeedsDeterministic) {
   SimulationOptions options;
-  options.num_workers = 8;
   options.speed_jitter = 0.2;
   options.straggler_fraction = 0.25;
   options.straggler_slowdown = 4.0;
   options.seed = 7;
-  const auto a = WorkerSpeeds(options);
-  const auto b = WorkerSpeeds(options);
+  const auto a = WorkerSpeeds(options, 8);
+  const auto b = WorkerSpeeds(options, 8);
   ASSERT_EQ(a.size(), 8u);
   EXPECT_EQ(a, b);
   // Exactly floor(0.25 * 8) = 2 stragglers: jittered speeds live in
@@ -879,7 +891,7 @@ TEST(Simulator, WorkerSpeedsDeterministic) {
   }
   EXPECT_EQ(stragglers, 2);
   options.seed = 8;
-  EXPECT_NE(WorkerSpeeds(options), a);
+  EXPECT_NE(WorkerSpeeds(options, 8), a);
 }
 
 TEST(Simulator, StragglerSetIndependentOfJitterStream) {
@@ -889,13 +901,12 @@ TEST(Simulator, StragglerSetIndependentOfJitterStream) {
   // jitter swept the straggler set with it). The straggler set must be a
   // function of (seed, num_workers, fraction) alone.
   SimulationOptions options;
-  options.num_workers = 16;
   options.straggler_fraction = 0.25;
   options.straggler_slowdown = 4.0;
   options.seed = 13;
-  const auto without_jitter = StragglerWorkers(options);
+  const auto without_jitter = StragglerWorkers(options, 16);
   options.speed_jitter = 0.2;
-  const auto with_jitter = StragglerWorkers(options);
+  const auto with_jitter = StragglerWorkers(options, 16);
   EXPECT_EQ(without_jitter, with_jitter);
 
   // Pinned values for seed 13: any change to the straggler stream (its
@@ -904,7 +915,7 @@ TEST(Simulator, StragglerSetIndependentOfJitterStream) {
   EXPECT_EQ(without_jitter, expected);
 
   // The slowed speeds land exactly on the pinned set.
-  const auto speeds = WorkerSpeeds(options);
+  const auto speeds = WorkerSpeeds(options, 16);
   for (std::uint64_t w = 0; w < speeds.size(); ++w) {
     const bool slowed = speeds[w] < 0.5;  // jittered >= 0.8, slowed <= 0.3
     const bool pinned =
@@ -914,68 +925,58 @@ TEST(Simulator, StragglerSetIndependentOfJitterStream) {
 
   // A different seed picks a different set.
   options.seed = 14;
-  EXPECT_NE(StragglerWorkers(options), expected);
+  EXPECT_NE(StragglerWorkers(options, 16), expected);
 }
 
-TEST(Simulator, DirectQueuesCapacityAndMakespan) {
-  // Hand-placed reducers: with 2 workers, IndexOfHash takes the hash's top
-  // bit, so hash 0 and 1<<62 land on worker 0 and ~0 lands on worker 1.
-  std::vector<ReducerLoad> loads;
-  loads.push_back(ReducerLoad{0, 5, 50});
-  loads.push_back(ReducerLoad{~std::uint64_t{0}, 2, 20});
-  loads.push_back(ReducerLoad{std::uint64_t{1} << 62, 1, 10});
-  SimulationOptions options;
-  options.num_workers = 2;
-  options.reducer_capacity_q = 4;  // the 5-pair reducer violates
-  const auto report = SimulateCluster(loads, options);
+TEST(Simulator, DirectShardLoadsMakespan) {
+  // Worker p drains shard p's pairs at speed 1: the fuller shard is the
+  // makespan, total / workers the ideal.
+  const auto report = SimulateCluster({6, 2}, {});
   ASSERT_EQ(report.queues.size(), 2u);
   EXPECT_EQ(report.queues[0].pairs, 6u);
   EXPECT_EQ(report.queues[1].pairs, 2u);
-  EXPECT_EQ(report.queues[0].reducers, (std::vector<std::uint32_t>{0, 2}));
-  EXPECT_DOUBLE_EQ(report.makespan, 6.0);       // cost_per_pair = 1, speed 1
+  EXPECT_DOUBLE_EQ(report.makespan, 6.0);
   EXPECT_DOUBLE_EQ(report.ideal_makespan, 4.0);  // 8 pairs / 2 workers
   EXPECT_DOUBLE_EQ(report.load_imbalance, 1.5);  // max 6 / mean 4
   EXPECT_DOUBLE_EQ(report.straggler_impact, 1.0);
-  EXPECT_EQ(report.capacity_violations, 1u);
   EXPECT_EQ(report.max_worker_pairs, 6u);
 }
 
-TEST(Simulator, ByteCapacityViaByteCost) {
-  std::vector<ReducerLoad> loads;
-  loads.push_back(ReducerLoad{0, 1, 100});
-  loads.push_back(ReducerLoad{~std::uint64_t{0}, 1, 10});
-  SimulationOptions options;
-  options.num_workers = 2;
-  options.reducer_capacity_bytes = 50;
-  options.cost_per_pair = 0;
-  options.cost_per_byte = 1.0;
-  const auto report = SimulateCluster(loads, options);
-  EXPECT_EQ(report.capacity_violations, 1u);
-  EXPECT_DOUBLE_EQ(report.makespan, 100.0);
-}
-
 TEST(Simulator, StragglerStretchesMakespan) {
-  // 64 equal reducers over 4 workers; slowing half the workers 4x must
-  // stretch the makespan by ~4x relative to the homogeneous cluster.
-  std::vector<ReducerLoad> loads;
-  common::SplitMix64 rng(11);
-  for (int i = 0; i < 64; ++i) {
-    loads.push_back(ReducerLoad{rng.Next(), 10, 80});
-  }
-  SimulationOptions fair;
-  fair.num_workers = 4;
-  const auto baseline = SimulateCluster(loads, fair);
-  SimulationOptions slow = fair;
+  // Four equal shards; slowing half the workers 4x must stretch the
+  // makespan by ~4x relative to the homogeneous cluster.
+  const std::vector<std::uint64_t> shard_pairs(4, 160);
+  const auto baseline = SimulateCluster(shard_pairs, {});
+  SimulationOptions slow;
   slow.straggler_fraction = 0.5;
   slow.straggler_slowdown = 4.0;
   slow.seed = 3;
-  const auto straggled = SimulateCluster(loads, slow);
+  const auto straggled = SimulateCluster(shard_pairs, slow);
   EXPECT_DOUBLE_EQ(baseline.straggler_impact, 1.0);
-  EXPECT_GE(straggled.straggler_impact, 2.0);
+  EXPECT_DOUBLE_EQ(straggled.straggler_impact, 4.0);
   EXPECT_GT(straggled.makespan, baseline.makespan);
   // Placement is speed-independent, so load stats are unchanged.
-  EXPECT_DOUBLE_EQ(straggled.worker_pairs.max(), baseline.worker_pairs.max());
+  EXPECT_EQ(straggled.max_worker_pairs, baseline.max_worker_pairs);
   EXPECT_EQ(straggled.load_imbalance, baseline.load_imbalance);
+}
+
+TEST(Simulator, SpeculationRescuesAStraggler) {
+  // Equal shards, one worker 4x slow: its projected finish passes 1.5x
+  // the median, so a backup starts on the fastest worker at the trigger
+  // and finishes first.
+  SimulationOptions cluster;
+  cluster.straggler_fraction = 0.25;
+  cluster.straggler_slowdown = 4.0;
+  cluster.seed = 3;
+  const std::vector<std::uint64_t> shard_pairs(4, 100);
+  const auto slow = SimulateCluster(shard_pairs, cluster);
+  EXPECT_DOUBLE_EQ(slow.makespan, 400.0);
+  cluster.speculation = true;
+  cluster.speculation_slowdown_factor = 1.5;
+  const auto rescued = SimulateCluster(shard_pairs, cluster);
+  EXPECT_EQ(rescued.speculative_launched, 1u);
+  EXPECT_EQ(rescued.speculative_won, 1u);
+  EXPECT_DOUBLE_EQ(rescued.makespan, 150.0 + 100.0);  // trigger + redo
 }
 
 /// A key-skewed job: `inputs` keys drawn Zipf(exponent) over `num_keys`
@@ -1002,133 +1003,41 @@ ExecutionResult<std::pair<std::uint64_t, std::int64_t>> ZipfJob(
       .Execute(ExecutionOptions(options));
 }
 
-TEST(Simulator, OutputsBitIdenticalWithAndWithoutSimulation) {
-  // The acceptance bar: simulation may only touch metrics. Reduce outputs
-  // must be bit-identical across simulation on/off, worker counts, thread
-  // counts, and shard counts.
-  JobOptions plain;
-  plain.num_threads = 1;
-  plain.num_shards = 1;
-  const auto reference = ZipfJob(1.1, plain);
-  for (std::size_t workers : {1u, 4u, 31u}) {
-    for (std::size_t threads : {1u, 8u}) {
-      for (std::size_t shards : {1u, 8u}) {
-        JobOptions options;
-        options.num_threads = threads;
-        options.num_shards = shards;
-        options.simulation.num_workers = workers;
-        options.simulation.straggler_fraction = 0.3;
-        options.simulation.straggler_slowdown = 3.0;
-        options.simulation.speed_jitter = 0.1;
-        options.simulation.seed = 5;
-        const auto run = ZipfJob(1.1, options);
-        SCOPED_TRACE("workers=" + std::to_string(workers) +
-                     " threads=" + std::to_string(threads) +
-                     " shards=" + std::to_string(shards));
-        ASSERT_EQ(run.outputs, reference.outputs);
-      }
-    }
-  }
-}
-
-TEST(Simulator, MetricsDeterministicAcrossThreadCounts) {
-  // Fixed seed => identical makespan/load metrics for every thread and
-  // shard count: the simulation is a pure function of the (deterministic)
-  // shuffle result and the options.
-  JobOptions base;
-  base.num_threads = 1;
-  base.num_shards = 1;
-  base.simulation.num_workers = 16;
-  base.simulation.speed_jitter = 0.15;
-  base.simulation.straggler_fraction = 0.25;
-  base.simulation.straggler_slowdown = 2.0;
-  base.simulation.reducer_capacity_q = 100;
-  base.simulation.seed = 42;
-  const JobMetrics want = ZipfJob(1.3, base).metrics.rounds[0];
-  EXPECT_GT(want.makespan, 0.0);
-  for (std::size_t threads : {2u, 8u}) {
-    for (std::size_t shards : {1u, 4u, 16u}) {
-      JobOptions options = base;
-      options.num_threads = threads;
-      options.num_shards = shards;
-      const JobMetrics m = ZipfJob(1.3, options).metrics.rounds[0];
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " shards=" + std::to_string(shards));
-      EXPECT_DOUBLE_EQ(m.makespan, want.makespan);
-      EXPECT_DOUBLE_EQ(m.load_imbalance, want.load_imbalance);
-      EXPECT_DOUBLE_EQ(m.straggler_impact, want.straggler_impact);
-      EXPECT_EQ(m.capacity_violations, want.capacity_violations);
-      EXPECT_DOUBLE_EQ(m.worker_loads.max(), want.worker_loads.max());
-      EXPECT_DOUBLE_EQ(m.worker_loads.mean(), want.worker_loads.mean());
-    }
-  }
-}
-
-TEST(Simulator, CapacityViolationsInsteadOfSilentOverfill) {
-  // Keys 0..4 receive 1..5 values; a recipe that promises q = 3 must
-  // report the two oversized reducers (4 and 5), not silently absorb them.
-  std::vector<int> inputs;
-  for (int key = 0; key < 5; ++key) {
-    for (int i = 0; i <= key; ++i) inputs.push_back(key);
-  }
-  auto map_fn = [](const int& x, Emitter<int, int>& emitter) {
-    emitter.Emit(x, 1);
-  };
-  auto reduce_fn = [](const int&, GroupView<int>,
-                      std::vector<int>&) {};
+TEST(Simulator, PricesTheShufflesHashPlacement) {
+  // The simulator's worker p is the shuffle's shard p: under hash
+  // placement each key's pairs land on IndexOfHash of the hash of its
+  // serialized bytes, and nowhere else.
   JobOptions options;
-  options.simulation.num_workers = 4;
-  options.simulation.reducer_capacity_q = 3;
-  auto result = Plan()
-      .Source(inputs)
-      .Map<int, int>(map_fn)
-      .ReduceByKey<int>(reduce_fn)
-      .Execute(ExecutionOptions(options));
-  EXPECT_EQ(result.metrics.rounds[0].capacity_violations, 2u);
-  ASSERT_TRUE(result.metrics.rounds[0].simulated());
-  // And with a generous q, no violations.
-  options.simulation.reducer_capacity_q = 5;
-  result = Plan()
-      .Source(inputs)
-      .Map<int, int>(map_fn)
-      .ReduceByKey<int>(reduce_fn)
-      .Execute(ExecutionOptions(options));
-  EXPECT_EQ(result.metrics.rounds[0].capacity_violations, 0u);
+  options.num_shards = 16;
+  options.shuffle.strategy = ShuffleStrategy::kSharded;
+  options.shuffle.partitioner = PartitionerKind::kHash;
+  const auto run = ZipfJob(1.3, options);
+  const JobMetrics& m = run.metrics.rounds[0];
+  std::vector<std::uint64_t> expected(16, 0);
+  for (const auto& [key, count] : run.outputs) {
+    std::string bytes;
+    storage::SerializeValue(key, bytes);
+    expected[IndexOfHash(storage::HashBytes(bytes), 16)] +=
+        static_cast<std::uint64_t>(count);
+  }
+  EXPECT_EQ(m.shard_pairs, expected);
+  const auto report = SimulateCluster(m.shard_pairs, {});
+  EXPECT_EQ(report.num_workers, 16u);
+  EXPECT_DOUBLE_EQ(report.load_imbalance, m.partition_skew_ratio);
 }
 
 TEST(Simulator, ZipfSkewRaisesImbalance) {
   JobOptions options;
-  options.simulation.num_workers = 8;
+  options.num_shards = 8;
+  options.shuffle.partitioner = PartitionerKind::kHash;
   const JobMetrics uniform = ZipfJob(0.0, options).metrics.rounds[0];
   const JobMetrics skewed = ZipfJob(1.5, options).metrics.rounds[0];
   // Uniform keys spread evenly; heavy Zipf concentrates pairs on whichever
-  // worker owns key rank 0.
-  EXPECT_LT(uniform.load_imbalance, 1.3);
-  EXPECT_GT(skewed.load_imbalance, 1.5 * uniform.load_imbalance);
-  EXPECT_GT(skewed.makespan, uniform.makespan);
-}
-
-TEST(SimulatorDeathTest, SkewKnobsWithoutWorkersFailLoudly) {
-  // Setting capacity/skew knobs but forgetting num_workers would
-  // otherwise silently skip the simulation (makespan 0, "no violations").
-  JobOptions options;
-  options.simulation.reducer_capacity_q = 256;
-  EXPECT_DEATH(options.ResolvedSimulation(), "MRCOST_CHECK failed");
-}
-
-TEST(Simulator, WorkerCountOnlySimulation) {
-  // simulation.num_workers alone runs the (skew-free) simulation and
-  // fills worker_loads, with makespan alongside.
-  JobOptions options;
-  options.simulation.num_workers = 7;
-  const auto sim = options.ResolvedSimulation();
-  EXPECT_TRUE(sim.enabled());
-  EXPECT_EQ(sim.num_workers, 7u);
-  const JobMetrics m = ZipfJob(0.0, options).metrics.rounds[0];
-  EXPECT_EQ(m.worker_loads.count(), 7);
-  EXPECT_DOUBLE_EQ(m.worker_loads.sum(),
-                   static_cast<double>(m.pairs_shuffled));
-  EXPECT_GT(m.makespan, 0.0);
+  // shard owns key rank 0.
+  EXPECT_LT(uniform.partition_skew_ratio, 1.3);
+  EXPECT_GT(skewed.partition_skew_ratio, 1.5 * uniform.partition_skew_ratio);
+  EXPECT_GT(SimulateCluster(skewed.shard_pairs, {}).makespan,
+            SimulateCluster(uniform.shard_pairs, {}).makespan);
 }
 
 /// Two rounds over 0..n-1: sum by residue mod 10, then regroup the ten
@@ -1153,25 +1062,25 @@ Dataset<std::pair<int, std::int64_t>> ResidueThenParity(Plan& plan, int n) {
       .ReduceByKey<std::pair<int, std::int64_t>>(sum);
 }
 
-TEST(Simulator, PipelineWideSimulationAndCostReports) {
-  // A simulated cluster in the round defaults must reach every round,
-  // surface in PipelineMetrics aggregates, and ride along in
-  // CompareToLowerBound's per-round reports.
+TEST(Pipeline, ShardPairsRideAlongInCostReports) {
+  // The round defaults' shard count reaches every round, each round
+  // records its own placement, and CompareToLowerBound's per-round
+  // reports carry it.
   ExecutionOptions options;
-  options.pipeline.round_defaults.simulation.num_workers = 4;
-  options.pipeline.round_defaults.simulation.reducer_capacity_q = 5;
+  options.pipeline.round_defaults.num_shards = 4;
+  options.pipeline.round_defaults.shuffle.partitioner = PartitionerKind::kHash;
   Plan plan;
-  // Round 1: 10 keys x 10 values, violating q = 5.
   const PipelineMetrics m = ResidueThenParity(plan, 100).Execute(options).metrics;
   ASSERT_EQ(m.rounds.size(), 2u);
-  EXPECT_TRUE(m.rounds[0].simulated());
-  EXPECT_TRUE(m.rounds[1].simulated());
-  EXPECT_EQ(m.rounds[0].capacity_violations, 10u);  // all 10 reducers > 5
-  EXPECT_EQ(m.rounds[1].capacity_violations, 0u);   // 2 keys x 5 values
-  EXPECT_GT(m.max_makespan(), 0.0);
-  EXPECT_GE(m.total_makespan(), m.max_makespan());
-  EXPECT_EQ(m.total_capacity_violations(), 10u);
-  EXPECT_GE(m.max_load_imbalance(), 1.0);
+  for (const JobMetrics& round : m.rounds) {
+    ASSERT_EQ(round.shard_pairs.size(), 4u);
+    EXPECT_EQ(std::accumulate(round.shard_pairs.begin(),
+                              round.shard_pairs.end(), std::uint64_t{0}),
+              round.pairs_shuffled);
+    EXPECT_GE(round.partition_skew_ratio, 1.0);
+  }
+  // Round 2 routes 10 pairs onto at most 2 of the 4 shards.
+  EXPECT_GE(m.max_partition_skew_ratio(), 2.0);
 
   core::Recipe recipe;
   recipe.problem_name = "synthetic";
@@ -1180,11 +1089,8 @@ TEST(Simulator, PipelineWideSimulationAndCostReports) {
   recipe.num_outputs = 100;
   const auto reports = CompareToLowerBound(m, recipe);
   ASSERT_EQ(reports.size(), 2u);
-  EXPECT_TRUE(reports[0].metrics.simulated());
-  EXPECT_DOUBLE_EQ(reports[0].metrics.makespan, m.rounds[0].makespan);
-  EXPECT_EQ(reports[0].metrics.capacity_violations, 10u);
-  EXPECT_NE(ToString(reports).find("capacity_violations=10"),
-            std::string::npos);
+  EXPECT_EQ(reports[1].metrics.shard_pairs, m.rounds[1].shard_pairs);
+  EXPECT_NE(ToString(reports).find("partition_skew="), std::string::npos);
 }
 
 // --------------------------------------------------------- caller pool
@@ -1230,7 +1136,7 @@ TEST(Pipeline, TwoRoundMetricsAccumulate) {
 
 TEST(Pipeline, SharedPoolAndPerRoundOptions) {
   // Every round of an execution reduces on the caller's pool, and a
-  // round's own options (here a simulated cluster) reach that round alone.
+  // round's own options (here a shard count) reach that round alone.
   common::ThreadPool pool(2);
   ExecutionOptions options;
   options.pipeline.pool = &pool;
@@ -1243,7 +1149,7 @@ TEST(Pipeline, SharedPoolAndPerRoundOptions) {
   std::vector<int> inputs(200);
   std::iota(inputs.begin(), inputs.end(), 0);
   JobOptions round;
-  round.simulation.num_workers = 3;
+  round.num_shards = 3;
   Plan plan;
   const auto run =
       plan.Source(std::move(inputs))
@@ -1272,8 +1178,8 @@ TEST(Pipeline, SharedPoolAndPerRoundOptions) {
   EXPECT_EQ(run.outputs, std::vector<std::size_t>{200});
   ASSERT_EQ(run.metrics.rounds.size(), 2u);
   EXPECT_EQ(run.metrics.rounds[0].num_outputs, 5u);
-  EXPECT_EQ(run.metrics.rounds[0].worker_loads.count(), 3);
-  EXPECT_FALSE(run.metrics.rounds[1].simulated());
+  EXPECT_EQ(run.metrics.rounds[0].shard_pairs.size(), 3u);
+  EXPECT_EQ(run.metrics.rounds[1].shard_pairs.size(), 1u);
   // Both rounds reduced on the two pool threads, never on this one.
   EXPECT_LE(reducer_threads.size(), 2u);
   EXPECT_EQ(reducer_threads.count(std::this_thread::get_id()), 0u);
@@ -1286,7 +1192,8 @@ TEST(Pipeline, RoundDefaultsMergeFieldWise) {
   // every unset field instead — the round below must still spill.
   ExecutionOptions options;
   options.pipeline.round_defaults.shuffle.memory_budget_bytes = 1 << 10;
-  options.pipeline.round_defaults.simulation.num_workers = 4;
+  options.pipeline.round_defaults.speculation.enabled = true;
+  options.pipeline.round_defaults.speculation.slowdown_factor = 7.0;
   std::vector<int> inputs(4000);
   std::iota(inputs.begin(), inputs.end(), 0);
   JobOptions round;
@@ -1308,8 +1215,10 @@ TEST(Pipeline, RoundDefaultsMergeFieldWise) {
   // Budget inherited from the defaults: the round ran externally...
   EXPECT_TRUE(m.external_shuffle());
   EXPECT_GT(m.spill_runs, 0u);
-  // ...and the defaults' simulation reached it too.
-  EXPECT_EQ(m.worker_loads.count(), 4);
+  // ...while every pair it shuffled was still placed.
+  EXPECT_EQ(std::accumulate(m.shard_pairs.begin(), m.shard_pairs.end(),
+                            std::uint64_t{0}),
+            m.pairs_shuffled);
 
   // The execution-wide shuffle backstop composes field-wise as well: a
   // round forcing only the strategy still inherits the backstop budget.
@@ -1317,7 +1226,8 @@ TEST(Pipeline, RoundDefaultsMergeFieldWise) {
       MergedJobOptions(round, options.pipeline.round_defaults);
   EXPECT_EQ(merged.num_shards, 2u);
   EXPECT_EQ(merged.shuffle.memory_budget_bytes, std::uint64_t{1} << 10);
-  EXPECT_EQ(merged.simulation.num_workers, 4u);
+  EXPECT_TRUE(merged.speculation.enabled);
+  EXPECT_EQ(merged.speculation.slowdown_factor, 7.0);
 }
 
 // ------------------------------------------- shuffle-config resolution

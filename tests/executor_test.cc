@@ -19,6 +19,7 @@
 #include "src/common/thread_pool.h"
 #include "src/engine/executor.h"
 #include "src/engine/plan.h"
+#include "src/engine/simulator.h"
 
 namespace mrcost::engine {
 namespace {
@@ -187,18 +188,15 @@ TEST(StagedRound, EmptyInputProducesEmptyTimedRound) {
 }
 
 TEST(StagedRound, SimulationIdenticalAcrossSchedules) {
-  // Simulation reports are a pure function of the (deterministic) shuffle
-  // result, so the staged executor must reproduce them for every thread
-  // count even though task completion order varies.
+  // A round's shard loads are a function of the input and the shard
+  // count alone, so the simulation priced on them is identical at every
+  // thread count even though task completion order varies.
   std::vector<std::uint64_t> inputs(5000);
   std::iota(inputs.begin(), inputs.end(), 0);
   auto run_with_threads = [&](std::size_t threads) {
     JobOptions options;
     options.num_threads = threads;
-    options.simulation.num_workers = 6;
-    options.simulation.straggler_fraction = 0.3;
-    options.simulation.straggler_slowdown = 3.0;
-    options.simulation.seed = 11;
+    options.num_shards = 6;
     return FoldJob::Run(inputs, options);
   };
   const auto one = run_with_threads(1);
@@ -206,9 +204,19 @@ TEST(StagedRound, SimulationIdenticalAcrossSchedules) {
   EXPECT_EQ(one.outputs, four.outputs);
   const JobMetrics& m1 = one.metrics.rounds[0];
   const JobMetrics& m4 = four.metrics.rounds[0];
-  EXPECT_DOUBLE_EQ(m1.makespan, m4.makespan);
-  EXPECT_DOUBLE_EQ(m1.load_imbalance, m4.load_imbalance);
-  EXPECT_DOUBLE_EQ(m1.worker_loads.sum(), m4.worker_loads.sum());
+  ASSERT_EQ(m1.shard_pairs.size(), 6u);
+  EXPECT_EQ(m1.shard_pairs, m4.shard_pairs);
+  SimulationOptions cluster;
+  cluster.straggler_fraction = 0.3;
+  cluster.straggler_slowdown = 3.0;
+  cluster.speed_jitter = 0.1;
+  cluster.seed = 11;
+  cluster.speculation = true;
+  const SimulationReport r1 = SimulateCluster(m1.shard_pairs, cluster);
+  const SimulationReport r4 = SimulateCluster(m4.shard_pairs, cluster);
+  EXPECT_GT(r1.makespan, 0.0);
+  EXPECT_EQ(r1.makespan, r4.makespan);
+  EXPECT_EQ(r1.load_imbalance, r4.load_imbalance);
 }
 
 // ------------------------------------------------------- speculation

@@ -379,21 +379,26 @@ TEST(ExternalShuffleJob, CombinedRoundMatchesInMemory) {
   EXPECT_GT(m.spill_runs, 0u);
 }
 
-TEST(ExternalShuffleJob, SimulationComposesWithSpilling) {
-  // Capacity-q enforcement (simulated) and the real memory budget must
-  // coexist: same outputs, both metric families populated.
+TEST(ExternalShuffleJob, SpilledRoundPlacesLikeTheInMemoryRound) {
+  // An external round routes its spilled and in-memory runs by the same
+  // hash placement as an in-memory round at its shard count, so both
+  // report the same shard loads (the simulator prices either alike).
   JobOptions options;
   options.shuffle.memory_budget_bytes = 1 << 10;
-  options.simulation.num_workers = 4;
-  options.simulation.reducer_capacity_q = 8;
   const auto run = FanoutJob(options);
-  const auto reference = FanoutJob({});
-  EXPECT_EQ(run.outputs, reference.outputs);
   const JobMetrics& m = run.metrics.rounds[0];
-  EXPECT_TRUE(m.simulated());
   EXPECT_TRUE(m.external_shuffle());
-  EXPECT_GT(m.makespan, 0.0);
   EXPECT_GT(m.spill_runs, 0u);
+
+  JobOptions sharded;
+  sharded.num_shards = m.shard_pairs.size();
+  sharded.shuffle.strategy = ShuffleStrategy::kSharded;
+  sharded.shuffle.partitioner = PartitionerKind::kHash;
+  const auto reference = FanoutJob(sharded);
+  EXPECT_EQ(run.outputs, reference.outputs);
+  EXPECT_EQ(m.shard_pairs, reference.metrics.rounds[0].shard_pairs);
+  EXPECT_EQ(m.partition_skew_ratio,
+            reference.metrics.rounds[0].partition_skew_ratio);
 }
 
 TEST(ExternalShufflePipeline, BackstopReachesEveryRoundAndReports) {

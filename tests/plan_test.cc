@@ -698,36 +698,6 @@ TEST(Plan, PlannedStrategyMatchesExecuteChooser) {
   EXPECT_EQ(run.physical_rounds[0].strategy, ShuffleStrategy::kSharded);
 }
 
-TEST(Plan, PipelineWideSimulationReachesEveryRound) {
-  // The round defaults' simulation must simulate every round the plan
-  // executes, not just be narrated by Explain — executed and explained
-  // plans have to agree.
-  SyntheticJob job;
-  Plan plan;
-  auto ds = plan.Source(job.inputs)
-                .Map<int, std::uint64_t>(SyntheticJob::MapFn)
-                .ReduceByKey<std::pair<int, std::uint64_t>>(
-                    SyntheticJob::ReduceFn);
-  ExecutionOptions options;
-  options.pipeline.round_defaults.simulation.num_workers = 8;
-  auto run = ds.Execute(options);
-  ASSERT_EQ(run.metrics.rounds.size(), 1u);
-  EXPECT_TRUE(run.metrics.rounds[0].simulated());
-  EXPECT_EQ(run.metrics.rounds[0].worker_loads.count(), 8);
-  EXPECT_GT(run.metrics.rounds[0].makespan, 0.0);
-  // A round's own simulation still wins whole over the defaults'.
-  Plan own;
-  JobOptions round_options;
-  round_options.simulation.num_workers = 3;
-  auto own_run = own.Source(job.inputs)
-                     .Map<int, std::uint64_t>(SyntheticJob::MapFn)
-                     .WithOptions(round_options)
-                     .ReduceByKey<std::pair<int, std::uint64_t>>(
-                         SyntheticJob::ReduceFn)
-                     .Execute(options);
-  EXPECT_EQ(own_run.metrics.rounds[0].worker_loads.count(), 3);
-}
-
 TEST(Plan, ExplainNarratesThePhysicalPlan) {
   const int n = 12;
   matmul::Matrix r(n, n), s(n, n);
@@ -739,14 +709,12 @@ TEST(Plan, ExplainNarratesThePhysicalPlan) {
 
   ExecutionOptions options;
   options.pipeline.shuffle.memory_budget_bytes = 1 << 10;
-  options.pipeline.round_defaults.simulation.num_workers = 8;
   const std::string text = plan->plan.Explain(options);
   EXPECT_NE(text.find("source 'matrix elements'"), std::string::npos);
   EXPECT_NE(text.find("round 1 'two-phase cubes'"), std::string::npos);
   EXPECT_NE(text.find("round 2"), std::string::npos);
   EXPECT_NE(text.find("external"), std::string::npos);  // over tiny budget
   EXPECT_NE(text.find("memory budget"), std::string::npos);
-  EXPECT_NE(text.find("8 workers"), std::string::npos);
   // Round 2's input is unmaterialized before execution.
   EXPECT_NE(text.find("chooser decides at run time"), std::string::npos);
 

@@ -1,12 +1,13 @@
-// The randomized skew/fault harness (adaptive skew defense): Zipf-skewed
-// synthetic jobs and all four problem-family reproductions run under
-// straggler injection through every defense combination — {hash,
-// sampled-range} partitioning x speculation on/off x hot-key splitting —
-// asserting (1) the defended engine's outputs stay byte-identical to the
-// undefended run for every thread/shard count, and (2) the sampled-range
-// partitioner strictly improves the simulated load balance once the key
-// distribution is genuinely skewed (zipf >= 1.2). The defenses may only
-// move *where* and *when* work runs, never *what* it computes.
+// The randomized skew harness: Zipf-skewed synthetic jobs and all four
+// problem-family reproductions run through every runtime defense
+// combination — {hash, sampled-range} placement x speculative backups
+// on/off — asserting (1) the defended engine's outputs stay byte-identical
+// to the undefended run for every thread/shard count, (2) sampled-range
+// placement never leaves a real round's shards more skewed than hash
+// placement, and (3) the cluster simulator, priced on a real round's
+// shard loads, shows simulated speculation rescuing stragglers. The
+// defenses may only move *where* and *when* work runs, never *what* it
+// computes.
 
 #include <cstdint>
 #include <string>
@@ -18,6 +19,7 @@
 #include "src/common/random.h"
 #include "src/engine/partitioner.h"
 #include "src/engine/plan.h"
+#include "src/engine/simulator.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/graph/triangle.h"
@@ -73,19 +75,7 @@ struct ZipfJob {
   }
 };
 
-/// The straggler-injected simulated cluster every harness run executes
-/// on: 16 workers, a quarter of them 4x slow, mild jitter.
-SimulationOptions StragglerCluster(std::uint64_t seed) {
-  SimulationOptions sim;
-  sim.num_workers = 16;
-  sim.straggler_fraction = 0.25;
-  sim.straggler_slowdown = 4.0;
-  sim.speed_jitter = 0.1;
-  sim.seed = seed;
-  return sim;
-}
-
-TEST(SkewHarness, DefensesPreserveOutputsAcrossZipfStragglersAndShards) {
+TEST(SkewHarness, DefensesPreserveOutputsAcrossZipfAndShards) {
   // The core property: for every zipf exponent x partitioner x
   // speculation x threads x shards combination, the defended run's
   // outputs are byte-identical to the undefended serial reference.
@@ -117,10 +107,6 @@ TEST(SkewHarness, DefensesPreserveOutputsAcrossZipfStragglersAndShards) {
             options.speculation.slowdown_factor = 1.5;  // fire eagerly
             options.speculation.min_completed = 1;
             options.speculation.min_task_ms = 0.0;
-            options.simulation = StragglerCluster(/*seed=*/5);
-            options.simulation.defense.partitioner = partitioner;
-            options.simulation.defense.speculation = speculation;
-            options.simulation.defense.hot_key_split_threshold = 2048;
 
             const auto run = job.Run(options);
             EXPECT_EQ(run.outputs, reference.outputs);
@@ -137,86 +123,77 @@ TEST(SkewHarness, DefensesPreserveOutputsAcrossZipfStragglersAndShards) {
   }
 }
 
-TEST(SkewHarness, SampledRangeStrictlyImprovesImbalanceUnderSkew) {
-  // At zipf >= 1.2 the weighted range assignment must beat blind hashing
-  // on simulated worker balance, for every seed tried. Hot-key splitting
-  // is on for both sides (same threshold), so the comparison isolates
-  // placement: hash still collides unrelated hot ranges onto one worker,
-  // the sampled range plan packs by weight.
-  for (double exponent : {1.2, 1.6}) {
-    for (std::uint64_t seed : {3u, 11u, 27u}) {
-      SCOPED_TRACE("zipf=" + std::to_string(exponent) +
-                   " seed=" + std::to_string(seed));
-      const ZipfJob job(30000, 2048, exponent, seed);
-      auto imbalance_with = [&](PartitionerKind partitioner) {
-        JobOptions options;
-        options.num_threads = 4;
-        options.simulation = StragglerCluster(seed);
-        options.simulation.defense.partitioner = partitioner;
-        options.simulation.defense.hot_key_split_threshold = 512;
-        const auto run = job.Run(options);
-        return run.metrics.rounds[0].load_imbalance;
-      };
-      const double hashed = imbalance_with(PartitionerKind::kHash);
-      const double ranged = imbalance_with(PartitionerKind::kSampledRange);
-      EXPECT_LT(ranged, hashed);
-      EXPECT_GE(ranged, 1.0);  // still a valid imbalance ratio
-    }
+/// The skew gate's workload (bench_simulator): 2^18 inputs whose keys are
+/// drawn Zipf(exponent) over 4096 keys with seed 7, one pair per input,
+/// counted per key on `shards` shards under `partitioner`.
+JobMetrics CountRound(double exponent, std::size_t shards,
+                      PartitionerKind partitioner) {
+  common::SplitMix64 rng(7);
+  const common::ZipfDistribution zipf(4096, exponent);
+  std::vector<std::uint64_t> inputs(std::size_t{1} << 18);
+  for (auto& x : inputs) x = zipf.Sample(rng);
+  JobOptions options;
+  options.num_shards = shards;
+  options.shuffle.strategy = ShuffleStrategy::kSharded;
+  options.shuffle.partitioner = partitioner;
+  auto run =
+      Plan()
+          .Source(std::move(inputs))
+          .Map<std::uint64_t, int>(
+              [](const std::uint64_t& x, Emitter<std::uint64_t, int>& e) {
+                e.Emit(x, 1);
+              })
+          .ReduceByKey<std::pair<std::uint64_t, std::uint64_t>>(
+              [](const std::uint64_t& key, GroupView<int> values,
+                 std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) {
+                out.emplace_back(key, values.size());
+              })
+          .Execute(ExecutionOptions(options));
+  return std::move(run.metrics.rounds[0]);
+}
+
+TEST(SkewHarness, SampledRangeNoMoreSkewedThanHashOnTheRealRound) {
+  // Measured on the round that runs: at every exponent, sampled-range
+  // placement leaves the 16 shards no more skewed than hash placement.
+  // At zipf 1.6 one key holds more than 1/16 of the pairs; range placement
+  // must give it a shard of its own rather than leave its lighter
+  // neighbours on its shard.
+  for (double exponent : {0.0, 0.8, 1.2, 1.6}) {
+    SCOPED_TRACE("zipf=" + std::to_string(exponent));
+    const JobMetrics hashed = CountRound(exponent, 16, PartitionerKind::kHash);
+    const JobMetrics ranged =
+        CountRound(exponent, 16, PartitionerKind::kSampledRange);
+    EXPECT_EQ(ranged.pairs_shuffled, hashed.pairs_shuffled);
+    EXPECT_GE(ranged.partition_skew_ratio, 1.0);
+    EXPECT_LE(ranged.partition_skew_ratio, hashed.partition_skew_ratio);
   }
 }
 
-TEST(SkewHarness, HotKeySplitRestoresCapacityCompliance) {
-  // An all-hot workload blows the simulated capacity q; splitting at q
-  // must remove the violations (each sub-group fits) while counting what
-  // it split — and never change the engine outputs.
-  const ZipfJob job(20000, 8, /*exponent=*/1.6, /*seed=*/41);
-  JobOptions serial;
-  serial.num_threads = 1;
-  serial.shuffle.strategy = ShuffleStrategy::kSerial;
-  const auto reference = job.Run(serial);
-
-  JobOptions undefended;
-  undefended.num_threads = 4;
-  undefended.simulation = StragglerCluster(9);
-  undefended.simulation.reducer_capacity_q = 1024;
-  const auto broken = job.Run(undefended);
-  ASSERT_GT(broken.metrics.rounds[0].capacity_violations, 0u);
-
-  JobOptions defended = undefended;
-  defended.simulation.defense.hot_key_split_threshold = 1024;
-  const auto fixed = job.Run(defended);
-  EXPECT_EQ(fixed.metrics.rounds[0].capacity_violations, 0u);
-  EXPECT_GT(fixed.metrics.rounds[0].hot_keys_split, 0u);
-  EXPECT_EQ(fixed.outputs, reference.outputs);
-  EXPECT_EQ(broken.outputs, reference.outputs);
-}
-
 TEST(SkewHarness, SimulatedSpeculationRecoversMakespan) {
-  // With stragglers holding hot queues, simulated backups must cut the
-  // makespan (first-finisher semantics: effective finish is the min of
-  // the original and the backup) and report what they launched.
-  const ZipfJob job(30000, 512, /*exponent=*/1.4, /*seed=*/7);
-  JobOptions undefended;
-  undefended.num_threads = 4;
-  undefended.simulation = StragglerCluster(21);
-  const auto slow = job.Run(undefended);
-
-  JobOptions defended = undefended;
-  defended.simulation.defense.speculation = true;
-  defended.simulation.defense.speculation_slowdown_factor = 1.5;
-  const auto fast = job.Run(defended);
-  EXPECT_GT(fast.metrics.rounds[0].speculative_launched, 0u);
-  EXPECT_GE(fast.metrics.rounds[0].speculative_launched,
-            fast.metrics.rounds[0].speculative_won);
-  EXPECT_LT(fast.metrics.rounds[0].makespan, slow.metrics.rounds[0].makespan);
-  EXPECT_EQ(fast.outputs, slow.outputs);
+  // Priced on a real round's even shard loads, a quarter of them held by
+  // 4x stragglers, simulated backups must cut the makespan (first-finisher
+  // semantics: effective finish is the min of the original and the
+  // backup) and report what they launched.
+  const JobMetrics round = CountRound(0.0, 16, PartitionerKind::kHash);
+  SimulationOptions cluster;
+  cluster.straggler_fraction = 0.25;
+  cluster.straggler_slowdown = 4.0;
+  cluster.speed_jitter = 0.1;
+  cluster.seed = 21;
+  const SimulationReport slow = SimulateCluster(round.shard_pairs, cluster);
+  cluster.speculation = true;
+  cluster.speculation_slowdown_factor = 1.5;
+  const SimulationReport fast = SimulateCluster(round.shard_pairs, cluster);
+  EXPECT_GT(fast.speculative_launched, 0u);
+  EXPECT_GE(fast.speculative_launched, fast.speculative_won);
+  EXPECT_LT(fast.makespan, slow.makespan);
+  EXPECT_EQ(slow.speculative_launched, 0u);
 }
 
 // ----------------------------------- the four families, defended vs not
 
-/// Full defense: sampled-range shard placement, engine speculation, and
-/// the simulated cluster's own defenses, on the straggler cluster.
-JobOptions DefendedOptions(std::uint64_t seed) {
+/// Full defense: sampled-range shard placement and engine speculation.
+JobOptions DefendedOptions() {
   JobOptions options;
   options.num_threads = 4;
   options.shuffle.partitioner = PartitionerKind::kSampledRange;
@@ -224,17 +201,13 @@ JobOptions DefendedOptions(std::uint64_t seed) {
   options.speculation.slowdown_factor = 1.5;
   options.speculation.min_completed = 1;
   options.speculation.min_task_ms = 0.0;
-  options.simulation = StragglerCluster(seed);
-  options.simulation.defense.partitioner = PartitionerKind::kSampledRange;
-  options.simulation.defense.speculation = true;
-  options.simulation.defense.hot_key_split_threshold = 4096;
   return options;
 }
 
-JobOptions UndefendedOptions(std::uint64_t seed) {
+JobOptions UndefendedOptions() {
   JobOptions options;
   options.num_threads = 4;
-  options.simulation = StragglerCluster(seed);
+  options.shuffle.partitioner = PartitionerKind::kHash;
   return options;
 }
 
@@ -244,9 +217,9 @@ TEST(SkewFamilies, HammingByteIdenticalUnderDefense) {
                                               /*exponent=*/1.2, /*seed=*/3);
   auto plain = hamming::SplittingSimilarityJoin(strings, b, /*k=*/4,
                                                 /*d=*/1,
-                                                UndefendedOptions(17));
+                                                UndefendedOptions());
   auto defended = hamming::SplittingSimilarityJoin(strings, b, 4, 1,
-                                                   DefendedOptions(17));
+                                                   DefendedOptions());
   ASSERT_TRUE(plain.ok()) << plain.status();
   ASSERT_TRUE(defended.ok()) << defended.status();
   EXPECT_EQ(defended->pairs, plain->pairs);
@@ -261,12 +234,11 @@ TEST(SkewFamilies, DenseHammingByteIdenticalUnderDefense) {
   const auto strings = hamming::AllStrings(12);
   auto plain = hamming::SplittingSimilarityJoin(strings, 12, /*k=*/4,
                                                 /*d=*/2,
-                                                UndefendedOptions(19));
+                                                UndefendedOptions());
   auto defended = hamming::SplittingSimilarityJoin(strings, 12, 4, 2,
-                                                   DefendedOptions(19));
+                                                   DefendedOptions());
   ASSERT_TRUE(plain.ok()) << plain.status();
   ASSERT_TRUE(defended.ok()) << defended.status();
-  EXPECT_GT(defended->metrics.speculative_launched, 0u);
   EXPECT_EQ(defended->pairs, plain->pairs);
   EXPECT_EQ(defended->metrics.pairs_shuffled, plain->metrics.pairs_shuffled);
 }
@@ -283,9 +255,9 @@ TEST(SkewFamilies, JoinByteIdenticalUnderDefense) {
   ASSERT_TRUE(shares.ok());
   const auto rounded = join::RoundShares(shares->shares, 16);
   auto plain = join::HyperCubeJoin(query, ptrs, rounded, /*seed=*/1,
-                                   UndefendedOptions(23));
+                                   UndefendedOptions());
   auto defended = join::HyperCubeJoin(query, ptrs, rounded, 1,
-                                      DefendedOptions(23));
+                                      DefendedOptions());
   ASSERT_TRUE(plain.ok()) << plain.status();
   ASSERT_TRUE(defended.ok()) << defended.status();
   EXPECT_EQ(defended->results, plain->results);
@@ -299,8 +271,8 @@ TEST(SkewFamilies, MatmulByteIdenticalUnderDefense) {
   a.FillZipf(rng, 1.0);
   b.FillZipf(rng, 1.0);
   auto plain = matmul::MultiplyOnePhase(a, b, /*tile=*/8,
-                                        UndefendedOptions(31));
-  auto defended = matmul::MultiplyOnePhase(a, b, 8, DefendedOptions(31));
+                                        UndefendedOptions());
+  auto defended = matmul::MultiplyOnePhase(a, b, 8, DefendedOptions());
   ASSERT_TRUE(plain.ok()) << plain.status();
   ASSERT_TRUE(defended.ok()) << defended.status();
   EXPECT_EQ(defended->product.MaxAbsDiff(plain->product), 0.0);
@@ -311,8 +283,8 @@ TEST(SkewFamilies, TrianglesByteIdenticalUnderDefense) {
   const auto g = graph::ZipfGraph(/*n=*/300, /*m=*/2000, /*exponent=*/1.0,
                                   /*seed=*/23);
   const auto plain = graph::MRTriangles(g, /*k=*/4, /*seed=*/11,
-                                        UndefendedOptions(37));
-  const auto defended = graph::MRTriangles(g, 4, 11, DefendedOptions(37));
+                                        UndefendedOptions());
+  const auto defended = graph::MRTriangles(g, 4, 11, DefendedOptions());
   EXPECT_EQ(defended.triangles, plain.triangles);
   EXPECT_EQ(defended.metrics.pairs_shuffled, plain.metrics.pairs_shuffled);
   EXPECT_EQ(defended.metrics.num_reducers, plain.metrics.num_reducers);
