@@ -365,7 +365,7 @@ std::uint64_t ThreadMinorFaults() {
 }
 
 void AppendRoundArgs(const PhysicalRound& physical,
-                     const RoundPrediction& prediction, const JobMetrics& m,
+                     const RoundEstimate& prediction, const JobMetrics& m,
                      std::vector<obs::TraceArg>& args) {
   args.push_back(obs::Arg("strategy", ToString(physical.strategy)));
   args.push_back(obs::Arg("partitioner", ToString(physical.partitioner)));
@@ -379,19 +379,19 @@ void AppendRoundArgs(const PhysicalRound& physical,
   args.push_back(obs::Arg("reducers", m.num_reducers));
   args.push_back(obs::Arg("realized_q", m.max_reducer_input));
   args.push_back(obs::Arg("realized_r", m.replication_rate()));
-  if (!prediction.valid) return;
-  args.push_back(obs::Arg("predicted_q", prediction.q));
-  args.push_back(obs::Arg("predicted_r", prediction.r));
-  if (prediction.q > 0) {
-    args.push_back(obs::Arg(
-        "q_residual", static_cast<double>(m.max_reducer_input) / prediction.q));
+  if (prediction.predicted_r <= 0) return;  // nothing declared or sampled
+  args.push_back(obs::Arg("predicted_q", prediction.predicted_q));
+  args.push_back(obs::Arg("predicted_r", prediction.predicted_r));
+  if (prediction.predicted_q > 0) {
+    args.push_back(obs::Arg("q_residual",
+                            static_cast<double>(m.max_reducer_input) /
+                                prediction.predicted_q));
   }
-  if (prediction.r > 0) {
+  args.push_back(
+      obs::Arg("r_residual", m.replication_rate() / prediction.predicted_r));
+  if (prediction.optimality_ratio > 0) {
     args.push_back(
-        obs::Arg("r_residual", m.replication_rate() / prediction.r));
-  }
-  if (prediction.bound_ratio > 0) {
-    args.push_back(obs::Arg("predicted_bound_ratio", prediction.bound_ratio));
+        obs::Arg("predicted_bound_ratio", prediction.optimality_ratio));
   }
 }
 

@@ -129,8 +129,7 @@ struct PhysicalRound {
   std::size_t chunks = 1;
   /// Reduce partitions: in-memory shards, external shards (each reading
   /// its own spilled and in-memory runs), or multi-process reduce tasks.
-  /// Every strategy but the serial one routes rows onto them by
-  /// `partitioner`.
+  /// Rows are routed onto them by `partitioner`.
   std::size_t shards = 1;
   ShuffleStrategy strategy = ShuffleStrategy::kSharded;
   /// The placement that runs: kSampledRange only for in-process,
@@ -149,7 +148,52 @@ struct PhysicalRound {
   }
 };
 
-struct StageEstimate;  // src/engine/plan.h
+/// Where a RoundEstimate's r and reducer count came from.
+enum class PredictionSource {
+  /// Both from the round's StageEstimate hint.
+  kDeclared,
+  /// From a map-fn sample of the round's materialized input, where the
+  /// hint leaves them open (or a budget needs bytes it does not declare).
+  kSampled,
+  /// Neither declared nor sampled (the input is not materialized yet):
+  /// r = 1 and one reducer per input are assumptions.
+  kAssumed,
+};
+
+/// A round's predicted communication geometry and its standing against
+/// the recipe lower bound, computed before the round runs by one function
+/// (plan.cc's PredictRound). Plan::Estimate returns one per round, and
+/// both backends' Round spans carry the one their round resolved.
+struct RoundEstimate {
+  std::size_t round = 0;  // 1-based, matching RoundCostReport
+  std::string label;
+  /// True when the round's input count was read off a materialized
+  /// dataset (always true for round 1); false when it was propagated from
+  /// the previous round's predicted reducers x outputs_per_reducer.
+  bool inputs_known = false;
+  double num_inputs = 0;
+  double predicted_pairs = 0;
+  /// Predicted replication rate r = predicted_pairs / num_inputs. For a
+  /// combined round this is the pre-combine rate (an upper bound on what
+  /// crosses the shuffle).
+  double predicted_r = 0;
+  double predicted_reducers = 0;
+  /// Predicted reducer size q: the exact max input-list length when the
+  /// round was sampled exhaustively, else the mean load
+  /// predicted_pairs / predicted_reducers.
+  double predicted_q = 0;
+  /// ByteSizeOf bytes of the intermediate; 0 when neither declared nor
+  /// sampled.
+  double predicted_bytes = 0;
+  /// Section 2.4 bound at predicted_q, clamped at the trivial r >= 1.
+  double lower_bound_r = 0;
+  /// predicted_r / lower_bound_r (see RoundCostReport::optimality_ratio
+  /// for the reading of values below 1 on partial-result rounds).
+  double optimality_ratio = 0;
+  /// The strategy the round resolves to under the estimate's options.
+  ShuffleStrategy planned_strategy = ShuffleStrategy::kAuto;
+  PredictionSource source = PredictionSource::kAssumed;
+};
 
 /// Result of one round: reducer outputs (in deterministic first-seen key
 /// order) plus the exact cost metrics.
@@ -347,8 +391,10 @@ struct MapSample;  // src/engine/plan.h
 struct RoundFacts {
   std::size_t num_threads = 1;  // size of the pool the round runs on
   std::size_t num_inputs = 0;   // materialized input size
-  const StageEstimate* estimate = nullptr;  // declared schema hints
-  const MapSample* sample = nullptr;        // map-fn sample of the input
+  /// The round's predicted pairs and bytes; null = unknown.
+  const RoundEstimate* prediction = nullptr;
+  /// Map-fn sample of the input the placement reads skew off.
+  const MapSample* sample = nullptr;
   /// Worker processes place rows by hash only.
   bool multi_process = false;
 };
@@ -450,17 +496,6 @@ void ReduceGroups(const CsrGroups<K, V>& groups, const ReduceFn& reduce,
   }
 }
 
-/// What the planner predicted for a round before running it, attached to
-/// the round's trace so predicted-vs-realized q/r can be read off a single
-/// span ("which stage blew its bound"). All zeros / !valid when the round
-/// was staged without an estimate.
-struct RoundPrediction {
-  bool valid = false;
-  double q = 0;            // predicted max reducer input
-  double r = 0;            // predicted replication rate
-  double bound_ratio = 0;  // predicted r / lower-bound r(q); 0 = unknown
-};
-
 /// Minor page faults the calling thread has taken so far
 /// (getrusage(RUSAGE_THREAD) ru_minflt).
 std::uint64_t ThreadMinorFaults();
@@ -468,7 +503,7 @@ std::uint64_t ThreadMinorFaults();
 /// The "Round" span's args, one vocabulary for both backends: the
 /// physical plan, the realized and the predicted q/r.
 void AppendRoundArgs(const PhysicalRound& physical,
-                     const RoundPrediction& prediction, const JobMetrics& m,
+                     const RoundEstimate& prediction, const JobMetrics& m,
                      std::vector<obs::TraceArg>& args);
 
 /// Type-erased face of a staged round — all the plan driver needs: attach
@@ -479,7 +514,7 @@ class StagedHandleBase {
 
   /// Attaches the planner's prediction for trace attribution. Call before
   /// staging finalize.
-  virtual void SetPrediction(const RoundPrediction& prediction) = 0;
+  virtual void SetPrediction(const RoundEstimate& prediction) = 0;
 
   /// Stages the finalize task (deterministic merge + metrics) behind the
   /// round's reduce tasks. Call once.
@@ -563,7 +598,7 @@ class StagedRound final : public StagedHandleBase {
                   /*speculatable=*/false, "Finalize");
   }
   const JobMetrics& metrics() const override { return result_.metrics; }
-  void SetPrediction(const RoundPrediction& prediction) override {
+  void SetPrediction(const RoundEstimate& prediction) override {
     prediction_ = prediction;
   }
 
@@ -635,7 +670,7 @@ class StagedRound final : public StagedHandleBase {
   ReduceFn reduce_;
   JobOptions options_;
   const PhysicalRound physical_;
-  RoundPrediction prediction_;
+  RoundEstimate prediction_;
   std::uint64_t trace_base_us_ = 0;
   double exec_base_ms_ = 0;
   std::weak_ptr<StagedRound> self_;

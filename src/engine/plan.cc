@@ -13,11 +13,6 @@ namespace mrcost::engine {
 namespace internal {
 namespace {
 
-/// Pairs below this estimate run the serial reference shuffle — the same
-/// regime where ResolveShardCount's auto mode would collapse to one shard
-/// anyway (its kMinPairsPerShard), decided here before the map runs.
-constexpr double kSerialCutoffPairs = 4096;
-
 /// The in-memory shuffles briefly hold the map output and its grouped
 /// copy at once, and the sample is an extrapolation; a round is only kept
 /// in memory when its estimated intermediate fits the budget with this
@@ -36,8 +31,19 @@ constexpr double kSkewTriggerRatio = 4.0;
 constexpr std::size_t kInputsPerChunk = 1024;
 constexpr std::size_t kMaxChunks = 8;
 
-/// Inputs of a materialized round the map function is sampled over.
-constexpr std::size_t kSampleInputs = 256;
+/// Inputs the prediction samples a round's map function over, when its
+/// hint leaves r or the reducer count open. 1024 covers a small input
+/// whole, and an exhaustive sample's max group is the exact q.
+constexpr std::size_t kPredictionSampleInputs = 1024;
+
+/// Inputs the placement reads skew off, fewer than the prediction's: a
+/// sample's hottest key stands further above its mean group the more
+/// inputs it covers. At 1024 inputs the Splitting join over all 2^18
+/// strings in shuffled order (k = 3, d = 1; the hamming-join benchmark
+/// workload) reads a hottest key 4.43x the mean, past kSkewTriggerRatio,
+/// and would pay sampled-range routing for a round whose schema loads
+/// every reducer equally; at 256 it reads 1.95.
+constexpr std::size_t kPlacementSampleInputs = 256;
 
 /// The pool-sizing JobOptions internal::PoolRef expects: the execution's
 /// thread count or pool.
@@ -76,40 +82,105 @@ std::size_t NumChunks(std::size_t num_inputs) {
       (num_inputs + kInputsPerChunk - 1) / kInputsPerChunk, 1, kMaxChunks);
 }
 
-/// The strategy rule behind both ResolvePhysicalRound and Estimate's
-/// planned_strategy annotation. Negative estimates are unknown; unknown
-/// bytes with a budget set fall back to Resolved() (budget => external).
-/// An explicit shard request keeps a small round off the serial path.
-ShuffleStrategy ChooseStrategy(const ShuffleConfig& config, double pairs,
-                               double bytes, std::size_t requested_shards,
+/// Whether a round's prediction samples its map function: when its hint
+/// leaves r or the reducer count open, or a memory budget needs bytes the
+/// hint does not declare.
+bool NeedsSample(const StageEstimate& hint, const ShuffleConfig& shuffle) {
+  return hint.replication <= 0 || hint.num_reducers <= 0 ||
+         (shuffle.memory_budget_bytes > 0 && hint.bytes_per_pair <= 0);
+}
+
+/// The strategy rule of ResolvePhysicalRound, which Estimate's
+/// planned_strategy calls the same way: an explicit strategy wins; under
+/// a memory budget a round goes external when its predicted intermediate
+/// (with headroom) passes the budget, or when its bytes are unknown
+/// (neither declared nor sampled, or no prediction); every other round
+/// is sharded, and ResolveShardCount gives a small one a single shard.
+ShuffleStrategy ChooseStrategy(const ShuffleConfig& config,
+                               const RoundEstimate* prediction,
                                std::string& why) {
   if (config.strategy != ShuffleStrategy::kAuto) {
     why = "explicit";
     return config.strategy;
   }
-  if (config.memory_budget_bytes > 0) {
-    why = (bytes < 0 ? std::string("intermediate unknown")
-                     : "~" + HumanBytes(bytes) + " intermediate") +
-          " vs " +
-          HumanBytes(static_cast<double>(config.memory_budget_bytes)) +
-          " budget";
-    if (bytes < 0) return config.Resolved();
-    if (kInMemoryHeadroomFactor * bytes >
-        static_cast<double>(config.memory_budget_bytes)) {
-      return ShuffleStrategy::kExternal;
-    }
-    why += ", ";
-  }
-  if (pairs < 0) {
-    why += "pairs unknown";
+  if (config.memory_budget_bytes == 0) {
+    why = "no memory budget";
     return ShuffleStrategy::kSharded;
   }
-  why += "~" + std::to_string(std::llround(pairs)) + " pairs";
-  if (pairs <= kSerialCutoffPairs && requested_shards <= 1) {
-    why += " under the serial cutoff";
-    return ShuffleStrategy::kSerial;
+  const double budget = static_cast<double>(config.memory_budget_bytes);
+  const bool bytes_known =
+      prediction != nullptr &&
+      (prediction->source == PredictionSource::kSampled ||
+       prediction->predicted_bytes > 0);
+  if (!bytes_known) {
+    why = "intermediate unknown vs " + HumanBytes(budget) + " budget";
+    return config.Resolved();
   }
-  return ShuffleStrategy::kSharded;
+  why = "~" + HumanBytes(prediction->predicted_bytes) + " intermediate vs " +
+        HumanBytes(budget) + " budget";
+  return kInMemoryHeadroomFactor * prediction->predicted_bytes > budget
+             ? ShuffleStrategy::kExternal
+             : ShuffleStrategy::kSharded;
+}
+
+const char* SourceLabel(PredictionSource source) {
+  switch (source) {
+    case PredictionSource::kDeclared: return "declared";
+    case PredictionSource::kSampled: return "sampled";
+    case PredictionSource::kAssumed: return "assumed";
+  }
+  return "?";
+}
+
+/// The one round predictor: r, pairs, reducers, q, bytes and the bound
+/// ratio (against `recipe`, when set) of `node` over `num_inputs` inputs —
+/// from its declared hint, else from a map sample taken here over its
+/// materialized input, else assumed (r = 1, one reducer per input).
+/// Estimate and both backends' staging call it with the round's resolved
+/// shuffle config, so a round's span carries what Estimate predicted.
+RoundEstimate PredictRound(const PlanGraph& graph, const PlanNode& node,
+                           const ShuffleConfig& shuffle, double num_inputs,
+                           const core::Recipe* recipe) {
+  RoundEstimate round;
+  round.label = node.label;
+  round.num_inputs = num_inputs;
+  round.inputs_known = node.input_size(graph) != kUnknownSize;
+  const StageEstimate& hint = node.hint;
+  MapSample sample;
+  if (round.inputs_known && NeedsSample(hint, shuffle)) {
+    sample = node.sample(graph, kPredictionSampleInputs);
+  }
+  round.source = sample.valid ? PredictionSource::kSampled
+                 : hint.replication > 0 && hint.num_reducers > 0
+                     ? PredictionSource::kDeclared
+                     : PredictionSource::kAssumed;
+
+  round.predicted_r = hint.replication > 0 ? hint.replication
+                      : sample.valid       ? sample.pairs_per_input
+                                           : 1.0;
+  round.predicted_pairs = round.predicted_r * num_inputs;
+  round.predicted_reducers =
+      hint.num_reducers > 0 ? hint.num_reducers
+      : sample.valid        ? ExtrapolateDistinct(sample, num_inputs)
+                            : num_inputs;
+  if (hint.num_reducers <= 0 && sample.valid && sample.exhaustive) {
+    // An exhaustive sample knows the exact max input-list length.
+    round.predicted_q = static_cast<double>(sample.max_group);
+  } else if (round.predicted_reducers > 0) {
+    round.predicted_q = round.predicted_pairs / round.predicted_reducers;
+  }
+  round.predicted_bytes =
+      hint.bytes_per_pair > 0 ? hint.bytes_per_pair * round.predicted_pairs
+      : sample.valid          ? sample.bytes_per_input * num_inputs
+                              : 0;
+  if (recipe != nullptr && round.predicted_q >= 1) {
+    round.lower_bound_r =
+        core::ClampedReplicationLowerBound(*recipe, round.predicted_q);
+  }
+  if (round.lower_bound_r > 0) {
+    round.optimality_ratio = round.predicted_r / round.lower_bound_r;
+  }
+  return round;
 }
 
 }  // namespace
@@ -117,20 +188,11 @@ ShuffleStrategy ChooseStrategy(const ShuffleConfig& config, double pairs,
 PhysicalRound ResolvePhysicalRound(const JobOptions& options,
                                    const RoundFacts& facts) {
   const ShuffleConfig& config = options.shuffle;
-  const StageEstimate hint =
-      facts.estimate != nullptr ? *facts.estimate : StageEstimate{};
   const MapSample* sample =
       facts.sample != nullptr && facts.sample->valid ? facts.sample : nullptr;
-  const double n = static_cast<double>(facts.num_inputs);
-  // One pair and byte estimate sizes the round: declared hints first,
-  // then the map sample; < 0 = unknown (neither declared nor sampled).
-  const double pairs = hint.replication > 0 ? hint.replication * n
-                       : sample != nullptr  ? sample->pairs_per_input * n
-                                            : -1;
-  const double bytes =
-      pairs >= 0 && hint.bytes_per_pair > 0 ? hint.bytes_per_pair * pairs
-      : sample != nullptr                   ? sample->bytes_per_input * n
-                                            : -1;
+  // < 0 = unknown (no prediction).
+  const double pairs =
+      facts.prediction != nullptr ? facts.prediction->predicted_pairs : -1;
   PhysicalRound round;
   std::ostringstream why;
 
@@ -139,8 +201,7 @@ PhysicalRound ResolvePhysicalRound(const JobOptions& options,
   why << "chunks " << round.chunks << " (" << facts.num_inputs << " inputs";
 
   std::string strategy_why;
-  round.strategy =
-      ChooseStrategy(config, pairs, bytes, options.num_shards, strategy_why);
+  round.strategy = ChooseStrategy(config, facts.prediction, strategy_why);
   why << "); strategy " << ToString(round.strategy) << " (" << strategy_why
       << "); shards ";
   if (round.strategy == ShuffleStrategy::kExternal) {
@@ -148,7 +209,7 @@ PhysicalRound ResolvePhysicalRound(const JobOptions& options,
     // reducing while the slowest shard finishes.
     round.shards = std::max<std::size_t>(1, facts.num_threads * 2);
     why << round.shards << " (two spill shards per thread)";
-  } else if (round.strategy == ShuffleStrategy::kSharded) {
+  } else {
     round.shards = ResolveShardCount(
         options.num_shards, facts.num_threads,
         pairs < 0 ? static_cast<std::size_t>(-1)
@@ -156,11 +217,12 @@ PhysicalRound ResolvePhysicalRound(const JobOptions& options,
     why << round.shards << " (";
     if (options.num_shards > 0) {
       why << "explicit)";
+    } else if (pairs < 0) {
+      why << facts.num_threads << " threads, pairs unknown)";
     } else {
-      why << facts.num_threads << " threads, 4096+ pairs each)";
+      why << facts.num_threads << " threads, ~" << std::llround(pairs)
+          << " pairs, 4096+ each)";
     }
-  } else {
-    why << "1 (serial)";
   }
 
   why << "; partitioner ";
@@ -212,40 +274,6 @@ JobOptions ResolveRoundOptions(const PlanNode& node,
   return resolved;
 }
 
-/// What the planner would tell the cost model about this round, mirroring
-/// EstimatePlanGraph's pricing inputs: declared hints first, the round's
-/// map sample as fallback. Attached to the round's trace span.
-/// `input_size` is the round's materialized input count.
-RoundPrediction PredictRound(const PlanNode& node, const MapSample& sample,
-                             std::size_t input_size,
-                             const core::Recipe* recipe) {
-  RoundPrediction pred;
-  const double n = static_cast<double>(input_size);
-  const StageEstimate& hint = node.hint;
-  const double r = hint.replication > 0
-                       ? hint.replication
-                       : (sample.valid ? sample.pairs_per_input : 0.0);
-  if (r <= 0) return pred;  // nothing declared or sampled
-  pred.r = r;
-  pred.valid = true;
-  const double reducers =
-      hint.num_reducers > 0
-          ? hint.num_reducers
-          : (sample.valid && n > 0 ? ExtrapolateDistinct(sample, n) : 0.0);
-  if (hint.num_reducers <= 0 && sample.valid && sample.exhaustive) {
-    // An exhaustive sample knows the exact max input-list length.
-    pred.q = static_cast<double>(sample.max_group);
-  } else if (reducers > 0 && n > 0) {
-    pred.q = r * n / reducers;
-  }
-  if (recipe != nullptr && pred.q >= 1) {
-    const double lower_bound =
-        core::ClampedReplicationLowerBound(*recipe, pred.q);
-    if (lower_bound > 0) pred.bound_ratio = pred.r / lower_bound;
-  }
-  return pred;
-}
-
 std::vector<bool> NeededNodes(const PlanGraph& graph, std::size_t target) {
   std::vector<bool> needed(graph.nodes.size(), target == kNoNode);
   for (std::size_t id = target; id != kNoNode && id < graph.nodes.size();
@@ -262,15 +290,17 @@ ResolvedRound ResolveMaterializedRound(const PlanGraph& graph,
   round.options = ResolveRoundOptions(node, options);
   const std::size_t n = node.input_size(graph);
   MRCOST_CHECK(n != kUnknownSize);
-  round.sample = node.sample(graph, kSampleInputs);
+  round.prediction = PredictRound(graph, node, round.options.shuffle,
+                                  static_cast<double>(n), options.recipe);
+  const MapSample placement = node.sample(graph, kPlacementSampleInputs);
   RoundFacts facts;
   facts.num_threads = PoolSizing(options.pipeline).ResolvedThreads();
   facts.num_inputs = n;
-  facts.estimate = &node.hint;
-  facts.sample = &round.sample;
+  facts.prediction = &round.prediction;
+  facts.sample = &placement;
   facts.multi_process = options.backend == ExecutionBackend::kMultiProcess;
   round.physical = ResolvePhysicalRound(round.options, facts);
-  round.prediction = PredictRound(node, round.sample, n, options.recipe);
+  round.prediction.planned_strategy = round.physical.strategy;
   return round;
 }
 
@@ -324,7 +354,7 @@ PipelineMetrics ExecutePlanGraph(PlanGraph& graph,
 
 PlanEstimate EstimatePlanGraph(const PlanGraph& graph,
                                const core::Recipe& recipe,
-                               const EstimateOptions& options) {
+                               const ExecutionOptions& options) {
   PlanEstimate estimate;
   // Predicted output count per node, so each round reads its own
   // producer's prediction (node.input) — correct for branched plans and
@@ -336,85 +366,21 @@ PlanEstimate EstimatePlanGraph(const PlanGraph& graph,
       predicted_outputs[id] = static_cast<double>(node.source_size);
       continue;
     }
-    RoundEstimate round;
-    round.round = estimate.rounds.size() + 1;
-    round.label = node.label;
-
     const std::size_t materialized = node.input_size(graph);
-    if (materialized != kUnknownSize) {
-      round.num_inputs = static_cast<double>(materialized);
-      round.inputs_known = true;
-    } else {
-      round.num_inputs = predicted_outputs[node.input];
-    }
-
-    const StageEstimate& hint = node.hint;
-    // The shuffle config the planned_strategy annotation is judged
-    // against: per-stage overrides merged over the estimate's config,
-    // the same order execution resolves.
-    const ShuffleConfig stage_shuffle =
-        node.options.has_value()
-            ? node.options->shuffle.MergedOver(options.shuffle)
-            : options.shuffle;
-    // A stage declaring both r and its reducer count is priced without
-    // executing anything; sampling runs only to fill a missing core
-    // field — or, when the stage's resolved shuffle config sets a budget
-    // and no bytes_per_pair is declared, to give the planned_strategy
-    // annotation the bytes the budget comparison needs.
-    MapSample sample;
-    const bool need_sample =
-        hint.replication <= 0 || hint.num_reducers <= 0 ||
-        (stage_shuffle.memory_budget_bytes > 0 &&
-         hint.bytes_per_pair <= 0);
-    if (need_sample && materialized != kUnknownSize) {
-      sample = node.sample(graph, options.max_sample_inputs);
-    }
-    round.sampled = sample.valid;
-
-    const double replication =
-        hint.replication > 0
-            ? hint.replication
-            : (sample.valid ? sample.pairs_per_input : 1.0);
-    const double reducers =
-        hint.num_reducers > 0
-            ? hint.num_reducers
-            : (sample.valid ? ExtrapolateDistinct(sample, round.num_inputs)
-                            : round.num_inputs);
-    round.predicted_r = replication;
-    round.predicted_pairs = replication * round.num_inputs;
-    round.predicted_reducers = reducers;
-    if (hint.num_reducers <= 0 && sample.valid && sample.exhaustive) {
-      // An exhaustive sample knows the exact max input-list length.
-      round.predicted_q = static_cast<double>(sample.max_group);
-    } else {
-      round.predicted_q =
-          reducers > 0 ? round.predicted_pairs / reducers : 0;
-    }
-    round.predicted_bytes =
-        hint.bytes_per_pair > 0
-            ? hint.bytes_per_pair * round.predicted_pairs
-            : (sample.valid ? sample.bytes_per_input * round.num_inputs : 0);
-
-    round.lower_bound_r =
-        round.predicted_q >= 1
-            ? core::ClampedReplicationLowerBound(recipe, round.predicted_q)
-            : 0;
-    round.optimality_ratio = round.lower_bound_r > 0
-                                 ? round.predicted_r / round.lower_bound_r
-                                 : 0;
-    round.cost =
-        options.cost_model.Cost(round.predicted_r, round.predicted_q);
-    // The strategy rule ResolvePhysicalRound applies, fed by the round's
-    // (declared or sampled) predictions.
+    const JobOptions resolved = ResolveRoundOptions(node, options);
+    RoundEstimate round = PredictRound(
+        graph, node, resolved.shuffle,
+        materialized != kUnknownSize ? static_cast<double>(materialized)
+                                     : predicted_outputs[node.input],
+        &recipe);
+    round.round = estimate.rounds.size() + 1;
     std::string why;
-    round.planned_strategy = ChooseStrategy(
-        stage_shuffle, round.predicted_pairs,
-        round.predicted_bytes > 0 ? round.predicted_bytes : -1,
-        node.options.has_value() ? node.options->num_shards : 0, why);
+    round.planned_strategy = ChooseStrategy(resolved.shuffle, &round, why);
 
-    const double outputs_per_reducer =
-        hint.outputs_per_reducer > 0 ? hint.outputs_per_reducer : 1.0;
-    predicted_outputs[id] = reducers * outputs_per_reducer;
+    const double outputs_per_reducer = node.hint.outputs_per_reducer > 0
+                                           ? node.hint.outputs_per_reducer
+                                           : 1.0;
+    predicted_outputs[id] = round.predicted_reducers * outputs_per_reducer;
     estimate.rounds.push_back(std::move(round));
   }
   return estimate;
@@ -477,12 +443,6 @@ double PlanEstimate::total_predicted_pairs() const {
   return total;
 }
 
-double PlanEstimate::total_cost() const {
-  double total = 0;
-  for (const RoundEstimate& round : rounds) total += round.cost;
-  return total;
-}
-
 std::string PlanEstimate::ToString() const {
   std::ostringstream os;
   for (const RoundEstimate& round : rounds) {
@@ -494,9 +454,9 @@ std::string PlanEstimate::ToString() const {
        << " pairs=" << round.predicted_pairs
        << " reducers=" << round.predicted_reducers
        << " bound=" << round.lower_bound_r
-       << " ratio=" << round.optimality_ratio << " cost=" << round.cost
-       << " strategy=" << engine::ToString(round.planned_strategy)
-       << (round.sampled ? " (sampled)" : " (declared)");
+       << " ratio=" << round.optimality_ratio
+       << " strategy=" << engine::ToString(round.planned_strategy) << " ("
+       << internal::SourceLabel(round.source) << ")";
   }
   return os.str();
 }
@@ -510,7 +470,7 @@ std::size_t Plan::num_rounds() const {
 }
 
 PlanEstimate Plan::Estimate(const core::Recipe& recipe,
-                            const EstimateOptions& options) const {
+                            const ExecutionOptions& options) const {
   return internal::EstimatePlanGraph(*graph_, recipe, options);
 }
 

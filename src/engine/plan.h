@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/common/thread_pool.h"
-#include "src/core/cost_model.h"
 #include "src/core/lower_bound.h"
 #include "src/core/mapping_schema.h"
 #include "src/engine/dist_round.h"
@@ -34,10 +33,12 @@ namespace mrcost::engine {
 // paper's whole point is that a map-reduce computation has a knowable cost
 // *before* it runs — the Section 2.4 recipe prices a mapping schema
 // analytically — so the plan offers, in order:
-//   * Estimate(recipe)  — predicted q, r, and lower-bound ratio per round
-//                         from declared schema hints or map-fn sampling,
-//                         priced through core::CostModel, before any data
-//                         moves;
+//   * Estimate(recipe, options)
+//                       — predicted q, r, and lower-bound ratio per round
+//                         from declared schema hints or a map-fn sample,
+//                         before any data moves, with the strategy each
+//                         round resolves to under `options` — the same
+//                         prediction and strategy rule Execute applies;
 //   * Explain(options)  — the physical plan: each round's PhysicalRound
 //                         (chunks, shards, strategy, partitioner, fetch
 //                         credits, reason) and memory budget;
@@ -46,8 +47,8 @@ namespace mrcost::engine {
 //                         every shuffle strategy (the one lowering:
 //                         every family driver is a plan), each round
 //                         shaped by ResolvePhysicalRound
-//                         (serial/sharded/external from the round's
-//                         estimated pairs and bytes vs budget). Rounds run
+//                         (sharded/external from the round's predicted
+//                         bytes vs budget). Rounds run
 //                         in node order, each over the input its producer
 //                         materialized (the paper prices a round on that
 //                         input, Sec. 6.3);
@@ -62,11 +63,13 @@ class Plan;
 /// Analytic estimate hints for one round. A schema round
 /// (Dataset::MapBySchema) takes them from its core::MappingSchema; other
 /// rounds declare them with WithEstimate. A stage declaring both
-/// `replication` and `num_reducers` is
-/// priced by Estimate without executing anything; when either is 0,
-/// Estimate samples the map function over the round's materialized input
-/// instead — an exhaustive sample (max_sample_inputs >= |I|) reproduces
-/// the realized r and q exactly, a partial sample extrapolates linearly.
+/// `replication` and `num_reducers` is priced without executing anything;
+/// when either is 0, the prediction samples the map function over up to
+/// 1024 of the round's materialized inputs instead. A sample covering
+/// every input reproduces the realized r and q exactly; a partial one
+/// scales its distinct keys with the input count. A round with neither
+/// (its input not materialized yet) assumes r = 1 and one reducer per
+/// input.
 struct StageEstimate {
   /// Pairs emitted per input — the schema's replication rate r.
   double replication = 0;
@@ -80,61 +83,11 @@ struct StageEstimate {
   double bytes_per_pair = 0;
 };
 
-/// One round of a PlanEstimate: the predicted communication geometry and
-/// its standing against the recipe lower bound, all computed before the
-/// round runs.
-struct RoundEstimate {
-  std::size_t round = 0;  // 1-based, matching RoundCostReport
-  std::string label;
-  /// True when the round's input count was read off a materialized
-  /// dataset (always true for round 1); false when it was propagated from
-  /// the previous round's predicted reducers x outputs_per_reducer.
-  bool inputs_known = false;
-  double num_inputs = 0;
-  double predicted_pairs = 0;
-  /// Predicted replication rate r = predicted_pairs / num_inputs. For a
-  /// combined round this is the pre-combine rate (an upper bound on what
-  /// crosses the shuffle).
-  double predicted_r = 0;
-  double predicted_reducers = 0;
-  /// Predicted reducer size q: the exact max input-list length when the
-  /// round was sampled exhaustively, else the mean load
-  /// predicted_pairs / predicted_reducers.
-  double predicted_q = 0;
-  double predicted_bytes = 0;
-  /// Section 2.4 bound at predicted_q, clamped at the trivial r >= 1.
-  double lower_bound_r = 0;
-  /// predicted_r / lower_bound_r (see RoundCostReport::optimality_ratio
-  /// for the reading of values below 1 on partial-result rounds).
-  double optimality_ratio = 0;
-  /// cost_model.Cost(predicted_r, predicted_q) — the Section 1.2 price.
-  double cost = 0;
-  /// The strategy ResolvePhysicalRound would pick for this round under
-  /// the EstimateOptions' shuffle config.
-  ShuffleStrategy planned_strategy = ShuffleStrategy::kAuto;
-  /// True when any field came from sampling the map function (vs hints
-  /// and propagation alone).
-  bool sampled = false;
-};
-
 struct PlanEstimate {
   std::vector<RoundEstimate> rounds;
 
   double total_predicted_pairs() const;
-  double total_cost() const;
   std::string ToString() const;
-};
-
-/// Knobs for Plan::Estimate.
-struct EstimateOptions {
-  /// Prices each round's (r, q) point; default weighs communication only.
-  core::CostModel cost_model;
-  /// Inputs sampled per round to fill hint gaps (deterministic stride
-  /// sample). >= the source size means exhaustive: predicted r and q are
-  /// then exact for round 1. 0 = sample everything.
-  std::size_t max_sample_inputs = 1024;
-  /// Shuffle config the planned_strategy annotation is computed against.
-  ShuffleConfig shuffle;
 };
 
 /// Which runtime executes the plan's rounds.
@@ -224,10 +177,10 @@ struct PipelineOptions {
 struct ExecutionOptions {
   /// Thread sizing, round defaults (speculation included), and the
   /// execution-wide shuffle backstop. A round whose shuffle strategy stays
-  /// kAuto gets serial/sharded/external from its estimated intermediate
-  /// bytes vs the memory budget (declared hints, else a map-fn sample of
-  /// its materialized input), so only rounds estimated over budget pay
-  /// the spill path. Outputs are byte-identical for every choice.
+  /// kAuto gets sharded/external from its predicted intermediate bytes vs
+  /// the memory budget (declared hints, else a map-fn sample of its
+  /// materialized input), so only rounds predicted over budget pay the
+  /// spill path. Outputs are byte-identical for every choice.
   PipelineOptions pipeline;
   /// When non-empty, the execution runs inside an obs capture scope:
   /// trace_out receives a Chrome trace_event JSON timeline (Perfetto /
@@ -389,13 +342,12 @@ JobOptions ResolveRoundOptions(const PlanNode& node,
 std::vector<bool> NeededNodes(const PlanGraph& graph, std::size_t target);
 
 /// A round over a materialized input, resolved once when it is staged:
-/// its merged options, the map sample and the physical shape both
-/// backends (and Explain) take from them, and the planner's prediction.
+/// its merged options, the prediction Estimate makes for it, and the
+/// physical shape both backends (and Explain) take from them.
 struct ResolvedRound {
   JobOptions options;
-  MapSample sample;
+  RoundEstimate prediction;
   PhysicalRound physical;
-  RoundPrediction prediction;
 };
 
 ResolvedRound ResolveMaterializedRound(const PlanGraph& graph,
@@ -421,7 +373,7 @@ PipelineMetrics ExecutePlanGraphMulti(PlanGraph& graph,
 
 PlanEstimate EstimatePlanGraph(const PlanGraph& graph,
                                const core::Recipe& recipe,
-                               const EstimateOptions& options);
+                               const ExecutionOptions& options);
 
 std::string ExplainPlanGraph(const PlanGraph& graph,
                              const ExecutionOptions& options);
@@ -619,11 +571,13 @@ class Plan {
   std::size_t num_rounds() const;
 
   /// Prices every round against `recipe` before any data moves — see
-  /// RoundEstimate. Rounds whose inputs are not yet materialized are
-  /// propagated from the previous round's predicted reducers x
-  /// outputs_per_reducer.
+  /// RoundEstimate. Each round is resolved with the options Execute would
+  /// run it with, so its prediction and planned strategy are the ones its
+  /// execution takes (rounds over the same materialized input). Rounds
+  /// whose inputs are not yet materialized are propagated from the
+  /// previous round's predicted reducers x outputs_per_reducer.
   PlanEstimate Estimate(const core::Recipe& recipe,
-                        const EstimateOptions& options = {}) const;
+                        const ExecutionOptions& options = {}) const;
 
   /// The human-readable physical plan: each round's PhysicalRound with
   /// its reasons and memory budget, as `options` would

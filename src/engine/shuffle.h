@@ -14,15 +14,15 @@ namespace mrcost::engine {
 
 /// How a round's shuffle is executed.
 ///   kAuto     — kExternal when a memory budget is set, else kSharded.
-///   kSerial   — the single-map reference shuffle (one thread, no shards).
-///   kSharded  — radix-partitioned parallel in-memory shuffle.
+///   kSharded  — radix-partitioned parallel in-memory shuffle (one shard
+///               groups every key in one table; JobOptions::num_shards).
 ///   kExternal — spill-to-disk shuffle: a map chunk's rows past its share
 ///               of the memory budget are routed by hash and spilled, one
 ///               run per shard in emission order; each shard then groups
 ///               its runs (no sort, no merge). The only strategy that can
 ///               run rounds whose intermediate data exceeds RAM.
 /// All strategies produce byte-identical ShuffleResults.
-enum class ShuffleStrategy { kAuto = 0, kSerial, kSharded, kExternal };
+enum class ShuffleStrategy { kAuto = 0, kSharded, kExternal };
 
 const char* ToString(ShuffleStrategy strategy);
 
@@ -70,8 +70,8 @@ struct ShuffleConfig {
   /// pick from the round's map-fn sample (skewed keys => kSampledRange)
   /// and otherwise behaves as kHash. Ignored by the external shuffle and
   /// the multi-process backend (both place by hash: a spilled or
-  /// published run is routed before any sample could exist) and by the
-  /// one-shard serial path.
+  /// published run is routed before any sample could exist) and by a
+  /// one-shard round.
   PartitionerKind partitioner = PartitionerKind::kAuto;
 
   /// True when any field was moved off its unset value.

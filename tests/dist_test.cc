@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -793,18 +794,78 @@ TEST(DistBackend, SchemaRecipesPredictQAndRExactly) {
   }
 }
 
+TEST(DistBackend, RoundSpansCarryEstimatesPrediction) {
+  // One round predictor: on both backends, round 1's Round span carries
+  // exactly the q and r Plan::Estimate predicted at build time — for the
+  // schema recipes, priced from their declared hints, and for the
+  // unhinted shuffle sweep, priced from the same map sample.
+  core::Recipe none;
+  none.g = [](double q) { return q; };
+  const std::vector<std::tuple<std::string, std::string, core::Recipe>>
+      cases = {
+          {"shuffle_sweep", "pairs=1000000,keys=4096,seed=1", none},
+          {"hamming_splitting", "b=10,k=5,d=1", hamming::Hamming1Recipe(10)},
+          {"hamming_ball", "b=10,d=1", hamming::Hamming1Recipe(10)},
+          {"matmul_one_phase", "n=32,tile=8,seed=11",
+           matmul::MatMulRecipe(32)},
+          {"matmul_two_phase", "n=16,s_rows=4,t_js=4,seed=11",
+           matmul::MatMulRecipe(16)}};
+  auto dir = common::TempDir::Create();
+  ASSERT_TRUE(dir.ok()) << dir.status();
+  const std::string trace_path = dir->path() + "/trace.json";
+  for (const auto& [recipe, args, bound] : cases) {
+    for (const bool multi : {false, true}) {
+      SCOPED_TRACE(recipe + (multi ? " multi-process" : " in-process"));
+      auto plan = dist::PlanRegistry::Global().Build(recipe, args);
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      const engine::PlanEstimate estimate = plan->Estimate(bound);
+      ASSERT_FALSE(estimate.rounds.empty());
+      engine::ExecutionOptions options =
+          multi ? MultiProcessOptions(2) : engine::ExecutionOptions{};
+      options.trace_out = trace_path;
+      plan->Execute(options);
+      std::ifstream in(trace_path);
+      std::stringstream buf;
+      buf << in.rdbuf();
+      auto events = obs::ParseChromeTrace(buf.str());
+      ASSERT_TRUE(events.ok()) << events.status();
+      const obs::TraceEvent* first = nullptr;
+      for (const obs::TraceEvent& e : *events) {
+        if (e.name == "Round" && (first == nullptr || e.round < first->round)) {
+          first = &e;
+        }
+      }
+      ASSERT_NE(first, nullptr);
+      const auto arg = [&](const std::string& key) {
+        for (const obs::TraceArg& a : first->args) {
+          if (a.key == key) return a.value;
+        }
+        return std::string("<missing>");
+      };
+      EXPECT_EQ(arg("predicted_q"),
+                obs::Arg("q", estimate.rounds[0].predicted_q).value);
+      EXPECT_EQ(arg("predicted_r"),
+                obs::Arg("r", estimate.rounds[0].predicted_r).value);
+    }
+  }
+}
+
 TEST(DistBackend, AgreesWithEveryInProcessStrategy) {
   // The multi-process output must match the in-process output under every
-  // explicit shuffle strategy, not just the chooser's pick.
+  // explicit shuffle strategy and shard count, not just the chooser's pick.
   const std::string args = "pairs=5000,keys=97,seed=3";
   const std::string multi = SweepBytes(args, MultiProcessOptions(2));
   for (const engine::ShuffleStrategy strategy :
-       {engine::ShuffleStrategy::kSerial, engine::ShuffleStrategy::kSharded,
+       {engine::ShuffleStrategy::kSharded,
         engine::ShuffleStrategy::kExternal}) {
-    engine::ExecutionOptions options;
-    options.pipeline.round_defaults.shuffle.strategy = strategy;
-    EXPECT_EQ(SweepBytes(args, options), multi)
-        << "strategy " << static_cast<int>(strategy);
+    for (const std::size_t shards : {1u, 0u}) {
+      engine::ExecutionOptions options;
+      options.pipeline.round_defaults.shuffle.strategy = strategy;
+      options.pipeline.round_defaults.num_shards = shards;
+      EXPECT_EQ(SweepBytes(args, options), multi)
+          << "strategy " << engine::ToString(strategy) << " shards "
+          << shards;
+    }
   }
 }
 

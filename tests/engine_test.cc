@@ -1308,7 +1308,7 @@ TEST(ShuffleConfigResolution, ThreeLayerOrderRoundBeatsDefaultsBeatsBackstop) {
   // the round defaults, then the execution-wide backstop
   // — field by field, not wholesale.
   ShuffleConfig backstop;
-  backstop.strategy = ShuffleStrategy::kSerial;
+  backstop.strategy = ShuffleStrategy::kSharded;
   backstop.memory_budget_bytes = 1 << 22;
   backstop.spill_dir = "/tmp/mrcost-backstop-spill";
   backstop.partitioner = PartitionerKind::kSampledRange;
@@ -1335,8 +1335,8 @@ TEST(ShuffleConfigResolution, ResolvedStrategyFollowsBudget) {
   EXPECT_EQ(config.Resolved(), ShuffleStrategy::kSharded);
   config.memory_budget_bytes = 1;
   EXPECT_EQ(config.Resolved(), ShuffleStrategy::kExternal);
-  config.strategy = ShuffleStrategy::kSerial;  // explicit beats the rule
-  EXPECT_EQ(config.Resolved(), ShuffleStrategy::kSerial);
+  config.strategy = ShuffleStrategy::kSharded;  // explicit beats the rule
+  EXPECT_EQ(config.Resolved(), ShuffleStrategy::kSharded);
 }
 
 TEST(Pipeline, CombinedRound) {

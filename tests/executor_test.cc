@@ -131,14 +131,13 @@ TEST(StagedRound, ByteIdenticalAcrossStrategiesThreadsAndShards) {
 
   JobOptions serial;
   serial.num_threads = 1;
-  serial.shuffle.strategy = ShuffleStrategy::kSerial;
+  serial.num_shards = 1;
   const auto reference = FoldJob::Run(inputs, serial);
 
   for (std::size_t threads : {1u, 2u, 4u}) {
     for (std::size_t shards : {0u, 1u, 3u, 8u}) {
       for (ShuffleStrategy strategy :
-           {ShuffleStrategy::kSerial, ShuffleStrategy::kSharded,
-            ShuffleStrategy::kExternal}) {
+           {ShuffleStrategy::kSharded, ShuffleStrategy::kExternal}) {
         JobOptions options;
         options.num_threads = threads;
         options.num_shards = shards;
@@ -388,7 +387,7 @@ TEST(StagedRound, SpeculationPreservesOutputsAndReportsStats) {
   std::iota(inputs.begin(), inputs.end(), 0);
   JobOptions serial;
   serial.num_threads = 1;
-  serial.shuffle.strategy = ShuffleStrategy::kSerial;
+  serial.num_shards = 1;
   const auto reference = FoldJob::Run(inputs, serial);
 
   JobOptions options;
@@ -415,7 +414,7 @@ TEST(StagedRound, SpeculativeTwinsReduceOneSharedView) {
   using Out = std::pair<std::uint64_t, std::uint64_t>;
   JobOptions serial;
   serial.num_threads = 1;
-  serial.shuffle.strategy = ShuffleStrategy::kSerial;
+  serial.num_shards = 1;
   const auto reference = FoldJob::Run(inputs, serial);
 
   constexpr std::uint64_t kHot = 5;

@@ -45,9 +45,9 @@ TEST(ShuffleStrategyResolution, AutoFollowsBudget) {
   EXPECT_EQ(options.shuffle.Resolved(), ShuffleStrategy::kExternal);
   options.shuffle.strategy = ShuffleStrategy::kSharded;
   EXPECT_EQ(options.shuffle.Resolved(), ShuffleStrategy::kSharded);
-  options.shuffle.strategy = ShuffleStrategy::kSerial;
+  options.shuffle.strategy = ShuffleStrategy::kExternal;
   options.shuffle.memory_budget_bytes = 0;
-  EXPECT_EQ(options.shuffle.Resolved(), ShuffleStrategy::kSerial);
+  EXPECT_EQ(options.shuffle.Resolved(), ShuffleStrategy::kExternal);
   EXPECT_STREQ(ToString(ShuffleStrategy::kExternal), "external");
 }
 

@@ -2,12 +2,13 @@
 // of execution, Estimate prices rounds against the Section 2.4 recipe
 // before any data moves, Explain narrates the physical plan, and Execute
 // is byte-identical for every shuffle strategy — verified here on a
-// synthetic round (each strategy vs the serial reference, metrics compared
+// synthetic round (each strategy vs a one-shard run, metrics compared
 // field by field) and on all four problem-family drivers across
-// {serial, sharded, external} x seeds.
+// {one shard, sharded, external} x seeds.
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -17,6 +18,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -124,7 +126,7 @@ TEST(Plan, BuildingRunsNothing) {
       hinted.Estimate(SyntheticRecipe(100, 10));
   EXPECT_EQ(map_calls.load(), 0);  // declared stages are never sampled
   ASSERT_EQ(hinted_estimate.rounds.size(), 1u);
-  EXPECT_FALSE(hinted_estimate.rounds[0].sampled);
+  EXPECT_EQ(hinted_estimate.rounds[0].source, PredictionSource::kDeclared);
   EXPECT_DOUBLE_EQ(hinted_estimate.rounds[0].predicted_q, 10.0);
 
   auto run = counts.Execute();
@@ -167,11 +169,12 @@ struct SyntheticJob {
   }
 };
 
-/// Two threads forcing `strategy`, with a budget small enough to spill
-/// when the strategy is external.
-JobOptions ForcedStrategy(ShuffleStrategy strategy) {
+/// Two threads forcing `strategy` over `shards` shards (0 = auto), with a
+/// budget small enough to spill when the strategy is external.
+JobOptions ForcedStrategy(ShuffleStrategy strategy, std::size_t shards = 0) {
   JobOptions options;
   options.num_threads = 2;
+  options.num_shards = shards;
   options.shuffle.strategy = strategy;
   if (strategy == ShuffleStrategy::kExternal) {
     options.shuffle.memory_budget_bytes = 1 << 12;
@@ -179,18 +182,15 @@ JobOptions ForcedStrategy(ShuffleStrategy strategy) {
   return options;
 }
 
-TEST(Plan, EveryStrategyMatchesSerial) {
+TEST(Plan, EveryStrategyMatchesOneShard) {
   SyntheticJob job;
-  auto run_with = [&](ShuffleStrategy strategy) {
-    return job.Run(ForcedStrategy(strategy));
-  };
-  const auto serial = run_with(ShuffleStrategy::kSerial);
+  const auto serial = job.Run(ForcedStrategy(ShuffleStrategy::kSharded, 1));
   ASSERT_EQ(serial.physical_rounds.size(), 1u);
-  EXPECT_EQ(serial.physical_rounds[0].strategy, ShuffleStrategy::kSerial);
+  EXPECT_EQ(serial.physical_rounds[0].shards, 1u);
   for (ShuffleStrategy strategy :
        {ShuffleStrategy::kSharded, ShuffleStrategy::kExternal}) {
     SCOPED_TRACE(ToString(strategy));
-    const auto run = run_with(strategy);
+    const auto run = job.Run(ForcedStrategy(strategy));
     EXPECT_EQ(run.outputs, serial.outputs);  // byte-identical
     ASSERT_EQ(run.metrics.rounds.size(), 1u);
     ExpectSameShuffle(run.metrics.rounds[0], serial.metrics.rounds[0]);
@@ -201,7 +201,7 @@ TEST(Plan, EveryStrategyMatchesSerial) {
   }
 }
 
-TEST(Plan, CombinedRoundMatchesSerial) {
+TEST(Plan, CombinedRoundMatchesOneShard) {
   std::vector<int> inputs(8000);
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     inputs[i] = static_cast<int>(i % 613);
@@ -217,15 +217,15 @@ TEST(Plan, CombinedRoundMatchesSerial) {
     for (std::int64_t v : values) total += v;
     out.emplace_back(key, total);
   };
-  auto run_with = [&](ShuffleStrategy strategy) {
+  auto run_with = [&](ShuffleStrategy strategy, std::size_t shards = 0) {
     Plan plan;
     return plan.Source(inputs)
         .Map<int, std::int64_t>(map_fn)
         .CombineByKey(combine_fn)
         .ReduceByKey<std::pair<int, std::int64_t>>(reduce_fn)
-        .Execute(ExecutionOptions(ForcedStrategy(strategy)));
+        .Execute(ExecutionOptions(ForcedStrategy(strategy, shards)));
   };
-  const auto serial = run_with(ShuffleStrategy::kSerial);
+  const auto serial = run_with(ShuffleStrategy::kSharded, 1);
   ASSERT_EQ(serial.metrics.rounds.size(), 1u);
   EXPECT_LT(serial.metrics.rounds[0].pairs_shuffled,
             serial.metrics.rounds[0].pairs_before_combine);
@@ -305,7 +305,7 @@ TEST(Plan, ChooserSkipsSpillWhenRoundFitsBudget) {
 
   const auto run = job.Run(options);
   JobOptions serial;
-  serial.shuffle.strategy = ShuffleStrategy::kSerial;
+  serial.num_shards = 1;
   EXPECT_EQ(run.outputs, job.Run(serial).outputs);
   EXPECT_FALSE(run.metrics.rounds[0].external_shuffle());
   EXPECT_EQ(run.metrics.rounds[0].spill_runs, 0u);
@@ -374,10 +374,10 @@ TEST(Plan, ChooserDecidesPerRoundNotPerPipeline) {
   EXPECT_EQ(run.outputs, reference.outputs);
 }
 
-TEST(Plan, ExplicitShardRequestSuppressesSerialDowngrade) {
-  // A tiny round would be downgraded to the serial shuffle by the
-  // chooser, but an explicit num_shards request asks for the sharded
-  // code path and must keep it.
+TEST(Plan, SmallRoundRunsOneShardUnlessShardsRequested) {
+  // A tiny round is sharded like any other, and the shard count gives it
+  // one shard; an explicit num_shards request gets its shards, with the
+  // same outputs.
   std::vector<int> inputs(200);
   std::iota(inputs.begin(), inputs.end(), 0);
   auto build = [&](Plan& plan) {
@@ -391,18 +391,82 @@ TEST(Plan, ExplicitShardRequestSuppressesSerialDowngrade) {
               out.emplace_back(key, values.size());
             });
   };
+  JobOptions four_threads;
+  four_threads.num_threads = 4;
   Plan tiny;
-  auto serial_run = build(tiny).Execute();
+  auto serial_run = build(tiny).Execute(ExecutionOptions(four_threads));
   ASSERT_EQ(serial_run.physical_rounds.size(), 1u);
-  EXPECT_EQ(serial_run.physical_rounds[0].strategy, ShuffleStrategy::kSerial);
+  EXPECT_EQ(serial_run.physical_rounds[0].strategy, ShuffleStrategy::kSharded);
+  EXPECT_EQ(serial_run.physical_rounds[0].shards, 1u);
 
-  JobOptions options;
+  JobOptions options = four_threads;
   options.num_shards = 4;
   Plan sharded;
   auto sharded_run = build(sharded).Execute(ExecutionOptions(options));
   ASSERT_EQ(sharded_run.physical_rounds.size(), 1u);
   EXPECT_EQ(sharded_run.physical_rounds[0].strategy, ShuffleStrategy::kSharded);
+  EXPECT_EQ(sharded_run.physical_rounds[0].shards, 4u);
   EXPECT_EQ(sharded_run.outputs, serial_run.outputs);
+}
+
+TEST(Plan, SpeculativeBackupRaceStaysByteIdentical) {
+  // One hot key's reducer blocks until a second call of it arrives, which
+  // only a speculative backup of its shard task can make; the backup and
+  // the original then race, and the plan's outputs must equal the run
+  // without speculation.
+  std::vector<std::uint64_t> inputs(20000);
+  std::iota(inputs.begin(), inputs.end(), 0);
+  using Out = std::pair<std::uint64_t, std::uint64_t>;
+  auto map_fn = [](const std::uint64_t& x,
+                   Emitter<std::uint64_t, std::uint64_t>& emitter) {
+    emitter.Emit(x % 193, x);
+    emitter.Emit(x % 677, x * 3 + 1);
+  };
+  auto fold = [](const std::uint64_t& key, GroupView<std::uint64_t> values,
+                 std::vector<Out>& out) {
+    std::uint64_t acc = key;
+    for (std::uint64_t v : values) acc = acc * 1099511628211ULL + v;
+    out.emplace_back(key, acc);
+  };
+  constexpr std::uint64_t kHot = 5;
+  std::atomic<int> hot_calls{0};
+  auto blocking = [&](const std::uint64_t& key,
+                      GroupView<std::uint64_t> values, std::vector<Out>& out) {
+    if (key == kHot) {
+      const int call = hot_calls.fetch_add(1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      while (call == 0 && hot_calls.load() < 2 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    }
+    fold(key, values, out);
+  };
+
+  ExecutionOptions options;
+  options.pipeline.num_threads = 4;
+  options.pipeline.round_defaults.num_shards = 8;
+  const auto reference = Plan()
+                             .Source(inputs)
+                             .Map<std::uint64_t, std::uint64_t>(map_fn)
+                             .ReduceByKey<Out>(fold)
+                             .Execute(options);
+
+  SpeculationConfig& speculation = options.pipeline.round_defaults.speculation;
+  speculation.enabled = true;
+  speculation.slowdown_factor = 1.0;
+  speculation.min_completed = 1;
+  speculation.min_task_ms = 0.0;
+  const auto run = Plan()
+                       .Source(inputs)
+                       .Map<std::uint64_t, std::uint64_t>(map_fn)
+                       .ReduceByKey<Out>(blocking)
+                       .Execute(options);
+  ASSERT_EQ(run.metrics.rounds.size(), 1u);
+  EXPECT_GT(run.metrics.rounds[0].speculative_launched, 0u);
+  EXPECT_EQ(hot_calls.load(), 2);
+  EXPECT_EQ(run.outputs, reference.outputs);
 }
 
 TEST(Plan, ExplicitStrategyBypassesChooser) {
@@ -476,7 +540,7 @@ TEST(Plan, EstimateAgreesWithRealizedOnTableWorkloads) {
     // The splitting algorithm is exactly optimal at its q, and its fully
     // declared geometry is priced without sampling the map function.
     EXPECT_NEAR(estimate.rounds[0].optimality_ratio, 1.0, 1e-9);
-    EXPECT_FALSE(estimate.rounds[0].sampled);
+    EXPECT_EQ(estimate.rounds[0].source, PredictionSource::kDeclared);
   }
 
   // One-phase matmul (Section 6.2): r = n/s, q = 2sn.
@@ -517,20 +581,19 @@ TEST(Plan, EstimateAgreesWithRealizedOnTableWorkloads) {
                      run.metrics.rounds[0].replication_rate());
   }
 
-  // Sample-graph enumeration: no declared hints — an exhaustive sample of
-  // the map function reproduces the realized r and q exactly.
+  // Sample-graph enumeration: no declared hints — the 1024-input sample
+  // covers all 500 edges, and an exhaustive sample of the map function
+  // reproduces the realized r and q exactly.
   {
     const graph::Graph data =
         graph::ZipfGraph(/*n=*/120, /*m=*/500, /*exponent=*/0.6, /*seed=*/4);
     const graph::Graph pattern(3, {{0, 1}, {1, 2}, {0, 2}});
     auto plan = graph::BuildSampleGraphPlan(data, pattern, /*k=*/5,
                                             /*seed=*/11);
-    EstimateOptions exhaustive;
-    exhaustive.max_sample_inputs = 0;  // sample every input
-    const auto estimate = plan.plan.Estimate(
-        SyntheticRecipe(data.num_edges(), 1), exhaustive);
+    const auto estimate =
+        plan.plan.Estimate(SyntheticRecipe(data.num_edges(), 1));
     ASSERT_EQ(estimate.rounds.size(), 1u);
-    EXPECT_TRUE(estimate.rounds[0].sampled);
+    EXPECT_EQ(estimate.rounds[0].source, PredictionSource::kSampled);
     const auto run = plan.counts.Execute();
     const JobMetrics& realized = run.metrics.rounds[0];
     EXPECT_DOUBLE_EQ(estimate.rounds[0].predicted_r,
@@ -579,7 +642,7 @@ void ExpectSchemaRoundExact(std::shared_ptr<const core::MappingSchema> schema,
 
   ASSERT_EQ(estimate.rounds.size(), 1u);
   const RoundEstimate& predicted = estimate.rounds[0];
-  EXPECT_FALSE(predicted.sampled);
+  EXPECT_EQ(predicted.source, PredictionSource::kDeclared);
   EXPECT_EQ(predicted.predicted_r, stats.replication_rate);
   EXPECT_EQ(predicted.predicted_reducers,
             static_cast<double>(stats.nonempty_reducers));
@@ -680,22 +743,90 @@ TEST(Plan, PlannedStrategyMatchesExecuteChooser) {
       hamming::AllStrings(b), b, k, d);
   ASSERT_TRUE(plan.ok());
 
-  EstimateOptions roomy;
-  roomy.shuffle.memory_budget_bytes = 1 << 30;  // far above ~192 KiB
+  ExecutionOptions roomy;
+  roomy.pipeline.shuffle.memory_budget_bytes = 1 << 30;  // far above ~192 KiB
   const auto fits = plan->plan.Estimate(hamming::Hamming1Recipe(b), roomy);
   EXPECT_EQ(fits.rounds[0].planned_strategy, ShuffleStrategy::kSharded);
 
-  EstimateOptions tight;
-  tight.shuffle.memory_budget_bytes = 1 << 10;  // far below
+  ExecutionOptions tight;
+  tight.pipeline.shuffle.memory_budget_bytes = 1 << 10;  // far below
   const auto spills = plan->plan.Estimate(hamming::Hamming1Recipe(b), tight);
   EXPECT_EQ(spills.rounds[0].planned_strategy, ShuffleStrategy::kExternal);
 
   // And Execute agrees with the roomy annotation: no spill.
-  JobOptions options;
-  options.shuffle.memory_budget_bytes = 1 << 30;
-  auto run = plan->pairs.Execute(ExecutionOptions(options));
+  auto run = plan->pairs.Execute(roomy);
   ASSERT_EQ(run.physical_rounds.size(), 1u);
   EXPECT_EQ(run.physical_rounds[0].strategy, ShuffleStrategy::kSharded);
+}
+
+TEST(Plan, EstimatePlansTheStrategyExecuteRuns) {
+  // Estimate resolves each round with the options Execute runs it under:
+  // round defaults (an explicit shard count) and the execution-wide
+  // shuffle budget reach the planned strategy as they reach the physical
+  // one.
+  const int b = 10, k = 2, d = 1;
+  std::vector<std::pair<std::string, ExecutionOptions>> settings(2);
+  settings[0].first = "num_shards=4";
+  settings[0].second.pipeline.round_defaults.num_shards = 4;
+  settings[1].first = "1 KiB pipeline budget";
+  settings[1].second.pipeline.shuffle.memory_budget_bytes = 1 << 10;
+  for (auto& [name, options] : settings) {
+    SCOPED_TRACE(name);
+    options.pipeline.num_threads = 4;
+    auto plan = hamming::BuildSplittingSimilarityJoinPlan(
+        hamming::AllStrings(b), b, k, d);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    const PlanEstimate estimate =
+        plan->plan.Estimate(hamming::Hamming1Recipe(b), options);
+    const auto run = plan->pairs.Execute(options);
+    ASSERT_EQ(estimate.rounds.size(), 1u);
+    ASSERT_EQ(run.physical_rounds.size(), 1u);
+    EXPECT_EQ(estimate.rounds[0].planned_strategy,
+              run.physical_rounds[0].strategy);
+  }
+}
+
+TEST(Plan, EstimateLabelsWhereEachPredictionCameFrom) {
+  // A declared round, a round sampled over its materialized input, and a
+  // round over an unmaterialized input that declares nothing: its r = 1
+  // and one reducer per input are assumptions, and ToString says so.
+  std::vector<int> inputs(100);
+  std::iota(inputs.begin(), inputs.end(), 0);
+  auto map_fn = [](const int& x, Emitter<int, int>& e) { e.Emit(x % 7, x); };
+  auto reduce_fn = [](const int& key, GroupView<int>, std::vector<int>& out) {
+    out.push_back(key);
+  };
+  StageEstimate hint;
+  hint.replication = 1;
+  hint.num_reducers = 7;
+  Plan plan;
+  auto source = plan.Source(std::move(inputs));
+  auto declared = source.Map<int, int>(map_fn, "declared")
+                      .WithEstimate(hint)
+                      .ReduceByKey<int>(reduce_fn);
+  auto assumed =
+      declared.Map<int, int>(map_fn, "assumed").ReduceByKey<int>(reduce_fn);
+  auto sampled =
+      source.Map<int, int>(map_fn, "sampled").ReduceByKey<int>(reduce_fn);
+  (void)assumed;
+  (void)sampled;
+
+  const PlanEstimate estimate = plan.Estimate(SyntheticRecipe(100, 7));
+  ASSERT_EQ(estimate.rounds.size(), 3u);
+  EXPECT_EQ(estimate.rounds[0].source, PredictionSource::kDeclared);
+  EXPECT_EQ(estimate.rounds[1].source, PredictionSource::kAssumed);
+  EXPECT_EQ(estimate.rounds[1].predicted_r, 1.0);
+  EXPECT_EQ(estimate.rounds[1].predicted_reducers,
+            estimate.rounds[1].num_inputs);
+  EXPECT_EQ(estimate.rounds[2].source, PredictionSource::kSampled);
+  std::vector<std::string> lines;
+  std::istringstream text(estimate.ToString());
+  for (std::string line; std::getline(text, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_NE(lines[0].find("'declared'"), std::string::npos);
+  EXPECT_NE(lines[0].find("(declared)"), std::string::npos);
+  EXPECT_NE(lines[1].find("(assumed)"), std::string::npos);
+  EXPECT_NE(lines[2].find("(sampled)"), std::string::npos);
 }
 
 TEST(Plan, ExplainNarratesThePhysicalPlan) {
@@ -721,9 +852,9 @@ TEST(Plan, ExplainNarratesThePhysicalPlan) {
   // Explicit strategies are reported as such.
   ExecutionOptions explicit_options;
   explicit_options.pipeline.round_defaults.shuffle.strategy =
-      ShuffleStrategy::kSerial;
+      ShuffleStrategy::kSharded;
   const std::string explicit_text = plan->plan.Explain(explicit_options);
-  EXPECT_NE(explicit_text.find("serial (explicit)"), std::string::npos);
+  EXPECT_NE(explicit_text.find("sharded (explicit)"), std::string::npos);
 
   // Explain equals trace: every round Explain resolves prints the
   // physical fields its Round span then carries, on both backends. A
@@ -804,6 +935,16 @@ JobOptions StrategyOptions(ShuffleStrategy strategy) {
   return options;
 }
 
+/// The family sweeps' settings: one shard (every key grouped in one
+/// table), then the sharded and external strategies.
+std::vector<std::pair<std::string, JobOptions>> StrategySweep() {
+  JobOptions one_shard;
+  one_shard.num_shards = 1;
+  return {{"one shard", one_shard},
+          {"sharded", StrategyOptions(ShuffleStrategy::kSharded)},
+          {"external", StrategyOptions(ShuffleStrategy::kExternal)}};
+}
+
 TEST(PlanFamilies, HammingAcrossStrategiesAndSeeds) {
   for (std::uint64_t seed : {1u, 2u}) {
     const auto strings = hamming::SkewedStrings(
@@ -813,13 +954,10 @@ TEST(PlanFamilies, HammingAcrossStrategiesAndSeeds) {
         hamming::SplittingSimilarityJoin(strings, 12, 3, 1, {});
     ASSERT_TRUE(reference.ok()) << reference.status();
     EXPECT_EQ(reference->pairs, serial_pairs);
-    for (ShuffleStrategy strategy :
-         {ShuffleStrategy::kSerial, ShuffleStrategy::kSharded,
-          ShuffleStrategy::kExternal}) {
-      SCOPED_TRACE(std::string(ToString(strategy)) +
-                   " seed=" + std::to_string(seed));
-      const auto run = hamming::SplittingSimilarityJoin(
-          strings, 12, 3, 1, StrategyOptions(strategy));
+    for (const auto& [name, options] : StrategySweep()) {
+      SCOPED_TRACE(name + " seed=" + std::to_string(seed));
+      const auto run =
+          hamming::SplittingSimilarityJoin(strings, 12, 3, 1, options);
       ASSERT_TRUE(run.ok()) << run.status();
       EXPECT_EQ(run->pairs, reference->pairs);
       EXPECT_EQ(run->metrics.pairs_shuffled,
@@ -848,13 +986,10 @@ TEST(PlanFamilies, JoinAggregateAcrossStrategiesAndSeeds) {
         query, ptrs, shares, 0, 2, /*pre_aggregate=*/false, /*seed=*/3, {});
     ASSERT_TRUE(reference.ok()) << reference.status();
     EXPECT_EQ(reference->sums, serial);
-    for (ShuffleStrategy strategy :
-         {ShuffleStrategy::kSerial, ShuffleStrategy::kSharded,
-          ShuffleStrategy::kExternal}) {
-      SCOPED_TRACE(std::string(ToString(strategy)) +
-                   " seed=" + std::to_string(seed));
-      const auto run = join::HyperCubeJoinAggregate(
-          query, ptrs, shares, 0, 2, false, 3, StrategyOptions(strategy));
+    for (const auto& [name, options] : StrategySweep()) {
+      SCOPED_TRACE(name + " seed=" + std::to_string(seed));
+      const auto run = join::HyperCubeJoinAggregate(query, ptrs, shares, 0,
+                                                    2, false, 3, options);
       ASSERT_TRUE(run.ok()) << run.status();
       EXPECT_EQ(run->sums, reference->sums);
       EXPECT_EQ(run->metrics.total_pairs(),
@@ -875,12 +1010,9 @@ TEST(PlanFamilies, MatmulTwoPhaseAcrossStrategies) {
   const auto reference = matmul::MultiplyTwoPhase(r, s, 4, 2, {});
   ASSERT_TRUE(reference.ok()) << reference.status();
   EXPECT_LT(reference->product.MaxAbsDiff(expected), 1e-9);
-  for (ShuffleStrategy strategy :
-       {ShuffleStrategy::kSerial, ShuffleStrategy::kSharded,
-        ShuffleStrategy::kExternal}) {
-    SCOPED_TRACE(ToString(strategy));
-    const auto run =
-        matmul::MultiplyTwoPhase(r, s, 4, 2, StrategyOptions(strategy));
+  for (const auto& [name, options] : StrategySweep()) {
+    SCOPED_TRACE(name);
+    const auto run = matmul::MultiplyTwoPhase(r, s, 4, 2, options);
     ASSERT_TRUE(run.ok()) << run.status();
     EXPECT_EQ(run->product.MaxAbsDiff(reference->product), 0.0);
     EXPECT_EQ(run->metrics.total_pairs(), reference->metrics.total_pairs());
@@ -888,16 +1020,18 @@ TEST(PlanFamilies, MatmulTwoPhaseAcrossStrategies) {
   }
 }
 
-TEST(PlanFamilies, TwoRoundPlansByteIdenticalToSerialAcrossStrategiesAndSeeds) {
+TEST(PlanFamilies, TwoRoundPlansByteIdenticalToOneShardAcrossStrategiesAndSeeds) {
   // Round 2 of both two-round families maps over the outputs round 1
   // materialized. Under every strategy and seed, the plan's outputs (in
   // first-seen order, unsorted) and each round's shuffle geometry equal
-  // the serial strategy's.
+  // the one-shard run's.
   const std::vector<ShuffleStrategy> strategies = {
       ShuffleStrategy::kSharded, ShuffleStrategy::kExternal};
   const auto options = [](ShuffleStrategy strategy) {
     return ExecutionOptions(StrategyOptions(strategy));
   };
+  JobOptions one_shard;
+  one_shard.num_shards = 1;
 
   for (std::uint64_t seed : {31u, 32u}) {
     const int n = 16;
@@ -907,8 +1041,7 @@ TEST(PlanFamilies, TwoRoundPlansByteIdenticalToSerialAcrossStrategiesAndSeeds) {
     s.FillRandom(rng);
     auto plan = matmul::BuildMultiplyTwoPhasePlan(r, s, 4, 2);
     ASSERT_TRUE(plan.ok()) << plan.status();
-    const auto serial =
-        plan->sums.Execute(options(ShuffleStrategy::kSerial));
+    const auto serial = plan->sums.Execute(ExecutionOptions(one_shard));
     ASSERT_EQ(serial.metrics.rounds.size(), 2u);
     for (ShuffleStrategy strategy : strategies) {
       SCOPED_TRACE(std::string("matmul ") + ToString(strategy) +
@@ -933,8 +1066,7 @@ TEST(PlanFamilies, TwoRoundPlansByteIdenticalToSerialAcrossStrategiesAndSeeds) {
         query, ptrs, shares, /*group_attr=*/0, /*sum_attr=*/2,
         /*pre_aggregate=*/false, /*seed=*/3);
     ASSERT_TRUE(plan.ok()) << plan.status();
-    const auto serial =
-        plan->sums.Execute(options(ShuffleStrategy::kSerial));
+    const auto serial = plan->sums.Execute(ExecutionOptions(one_shard));
     ASSERT_EQ(serial.metrics.rounds.size(), 2u);
     for (ShuffleStrategy strategy : strategies) {
       SCOPED_TRACE(std::string("join ") + ToString(strategy) +
@@ -1032,13 +1164,10 @@ TEST(PlanFamilies, SampleGraphAcrossStrategiesAndSeeds) {
         graph::ZipfGraph(/*n=*/200, /*m=*/800, /*exponent=*/0.7, seed);
     const auto reference =
         graph::MRSampleGraphInstances(data, pattern, /*k=*/5, /*seed=*/2, {});
-    for (ShuffleStrategy strategy :
-         {ShuffleStrategy::kSerial, ShuffleStrategy::kSharded,
-          ShuffleStrategy::kExternal}) {
-      SCOPED_TRACE(std::string(ToString(strategy)) +
-                   " seed=" + std::to_string(seed));
-      const auto run = graph::MRSampleGraphInstances(
-          data, pattern, 5, 2, StrategyOptions(strategy));
+    for (const auto& [name, options] : StrategySweep()) {
+      SCOPED_TRACE(name + " seed=" + std::to_string(seed));
+      const auto run =
+          graph::MRSampleGraphInstances(data, pattern, 5, 2, options);
       EXPECT_EQ(run.instance_count, reference.instance_count);
       EXPECT_EQ(run.metrics.pairs_shuffled, reference.metrics.pairs_shuffled);
       EXPECT_EQ(run.metrics.bytes_shuffled, reference.metrics.bytes_shuffled);
@@ -1096,7 +1225,7 @@ TEST(PlanChooser, SampledRangeExecutionStaysByteIdentical) {
   SyntheticJob job;
   JobOptions serial;
   serial.num_threads = 1;
-  serial.shuffle.strategy = ShuffleStrategy::kSerial;
+  serial.num_shards = 1;
   const auto reference = job.Run(serial);
 
   JobOptions options;

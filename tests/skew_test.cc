@@ -84,7 +84,7 @@ TEST(SkewHarness, DefensesPreserveOutputsAcrossZipfAndShards) {
     const ZipfJob job(20000, 512, exponents[e], /*seed=*/29 + e);
     JobOptions serial;
     serial.num_threads = 1;
-    serial.shuffle.strategy = ShuffleStrategy::kSerial;
+    serial.num_shards = 1;
     const auto reference = job.Run(serial);
 
     for (PartitionerKind partitioner :
