@@ -1,5 +1,5 @@
 // Engine micro-benchmarks (E17): google-benchmark throughput numbers for
-// the simulated map-reduce substrate itself — shuffle rate, thread
+// the in-process map-reduce substrate itself — shuffle rate, thread
 // scaling, and two end-to-end kernels (word count, one-phase matmul).
 // These validate that the substrate is fast enough that the paper-level
 // benches measure schema behaviour, not harness overhead.

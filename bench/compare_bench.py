@@ -5,10 +5,8 @@ Usage: compare_bench.py BASELINE.jsonl CURRENT.jsonl [--threshold 0.20]
 
 Both files hold one JSON object per line (the `BENCH_JSON ` prefix is
 accepted and stripped). Records pair up on every non-metric field
-(bench/mode/n/...); metrics are throughput (`*_per_s`) and
-higher-is-better percentage (`*_pct`, e.g. the skew bench's
-recovery_pct) fields. A current record more than --threshold below its
-baseline emits a
+(bench/mode/n/...); metrics are the throughput (`*_per_s`) fields. A
+current record more than --threshold below its baseline emits a
 GitHub warning annotation; the exit code stays 0 so noisy CI runners
 don't gate merges, but the warning lands on the workflow summary. Exit is
 nonzero only for malformed input or when nothing could be compared.
@@ -31,8 +29,7 @@ def load(path):
             rec = json.loads(line)
             metrics = {
                 k: v for k, v in rec.items()
-                if (k.endswith("_per_s") or k.endswith("_pct"))
-                and isinstance(v, (int, float))
+                if k.endswith("_per_s") and isinstance(v, (int, float))
             }
             key = tuple(sorted(
                 (k, v) for k, v in rec.items()

@@ -21,10 +21,6 @@ namespace mrcost::dist {
 
 namespace {
 
-/// Worker trace lanes: pid 0 is the coordinator's real-time lane, pid 1
-/// the simulator's (src/obs/trace.h), workers start at 2.
-constexpr std::uint32_t kWorkerPidBase = 2;
-
 std::string DefaultWorkerBinary() {
   std::error_code ec;
   auto self = std::filesystem::read_symlink("/proc/self/exe", ec);
@@ -492,7 +488,7 @@ void Coordinator::Stop() {
       std::vector<obs::TraceEvent> events;
       if (DecodeTraceEvents(worker.bye.trace_payload, events).ok()) {
         for (auto& event : events) {
-          event.pid = kWorkerPidBase + static_cast<std::uint32_t>(i);
+          event.pid = obs::kWorkerPidBase + static_cast<std::uint32_t>(i);
           obs::TraceRecorder::Global().Append(std::move(event));
         }
       }

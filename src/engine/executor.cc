@@ -347,15 +347,6 @@ std::uint64_t StageGraphExecutor::MinorFaults(std::uint32_t round_tag) const {
   return total;
 }
 
-AsyncRunner::AsyncRunner() : pool_(2) {}
-
-AsyncRunner& AsyncRunner::Global() {
-  // Meyers singleton: destroyed at exit, after draining queued executions
-  // (the pool destructor joins its workers), and leak-clean under ASan.
-  static AsyncRunner runner;
-  return runner;
-}
-
 namespace internal {
 
 std::uint64_t ThreadMinorFaults() {

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -341,30 +340,6 @@ class StageGraphExecutor : public TaskScheduler {
   std::unordered_map<std::uint32_t, SpeculationStats> spec_stats_;
 };
 
-/// Bounded replacement for the std::async-thread-per-call ExecuteAsync:
-/// every async plan execution runs on this small shared pool, so the
-/// number of concurrently driven executions is bounded by its thread
-/// count instead of growing with the number of outstanding futures. The
-/// heavy lifting still happens on each execution's own (or caller-owned)
-/// pool — these threads only drive the staging loop.
-class AsyncRunner {
- public:
-  static AsyncRunner& Global();
-
-  template <typename Fn>
-  auto Run(Fn fn) -> std::future<std::invoke_result_t<Fn>> {
-    using R = std::invoke_result_t<Fn>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::move(fn));
-    std::future<R> future = task->get_future();
-    pool_.Submit([task] { (*task)(); });
-    return future;
-  }
-
- private:
-  AsyncRunner();
-  common::ThreadPool pool_;
-};
-
 namespace internal {
 
 /// RAII choice between a caller-owned pool and a pool private to one round.
@@ -393,8 +368,11 @@ struct RoundFacts {
   std::size_t num_inputs = 0;   // materialized input size
   /// The round's predicted pairs and bytes; null = unknown.
   const RoundEstimate* prediction = nullptr;
-  /// Map-fn sample of the input the placement reads skew off.
-  const MapSample* sample = nullptr;
+  /// Takes the map-fn sample of the input the placement reads skew off.
+  /// Called only for a round whose placement is left to the sample (in
+  /// memory, in process, over more than one shard, partitioner kAuto);
+  /// null = no sample.
+  std::function<MapSample()> sample = nullptr;
   /// Worker processes place rows by hash only.
   bool multi_process = false;
 };

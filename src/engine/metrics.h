@@ -40,8 +40,8 @@ struct JobMetrics {
   /// Distribution of q_i across reducers.
   common::RunningStats reducer_sizes;
   /// Rows the shuffle routed to each shard (one entry per shard, summing
-  /// to pairs_shuffled): the placement the round really made, which
-  /// SimulateCluster (src/engine/simulator.h) prices.
+  /// to pairs_shuffled): the placement the round really made, and the
+  /// round's skew measurement with partition_skew_ratio below.
   std::vector<std::uint64_t> shard_pairs;
 
   /// Skew-defense accounting (all zero when no defense ran; see

@@ -188,8 +188,6 @@ RoundEstimate PredictRound(const PlanGraph& graph, const PlanNode& node,
 PhysicalRound ResolvePhysicalRound(const JobOptions& options,
                                    const RoundFacts& facts) {
   const ShuffleConfig& config = options.shuffle;
-  const MapSample* sample =
-      facts.sample != nullptr && facts.sample->valid ? facts.sample : nullptr;
   // < 0 = unknown (no prediction).
   const double pairs =
       facts.prediction != nullptr ? facts.prediction->predicted_pairs : -1;
@@ -235,19 +233,23 @@ PhysicalRound ResolvePhysicalRound(const JobOptions& options,
   } else if (config.partitioner != PartitionerKind::kAuto) {
     round.partitioner = config.partitioner;
     why << ToString(round.partitioner) << " (explicit)";
-  } else if (sample == nullptr || sample->distinct_keys == 0) {
-    why << "hash (no sample)";
   } else {
-    const double mean_group = sample->pairs_per_input *
-                              static_cast<double>(sample->sampled_inputs) /
-                              static_cast<double>(sample->distinct_keys);
-    const double hot =
-        static_cast<double>(sample->max_group) / std::max(mean_group, 1.0);
-    if (hot > kSkewTriggerRatio) {
-      round.partitioner = PartitionerKind::kSampledRange;
+    // Only this branch reads the sample, so only it pays for taking one.
+    const MapSample sample = facts.sample ? facts.sample() : MapSample{};
+    if (!sample.valid || sample.distinct_keys == 0) {
+      why << "hash (no sample)";
+    } else {
+      const double mean_group = sample.pairs_per_input *
+                                static_cast<double>(sample.sampled_inputs) /
+                                static_cast<double>(sample.distinct_keys);
+      const double hot =
+          static_cast<double>(sample.max_group) / std::max(mean_group, 1.0);
+      if (hot > kSkewTriggerRatio) {
+        round.partitioner = PartitionerKind::kSampledRange;
+      }
+      why << ToString(round.partitioner) << " (hottest sampled key x" << hot
+          << " the mean group)";
     }
-    why << ToString(round.partitioner) << " (hottest sampled key x" << hot
-        << " the mean group)";
   }
   round.reason = why.str();
 
@@ -292,12 +294,13 @@ ResolvedRound ResolveMaterializedRound(const PlanGraph& graph,
   MRCOST_CHECK(n != kUnknownSize);
   round.prediction = PredictRound(graph, node, round.options.shuffle,
                                   static_cast<double>(n), options.recipe);
-  const MapSample placement = node.sample(graph, kPlacementSampleInputs);
   RoundFacts facts;
   facts.num_threads = PoolSizing(options.pipeline).ResolvedThreads();
   facts.num_inputs = n;
   facts.prediction = &round.prediction;
-  facts.sample = &placement;
+  facts.sample = [&graph, &node] {
+    return node.sample(graph, kPlacementSampleInputs);
+  };
   facts.multi_process = options.backend == ExecutionBackend::kMultiProcess;
   round.physical = ResolvePhysicalRound(round.options, facts);
   round.prediction.planned_strategy = round.physical.strategy;
@@ -480,13 +483,6 @@ std::string Plan::Explain(const ExecutionOptions& options) const {
 
 PipelineMetrics Plan::Execute(const ExecutionOptions& options) {
   return internal::ExecutePlanGraph(*graph_, options, internal::kNoNode);
-}
-
-std::future<PipelineMetrics> Plan::ExecuteAsync(ExecutionOptions options) {
-  auto graph = graph_;
-  return AsyncRunner::Global().Run([graph, options = std::move(options)]() {
-    return internal::ExecutePlanGraph(*graph, options, internal::kNoNode);
-  });
 }
 
 const std::vector<PhysicalRound>& Plan::last_physical_rounds() const {

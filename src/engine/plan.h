@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -51,10 +50,7 @@ namespace mrcost::engine {
 //                         bytes vs budget). Rounds run
 //                         in node order, each over the input its producer
 //                         materialized (the paper prices a round on that
-//                         input, Sec. 6.3);
-//   * ExecuteAsync      — the same, returning a future backed by the
-//                         bounded AsyncRunner instead of a detached
-//                         thread per call.
+//                         input, Sec. 6.3).
 
 template <typename T>
 class Dataset;
@@ -173,7 +169,7 @@ struct PipelineOptions {
   ShuffleConfig shuffle;
 };
 
-/// Knobs for Plan::Execute / ExecuteAsync.
+/// Knobs for Plan::Execute.
 struct ExecutionOptions {
   /// Thread sizing, round defaults (speculation included), and the
   /// execution-wide shuffle backstop. A round whose shuffle strategy stays
@@ -515,21 +511,6 @@ class Dataset {
     return result;
   }
 
-  /// Execute asynchronously, returning a future backed by the bounded
-  /// AsyncRunner (src/engine/executor.h) — concurrent async executions
-  /// queue behind its fixed thread count instead of each spawning a
-  /// fresh thread. The plan must not be executed (or estimated)
-  /// concurrently with the returned future — one execution per plan at a
-  /// time; a caller-owned pool in the options must outlive the future.
-  std::future<ExecutionResult<T>> ExecuteAsync(
-      ExecutionOptions options = {}) const {
-    Dataset self = *this;
-    return AsyncRunner::Global().Run(
-        [self, options = std::move(options)]() {
-          return self.Execute(options);
-        });
-  }
-
   /// The plan this dataset belongs to (for Estimate / Explain).
   Plan plan() const;
 
@@ -548,8 +529,8 @@ class Dataset {
 };
 
 /// The plan handle: owns the shared DAG, creates sources, and offers the
-/// untyped whole-plan operations (Estimate / Explain / Execute /
-/// ExecuteAsync). Typed outputs are read through Dataset<T>::Execute.
+/// untyped whole-plan operations (Estimate / Explain / Execute). Typed
+/// outputs are read through Dataset<T>::Execute.
 class Plan {
  public:
   Plan() : graph_(std::make_shared<internal::PlanGraph>()) {}
@@ -588,10 +569,6 @@ class Plan {
   /// Runs every round, returning the accumulated metrics. Typed outputs
   /// are read through Dataset<T>::Execute instead.
   PipelineMetrics Execute(const ExecutionOptions& options = {});
-
-  /// Execute asynchronously on the bounded AsyncRunner (see
-  /// Dataset::ExecuteAsync's caveats).
-  std::future<PipelineMetrics> ExecuteAsync(ExecutionOptions options = {});
 
   /// Per executed round, the physical shape the most recent Execute ran
   /// with.

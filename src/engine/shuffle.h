@@ -26,8 +26,8 @@ enum class ShuffleStrategy { kAuto = 0, kSharded, kExternal };
 
 const char* ToString(ShuffleStrategy strategy);
 
-/// How pairs are placed onto shuffle shards (the placement the cluster
-/// simulator then prices, one simulated worker per shard).
+/// How pairs are placed onto shuffle shards (the round records the result
+/// as JobMetrics::shard_pairs and partition_skew_ratio).
 ///   kAuto         — kHash unless the round's map-fn sample detects
 ///                   key skew (max group far above the mean), in which case
 ///                   kSampledRange.

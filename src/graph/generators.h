@@ -31,10 +31,10 @@ Graph PreferentialAttachmentGraph(NodeId n, int attach, std::uint64_t seed);
 /// distinct edges whose endpoints are drawn Zipf(`exponent`) over the n
 /// nodes, so node 0 is a hub touching most edges at large exponents and
 /// the graph degenerates to (loop-free) G(n, m)-like uniform sampling at
-/// exponent 0. The cluster simulator's skew-injection input for the graph
-/// family: hub nodes concentrate reducer load exactly the way the paper's
-/// "curse of the last reducer" citation describes. May return fewer than m
-/// edges when the skew concentrates samples on few distinct pairs.
+/// exponent 0. The skew-injection input for the graph family: hub nodes
+/// concentrate reducer load exactly the way the paper's "curse of the
+/// last reducer" citation describes. May return fewer than m edges when
+/// the skew concentrates samples on few distinct pairs.
 Graph ZipfGraph(NodeId n, std::uint64_t m, double exponent,
                 std::uint64_t seed);
 

@@ -38,9 +38,7 @@ class Matrix {
   /// heavy-tailed value profile of real sparse data. Note this skews only
   /// the numerical content: the matmul tiling schemas replicate elements
   /// structurally and a double's wire size is fixed, so engine metrics
-  /// and simulated placement are value-independent. Cluster-level skew
-  /// for the matmul family comes from SimulationOptions' heterogeneous
-  /// worker speeds and stragglers.
+  /// and shard placement are value-independent.
   void FillZipf(common::SplitMix64& rng, double exponent);
 
   /// Max absolute elementwise difference; matrices must be congruent.

@@ -86,29 +86,17 @@ std::string ToChromeTraceJson(const std::vector<TraceEvent>& events) {
   os << "{\"traceEvents\":[\n";
   os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << kRealTimePid
      << ",\"tid\":0,\"args\":{\"name\":\"mrcost engine\"}}";
-  bool has_simulated = false;
-  for (const TraceEvent& event : events) {
-    if (event.pid == kSimulatedPid) {
-      has_simulated = true;
-      break;
-    }
-  }
-  if (has_simulated) {
-    os << ",\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":"
-       << kSimulatedPid
-       << ",\"tid\":0,\"args\":{\"name\":\"simulated cluster\"}}";
-  }
-  // Worker processes of the multi-process backend occupy pids >= 2 (one
-  // lane per worker, merged from its Bye payload); name each one that
-  // appears.
+  // Worker processes of the multi-process backend occupy pids from
+  // kWorkerPidBase (one lane per worker, merged from its Bye payload);
+  // name each one that appears.
   std::set<std::uint32_t> worker_pids;
   for (const TraceEvent& event : events) {
-    if (event.pid > kSimulatedPid) worker_pids.insert(event.pid);
+    if (event.pid >= kWorkerPidBase) worker_pids.insert(event.pid);
   }
   for (std::uint32_t pid : worker_pids) {
     os << ",\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
        << ",\"tid\":0,\"args\":{\"name\":\"mrcost worker "
-       << (pid - kSimulatedPid - 1) << "\"}}";
+       << (pid - kWorkerPidBase) << "\"}}";
   }
   for (const TraceEvent& event : events) {
     os << ",\n";

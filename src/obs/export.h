@@ -17,8 +17,8 @@ std::string JsonEscape(std::string_view s);
 /// Renders events as one Chrome trace_event JSON document
 /// ({"traceEvents":[...]}), loadable by Perfetto / chrome://tracing.
 /// round/shard/task ids travel in each event's args. Adds process_name
-/// metadata records naming pid 0 "mrcost engine" and pid 1
-/// "simulated cluster" when simulator events are present.
+/// metadata records naming pid 0 "mrcost engine" and each worker lane
+/// present (pid kWorkerPidBase + w) "mrcost worker w".
 std::string ToChromeTraceJson(const std::vector<TraceEvent>& events);
 
 /// Writes ToChromeTraceJson(events) to `path`.

@@ -28,11 +28,11 @@ TraceArg Arg(std::string key, std::int64_t value);
 TraceArg Arg(std::string key, std::uint32_t value);
 TraceArg Arg(std::string key, int value);
 
-/// Trace lanes. Real wall-clock events live in pid 0; the cluster
-/// simulator's virtual-time events live in pid 1 so both timelines can be
-/// loaded side by side in Perfetto without interleaving.
+/// Trace lanes. The engine's (and the coordinator's) events live in pid
+/// 0; worker w of the multi-process backend gets pid kWorkerPidBase + w.
+/// Pid 1 stays unused, so traces keep their worker lane numbers.
 inline constexpr std::uint32_t kRealTimePid = 0;
-inline constexpr std::uint32_t kSimulatedPid = 1;
+inline constexpr std::uint32_t kWorkerPidBase = 2;
 
 /// One recorded event. phase follows the Chrome trace_event convention:
 /// 'X' = complete span [t_start_us, t_end_us], 'i' = instant at t_start_us.

@@ -4,7 +4,7 @@
 // PipelineMetrics / RoundCostReport, and carry all four problem-family
 // drivers end-to-end with a memory budget far below the intermediate data
 // size — the capacity-q regime the paper reasons about, actually enforced
-// instead of simulated.
+// instead of only reported.
 
 #include <cstdint>
 #include <functional>
@@ -382,7 +382,7 @@ TEST(ExternalShuffleJob, CombinedRoundMatchesInMemory) {
 TEST(ExternalShuffleJob, SpilledRoundPlacesLikeTheInMemoryRound) {
   // An external round routes its spilled and in-memory runs by the same
   // hash placement as an in-memory round at its shard count, so both
-  // report the same shard loads (the simulator prices either alike).
+  // report the same shard loads.
   JobOptions options;
   options.shuffle.memory_budget_bytes = 1 << 10;
   const auto run = FanoutJob(options);

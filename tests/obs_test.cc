@@ -150,6 +150,32 @@ TEST(TraceExport, RoundTripPreservesEvents) {
   EXPECT_EQ(instant->phase, 'i');
 }
 
+TEST(TraceExport, NamesTheEngineAndEachWorkerLane) {
+  // Pid 0 is the engine; worker w's lane is kWorkerPidBase + w. Only lanes
+  // that carry events are named, and nothing else gets a process_name.
+  TraceEvent engine;
+  engine.name = "Round";
+  TraceEvent worker = engine;
+  worker.name = "MapBlock";
+  worker.pid = kWorkerPidBase;
+  const std::string json = ToChromeTraceJson({engine, worker});
+  std::vector<std::string> names;
+  std::istringstream lines(json);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"process_name\"") != std::string::npos) {
+      names.push_back(line);
+    }
+  }
+  ASSERT_EQ(names.size(), 2u) << json;
+  EXPECT_NE(names[0].find("\"pid\":0,"), std::string::npos) << names[0];
+  EXPECT_NE(names[0].find("\"name\":\"mrcost engine\""), std::string::npos)
+      << names[0];
+  EXPECT_NE(names[1].find("\"pid\":2,"), std::string::npos) << names[1];
+  EXPECT_NE(names[1].find("\"name\":\"mrcost worker 0\""),
+            std::string::npos)
+      << names[1];
+}
+
 TEST(TraceExport, RejectsMalformedJson) {
   EXPECT_FALSE(ParseChromeTrace("not json").ok());
   EXPECT_FALSE(ParseChromeTrace("{\"traceEvents\":[{]}").ok());

@@ -277,22 +277,6 @@ TEST(Plan, IntermediateDatasetExecutesOnlyItsAncestry) {
   EXPECT_EQ(both.outputs.size(), 5u);
 }
 
-TEST(Plan, ExecuteAsyncMatchesSync) {
-  SyntheticJob job;
-  JobOptions options;
-  options.num_threads = 2;
-  Plan plan;
-  auto ds = plan.Source(job.inputs)
-                .Map<int, std::uint64_t>(SyntheticJob::MapFn)
-                .ReduceByKey<std::pair<int, std::uint64_t>>(
-                    SyntheticJob::ReduceFn);
-  auto sync = ds.Execute(ExecutionOptions(options));
-  auto future = ds.ExecuteAsync(ExecutionOptions(options));
-  auto async = future.get();
-  EXPECT_EQ(async.outputs, sync.outputs);
-  ExpectSameMetrics(async.metrics.rounds[0], sync.metrics.rounds[0]);
-}
-
 // ------------------------------------------------ per-round strategy chooser
 
 TEST(Plan, ChooserSkipsSpillWhenRoundFitsBudget) {
@@ -1191,7 +1175,7 @@ TEST(PlanChooser, PartitionerFollowsSampledSkew) {
   internal::RoundFacts facts;
   facts.num_threads = 4;
   facts.num_inputs = 100000;
-  facts.sample = &sample;
+  facts.sample = [&sample] { return sample; };
   const auto partitioner = [&] {
     return internal::ResolvePhysicalRound(options, facts).partitioner;
   };
@@ -1219,6 +1203,37 @@ TEST(PlanChooser, PartitionerFollowsSampledSkew) {
   sample.max_group = 100;
   facts.multi_process = true;
   EXPECT_EQ(partitioner(), PartitionerKind::kHash);
+}
+
+TEST(PlanChooser, OneShardRoundTakesNoPlacementSample) {
+  // A round with one shard has nothing to place, and a declared r and
+  // reducer count leave the prediction nothing to sample: the map runs
+  // once per input and never for a sample.
+  constexpr int kInputs = 1000;
+  std::vector<int> inputs(kInputs);
+  std::iota(inputs.begin(), inputs.end(), 0);
+  StageEstimate hint;
+  hint.replication = 1;
+  hint.num_reducers = 10;
+  std::atomic<int> map_calls{0};
+  Plan plan;
+  const auto run =
+      plan.Source(std::move(inputs))
+          .Map<int, int>([&map_calls](const int& x, Emitter<int, int>& e) {
+            ++map_calls;
+            e.Emit(x % 10, x);
+          })
+          .WithEstimate(hint)
+          .ReduceByKey<std::pair<int, std::size_t>>(
+              [](const int& key, GroupView<int> values,
+                 std::vector<std::pair<int, std::size_t>>& out) {
+                out.emplace_back(key, values.size());
+              })
+          .Execute();
+  ASSERT_EQ(run.physical_rounds.size(), 1u);
+  EXPECT_EQ(run.physical_rounds[0].shards, 1u);
+  EXPECT_EQ(run.outputs.size(), 10u);
+  EXPECT_EQ(map_calls.load(), kInputs);
 }
 
 TEST(PlanChooser, SampledRangeExecutionStaysByteIdentical) {
